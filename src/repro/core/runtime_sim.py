@@ -46,9 +46,10 @@ adds three more per-stage mechanisms:
 
 from __future__ import annotations
 
-import math
 import random
+import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.core.adaptation.controller import ParameterController
@@ -228,7 +229,7 @@ class _BatchEnvelope:
     """Several Items shipped over a link as one transmission.
 
     The envelope pays one token-bucket charge for the summed size (the
-    batched fast path's saving); :meth:`SimulatedRuntime._deliver` unpacks
+    batched fast path's saving); :meth:`SimulatedRuntime._arrive` unpacks
     it so the destination still sees individual items — per-item replay
     recording, hop opening, and queue occupancy are unchanged.
     """
@@ -676,19 +677,14 @@ class SimulatedRuntime:
         for binding in self._bindings:
             self.env.process(self._feeder(binding), name=f"feeder:{binding.name}")
 
-        finished = self.env.all_of(list(self._stage_done.values()))
-        guard: Dict[str, bool] = {}
-
-        def _done(event) -> None:
-            guard["done"] = True
-
-        finished.add_callback(_done)
-        horizon = stop_at if stop_at is not None else max_sim_time
-        while self.env.peek() <= horizon and "done" not in guard:
-            if self.env.peek() == math.inf:
-                break
-            self.env.step()
-        if "done" not in guard and stop_at is None:
+        done: List[Event] = []
+        self.env.all_of(list(self._stage_done.values())).add_callback(done.append)
+        # peek() is inf on an empty schedule, which must end the loop too.
+        horizon = min(stop_at if stop_at is not None else max_sim_time, sys.float_info.max)
+        peek, step = self.env.peek, self.env.step
+        while not done and peek() <= horizon:
+            step()
+        if not done and stop_at is None:
             raise SimulationError(
                 f"run exceeded max_sim_time={max_sim_time} "
                 f"(now={self.env.now}); pipeline likely wedged"
@@ -798,7 +794,13 @@ class SimulatedRuntime:
                 # bumps the generation; this worker is then superseded.
                 yield self.env.timeout(self.MIGRATE_DRAIN_POLL)
                 continue
-            message = yield stage.queue.get()
+            if stage.queue.is_empty or not self.env.settled():
+                message = yield stage.queue.get()
+            else:
+                # Already queued, and the get event would be the next one
+                # processed: take the item now, with the queue mutations
+                # get() makes in the same order, for no event at all.
+                message = stage.queue.try_get()
             if resilient and stage.generation != generation:
                 if generation in stage.requeue_generations:
                     # Superseded by a planned switch with this message
@@ -821,7 +823,7 @@ class SimulatedRuntime:
                     continue
                 stage.processor.flush(ctx)
                 ctx.det.finalize_stage(stage.processor)
-                yield from self._transmit_pending(stage, host)
+                yield from self._transmit_pending(stage)
                 for index in range(len(stage.batch_buffers)):
                     yield from self._flush_edge_batch(stage, index)
                 for edge in stage.out_edges:
@@ -873,12 +875,13 @@ class SimulatedRuntime:
                 self._item_finished(stage)
                 continue
             stage.metrics.latency.observe(self.env.now - message.created_at)
-            tx_start = self.env.now
-            yield from self._transmit_pending(stage, host, trace=message.trace, hop=hop)
-            if hop is not None and not stage.batch_buffers:
-                # Batched stages attribute transmission inside
-                # _flush_edge_batch, shared across the batch's parents.
-                hop.tx_t += self.env.now - tx_start
+            if ctx.pending:
+                tx_start = self.env.now
+                yield from self._transmit_pending(stage, trace=message.trace, hop=hop)
+                if hop is not None and not stage.batch_buffers:
+                    # Batched stages attribute transmission inside
+                    # _flush_edge_batch, shared across the batch's parents.
+                    hop.tx_t += self.env.now - tx_start
             if resilient and stage.generation != generation:
                 return
             self._advance_cursor(stage, message)
@@ -887,7 +890,6 @@ class SimulatedRuntime:
     def _transmit_pending(
         self,
         stage: _StageRuntime,
-        host,
         trace: Optional[ItemTrace] = None,
         hop=None,
     ) -> Generator:
@@ -957,10 +959,7 @@ class SimulatedRuntime:
         items = [item for item, _ in entries]
         tx_start = self.env.now
         if edge.link is None:
-            for item in items:
-                self._open_hop(edge.dst, item)
-                edge.dst.queue.force_put(item)
-            edge.dst.rate_estimator.observe(self.env.now, count=count)
+            self._enqueue(edge.dst, items)
         else:
             envelope = _BatchEnvelope(items, edge.stream.name)
             yield from self._send_one(stage, edge, envelope)
@@ -1000,10 +999,7 @@ class SimulatedRuntime:
         """
         size = message.size if not control else 1.0
         if edge.link is None:
-            self._open_hop(edge.dst, message)
-            edge.dst.queue.force_put(message)
-            if not control:
-                edge.dst.rate_estimator.observe(self.env.now)
+            self._enqueue(edge.dst, [message])
             return
         attempt = 0
         while True:
@@ -1035,34 +1031,31 @@ class SimulatedRuntime:
                     yield self.env.timeout(delay)
                 continue
             break
-        self.env.process(
-            self._deliver(edge, message), name=f"deliver:{edge.stream.name}"
+        # Arrival waits out the propagation delay (bottleneck + remaining
+        # hops); transmission time was already paid inside link.send().
+        self.env.call_later(
+            edge.link.latency + edge.extra_latency, partial(self._arrive, edge.dst), message
         )
 
-    def _deliver(self, edge: _Edge, message) -> Generator:
-        # Wait out the propagation delay (bottleneck + remaining hops);
-        # transmission time was already paid inside link.send().
-        delay = edge.link.latency + edge.extra_latency
-        if delay:
-            yield self.env.timeout(delay)
-        if isinstance(message, _BatchEnvelope):
-            # Unpack at the destination: per-item hop opening, replay
-            # recording (queue.on_insert fires per force_put) and queue
-            # occupancy are identical to one-at-a-time delivery.
-            for item in message.items:
-                self._open_hop(edge.dst, item)
-                edge.dst.queue.force_put(item)
-            edge.dst.rate_estimator.observe(self.env.now, count=len(message.items))
-            return
-        self._open_hop(edge.dst, message)
-        edge.dst.queue.force_put(message)
-        if isinstance(message, Item):
-            edge.dst.rate_estimator.observe(self.env.now)
+    def _arrive(self, dst: _StageRuntime, arrival: Event) -> None:
+        message = arrival.value
+        self._enqueue(dst, message.items if isinstance(message, _BatchEnvelope) else [message])
 
-    def _open_hop(self, dst: _StageRuntime, message) -> None:
-        """Start the downstream hop record as a traced item is enqueued."""
-        if isinstance(message, Item) and message.trace is not None:
-            message.hop = message.trace.begin_hop(dst.name, self.env.now)
+    def _enqueue(self, dst: _StageRuntime, messages: List[Any]) -> None:
+        """Put what reached ``dst`` into its queue, one message at a time.
+
+        A batch is unpacked here: per-item hop opening, replay recording
+        (``queue.on_insert`` fires per ``force_put``) and queue occupancy
+        are those of one-at-a-time delivery; only the arrival-rate
+        observation is amortized.  End-of-stream markers are not arrivals.
+        """
+        for message in messages:
+            if isinstance(message, Item) and message.trace is not None:
+                # The downstream hop record starts as the item is enqueued.
+                message.hop = message.trace.begin_hop(dst.name, self.env.now)
+            dst.queue.force_put(message)
+        if isinstance(messages[0], Item):
+            dst.rate_estimator.observe(self.env.now, count=len(messages))
 
     def _monitor(self, stage: _StageRuntime, result: RunResult) -> Generator:
         assert stage.estimator is not None

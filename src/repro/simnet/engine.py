@@ -21,11 +21,12 @@ scratch so the repository is self-contained):
 
 Determinism
 -----------
-Events scheduled for the same simulation time fire in FIFO order of
-scheduling (a monotonically increasing sequence number breaks ties), so a
-simulation run is a pure function of its inputs and any random seeds used by
-the model code.  This is what makes the paper's experiments repeatable here,
-in contrast to the JVM-thread-scheduler noise the authors mention.
+Events scheduled for the same simulation time fire by priority (process
+starts and interrupts, then ordinary events, then work completions) and, in
+each, in FIFO order of scheduling (a sequence number breaks ties), so a run
+is a pure function of its inputs and the model's random seeds.  This is what
+makes the paper's experiments repeatable here, in contrast to the
+JVM-thread-scheduler noise the authors mention.
 """
 
 from __future__ import annotations
@@ -97,6 +98,13 @@ class Event:
     callbacks:
         List of callables invoked with the event once it has been processed.
         ``None`` after processing (late callbacks run immediately).
+        They run in list order, so a callback appended before a process
+        yields the event runs before that process resumes.  Each callback
+        sees the event as the previous one left it: an earlier callback
+        that rewrites ``_ok``/``_value`` (a completion event whose owner
+        settles its account first and may turn success into failure)
+        decides what later callbacks, a waiting process and the
+        undefused-failure check in :meth:`Environment.step` observe.
     """
 
     def __init__(self, env: "Environment") -> None:
@@ -146,6 +154,21 @@ class Event:
         self.env._schedule(self)
         return self
 
+    def complete(self, value: Any = None, delay: float = 0.0) -> "Event":
+        """Succeed ``delay`` from now: the end of work that starts now.
+
+        One heap entry for the whole unit of work.  It is processed after
+        the ordinary events of its instant — where the termination of a
+        process that did ``yield env.timeout(delay)`` would be — so whoever
+        waits on the work finds that instant's arrivals and samples made.
+        """
+        if self._value is not _PENDING:
+            raise SimulationError(f"{self!r} already triggered")
+        self._ok = True
+        self._value = value
+        self.env._schedule(self, delay, Environment._LATE)
+        return self
+
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event as failed with ``exception``.
 
@@ -160,13 +183,6 @@ class Event:
         self._value = exception
         self.env._schedule(self)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event (chaining)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
 
     # -- callback plumbing ----------------------------------------------
 
@@ -194,8 +210,6 @@ class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
         super().__init__(env)
         self.delay = delay
         self._ok = True
@@ -338,9 +352,6 @@ class Condition(Event):
         for event in self.events:
             event.add_callback(self._check)
 
-    def _collect_values(self) -> dict[Event, Any]:
-        return {e: e._value for e in self.events if e.processed and e._ok}
-
     def _check(self, event: Event) -> None:
         raise NotImplementedError
 
@@ -394,10 +405,11 @@ class Environment:
     [2.5]
     """
 
-    #: Priority for "urgent" events (initialization, interrupts) that must
-    #: run before normal events scheduled at the same time.
+    #: "Urgent" events (initialization, interrupts) run before the normal
+    #: events of their time; completions (:meth:`Event.complete`) run after.
     _URGENT = 0
     _NORMAL = 1
+    _LATE = 2
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
@@ -431,6 +443,22 @@ class Environment:
         """Start a new :class:`Process` from ``generator``."""
         return Process(self, generator, name=name)
 
+    def call_later(
+        self, delay: float, callback: Callable[[Event], None], value: Any = None
+    ) -> None:
+        """Call ``callback(event)`` after ``delay``; ``event.value`` is ``value``.
+
+        Scheduled like a process that waits ``delay`` and then calls, for
+        one heap entry instead of three: with no delay the call is made at
+        this instant ahead of every normal event already scheduled for it,
+        as that process's start would be.
+        """
+        event = Event(self)
+        event._ok = True
+        event._value = value
+        event.callbacks.append(callback)
+        self._schedule(event, delay, self._NORMAL if delay else self._URGENT)
+
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
@@ -440,11 +468,23 @@ class Environment:
     # -- scheduling / execution -------------------------------------------
 
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = _NORMAL) -> None:
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay!r}")
         heapq.heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
+
+    def settled(self) -> bool:
+        """True when only work completions are left for this instant.
+
+        An event triggered now would then be the very next one processed,
+        so a process that can take what it would wait for (an item already
+        in a store) changes nothing by taking it without the event.
+        """
+        queue = self._queue
+        return not queue or queue[0][0] > self._now or queue[0][1] == self._LATE
 
     def step(self) -> None:
         """Process the next scheduled event.

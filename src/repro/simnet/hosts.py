@@ -14,7 +14,8 @@ the compute available near sources, so the host model exposes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from functools import partial
+from typing import Optional
 
 from repro.simnet.engine import Environment, Event
 from repro.simnet.resources import CapacityResource
@@ -114,13 +115,22 @@ class Host:
         Either pass ``items``/``nbytes`` to be priced by ``cost_model``, or
         an explicit ``seconds`` override (still scaled by speed factor).
         The work holds one core for its duration, so concurrent stages on
-        the same host contend realistically.
+        the same host contend realistically: beyond ``cores`` it waits its
+        turn (FIFO).  One heap event per unit of work — the returned
+        completion, scheduled when the work gets its core — whose first
+        callback is :meth:`_finish`, so the account is settled before
+        whoever waits on it resumes.
         """
         raw = cost_model.cost(items, nbytes) if seconds is None else float(seconds)
         if raw < 0:
             raise ValueError(f"work duration must be >= 0, got {raw}")
         duration = raw / self.speed_factor
-        return self.env.process(self._execute_proc(duration), name=f"{self.name}.exec")
+        work = Event(self.env)
+        if self.failed:
+            return work.fail(HostFailedError(f"host {self.name!r} is down"))
+        work.callbacks.append(self._finish)
+        self.cpu.claim(partial(work.complete, duration, duration))
+        return work
 
     def fail(self) -> None:
         """Crash-stop the host; subsequent (and in-flight) work errors."""
@@ -130,21 +140,14 @@ class Host:
         """Bring the host back (fresh, with no carried-over work)."""
         self.failed = False
 
-    def _execute_proc(self, duration: float) -> Generator:
+    def _finish(self, work: Event) -> None:
+        """Pass the core on and book the work, or fail it with the host."""
+        self.cpu.free()
         if self.failed:
-            raise HostFailedError(f"host {self.name!r} is down")
-        grant = self.cpu.acquire()
-        yield grant
-        try:
-            yield self.env.timeout(duration)
-            if self.failed:
-                raise HostFailedError(
-                    f"host {self.name!r} failed while executing"
-                )
-            self.busy_time += duration
-        finally:
-            self.cpu.release(grant)
-        return duration
+            work._ok = False
+            work._value = HostFailedError(f"host {self.name!r} failed while executing")
+        else:
+            self.busy_time += work._value
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Busy core-seconds divided by available core-seconds."""

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 from repro.simnet.engine import Environment, Event
 from repro.simnet.resources import CapacityResource, Store
@@ -48,12 +49,16 @@ class Message:
         Simulation time the message entered the link (stamped by the link).
     seq:
         Per-link sequence number (stamped by the link).
+    tx_time:
+        Seconds it occupies the transmitter, at the bandwidth in force
+        when its transmission starts (stamped by the link).
     """
 
     payload: Any
     size: float
     sent_at: float = 0.0
     seq: int = -1
+    tx_time: float = 0.0
 
 
 @dataclass
@@ -91,11 +96,13 @@ class Link:
 
     Semantics
     ---------
-    ``send(payload, size)`` returns a process-event that completes when the
+    ``send(payload, size)`` returns an event that completes when the
     message has been fully *transmitted* (sender-side blocking, which is
     what creates back-pressure on upstream stages exactly as a saturated
     socket would).  Delivery into the receiver-side :class:`Store` happens
-    ``latency`` seconds later; messages are delivered in order.
+    ``latency`` seconds later; messages are delivered in order.  Each costs
+    one heap event: a send while the transmitter is busy waits its turn
+    (FIFO) and is scheduled when it starts.
     """
 
     def __init__(
@@ -184,32 +191,35 @@ class Link:
         """Transmit ``payload`` of ``size`` bytes; event fires at TX done."""
         if size < 0:
             raise ValueError(f"message size must be >= 0, got {size}")
-        message = Message(payload=payload, size=float(size))
-        return self.env.process(self._send_proc(message), name=f"{self.name}.send")
+        sent = Event(self.env)
+        # First callback, ahead of the sender's own: the sender resumes
+        # into a freed transmitter and sees a loss as its failure.
+        sent.callbacks.append(self._sent)
+        self._tx.claim(partial(self._transmit, sent, Message(payload, float(size))))
+        return sent
 
-    def _send_proc(self, message: Message) -> Generator:
-        grant = self._tx.acquire()
-        yield grant
-        try:
-            message.sent_at = self.env.now
-            message.seq = self._seq
-            self._seq += 1
-            tx_time = self.transmission_time(message.size)
-            yield self.env.timeout(tx_time)
-            self.stats.busy_time += tx_time
-        finally:
-            self._tx.release(grant)
+    def _transmit(self, sent: Event, message: Message) -> None:
+        message.sent_at = self.env.now
+        message.seq = self._seq
+        self._seq += 1
+        message.tx_time = self.transmission_time(message.size)
+        sent.complete(message, message.tx_time)
+
+    def _sent(self, sent: Event) -> None:
+        message = sent._value
+        self.stats.busy_time += message.tx_time
+        self._tx.free()
         if self._loss_rng is not None and self._loss_rng.random() < self.loss_rate:
             self.losses += 1
-            raise TransmissionError(
+            sent._ok = False
+            sent._value = TransmissionError(
                 f"{self.name}: message seq={message.seq} lost in transit"
             )
-        self.env.process(self._deliver_proc(message), name=f"{self.name}.deliver")
-        return message
+        else:
+            self.env.call_later(self.latency, self._deliver, message)
 
-    def _deliver_proc(self, message: Message) -> Generator:
-        if self.latency:
-            yield self.env.timeout(self.latency)
+    def _deliver(self, arrival: Event) -> None:
+        message = arrival._value
         self.stats.messages += 1
         self.stats.bytes += message.size
         self.stats.total_latency += self.env.now - message.sent_at
@@ -218,9 +228,6 @@ class Link:
             self._delivered.try_put(message)
         if self.on_delivery is not None:
             self.on_delivery(message)
-        # Make this generator a generator even on zero-latency paths.
-        if False:  # pragma: no cover
-            yield
 
     def receive(self) -> Event:
         """Event yielding the next delivered :class:`Message` (FIFO)."""

@@ -2,8 +2,8 @@
 
 Three primitives cover everything the middleware needs:
 
-* :class:`CapacityResource` — a counted resource (e.g. CPU cores) that
-  processes acquire and release; waiters queue FIFO.
+* :class:`CapacityResource` — a counted resource (CPU cores, a link's
+  transmitter) that work claims and frees; waiters queue FIFO.
 * :class:`Store` — an unbounded-or-bounded buffer of Python objects with
   blocking ``put``/``get`` events.
 * :class:`BoundedQueue` — a :class:`Store` specialization used as a stage's
@@ -16,7 +16,7 @@ Three primitives cover everything the middleware needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, Optional
 
 from repro.simnet.engine import Environment, Event
 
@@ -52,9 +52,17 @@ class AcquireRequest(Event):
         super().__init__(resource.env)
         self.resource = resource
 
+    def _grant(self) -> None:
+        self.succeed(self)
+
 
 class CapacityResource:
     """A resource with ``capacity`` interchangeable units and FIFO waiters.
+
+    Two ways in, one queue: :meth:`claim` runs a callable the moment a
+    unit is the caller's (at once when one is free), which is how hosts
+    and links start work without an event; :meth:`acquire` wraps the same
+    grant in an event for a process to yield.
 
     Parameters
     ----------
@@ -70,7 +78,7 @@ class CapacityResource:
         self.env = env
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: Deque[AcquireRequest] = deque()
+        self._waiters: Deque[Callable[[], None]] = deque()
 
     @property
     def in_use(self) -> int:
@@ -84,17 +92,31 @@ class CapacityResource:
 
     @property
     def queue_length(self) -> int:
-        """Number of pending acquire requests."""
+        """Number of pending claims and acquire requests."""
         return len(self._waiters)
+
+    def claim(self, start: Callable[[], None]) -> None:
+        """Call ``start()`` holding one unit: now if one is free, else
+        when :meth:`free` passes one on (FIFO)."""
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            start()
+        else:
+            self._waiters.append(start)
+
+    def free(self) -> None:
+        """Give back a claimed unit; the longest waiter starts on it at once."""
+        if self._in_use <= 0:
+            raise ValueError("free() without matching claim")
+        if self._waiters:
+            self._waiters.popleft()()
+        else:
+            self._in_use -= 1
 
     def acquire(self) -> AcquireRequest:
         """Request one unit; the returned event fires when granted."""
         request = AcquireRequest(self)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            request.succeed(request)
-        else:
-            self._waiters.append(request)
+        self.claim(request._grant)
         return request
 
     def release(self, request: AcquireRequest) -> None:
@@ -105,17 +127,11 @@ class CapacityResource:
         """
         if not request.triggered:
             try:
-                self._waiters.remove(request)
+                self._waiters.remove(request._grant)
             except ValueError:
                 raise ValueError("release() of unknown request") from None
             return
-        if self._in_use <= 0:
-            raise ValueError("release() without matching acquire")
-        self._in_use -= 1
-        while self._waiters and self._in_use < self.capacity:
-            waiter = self._waiters.popleft()
-            self._in_use += 1
-            waiter.succeed(waiter)
+        self.free()
 
 
 class PutRequest(Event):
