@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 #: Module prefixes whose event order must be reproducible run-to-run.
-DETERMINISTIC_PREFIXES = ("repro.simnet", "repro.core.runtime_sim")
+DETERMINISTIC_PREFIXES = ("repro.simnet", "repro.core.runtime_sim", "repro.core.kernel")
 
 #: Module prefixes that move stream data (where a swallowed exception
 #: silently loses items or corrupts accounting).

@@ -1,0 +1,493 @@
+"""The stage-execution kernel shared by the three runtimes.
+
+GATES runs a stage and adapts its parameters in *one* middleware; the
+developer writes ``on_item`` once.  This module is that one middleware
+for every piece of per-stage logic that does not block: the stage
+record (:class:`StageCore`), the :class:`~repro.core.api.StageContext`
+handed to processors, routing over plain and sharded out-edges, the
+``setup()`` bracket, the Section-4 sampling tick, micro-batch flush
+bookkeeping, and checkpoint / dead-letter construction.  It is written
+against an injected clock callable and plain callbacks and knows
+nothing about *how* a driver waits: ``runtime_sim`` (generator
+processes over virtual time), ``runtime_threads`` (threads, locks,
+token buckets) and ``net.worker`` (asyncio tasks, frames, credit) keep
+their own loops, queues and links and call in here.
+
+The simulator executes this module, so it must stay deterministic: no
+wall clock, no global RNG — time always comes from ``stage.clock``.
+"""
+
+from __future__ import annotations
+
+from contextlib import nullcontext
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping
+from typing import NamedTuple, Optional, Sequence, Tuple
+
+from repro.core.adaptation.controller import ParameterController
+from repro.core.adaptation.load import LoadEstimator
+from repro.core.adaptation.policy import AdaptationPolicy
+from repro.core.adaptation.protocol import ExceptionCounter, LoadException
+from repro.core.api import AdjustmentParameter, ProcessorError, StageContext, StreamProcessor
+from repro.core.batching import BatchBuffer, BatchPolicy, batch_policy_from_properties
+from repro.core.sharding import logical_stream
+from repro.core.termination import EosTracker
+from repro.metrics.rates import RateEstimator
+from repro.obs.registry import BatchMetrics, MetricsRegistry, StageMetrics
+from repro.resilience.checkpoint import StageCheckpoint
+from repro.resilience.policy import DeadLetter, DeadLetterQueue, ResilienceConfig
+
+__all__ = [
+    "EdgeSpec", "KernelStageContext", "RouteUnit", "StageCore", "adaptation_tick",
+    "build_route_units", "drain_batch", "due_buffers", "next_flush_timeout", "quarantine",
+    "route_indices", "run_setup", "stage_checkpoint",
+]
+
+#: Stands in for ``param_lock`` on single-threaded drivers (off the item path).
+_NO_LOCK = nullcontext()
+
+
+# -- routing -----------------------------------------------------------------
+
+
+class EdgeSpec(NamedTuple):
+    """Runtime-neutral description of one out-edge, for route building.
+
+    ``stream`` is the edge's concrete name (None for an unnamed
+    programmatic edge).  The remaining fields are set when the
+    destination is a shard replica: its ``group``, its ``slot`` among
+    the group's ``slots`` members, and the ``shard.{dst}.items``
+    ``counter`` to bump when a partitioned emission picks this edge.
+    """
+
+    stream: Optional[str]
+    group: Optional[str] = None
+    slot: int = 0
+    slots: int = 0
+    counter: Optional[Any] = None
+
+
+@dataclass
+class RouteUnit:
+    """One routing decision among a stage's out-edges.
+
+    A *solo* unit (``group is None``) wraps one ordinary edge.  A
+    *family* unit wraps the per-replica edges fanning out to one sharded
+    destination group: ``edges[slot]`` is the out-edge index reaching
+    replica ``slot``, and exactly one of them — the key owner's — gets
+    each emitted item.  ``accepts`` holds every stream name addressing
+    the unit (the concrete name plus the declared one); ``named`` maps a
+    concrete per-replica stream name to its slot so an explicit
+    ``emit(..., stream="t#1")`` overrides the partitioner;
+    ``counters[slot]`` is that replica's routed-items counter.
+    """
+
+    accepts: FrozenSet[str]
+    edges: List[int]
+    group: Optional[str] = None
+    named: Dict[str, int] = field(default_factory=dict)
+    counters: List[Any] = field(default_factory=list)
+
+
+def build_route_units(
+    edges: Sequence[EdgeSpec],
+) -> Tuple[List[RouteUnit], FrozenSet[str]]:
+    """Group a stage's out-edges into routing units.
+
+    Edges fanning out to the replicas of one sharded destination group
+    (same declared stream name, same group) collapse into one
+    partitioned *family* unit; everything else stays a solo unit.  A
+    partial family — some replica edge missing, which only hand-built
+    wiring can produce — falls back to solo units rather than
+    partitioning over an incomplete slot set.  Every unit accepts the
+    declared name as well as the concrete one: a processor written
+    against the declared configuration may name a stream that sharding
+    expanded into per-replica edges (``"t"`` for ``"t#0"``).
+
+    Returns the units in declared edge order, and every stream name
+    ``emit(..., stream=...)`` may use.
+    """
+    families: Dict[Tuple[str, str], Dict[int, int]] = {}
+    order: List[Tuple[Optional[Tuple[str, str]], int]] = []
+    for index, edge in enumerate(edges):
+        if edge.group is None or edge.stream is None:
+            order.append((None, index))
+            continue
+        key = (logical_stream(edge.stream), edge.group)
+        if key not in families:
+            order.append((key, index))
+            families[key] = {}
+        families[key][edge.slot] = index
+    units: List[RouteUnit] = []
+    for key, index in order:
+        if key is None:
+            members = [index]
+        else:
+            mapping = families[key]
+            slots = edges[index].slots
+            if set(mapping) == set(range(slots)):
+                members = [mapping[slot] for slot in range(slots)]
+                names = [str(edges[i].stream) for i in members]
+                units.append(
+                    RouteUnit(
+                        accepts=frozenset(names) | {key[0]},
+                        edges=members,
+                        group=key[1],
+                        named={name: slot for slot, name in enumerate(names)},
+                        counters=[edges[i].counter for i in members],
+                    )
+                )
+                continue
+            members = sorted(mapping.values())
+        for member in members:
+            name = edges[member].stream
+            accepts = frozenset() if name is None else frozenset({name, logical_stream(name)})
+            units.append(RouteUnit(accepts=accepts, edges=[member]))
+    return units, frozenset().union(*(unit.accepts for unit in units))
+
+
+def route_indices(
+    units: Sequence[RouteUnit],
+    groups: Mapping[str, Any],
+    payload: Any,
+    stream: Optional[str],
+) -> Iterator[int]:
+    """Out-edge indices one emission goes to.
+
+    Solo units behave like the pre-sharding fan-out (every edge matching
+    the requested stream, or all of them on a broadcast); a family unit
+    contributes exactly one edge — the key owner's under
+    ``groups[unit.group].owner(payload)``, or the explicitly addressed
+    replica's.
+    """
+    for unit in units:
+        if stream is not None and stream not in unit.accepts:
+            continue
+        if unit.group is None:
+            yield unit.edges[0]
+            continue
+        if stream is not None and stream in unit.named:
+            slot = unit.named[stream]
+        else:
+            slot = groups[unit.group].owner(payload)
+        counter = unit.counters[slot]
+        if counter is not None:
+            counter.inc()
+        yield unit.edges[slot]
+
+
+# -- the stage record and its context ----------------------------------------
+
+
+class KernelStageContext(StageContext):
+    """The stage context handed to user processors on every runtime."""
+
+    def __init__(self, stage: "StageCore") -> None:
+        self._stage = stage
+        #: The driver's clock, bound here so ``now`` is one call deep.
+        self._clock = stage.clock
+        self._in_setup = False
+        #: True while a failover or live migration re-runs setup() on a
+        #: fresh processor instance; duplicate parameter declarations
+        #: then return the surviving parameter object (its value,
+        #: history series, and controller all outlive the old instance).
+        self._restoring = False
+        #: Emissions buffered during one on_item/flush call; the driver
+        #: transmits them (with blocking) after the call returns.  Each
+        #: entry is (payload, size, stream-or-None).
+        self.pending: List[Tuple[Any, float, Optional[str]]] = []
+        if stage.param_lock is not None:
+            # Bound once: single-threaded drivers keep the plain dict
+            # lookup with no lock-presence branch per call.
+            self.get_suggested_value = self._locked_suggested_value  # type: ignore[method-assign]
+
+    def specify_parameter(
+        self,
+        name: str,
+        initial: float,
+        minimum: float,
+        maximum: float,
+        increment: float,
+        direction: int,
+    ) -> AdjustmentParameter:
+        """Declare an adjustment parameter (only inside ``setup()``)."""
+        stage = self._stage
+        if not self._in_setup:
+            raise ProcessorError(f"{stage.name}: specify_parameter must be called in setup()")
+        if name in stage.parameters:
+            if self._restoring:
+                return stage.parameters[name]
+            raise ProcessorError(f"{stage.name}: parameter {name!r} declared twice")
+        param = AdjustmentParameter(name, initial, minimum, maximum, increment, direction)
+        param.set_value(initial, self._clock())
+        stage.parameters[name] = param
+        stage.controllers[name] = ParameterController(param, stage.policy)
+        return param
+
+    def get_suggested_value(self, name: str) -> float:
+        """Current middleware-suggested value of a declared parameter."""
+        try:
+            return self._stage.parameters[name].value
+        except KeyError:
+            raise ProcessorError(f"{self._stage.name}: unknown parameter {name!r}") from None
+
+    def _locked_suggested_value(self, name: str) -> float:
+        with self._stage.param_lock:
+            return KernelStageContext.get_suggested_value(self, name)
+
+    def emit(self, payload: Any, size: float = 8.0, stream: Optional[str] = None) -> None:
+        """Buffer one emission for the driver to transmit after the call."""
+        if size < 0:
+            raise ProcessorError(f"emit size must be >= 0, got {size}")
+        if stream is not None and stream not in self._stage.stream_names:
+            raise ProcessorError(
+                f"{self._stage.name}: emit to unknown stream {stream!r} "
+                f"(have {sorted(self._stage.stream_names)})"
+            )
+        self.pending.append((payload, float(size), stream))
+
+    @property
+    def now(self) -> float:
+        """Current time on the hosting runtime's clock."""
+        return self._clock()
+
+    @property
+    def stage_name(self) -> str:
+        """Name of the stage this processor runs as."""
+        return self._stage.name
+
+    @property
+    def properties(self) -> Dict[str, str]:
+        """Configuration properties uploaded with the stage code."""
+        return self._stage.properties
+
+
+class StageCore:
+    """Per-stage state every runtime keeps; drivers subclass it.
+
+    Subclasses add what their blocking model needs (out-edges, done
+    flags, locks, failover cursors).  ``queue`` is the stage's input
+    queue (anything with ``current_length`` / ``recent_average``),
+    ``clock`` the driver's time source, ``param_lock`` the lock guarding
+    parameter values where several threads touch them (None elsewhere).
+    ``batch_default`` is the runtime-level micro-batch policy, resolved
+    here against the stage's ``batch-*`` properties with ``max_delay``
+    pre-scaled by ``time_scale`` so deadlines compare directly against
+    ``clock()``; a malformed property raises ``ValueError``.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        processor: StreamProcessor,
+        properties: Dict[str, str],
+        queue: Any,
+        policy: AdaptationPolicy,
+        registry: MetricsRegistry,
+        clock: Callable[[], float],
+        batch_default: Optional[BatchPolicy] = None,
+        time_scale: float = 1.0,
+        param_lock: Optional[Any] = None,
+    ) -> None:
+        self.name = name
+        self.processor = processor
+        self.properties = properties
+        self.queue = queue
+        self.policy = policy
+        self.registry = registry
+        self.clock = clock
+        self.param_lock = param_lock
+        self.eos = EosTracker()
+        self.parameters: Dict[str, AdjustmentParameter] = {}
+        self.controllers: Dict[str, ParameterController] = {}
+        self.exceptions = ExceptionCounter()
+        self.rate_estimator = RateEstimator()
+        #: Monitor samples taken so far (drives the ``adjust_every`` cadence).
+        self.samples = 0
+        #: Routing decisions over the driver's out-edges and the stream
+        #: names ``emit`` accepts; set from :func:`build_route_units`
+        #: once the edges are wired.
+        self.route_units: List[RouteUnit] = []
+        self.stream_names: FrozenSet[str] = frozenset()
+        #: Effective micro-batch policy (None = one-at-a-time emission).
+        self.batch: Optional[BatchPolicy] = None
+        effective = batch_policy_from_properties(properties, batch_default)
+        if effective is not None and effective.enabled:
+            self.batch = BatchPolicy(
+                max_items=effective.max_items, max_delay=effective.max_delay * time_scale
+            )
+        #: Accumulating batches keyed by out-edge index (see
+        #: :meth:`open_batch_buffers`); what an entry is, is the driver's.
+        self.batch_buffers: Dict[int, BatchBuffer[Any]] = {}
+        self.batch_metrics: Optional[BatchMetrics] = None
+        #: Registry-backed metric handles (items/bytes/latency/queue...).
+        self.metrics = StageMetrics(registry, name)
+        self.estimator = LoadEstimator(name, queue, policy)
+        registry.series(f"adapt.{name}.d_tilde", self.estimator.history)
+        self.context = KernelStageContext(self)
+
+    def open_batch_buffers(self, indices: Iterable[int]) -> None:
+        """Give each listed out-edge a batch buffer (no-op when unbatched)."""
+        if self.batch is None:
+            return
+        for index in indices:
+            self.batch_buffers[index] = BatchBuffer(self.batch)
+        if self.batch_buffers:
+            self.batch_metrics = BatchMetrics(self.registry, self.name)
+
+    def receive_exception(self, exception: LoadException) -> None:
+        """Account one downstream over-/under-load exception (Section 4)."""
+        self.exceptions.report(exception)
+        self.metrics.exceptions_received.inc()
+
+
+def run_setup(
+    stage: StageCore, error: Callable[[str], Exception], restoring: bool = False
+) -> None:
+    """Call ``stage.processor.setup()`` inside the setup bracket.
+
+    Parameters may be declared only in here; emissions may not — a
+    stray one would ride out with the first item, so it is rejected
+    with ``error(message)`` (each driver's own exception type).
+    ``restoring`` marks a re-run on a replacement processor: existing
+    parameters are rebound instead of redeclared.  Emissions pending
+    from before the call are kept.  Afterwards every parameter's
+    trajectory is published as ``adapt.{stage}.param.{name}``.
+    """
+    ctx = stage.context
+    held, ctx.pending = ctx.pending, []
+    ctx._in_setup, ctx._restoring = True, restoring
+    try:
+        stage.processor.setup(ctx)
+    finally:
+        ctx._in_setup = ctx._restoring = False
+        emitted, ctx.pending = ctx.pending, held
+    if emitted:
+        raise error(
+            f"stage {stage.name!r} emitted during setup(); emissions "
+            "are only allowed from on_item()/flush()"
+        )
+    for pname, param in stage.parameters.items():
+        stage.registry.series(f"adapt.{stage.name}.param.{pname}", param.history)
+
+
+# -- the Section-4 sampling tick ----------------------------------------------
+
+
+def adaptation_tick(
+    stage: StageCore, report: Callable[[LoadException], None]
+) -> List[Tuple[str, float]]:
+    """One monitor sample of ``stage``; the driver sleeps between calls.
+
+    Records the queue length, feeds the load estimator, hands any
+    over-/under-load exception to ``report`` (the driver's fan-out to
+    the upstream stages) when the policy enables exceptions, and on
+    every ``adjust_every``-th sample runs the stage's parameter
+    controllers with the exception counts drained since the last round
+    (under ``param_lock`` where the driver has one).
+
+    Returns the ``(parameter, new value)`` adjustments made.
+    """
+    now = stage.clock()
+    policy = stage.policy
+    stage.metrics.queue_len.record(now, float(stage.queue.current_length))
+    exception = stage.estimator.sample(now)
+    if exception is not None and policy.exceptions_enabled:
+        stage.metrics.exceptions_reported.inc()
+        report(exception)
+    stage.samples += 1
+    if stage.samples % policy.adjust_every or not stage.controllers:
+        return []
+    t1, t2 = stage.exceptions.drain()
+    score = stage.estimator.normalized_score
+    with stage.param_lock or _NO_LOCK:
+        return [(n, c.adjust(score, t1, t2, now)) for n, c in stage.controllers.items()]
+
+
+# -- micro-batch flush bookkeeping ---------------------------------------------
+
+
+def next_flush_timeout(stage: StageCore) -> Optional[float]:
+    """Seconds until the oldest buffered batch hits its age bound."""
+    deadlines = [
+        d for d in (b.deadline() for b in stage.batch_buffers.values()) if d is not None
+    ]
+    if not deadlines:
+        return None
+    return max(0.0, min(deadlines) - stage.clock())
+
+
+def due_buffers(stage: StageCore, now: float) -> List[int]:
+    """Out-edge indices whose batch has waited ``max_delay`` or longer."""
+    return [index for index, buffer in stage.batch_buffers.items() if buffer.due(now)]
+
+
+def drain_batch(stage: StageCore, index: int, age: bool = False) -> List[Any]:
+    """Take one edge's accumulated batch and account for the flush.
+
+    Returns the drained entries (possibly none, in which case nothing is
+    counted); ``age`` marks a flush forced by the age bound.
+    """
+    entries = stage.batch_buffers[index].drain()
+    if entries:
+        metrics = stage.batch_metrics
+        assert metrics is not None
+        metrics.batches.inc()
+        metrics.items.inc(len(entries))
+        metrics.flush_size.observe(float(len(entries)))
+        if age:
+            metrics.age_flushes.inc()
+    return entries
+
+
+# -- fault-tolerance records ---------------------------------------------------
+
+
+def stage_checkpoint(
+    stage: StageCore,
+    generation: int = 0,
+    cursors: Optional[Dict[str, int]] = None,
+    eos_seen: int = 0,
+) -> StageCheckpoint:
+    """Snapshot a stage between items.
+
+    The caller guarantees the processor is not mid-item (the simulator
+    defers to the item boundary; the threaded driver holds its state
+    lock).  ``generation`` / ``cursors`` / ``eos_seen`` are the replay
+    position where the driver has one.
+    """
+    with stage.param_lock or _NO_LOCK:
+        parameters = {name: p.value for name, p in stage.parameters.items()}
+    return StageCheckpoint(
+        stage=stage.name,
+        time=stage.clock(),
+        generation=generation,
+        processor_state=stage.processor.snapshot(),
+        parameters=parameters,
+        estimator=stage.estimator.snapshot(),
+        exceptions=stage.exceptions.snapshot(),
+        cursors=dict(cursors or {}),
+        eos_seen=eos_seen,
+    )
+
+
+def quarantine(
+    stage: StageCore,
+    resilience: ResilienceConfig,
+    dead_letters: DeadLetterQueue,
+    payload: Any,
+    exc: BaseException,
+    reason: str = "processing",
+) -> None:
+    """Count (and under ``dead-letter``, retain) one poison item."""
+    stage.registry.counter(f"fault.{stage.name}.quarantined").inc()
+    if resilience.error_policy == "dead-letter":
+        dead_letters.add(
+            DeadLetter(
+                stage=stage.name,
+                payload=payload,
+                time=stage.clock(),
+                error=repr(exc),
+                reason=reason,
+            )
+        )

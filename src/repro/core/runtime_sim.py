@@ -48,37 +48,43 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
-from repro.core.adaptation.controller import ParameterController
-from repro.core.adaptation.load import LoadEstimator
 from repro.core.adaptation.policy import AdaptationPolicy
-from repro.core.adaptation.protocol import ExceptionCounter
-from repro.core.api import AdjustmentParameter, ProcessorError, StageContext, StreamProcessor
-from repro.core.batching import BatchBuffer, BatchPolicy, batch_policy_from_properties
+from repro.core.adaptation.protocol import LoadException
+from repro.core.api import StreamProcessor
+from repro.core.batching import BatchPolicy
 from repro.core.items import EndOfStream, Item
+from repro.core.kernel import (
+    EdgeSpec,
+    StageCore,
+    adaptation_tick,
+    build_route_units,
+    drain_batch,
+    quarantine,
+    route_indices,
+    run_setup,
+    stage_checkpoint,
+)
 from repro.core.results import RunResult, StageStats
 from repro.core.sharding import (
     SHARD_GROUP_PROPERTY,
-    SHARD_INDEX_PROPERTY,
     ShardGroup,
     groups_of,
-    logical_stream,
 )
-from repro.core.termination import EosTracker, no_input_message
+from repro.core.termination import no_input_message
 from repro.grid.config import StreamConfig
 from repro.grid.deployer import Deployment
-from repro.metrics.rates import RateEstimator
-from repro.obs.registry import BatchMetrics, MetricsRegistry, StageMetrics
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import ItemTrace, TraceCollector, publish_traces
 from repro.resilience.checkpoint import (
     CheckpointStore,
     MemoryCheckpointStore,
     StageCheckpoint,
 )
-from repro.resilience.policy import DeadLetter, DeadLetterQueue, ResilienceConfig
+from repro.resilience.policy import DeadLetterQueue, ResilienceConfig
 from repro.resilience.replay import ReplayBuffers
 from repro.simnet.engine import Environment, Event, SimulationError
 from repro.simnet.hosts import HostFailedError
@@ -137,82 +143,6 @@ class SourceBinding:
         return float(self.item_size)
 
 
-class _SimStageContext(StageContext):
-    """Runtime-backed stage context handed to user processors."""
-
-    def __init__(self, stage: "_StageRuntime", runtime: "SimulatedRuntime") -> None:
-        self._stage = stage
-        self._runtime = runtime
-        self._in_setup = False
-        #: True while a failover re-runs setup() on a fresh processor
-        #: instance; duplicate parameter declarations then return the
-        #: surviving parameter object (its value, history series, and
-        #: controller all outlive the crashed incarnation).
-        self._restoring = False
-        #: Emissions buffered during one on_item/flush call; the worker
-        #: transmits them (with blocking) after the call returns.  Each
-        #: entry is (payload, size, stream-or-None).
-        self.pending: List[Tuple[Any, float, Optional[str]]] = []
-
-    def specify_parameter(
-        self,
-        name: str,
-        initial: float,
-        minimum: float,
-        maximum: float,
-        increment: float,
-        direction: int,
-    ) -> AdjustmentParameter:
-        if not self._in_setup:
-            raise ProcessorError(
-                f"{self._stage.name}: specify_parameter must be called in setup()"
-            )
-        if name in self._stage.parameters:
-            if self._restoring:
-                return self._stage.parameters[name]
-            raise ProcessorError(f"{self._stage.name}: parameter {name!r} declared twice")
-        param = AdjustmentParameter(name, initial, minimum, maximum, increment, direction)
-        param.set_value(initial, self.now)
-        self._stage.parameters[name] = param
-        self._stage.controllers[name] = ParameterController(
-            param, self._runtime.policy
-        )
-        return param
-
-    def get_suggested_value(self, name: str) -> float:
-        try:
-            return self._stage.parameters[name].value
-        except KeyError:
-            raise ProcessorError(
-                f"{self._stage.name}: unknown parameter {name!r}"
-            ) from None
-
-    def emit(self, payload: Any, size: float = 8.0, stream: Optional[str] = None) -> None:
-        if size < 0:
-            raise ProcessorError(f"emit size must be >= 0, got {size}")
-        if stream is not None and not any(
-            e.stream.name == stream or logical_stream(e.stream.name) == stream
-            for e in self._stage.out_edges
-        ):
-            raise ProcessorError(
-                f"{self._stage.name}: emit to unknown stream {stream!r} "
-                f"(have {[e.stream.name for e in self._stage.out_edges]})"
-            )
-        self.pending.append((payload, float(size), stream))
-
-    @property
-    def now(self) -> float:
-        return self._runtime.env.now
-
-    @property
-    def stage_name(self) -> str:
-        return self._stage.name
-
-    @property
-    def properties(self) -> Dict[str, str]:
-        return self._stage.properties
-
-
 @dataclass
 class _Edge:
     """One wired stream: src stage -> (link or colocated) -> dst stage."""
@@ -242,82 +172,40 @@ class _BatchEnvelope:
         self.origin = origin
 
 
-@dataclass
-class _RouteUnit:
-    """One routing decision among a stage's out-edges.
+class _StageRuntime(StageCore):
+    """Internal per-stage runtime state: the kernel's record plus what
+    only the simulator has (a host, links, failover bookkeeping)."""
 
-    A *solo* unit (``group is None``) wraps one ordinary edge.  A
-    *family* unit wraps the per-replica edges fanning out to one sharded
-    destination group: ``edges[slot]`` is the out-edge index reaching
-    replica ``slot``, and exactly one of them — the key owner's — gets
-    each emitted item.  ``accepts`` holds every stream name addressing
-    the unit (the declared name plus, for families, the expanded
-    per-replica names); ``named`` maps a concrete per-replica stream
-    name to its slot so an explicit ``emit(..., stream="t#1")``
-    overrides the partitioner.
-    """
-
-    accepts: frozenset
-    edges: List[int]
-    group: Optional[str] = None
-    named: Dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
-class _StageRuntime:
-    """Internal per-stage runtime state."""
-
-    name: str
-    host_name: str
-    processor: StreamProcessor
-    queue: BoundedQueue
-    properties: Dict[str, str]
-    policy: AdaptationPolicy
-    eos: EosTracker = field(default_factory=EosTracker)
-    out_edges: List[_Edge] = field(default_factory=list)
-    upstream: List["_StageRuntime"] = field(default_factory=list)
-    parameters: Dict[str, AdjustmentParameter] = field(default_factory=dict)
-    controllers: Dict[str, ParameterController] = field(default_factory=dict)
-    exceptions: ExceptionCounter = field(default_factory=ExceptionCounter)
-    estimator: Optional[LoadEstimator] = None
-    context: Optional[_SimStageContext] = None
-    rate_estimator: RateEstimator = field(default_factory=RateEstimator)
-    #: Registry-backed metric handles (items/bytes/latency/queue...).
-    metrics: Optional[StageMetrics] = None
-    #: Effective micro-batch policy (None = one-at-a-time emission).
-    batch: Optional[BatchPolicy] = None
-    #: One accumulating buffer per out-edge (parallel to ``out_edges``),
-    #: holding (item, parent-hop) entries.
-    batch_buffers: List[BatchBuffer] = field(default_factory=list)
-    batch_metrics: Optional[BatchMetrics] = None
-    #: Routing decisions over ``out_edges`` (solo edges and sharded
-    #: families); built once in ``_build`` after the edges are wired.
-    route_units: List[_RouteUnit] = field(default_factory=list)
-    done: bool = False
-    # -- fault-tolerance state (used only with resilience enabled) --------
-    #: Channel (message origin) -> sequence number of the last fully
-    #: processed delivery.  Deliveries are per-channel FIFO, so the
-    #: worker's increment-per-message stays aligned with the insertion
-    #: sequence numbers the replay buffer assigns.
-    cursors: Dict[str, int] = field(default_factory=dict)
-    #: Incarnation counter; bumped per failover so superseded workers
-    #: notice and exit instead of corrupting the restored state.
-    generation: int = 0
-    #: When the stage went down (None while healthy).
-    down_since: Optional[float] = None
-    #: True while the worker is between dequeue and acknowledgment; the
-    #: checkpointer defers to keep checkpoints item-consistent.
-    in_flight: bool = False
-    checkpoint_due: bool = False
-    #: True while a planned migration is draining/switching this stage;
-    #: the recovery watch and failure detector must not treat the
-    #: hand-off as an outage (see docs/migration.md).
-    migrating: bool = False
-    #: Worker generations superseded by a *planned* switch whose pending
-    #: ``get`` may already hold an item: on resume they must give the
-    #: item back (nothing replays on the planned path).  Entries are
-    #: consumed by the superseded worker within the switch's timestep.
-    requeue_generations: set = field(default_factory=set)
+    def __init__(self, host_name: str, *core: Any) -> None:
+        super().__init__(*core)
+        self.host_name = host_name
+        self.out_edges: List[_Edge] = []
+        self.upstream: List["_StageRuntime"] = []
+        self.done = False
+        # -- fault-tolerance state (used only with resilience enabled) ----
+        #: Channel (message origin) -> sequence number of the last fully
+        #: processed delivery.  Deliveries are per-channel FIFO, so the
+        #: worker's increment-per-message stays aligned with the insertion
+        #: sequence numbers the replay buffer assigns.
+        self.cursors: Dict[str, int] = {}
+        #: Incarnation counter; bumped per failover so superseded workers
+        #: notice and exit instead of corrupting the restored state.
+        self.generation = 0
+        #: When the stage went down (None while healthy).
+        self.down_since: Optional[float] = None
+        #: True while the worker is between dequeue and acknowledgment; the
+        #: checkpointer defers to keep checkpoints item-consistent.
+        self.in_flight = False
+        self.checkpoint_due = False
+        #: True while a planned migration is draining/switching this stage;
+        #: the recovery watch and failure detector must not treat the
+        #: hand-off as an outage (see docs/migration.md).
+        self.migrating = False
+        #: Worker generations superseded by a *planned* switch whose pending
+        #: ``get`` may already hold an item: on resume they must give the
+        #: item back (nothing replays on the planned path).  Entries are
+        #: consumed by the superseded worker within the switch's timestep.
+        self.requeue_generations: set = set()
 
 
 class SimulatedRuntime:
@@ -367,6 +255,9 @@ class SimulatedRuntime:
         ``max_delay`` is in simulated seconds.  See docs/performance.md.
         """
         self.env = env
+        #: ``env.now`` as a callable for the kernel; the C-level partial
+        #: reads the property with no Python frame of its own.
+        self._clock: Callable[[], float] = partial(getattr, env, "now")
         self.network = network
         self.deployment = deployment
         self.policy = policy or AdaptationPolicy()
@@ -451,20 +342,13 @@ class SimulatedRuntime:
                     f"stage {stage_cfg.name!r} code is not a StreamProcessor "
                     f"(got {type(processor).__name__})"
                 )
-            stage = _StageRuntime(
-                name=stage_cfg.name,
-                host_name=host_name,
-                processor=processor,
-                queue=queue,
-                properties=properties,
-                policy=self.policy,
-            )
-            stage.metrics = StageMetrics(self.metrics, stage_cfg.name)
-            stage.estimator = LoadEstimator(stage_cfg.name, queue, self.policy)
-            self.metrics.series(
-                f"adapt.{stage_cfg.name}.d_tilde", stage.estimator.history
-            )
-            stage.context = _SimStageContext(stage, self)
+            try:
+                stage = _StageRuntime(
+                    host_name, stage_cfg.name, processor, properties, queue,
+                    self.policy, self.metrics, self._clock, self.batch,
+                )
+            except ValueError as exc:
+                raise RuntimeError_(f"stage {stage_cfg.name!r}: {exc}") from None
             if self.replay is not None:
                 # Record every insertion at insertion time (including
                 # blocked puts admitted later), so a failover's purge can
@@ -478,11 +362,13 @@ class SimulatedRuntime:
         self._groups = groups_of(
             {name: stage.properties for name, stage in self._stages.items()}
         )
+        #: Replica name -> (group, slot, slots, routed-items counter).
+        slot_of: Dict[str, Tuple[str, int, int, Any]] = {}
         for group in self._groups.values():
-            for member in group.members:
-                self._shard_counters[member] = self.metrics.counter(
-                    f"shard.{member}.items"
-                )
+            for slot, member in enumerate(group.members):
+                counter = self.metrics.counter(f"shard.{member}.items")
+                self._shard_counters[member] = counter
+                slot_of[member] = (group.name, slot, len(group.members), counter)
 
         # Wire edges over the network.
         for stream in config.streams:
@@ -494,7 +380,13 @@ class SimulatedRuntime:
             dst.upstream.append(src)
             dst.eos.expect(group=src.properties.get(SHARD_GROUP_PROPERTY))
         for stage in self._stages.values():
-            self._build_route_units(stage)
+            stage.route_units, stage.stream_names = build_route_units(
+                [
+                    EdgeSpec(edge.stream.name, *slot_of.get(edge.dst.name, ()))
+                    for edge in stage.out_edges
+                ]
+            )
+            stage.open_batch_buffers(range(len(stage.out_edges)))
 
         # Account for external source bindings (a group target expects
         # one end-of-stream per replica slot — the feeder sends to all).
@@ -505,17 +397,6 @@ class SimulatedRuntime:
                     self._stages[member].eos.expect()
             else:
                 self._stages[binding.target_stage].eos.expect()
-
-        # Resolve per-stage micro-batch policies now that edges exist.
-        for stage in self._stages.values():
-            try:
-                effective = batch_policy_from_properties(stage.properties, self.batch)
-            except ValueError as exc:
-                raise RuntimeError_(f"stage {stage.name!r}: {exc}") from None
-            if effective is not None and effective.enabled and stage.out_edges:
-                stage.batch = effective
-                stage.batch_buffers = [BatchBuffer(effective) for _ in stage.out_edges]
-                stage.batch_metrics = BatchMetrics(self.metrics, stage.name)
 
         # Every stage must have at least one input, or it can never end.
         for stage in self._stages.values():
@@ -542,88 +423,6 @@ class SimulatedRuntime:
         bottleneck.bind_metrics(self.metrics)
         edge.link = bottleneck
 
-    def _build_route_units(self, stage: _StageRuntime) -> None:
-        """Group a stage's out-edges into routing units.
-
-        Edges fanning out to the replicas of one sharded destination
-        group (same declared stream name, same group) collapse into one
-        partitioned *family* unit; everything else stays a solo unit.
-        A partial family — some replica edge missing, which only
-        hand-built configs can produce — falls back to solo units
-        rather than partitioning over an incomplete slot set.
-        """
-        families: Dict[Tuple[str, str], Dict[int, int]] = {}
-        order: List[Tuple[Optional[Tuple[str, str]], int]] = []
-        for index, edge in enumerate(stage.out_edges):
-            dst_group = edge.dst.properties.get(SHARD_GROUP_PROPERTY)
-            if dst_group is None:
-                order.append((None, index))
-                continue
-            key = (logical_stream(edge.stream.name), dst_group)
-            if key not in families:
-                order.append((key, index))
-            families[key] = families.get(key, {})
-            families[key][int(edge.dst.properties[SHARD_INDEX_PROPERTY])] = index
-        for key, index in order:
-            if key is None:
-                edge = stage.out_edges[index]
-                stage.route_units.append(
-                    _RouteUnit(
-                        accepts=frozenset({edge.stream.name}), edges=[index]
-                    )
-                )
-                continue
-            logical, dst_group = key
-            mapping = families[key]
-            slots = len(self._groups[dst_group].members)
-            if set(mapping) == set(range(slots)):
-                edges = [mapping[slot] for slot in range(slots)]
-                names = {stage.out_edges[i].stream.name for i in edges}
-                stage.route_units.append(
-                    _RouteUnit(
-                        accepts=frozenset(names | {logical}),
-                        edges=edges,
-                        group=dst_group,
-                        named={
-                            stage.out_edges[i].stream.name: slot
-                            for slot, i in enumerate(edges)
-                        },
-                    )
-                )
-            else:
-                for edge_index in sorted(mapping.values()):
-                    name = stage.out_edges[edge_index].stream.name
-                    stage.route_units.append(
-                        _RouteUnit(
-                            accepts=frozenset({name, logical}),
-                            edges=[edge_index],
-                        )
-                    )
-
-    def _route_indices(
-        self, stage: _StageRuntime, payload: Any, stream: Optional[str]
-    ) -> Iterable[int]:
-        """Out-edge indices one emission goes to.
-
-        Solo units behave like the pre-sharding fan-out (every edge
-        matching the requested stream, or all of them on a broadcast);
-        a family unit contributes exactly one edge — the key owner's, or
-        the explicitly addressed replica's.
-        """
-        for unit in stage.route_units:
-            if stream is not None and stream not in unit.accepts:
-                continue
-            if unit.group is None:
-                yield unit.edges[0]
-                continue
-            if stream is not None and stream in unit.named:
-                slot = unit.named[stream]
-            else:
-                slot = self._groups[unit.group].owner(payload)
-            index = unit.edges[slot]
-            self._shard_counters[stage.out_edges[index].dst.name].inc()
-            yield index
-
     # -- execution -----------------------------------------------------------
 
     def run(self, max_sim_time: float = 1e7, stop_at: Optional[float] = None) -> RunResult:
@@ -646,20 +445,7 @@ class SimulatedRuntime:
 
         # Call setup() on every processor (parameters get declared here).
         for stage in self._stages.values():
-            stage.context._in_setup = True
-            stage.processor.setup(stage.context)
-            stage.context._in_setup = False
-            # setup() may emit (e.g. headers); transmit before data flows.
-            if stage.context.pending:
-                raise RuntimeError_(
-                    f"stage {stage.name!r} emitted during setup(); emissions "
-                    "are only allowed from on_item()/flush()"
-                )
-            # Parameters exist now — publish their trajectories.
-            for pname, param in stage.parameters.items():
-                self.metrics.series(
-                    f"adapt.{stage.name}.param.{pname}", param.history
-                )
+            run_setup(stage, RuntimeError_)
 
         for stage in self._stages.values():
             self._stage_done[stage.name] = self.env.event()
@@ -700,7 +486,6 @@ class SimulatedRuntime:
             result.traces = self.tracer.traces
             publish_traces(self.metrics, result.traces)
         for stage in self._stages.values():
-            assert stage.metrics is not None
             stage.metrics.arrival_rate.set(
                 stage.rate_estimator.decayed_rate(self.env.now)
             )
@@ -731,7 +516,6 @@ class SimulatedRuntime:
             if gap:
                 yield self.env.timeout(gap)
             stage = targets[group.owner(payload)] if group is not None else targets[0]
-            assert stage.metrics is not None
             item = Item(
                 payload=payload,
                 size=binding.size_of(payload),
@@ -778,7 +562,6 @@ class SimulatedRuntime:
     def _worker(self, stage: _StageRuntime, generation: int) -> Generator:
         host = self.network.host(stage.host_name)
         ctx = stage.context
-        assert ctx is not None
         resilient = self.resilience is not None
         while True:
             if resilient and stage.generation != generation:
@@ -824,7 +607,7 @@ class SimulatedRuntime:
                 stage.processor.flush(ctx)
                 ctx.det.finalize_stage(stage.processor)
                 yield from self._transmit_pending(stage)
-                for index in range(len(stage.batch_buffers)):
+                for index in stage.batch_buffers:
                     yield from self._flush_edge_batch(stage, index)
                 for edge in stage.out_edges:
                     yield from self._send_one(
@@ -838,7 +621,6 @@ class SimulatedRuntime:
                 self._stage_done[stage.name].succeed()
                 return
             assert isinstance(message, Item)
-            assert stage.metrics is not None
             stage.metrics.items_in.inc()
             stage.metrics.bytes_in.inc(message.size)
             hop = message.hop
@@ -894,8 +676,6 @@ class SimulatedRuntime:
         hop=None,
     ) -> Generator:
         ctx = stage.context
-        assert ctx is not None
-        assert stage.metrics is not None
         pending, ctx.pending = ctx.pending, []
         if stage.batch_buffers:
             # Batched fast path: accumulate per-edge, flush on max_items
@@ -905,7 +685,7 @@ class SimulatedRuntime:
             for payload, size, stream in pending:
                 stage.metrics.items_out.inc()
                 stage.metrics.bytes_out.inc(size)
-                for index in self._route_indices(stage, payload, stream):
+                for index in route_indices(stage.route_units, self._groups, payload, stream):
                     edge = stage.out_edges[index]
                     item = Item(
                         payload=payload,
@@ -923,7 +703,7 @@ class SimulatedRuntime:
         for payload, size, stream in pending:
             stage.metrics.items_out.inc()
             stage.metrics.bytes_out.inc(size)
-            for index in self._route_indices(stage, payload, stream):
+            for index in route_indices(stage.route_units, self._groups, payload, stream):
                 edge = stage.out_edges[index]
                 item = Item(
                     payload=payload,
@@ -944,18 +724,11 @@ class SimulatedRuntime:
         parent hops.  Colocated edges skip the link but still amortize
         the handoff into one rate observation.
         """
-        buffer = stage.batch_buffers[index]
-        entries = buffer.drain()
+        entries = drain_batch(stage, index, age)
         if not entries:
             return
         edge = stage.out_edges[index]
         count = len(entries)
-        assert stage.batch_metrics is not None
-        stage.batch_metrics.batches.inc()
-        stage.batch_metrics.items.inc(count)
-        stage.batch_metrics.flush_size.observe(float(count))
-        if age:
-            stage.batch_metrics.age_flushes.inc()
         items = [item for item, _ in entries]
         tx_start = self.env.now
         if edge.link is None:
@@ -984,7 +757,7 @@ class SimulatedRuntime:
                 return
             if stage.down_since is not None:
                 continue
-            for index in range(len(stage.batch_buffers)):
+            for index in stage.batch_buffers:
                 yield from self._flush_edge_batch(stage, index, age=True)
 
     def _send_one(self, stage: _StageRuntime, edge: _Edge, message, control: bool = False) -> Generator:
@@ -1058,44 +831,31 @@ class SimulatedRuntime:
             dst.rate_estimator.observe(self.env.now, count=len(messages))
 
     def _monitor(self, stage: _StageRuntime, result: RunResult) -> Generator:
-        assert stage.estimator is not None
-        assert stage.metrics is not None
-        samples = 0
+        def report(exception: LoadException) -> None:
+            result.events.log(
+                self.env.now,
+                "load-exception",
+                stage=stage.name,
+                exception_kind=exception.kind.value,
+                score=exception.score,
+            )
+            for upstream in stage.upstream:
+                upstream.receive_exception(exception)
+
         while not stage.done:
             yield self.env.timeout(self.policy.sample_interval)
             if stage.done:
                 return
             if stage.down_since is not None:
                 continue  # a dead stage reports no load
-            now = self.env.now
-            stage.metrics.queue_len.record(now, stage.queue.current_length)
-            exception = stage.estimator.sample(now)
-            if exception is not None and self.policy.exceptions_enabled:
-                stage.metrics.exceptions_reported.inc()
+            for parameter, value in adaptation_tick(stage, report):
                 result.events.log(
-                    now,
-                    "load-exception",
+                    self.env.now,
+                    "parameter-adjusted",
                     stage=stage.name,
-                    exception_kind=exception.kind.value,
-                    score=exception.score,
+                    parameter=parameter,
+                    value=value,
                 )
-                for upstream in stage.upstream:
-                    upstream.exceptions.report(exception)
-                    assert upstream.metrics is not None
-                    upstream.metrics.exceptions_received.inc()
-            samples += 1
-            if samples % self.policy.adjust_every == 0 and stage.controllers:
-                t1, t2 = stage.exceptions.drain()
-                score = stage.estimator.normalized_score
-                for controller in stage.controllers.values():
-                    new_value = controller.adjust(score, t1, t2, now)
-                    result.events.log(
-                        now,
-                        "parameter-adjusted",
-                        stage=stage.name,
-                        parameter=controller.parameter.name,
-                        value=new_value,
-                    )
 
     # -- fault tolerance -------------------------------------------------------
 
@@ -1138,16 +898,8 @@ class SimulatedRuntime:
     def _checkpoint_stage(self, stage: _StageRuntime) -> StageCheckpoint:
         """Snapshot the stage and trim its acknowledged replay history."""
         assert self.checkpoints is not None and self.replay is not None
-        checkpoint = StageCheckpoint(
-            stage=stage.name,
-            time=self.env.now,
-            generation=stage.generation,
-            processor_state=stage.processor.snapshot(),
-            parameters={name: p.value for name, p in stage.parameters.items()},
-            estimator=stage.estimator.snapshot() if stage.estimator else None,
-            exceptions=stage.exceptions.snapshot(),
-            cursors=dict(stage.cursors),
-            eos_seen=stage.eos.snapshot(),
+        checkpoint = stage_checkpoint(
+            stage, stage.generation, stage.cursors, stage.eos.snapshot()
         )
         self.checkpoints.save(checkpoint)
         for channel, cursor in checkpoint.cursors.items():
@@ -1302,28 +1054,15 @@ class SimulatedRuntime:
                 f"(got {type(processor).__name__})"
             )
         stage.processor = processor
-        ctx = stage.context
-        assert ctx is not None
-        ctx.pending.clear()
-        ctx._in_setup = True
-        ctx._restoring = True
-        try:
-            processor.setup(ctx)
-        finally:
-            ctx._in_setup = False
-            ctx._restoring = False
-        if ctx.pending:
-            raise RuntimeError_(
-                f"stage {stage.name!r} emitted during setup(); emissions "
-                "are only allowed from on_item()/flush()"
-            )
+        stage.context.pending.clear()
+        run_setup(stage, RuntimeError_, restoring=True)
 
         checkpoint = self.checkpoints.latest(stage.name)
         if checkpoint is not None:
             for pname, value in checkpoint.parameters.items():
                 if pname in stage.parameters:
                     stage.parameters[pname].set_value(value, self.env.now)
-            if checkpoint.estimator is not None and stage.estimator is not None:
+            if checkpoint.estimator is not None:
                 stage.estimator.restore(checkpoint.estimator)
             stage.exceptions.restore(checkpoint.exceptions)
             if checkpoint.processor_state is not None:
@@ -1563,17 +1302,7 @@ class SimulatedRuntime:
 
     def _quarantine(self, stage: _StageRuntime, payload: Any, exc: BaseException, reason: str) -> None:
         assert self.resilience is not None and self.dead_letters is not None
-        self.metrics.counter(f"fault.{stage.name}.quarantined").inc()
-        if self.resilience.error_policy == "dead-letter":
-            self.dead_letters.add(
-                DeadLetter(
-                    stage=stage.name,
-                    payload=payload,
-                    time=self.env.now,
-                    error=repr(exc),
-                    reason=reason,
-                )
-            )
+        quarantine(stage, self.resilience, self.dead_letters, payload, exc, reason)
         if self._result is not None:
             self._result.events.log(
                 self.env.now,

@@ -32,13 +32,24 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.adaptation.controller import ParameterController
-from repro.core.adaptation.load import LoadEstimator
 from repro.core.adaptation.policy import AdaptationPolicy
-from repro.core.adaptation.protocol import ExceptionCounter
-from repro.core.api import AdjustmentParameter, ProcessorError, StageContext, StreamProcessor
-from repro.core.batching import BatchBuffer, BatchPolicy, batch_policy_from_properties
+from repro.core.adaptation.protocol import LoadException
+from repro.core.api import StreamProcessor
+from repro.core.batching import BatchPolicy
 from repro.core.items import EndOfStream, Item
+from repro.core.kernel import (
+    EdgeSpec,
+    RouteUnit,
+    StageCore,
+    adaptation_tick,
+    build_route_units,
+    drain_batch,
+    due_buffers,
+    next_flush_timeout,
+    quarantine,
+    run_setup,
+    stage_checkpoint,
+)
 from repro.core.results import RunResult, StageStats
 from repro.core.sharding import (
     SHARD_GROUP_PROPERTY,
@@ -49,18 +60,12 @@ from repro.core.sharding import (
     extract_key,
     groups_of,
     import_keyed_state,
-    logical_stream,
 )
-from repro.core.termination import EosTracker, no_input_message
-from repro.metrics.rates import RateEstimator
-from repro.obs.registry import BatchMetrics, Counter, MetricsRegistry, StageMetrics
+from repro.core.termination import no_input_message
+from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.tracing import TraceCollector, publish_traces
-from repro.resilience.checkpoint import (
-    CheckpointStore,
-    MemoryCheckpointStore,
-    StageCheckpoint,
-)
-from repro.resilience.policy import DeadLetter, DeadLetterQueue, ResilienceConfig
+from repro.resilience.checkpoint import CheckpointStore, MemoryCheckpointStore
+from repro.resilience.policy import DeadLetterQueue, ResilienceConfig
 from repro.simnet.hosts import CpuCostModel
 from repro.simnet.links import TokenBucket
 
@@ -191,106 +196,11 @@ class _MonitoredQueue:
             return sum(self._recent) / len(self._recent)
 
 
-class _ThreadStageContext(StageContext):
-    """Wall-clock stage context."""
-
-    def __init__(self, stage: "_ThreadStage", runtime: "ThreadedRuntime") -> None:
-        self._stage = stage
-        self._runtime = runtime
-        self._in_setup = False
-        #: True while a replacement processor re-runs setup() during a
-        #: live migration: re-declaring an existing parameter then binds
-        #: to the live one (its adapted value survives the move).
-        self._restoring = False
-        self.pending: List[Tuple[Any, float, Optional[str]]] = []
-
-    def specify_parameter(
-        self,
-        name: str,
-        initial: float,
-        minimum: float,
-        maximum: float,
-        increment: float,
-        direction: int,
-    ) -> AdjustmentParameter:
-        if not self._in_setup:
-            raise ProcessorError(
-                f"{self._stage.name}: specify_parameter must be called in setup()"
-            )
-        if name in self._stage.parameters:
-            if self._restoring:
-                return self._stage.parameters[name]
-            raise ProcessorError(f"{self._stage.name}: parameter {name!r} declared twice")
-        param = AdjustmentParameter(name, initial, minimum, maximum, increment, direction)
-        param.set_value(initial, self.now)
-        self._stage.parameters[name] = param
-        self._stage.controllers[name] = ParameterController(param, self._runtime.policy)
-        return param
-
-    def get_suggested_value(self, name: str) -> float:
-        with self._stage.param_lock:
-            try:
-                return self._stage.parameters[name].value
-            except KeyError:
-                raise ProcessorError(
-                    f"{self._stage.name}: unknown parameter {name!r}"
-                ) from None
-
-    def emit(self, payload: Any, size: float = 8.0, stream: Optional[str] = None) -> None:
-        if size < 0:
-            raise ProcessorError(f"emit size must be >= 0, got {size}")
-        # A processor written against the declared configuration may name
-        # a logical stream that sharding expanded into per-replica edges
-        # ("t" -> "t#0", "t#1", ...), so logical names are accepted too.
-        if stream is not None and not any(
-            e.name is not None
-            and (e.name == stream or logical_stream(e.name) == stream)
-            for e in self._stage.out_edges
-        ):
-            raise ProcessorError(
-                f"{self._stage.name}: emit to unknown stream {stream!r}"
-            )
-        self.pending.append((payload, float(size), stream))
-
-    @property
-    def now(self) -> float:
-        return self._runtime.elapsed()
-
-    @property
-    def stage_name(self) -> str:
-        return self._stage.name
-
-    @property
-    def properties(self) -> Dict[str, str]:
-        return self._stage.properties
-
-
 @dataclass
 class _ThreadEdge:
     dst: "_ThreadStage"
     bucket: Optional[TokenBucket]
     name: Optional[str] = None
-
-
-@dataclass
-class _RouteUnit:
-    """One routing decision per emitted item: a solo edge or a shard family.
-
-    A solo unit carries exactly one edge index; a family unit carries one
-    edge index per replica slot of ``group`` (position == shard index),
-    of which the group's partitioner picks exactly one per item.
-    """
-
-    #: Stream names addressing this unit via ``emit(..., stream=...)``
-    #: (``None`` — broadcast — always matches every unit).
-    accepts: frozenset
-    #: Indices into the stage's ``out_edges``.
-    edges: List[int]
-    #: Shard-group name for family units; None for solo units.
-    group: Optional[str] = None
-    #: Concrete edge name -> edge index (family units), letting an emit
-    #: target one specific replica explicitly.
-    named: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -308,50 +218,30 @@ class _GroupState:
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
-@dataclass
-class _ThreadStage:
-    name: str
-    processor: StreamProcessor
-    queue: _MonitoredQueue
-    properties: Dict[str, str]
-    eos: EosTracker = field(default_factory=EosTracker)
-    out_edges: List[_ThreadEdge] = field(default_factory=list)
-    upstream: List["_ThreadStage"] = field(default_factory=list)
-    parameters: Dict[str, AdjustmentParameter] = field(default_factory=dict)
-    controllers: Dict[str, ParameterController] = field(default_factory=dict)
-    exceptions: ExceptionCounter = field(default_factory=ExceptionCounter)
-    estimator: Optional[LoadEstimator] = None
-    context: Optional[_ThreadStageContext] = None
-    #: Registry-backed metric handles (items/bytes/latency/queue...).
-    metrics: Optional[StageMetrics] = None
-    #: Effective micro-batch policy (max_delay pre-scaled to wall seconds);
-    #: None means one-at-a-time emission.
-    batch: Optional[BatchPolicy] = None
-    #: One accumulating buffer per out-edge (parallel to ``out_edges``),
-    #: holding (item, parent-hop) entries; built at run() start.
-    batch_buffers: List[BatchBuffer] = field(default_factory=list)
-    batch_metrics: Optional[BatchMetrics] = None
-    rate_estimator: RateEstimator = field(default_factory=RateEstimator)
-    #: Routing units built at run() start (see :class:`_RouteUnit`).
-    route_units: List[_RouteUnit] = field(default_factory=list)
-    #: ``shard.{stage}.items`` counter handle (replica stages only).
-    shard_items: Optional[Counter] = None
-    #: Items routed to this stage through a shard group (written under
-    #: the group's lock) vs items its worker finished with (written by
-    #: the worker thread only).  The autoscaler drains a group by waiting
-    #: for the two to meet.
-    delivered: int = 0
-    consumed: int = 0
-    param_lock: threading.Lock = field(default_factory=threading.Lock)
-    #: Serializes arrival-rate observations (several producer threads
-    #: feed one queue; the estimator requires non-decreasing times).
-    rate_lock: threading.Lock = field(default_factory=threading.Lock)
-    #: Serializes processor mutation (on_item/flush in the worker) against
-    #: the checkpointer thread's snapshot(), keeping checkpoints
-    #: item-consistent.
-    state_lock: threading.Lock = field(default_factory=threading.Lock)
-    done: threading.Event = field(default_factory=threading.Event)
-    error: Optional[BaseException] = None
+class _ThreadStage(StageCore):
+    """The kernel's stage record plus the threaded driver's locks and flags."""
+
+    def __init__(self, *core: Any) -> None:
+        super().__init__(*core, param_lock=threading.Lock())
+        self.out_edges: List[_ThreadEdge] = []
+        self.upstream: List["_ThreadStage"] = []
+        #: ``shard.{stage}.items`` counter handle (replica stages only).
+        self.shard_items: Optional[Counter] = None
+        #: Items routed to this stage through a shard group (written under
+        #: the group's lock) vs items its worker finished with (written by
+        #: the worker thread only).  The autoscaler drains a group by waiting
+        #: for the two to meet.
+        self.delivered = 0
+        self.consumed = 0
+        #: Serializes arrival-rate observations (several producer threads
+        #: feed one queue; the estimator requires non-decreasing times).
+        self.rate_lock = threading.Lock()
+        #: Serializes processor mutation (on_item/flush in the worker) against
+        #: the checkpointer thread's snapshot(), keeping checkpoints
+        #: item-consistent.
+        self.state_lock = threading.Lock()
+        self.done = threading.Event()
+        self.error: Optional[BaseException] = None
 
 
 @dataclass
@@ -501,28 +391,14 @@ class ThreadedRuntime:
         if not isinstance(processor, StreamProcessor):
             raise ThreadedRuntimeError(f"{name}: processor must be a StreamProcessor")
         capacity = queue_capacity or self.DEFAULT_QUEUE_CAPACITY
-        stage = _ThreadStage(
-            name=name,
-            processor=processor,
-            queue=_MonitoredQueue(capacity, self.policy.window),
-            properties=dict(properties or {}),
-        )
         try:
-            effective = batch_policy_from_properties(stage.properties, self.batch)
+            self._stages[name] = _ThreadStage(
+                name, processor, dict(properties or {}),
+                _MonitoredQueue(capacity, self.policy.window),
+                self.policy, self.metrics, self.elapsed, self.batch, self.time_scale,
+            )
         except ValueError as exc:
             raise ThreadedRuntimeError(f"{name}: {exc}") from None
-        if effective is not None and effective.enabled:
-            # Pre-scale the age bound once so BatchBuffer deadlines compare
-            # directly against elapsed() wall-clock time.
-            stage.batch = BatchPolicy(
-                max_items=effective.max_items,
-                max_delay=effective.max_delay * self.time_scale,
-            )
-        stage.metrics = StageMetrics(self.metrics, name)
-        stage.estimator = LoadEstimator(name, stage.queue, self.policy)
-        self.metrics.series(f"adapt.{name}.d_tilde", stage.estimator.history)
-        stage.context = _ThreadStageContext(stage, self)
-        self._stages[name] = stage
 
     def connect(
         self,
@@ -612,19 +488,8 @@ class ThreadedRuntime:
         result = RunResult(app_name="threaded-app")
 
         for stage in self._stages.values():
-            if stage.batch is not None and stage.out_edges:
-                stage.batch_buffers = [
-                    BatchBuffer(stage.batch) for _ in stage.out_edges
-                ]
-                stage.batch_metrics = BatchMetrics(self.metrics, stage.name)
-            assert stage.context is not None
-            stage.context._in_setup = True
-            stage.processor.setup(stage.context)
-            stage.context._in_setup = False
-            for pname, param in stage.parameters.items():
-                self.metrics.series(
-                    f"adapt.{stage.name}.param.{pname}", param.history
-                )
+            stage.open_batch_buffers(range(len(stage.out_edges)))
+            run_setup(stage, ThreadedRuntimeError)
 
         threads: List[threading.Thread] = []
         stop_monitors = threading.Event()
@@ -680,7 +545,6 @@ class ThreadedRuntime:
             result.traces = self.tracer.traces
             publish_traces(self.metrics, result.traces)
         for stage in self._stages.values():
-            assert stage.metrics is not None
             stage.metrics.arrival_rate.set(
                 stage.rate_estimator.decayed_rate(self.elapsed())
             )
@@ -800,7 +664,6 @@ class ThreadedRuntime:
 
     def _worker(self, stage: _ThreadStage) -> None:
         ctx = stage.context
-        assert ctx is not None
         batching = bool(stage.batch_buffers)
         # Chunked input drain applies to every stage under a batch policy
         # (sinks included — they have no output buffers but still benefit
@@ -817,10 +680,9 @@ class ThreadedRuntime:
                             assert stage.batch is not None
                             drained = stage.queue.get_many(
                                 stage.batch.max_items,
-                                timeout=self._next_flush_timeout(stage),
+                                timeout=next_flush_timeout(stage),
                             )
                             local.extend(drained)
-                            assert stage.metrics is not None
                             count, nbytes_in = 0, 0.0
                             for msg in drained:
                                 if not isinstance(msg, EndOfStream):
@@ -848,7 +710,6 @@ class ThreadedRuntime:
                     for edge in stage.out_edges:
                         edge.dst.queue.put(EndOfStream(origin=stage.name))
                     return
-                assert stage.metrics is not None
                 if not chunked:
                     stage.metrics.items_in.inc()
                     stage.metrics.bytes_in.inc(message.size)
@@ -876,7 +737,10 @@ class ThreadedRuntime:
                     # chunk-mates' deferred emissions stay), quarantine
                     # it, and keep the stage alive (skip / dead-letter).
                     del ctx.pending[mark:]
-                    self._quarantine(stage, message.payload, exc)
+                    assert self.dead_letters is not None
+                    quarantine(
+                        stage, self.resilience, self.dead_letters, message.payload, exc
+                    )
                     stage.consumed += 1
                     continue
                 stage.consumed += 1
@@ -918,8 +782,6 @@ class ThreadedRuntime:
         self, stage: _ThreadStage, trace=None, hop=None
     ) -> None:
         ctx = stage.context
-        assert ctx is not None
-        assert stage.metrics is not None
         if not ctx.pending:
             return
         pending, ctx.pending = ctx.pending, []
@@ -983,7 +845,7 @@ class ThreadedRuntime:
     def _send_family(
         self,
         stage: _ThreadStage,
-        unit: _RouteUnit,
+        unit: RouteUnit,
         payload: Any,
         size: float,
         stream: Optional[str],
@@ -1001,7 +863,7 @@ class ThreadedRuntime:
         wait = 0.0
         with state.lock:
             if stream is not None and stream in unit.named:
-                edge = stage.out_edges[unit.named[stream]]
+                edge = stage.out_edges[unit.edges[unit.named[stream]]]
             else:
                 owner = state.group.partitioner.select(
                     extract_key(payload, state.group.shard_by), state.active
@@ -1029,23 +891,12 @@ class ThreadedRuntime:
 
     # -- micro-batch flushing ----------------------------------------------
 
-    def _next_flush_timeout(self, stage: _ThreadStage) -> Optional[float]:
-        """Seconds until the oldest buffered batch hits its age bound."""
-        deadlines = [
-            d for d in (b.deadline() for b in stage.batch_buffers) if d is not None
-        ]
-        if not deadlines:
-            return None
-        return max(0.0, min(deadlines) - self.elapsed())
-
     def _flush_due(self, stage: _ThreadStage) -> None:
-        now = self.elapsed()
-        for index, buffer in enumerate(stage.batch_buffers):
-            if buffer.due(now):
-                self._flush_edge(stage, index, age=True)
+        for index in due_buffers(stage, self.elapsed()):
+            self._flush_edge(stage, index, age=True)
 
     def _flush_all(self, stage: _ThreadStage) -> None:
-        for index in range(len(stage.batch_buffers)):
+        for index in stage.batch_buffers:
             self._flush_edge(stage, index)
 
     def _flush_edge(self, stage: _ThreadStage, index: int, age: bool = False) -> None:
@@ -1055,18 +906,11 @@ class ThreadedRuntime:
         whole batch; the measured transmission wait is shared equally
         across the batch's traced parent hops.
         """
-        buffer = stage.batch_buffers[index]
-        entries = buffer.drain()
+        entries = drain_batch(stage, index, age)
         if not entries:
             return
         edge = stage.out_edges[index]
         count = len(entries)
-        assert stage.batch_metrics is not None
-        stage.batch_metrics.batches.inc()
-        stage.batch_metrics.items.inc(count)
-        stage.batch_metrics.flush_size.observe(float(count))
-        if age:
-            stage.batch_metrics.age_flushes.inc()
         tx_wall = 0.0
         if edge.bucket is not None:
             wait = edge.bucket.consume(sum(item.size for item, _ in entries))
@@ -1092,8 +936,8 @@ class ThreadedRuntime:
 
         Runs once at :meth:`run` start: reconstructs the groups from the
         expanded stages' properties, binds the ``shard.{stage}.items``
-        counters, and turns each stage's flat out-edge list into
-        :class:`_RouteUnit` entries — solo edges as-is, per-replica edge
+        counters, and turns each stage's flat out-edge list into the
+        kernel's route units — solo edges as-is, per-replica edge
         families collapsed into one partitioned unit each.
         """
         properties = {name: s.properties for name, s in self._stages.items()}
@@ -1101,62 +945,21 @@ class ThreadedRuntime:
             name: _GroupState(group=group, active=group.active)
             for name, group in groups_of(properties).items()
         }
-        member_slot: Dict[str, Tuple[str, int]] = {}
+        member_slot: Dict[str, Tuple[str, int, int]] = {}
         for group_name, state in self._groups.items():
-            for index, member in enumerate(state.group.members):
-                member_slot[member] = (group_name, index)
-            for member in state.group.members:
+            members = state.group.members
+            for index, member in enumerate(members):
+                member_slot[member] = (group_name, index, len(members))
                 self._stages[member].shard_items = self.metrics.counter(
                     f"shard.{member}.items"
                 )
         for stage in self._stages.values():
-            units: List[_RouteUnit] = []
-            families: Dict[Tuple[str, str], Dict[int, Tuple[int, str]]] = {}
-            order: List[Tuple[str, str]] = []
-            for index, edge in enumerate(stage.out_edges):
-                slot = member_slot.get(edge.dst.name)
-                if slot is None or edge.name is None:
-                    accepts = frozenset(
-                        name
-                        for name in (
-                            edge.name,
-                            logical_stream(edge.name) if edge.name else None,
-                        )
-                        if name is not None
-                    )
-                    units.append(_RouteUnit(accepts=accepts, edges=[index]))
-                    continue
-                group_name, shard_index = slot
-                key = (logical_stream(edge.name), group_name)
-                if key not in families:
-                    order.append(key)
-                families.setdefault(key, {})[shard_index] = (index, edge.name)
-            for key in order:
-                logical, group_name = key
-                mapping = families[key]
-                slots = len(self._groups[group_name].group.members)
-                if set(mapping) != set(range(slots)):
-                    # Partial wiring (programmatic): no safe partition
-                    # function over a ragged family — keep each edge solo.
-                    for shard_index in sorted(mapping):
-                        index, name = mapping[shard_index]
-                        units.append(
-                            _RouteUnit(
-                                accepts=frozenset({name, logical}),
-                                edges=[index],
-                            )
-                        )
-                    continue
-                named = {mapping[i][1]: mapping[i][0] for i in range(slots)}
-                units.append(
-                    _RouteUnit(
-                        accepts=frozenset({logical}) | frozenset(named),
-                        edges=[mapping[i][0] for i in range(slots)],
-                        group=group_name,
-                        named=named,
-                    )
-                )
-            stage.route_units = units
+            stage.route_units, stage.stream_names = build_route_units(
+                [
+                    EdgeSpec(edge.name, *member_slot.get(edge.dst.name, ()))
+                    for edge in stage.out_edges
+                ]
+            )
 
     def _autoscaler(self, state: _GroupState, stop: threading.Event) -> None:
         """Per-group control loop: occupancy samples in, rebalances out.
@@ -1247,22 +1050,6 @@ class ThreadedRuntime:
             group.active = target
         return True
 
-    def _quarantine(self, stage: _ThreadStage, payload: Any, exc: BaseException) -> None:
-        """Count (and under ``dead-letter``, retain) one poison item."""
-        assert self.resilience is not None
-        self.metrics.counter(f"fault.{stage.name}.quarantined").inc()
-        if self.resilience.error_policy == "dead-letter":
-            assert self.dead_letters is not None
-            self.dead_letters.add(
-                DeadLetter(
-                    stage=stage.name,
-                    payload=payload,
-                    time=self.elapsed(),
-                    error=repr(exc),
-                    reason="processing",
-                )
-            )
-
     def _checkpointer(self, stage: _ThreadStage, stop: threading.Event) -> None:
         """Snapshot ``stage`` every ``checkpoint_interval`` scaled seconds.
 
@@ -1284,20 +1071,7 @@ class ThreadedRuntime:
     def _checkpoint_stage(self, stage: _ThreadStage) -> None:
         assert self.checkpoints is not None
         with stage.state_lock:
-            processor_state = stage.processor.snapshot()
-        with stage.param_lock:
-            parameters = {n: p.value for n, p in stage.parameters.items()}
-        checkpoint = StageCheckpoint(
-            stage=stage.name,
-            time=self.elapsed(),
-            generation=0,
-            processor_state=processor_state,
-            parameters=parameters,
-            estimator=stage.estimator.snapshot() if stage.estimator else None,
-            exceptions=stage.exceptions.snapshot(),
-            cursors={},
-            eos_seen=0,
-        )
+            checkpoint = stage_checkpoint(stage)
         self.checkpoints.save(checkpoint)
         self.metrics.counter(f"recovery.{stage.name}.checkpoints").inc()
 
@@ -1338,27 +1112,14 @@ class ThreadedRuntime:
                         f"stage {stage_name!r}: replacement is not a "
                         f"StreamProcessor (got {type(replacement).__name__})"
                     )
-                ctx = stage.context
-                assert ctx is not None
-                pending_before = list(ctx.pending)
-                ctx.pending.clear()
-                ctx._in_setup = True
-                ctx._restoring = True
+                previous, stage.processor = stage.processor, replacement
                 try:
-                    replacement.setup(ctx)
-                finally:
-                    ctx._in_setup = False
-                    ctx._restoring = False
-                if ctx.pending:
-                    raise ThreadedRuntimeError(
-                        f"stage {stage_name!r}: replacement emitted during "
-                        "setup(); emissions are only allowed from "
-                        "on_item()/flush()"
-                    )
-                ctx.pending.extend(pending_before)
+                    run_setup(stage, ThreadedRuntimeError, restoring=True)
+                except BaseException:
+                    stage.processor = previous
+                    raise
                 if state is not None:
                     replacement.restore(state)
-                stage.processor = replacement
             pause = (time.monotonic() - t0) / self.time_scale
             self.metrics.counter(f"migration.{stage_name}.moves").inc()
             self.metrics.histogram(f"migration.{stage_name}.pause_seconds").observe(pause)
@@ -1378,26 +1139,12 @@ class ThreadedRuntime:
             return report
 
     def _monitor(self, stage: _ThreadStage, stop: threading.Event) -> None:
-        assert stage.estimator is not None
-        assert stage.metrics is not None
-        samples = 0
+        def report(exception: LoadException) -> None:
+            for upstream in stage.upstream:
+                upstream.receive_exception(exception)
+
         interval = self.policy.sample_interval * self.time_scale
         while not stop.is_set() and not stage.done.is_set():
             if stop.wait(interval):
                 return
-            now = self.elapsed()
-            stage.metrics.queue_len.record(now, float(stage.queue.current_length))
-            exception = stage.estimator.sample(now)
-            if exception is not None and self.policy.exceptions_enabled:
-                stage.metrics.exceptions_reported.inc()
-                for upstream in stage.upstream:
-                    upstream.exceptions.report(exception)
-                    assert upstream.metrics is not None
-                    upstream.metrics.exceptions_received.inc()
-            samples += 1
-            if samples % self.policy.adjust_every == 0 and stage.controllers:
-                t1, t2 = stage.exceptions.drain()
-                score = stage.estimator.normalized_score
-                with stage.param_lock:
-                    for controller in stage.controllers.values():
-                        controller.adjust(score, t1, t2, now)
+            adaptation_tick(stage, report)

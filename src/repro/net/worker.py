@@ -37,29 +37,25 @@ import os
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.core.adaptation.controller import ParameterController
-from repro.core.adaptation.load import LoadEstimator
 from repro.core.adaptation.policy import AdaptationPolicy
-from repro.core.adaptation.protocol import (
-    ExceptionCounter,
-    LoadException,
-    LoadExceptionKind,
-)
-from repro.core.api import (
-    AdjustmentParameter,
-    ProcessorError,
-    StageContext,
-    StreamProcessor,
-)
-from repro.core.batching import (
-    BatchBuffer,
-    BatchPolicy,
-    batch_policy_from_properties,
-)
+from repro.core.adaptation.protocol import LoadException, LoadExceptionKind
+from repro.core.api import StreamProcessor
+from repro.core.batching import BatchPolicy
 from repro.core.items import EndOfStream, Item
+from repro.core.kernel import (
+    EdgeSpec,
+    StageCore,
+    adaptation_tick,
+    build_route_units,
+    drain_batch,
+    due_buffers,
+    next_flush_timeout,
+    route_indices,
+    run_setup,
+)
 from repro.core.sharding import (
     BOUNDARIES_PROPERTY,
     PARTITIONER_PROPERTY,
@@ -68,12 +64,10 @@ from repro.core.sharding import (
     SHARD_GROUP_PROPERTY,
     Partitioner,
     extract_key,
-    logical_stream,
     partitioner_from_properties,
 )
-from repro.core.termination import EosTracker, no_input_message
+from repro.core.termination import no_input_message
 from repro.grid.repository import CodeRepository
-from repro.metrics.rates import RateEstimator
 from repro.net.channels import AsyncInbox, ChannelError, InChannel, OutChannel
 from repro.net.debug import install_task_dump
 from repro.net.protocol import (
@@ -87,7 +81,7 @@ from repro.net.protocol import (
     read_frame,
     send_frame,
 )
-from repro.obs.registry import BatchMetrics, MetricsRegistry, StageMetrics
+from repro.obs.registry import MetricsRegistry
 from repro.simnet.hosts import CpuCostModel
 
 __all__ = ["ANNOUNCE_PREFIX", "Worker", "WorkerError", "default_repository", "main"]
@@ -123,97 +117,6 @@ def default_repository() -> CodeRepository:
     repository = CodeRepository()
     _register_codes(repository)
     return repository
-
-
-class _WorkerStageContext(StageContext):
-    """Stage context backed by the worker's wall clock and pending buffer."""
-
-    def __init__(self, stage: "_HostedStage", worker: "Worker") -> None:
-        self._stage = stage
-        self._worker = worker
-        self._in_setup = False
-        self.pending: List[Tuple[Any, float, Optional[str]]] = []
-
-    def specify_parameter(
-        self,
-        name: str,
-        initial: float,
-        minimum: float,
-        maximum: float,
-        increment: float,
-        direction: int,
-    ) -> AdjustmentParameter:
-        if not self._in_setup:
-            raise ProcessorError(
-                f"{self._stage.name}: specify_parameter must be called in setup()"
-            )
-        if name in self._stage.parameters:
-            raise ProcessorError(
-                f"{self._stage.name}: parameter {name!r} declared twice"
-            )
-        param = AdjustmentParameter(
-            name, initial, minimum, maximum, increment, direction
-        )
-        param.set_value(initial, self.now)
-        self._stage.parameters[name] = param
-        self._stage.controllers[name] = ParameterController(
-            param, self._worker.policy
-        )
-        return param
-
-    def get_suggested_value(self, name: str) -> float:
-        try:
-            return self._stage.parameters[name].value
-        except KeyError:
-            raise ProcessorError(
-                f"{self._stage.name}: unknown parameter {name!r}"
-            ) from None
-
-    def emit(
-        self, payload: Any, size: float = 8.0, stream: Optional[str] = None
-    ) -> None:
-        if size < 0:
-            raise ProcessorError(f"emit size must be >= 0, got {size}")
-        if stream is not None and not any(
-            r.stream == stream or logical_stream(r.stream) == stream
-            for r in self._stage.out_routes
-        ):
-            raise ProcessorError(
-                f"{self._stage.name}: emit to unknown stream {stream!r}"
-            )
-        self.pending.append((payload, float(size), stream))
-
-    @property
-    def now(self) -> float:
-        return self._worker.elapsed()
-
-    @property
-    def stage_name(self) -> str:
-        return self._stage.name
-
-    @property
-    def properties(self) -> Dict[str, str]:
-        return self._stage.properties
-
-
-@dataclass
-class _RouteUnit:
-    """One routing decision among a stage's out-routes.
-
-    A *solo* unit (``group is None``) wraps one ordinary route.  A
-    *family* unit wraps the per-replica routes fanning out to one
-    sharded destination group: ``routes[slot]`` is the out-route index
-    reaching replica ``slot``, and exactly one — the key owner's — gets
-    each emitted item.  ``accepts`` names every stream addressing the
-    unit; ``named`` maps a concrete per-replica stream name to its slot
-    so an explicit ``emit(..., stream="t#1")`` overrides the
-    partitioner.
-    """
-
-    accepts: frozenset
-    routes: List[int]
-    group: Optional[str] = None
-    named: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -283,48 +186,27 @@ class _WireRoute:
         await self.channel.close()
 
 
-@dataclass
-class _HostedStage:
-    name: str
-    processor: StreamProcessor
-    properties: Dict[str, str]
-    inbox: AsyncInbox
-    eos: EosTracker = field(default_factory=EosTracker)
-    out_routes: List[Any] = field(default_factory=list)
-    #: Upstream stages on this worker (exception delivery in-process).
-    upstream_local: List[str] = field(default_factory=list)
-    #: Inbound wire channels feeding this stage (exception delivery over
-    #: the socket, back to the remote sender).
-    upstream_wire: List[InChannel] = field(default_factory=list)
-    parameters: Dict[str, AdjustmentParameter] = field(default_factory=dict)
-    controllers: Dict[str, ParameterController] = field(default_factory=dict)
-    exceptions: ExceptionCounter = field(default_factory=ExceptionCounter)
-    estimator: Optional[LoadEstimator] = None
-    context: Optional[_WorkerStageContext] = None
-    metrics: Optional[StageMetrics] = None
-    rate_estimator: RateEstimator = field(default_factory=RateEstimator)
-    done: Optional[asyncio.Event] = None
-    error: Optional[BaseException] = None
-    #: Effective batch policy (max_delay pre-scaled by time_scale); None
-    #: means one-at-a-time.
-    batch: Optional[BatchPolicy] = None
-    #: Per-out-route accumulating batches, keyed by index into
-    #: ``out_routes``.  Only wire routes get one — local routes hand
-    #: items over in-process, where per-item cost is already one append.
-    batch_buffers: Dict[int, "BatchBuffer[Tuple[Any, float]]"] = field(
-        default_factory=dict
-    )
-    batch_metrics: Optional[BatchMetrics] = None
-    #: Routing decisions over ``out_routes`` (solo routes and sharded
-    #: families); built at START once every channel is declared.
-    route_units: List[_RouteUnit] = field(default_factory=list)
-    #: True once this stage's live copy moved to another worker: its
-    #: task exited at the migration fence, its final value lives on the
-    #: adopting worker, and EOF on its old channels is expected.
-    migrated_away: bool = False
-    #: Set by the stage task when it exits at a migration fence (the
-    #: export handler awaits it before snapshotting).
-    fence_passed: Optional[asyncio.Event] = None
+class _HostedStage(StageCore):
+    """The kernel's stage record plus the worker's channels and task flags."""
+
+    def __init__(self, *core: Any) -> None:
+        super().__init__(*core)
+        self.inbox: AsyncInbox = self.queue
+        self.out_routes: List[Any] = []
+        #: Upstream stages on this worker (exception delivery in-process).
+        self.upstream_local: List[str] = []
+        #: Inbound wire channels feeding this stage (exception delivery over
+        #: the socket, back to the remote sender).
+        self.upstream_wire: List[InChannel] = []
+        self.done = asyncio.Event()
+        self.error: Optional[BaseException] = None
+        #: True once this stage's live copy moved to another worker: its
+        #: task exited at the migration fence, its final value lives on the
+        #: adopting worker, and EOF on its old channels is expected.
+        self.migrated_away = False
+        #: Set by the stage task when it exits at a migration fence (the
+        #: export handler awaits it before snapshotting).
+        self.fence_passed: Optional[asyncio.Event] = None
 
 
 class _MigrateFence:
@@ -455,7 +337,7 @@ class Worker:
                     writer, FrameType.ERROR,
                     encode_json({"error": f"unexpected first frame {first.type.name}"}),
                 )
-        except (ProtocolError, ConnectionError) as exc:
+        except (ProtocolError, ConnectionError, WorkerError) as exc:
             try:
                 await send_frame(
                     writer, FrameType.ERROR, encode_json({"error": str(exc)})
@@ -539,28 +421,13 @@ class Worker:
         if lanes < 1:
             raise WorkerError(f"{name}: net-inbox-lanes must be >= 1, got {lanes}")
         try:
-            effective = batch_policy_from_properties(properties, self.batch)
+            self._stages[name] = _HostedStage(
+                name, processor, properties,
+                AsyncInbox(capacity, self.policy.window, lanes=lanes),
+                self.policy, self.metrics, self.elapsed, self.batch, self.time_scale,
+            )
         except ValueError as exc:
             raise WorkerError(f"{name}: {exc}") from None
-        stage = _HostedStage(
-            name=name,
-            processor=processor,
-            properties=properties,
-            inbox=AsyncInbox(capacity, self.policy.window, lanes=lanes),
-        )
-        if effective is not None and effective.enabled:
-            # Pre-scale the age bound once so flush deadlines compare
-            # directly against elapsed() wall seconds.
-            stage.batch = BatchPolicy(
-                max_items=effective.max_items,
-                max_delay=effective.max_delay * self.time_scale,
-            )
-        stage.metrics = StageMetrics(self.metrics, name)
-        stage.estimator = LoadEstimator(name, stage.inbox, self.policy)
-        self.metrics.series(f"adapt.{name}.d_tilde", stage.estimator.history)
-        stage.context = _WorkerStageContext(stage, self)
-        stage.done = asyncio.Event()
-        self._stages[name] = stage
 
     def _register_channel(self, body: Dict[str, Any]) -> None:
         kind = body["kind"]
@@ -635,9 +502,7 @@ class Worker:
                 )
             except (KeyError, ValueError):
                 return
-            stage.exceptions.report(exception)
-            assert stage.metrics is not None
-            stage.metrics.exceptions_received.inc()
+            stage.receive_exception(exception)
 
         return _handle
 
@@ -656,16 +521,8 @@ class Worker:
         # ``ctx.det`` first.
         import repro.ledger.context  # noqa: F401
         for stage in self._stages.values():
-            assert stage.context is not None
-            stage.context._in_setup = True
-            stage.processor.setup(stage.context)
-            stage.context._in_setup = False
-            for pname, param in stage.parameters.items():
-                self.metrics.series(
-                    f"adapt.{stage.name}.param.{pname}", param.history
-                )
-        for stage in self._stages.values():
-            self._build_route_units(stage)
+            self._build_routes(stage)
+            run_setup(stage, WorkerError)
             group = stage.properties.get(SHARD_GROUP_PROPERTY)
             if group is not None:
                 active = stage.properties.get(
@@ -673,17 +530,6 @@ class Worker:
                     stage.properties.get(SHARD_COUNT_PROPERTY, "1"),
                 )
                 self.metrics.gauge(f"shard.{group}.replicas").set(float(active))
-        # Batch buffers exist only for wire routes: a local handoff is
-        # already a single in-process append, while a wire route pays a
-        # frame + syscall per send, which batching amortizes.
-        for stage in self._stages.values():
-            if stage.batch is None:
-                continue
-            for index, route in enumerate(stage.out_routes):
-                if isinstance(route, _WireRoute):
-                    stage.batch_buffers[index] = BatchBuffer(stage.batch)
-            if stage.batch_buffers:
-                stage.batch_metrics = BatchMetrics(self.metrics, stage.name)
         # Dial every outbound channel; the receiving workers are already
         # synced (the coordinator barriers SYNC/READY before any START),
         # so their InChannels exist and grant credit on ATTACH.
@@ -696,111 +542,46 @@ class Worker:
             asyncio.create_task(self._completion_task(coordinator_writer))
         )
 
-    def _build_route_units(self, stage: _HostedStage) -> None:
-        """Group a stage's out-routes into routing units.
+    def _build_routes(self, stage: _HostedStage) -> None:
+        """Turn a stage's out-routes into the kernel's route units.
 
-        Routes fanning out to the replicas of one sharded destination
-        group (same declared stream name, same group) collapse into one
-        partitioned family unit — local and wire routes mix freely, the
-        replicas may live anywhere in the fleet.  A partial family
-        (possible only if the coordinator shipped an incomplete slot
-        set) falls back to solo units.
+        Local and wire routes mix freely inside a family — the replicas
+        may live anywhere in the fleet.  Partitioning facts for each
+        sharded destination group come from the CHANNEL frames' shard
+        descriptors.
         """
-        families: Dict[Tuple[str, str], Dict[int, int]] = {}
-        descriptors: Dict[str, Dict[str, Any]] = {}
-        order: List[Tuple[Optional[Tuple[str, str]], int]] = []
-        for index, route in enumerate(stage.out_routes):
-            shard = route.shard
-            if shard is None:
-                order.append((None, index))
-                continue
-            key = (logical_stream(route.stream), str(shard["group"]))
-            if key not in families:
-                order.append((key, index))
-                families[key] = {}
-            families[key][int(shard["slot"])] = index
-            descriptors[str(shard["group"])] = shard
-        units: List[_RouteUnit] = []
-        for key, index in order:
-            if key is None:
-                units.append(
-                    _RouteUnit(
-                        accepts=frozenset({stage.out_routes[index].stream}),
-                        routes=[index],
-                    )
+        stage.route_units, stage.stream_names = build_route_units(
+            [
+                EdgeSpec(r.stream) if r.shard is None else EdgeSpec(
+                    r.stream, str(r.shard["group"]), int(r.shard["slot"]),
+                    int(r.shard["slots"]), r.shard_counter,
                 )
-                continue
-            logical, group = key
-            mapping = families[key]
-            shard = descriptors[group]
-            slots = int(shard["slots"])
-            if set(mapping) == set(range(slots)):
-                routes = [mapping[slot] for slot in range(slots)]
-                names = {stage.out_routes[i].stream for i in routes}
-                units.append(
-                    _RouteUnit(
-                        accepts=frozenset(names | {logical}),
-                        routes=routes,
-                        group=group,
-                        named={
-                            stage.out_routes[i].stream: slot
-                            for slot, i in enumerate(routes)
-                        },
-                    )
-                )
-                if group not in self._route_groups:
-                    properties = {PARTITIONER_PROPERTY: str(
-                        shard.get("partitioner", "hash")
-                    )}
-                    if shard.get("boundaries") is not None:
-                        properties[BOUNDARIES_PROPERTY] = str(shard["boundaries"])
-                    self._route_groups[group] = _RouteGroup(
-                        partitioner=partitioner_from_properties(properties),
-                        shard_by=str(shard.get("by", "payload")),
-                        active=int(shard["active"]),
-                    )
-            else:
-                for route_index in sorted(mapping.values()):
-                    name = stage.out_routes[route_index].stream
-                    units.append(
-                        _RouteUnit(
-                            accepts=frozenset({name, logical}),
-                            routes=[route_index],
-                        )
-                    )
-        stage.route_units = units
-
-    def _route_indices(
-        self, stage: _HostedStage, payload: Any, stream: Optional[str]
-    ):
-        """Out-route indices one emission goes to.
-
-        Solo units keep the pre-sharding fan-out; a family unit
-        contributes exactly one route — the key owner's, or the
-        explicitly addressed replica's.
-        """
+                for r in stage.out_routes
+            ]
+        )
         for unit in stage.route_units:
-            if stream is not None and stream not in unit.accepts:
+            if unit.group is None or unit.group in self._route_groups:
                 continue
-            if unit.group is None:
-                yield unit.routes[0]
-                continue
-            if stream is not None and stream in unit.named:
-                slot = unit.named[stream]
-            else:
-                slot = self._route_groups[unit.group].owner(payload)
-            index = unit.routes[slot]
-            counter = stage.out_routes[index].shard_counter
-            if counter is not None:
-                counter.inc()
-            yield index
+            shard = stage.out_routes[unit.edges[0]].shard
+            properties = {PARTITIONER_PROPERTY: str(shard.get("partitioner", "hash"))}
+            if shard.get("boundaries") is not None:
+                properties[BOUNDARIES_PROPERTY] = str(shard["boundaries"])
+            self._route_groups[unit.group] = _RouteGroup(
+                partitioner=partitioner_from_properties(properties),
+                shard_by=str(shard.get("by", "payload")),
+                active=int(shard["active"]),
+            )
+        # Batch buffers exist only for wire routes: a local handoff is
+        # already a single in-process append, while a wire route pays a
+        # frame + syscall per send, which batching amortizes.
+        stage.open_batch_buffers(
+            i for i, r in enumerate(stage.out_routes) if isinstance(r, _WireRoute)
+        )
 
     # -- stage execution -----------------------------------------------------
 
     async def _stage_task(self, stage: _HostedStage) -> None:
         ctx = stage.context
-        assert ctx is not None
-        assert stage.metrics is not None
         sleep_debt = 0.0
         # With batching on, the inbox is drained in chunks — one event-loop
         # suspension and one aggregated metrics update per chunk instead of
@@ -813,7 +594,7 @@ class Worker:
         try:
             while True:
                 if not local:
-                    timeout = self._next_flush_timeout(stage)
+                    timeout = next_flush_timeout(stage)
                     try:
                         if chunked:
                             assert stage.batch is not None
@@ -914,7 +695,6 @@ class Worker:
                 except (ChannelError, ConnectionError, ProtocolError):
                     pass
         finally:
-            assert stage.done is not None
             stage.done.set()
 
     def _buffer_pending(
@@ -927,8 +707,6 @@ class Worker:
         anything when some route has no buffer, so the caller falls back
         to the general :meth:`_transmit_pending` path."""
         ctx = stage.context
-        assert ctx is not None
-        assert stage.metrics is not None
         buffers = stage.batch_buffers
         if len(buffers) != len(stage.out_routes):
             return None
@@ -937,7 +715,7 @@ class Worker:
         nbytes_out = 0.0
         for payload, size, stream in pending:
             nbytes_out += size
-            for index in self._route_indices(stage, payload, stream):
+            for index in route_indices(stage.route_units, self._route_groups, payload, stream):
                 if buffers[index].add((payload, size), now) and index not in full:
                     full.append(index)
         stage.metrics.items_out.inc(len(pending))
@@ -946,8 +724,6 @@ class Worker:
 
     async def _transmit_pending(self, stage: _HostedStage) -> None:
         ctx = stage.context
-        assert ctx is not None
-        assert stage.metrics is not None
         if not ctx.pending:
             return
         now = self.elapsed()
@@ -963,7 +739,7 @@ class Worker:
         nbytes_out = 0.0
         for payload, size, stream in pending:
             nbytes_out += size
-            for index in self._route_indices(stage, payload, stream):
+            for index in route_indices(stage.route_units, self._route_groups, payload, stream):
                 buffer = stage.batch_buffers.get(index)
                 if buffer is None:
                     await stage.out_routes[index].send(payload, size, stage.name)
@@ -974,77 +750,39 @@ class Worker:
         for index in mixed_full:
             await self._flush_route(stage, index)
 
-    def _next_flush_timeout(self, stage: _HostedStage) -> Optional[float]:
-        """Seconds until the oldest buffered batch must age-flush."""
-        deadlines = [
-            buffer.deadline()
-            for buffer in stage.batch_buffers.values()
-            if buffer.entries
-        ]
-        if not deadlines:
-            return None
-        return max(0.0, min(d for d in deadlines if d is not None) - self.elapsed())
-
     async def _flush_due(self, stage: _HostedStage) -> None:
-        now = self.elapsed()
-        for index, buffer in stage.batch_buffers.items():
-            if buffer.due(now):
-                await self._flush_route(stage, index, age=True)
+        for index in due_buffers(stage, self.elapsed()):
+            await self._flush_route(stage, index, age=True)
 
     async def _flush_route(
         self, stage: _HostedStage, index: int, age: bool = False
     ) -> None:
         """Ship one route's accumulated batch as (at most a few) DATA frames."""
-        entries = stage.batch_buffers[index].drain()
-        if not entries:
-            return
-        if stage.batch_metrics is not None:
-            stage.batch_metrics.batches.inc()
-            stage.batch_metrics.items.inc(len(entries))
-            stage.batch_metrics.flush_size.observe(float(len(entries)))
-            if age:
-                stage.batch_metrics.age_flushes.inc()
-        route = stage.out_routes[index]
-        await route.channel.send_batch(entries)
+        entries = drain_batch(stage, index, age)
+        if entries:
+            await stage.out_routes[index].channel.send_batch(entries)
 
     async def _monitor_task(self, stage: _HostedStage) -> None:
         """The Section 4 adaptation loop, run locally per stage."""
-        assert stage.estimator is not None
-        assert stage.metrics is not None
-        assert stage.done is not None
-        samples = 0
+        reported: List[LoadException] = []
         interval = self.policy.sample_interval * self.time_scale
         while not stage.done.is_set():
             await asyncio.sleep(interval)
             if stage.done.is_set():
                 return
-            now = self.elapsed()
-            stage.metrics.queue_len.record(
-                now, float(stage.inbox.current_length)
-            )
-            exception = stage.estimator.sample(now)
-            if exception is not None and self.policy.exceptions_enabled:
-                stage.metrics.exceptions_reported.inc()
-                self._report_upstream(stage, exception)
+            adaptation_tick(stage, reported.append)
+            if reported:
+                self._report_upstream(stage, reported.pop())
                 for wire in stage.upstream_wire:
                     if wire.needs_drain():
                         await wire.drain()
-            samples += 1
-            if samples % self.policy.adjust_every == 0 and stage.controllers:
-                t1, t2 = stage.exceptions.drain()
-                score = stage.estimator.normalized_score
-                for controller in stage.controllers.values():
-                    controller.adjust(score, t1, t2, now)
 
     def _report_upstream(
         self, stage: _HostedStage, exception: LoadException
     ) -> None:
         """Deliver a load exception to every upstream: local or over the wire."""
         for src_name in stage.upstream_local:
-            upstream = self._stages[src_name]
-            upstream.exceptions.report(exception)
-            assert upstream.metrics is not None
-            upstream.metrics.exceptions_received.inc()
+            self._stages[src_name].receive_exception(exception)
         for channel in stage.upstream_wire:
             channel.send_exception(
                 {
@@ -1064,7 +802,6 @@ class Worker:
             # is stable and fully drained.
             stages = list(self._stages.values())
             for stage in stages:
-                assert stage.done is not None
                 await stage.done.wait()
             if any(
                 s.error is not None and not s.migrated_away
@@ -1080,8 +817,7 @@ class Worker:
             assert self._release is not None
             await self._release.wait()
             if len(self._stages) == len(stages) and all(
-                s.done is not None and s.done.is_set()
-                for s in self._stages.values()
+                s.done.is_set() for s in self._stages.values()
             ):
                 break
         failed = [
@@ -1105,7 +841,6 @@ class Worker:
                     # The live copy (and its final value) moved to
                     # another worker; ours is a stale snapshot.
                     continue
-                assert stage.metrics is not None
                 stage.metrics.arrival_rate.set(
                     stage.rate_estimator.decayed_rate(self.elapsed())
                 )
@@ -1189,7 +924,6 @@ class Worker:
         """
         stage = self._stages[body["stage"]]
         expected = {str(k): int(v) for k, v in body["expected"].items()}
-        assert stage.done is not None
         while not all(
             self._recv_counts.get(s, 0) >= n for s, n in expected.items()
         ):
@@ -1264,18 +998,8 @@ class Worker:
                 "shard": spec.get("shard"),
             })
         new_channels = self._out_channels[out_before:]
-        assert stage.context is not None
-        stage.context._in_setup = True
-        stage.processor.setup(stage.context)
-        stage.context._in_setup = False
-        if stage.context.pending:
-            raise WorkerError(
-                f"{stage.name}: processor emitted during setup()"
-            )
-        for pname, param in stage.parameters.items():
-            self.metrics.series(
-                f"adapt.{stage.name}.param.{pname}", param.history
-            )
+        self._build_routes(stage)
+        run_setup(stage, WorkerError)
         now = self.elapsed()
         for pname, value in body.get("parameters", {}).items():
             if pname in stage.parameters:
@@ -1283,13 +1007,6 @@ class Worker:
         if body.get("state") is not None:
             stage.processor.restore(body["state"])
         stage.eos.restore(int(body.get("eos_seen", 0)))
-        if stage.batch is not None:
-            for index, route in enumerate(stage.out_routes):
-                if isinstance(route, _WireRoute):
-                    stage.batch_buffers[index] = BatchBuffer(stage.batch)
-            if stage.batch_buffers:
-                stage.batch_metrics = BatchMetrics(self.metrics, stage.name)
-        self._build_route_units(stage)
         await asyncio.gather(*(c.connect() for c in new_channels))
         self._tasks.append(asyncio.create_task(self._stage_task(stage)))
         if self.adaptation_enabled:
@@ -1372,8 +1089,7 @@ class Worker:
                 stage.error = WorkerError(
                     f"data channel {stream!r} closed before EOS"
                 )
-            if stage.done is not None:
-                stage.done.set()
+            stage.done.set()
 
 
 def main(argv: Optional[List[str]] = None) -> int:

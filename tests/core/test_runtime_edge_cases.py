@@ -1,4 +1,5 @@
-"""Edge-case coverage for the simulated runtime."""
+"""Edge-case coverage for the simulated runtime (and, where a rule is
+the kernel's, the same case on the threaded and networked runtimes)."""
 
 import pytest
 
@@ -94,6 +95,34 @@ class TestSetupErrors:
         runtime.bind_source(SourceBinding("s", "bad", [1]))
         with pytest.raises(RuntimeError_, match="emitted during setup"):
             runtime.run()
+
+    def test_emission_during_setup_rejected_threaded(self):
+        from repro.core.runtime_threads import ThreadedRuntime, ThreadedRuntimeError
+
+        rt = ThreadedRuntime(adaptation_enabled=False)
+        rt.add_stage("bad", EmitsInSetup())
+        rt.add_stage("sink", Sink())
+        rt.connect("bad", "sink")
+        rt.bind_source("s", "bad", [1])
+        with pytest.raises(ThreadedRuntimeError, match="emitted during setup"):
+            rt.run(timeout=30.0)
+
+    def test_emission_during_setup_rejected_networked(self):
+        from repro.net.coordinator import NetworkedRuntime, NetworkedRuntimeError
+
+        here = "py://tests.core.test_runtime_edge_cases"
+        config = AppConfig(
+            name="edge-net",
+            stages=[
+                StageConfig("bad", f"{here}:EmitsInSetup"),
+                StageConfig("sink", f"{here}:Sink"),
+            ],
+            streams=[StreamConfig("e0", "bad", "sink")],
+        )
+        runtime = NetworkedRuntime(config, workers=2, adaptation_enabled=False)
+        runtime.bind_source("s", "bad", [1])
+        with pytest.raises(NetworkedRuntimeError, match="emitted during setup"):
+            runtime.run(timeout=30.0)
 
     def test_specify_parameter_outside_setup_rejected(self):
         env, net, runtime = build(

@@ -30,9 +30,20 @@ from repro.net.coordinator import NetworkedRuntime
 from repro.simnet.engine import Environment
 from repro.simnet.topology import Network
 
-from tests.shard_stages import KeyedRelay, KeyOrderSink
+from tests.shard_stages import KeyedRelay, KeyOrderSink, NamedKeyedRelay
 
 KEYS = [f"k{i}" for i in range(7)]
+
+#: The relay emits by broadcast, or names the declared stream ``"t"`` —
+#: which sharding expands into per-replica ``t#i`` edges.
+RELAYS = {"broadcast": KeyedRelay, "named": NamedKeyedRelay}
+#: Every parity case at 1, 2 and 4 replicas with either relay (the
+#: broadcast cases keep their historical ids ``[1]``, ``[2]``, ``[4]``).
+cases = pytest.mark.parametrize(
+    "replicas,relay",
+    [pytest.param(r, "broadcast", id=str(r)) for r in (1, 2, 4)]
+    + [pytest.param(r, "named", id=f"{r}-named") for r in (1, 2, 4)],
+)
 
 
 def _payloads(count: int) -> List[Dict[str, Any]]:
@@ -68,7 +79,7 @@ def _shard_item_total(metrics: Any) -> float:
 # -- simulated runtime -------------------------------------------------------
 
 
-def _run_sim(replicas: int):
+def _run_sim(replicas: int, relay: str = "broadcast"):
     env = Environment()
     net = Network(env)
     hosts = [f"h{i}" for i in range(5)]
@@ -81,7 +92,7 @@ def _run_sim(replicas: int):
     registry = ServiceRegistry()
     registry.register_network(net)
     repo = CodeRepository()
-    repo.publish("repo://t/relay", KeyedRelay)
+    repo.publish("repo://t/relay", RELAYS[relay])
     repo.publish("repo://t/sink", KeyOrderSink)
     config = AppConfig(
         name="shard-parity-sim",
@@ -100,9 +111,9 @@ def _run_sim(replicas: int):
     return runtime.run(), deployment
 
 
-@pytest.mark.parametrize("replicas", [1, 2, 4])
-def test_sim_per_key_parity(replicas):
-    result, _ = _run_sim(replicas)
+@cases
+def test_sim_per_key_parity(replicas, relay):
+    result, _ = _run_sim(replicas, relay)
     assert result.final_value("sink") == EXPECTED
 
 
@@ -123,21 +134,22 @@ def test_sim_counts_each_item_once_and_spreads_replicas():
 def _threaded_config(
     name: str,
     props: Dict[str, str],
-    relay: str = "py://tests.shard_stages:KeyedRelay",
+    relay: str = "broadcast",
 ) -> AppConfig:
+    code = RELAYS[relay].__name__ if relay in RELAYS else relay
     return AppConfig(
         name=name,
         stages=[
-            StageConfig("relay", relay, properties=props),
+            StageConfig("relay", f"py://tests.shard_stages:{code}", properties=props),
             StageConfig("sink", "py://tests.shard_stages:KeyOrderSink"),
         ],
         streams=[StreamConfig("t", "relay", "sink")],
     )
 
 
-@pytest.mark.parametrize("replicas", [1, 2, 4])
-def test_threaded_per_key_parity(replicas):
-    config = _threaded_config("shard-parity-thr", _shard_props(replicas))
+@cases
+def test_threaded_per_key_parity(replicas, relay):
+    config = _threaded_config("shard-parity-thr", _shard_props(replicas), relay)
     runtime = ThreadedRuntime.from_config(config, adaptation_enabled=False)
     runtime.bind_source("s", "relay", list(PAYLOADS))
     result = runtime.run(timeout=60.0)
@@ -150,9 +162,9 @@ def test_threaded_per_key_parity(replicas):
 # -- networked runtime -------------------------------------------------------
 
 
-@pytest.mark.parametrize("replicas", [1, 2, 4])
-def test_networked_per_key_parity(replicas):
-    config = _threaded_config("shard-parity-net", _shard_props(replicas))
+@cases
+def test_networked_per_key_parity(replicas, relay):
+    config = _threaded_config("shard-parity-net", _shard_props(replicas), relay)
     runtime = NetworkedRuntime(config, workers=3, adaptation_enabled=False)
     runtime.bind_source("s", "relay", list(PAYLOADS), rate=2000.0)
     result = runtime.run(timeout=60.0)
@@ -199,7 +211,7 @@ def test_threaded_parity_under_rebalance():
         "scale-breach-samples": "2",
         "scale-idle-samples": "3",
         "scale-cooldown-samples": "1",
-    }, relay="py://tests.shard_stages:SlowKeyedRelay")
+    }, relay="SlowKeyedRelay")
     runtime = ThreadedRuntime.from_config(
         config,
         adaptation_enabled=False,

@@ -41,6 +41,20 @@ class KeyedRelay(StreamProcessor):
             self.counts[key] = self.counts.get(key, 0) + count
 
 
+class NamedKeyedRelay(KeyedRelay):
+    """A :class:`KeyedRelay` that addresses its output by declared name.
+
+    Written against the configuration as declared (``t: relay -> sink``):
+    once sharding expands the edge into ``t#i: relay#i -> sink``, the
+    declared name must still reach it from every replica.
+    """
+
+    def on_item(self, payload: Any, context: StageContext) -> None:
+        key = payload["k"]
+        self.counts[key] = self.counts.get(key, 0) + 1
+        context.emit(dict(payload, n=self.counts[key]), stream="t")
+
+
 class SlowKeyedRelay(KeyedRelay):
     """A :class:`KeyedRelay` with real per-item compute cost.
 
