@@ -31,8 +31,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.analysis.diagnostics import Report
 from repro.analysis.xmlparse import (
     RawApp,
@@ -210,8 +208,6 @@ def _check_graph(app: RawApp, report: Report) -> None:
     edges), GA104 (disconnected stages)."""
     known = {stage.name for stage in app.stages}
     pairs: Dict[Tuple[str, str], List[str]] = {}
-    graph = nx.DiGraph()
-    graph.add_nodes_from(known)
     for stream in app.streams:
         dangling = False
         for label, endpoint in (("from", stream.src), ("to", stream.dst)):
@@ -224,7 +220,6 @@ def _check_graph(app: RawApp, report: Report) -> None:
         if dangling:
             continue
         pairs.setdefault((stream.src, stream.dst), []).append(stream.name)
-        graph.add_edge(stream.src, stream.dst)
     for (src, dst), names in sorted(pairs.items()):
         if len(names) > 1:
             first, rest = names[0], names[1:]
@@ -232,8 +227,18 @@ def _check_graph(app: RawApp, report: Report) -> None:
                  f"streams {', '.join(repr(n) for n in rest)} duplicate "
                  f"stream {first!r} between {src!r} and {dst!r}",
                  config_path=f"stream {rest[0]!r}")
-    if not nx.is_directed_acyclic_graph(graph):
-        cycle = nx.find_cycle(graph)
+    # Peel off, round by round, every stage that no remaining stage
+    # feeds; whatever cannot be peeled lies on or behind a cycle.
+    remaining = set(known)
+    while True:
+        fed = {dst for src, dst in pairs if src in remaining}
+        if remaining <= fed:
+            break
+        remaining &= fed
+    if remaining:
+        from repro.grid.config import find_cycle
+
+        cycle = find_cycle([stage.name for stage in app.stages], pairs)
         path = " -> ".join([edge[0] for edge in cycle] + [cycle[0][0]])
         _add(report, app, "GA101",
              f"stage graph has a cycle: {path}")

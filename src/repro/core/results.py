@@ -23,7 +23,11 @@ __all__ = ["RunResult", "StageStats"]
 
 @dataclass
 class StageStats:
-    """Everything measured about one stage during a run."""
+    """Everything measured about one stage during a run.
+
+    The per-sample fields (histories, latencies) stay out of ``repr()``:
+    they grow with the run, and a repr is for logs and tracebacks.
+    """
 
     stage_name: str
     host_name: str = ""
@@ -38,17 +42,17 @@ class StageStats:
     bytes_out: float = 0.0
     busy_seconds: float = 0.0
     #: Adjustment-parameter trajectories, name -> series (Figures 8/9).
-    parameter_history: Dict[str, TimeSeries] = field(default_factory=dict)
+    parameter_history: Dict[str, TimeSeries] = field(default_factory=dict, repr=False)
     #: Long-term load score trajectory (d̃ over time).
-    load_history: Optional[TimeSeries] = None
+    load_history: Optional[TimeSeries] = field(default=None, repr=False)
     #: Queue length series sampled on the adaptation cadence.
-    queue_history: Optional[TimeSeries] = None
+    queue_history: Optional[TimeSeries] = field(default=None, repr=False)
     #: Over-/under-load exceptions *received from downstream*.
     exceptions_received: int = 0
     #: Exceptions this stage reported upstream.
     exceptions_reported: int = 0
     #: Per-item latency samples (arrival at system -> processed here).
-    latencies: List[float] = field(default_factory=list)
+    latencies: List[float] = field(default_factory=list, repr=False)
     #: Final value returned by the stage processor's ``result()``.
     final_value: Any = None
 
@@ -187,12 +191,12 @@ class RunResult:
     #: "execution time" of Figures 5 and 6.
     execution_time: float = 0.0
     stages: Dict[str, StageStats] = field(default_factory=dict)
-    events: EventLog = field(default_factory=EventLog)
+    events: EventLog = field(default_factory=EventLog, repr=False)
     #: The metrics registry the runtime published into (None for results
     #: assembled by hand or by pre-observability code paths).
-    metrics: Optional[MetricsRegistry] = None
+    metrics: Optional[MetricsRegistry] = field(default=None, repr=False)
     #: Sampled per-item hop traces (empty unless tracing was enabled).
-    traces: List[ItemTrace] = field(default_factory=list)
+    traces: List[ItemTrace] = field(default_factory=list, repr=False)
 
     def stage(self, name: str) -> StageStats:
         """Stats for one stage."""

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Dict, List
-
-import networkx as nx
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.grid.resources import ResourceRequirement
 
@@ -36,6 +34,23 @@ __all__ = ["AppConfig", "ConfigError", "ParameterConfig", "StageConfig", "Stream
 
 class ConfigError(Exception):
     """Raised for malformed or inconsistent configurations."""
+
+
+def find_cycle(
+    nodes: Iterable[str], edges: Iterable[Tuple[str, str]]
+) -> List[Tuple[str, str]]:
+    """The edges of one cycle, for the message of a cyclic-graph error.
+
+    Only the error branches of :meth:`AppConfig.validate` and the
+    verifier's GA101 pass call this, so networkx is imported here and a
+    process that runs valid applications never loads it.
+    """
+    import networkx as nx
+
+    graph = nx.DiGraph()
+    graph.add_nodes_from(nodes)
+    graph.add_edges_from(edges)
+    return list(nx.find_cycle(graph))
 
 
 @dataclass(frozen=True)
@@ -144,13 +159,19 @@ class AppConfig:
                         f"stream {stream.name!r} references unknown stage "
                         f"{endpoint!r}"
                     )
-        graph = self.stage_graph()
-        if not nx.is_directed_acyclic_graph(graph):
-            cycle = nx.find_cycle(graph)
+        if len(self._topological_names()) < len(names):
+            cycle = find_cycle(names, ((s.src, s.dst) for s in self.streams))
             raise ConfigError(f"stage graph has a cycle: {cycle}")
 
-    def stage_graph(self) -> "nx.DiGraph":
-        """The stage DAG (nodes = stage names, edges = streams)."""
+    def stage_graph(self) -> Any:
+        """The stage DAG as a ``networkx.DiGraph`` (nodes = stage names,
+        edges = streams).
+
+        For analysis and tests; nothing a run executes calls it, which
+        is why networkx is imported here and not by the module.
+        """
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(s.name for s in self.stages)
         for stream in self.streams:
@@ -164,18 +185,53 @@ class AppConfig:
                 return stage
         raise ConfigError(f"no stage {name!r} in application {self.name!r}")
 
+    def _topological_names(self) -> List[str]:
+        """Stage names by Kahn's algorithm, one generation at a time.
+
+        A generation lists its stages in the order their last upstream
+        stage released them (declaration order for the sources), and a
+        stage's downstream stages are visited in stream declaration
+        order — the order ``networkx.topological_sort`` gives for
+        :meth:`stage_graph`.  Stages on or behind a cycle are left out,
+        so a result shorter than ``stages`` means the graph is cyclic.
+        """
+        downstream: Dict[str, Dict[str, None]] = {s.name: {} for s in self.stages}
+        for stream in self.streams:
+            downstream[stream.src][stream.dst] = None
+        waiting = dict.fromkeys(downstream, 0)
+        for targets in downstream.values():
+            for target in targets:
+                waiting[target] += 1
+        order: List[str] = []
+        generation = [name for name, count in waiting.items() if not count]
+        while generation:
+            order += generation
+            released: List[str] = []
+            for name in generation:
+                for target in downstream[name]:
+                    waiting[target] -= 1
+                    if not waiting[target]:
+                        released.append(target)
+            generation = released
+        return order
+
     def topological_stages(self) -> List[StageConfig]:
         """Stages in dependency order (sources first)."""
-        order = list(nx.topological_sort(self.stage_graph()))
-        return [self.stage(n) for n in order]
+        order = self._topological_names()
+        if len(order) < len(self.stages):
+            raise ConfigError(f"stage graph of {self.name!r} has a cycle")
+        by_name = {stage.name: stage for stage in self.stages}
+        return [by_name[name] for name in order]
 
     def upstream_of(self, name: str) -> List[str]:
         """Names of stages feeding ``name``."""
-        return sorted(self.stage_graph().predecessors(name))
+        self.stage(name)
+        return sorted({s.src for s in self.streams if s.dst == name})
 
     def downstream_of(self, name: str) -> List[str]:
         """Names of stages fed by ``name``."""
-        return sorted(self.stage_graph().successors(name))
+        self.stage(name)
+        return sorted({s.dst for s in self.streams if s.src == name})
 
     # -- XML serialization ---------------------------------------------------
 

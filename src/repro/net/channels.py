@@ -34,6 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 from repro.net.protocol import (
     FrameType,
     ProtocolError,
+    cap_read_buffer,
     encode_frame,
     encode_json,
     encode_payload_batch_into,
@@ -435,6 +436,7 @@ class OutChannel:
                     self.uds_path
                 )
                 self.transport_kind = "uds"
+                cap_read_buffer(self._writer)
                 return
             except (OSError, NotImplementedError, AttributeError):
                 pass  # remote peer, missing socket file, or no AF_UNIX
@@ -442,6 +444,7 @@ class OutChannel:
             self.host, self.port
         )
         self.transport_kind = "tcp"
+        cap_read_buffer(self._writer)
 
     async def connect(self, timeout: float = 10.0) -> None:
         """Dial the receiving worker, attach, and await the initial grant."""

@@ -69,6 +69,7 @@ from repro.net.debug import install_task_dump
 from repro.net.protocol import (
     FrameType,
     ProtocolError,
+    cap_read_buffer,
     encode_json,
     read_frame,
     send_frame,
@@ -382,10 +383,21 @@ class NetworkedRuntime:
                 _WorkerHandle(name=f"worker-{i}", host=host, port=port)
                 for i, (host, port) in enumerate(self.workers_spec)
             ]
-        try:
-            return asyncio.run(
-                asyncio.wait_for(self._run_async(handles), timeout)
+        outcome: List[RunResult] = []
+
+        async def main() -> None:
+            # The result leaves through ``outcome``, not as this task's
+            # result: on its way out ``asyncio.run`` restores SIGINT,
+            # and CPython 3.11's ``signal.getsignal`` formats the
+            # installed handler — a partial holding the main task, whose
+            # repr holds its result — twice.
+            outcome.append(
+                await asyncio.wait_for(self._run_async(handles), timeout)
             )
+
+        try:
+            asyncio.run(main())
+            return outcome[0]
         except asyncio.TimeoutError:
             raise NetworkedRuntimeError(
                 f"networked run did not complete within {timeout}s"
@@ -490,6 +502,7 @@ class NetworkedRuntime:
                 f"cannot reach worker {handle.name} at "
                 f"{handle.host}:{handle.port}: {exc}"
             ) from exc
+        cap_read_buffer(handle.writer)
         await send_frame(
             handle.writer,
             FrameType.HELLO,
@@ -1082,8 +1095,9 @@ class NetworkedRuntime:
     def _merge_registry(self, data: Dict[str, Any]) -> None:
         """Fold one worker's exported registry into the coordinator's.
 
-        Counters add, gauges overwrite, histogram samples append, series
-        adopt the shipped trajectory.  Whole-run metrics are skipped (the
+        Counters add, gauges overwrite, histogram samples (packed, see
+        :meth:`Histogram.to_wire`) append, series adopt the shipped
+        trajectory.  Whole-run metrics are skipped (the
         coordinator owns ``run.*``), and sender-side-only accounting in
         the workers means ``net.*`` families never double-count.
         """
@@ -1096,9 +1110,12 @@ class NetworkedRuntime:
             elif kind == "gauge":
                 self.metrics.gauge(name).set(payload["value"])
             elif kind == "histogram":
-                hist = self.metrics.histogram(name)
-                for sample in payload["samples"]:
-                    hist.observe(sample)
+                try:
+                    self.metrics.histogram(name).extend_wire(payload)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise NetworkedRuntimeError(
+                        f"malformed histogram {name!r} in RESULT: {exc!r}"
+                    ) from exc
             elif kind == "series":
                 incoming = TimeSeries.from_dict(payload["series"])
                 if name in self.metrics:

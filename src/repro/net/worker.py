@@ -73,6 +73,7 @@ from repro.net.debug import install_task_dump
 from repro.net.protocol import (
     FrameType,
     ProtocolError,
+    cap_read_buffer,
     decode_payload,
     decode_payload_batch,
     encode_json,
@@ -324,6 +325,7 @@ class Worker:
 
     async def _handle_connection(self, reader, writer) -> None:
         """Dispatch on the first frame: HELLO = coordinator, ATTACH = peer."""
+        cap_read_buffer(writer)
         try:
             first = await read_frame(reader)
             if first is None:
@@ -852,7 +854,7 @@ class Worker:
                 encode_json({
                     "worker": self.name,
                     "finals": finals,
-                    "metrics": self.metrics.to_dict(),
+                    "metrics": self.metrics.to_wire(),
                 }),
             )
         except (ConnectionError, ProtocolError, OSError):

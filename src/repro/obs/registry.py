@@ -10,7 +10,8 @@ gives them one home with four metric kinds:
 * :class:`Counter` — monotone totals (items, bytes, exceptions);
 * :class:`Gauge` — point-in-time values, either set directly or read
   lazily from a callback (link statistics);
-* :class:`Histogram` — raw sample sets reduced to percentiles (latency);
+* :class:`Histogram` — raw float64 samples in a packed array, reduced to
+  percentiles (latency);
 * :class:`Series` — (time, value) trajectories, wrapping the existing
   :class:`~repro.simnet.trace.TimeSeries` (queue length, d-tilde,
   adjustment parameters, fabric utilization).
@@ -24,7 +25,10 @@ the exporters in :mod:`repro.obs.export` serialize it losslessly.
 
 from __future__ import annotations
 
+import sys
 import threading
+from array import array
+from base64 import b64decode, b64encode
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.obs.names import validate_name
@@ -99,19 +103,21 @@ class Histogram:
 
     Samples are kept raw rather than bucketed: run sizes here are test- and
     experiment-scale, and raw samples are what the latency decomposition
-    and the existing ``StageStats.latencies`` contract need.
+    and the existing ``StageStats.latencies`` contract need.  They sit in
+    an ``array('d')`` — 8 bytes a sample, and one buffer to put on the
+    wire (:meth:`to_wire`).
     """
 
     kind = "histogram"
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._samples: List[float] = []
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            self._samples.append(float(value))
+        self._samples = array("d")
+        #: ``observe(value)`` appends one sample.  It *is* the array's
+        #: ``append``: that converts to float64 itself and is atomic
+        #: under the GIL, so the hot path takes no lock and no Python
+        #: frame.  Nothing may rebind ``_samples`` afterwards.
+        self.observe: Callable[[float], None] = self._samples.append
 
     @property
     def samples(self) -> List[float]:
@@ -134,6 +140,23 @@ class Histogram:
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind, "samples": list(self._samples)}
+
+    def to_wire(self) -> Dict[str, Any]:
+        """:meth:`to_dict` for a RESULT frame: the samples as base64 of
+        little-endian float64 under ``"f8"``, not as a JSON list."""
+        samples = self._samples
+        if sys.byteorder == "big":
+            samples = array("d", samples)
+            samples.byteswap()
+        return {"kind": self.kind, "f8": b64encode(samples.tobytes()).decode("ascii")}
+
+    def extend_wire(self, payload: Dict[str, Any]) -> None:
+        """Append the samples of another histogram's :meth:`to_wire`."""
+        incoming = array("d")
+        incoming.frombytes(b64decode(payload["f8"], validate=True))
+        if sys.byteorder == "big":
+            incoming.byteswap()
+        self._samples.extend(incoming)
 
 
 class Series:
@@ -246,6 +269,14 @@ class MetricsRegistry:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready ``{name: {kind, payload}}`` mapping (sorted names)."""
         return {name: self._metrics[name].to_dict() for name in self.names()}
+
+    def to_wire(self) -> Dict[str, Any]:
+        """:meth:`to_dict` with every histogram packed
+        (:meth:`Histogram.to_wire`) — what a worker's RESULT carries."""
+        return {
+            name: metric.to_wire() if metric.kind == "histogram" else metric.to_dict()
+            for name, metric in sorted(self._metrics.items())
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "MetricsRegistry":

@@ -5,7 +5,7 @@ This package provides the deterministic, laptop-scale equivalent: a
 generator-based discrete-event kernel (:mod:`repro.simnet.engine`),
 capacity resources and bounded queues (:mod:`repro.simnet.resources`),
 bandwidth/latency-modeled network links (:mod:`repro.simnet.links`),
-hosts with CPU cost models (:mod:`repro.simnet.hosts`), a networkx-backed
+hosts with CPU cost models (:mod:`repro.simnet.hosts`), a routed
 topology layer (:mod:`repro.simnet.topology`), and time-series tracing
 (:mod:`repro.simnet.trace`).
 

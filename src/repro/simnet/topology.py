@@ -1,8 +1,8 @@
 """Network topology layer binding hosts and links into a grid fabric.
 
-:class:`Network` wraps a :mod:`networkx` graph whose nodes are
-:class:`~repro.simnet.hosts.Host` names and whose edges carry
-:class:`~repro.simnet.links.Link` instances.  It supports the topologies
+:class:`Network` is a directed graph, kept as plain adjacency dicts,
+whose nodes are :class:`~repro.simnet.hosts.Host` names and whose edges
+carry :class:`~repro.simnet.links.Link` instances.  It supports the topologies
 used throughout the evaluation (stars of stream sources around a central
 analysis node) plus arbitrary shapes for the motivating applications, and
 provides shortest-path routing so multi-hop deployments work.
@@ -11,9 +11,9 @@ provides shortest-path routing so multi-hop deployments work.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Tuple
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.simnet.engine import Environment
 from repro.simnet.hosts import Host
@@ -36,8 +36,12 @@ class Network:
 
     def __init__(self, env: Environment) -> None:
         self.env = env
-        self._graph = nx.DiGraph()
         self._hosts: Dict[str, Host] = {}
+        #: host -> {successor: (weight, link)} and host -> {predecessor:
+        #: (weight, link)}, in insertion order; the routing weight is
+        #: 1/bandwidth as it was when the link was made.
+        self._succ: Dict[str, Dict[str, Tuple[float, Link]]] = {}
+        self._pred: Dict[str, Dict[str, Tuple[float, Link]]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -46,7 +50,8 @@ class Network:
         if host.name in self._hosts:
             raise TopologyError(f"duplicate host name {host.name!r}")
         self._hosts[host.name] = host
-        self._graph.add_node(host.name)
+        self._succ[host.name] = {}
+        self._pred[host.name] = {}
         return host
 
     def create_host(
@@ -77,11 +82,14 @@ class Network:
         self._require_host(dst)
         if src == dst:
             raise TopologyError(f"self-link on {src!r}")
-        link = Link(self.env, bandwidth, latency, name=f"{src}->{dst}")
-        self._graph.add_edge(src, dst, link=link, weight=1.0 / bandwidth)
+        link = self._add_link(src, dst, bandwidth, latency)
         if bidirectional:
-            back = Link(self.env, bandwidth, latency, name=f"{dst}->{src}")
-            self._graph.add_edge(dst, src, link=back, weight=1.0 / bandwidth)
+            self._add_link(dst, src, bandwidth, latency)
+        return link
+
+    def _add_link(self, src: str, dst: str, bandwidth: float, latency: float) -> Link:
+        link = Link(self.env, bandwidth, latency, name=f"{src}->{dst}")
+        self._succ[src][dst] = self._pred[dst][src] = (1.0 / bandwidth, link)
         return link
 
     @classmethod
@@ -136,13 +144,13 @@ class Network:
         """Return the direct link ``src -> dst``."""
         self._require_host(src)
         self._require_host(dst)
-        data = self._graph.get_edge_data(src, dst)
-        if data is None:
+        edge = self._succ[src].get(dst)
+        if edge is None:
             raise TopologyError(f"no link {src!r} -> {dst!r}")
-        return data["link"]
+        return edge[1]
 
     def has_link(self, src: str, dst: str) -> bool:
-        return self._graph.has_edge(src, dst)
+        return dst in self._succ.get(src, ())
 
     # -- routing ---------------------------------------------------------------
 
@@ -152,11 +160,64 @@ class Network:
         self._require_host(dst)
         if src == dst:
             return []
-        try:
-            path = nx.shortest_path(self._graph, src, dst, weight="weight")
-        except nx.NetworkXNoPath:
-            raise TopologyError(f"no route {src!r} -> {dst!r}") from None
-        return [self._graph.edges[a, b]["link"] for a, b in zip(path, path[1:])]
+        path = self._shortest_path(src, dst)
+        if path is None:
+            raise TopologyError(f"no route {src!r} -> {dst!r}")
+        return [self._succ[a][b][1] for a, b in zip(path, path[1:])]
+
+    def _shortest_path(self, src: str, dst: str) -> Optional[List[str]]:
+        """Host names along the least-weight path; None when unreachable.
+
+        Dijkstra from both ends, settling one host per side in turn
+        (forward first) until a host is settled on both.  Neighbours
+        relax in the order their links were added and one push counter
+        breaks heap ties on both sides, so among equal-weight routes the
+        choice is a function of construction order alone — the same
+        choice ``networkx.shortest_path(..., weight=...)`` makes, which
+        this replaces and the tests hold it to, hop for hop.
+        """
+        adjacency = (self._succ, self._pred)
+        settled: Tuple[Dict[str, float], ...] = ({}, {})
+        seen: Tuple[Dict[str, float], ...] = ({src: 0.0}, {dst: 0.0})
+        parent: Tuple[Dict[str, Optional[str]], ...] = ({src: None}, {dst: None})
+        pushes = count()
+        fringe: Tuple[List[Tuple[float, int, str]], ...] = (
+            [(0.0, next(pushes), src)], [(0.0, next(pushes), dst)]
+        )
+        best = math.inf
+        meet: Optional[str] = None
+        side = 1
+        while fringe[0] and fringe[1]:
+            side = 1 - side
+            dist, _, host = heappop(fringe[side])
+            if host in settled[side]:
+                continue
+            settled[side][host] = dist
+            if host in settled[1 - side]:
+                path: List[str] = []
+                hop = meet
+                while hop is not None:
+                    path.append(hop)
+                    hop = parent[0][hop]
+                path.reverse()
+                hop = parent[1][path[-1]]
+                while hop is not None:
+                    path.append(hop)
+                    hop = parent[1][hop]
+                return path
+            for peer, (weight, _link) in adjacency[side][host].items():
+                if peer in settled[side]:
+                    continue
+                through = dist + weight
+                if peer not in seen[side] or through < seen[side][peer]:
+                    seen[side][peer] = through
+                    heappush(fringe[side], (through, next(pushes), peer))
+                    parent[side][peer] = host
+                    if peer in seen[1 - side]:
+                        total = through + seen[1 - side][peer]
+                        if total < best:
+                            best, meet = total, peer
+        return None
 
     def path_bandwidth(self, src: str, dst: str) -> float:
         """Bottleneck bandwidth along the routed path (inf for src==dst)."""
@@ -172,11 +233,15 @@ class Network:
     def neighbors(self, name: str) -> List[str]:
         """Successor host names of ``name``."""
         self._require_host(name)
-        return list(self._graph.successors(name))
+        return list(self._succ[name])
 
     def edges(self) -> List[Tuple[str, str, Link]]:
         """All (src, dst, link) triples."""
-        return [(u, v, d["link"]) for u, v, d in self._graph.edges(data=True)]
+        return [
+            (src, dst, link)
+            for src, successors in self._succ.items()
+            for dst, (_weight, link) in successors.items()
+        ]
 
     def _require_host(self, name: str) -> Host:
         host = self._hosts.get(name)
@@ -187,5 +252,5 @@ class Network:
     def __repr__(self) -> str:
         return (
             f"Network(hosts={len(self._hosts)}, "
-            f"links={self._graph.number_of_edges()})"
+            f"links={sum(map(len, self._succ.values()))})"
         )

@@ -18,8 +18,6 @@ from __future__ import annotations
 import abc
 from typing import Iterator
 
-import numpy as np
-
 __all__ = ["ArrivalProcess", "ConstantArrivals", "OnOffArrivals", "PoissonArrivals"]
 
 
@@ -62,6 +60,8 @@ class PoissonArrivals(ArrivalProcess):
         self.seed = seed
 
     def gaps(self) -> Iterator[float]:
+        import numpy as np
+
         rng = np.random.default_rng(self.seed)
         scale = 1.0 / self.rate
         while True:
@@ -100,6 +100,8 @@ class OnOffArrivals(ArrivalProcess):
         self.seed = seed
 
     def gaps(self) -> Iterator[float]:
+        import numpy as np
+
         rng = np.random.default_rng(self.seed)
         gap = 1.0 / self.burst_rate
         while True:

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Any, List, Sequence
 
-import numpy as np
-
 __all__ = ["BernoulliSampler", "ReservoirSampler", "SystematicSampler"]
 
 
@@ -29,6 +27,8 @@ class BernoulliSampler:
     """
 
     def __init__(self, rate: float, seed: int = 0) -> None:
+        import numpy as np
+
         self._rate = self._validate(rate)
         self._rng = np.random.default_rng(seed)
         self.seen = 0
@@ -119,6 +119,8 @@ class ReservoirSampler:
     """Uniform fixed-size sample of an unbounded stream (Vitter's Algorithm R)."""
 
     def __init__(self, capacity: int, seed: int = 0) -> None:
+        import numpy as np
+
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity

@@ -18,11 +18,12 @@ the candidate heap); the table dimensions are separate knobs.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, Hashable, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Tuple
 
 from repro.streams.sketches.base import FrequencySketch, SketchError
+
+if TYPE_CHECKING:  # numpy loads when the first table is built
+    import numpy as np
 
 __all__ = ["CountMin"]
 
@@ -46,6 +47,8 @@ class CountMin(FrequencySketch):
     """
 
     def __init__(self, capacity: int, width: int = 256, depth: int = 4, seed: int = 0) -> None:
+        import numpy as np
+
         super().__init__(capacity)
         if width < 2:
             raise SketchError(f"width must be >= 2, got {width}")
@@ -58,6 +61,7 @@ class CountMin(FrequencySketch):
         self._a = rng.integers(1, _MERSENNE, size=depth, dtype=np.int64)
         self._b = rng.integers(0, _MERSENNE, size=depth, dtype=np.int64)
         self._table = np.zeros((depth, width), dtype=np.int64)
+        self._row_index = np.arange(depth)
         #: Heap of (estimate_at_insert, value); lazily rebuilt on query.
         self._heap: List[Tuple[float, Hashable]] = []
         self._tracked: Dict[Hashable, bool] = {}
@@ -73,8 +77,8 @@ class CountMin(FrequencySketch):
             raise SketchError(f"count must be >= 1, got {count}")
         self.items_seen += count
         columns = self._rows(value)
-        self._table[np.arange(self.depth), columns] += count
-        estimate = int(self._table[np.arange(self.depth), columns].min())
+        self._table[self._row_index, columns] += count
+        estimate = int(self._table[self._row_index, columns].min())
         self._offer_candidate(value, estimate)
 
     def _offer_candidate(self, value: Hashable, estimate: float) -> None:
@@ -95,7 +99,7 @@ class CountMin(FrequencySketch):
 
     def estimate(self, value: Hashable) -> float:
         columns = self._rows(value)
-        return float(self._table[np.arange(self.depth), columns].min())
+        return float(self._table[self._row_index, columns].min())
 
     def entries(self) -> List[Tuple[Any, float]]:
         """Tracked candidates with their *current* estimates."""
@@ -123,6 +127,8 @@ class CountMin(FrequencySketch):
         capacity).  Mismatched dimensions cannot be combined soundly.
         """
         if isinstance(other, CountMin):
+            import numpy as np
+
             if (
                 other.width != self.width
                 or other.depth != self.depth
@@ -153,6 +159,8 @@ class CountMin(FrequencySketch):
         }
 
     def restore(self, state: dict) -> None:
+        import numpy as np
+
         if int(state["width"]) != self.width or int(state["depth"]) != self.depth:
             raise SketchError(
                 "cannot restore a CountMin into different table dimensions "

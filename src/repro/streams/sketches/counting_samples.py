@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, List, Tuple
 
-import numpy as np
-
 from repro.streams.sketches.base import FrequencySketch, SketchError
 
 __all__ = ["CountingSamples"]
@@ -63,6 +61,8 @@ class CountingSamples(FrequencySketch):
         seed: int = 0,
         compensate: bool = True,
     ) -> None:
+        import numpy as np
+
         super().__init__(capacity)
         if growth <= 1.0:
             raise SketchError(f"growth must be > 1.0, got {growth}")

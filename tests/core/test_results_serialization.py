@@ -77,3 +77,22 @@ class TestRunResultSerialization:
         run = run_comp_steer(analysis_ms_per_byte=1.0, duration_seconds=20.0)
         payload = json.dumps(run.result.to_dict())
         assert "sampling-rate" in payload
+
+    def test_repr_does_not_grow_with_the_run(self):
+        """``repr`` is what logs, tracebacks and asyncio's task repr call."""
+        from repro.obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        latency = registry.histogram("stage.s1.latency")
+        queue = registry.series("stage.s1.queue_len")
+        for i in range(100_000):
+            latency.observe(i * 1e-6)
+        for i in range(1_000):
+            queue.record(float(i), float(i % 7))
+        result = RunResult(app_name="big", metrics=registry)
+        result.stages["s1"] = StageStats.from_registry(registry, "s1")
+        for i in range(1_000):
+            result.events.log(float(i), "load-exception", stage="s1")
+        assert len(result.stages["s1"].latencies) == 100_000
+        assert len(repr(result)) < 10_000
+        assert "stage_name='s1'" in repr(result)

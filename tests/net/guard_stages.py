@@ -1,0 +1,32 @@
+"""Stages for ``test_import_guard``: they use nothing but the stage API
+and report, through ``result()``, what their process has imported."""
+
+import os
+import sys
+from typing import Any, Dict
+
+from repro.core.api import StageContext, StreamProcessor
+
+
+class ModulesRelay(StreamProcessor):
+    """Forwards every item; ``result()`` is the hosting process's pid
+    and the sorted names in its ``sys.modules``."""
+
+    def on_item(self, payload: Any, context: StageContext) -> None:
+        context.emit(payload)
+
+    def result(self) -> Dict[str, Any]:
+        return {"pid": os.getpid(), "modules": sorted(sys.modules)}
+
+
+class ModulesSink(ModulesRelay):
+    """Counts what arrives instead of forwarding it."""
+
+    def __init__(self) -> None:
+        self.items = 0
+
+    def on_item(self, payload: Any, context: StageContext) -> None:
+        self.items += 1
+
+    def result(self) -> Dict[str, Any]:
+        return dict(super().result(), items=self.items)

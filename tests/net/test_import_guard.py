@@ -1,0 +1,140 @@
+"""A process that relays items loads neither numpy nor networkx.
+
+Both packages are still dependencies — the stream generators and the
+sketches draw from numpy, ``AppConfig.stage_graph()`` builds a networkx
+graph — but they load where they are first used, so a networked worker,
+the coordinator and a threaded run of stages that use neither never pay
+for them (ROADMAP item 4(c); ``docs/performance.md`` "Process footprint
+and RESULT collection").  The runs happen in fresh interpreters: this
+test process has both loaded long before it gets here.
+"""
+
+import ast
+import json
+import os
+
+from tests.net.fresh_process import SRC_ROOT, run_python
+
+HEAVY = ("numpy", "networkx")
+#: Packages a run executes; experiments, the CLI and the analyzers are not.
+RUNTIME_PACKAGES = (
+    "core", "net", "obs", "grid", "simnet", "resilience", "ledger", "streams",
+)
+
+
+def heavy_in(modules) -> list:
+    return sorted(m for m in modules if m.split(".")[0] in HEAVY)
+
+
+def test_importing_the_worker_loads_neither_package():
+    out = run_python(
+        "import json, sys\n"
+        "import repro.net.worker\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    modules = json.loads(out)
+    assert "repro.net.worker" in modules
+    assert heavy_in(modules) == []
+
+
+NETWORKED_RUN = """
+import json, os, sys
+from repro.grid.config import AppConfig, StageConfig, StreamConfig
+from repro.grid.resources import ResourceRequirement
+from repro.net.coordinator import NetworkedRuntime
+
+config = AppConfig(
+    name="import-guard",
+    stages=[
+        StageConfig("relay", "py://tests.net.guard_stages:ModulesRelay",
+                    requirement=ResourceRequirement(placement_hint="near:worker-0")),
+        StageConfig("sink", "py://tests.net.guard_stages:ModulesSink",
+                    requirement=ResourceRequirement(placement_hint="near:worker-1")),
+    ],
+    streams=[StreamConfig("s", "relay", "sink")],
+)
+runtime = NetworkedRuntime(config, workers=2, adaptation_enabled=False)
+runtime.bind_source("src", "relay", list(range(200)))
+result = runtime.run(timeout=60.0)
+print(json.dumps({
+    "coordinator": {"pid": os.getpid(), "modules": sorted(sys.modules)},
+    "relay": result.final_value("relay"),
+    "sink": result.final_value("sink"),
+    "latencies": len(result.stage("sink").latencies),
+}))
+"""
+
+
+def test_a_networked_run_loads_neither_package_in_any_process():
+    report = json.loads(run_python(NETWORKED_RUN))
+    assert report["sink"]["items"] == 200
+    assert report["latencies"] == 200
+    pids = {report[role]["pid"] for role in ("coordinator", "relay", "sink")}
+    assert len(pids) == 3, "relay and sink were meant to land on two workers"
+    for role in ("coordinator", "relay", "sink"):
+        assert "repro.net.worker" in report[role]["modules"]
+        assert heavy_in(report[role]["modules"]) == [], role
+
+
+THREADED_RUN = """
+import json, sys
+from repro.core.runtime_threads import ThreadedRuntime
+from repro.grid.config import AppConfig, StageConfig, StreamConfig
+
+config = AppConfig(
+    name="import-guard",
+    stages=[
+        StageConfig("relay", "py://tests.net.guard_stages:ModulesRelay"),
+        StageConfig("sink", "py://tests.net.guard_stages:ModulesSink"),
+    ],
+    streams=[StreamConfig("s", "relay", "sink")],
+)
+runtime = ThreadedRuntime.from_config(config, adaptation_enabled=False)
+runtime.bind_source("src", "relay", list(range(200)))
+result = runtime.run(timeout=60.0)
+print(json.dumps(result.final_value("sink")))
+"""
+
+
+def test_a_threaded_run_from_a_config_does_not_load_networkx():
+    sink = json.loads(run_python(THREADED_RUN))
+    assert sink["items"] == 200
+    assert [m for m in sink["modules"] if m.split(".")[0] == "networkx"] == []
+
+
+def _module_level_imports(tree: ast.Module):
+    """Names imported when the module is, ``if TYPE_CHECKING:`` aside."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        elif isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            pending.extend(node.orelse)
+        else:
+            pending.extend(
+                child for child in ast.iter_child_nodes(node)
+                if isinstance(child, ast.stmt)
+            )
+
+
+def test_no_runtime_module_imports_either_package_at_module_level():
+    offenders = []
+    for package in RUNTIME_PACKAGES:
+        for folder, _dirs, files in os.walk(os.path.join(SRC_ROOT, "repro", package)):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read(), filename=path)
+                offenders += [
+                    f"{os.path.relpath(path, SRC_ROOT)}: import {imported}"
+                    for imported in _module_level_imports(tree)
+                    if imported.split(".")[0] in HEAVY
+                ]
+    assert offenders == []

@@ -1,5 +1,9 @@
 """MetricsRegistry and metric-kind behavior tests."""
 
+import json
+import sys
+import threading
+
 import pytest
 
 from repro.obs.registry import MetricsRegistry
@@ -52,6 +56,57 @@ class TestHistogram:
     def test_empty_histogram_zero_fills(self):
         hist = MetricsRegistry().histogram("stage.s.latency")
         assert hist.percentiles() == {50.0: 0.0, 95.0: 0.0, 99.0: 0.0}
+
+    def test_samples_are_float64_whatever_was_observed(self):
+        hist = MetricsRegistry().histogram("stage.s.latency")
+        for value in (1, True, 2.5):
+            hist.observe(value)
+        assert hist.samples == [1.0, 1.0, 2.5]
+        assert all(type(v) is float for v in hist.samples)
+        assert hist.to_dict() == {"kind": "histogram", "samples": [1.0, 1.0, 2.5]}
+        with pytest.raises(TypeError):
+            hist.observe("3")
+        assert hist.count == 3
+
+    def test_wire_form_round_trips(self):
+        hist = MetricsRegistry().histogram("stage.s.latency")
+        for value in (0.1, 1e-308, 1 / 3):
+            hist.observe(value)
+        other = MetricsRegistry().histogram("stage.s.latency")
+        other.observe(7.0)
+        other.extend_wire(json.loads(json.dumps(hist.to_wire())))
+        assert other.samples == [7.0, 0.1, 1e-308, 1 / 3]
+        other.observe(8.0)  # observe still reaches the same array
+        assert other.count == 5
+        empty = MetricsRegistry().histogram("stage.s.latency")
+        assert empty.to_wire() == {"kind": "histogram", "f8": ""}
+        other.extend_wire(empty.to_wire())
+        assert other.count == 5
+
+    def test_concurrent_observers_lose_no_sample(self):
+        """``observe`` takes no lock: it is one C-level append."""
+        hist = MetricsRegistry().histogram("stage.s.latency")
+        per_thread, workers = 20_000, 8
+
+        def observe_many(base):
+            for i in range(per_thread):
+                hist.observe(base + i)
+
+        threads = [
+            threading.Thread(target=observe_many, args=(k * per_thread,))
+            for k in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(hist.samples) == [float(i) for i in range(per_thread * workers)]
 
 
 class TestSeries:
