@@ -1,50 +1,80 @@
-"""Docs-consistency check: the code catalog and the docs must agree.
+"""Docs-consistency check: every catalog and its docs page must agree.
 
-``docs/static_analysis.md`` documents every diagnostic code — GA1xx
-through GA6xx — in **one** consolidated markdown table that is not
-hand-written but *generated* from the authoritative catalog
-(:data:`repro.analysis.codes.CODES`) by :func:`render_catalog_table`
-(``python -m repro.analysis.docscheck`` prints it for pasting).
+Five reference pages each document one authoritative catalog in a
+markdown table whose first column is a backticked name (and, for three
+of them, whose second column is a value the catalog also holds):
 
-:func:`check_docs` pins the docs to the catalog two ways:
+=========================  ==========================================  ======
+page                       catalog                                      value
+=========================  ==========================================  ======
+``observability.md``       :data:`repro.obs.names.METRICS`             kind
+``replay.md``              :data:`repro.ledger.records.RECORD_TYPES`   rank
+``static_analysis.md``     :data:`repro.analysis.codes.CODES`          kind
+``sharding.md``            :data:`repro.core.sharding.KNOBS`           —
+``migration.md``           :data:`repro.resilience.migration.KNOBS`    —
+=========================  ==========================================  ======
 
-* the generated table must appear in the page **verbatim** — any edit
-  to a code's kind, severity, or title in either place breaks the pin;
-* the table rows are also diffed against the catalog in both
-  directions, so a missing or stale row gets a problem message naming
-  the specific code rather than just "table drifted".
+:func:`check_docs` diffs one page's table rows against its catalog in
+both directions — a catalog entry without a row, a row for an entry the
+catalog no longer has, or a value mismatch each produce one problem
+string — plus two page-specific pins:
 
-The tier-1 test ``tests/analysis/test_docscheck.py`` asserts the
-problem list is empty, so the reference cannot drift (same pattern as
-:mod:`repro.obs.docscheck`).
+* ``static_analysis.md`` must embed :func:`render_catalog_table`
+  **verbatim** (``python -m repro.analysis.docscheck`` prints it for
+  pasting), so any edit to a code's kind, severity or title breaks it;
+* ``migration.md`` must mention every ``migration.*`` metric template.
+
+The tier-1 test ``tests/analysis/test_docscheck.py`` asserts every
+page's problem list is empty, so no reference can drift.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Pattern
 
 from repro.analysis.codes import CODES
 
 __all__ = [
+    "DOC_TABLES",
+    "DocTable",
     "check_docs",
-    "default_docs_path",
-    "documented_codes",
     "render_catalog_table",
 ]
 
-#: A code-table row: ``| `GA101` | config | ...``.
-_ROW = re.compile(r"^\|\s*`(?P<code>GA\d{3})`\s*\|\s*(?P<kind>\w+)\s*\|")
+
+def _metric_kinds() -> Dict[str, str]:
+    from repro.obs.names import METRICS
+
+    return {spec.template: spec.kind for spec in METRICS}
 
 
-def default_docs_path() -> Path:
-    """``docs/static_analysis.md`` relative to the repository root."""
-    return Path(__file__).resolve().parents[3] / "docs" / "static_analysis.md"
+def _record_ranks() -> Dict[str, str]:
+    from repro.ledger.records import RECORD_TYPES
+
+    return {info.name: str(info.rank) for info in RECORD_TYPES}
+
+
+def _code_kinds() -> Dict[str, str]:
+    return {code: info.kind for code, info in CODES.items()}
+
+
+def _sharding_knobs() -> Dict[str, str]:
+    from repro.core.sharding import KNOBS
+
+    return dict.fromkeys(KNOBS, "")
+
+
+def _migration_knobs() -> Dict[str, str]:
+    from repro.resilience.migration import KNOBS
+
+    return dict.fromkeys(KNOBS, "")
 
 
 def render_catalog_table() -> str:
-    """The consolidated catalog table, generated from :data:`CODES`.
+    """The consolidated diagnostic-code table, generated from :data:`CODES`.
 
     ``docs/static_analysis.md`` must embed this output verbatim; when a
     code is added or reworded, regenerate with
@@ -63,45 +93,142 @@ def render_catalog_table() -> str:
     return "\n".join(lines)
 
 
-def documented_codes(path: Path) -> Dict[str, str]:
-    """Parse ``{code: kind}`` from the docs' code-table rows."""
-    documented: Dict[str, str] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        match = _ROW.match(line.strip())
-        if match:
-            documented[match.group("code")] = match.group("kind")
-    return documented
+def _embeds_code_table(page: str, text: str) -> List[str]:
+    if render_catalog_table() in text:
+        return []
+    return [
+        f"{page} does not embed the generated catalog table verbatim; "
+        "regenerate with 'python -m repro.analysis.docscheck' and paste it in"
+    ]
 
 
-def check_docs(path: Optional[Path] = None) -> List[str]:
-    """Problems keeping the docs and the catalog apart (empty = in sync)."""
-    path = path if path is not None else default_docs_path()
+def _mentions_migration_metrics(page: str, text: str) -> List[str]:
+    return [
+        f"{page} does not mention the metric template {template!r}"
+        for template in sorted(_metric_kinds())
+        if template.startswith("migration.") and template not in text
+    ]
+
+
+@dataclass(frozen=True)
+class DocTable:
+    """One docs page and the catalog its table must mirror.
+
+    ``row`` matches a table line; its ``name`` group is the catalog key
+    and its optional ``value`` group is compared with the catalog's
+    value for that key.  ``ignore`` lists documented names that are not
+    catalog entries; ``extra`` adds page-specific problems from the text.
+    """
+
+    page: str
+    entry: str
+    catalog_ref: str
+    row: Pattern[str]
+    catalog: Callable[[], Mapping[str, str]]
+    value_label: str = ""
+    ignore: FrozenSet[str] = frozenset()
+    extra: Optional[Callable[[str, str], List[str]]] = None
+
+
+#: Every docs page pinned to a catalog, by short name.
+DOC_TABLES: Dict[str, DocTable] = {
+    "metrics": DocTable(
+        page="observability.md",
+        entry="metric",
+        catalog_ref="repro.obs.names.METRICS",
+        # ``| `template` | kind | ...``; templates always contain a dot.
+        row=re.compile(
+            r"^\|\s*`(?P<name>[a-z0-9_{}>-]+\.[a-z0-9_.{}>-]+)`\s*\|"
+            r"\s*(?P<value>\w+)\s*\|"
+        ),
+        catalog=_metric_kinds,
+        value_label="kind",
+    ),
+    "records": DocTable(
+        page="replay.md",
+        entry="record type",
+        catalog_ref="repro.ledger.records.RECORD_TYPES",
+        row=re.compile(r"^\|\s*`(?P<name>[A-Z]+)`\s*\|\s*(?P<value>\d+)\s*\|"),
+        catalog=_record_ranks,
+        value_label="rank",
+    ),
+    "codes": DocTable(
+        page="static_analysis.md",
+        entry="diagnostic code",
+        catalog_ref="repro.analysis.codes.CODES",
+        row=re.compile(r"^\|\s*`(?P<name>GA\d{3})`\s*\|\s*(?P<value>\w+)\s*\|"),
+        catalog=_code_kinds,
+        value_label="kind",
+        extra=_embeds_code_table,
+    ),
+    "sharding": DocTable(
+        page="sharding.md",
+        entry="sharding knob",
+        catalog_ref="repro.core.sharding.KNOBS",
+        row=re.compile(r"^\|\s*`(?P<name>[a-z][a-z0-9-]*)`\s*\|"),
+        catalog=_sharding_knobs,
+        # Properties expand_shards stamps onto replicas, documented
+        # beside the knobs but not set by users.
+        ignore=frozenset({"shard-group", "shard-index"}),
+    ),
+    "migration": DocTable(
+        page="migration.md",
+        entry="migration knob",
+        catalog_ref="repro.resilience.migration.KNOBS",
+        row=re.compile(r"^\|\s*`(?P<name>[a-z][a-z0-9_]*)`\s*\|"),
+        catalog=_migration_knobs,
+        extra=_mentions_migration_metrics,
+    ),
+}
+
+
+#: ``docs/`` relative to the repository root.
+_DOCS_DIR = Path(__file__).resolve().parents[3] / "docs"
+
+
+def _documented(table: DocTable, text: str) -> Dict[str, str]:
+    """Parse ``{name: value}`` from the page's table rows (value ``""``
+    when the row pattern has no value column)."""
+    rows: Dict[str, str] = {}
+    for line in text.splitlines():
+        match = table.row.match(line.strip())
+        if match and match.group("name") not in table.ignore:
+            rows[match.group("name")] = match.groupdict().get("value") or ""
+    return rows
+
+
+def check_docs(name: str, path: Optional[Path] = None) -> List[str]:
+    """Problems keeping one page and its catalog apart (empty = in sync).
+
+    ``name`` is a key of :data:`DOC_TABLES`; ``path`` overrides the page
+    location (default: the page under the repository's ``docs/``).
+    """
+    table = DOC_TABLES[name]
+    path = path if path is not None else _DOCS_DIR / table.page
     if not path.exists():
         return [f"docs file missing: {path}"]
-    documented = documented_codes(path)
-    cataloged: Dict[str, str] = {code: info.kind for code, info in CODES.items()}
+    text = path.read_text(encoding="utf-8")
+    rows = _documented(table, text)
+    catalog = table.catalog()
     problems: List[str] = []
-    for code, kind in sorted(cataloged.items()):
-        if code not in documented:
+    for key in sorted(catalog):
+        if key not in rows:
             problems.append(
-                f"registered code {code!r} is not documented in {path.name}"
+                f"{table.entry} {key!r} is not documented in {path.name}"
             )
-        elif documented[code] != kind:
+        elif rows[key] != catalog[key]:
             problems.append(
-                f"{code!r}: catalog says {kind}, docs say {documented[code]}"
+                f"{key!r}: catalog says {table.value_label} {catalog[key]}, "
+                f"docs say {rows[key]}"
             )
-    for code in sorted(documented):
-        if code not in cataloged:
+    for key in sorted(rows):
+        if key not in catalog:
             problems.append(
-                f"{path.name} documents {code!r}, which is not registered "
-                "(repro.analysis.codes.CODES)"
+                f"{path.name} documents {key!r}, which is not in the "
+                f"catalog ({table.catalog_ref})"
             )
-    if render_catalog_table() not in path.read_text(encoding="utf-8"):
-        problems.append(
-            f"{path.name} does not embed the generated catalog table "
-            "verbatim; regenerate with "
-            "'python -m repro.analysis.docscheck' and paste it in"
-        )
+    if table.extra is not None:
+        problems += table.extra(path.name, text)
     return problems
 
 

@@ -24,9 +24,11 @@ configuration tooling without writing any Python:
 * ``lint [paths...]`` — run the AST lint suite over the source tree;
 * ``analyze [paths...]`` — run the whole-program concurrency analysis
   and the protocol model checker / conformance pass (GA6xx);
-* ``validate <config.xml>`` — deprecated alias for ``check``;
 * ``topology <config.xml>`` — print the placement a default star fabric
-  would give the configuration (dry-run deployment).
+  would give the configuration (dry-run deployment);
+* ``replay [run.ledger]`` — record a run into a hash-chained ledger
+  (``--record DIR``), or replay a recorded ledger on any runtime and
+  assert bit-identical sink output.
 """
 
 from __future__ import annotations
@@ -207,11 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "instead of the built-in bounded protocol "
                               "configurations")
 
-    validate = sub.add_parser(
-        "validate", help="deprecated alias for 'check'"
-    )
-    validate.add_argument("config", help="path to the XML configuration file")
-
     topology = sub.add_parser(
         "topology", help="dry-run placement of a config on a star fabric"
     )
@@ -220,27 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="source hosts in the star (default 4)")
     topology.add_argument("--bandwidth", type=float, default=100_000.0,
                           help="link bandwidth in bytes/s (default 100000)")
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the data-plane performance benchmarks (micro codec/queue "
-             "cases plus one-at-a-time vs micro-batched macro pipelines on "
-             "all three runtimes) and write BENCH_perf.json",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller item counts for CI smoke runs")
-    bench.add_argument("--out", default="BENCH_perf.json",
-                       help="report path (default BENCH_perf.json)")
-    bench.add_argument("--validate", metavar="PATH",
-                       help="validate an existing report file instead of "
-                            "running the benchmarks")
-    bench.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                       help="diff two bench reports instead of running; "
-                            "exits nonzero when a floor-tracked case "
-                            "regressed by more than the tolerance")
-    bench.add_argument("--tolerance", type=float, default=None,
-                       help="[--compare] allowed fractional items/s drop on "
-                            "floor-tracked cases (default 0.20)")
 
     replay = sub.add_parser(
         "replay",
@@ -519,7 +495,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _print_dag(path: str) -> None:
-    """The ``OK: ...`` banner and stage DAG (historic validate output)."""
+    """The ``OK: ...`` banner and stage DAG printed by a clean ``check``."""
     from repro.grid.config import AppConfig, ConfigError
 
     try:
@@ -558,15 +534,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return analyze_main(argv)
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    print("warning: 'repro validate' is deprecated; use 'repro check' "
-          "(same verifier, more passes and flags)", file=sys.stderr)
-    check_args = argparse.Namespace(
-        config=args.config, json=False, sources=4, bandwidth=100_000.0
-    )
-    return _cmd_check(check_args)
-
-
 def _cmd_topology(args: argparse.Namespace) -> int:
     from repro.experiments.common import build_star_fabric
     from repro.grid.config import AppConfig, ConfigError
@@ -589,44 +556,6 @@ def _cmd_topology(args: argparse.Namespace) -> int:
           f"({args.bandwidth:.0f} B/s links):")
     for stage, host in assignment.items():
         print(f"  {stage:<20} -> {host}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import render_report, run_bench, validate_report, write_report
-
-    if args.compare is not None:
-        from repro.bench import REGRESSION_TOLERANCE, compare_files, render_compare
-
-        tolerance = (args.tolerance if args.tolerance is not None
-                     else REGRESSION_TOLERANCE)
-        old_path, new_path = args.compare
-        try:
-            rows, problems = compare_files(old_path, new_path, tolerance=tolerance)
-        except (OSError, ValueError) as exc:
-            print(f"INVALID: {exc}", file=sys.stderr)
-            return 1
-        print(render_compare(rows, problems))
-        return 1 if problems else 0
-    if args.validate is not None:
-        from repro.bench import validate_file
-
-        problems = validate_file(args.validate)
-        if problems:
-            for problem in problems:
-                print(f"INVALID: {problem}", file=sys.stderr)
-            return 1
-        print(f"{args.validate}: valid bench report")
-        return 0
-    report = run_bench(quick=args.quick)
-    problems = validate_report(report)
-    if problems:  # defensive: the harness must emit what it validates
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
-        return 1
-    write_report(report, args.out)
-    print(render_report(report))
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -693,9 +622,7 @@ _COMMANDS = {
     "check": _cmd_check,
     "lint": _cmd_lint,
     "analyze": _cmd_analyze,
-    "validate": _cmd_validate,
     "topology": _cmd_topology,
-    "bench": _cmd_bench,
     "replay": _cmd_replay,
 }
 

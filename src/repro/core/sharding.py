@@ -19,7 +19,8 @@ scale-down decisions (the Grid-brokering direction of the related work).
 The :class:`~repro.core.runtime_threads.ThreadedRuntime` executes those
 decisions live; the simulated and networked runtimes run the static
 replica count.  See ``docs/sharding.md`` for the documented model
-(:func:`check_docs` keeps that document and :data:`KNOBS` in lockstep).
+(:mod:`repro.analysis.docscheck` keeps that document and :data:`KNOBS`
+in lockstep).
 
 Everything here is deterministic: partition mapping uses a stable CRC-32
 hash (Python's ``hash`` is salted per process, which would break
@@ -33,7 +34,6 @@ import re
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.grid.config import AppConfig, ConfigError, StageConfig, StreamConfig
@@ -47,9 +47,6 @@ __all__ = [
     "ShardGroup",
     "ShardScaler",
     "ShardingError",
-    "check_docs",
-    "default_docs_path",
-    "documented_knobs",
     "expand_shards",
     "export_keyed_state",
     "extract_key",
@@ -90,7 +87,8 @@ SHARD_COUNT_PROPERTY = "shard-count"
 SHARD_ACTIVE_PROPERTY = "shard-active"
 
 #: The user-facing sharding/autoscaling knobs, single source of truth for
-#: the ``docs/sharding.md`` knobs table (diffed by :func:`check_docs`).
+#: the ``docs/sharding.md`` knobs table (diffed by
+#: :mod:`repro.analysis.docscheck`).
 KNOBS: Dict[str, str] = {
     REPLICAS_PROPERTY: "replica count the stage starts with (>= 1)",
     SHARD_BY_PROPERTY: "key extractor: payload | field:<name> | index:<i>",
@@ -803,69 +801,3 @@ def expand_shards(config: AppConfig) -> AppConfig:
     expanded = AppConfig(name=config.name, stages=stages, streams=streams)
     expanded.validate()
     return expanded
-
-
-# -- docs consistency ------------------------------------------------------
-
-
-def default_docs_path() -> Path:
-    """``docs/sharding.md`` relative to the repository root.
-
-    Returns:
-        The documented scaling model's path in a source checkout.
-    """
-    return Path(__file__).resolve().parents[3] / "docs" / "sharding.md"
-
-
-#: A knobs-table row: ``| `property` | meaning |``.
-_KNOB_ROW = re.compile(r"^\|\s*`(?P<knob>[a-z][a-z0-9-]*)`\s*\|")
-
-
-def documented_knobs(path: Path) -> List[str]:
-    """Parse the knob names documented in ``docs/sharding.md``.
-
-    Arguments:
-        path: The document to parse.
-
-    Returns:
-        Every backticked first-column entry of its knobs table rows.
-    """
-    knobs = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        match = _KNOB_ROW.match(line.strip())
-        if match:
-            knobs.append(match.group("knob"))
-    return knobs
-
-
-def check_docs(path: Optional[Path] = None) -> List[str]:
-    """Problems keeping ``docs/sharding.md`` and the code apart.
-
-    Arguments:
-        path: Document to check (defaults to :func:`default_docs_path`).
-
-    Returns:
-        One problem string per drift — a knob in :data:`KNOBS` missing
-        from the document, or a documented knob the code no longer
-        defines.  Empty means in sync; the tier-1 test
-        ``tests/core/test_sharding_docs.py`` asserts exactly that.
-    """
-    path = path if path is not None else default_docs_path()
-    if not path.exists():
-        return [f"docs file missing: {path}"]
-    documented = set(documented_knobs(path))
-    for marker in (SHARD_GROUP_PROPERTY, SHARD_INDEX_PROPERTY):
-        documented.discard(marker)
-    problems = []
-    for knob in sorted(KNOBS):
-        if knob not in documented:
-            problems.append(
-                f"sharding knob {knob!r} is not documented in {path.name}"
-            )
-    for knob in sorted(documented):
-        if knob not in KNOBS:
-            problems.append(
-                f"{path.name} documents {knob!r}, which is not a sharding "
-                "knob (repro.core.sharding.KNOBS)"
-            )
-    return problems

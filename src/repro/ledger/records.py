@@ -11,7 +11,7 @@ canonical JSON of everything else:
 
 The record *types* are the catalog below; ``docs/replay.md`` documents
 exactly these types and the docs-consistency check
-(:mod:`repro.ledger.docscheck`, run as a tier-1 test) fails when either
+(:mod:`repro.analysis.docscheck`, run as a tier-1 test) fails when either
 side drifts.  Sequence numbers come in two flavours: ``seq`` is the
 position in the containing file, ``sseq`` is the per-stage sequence
 number (the paper-facing ordering used for first-divergence reports).

@@ -57,9 +57,8 @@ class RateEstimator:
         # large gaps: after a long silence (gap >> tau) the exact alpha
         # approaches 1 (the estimate should essentially restart at the
         # instantaneous rate) while the rational form tops out far more
-        # slowly.  A micro-benchmark (`repro bench`, case
-        # micro-ewma-observe) showed the exp() call costs well under 2x
-        # the rational form per observe(), so exactness wins.
+        # slowly.  A micro-benchmark showed the exp() call costs well
+        # under 2x the rational form per observe(), so exactness wins.
         alpha = 1.0 - math.exp(-gap / self.tau)
         self._rate += alpha * (instantaneous - self._rate)
         return self._rate

@@ -9,7 +9,7 @@ consumers share:
 * :class:`~repro.obs.registry.MetricsRegistry` validates every
   registration against it (an unknown name is a bug, not a new metric);
 * ``docs/observability.md`` documents exactly these templates, and the
-  docs-consistency check (:mod:`repro.obs.docscheck`, run as a tier-1
+  docs-consistency check (:mod:`repro.analysis.docscheck`, run as a tier-1
   test) fails when either side drifts;
 * the metric-name stability snapshot test pins the templates so renames
   are deliberate, reviewed events.
@@ -148,15 +148,6 @@ METRICS: Tuple[MetricSpec, ...] = (
                ("threaded",),
                "the real-time constraint (§1) bounding handoff stalls",
                "Wall-clock duration of each drain-and-handoff rebalance."),
-    # -- benchmark harness (see docs/performance.md) ------------------------
-    MetricSpec("bench.{case}.items_per_second", "gauge", "items/second",
-               ("sim", "threaded", "net"),
-               "execution time of Figures 5 and 6, as throughput",
-               "Sustained throughput measured by one `repro bench` case."),
-    MetricSpec("bench.{case}.p99_latency", "gauge", "seconds",
-               ("sim", "threaded", "net"),
-               "the real-time constraint (§1: processing keeps up)",
-               "99th-percentile per-item latency of one `repro bench` case."),
     # -- adaptation ---------------------------------------------------------
     MetricSpec("adapt.{stage}.d_tilde", "series", "load score", ("sim", "threaded"),
                "the long-term load score d-tilde (§4.1)",

@@ -38,9 +38,7 @@ PR 2 failover path and is reported with ``planned=False``.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.grid.deployer import Deployer, Deployment, DeploymentError, Placement
@@ -54,15 +52,12 @@ __all__ = [
     "MigrationReport",
     "MigrationController",
     "Migrator",
-    "check_docs",
-    "default_docs_path",
-    "documented_knobs",
 ]
 
 #: The user-facing migration knobs — the :class:`MigrationPolicy` fields,
 #: single source of truth for the ``docs/migration.md`` knobs table
-#: (diffed by :func:`check_docs`; the tier-1 docs test also asserts this
-#: dict and the dataclass never drift apart).
+#: (diffed by :mod:`repro.analysis.docscheck`; the tier-1 docs test also
+#: asserts this dict and the dataclass never drift apart).
 KNOBS: Dict[str, str] = {
     "interval": "seconds between controller drift evaluations",
     "host_high": "sustained host occupancy that counts as a breach",
@@ -395,78 +390,3 @@ class MigrationController:
             self.runtime.migrate_stage(
                 name, migrator=self.migrator, target_host=target, trigger="drift"
             )
-
-
-# -- docs consistency ------------------------------------------------------
-
-
-def default_docs_path() -> Path:
-    """``docs/migration.md`` relative to the repository root.
-
-    Returns:
-        The documented migration model's path in a source checkout.
-    """
-    return Path(__file__).resolve().parents[3] / "docs" / "migration.md"
-
-
-#: A knobs-table row: ``| `field` | meaning |``.
-_KNOB_ROW = re.compile(r"^\|\s*`(?P<knob>[a-z][a-z0-9_]*)`\s*\|")
-
-
-def documented_knobs(path: Path) -> List[str]:
-    """Parse the policy knobs documented in ``docs/migration.md``.
-
-    Arguments:
-        path: The document to parse.
-
-    Returns:
-        Every backticked first-column entry of its knobs table rows.
-    """
-    knobs = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        match = _KNOB_ROW.match(line.strip())
-        if match:
-            knobs.append(match.group("knob"))
-    return knobs
-
-
-def check_docs(path: Optional[Path] = None) -> List[str]:
-    """Problems keeping ``docs/migration.md`` and the code apart.
-
-    Arguments:
-        path: Document to check (defaults to :func:`default_docs_path`).
-
-    Returns:
-        One problem string per drift — a knob in :data:`KNOBS` missing
-        from the document, a documented knob the code no longer defines,
-        or a ``migration.*`` metric template from the
-        :data:`repro.obs.names.METRICS` catalog the page never mentions.
-        Empty means in sync; the tier-1 test
-        ``tests/resilience/test_migration_docs.py`` asserts exactly that.
-    """
-    from repro.obs.names import METRICS
-
-    path = path if path is not None else default_docs_path()
-    if not path.exists():
-        return [f"docs file missing: {path}"]
-    text = path.read_text(encoding="utf-8")
-    documented = set(documented_knobs(path))
-    problems = []
-    for knob in sorted(KNOBS):
-        if knob not in documented:
-            problems.append(
-                f"migration knob {knob!r} is not documented in {path.name}"
-            )
-    for knob in sorted(documented):
-        if knob not in KNOBS:
-            problems.append(
-                f"{path.name} documents {knob!r}, which is not a migration "
-                "knob (repro.resilience.migration.KNOBS)"
-            )
-    for spec in METRICS:
-        if spec.template.startswith("migration.") and spec.template not in text:
-            problems.append(
-                f"{path.name} does not mention the metric template "
-                f"{spec.template!r}"
-            )
-    return problems

@@ -3,7 +3,8 @@
 Three primitives cover everything the middleware needs:
 
 * :class:`CapacityResource` — a counted resource (CPU cores, a link's
-  transmitter) that work claims and frees; waiters queue FIFO.
+  transmitter) that work claims with a start callback and frees when
+  done; waiting callbacks queue FIFO.
 * :class:`Store` — an unbounded-or-bounded buffer of Python objects with
   blocking ``put``/``get`` events.
 * :class:`BoundedQueue` — a :class:`Store` specialization used as a stage's
@@ -21,7 +22,6 @@ from typing import Any, Callable, Deque, Optional
 from repro.simnet.engine import Environment, Event
 
 __all__ = [
-    "AcquireRequest",
     "BoundedQueue",
     "CapacityResource",
     "GetRequest",
@@ -35,34 +35,13 @@ class QueueFullError(Exception):
     """Raised by non-blocking puts into a full bounded queue."""
 
 
-class AcquireRequest(Event):
-    """Pending acquisition of one unit of a :class:`CapacityResource`.
-
-    Usable as a context manager inside a process::
-
-        req = cpu.acquire()
-        yield req
-        try:
-            yield env.timeout(work)
-        finally:
-            cpu.release(req)
-    """
-
-    def __init__(self, resource: "CapacityResource") -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-
-    def _grant(self) -> None:
-        self.succeed(self)
-
-
 class CapacityResource:
     """A resource with ``capacity`` interchangeable units and FIFO waiters.
 
-    Two ways in, one queue: :meth:`claim` runs a callable the moment a
-    unit is the caller's (at once when one is free), which is how hosts
-    and links start work without an event; :meth:`acquire` wraps the same
-    grant in an event for a process to yield.
+    :meth:`claim` runs a callable the moment a unit is the caller's (at
+    once when one is free), and :meth:`free` hands the unit to the
+    longest waiter — how hosts and links start and finish work without
+    an event per grant.
 
     Parameters
     ----------
@@ -92,7 +71,7 @@ class CapacityResource:
 
     @property
     def queue_length(self) -> int:
-        """Number of pending claims and acquire requests."""
+        """Number of pending claims."""
         return len(self._waiters)
 
     def claim(self, start: Callable[[], None]) -> None:
@@ -112,26 +91,6 @@ class CapacityResource:
             self._waiters.popleft()()
         else:
             self._in_use -= 1
-
-    def acquire(self) -> AcquireRequest:
-        """Request one unit; the returned event fires when granted."""
-        request = AcquireRequest(self)
-        self.claim(request._grant)
-        return request
-
-    def release(self, request: AcquireRequest) -> None:
-        """Return one unit previously granted to ``request``.
-
-        If the request is still waiting (e.g. the holder was interrupted
-        before its grant), it is cancelled instead.
-        """
-        if not request.triggered:
-            try:
-                self._waiters.remove(request._grant)
-            except ValueError:
-                raise ValueError("release() of unknown request") from None
-            return
-        self.free()
 
 
 class PutRequest(Event):

@@ -8,12 +8,15 @@ runs the same keyed pipeline at 1, 2, and 4 replicas on all three
 runtimes and asserts the sink observes the *identical* per-key pair
 sequences every time — including, on the threaded runtime, while the
 group is actively scaling up and down mid-stream (the rebalance soak).
+One throughput floor rides along: on the threaded runtime, two replicas
+of a compute-bound relay must reach 1.6x the items/s of one.
 
 Fixture processors live in ``tests/shard_stages.py`` and are resolved
 via ``py://`` code URLs so the networked runtime's worker processes can
 import them too.
 """
 
+import time
 from typing import Any, Dict, Iterator, List
 
 import pytest
@@ -157,6 +160,40 @@ def test_threaded_per_key_parity(replicas, relay):
     if replicas > 1:
         assert _shard_item_total(result.metrics) == len(PAYLOADS)
         assert result.metrics.value("shard.relay.replicas") == float(replicas)
+
+
+#: Two replicas of a compute-bound relay must nearly double items/s; 1.6x
+#: leaves headroom for scheduler noise on a loaded machine.
+MIN_SHARD_SPEEDUP = 1.6
+
+
+def _threaded_items_per_second(replicas: int, items: int) -> float:
+    config = AppConfig(
+        name="shard-scaling",
+        stages=[
+            StageConfig("relay", "py://tests.shard_stages:CostlyRelay",
+                        properties={"replicas": str(replicas),
+                                    "shard-by": "payload"}),
+            StageConfig("sink", "py://tests.shard_stages:CountSink"),
+        ],
+        streams=[StreamConfig("t", "relay", "sink")],
+    )
+    runtime = ThreadedRuntime.from_config(config, adaptation_enabled=False)
+    runtime.bind_source("s", "relay", range(items))
+    start = time.perf_counter()
+    result = runtime.run(timeout=60.0)
+    seconds = time.perf_counter() - start
+    assert result.final_value("sink") == items
+    return items / seconds
+
+
+def test_threaded_replicas_scale_throughput():
+    r1 = _threaded_items_per_second(1, 400)
+    r2 = _threaded_items_per_second(2, 400)
+    assert r2 / r1 >= MIN_SHARD_SPEEDUP, (
+        f"2 replicas only {r2 / r1:.2f}x over 1 ({r1:,.0f} -> {r2:,.0f} "
+        f"items/s; floor {MIN_SHARD_SPEEDUP}x)"
+    )
 
 
 # -- networked runtime -------------------------------------------------------

@@ -78,7 +78,9 @@ def test_mid_stream_migration_is_loss_free(baseline):
     assert result.stages["join"].host_name == "worker-3"
     assert result.metrics.counter("migration.join.moves").value == 1
     pauses = result.metrics.histogram("migration.join.pause_seconds").samples
-    assert len(pauses) == 1 and pauses[0] > 0
+    # The stop-the-stage window over loopback is tens of milliseconds; a
+    # one-second bound still catches an unbounded drain or a lost fence.
+    assert len(pauses) == 1 and 0 < pauses[0] <= 1.0
 
 
 def test_matchmaker_picks_an_unoccupied_target(baseline):

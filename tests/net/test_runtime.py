@@ -235,7 +235,12 @@ class TestNetdemoAcceptance:
 
     @pytest.fixture(scope="class")
     def demo(self):
-        return run_netdemo(items_per_source=2500, timeout=60.0)
+        # At the default 2 ms per summary the join drains in ~0.25 s, a
+        # couple of adaptation ticks, and sometimes reports no overload
+        # before the run ends; 5 ms keeps it overloaded for ~0.6 s, where
+        # every run delivers several exceptions to each filter.
+        return run_netdemo(items_per_source=2500, join_cost_ms=5.0,
+                           timeout=60.0)
 
     def test_completes_with_a_top_k(self, demo):
         result, summary = demo

@@ -15,8 +15,6 @@ EXPECTED_TEMPLATES = [
     "batch.{stage}.batched_items",
     "batch.{stage}.batches",
     "batch.{stage}.flush_size",
-    "bench.{case}.items_per_second",
-    "bench.{case}.p99_latency",
     "fault.{stage}.failovers",
     "fault.{stage}.quarantined",
     "fault.{stage}.retries",

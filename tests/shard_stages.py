@@ -66,6 +66,33 @@ class SlowKeyedRelay(KeyedRelay):
     cost_model = CpuCostModel(per_item=0.002)
 
 
+class CostlyRelay(StreamProcessor):
+    """Forwards any payload after 0.5 ms of modeled compute.
+
+    The threaded runtime sleeps the cost (releasing the GIL), so the
+    replica count — not queue handoff — bounds throughput: the shape the
+    replica-scaling floor measures.
+    """
+
+    cost_model = CpuCostModel(per_item=0.0005)
+
+    def on_item(self, payload: Any, context: StageContext) -> None:
+        context.emit(payload)
+
+
+class CountSink(StreamProcessor):
+    """Counts arrivals; the count is the delivered-item ground truth."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def on_item(self, payload: Any, context: StageContext) -> None:
+        self.count += 1
+
+    def result(self) -> int:
+        return self.count
+
+
 class KeyOrderSink(StreamProcessor):
     """Collects, per key, ``[i, n]`` pairs in arrival order.
 

@@ -11,6 +11,27 @@ from repro.simnet.resources import (
 )
 
 
+def run_jobs(env, res, jobs):
+    """Claim one unit per ``(name, hold)`` job at t=0 and run to the end.
+
+    Returns ``(name, start, end)`` spans in completion order.
+    """
+    spans = []
+    for name, hold in jobs:
+        def start(name=name, hold=hold):
+            began = env.now
+
+            def done(_event):
+                res.free()
+                spans.append((name, began, env.now))
+
+            env.call_later(hold, done)
+
+        res.claim(start)
+    env.run()
+    return spans
+
+
 class TestCapacityResource:
     def test_invalid_capacity_rejected(self):
         env = Environment()
@@ -21,92 +42,56 @@ class TestCapacityResource:
         env = Environment()
         res = CapacityResource(env, capacity=2)
         granted = []
-
-        def proc(env):
-            req = res.acquire()
-            yield req
-            granted.append(env.now)
-
-        env.process(proc(env))
-        env.run()
+        res.claim(lambda: granted.append(env.now))
         assert granted == [0.0]
         assert res.in_use == 1
         assert res.available == 1
+        assert res.queue_length == 0
 
     def test_contention_serializes(self):
         env = Environment()
         res = CapacityResource(env, capacity=1)
-        spans = []
-
-        def worker(env, name, hold):
-            req = res.acquire()
-            yield req
-            start = env.now
-            try:
-                yield env.timeout(hold)
-            finally:
-                res.release(req)
-            spans.append((name, start, env.now))
-
-        env.process(worker(env, "a", 2.0))
-        env.process(worker(env, "b", 3.0))
-        env.run()
+        spans = run_jobs(env, res, [("a", 2.0), ("b", 3.0)])
         assert spans == [("a", 0.0, 2.0), ("b", 2.0, 5.0)]
+        assert res.in_use == 0
 
     def test_fifo_grant_order(self):
         env = Environment()
         res = CapacityResource(env, capacity=1)
-        order = []
+        spans = run_jobs(env, res, [(name, 1.0) for name in "abc"])
+        assert [(name, start) for name, start, _ in spans] == [
+            ("a", 0.0), ("b", 1.0), ("c", 2.0)
+        ]
 
-        def worker(env, name):
-            req = res.acquire()
-            yield req
-            order.append(name)
-            yield env.timeout(1.0)
-            res.release(req)
-
-        for name in "abc":
-            env.process(worker(env, name))
-        env.run()
-        assert order == ["a", "b", "c"]
-
-    def test_release_unacquired_raises(self):
-        env = Environment()
-        res = CapacityResource(env)
-        req = res.acquire()
-        env.run()
-        res.release(req)
-        with pytest.raises(ValueError):
-            res.release(req)
-
-    def test_cancel_waiting_request(self):
+    def test_waiters_queue_until_freed(self):
         env = Environment()
         res = CapacityResource(env, capacity=1)
-        held = res.acquire()  # immediate grant
-        waiting = res.acquire()
-        assert res.queue_length == 1
-        res.release(waiting)  # cancel the waiter
-        assert res.queue_length == 0
-        res.release(held)
+        started = []
+        for name in "ab":
+            res.claim(lambda name=name: started.append(name))
+        assert started == ["a"] and res.queue_length == 1
+        res.free()  # a's unit passes straight to b
+        assert started == ["a", "b"] and res.queue_length == 0
+        assert res.in_use == 1
+        res.free()
         assert res.in_use == 0
+
+    def test_free_without_claim_raises(self):
+        env = Environment()
+        res = CapacityResource(env)
+        res.claim(lambda: None)
+        res.free()
+        with pytest.raises(ValueError):
+            res.free()
 
     def test_multi_core_parallelism(self):
         env = Environment()
         res = CapacityResource(env, capacity=2)
-        done = []
-
-        def worker(env, name):
-            req = res.acquire()
-            yield req
-            yield env.timeout(5.0)
-            res.release(req)
-            done.append((name, env.now))
-
-        for name in "abc":
-            env.process(worker(env, name))
-        env.run()
-        # a and b run in parallel; c waits for the first release.
-        assert done == [("a", 5.0), ("b", 5.0), ("c", 10.0)]
+        spans = run_jobs(env, res, [(name, 5.0) for name in "abc"])
+        # a and b run in parallel; c waits for the first free().
+        assert [(name, end) for name, _, end in spans] == [
+            ("a", 5.0), ("b", 5.0), ("c", 10.0)
+        ]
 
 
 class TestStore:

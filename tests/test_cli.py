@@ -14,34 +14,27 @@ def config_file(tmp_path):
     return str(path)
 
 
-class TestValidate:
-    """``validate`` survives as a deprecated alias for ``check``."""
-
-    def test_valid_config(self, config_file, capsys):
-        assert main(["validate", config_file]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        out = captured.out
-        assert "OK: application 'count-samps-distributed'" in out
-        assert "filter-0" in out and "(sink)" in out
-        assert "[1 adjustable]" in out
-
-    def test_missing_file(self, tmp_path, capsys):
-        assert main(["validate", str(tmp_path / "ghost.xml")]) == 1
-        assert "cannot read" in capsys.readouterr().err
-
-    def test_malformed_config(self, tmp_path, capsys):
-        path = tmp_path / "bad.xml"
-        path.write_text("<application name='x'><stage name='a'/></application>")
-        assert main(["validate", str(path)]) == 1
-        assert "error[GA100]" in capsys.readouterr().err
-
-
 class TestCheck:
     def test_valid_config(self, config_file, capsys):
         assert main(["check", config_file]) == 0
         out = capsys.readouterr().out
         assert "OK: application 'count-samps-distributed'" in out
+
+    def test_valid_config_prints_the_dag(self, config_file, capsys):
+        assert main(["check", config_file]) == 0
+        out = capsys.readouterr().out
+        assert "filter-0" in out and "(sink)" in out
+        assert "[1 adjustable]" in out
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path / "ghost.xml")]) == 1
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_malformed_config(self, tmp_path, capsys):
+        path = tmp_path / "bad.xml"
+        path.write_text("<application name='x'><stage name='a'/></application>")
+        assert main(["check", str(path)]) == 1
+        assert "error[GA100]" in capsys.readouterr().err
 
     def test_json_report(self, config_file, capsys):
         import json
