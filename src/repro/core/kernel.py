@@ -1,17 +1,20 @@
 """The stage-execution kernel shared by the three runtimes.
 
 GATES runs a stage and adapts its parameters in *one* middleware; the
-developer writes ``on_item`` once.  This module is that one middleware
-for every piece of per-stage logic that does not block: the stage
-record (:class:`StageCore`), the :class:`~repro.core.api.StageContext`
-handed to processors, routing over plain and sharded out-edges, the
-``setup()`` bracket, the Section-4 sampling tick, micro-batch flush
-bookkeeping, and checkpoint / dead-letter construction.  It is written
-against an injected clock callable and plain callbacks and knows
-nothing about *how* a driver waits: ``runtime_sim`` (generator
-processes over virtual time), ``runtime_threads`` (threads, locks,
-token buckets) and ``net.worker`` (asyncio tasks, frames, credit) keep
-their own loops, queues and links and call in here.
+developer writes ``on_item`` once.  This module is that one middleware:
+the stage record (:class:`StageCore`), the
+:class:`~repro.core.api.StageContext` handed to processors, routing over
+plain and sharded out-edges, the ``setup()`` bracket, the per-item loop
+(:func:`stage_loop`), the Section-4 sampling tick, micro-batch flush
+bookkeeping, and checkpoint / dead-letter construction.
+
+It knows nothing about *how* a driver waits.  The loop is a generator
+that yields a plain effect record wherever a driver must block (take
+input, charge CPU work, send, flush a batch, send end-of-stream) and
+runs everything in between itself; ``runtime_sim`` (generator processes
+over virtual time), ``runtime_threads`` (threads, locks, token buckets)
+and ``net.worker`` (asyncio tasks, frames, credit) only interpret those
+effects over their own queues and links.
 
 The simulator executes this module, so it must stay deterministic: no
 wall clock, no global RNG — time always comes from ``stage.clock``.
@@ -21,8 +24,8 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Generator, Iterable, Iterator, List
+from typing import Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.adaptation.controller import ParameterController
 from repro.core.adaptation.load import LoadEstimator
@@ -30,6 +33,7 @@ from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.adaptation.protocol import ExceptionCounter, LoadException
 from repro.core.api import AdjustmentParameter, ProcessorError, StageContext, StreamProcessor
 from repro.core.batching import BatchBuffer, BatchPolicy, batch_policy_from_properties
+from repro.core.items import EndOfStream
 from repro.core.sharding import logical_stream
 from repro.core.termination import EosTracker
 from repro.metrics.rates import RateEstimator
@@ -38,12 +42,14 @@ from repro.resilience.checkpoint import StageCheckpoint
 from repro.resilience.policy import DeadLetter, DeadLetterQueue, ResilienceConfig
 
 __all__ = [
+    "EOS", "FLUSH", "SEND", "TAKE", "WORK",
     "EdgeSpec", "KernelStageContext", "RouteUnit", "StageCore", "adaptation_tick",
-    "build_route_units", "drain_batch", "due_buffers", "next_flush_timeout", "quarantine",
-    "route_indices", "run_setup", "stage_checkpoint",
+    "build_route_units", "flush_buffers", "next_flush_timeout", "quarantine",
+    "route_indices", "run_setup", "stage_checkpoint", "stage_loop",
 ]
 
-#: Stands in for ``param_lock`` on single-threaded drivers (off the item path).
+#: Stands in for ``param_lock`` / ``state_lock`` on single-threaded drivers
+#: (off the item path).
 _NO_LOCK = nullcontext()
 
 
@@ -148,23 +154,27 @@ def build_route_units(
 
 def route_indices(
     units: Sequence[RouteUnit],
-    groups: Mapping[str, Any],
+    groups: Optional[Mapping[str, Any]],
     payload: Any,
     stream: Optional[str],
-) -> Iterator[int]:
+) -> Iterator[Union[int, RouteUnit]]:
     """Out-edge indices one emission goes to.
 
     Solo units behave like the pre-sharding fan-out (every edge matching
     the requested stream, or all of them on a broadcast); a family unit
     contributes exactly one edge — the key owner's under
     ``groups[unit.group].owner(payload)``, or the explicitly addressed
-    replica's.
+    replica's.  With ``groups`` None a family unit is yielded itself:
+    the driver picks the owner under its own routing lock.
     """
     for unit in units:
         if stream is not None and stream not in unit.accepts:
             continue
         if unit.group is None:
             yield unit.edges[0]
+            continue
+        if groups is None:
+            yield unit
             continue
         if stream is not None and stream in unit.named:
             slot = unit.named[stream]
@@ -192,9 +202,9 @@ class KernelStageContext(StageContext):
         #: then return the surviving parameter object (its value,
         #: history series, and controller all outlive the old instance).
         self._restoring = False
-        #: Emissions buffered during one on_item/flush call; the driver
-        #: transmits them (with blocking) after the call returns.  Each
-        #: entry is (payload, size, stream-or-None).
+        #: Emissions not yet routed; :func:`stage_loop` routes them after
+        #: the item (or the chunk) that made them.  Each entry is
+        #: (payload, size, stream-or-None).
         self.pending: List[Tuple[Any, float, Optional[str]]] = []
         if stage.param_lock is not None:
             # Bound once: single-threaded drivers keep the plain dict
@@ -266,7 +276,7 @@ class StageCore:
     """Per-stage state every runtime keeps; drivers subclass it.
 
     Subclasses add what their blocking model needs (out-edges, done
-    flags, locks, failover cursors).  ``queue`` is the stage's input
+    flags, failover cursors).  ``queue`` is the stage's input
     queue (anything with ``current_length`` / ``recent_average``),
     ``clock`` the driver's time source, ``param_lock`` the lock guarding
     parameter values where several threads touch them (None elsewhere).
@@ -297,6 +307,17 @@ class StageCore:
         self.registry = registry
         self.clock = clock
         self.param_lock = param_lock
+        #: Held around ``on_item`` / ``flush`` where another thread may
+        #: snapshot or swap the processor (None on single-threaded drivers).
+        self.state_lock: Optional[Any] = None
+        #: Poison-item handling (None: a processing error ends the stage),
+        #: its dead-letter queue, and the run's event log for
+        #: ``item-quarantined`` records (None: not logged).
+        self.resilience: Optional[ResilienceConfig] = None
+        self.dead_letters: Optional[DeadLetterQueue] = None
+        self.events: Optional[Any] = None
+        #: Input items finished (processed or quarantined), counted per chunk.
+        self.consumed = 0
         self.eos = EosTracker()
         self.parameters: Dict[str, AdjustmentParameter] = {}
         self.controllers: Dict[str, ParameterController] = {}
@@ -404,7 +425,13 @@ def adaptation_tick(
         return [(n, c.adjust(score, t1, t2, now)) for n, c in stage.controllers.items()]
 
 
-# -- micro-batch flush bookkeeping ---------------------------------------------
+# -- the per-item loop and its batch flushes ------------------------------------
+
+#: Effect tags: the first field of every record :func:`stage_loop` yields.
+TAKE, WORK, SEND, FLUSH, EOS = "take", "work", "send", "flush", "eos"
+
+_Effects = Generator[Tuple[Any, ...], Any, None]
+_TAKE = (TAKE, None)
 
 
 def next_flush_timeout(stage: StageCore) -> Optional[float]:
@@ -417,27 +444,179 @@ def next_flush_timeout(stage: StageCore) -> Optional[float]:
     return max(0.0, min(deadlines) - stage.clock())
 
 
-def due_buffers(stage: StageCore, now: float) -> List[int]:
-    """Out-edge indices whose batch has waited ``max_delay`` or longer."""
-    return [index for index, buffer in stage.batch_buffers.items() if buffer.due(now)]
+def flush_buffers(stage: StageCore, indices: Iterable[int], age: bool = False) -> _Effects:
+    """Yield one ``(FLUSH, index, entries)`` effect per non-empty buffer.
 
-
-def drain_batch(stage: StageCore, index: int, age: bool = False) -> List[Any]:
-    """Take one edge's accumulated batch and account for the flush.
-
-    Returns the drained entries (possibly none, in which case nothing is
-    counted); ``age`` marks a flush forced by the age bound.
+    Each flush is counted in ``batch.*`` (``age``: forced by the age
+    bound), and the time the driver spends shipping it is shared equally
+    among its entries' traced parent hops.  Entries are ``(payload,
+    size, created_at, trace, parent_hop)``.
     """
-    entries = stage.batch_buffers[index].drain()
-    if entries:
-        metrics = stage.batch_metrics
+    clock = stage.clock
+    metrics = stage.batch_metrics
+    for index in indices:
+        entries = stage.batch_buffers[index].drain()
+        if not entries:
+            continue
         assert metrics is not None
         metrics.batches.inc()
         metrics.items.inc(len(entries))
         metrics.flush_size.observe(float(len(entries)))
         if age:
             metrics.age_flushes.inc()
-    return entries
+        start = clock()
+        yield (FLUSH, index, entries)
+        elapsed = clock() - start
+        if elapsed > 0:
+            share = elapsed / len(entries)
+            for entry in entries:
+                if entry[4] is not None:
+                    entry[4].tx_t += share
+
+
+def stage_loop(
+    stage: StageCore, groups: Optional[Mapping[str, Any]], *,
+    price_free_work: bool = False, deadlines: bool = True,
+) -> _Effects:
+    """The one per-item loop, as a generator of blocking effects.
+
+    A driver primes it with ``send(None)`` and answers each effect:
+
+    - ``(TAKE, timeout)``: wait up to ``timeout`` seconds (None: no
+      bound); reply with a chunk of ``Item`` / ``EndOfStream`` messages,
+      ``()`` on timeout, or None at a drain boundary (every buffer is
+      flushed and the loop ends without end-of-stream).
+    - ``(WORK, cost_model, items, nbytes)``: charge one item's CPU work;
+      reply with the seconds charged.
+    - ``(SEND, route, payload, size, stream, trace)``: deliver one
+      emission on an unbuffered out-edge (``route`` is its index, or a
+      family unit when ``groups`` is None; see :func:`route_indices`).
+    - ``(FLUSH, index, entries)``: ship a batch (:func:`flush_buffers`).
+    - ``(EOS,)``: send end-of-stream on every out-edge; the loop is done.
+
+    Everything else runs in here: per-chunk counters, EOS counting then
+    ``flush``, latency and busy time, ``on_item`` under
+    ``stage.state_lock`` where there is one, quarantine under
+    ``stage.resilience``, and routing ``ctx.pending``.  Unbuffered or
+    traced emissions are routed after their item, the rest once per
+    chunk, so an item that blocks on nothing costs no generator resume.
+    ``price_free_work`` charges work even under a free cost model (a
+    simulated core is still claimed); ``deadlines`` bounds each wait by
+    the oldest batch's age and flushes due batches after every chunk
+    (False when the driver flushes aged batches on a timer of its own).
+    """
+    ctx = stage.context
+    metrics = stage.metrics
+    clock = stage.clock
+    lock = stage.state_lock
+    buffers = stage.batch_buffers
+    deadlines = deadlines and bool(buffers)
+    resilience = stage.resilience
+    tolerant = resilience is not None and resilience.error_policy != "fail"
+    priced: Any = None
+    free = False
+    while True:
+        chunk = yield (TAKE, next_flush_timeout(stage)) if deadlines else _TAKE
+        if chunk is None:
+            yield from flush_buffers(stage, buffers)
+            return
+        count = 0
+        nbytes = 0.0
+        for message in chunk:
+            if type(message) is not EndOfStream:
+                count += 1
+                nbytes += message.size
+        if count:
+            metrics.items_in.inc(count)
+            metrics.bytes_in.inc(nbytes)
+        for message in chunk:
+            if type(message) is EndOfStream:
+                if not stage.eos.observe():
+                    continue
+                # The last input ended: flush the processor, then every
+                # buffer, then end-of-stream.
+                stage.consumed += count
+                with lock or _NO_LOCK:
+                    stage.processor.flush(ctx)
+                    ctx.det.finalize_stage(stage.processor)
+                if ctx.pending:
+                    pending, ctx.pending = ctx.pending, []
+                    yield from _route(stage, groups, pending, None, None)
+                yield from flush_buffers(stage, buffers)
+                yield (EOS,)
+                return
+            payload = message.payload
+            hop = message.hop
+            if hop is not None:
+                hop.dequeue_t = clock()
+            processor = stage.processor
+            if processor is not priced:
+                priced = processor
+                free = not price_free_work and getattr(processor.cost_model, "is_free", False)
+            if not free:
+                items, work_bytes = processor.work_amount(payload, message.size)
+                if items or work_bytes:
+                    duration = yield (WORK, processor.cost_model, items, work_bytes)
+                    metrics.busy_seconds.inc(duration)
+                    if hop is not None:
+                        hop.process_t += duration
+            mark = len(ctx.pending)
+            try:
+                if lock is None:
+                    processor.on_item(payload, ctx)
+                else:
+                    with lock:
+                        stage.processor.on_item(payload, ctx)
+            except Exception as exc:
+                if not tolerant:
+                    raise
+                # Drop what the poison item half-emitted; earlier
+                # chunk-mates' emissions stay.
+                del ctx.pending[mark:]
+                quarantine(stage, payload, exc)
+                continue
+            metrics.latency.observe(clock() - message.created_at)
+            trace = message.trace
+            if ctx.pending and (trace is not None or not buffers):
+                pending, ctx.pending = ctx.pending, []
+                if mark:
+                    yield from _route(stage, groups, pending[:mark], None, None)
+                    del pending[:mark]
+                yield from _route(stage, groups, pending, trace, hop)
+        stage.consumed += count
+        if ctx.pending:
+            pending, ctx.pending = ctx.pending, []
+            yield from _route(stage, groups, pending, None, None)
+        if deadlines:
+            now = clock()
+            due = [index for index, buffer in buffers.items() if buffer.due(now)]
+            if due:
+                yield from flush_buffers(stage, due, age=True)
+
+
+def _route(
+    stage: StageCore, groups: Optional[Mapping[str, Any]], pending: List[Any], trace: Any, hop: Any
+) -> _Effects:
+    """Buffer or send ``pending`` emissions; a buffer ships as it fills.
+
+    ``trace`` / ``hop`` are the parent item's; an unbuffered stage adds
+    the time its sends blocked to the parent's ``hop.tx_t``.
+    """
+    buffers = stage.batch_buffers
+    now = stage.clock()
+    nbytes = 0.0
+    for payload, size, stream in pending:
+        nbytes += size
+        for route in route_indices(stage.route_units, groups, payload, stream):
+            buffer = buffers.get(route) if type(route) is int else None
+            if buffer is None:
+                yield (SEND, route, payload, size, stream, trace)
+            elif buffer.add((payload, size, now, trace, hop), now):
+                yield from flush_buffers(stage, (route,))
+    stage.metrics.items_out.inc(len(pending))
+    stage.metrics.bytes_out.inc(nbytes)
+    if hop is not None and not buffers:
+        hop.tx_t += stage.clock() - now
 
 
 # -- fault-tolerance records ---------------------------------------------------
@@ -472,17 +651,18 @@ def stage_checkpoint(
 
 
 def quarantine(
-    stage: StageCore,
-    resilience: ResilienceConfig,
-    dead_letters: DeadLetterQueue,
-    payload: Any,
-    exc: BaseException,
-    reason: str = "processing",
+    stage: StageCore, payload: Any, exc: BaseException, reason: str = "processing"
 ) -> None:
-    """Count (and under ``dead-letter``, retain) one poison item."""
+    """Count (and under ``dead-letter``, retain) one poison item.
+
+    Uses the stage's ``resilience`` / ``dead_letters``, and logs an
+    ``item-quarantined`` event where the stage has an event log.
+    """
     stage.registry.counter(f"fault.{stage.name}.quarantined").inc()
-    if resilience.error_policy == "dead-letter":
-        dead_letters.add(
+    resilience = stage.resilience
+    if resilience is not None and resilience.error_policy == "dead-letter":
+        assert stage.dead_letters is not None
+        stage.dead_letters.add(
             DeadLetter(
                 stage=stage.name,
                 payload=payload,
@@ -490,4 +670,8 @@ def quarantine(
                 error=repr(exc),
                 reason=reason,
             )
+        )
+    if stage.events is not None:
+        stage.events.log(
+            stage.clock(), "item-quarantined", stage=stage.name, reason=reason, error=repr(exc)
         )

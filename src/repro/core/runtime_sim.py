@@ -8,8 +8,9 @@ the pipeline plus the self-adaptation machinery as simulation processes.
 
 Per stage, three kinds of processes run:
 
-* the **worker** — pulls items from the stage's input queue, charges the
-  host CPU for each item, invokes the user's
+* the **worker** — runs the kernel's stage loop
+  (:func:`~repro.core.kernel.stage_loop`): pulls items from the stage's
+  input queue, charges the host CPU for each item, invokes the user's
   :class:`~repro.core.api.StreamProcessor`, and transmits emissions over
   the (bandwidth-limited) links to downstream queues.  Sender-side
   blocking on a saturated link is what backs data up into the stage's own
@@ -58,15 +59,19 @@ from repro.core.api import StreamProcessor
 from repro.core.batching import BatchPolicy
 from repro.core.items import EndOfStream, Item
 from repro.core.kernel import (
+    FLUSH,
+    SEND,
+    TAKE,
+    WORK,
     EdgeSpec,
     StageCore,
     adaptation_tick,
     build_route_units,
-    drain_batch,
+    flush_buffers,
     quarantine,
-    route_indices,
     run_setup,
     stage_checkpoint,
+    stage_loop,
 )
 from repro.core.results import RunResult, StageStats
 from repro.core.sharding import (
@@ -78,7 +83,7 @@ from repro.core.termination import no_input_message
 from repro.grid.config import StreamConfig
 from repro.grid.deployer import Deployment
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import ItemTrace, TraceCollector, publish_traces
+from repro.obs.tracing import TraceCollector, publish_traces
 from repro.resilience.checkpoint import (
     CheckpointStore,
     MemoryCheckpointStore,
@@ -349,6 +354,7 @@ class SimulatedRuntime:
                 )
             except ValueError as exc:
                 raise RuntimeError_(f"stage {stage_cfg.name!r}: {exc}") from None
+            stage.resilience, stage.dead_letters = self.resilience, self.dead_letters
             if self.replay is not None:
                 # Record every insertion at insertion time (including
                 # blocked puts admitted later), so a failover's purge can
@@ -448,6 +454,7 @@ class SimulatedRuntime:
             run_setup(stage, RuntimeError_)
 
         for stage in self._stages.values():
+            stage.events = result.events
             self._stage_done[stage.name] = self.env.event()
             self._spawn_worker(stage)
             if self.adaptation_enabled:
@@ -560,55 +567,91 @@ class SimulatedRuntime:
             )
 
     def _worker(self, stage: _StageRuntime, generation: int) -> Generator:
+        """Interpret the kernel's :func:`stage_loop` as a simulation process.
+
+        One message per ``TAKE``; after each blocking step the worker
+        checks whether a failover or planned switch superseded it (a
+        fresh generation then owns the stage) or its host died.
+        """
         host = self.network.host(stage.host_name)
-        ctx = stage.context
         resilient = self.resilience is not None
+        step = stage_loop(stage, self._groups, price_free_work=True, deadlines=False).send
+        message: Any = None
+        reply: Any = None
         while True:
-            if resilient and stage.generation != generation:
-                # Superseded before pulling anything (e.g. spawned by a
-                # planned switch that was itself immediately superseded
-                # by a queued second move): exit without touching the
-                # queue, or this stale worker would race the live one.
-                return
-            if resilient and stage.migrating:
-                # A planned migration is draining this stage: pause at
-                # the item boundary (never mid-item) instead of pulling
-                # the next message.  The drainer checkpoints here and
-                # bumps the generation; this worker is then superseded.
-                yield self.env.timeout(self.MIGRATE_DRAIN_POLL)
-                continue
-            if stage.queue.is_empty or not self.env.settled():
-                message = yield stage.queue.get()
-            else:
-                # Already queued, and the get event would be the next one
-                # processed: take the item now, with the queue mutations
-                # get() makes in the same order, for no event at all.
-                message = stage.queue.try_get()
-            if resilient and stage.generation != generation:
-                if generation in stage.requeue_generations:
-                    # Superseded by a planned switch with this message
-                    # already dequeued: give it back at the head — the
-                    # planned path has no replay to re-deliver it.
-                    stage.requeue_generations.discard(generation)
-                    stage.queue.requeue(message)
-                return  # superseded by a failover or planned switch
-            if resilient and host.failed:
-                # Dequeued but unprocessed: the cursor stays put, so the
-                # replay buffer re-delivers this message after recovery.
-                self._note_stage_down(stage)
-                return
-            stage.in_flight = True
-            if isinstance(message, EndOfStream):
-                complete = stage.eos.observe()
+            effect = step(reply)
+            reply = None
+            kind = effect[0]
+            if kind is TAKE:
+                if message is not None:
+                    if resilient and stage.generation != generation:
+                        return
+                    self._advance_cursor(stage, message)
+                    # Between items: safe to take a deferred checkpoint.
+                    stage.in_flight = False
+                    if stage.checkpoint_due:
+                        stage.checkpoint_due = False
+                        self._checkpoint_stage(stage)
+                while resilient:
+                    if stage.generation != generation:
+                        # Superseded before pulling anything (e.g. spawned
+                        # by a planned switch that was itself immediately
+                        # superseded by a queued second move): exit without
+                        # touching the queue, or this stale worker would
+                        # race the live one.
+                        return
+                    if not stage.migrating:
+                        break
+                    # A planned migration is draining this stage: pause
+                    # at the item boundary (never mid-item) instead of
+                    # pulling the next message.  The drainer checkpoints
+                    # here and bumps the generation; this worker is then
+                    # superseded.
+                    yield self.env.timeout(self.MIGRATE_DRAIN_POLL)
+                if stage.queue.is_empty or not self.env.settled():
+                    message = yield stage.queue.get()
+                else:
+                    # Already queued, and the get event would be the next
+                    # one processed: take the item now, with the queue
+                    # mutations get() makes in the same order, for no
+                    # event at all.
+                    message = stage.queue.try_get()
+                if resilient and stage.generation != generation:
+                    if generation in stage.requeue_generations:
+                        # Superseded by a planned switch with this message
+                        # already dequeued: give it back at the head — the
+                        # planned path has no replay to re-deliver it.
+                        stage.requeue_generations.discard(generation)
+                        stage.queue.requeue(message)
+                    return  # superseded by a failover or planned switch
+                if resilient and host.failed:
+                    # Dequeued but unprocessed: the cursor stays put, so the
+                    # replay buffer re-delivers this message after recovery.
+                    self._note_stage_down(stage)
+                    return
+                stage.in_flight = True
+                reply = (message,)
+            elif kind is WORK:
+                try:
+                    reply = yield host.execute(effect[1], items=effect[2], nbytes=effect[3])
+                except HostFailedError:
+                    if not resilient:
+                        raise
+                    self._note_stage_down(stage)
+                    return
+                if resilient and stage.generation != generation:
+                    return
+            elif kind is SEND:
+                edge = stage.out_edges[effect[1]]
+                item = Item(
+                    payload=effect[2], size=effect[3], origin=edge.stream.name,
+                    created_at=self.env.now, trace=effect[5],
+                )
+                yield from self._send_one(stage, edge, item)
+            elif kind is FLUSH:
+                yield from self._ship(stage, effect[1], effect[2])
+            else:  # EOS: the last input ended and everything is flushed
                 self._advance_cursor(stage, message)
-                if not complete:
-                    self._item_finished(stage)
-                    continue
-                stage.processor.flush(ctx)
-                ctx.det.finalize_stage(stage.processor)
-                yield from self._transmit_pending(stage)
-                for index in stage.batch_buffers:
-                    yield from self._flush_edge_batch(stage, index)
                 for edge in stage.out_edges:
                     yield from self._send_one(
                         stage, edge, EndOfStream(origin=edge.stream.name), control=True
@@ -620,128 +663,23 @@ class SimulatedRuntime:
                 self._result.events.log(self.env.now, "stage-finished", stage=stage.name)
                 self._stage_done[stage.name].succeed()
                 return
-            assert isinstance(message, Item)
-            stage.metrics.items_in.inc()
-            stage.metrics.bytes_in.inc(message.size)
-            hop = message.hop
-            if hop is not None:
-                hop.dequeue_t = self.env.now
-            items, nbytes = stage.processor.work_amount(message.payload, message.size)
-            try:
-                if items or nbytes:
-                    duration = yield host.execute(
-                        stage.processor.cost_model, items=items, nbytes=nbytes
-                    )
-                    stage.metrics.busy_seconds.inc(duration)
-                    if hop is not None:
-                        hop.process_t += duration
-            except HostFailedError:
-                if not resilient:
-                    raise
-                self._note_stage_down(stage)
-                return
-            if resilient and stage.generation != generation:
-                return
-            try:
-                stage.processor.on_item(message.payload, ctx)
-            except Exception as exc:
-                if (
-                    not resilient
-                    or self.resilience.error_policy == "fail"
-                    or isinstance(exc, HostFailedError)
-                ):
-                    raise
-                ctx.pending.clear()
-                self._quarantine(stage, message.payload, exc, reason="processing")
-                self._advance_cursor(stage, message)
-                self._item_finished(stage)
-                continue
-            stage.metrics.latency.observe(self.env.now - message.created_at)
-            if ctx.pending:
-                tx_start = self.env.now
-                yield from self._transmit_pending(stage, trace=message.trace, hop=hop)
-                if hop is not None and not stage.batch_buffers:
-                    # Batched stages attribute transmission inside
-                    # _flush_edge_batch, shared across the batch's parents.
-                    hop.tx_t += self.env.now - tx_start
-            if resilient and stage.generation != generation:
-                return
-            self._advance_cursor(stage, message)
-            self._item_finished(stage)
 
-    def _transmit_pending(
-        self,
-        stage: _StageRuntime,
-        trace: Optional[ItemTrace] = None,
-        hop=None,
-    ) -> Generator:
-        ctx = stage.context
-        pending, ctx.pending = ctx.pending, []
-        if stage.batch_buffers:
-            # Batched fast path: accumulate per-edge, flush on max_items
-            # (the flusher process enforces the max_delay age bound).
-            now = self.env.now
-            flush: List[int] = []
-            for payload, size, stream in pending:
-                stage.metrics.items_out.inc()
-                stage.metrics.bytes_out.inc(size)
-                for index in route_indices(stage.route_units, self._groups, payload, stream):
-                    edge = stage.out_edges[index]
-                    item = Item(
-                        payload=payload,
-                        size=size,
-                        origin=edge.stream.name,
-                        created_at=now,
-                        trace=trace,
-                    )
-                    full = stage.batch_buffers[index].add((item, hop), now)
-                    if full and index not in flush:
-                        flush.append(index)
-            for index in flush:
-                yield from self._flush_edge_batch(stage, index)
-            return
-        for payload, size, stream in pending:
-            stage.metrics.items_out.inc()
-            stage.metrics.bytes_out.inc(size)
-            for index in route_indices(stage.route_units, self._groups, payload, stream):
-                edge = stage.out_edges[index]
-                item = Item(
-                    payload=payload,
-                    size=size,
-                    origin=edge.stream.name,
-                    created_at=self.env.now,
-                    trace=trace,
-                )
-                yield from self._send_one(stage, edge, item)
+    def _ship(self, stage: _StageRuntime, index: int, entries: List[Any]) -> Generator:
+        """Ship one edge's flushed batch: one transmission, n items.
 
-    def _flush_edge_batch(
-        self, stage: _StageRuntime, index: int, age: bool = False
-    ) -> Generator:
-        """Ship one edge's accumulated batch: one transmission, n items.
-
-        The sender blocks once for the summed size; the measured
-        transmission time is shared equally across the batch's traced
-        parent hops.  Colocated edges skip the link but still amortize
-        the handoff into one rate observation.
+        The sender blocks once for the summed size.  Colocated edges skip
+        the link but still amortize the handoff into one rate observation.
         """
-        entries = drain_batch(stage, index, age)
-        if not entries:
-            return
         edge = stage.out_edges[index]
-        count = len(entries)
-        items = [item for item, _ in entries]
-        tx_start = self.env.now
+        origin = edge.stream.name
+        items = [
+            Item(payload=payload, size=size, origin=origin, created_at=created, trace=trace)
+            for payload, size, created, trace, _ in entries
+        ]
         if edge.link is None:
             self._enqueue(edge.dst, items)
         else:
-            envelope = _BatchEnvelope(items, edge.stream.name)
-            yield from self._send_one(stage, edge, envelope)
-        elapsed = self.env.now - tx_start
-        if elapsed > 0:
-            share = elapsed / count
-            for _, parent_hop in entries:
-                if parent_hop is not None:
-                    parent_hop.tx_t += share
+            yield from self._send_one(stage, edge, _BatchEnvelope(items, origin))
 
     def _batch_flusher(self, stage: _StageRuntime, generation: int) -> Generator:
         """Enforce the age bound: every ``max_delay``, flush every
@@ -757,8 +695,8 @@ class SimulatedRuntime:
                 return
             if stage.down_since is not None:
                 continue
-            for index in stage.batch_buffers:
-                yield from self._flush_edge_batch(stage, index, age=True)
+            for _, index, entries in flush_buffers(stage, stage.batch_buffers, age=True):
+                yield from self._ship(stage, index, entries)
 
     def _send_one(self, stage: _StageRuntime, edge: _Edge, message, control: bool = False) -> Generator:
         """Transmit one message over an edge (blocking the sender for TX).
@@ -786,11 +724,9 @@ class SimulatedRuntime:
                         raise
                     if isinstance(message, _BatchEnvelope):
                         for item in message.items:
-                            self._quarantine(
-                                stage, item.payload, exc, reason="transmission"
-                            )
+                            quarantine(stage, item.payload, exc, reason="transmission")
                     else:
-                        self._quarantine(
+                        quarantine(
                             stage,
                             getattr(message, "payload", message),
                             exc,
@@ -869,13 +805,6 @@ class SimulatedRuntime:
             return
         origin = message.origin
         stage.cursors[origin] = stage.cursors.get(origin, 0) + 1
-
-    def _item_finished(self, stage: _StageRuntime) -> None:
-        """Between-items point: safe to take a deferred checkpoint."""
-        stage.in_flight = False
-        if stage.checkpoint_due:
-            stage.checkpoint_due = False
-            self._checkpoint_stage(stage)
 
     def _checkpointer(self, stage: _StageRuntime) -> Generator:
         assert self.resilience is not None
@@ -1299,15 +1228,3 @@ class SimulatedRuntime:
         stage.in_flight = False
         stage.checkpoint_due = False
         self._spawn_worker(stage)
-
-    def _quarantine(self, stage: _StageRuntime, payload: Any, exc: BaseException, reason: str) -> None:
-        assert self.resilience is not None and self.dead_letters is not None
-        quarantine(stage, self.resilience, self.dead_letters, payload, exc, reason)
-        if self._result is not None:
-            self._result.events.log(
-                self.env.now,
-                "item-quarantined",
-                stage=stage.name,
-                reason=reason,
-                error=repr(exc),
-            )

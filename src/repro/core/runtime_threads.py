@@ -30,7 +30,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.adaptation.protocol import LoadException
@@ -38,17 +38,18 @@ from repro.core.api import StreamProcessor
 from repro.core.batching import BatchPolicy
 from repro.core.items import EndOfStream, Item
 from repro.core.kernel import (
+    FLUSH,
+    SEND,
+    TAKE,
+    WORK,
     EdgeSpec,
     RouteUnit,
     StageCore,
     adaptation_tick,
     build_route_units,
-    drain_batch,
-    due_buffers,
-    next_flush_timeout,
-    quarantine,
     run_setup,
     stage_checkpoint,
+    stage_loop,
 )
 from repro.core.results import RunResult, StageStats
 from repro.core.sharding import (
@@ -66,7 +67,6 @@ from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.tracing import TraceCollector, publish_traces
 from repro.resilience.checkpoint import CheckpointStore, MemoryCheckpointStore
 from repro.resilience.policy import DeadLetterQueue, ResilienceConfig
-from repro.simnet.hosts import CpuCostModel
 from repro.simnet.links import TokenBucket
 
 __all__ = ["ThreadedRuntime", "ThreadedRuntimeError"]
@@ -228,11 +228,10 @@ class _ThreadStage(StageCore):
         #: ``shard.{stage}.items`` counter handle (replica stages only).
         self.shard_items: Optional[Counter] = None
         #: Items routed to this stage through a shard group (written under
-        #: the group's lock) vs items its worker finished with (written by
-        #: the worker thread only).  The autoscaler drains a group by waiting
-        #: for the two to meet.
+        #: the group's lock) vs ``consumed``, the items its worker finished
+        #: with.  The autoscaler drains a group by waiting for the two to
+        #: meet.
         self.delivered = 0
-        self.consumed = 0
         #: Serializes arrival-rate observations (several producer threads
         #: feed one queue; the estimator requires non-decreasing times).
         self.rate_lock = threading.Lock()
@@ -392,13 +391,15 @@ class ThreadedRuntime:
             raise ThreadedRuntimeError(f"{name}: processor must be a StreamProcessor")
         capacity = queue_capacity or self.DEFAULT_QUEUE_CAPACITY
         try:
-            self._stages[name] = _ThreadStage(
+            stage = _ThreadStage(
                 name, processor, dict(properties or {}),
                 _MonitoredQueue(capacity, self.policy.window),
                 self.policy, self.metrics, self.elapsed, self.batch, self.time_scale,
             )
         except ValueError as exc:
             raise ThreadedRuntimeError(f"{name}: {exc}") from None
+        stage.resilience, stage.dead_letters = self.resilience, self.dead_letters
+        self._stages[name] = stage
 
     def connect(
         self,
@@ -570,6 +571,18 @@ class ThreadedRuntime:
         with stage.rate_lock:
             stage.rate_estimator.observe(self.elapsed(), count=count)
 
+    def _source_item(self, source: _ThreadSource, payload: Any) -> Item:
+        """One arrival from ``source``, stamped now (and maybe traced)."""
+        size = source.item_size(payload) if callable(source.item_size) else source.item_size
+        item = Item(
+            payload=payload, size=float(size), origin=source.name, created_at=self.elapsed()
+        )
+        if self.tracer is not None:
+            item.trace = self.tracer.maybe_trace(source.name, item.created_at)
+            if item.trace is not None:
+                self.metrics.counter("run.traced_items").inc()
+        return item
+
     def _feeder(self, source: _ThreadSource) -> None:
         state = self._groups.get(source.target)
         if state is not None:
@@ -599,20 +612,9 @@ class ThreadedRuntime:
             if gap:
                 flush_chunk()
                 time.sleep(gap)
-            size = (
-                float(source.item_size(payload))
-                if callable(source.item_size)
-                else float(source.item_size)
-            )
-            item = Item(
-                payload=payload, size=size, origin=source.name,
-                created_at=self.elapsed(),
-            )
-            if self.tracer is not None:
-                item.trace = self.tracer.maybe_trace(source.name, item.created_at)
-                if item.trace is not None:
-                    self.metrics.counter("run.traced_items").inc()
-                    item.hop = item.trace.begin_hop(stage.name, self.elapsed())
+            item = self._source_item(source, payload)
+            if item.trace is not None:
+                item.hop = item.trace.begin_hop(stage.name, self.elapsed())
             chunk.append(item)
             if len(chunk) >= chunk_limit:
                 flush_chunk()
@@ -634,19 +636,7 @@ class ThreadedRuntime:
             gap = next(gaps) * self.time_scale if gaps is not None else fixed_gap
             if gap:
                 time.sleep(gap)
-            size = (
-                float(source.item_size(payload))
-                if callable(source.item_size)
-                else float(source.item_size)
-            )
-            item = Item(
-                payload=payload, size=size, origin=source.name,
-                created_at=self.elapsed(),
-            )
-            if self.tracer is not None:
-                item.trace = self.tracer.maybe_trace(source.name, item.created_at)
-                if item.trace is not None:
-                    self.metrics.counter("run.traced_items").inc()
+            item = self._source_item(source, payload)
             with state.lock:
                 owner = state.group.partitioner.select(
                     extract_key(payload, state.group.shard_by), state.active
@@ -663,108 +653,40 @@ class ThreadedRuntime:
             member.queue.put(EndOfStream(origin=source.name))
 
     def _worker(self, stage: _ThreadStage) -> None:
-        ctx = stage.context
-        batching = bool(stage.batch_buffers)
-        # Chunked input drain applies to every stage under a batch policy
-        # (sinks included — they have no output buffers but still benefit
-        # from amortized queue locking and aggregated accounting).
-        chunked = stage.batch is not None
-        cost_model = stage.processor.cost_model
-        free = isinstance(cost_model, CpuCostModel) and cost_model.is_free
-        local: deque = deque()
+        """Interpret the kernel's :func:`stage_loop` on this thread.
+
+        A stage under a batch policy drains its queue in chunks of the
+        batch size (sinks included: one lock round-trip per chunk);
+        otherwise one item per ``TAKE``.
+        """
+        step = stage_loop(stage, None).send
+        limit = stage.batch.max_items if stage.batch is not None else 1
+        reply: Any = None
         try:
             while True:
-                if not local:
+                effect = step(reply)
+                reply = None
+                kind = effect[0]
+                if kind is TAKE:
                     try:
-                        if chunked:
-                            assert stage.batch is not None
-                            drained = stage.queue.get_many(
-                                stage.batch.max_items,
-                                timeout=next_flush_timeout(stage),
-                            )
-                            local.extend(drained)
-                            count, nbytes_in = 0, 0.0
-                            for msg in drained:
-                                if not isinstance(msg, EndOfStream):
-                                    count += 1
-                                    nbytes_in += msg.size
-                            if count:
-                                stage.metrics.items_in.inc(count)
-                                stage.metrics.bytes_in.inc(nbytes_in)
+                        if limit == 1:
+                            reply = (stage.queue.get(effect[1]),)
                         else:
-                            local.append(stage.queue.get())
+                            reply = stage.queue.get_many(limit, effect[1])
                     except TimeoutError:
-                        # No input before the oldest batch's age bound:
-                        # flush whatever is due and keep waiting.
-                        self._flush_due(stage)
-                        continue
-                message = local.popleft()
-                if isinstance(message, EndOfStream):
-                    if not stage.eos.observe():
-                        continue
-                    with stage.state_lock:
-                        stage.processor.flush(ctx)
-                        ctx.det.finalize_stage(stage.processor)
-                    self._transmit_pending(stage)
-                    self._flush_all(stage)
+                        reply = ()  # the oldest batch is due: the loop flushes it
+                elif kind is WORK:
+                    reply = effect[1].cost(effect[2], effect[3]) * self.time_scale
+                    if reply > 0:
+                        time.sleep(reply)
+                elif kind is SEND:
+                    self._send(stage, *effect[1:])
+                elif kind is FLUSH:
+                    self._ship(stage, effect[1], effect[2])
+                else:  # EOS
                     for edge in stage.out_edges:
                         edge.dst.queue.put(EndOfStream(origin=stage.name))
                     return
-                if not chunked:
-                    stage.metrics.items_in.inc()
-                    stage.metrics.bytes_in.inc(message.size)
-                hop = message.hop
-                if hop is not None:
-                    hop.dequeue_t = self.elapsed()
-                if not free:
-                    items, nbytes = stage.processor.work_amount(
-                        message.payload, message.size
-                    )
-                    cost = cost_model.cost(items, nbytes)
-                    if cost > 0:
-                        time.sleep(cost * self.time_scale)
-                        stage.metrics.busy_seconds.inc(cost * self.time_scale)
-                        if hop is not None:
-                            hop.process_t += cost * self.time_scale
-                mark = len(ctx.pending)
-                try:
-                    with stage.state_lock:
-                        stage.processor.on_item(message.payload, ctx)
-                except Exception as exc:
-                    if self.resilience is None or self.resilience.error_policy == "fail":
-                        raise
-                    # Poison item: drop whatever it half-emitted (earlier
-                    # chunk-mates' deferred emissions stay), quarantine
-                    # it, and keep the stage alive (skip / dead-letter).
-                    del ctx.pending[mark:]
-                    assert self.dead_letters is not None
-                    quarantine(
-                        stage, self.resilience, self.dead_letters, message.payload, exc
-                    )
-                    stage.consumed += 1
-                    continue
-                stage.consumed += 1
-                stage.metrics.latency.observe(self.elapsed() - message.created_at)
-                if batching:
-                    # Transmission happens at flush time; _flush_edge
-                    # shares the measured wait across the batch's parent
-                    # hops instead of this blanket attribution.  Untraced
-                    # emissions are handed over once per drained chunk —
-                    # traced items transmit immediately so hop attribution
-                    # stays per parent item.  Age flushes are likewise
-                    # checked once per chunk; the drain spans
-                    # microseconds, far inside any sane max_delay.
-                    if message.trace is not None:
-                        self._transmit_pending(stage, trace=message.trace, hop=hop)
-                    if not local:
-                        self._transmit_pending(stage)
-                        self._flush_due(stage)
-                elif hop is not None:
-                    tx_start = self.elapsed()
-                    self._transmit_pending(stage, trace=message.trace, hop=hop)
-                    hop.tx_t += self.elapsed() - tx_start
-                else:
-                    self._transmit_pending(stage, trace=message.trace, hop=hop)
         except BaseException as exc:  # noqa: BLE001 - surfaced by run()
             stage.error = exc
             # Release every neighbour promptly: producers blocked on our
@@ -778,69 +700,39 @@ class ThreadedRuntime:
         finally:
             stage.done.set()
 
-    def _transmit_pending(
-        self, stage: _ThreadStage, trace=None, hop=None
+    def _send(
+        self,
+        stage: _ThreadStage,
+        route: Union[int, RouteUnit],
+        payload: Any,
+        size: float,
+        stream: Optional[str],
+        trace=None,
     ) -> None:
-        ctx = stage.context
-        if not ctx.pending:
+        """Deliver one emission on an out-edge, or across a shard family.
+
+        Family (sharded) emissions never sit in a batch buffer: a
+        buffered item routed with a pre-rebalance active count would land
+        on a stale owner after the handoff.
+        """
+        if not isinstance(route, int):
+            self._send_family(stage, route, payload, size, stream, trace)
             return
-        pending, ctx.pending = ctx.pending, []
-        if stage.batch_buffers:
-            # Batched fast path: accumulate per-edge, flush on max_items.
-            # Items are stamped created_at=now here — time spent waiting
-            # in the buffer is real latency and is accounted downstream.
-            # Family (sharded) edges bypass the buffers and ship per item:
-            # a buffered item routed with a pre-rebalance active count
-            # would land on a stale owner after the handoff.
-            now = self.elapsed()
-            flush: List[int] = []
-            nbytes_out = 0.0
-            for payload, size, stream in pending:
-                nbytes_out += size
-                for unit in stage.route_units:
-                    if stream is not None and stream not in unit.accepts:
-                        continue
-                    if unit.group is not None:
-                        self._send_family(stage, unit, payload, size, stream, trace)
-                        continue
-                    index = unit.edges[0]
-                    item = Item(
-                        payload=payload, size=size, origin=stage.name,
-                        created_at=now, trace=trace,
-                    )
-                    full = stage.batch_buffers[index].add((item, hop), now)
-                    if full and index not in flush:
-                        flush.append(index)
-            stage.metrics.items_out.inc(len(pending))
-            stage.metrics.bytes_out.inc(nbytes_out)
-            for index in flush:
-                self._flush_edge(stage, index)
-            return
-        for payload, size, stream in pending:
-            stage.metrics.items_out.inc()
-            stage.metrics.bytes_out.inc(size)
-            for unit in stage.route_units:
-                if stream is not None and stream not in unit.accepts:
-                    continue
-                if unit.group is not None:
-                    self._send_family(stage, unit, payload, size, stream, trace)
-                    continue
-                edge = stage.out_edges[unit.edges[0]]
-                if edge.bucket is not None:
-                    wait = edge.bucket.consume(size)
-                    if wait > 0:
-                        time.sleep(wait * self.time_scale)
-                item = Item(
-                    payload=payload, size=size, origin=stage.name,
-                    created_at=self.elapsed(), trace=trace,
-                )
-                if trace is not None:
-                    # Open the hop before the put: the downstream worker
-                    # may dequeue immediately.  Emissions share the parent
-                    # item's trace.
-                    item.hop = trace.begin_hop(edge.dst.name, self.elapsed())
-                edge.dst.queue.put(item)
-                self._observe_arrival(edge.dst)
+        edge = stage.out_edges[route]
+        if edge.bucket is not None:
+            wait = edge.bucket.consume(size)
+            if wait > 0:
+                time.sleep(wait * self.time_scale)
+        item = Item(
+            payload=payload, size=size, origin=stage.name,
+            created_at=self.elapsed(), trace=trace,
+        )
+        if trace is not None:
+            # Open the hop before the put: the downstream worker may
+            # dequeue immediately.  Emissions share the parent item's trace.
+            item.hop = trace.begin_hop(edge.dst.name, self.elapsed())
+        edge.dst.queue.put(item)
+        self._observe_arrival(edge.dst)
 
     def _send_family(
         self,
@@ -889,45 +781,25 @@ class ThreadedRuntime:
         if edge.dst.shard_items is not None:
             edge.dst.shard_items.inc()
 
-    # -- micro-batch flushing ----------------------------------------------
-
-    def _flush_due(self, stage: _ThreadStage) -> None:
-        for index in due_buffers(stage, self.elapsed()):
-            self._flush_edge(stage, index, age=True)
-
-    def _flush_all(self, stage: _ThreadStage) -> None:
-        for index in stage.batch_buffers:
-            self._flush_edge(stage, index)
-
-    def _flush_edge(self, stage: _ThreadStage, index: int, age: bool = False) -> None:
-        """Ship one edge's accumulated batch downstream.
-
-        One token-bucket charge and one (amortized) queue handoff for the
-        whole batch; the measured transmission wait is shared equally
-        across the batch's traced parent hops.
-        """
-        entries = drain_batch(stage, index, age)
-        if not entries:
-            return
+    def _ship(self, stage: _ThreadStage, index: int, entries: List[Any]) -> None:
+        """Ship one edge's flushed batch downstream: one token-bucket
+        charge and one (amortized) queue handoff for the whole batch."""
         edge = stage.out_edges[index]
-        count = len(entries)
-        tx_wall = 0.0
         if edge.bucket is not None:
-            wait = edge.bucket.consume(sum(item.size for item, _ in entries))
+            wait = edge.bucket.consume(sum(entry[1] for entry in entries))
             if wait > 0:
-                tx_wall = wait * self.time_scale
-                time.sleep(tx_wall)
-        share = tx_wall / count
+                time.sleep(wait * self.time_scale)
         now = self.elapsed()
         items: List[Item] = []
-        for item, parent_hop in entries:
-            if parent_hop is not None and share > 0:
-                parent_hop.tx_t += share
-            if item.trace is not None:
-                item.hop = item.trace.begin_hop(edge.dst.name, now)
+        for payload, size, created, trace, _ in entries:
+            item = Item(
+                payload=payload, size=size, origin=stage.name, created_at=created, trace=trace
+            )
+            if trace is not None:
+                item.hop = trace.begin_hop(edge.dst.name, now)
             items.append(item)
         edge.dst.queue.put_many(items)
-        self._observe_arrival(edge.dst, count=count)
+        self._observe_arrival(edge.dst, count=len(items))
 
     # -- sharding and elastic scaling ---------------------------------------
 

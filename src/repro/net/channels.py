@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro.net.protocol import (
     FrameType,
@@ -66,6 +66,15 @@ class ChannelError(Exception):
     """Raised when a data channel breaks mid-stream."""
 
 
+class _Barrier:
+    """A :meth:`AsyncInbox.put_barrier` entry, unwrapped on delivery."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self, entry: Any) -> None:
+        self.entry = entry
+
+
 class AsyncInbox:
     """A stage's input queue, satisfying the estimator's QueueLike protocol.
 
@@ -75,97 +84,44 @@ class AsyncInbox:
     have outstanding, and in-flight data cannot be un-sent — the same
     reasoning as the simulated runtime's ``force_put``).
 
-    The inbox can be *sharded into lanes*: each input edge appends to its
-    own deque, so concurrent producers touch disjoint tails, and the two
-    conditions (not-empty for consumers, not-full for blocking
+    The two conditions (not-empty for consumers, not-full for blocking
     producers) share one lock but wake exactly the waiters that can make
     progress — ``notify(1)`` instead of a notify-all thundering herd on
-    every operation.  The consumer drains lanes round-robin, preserving
-    per-lane FIFO (each stream's items, and its EOS, live in one lane).
+    every operation.
 
-    ``put_barrier`` entries sit outside the lanes and are sequenced by a
-    fence *epoch*: every item carries the number of fences enqueued
-    before it, so a fence is delivered exactly after the items that
-    preceded it (across all lanes) and before any item enqueued after it
-    — the same total-order guarantee the old single-deque inbox gave the
-    migration fence, kept under sharding.
+    ``put_barrier`` appends a plain FIFO entry that ``get_many`` never
+    mixes into an item chunk: it is delivered alone, after every entry
+    enqueued before it (the live-migration fence).
     """
 
-    def __init__(self, capacity: int, window: int, lanes: int = 1) -> None:
+    def __init__(self, capacity: int, window: int) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {lanes}")
         self.capacity = capacity
-        self.lanes = lanes
-        self._lanes: List[deque] = [deque() for _ in range(lanes)]
-        self._fences: deque = deque()
-        #: Fences enqueued so far; stamped onto every item so delivery
-        #: can tell pre-fence items from post-fence ones.
-        self._epoch = 0
-        self._size = 0
-        self._next_lane = 0
+        self._entries: deque = deque()
         self._recent: deque = deque([0], maxlen=window)
         lock = asyncio.Lock()
         self._not_empty = asyncio.Condition(lock)
         self._not_full = asyncio.Condition(lock)
 
     def _record(self) -> None:
-        self._recent.append(self._size + len(self._fences))
+        self._recent.append(len(self._entries))
 
-    def _lane_for(self, lane: int) -> deque:
-        return self._lanes[lane % self.lanes]
-
-    def _has_deliverable(self) -> bool:
-        return self._size > 0 or bool(self._fences)
-
-    def _item_available(self) -> bool:
-        """True when an item (not a fence) may be delivered next: lanes
-        hold something, and it is not sequenced behind the head fence.
-        Per-lane FIFO keeps each lane's lowest epoch at its head, so
-        checking heads is exact."""
-        if self._size == 0:
-            return False
-        if not self._fences:
-            return True
-        f_epoch = self._fences[0][0]
-        return any(lane and lane[0][0] <= f_epoch for lane in self._lanes)
-
-    def _pop_one(self) -> Any:
-        """Pop the next entry: round-robin across lanes whose head is not
-        fenced off, else the head fence.  Caller holds the lock and has
-        checked :meth:`_has_deliverable`."""
-        f_epoch = self._fences[0][0] if self._fences else None
-        if self._size:
-            n = self.lanes
-            for step in range(n):
-                index = (self._next_lane + step) % n
-                lane = self._lanes[index]
-                if lane and (f_epoch is None or lane[0][0] <= f_epoch):
-                    self._next_lane = (index + 1) % n
-                    self._size -= 1
-                    return lane.popleft()[1]
-        if f_epoch is None:
-            raise AssertionError("inbox size desynchronized from its lanes")
-        return self._fences.popleft()[1]
-
-    async def put(self, entry: Any, lane: int = 0) -> None:
+    async def put(self, entry: Any) -> None:
         async with self._not_full:
-            while self._size >= self.capacity:
+            while len(self._entries) >= self.capacity:
                 await self._not_full.wait()
-            self._lane_for(lane).append((self._epoch, entry))
-            self._size += 1
+            self._entries.append(entry)
             self._record()
             self._not_empty.notify(1)
 
-    async def force_put(self, entry: Any, lane: int = 0) -> None:
+    async def force_put(self, entry: Any) -> None:
         async with self._not_empty:
-            self._lane_for(lane).append((self._epoch, entry))
-            self._size += 1
+            self._entries.append(entry)
             self._record()
             self._not_empty.notify(1)
 
-    async def force_put_many(self, entries: "list", lane: int = 0) -> None:
+    async def force_put_many(self, entries: "list") -> None:
         """Append a whole batch under one lock/notify round-trip.
 
         One queue-length sample for the batch, matching the threaded
@@ -175,55 +131,53 @@ class AsyncInbox:
         if not entries:
             return
         async with self._not_empty:
-            epoch = self._epoch
-            self._lane_for(lane).extend((epoch, entry) for entry in entries)
-            self._size += len(entries)
+            self._entries.extend(entries)
             self._record()
             self._not_empty.notify_all()
 
     async def put_barrier(self, entry: Any) -> None:
-        """Enqueue a fence delivered after everything enqueued before it
-        (across all lanes) and before anything enqueued after it."""
+        """Enqueue ``entry`` to be delivered alone, never inside a chunk."""
         async with self._not_empty:
-            self._fences.append((self._epoch, entry))
-            self._epoch += 1
+            self._entries.append(_Barrier(entry))
             self._record()
             self._not_empty.notify_all()
 
     async def get(self) -> Any:
         async with self._not_empty:
-            while not self._has_deliverable():
+            while not self._entries:
                 await self._not_empty.wait()
-            entry = self._pop_one()
+            entry = self._entries.popleft()
             self._record()
-            if self._has_deliverable():
+            if self._entries:
                 self._not_empty.notify(1)
             self._not_full.notify(1)
-            return entry
+            return entry.entry if type(entry) is _Barrier else entry
 
     async def get_many(self, max_items: int) -> "list":
         """Await the first entry, then drain up to ``max_items`` without
         further waiting — the consumer-side half of the batched handoff
         (one event-loop suspension per chunk instead of per item).
-        Fences are never mixed into an item chunk: a fence is returned
-        alone, once the items sequenced before it have been taken."""
+        A barrier is never mixed into an item chunk: it is returned
+        alone, once the entries before it have been taken."""
         async with self._not_empty:
-            while not self._has_deliverable():
+            entries = self._entries
+            while not entries:
                 await self._not_empty.wait()
-            out = []
-            while self._item_available() and len(out) < max_items:
-                out.append(self._pop_one())
-            if not out and self._fences:
-                out.append(self._fences.popleft()[1])
+            if type(entries[0]) is _Barrier:
+                out = [entries.popleft().entry]
+            else:
+                out = []
+                while entries and len(out) < max_items and type(entries[0]) is not _Barrier:
+                    out.append(entries.popleft())
             self._record()
-            if self._has_deliverable():
+            if entries:
                 self._not_empty.notify(1)
             self._not_full.notify_all()
             return out
 
     @property
     def current_length(self) -> int:
-        return self._size + len(self._fences)
+        return len(self._entries)
 
     @property
     def recent_average(self) -> float:
@@ -248,17 +202,12 @@ class InChannel:
     what a stalled peer can pin in memory.
     """
 
-    def __init__(
-        self, stream: str, dst_stage: str, window: int, lane: int = 0
-    ) -> None:
+    def __init__(self, stream: str, dst_stage: str, window: int) -> None:
         if window < 1:
             raise ValueError(f"credit window must be >= 1, got {window}")
         self.stream = stream
         self.dst_stage = dst_stage
         self.window = window
-        #: Which inbox lane this channel's items land in (one lane per
-        #: input edge keeps per-stream FIFO under sharded inboxes).
-        self.lane = lane
         self.replenish_batch = max(1, window // 2)
         self._writer: Optional[asyncio.StreamWriter] = None
         self._consumed = 0

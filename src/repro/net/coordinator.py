@@ -140,8 +140,6 @@ class NetworkedRuntime:
         repository: Optional[CodeRepository] = None,
         verify: bool = True,
         migrations: Optional[Sequence[MigrationPlan]] = None,
-        uds: Optional[bool] = None,
-        inbox_lanes: int = 1,
     ) -> None:
         """``verify=True`` (the default) runs the static verifier
         (:mod:`repro.analysis.verifier`) over ``config`` and refuses
@@ -175,10 +173,6 @@ class NetworkedRuntime:
             )
         if isinstance(workers, int) and workers < 1:
             raise NetworkedRuntimeError(f"need at least 1 worker, got {workers}")
-        if inbox_lanes < 1:
-            raise NetworkedRuntimeError(
-                f"inbox_lanes must be >= 1, got {inbox_lanes}"
-            )
         plans = list(migrations) if migrations else []
         for plan in plans:
             if not isinstance(plan, MigrationPlan):
@@ -215,14 +209,6 @@ class NetworkedRuntime:
         self.time_scale = time_scale
         self.credit_window = credit_window
         self.batch = batch
-        #: UNIX-socket fast path for spawned (co-located) workers:
-        #: None = auto (on when the platform has AF_UNIX), False = off,
-        #: True = on.  Externally attached workers never get one — they
-        #: may be on other hosts, and TCP is always the fallback anyway.
-        self.uds = uds
-        #: Inbox lanes per hosted stage (per-stage ``net-inbox-lanes``
-        #: property overrides); >1 shards each inbox by input edge.
-        self.inbox_lanes = inbox_lanes
         self._uds_dir: Optional[str] = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.repository = (
@@ -313,9 +299,11 @@ class NetworkedRuntime:
             if env.get("REPRO_NET_WORKER_STDERR") == "inherit"
             else subprocess.DEVNULL
         )
-        use_uds = (
-            self.uds if self.uds is not None else hasattr(socket, "AF_UNIX")
-        )
+        # Spawned workers are co-located, so each gets a UNIX-socket fast
+        # path where the platform has AF_UNIX.  Externally attached
+        # workers never do — they may be on other hosts — and TCP is
+        # always the fallback anyway.
+        use_uds = hasattr(socket, "AF_UNIX")
         if use_uds and self._uds_dir is None:
             # Short prefix: AF_UNIX paths are capped around ~100 bytes.
             self._uds_dir = tempfile.mkdtemp(prefix="repro-uds-")
@@ -510,7 +498,6 @@ class NetworkedRuntime:
                 "worker": handle.name,
                 "time_scale": self.time_scale,
                 "credit_window": self.credit_window,
-                "inbox_lanes": self.inbox_lanes,
                 "adaptation": self.adaptation_enabled,
                 "hold_results": bool(self._migration_plans),
                 "policy": asdict(self.policy),

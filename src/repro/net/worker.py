@@ -14,8 +14,9 @@ worker``), binds a TCP port, and announces it on stdout as
 3. CHANNEL frames declare the stage graph's edges as seen from this
    worker — local (both ends here), inbound (remote sender will ATTACH),
    or outbound (dial the peer worker at START);
-4. START begins execution: each stage runs the same consume/cost/emit
-   loop as the other runtimes, and — when adaptation is on — a monitor
+4. START begins execution: each stage runs the kernel's stage loop
+   (:func:`repro.core.kernel.stage_loop`, the same one the other
+   runtimes run) as an asyncio task, and — when adaptation is on — a monitor
    task executes the paper's Section 4 loop locally, delivering
    over-/under-load exceptions upstream *over the wire* when the
    upstream stage lives on another worker;
@@ -36,9 +37,8 @@ import asyncio
 import os
 import sys
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.adaptation.protocol import LoadException, LoadExceptionKind
@@ -46,15 +46,16 @@ from repro.core.api import StreamProcessor
 from repro.core.batching import BatchPolicy
 from repro.core.items import EndOfStream, Item
 from repro.core.kernel import (
+    FLUSH,
+    SEND,
+    TAKE,
+    WORK,
     EdgeSpec,
     StageCore,
     adaptation_tick,
     build_route_units,
-    drain_batch,
-    due_buffers,
-    next_flush_timeout,
-    route_indices,
     run_setup,
+    stage_loop,
 )
 from repro.core.sharding import (
     BOUNDARIES_PROPERTY,
@@ -83,7 +84,6 @@ from repro.net.protocol import (
     send_frame,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.simnet.hosts import CpuCostModel
 
 __all__ = ["ANNOUNCE_PREFIX", "Worker", "WorkerError", "default_repository", "main"]
 
@@ -137,15 +137,10 @@ class _RouteGroup:
 class _LocalRoute:
     """In-process edge between two stages hosted on the same worker."""
 
-    def __init__(
-        self, stream: str, dst: "_HostedStage", worker: "Worker", lane: int = 0
-    ) -> None:
+    def __init__(self, stream: str, dst: "_HostedStage", worker: "Worker") -> None:
         self.stream = stream
         self.dst = dst
         self._worker = worker
-        #: Which of the destination inbox's lanes this edge feeds (one
-        #: lane per input edge keeps per-stream FIFO under sharding).
-        self.lane = lane
         #: ``shard`` descriptor from the CHANNEL frame (None when the
         #: destination is not a replica); set by ``_register_channel``.
         self.shard: Optional[Dict[str, Any]] = None
@@ -156,13 +151,11 @@ class _LocalRoute:
             payload=payload, size=size, origin=origin,
             created_at=self._worker.elapsed(),
         )
-        await self.dst.inbox.put((None, item), lane=self.lane)
+        await self.dst.inbox.put((None, item))
         self.dst.rate_estimator.observe(self._worker.elapsed())
 
     async def send_eos(self, origin: str) -> None:
-        await self.dst.inbox.force_put(
-            (None, EndOfStream(origin=origin)), lane=self.lane
-        )
+        await self.dst.inbox.force_put((None, EndOfStream(origin=origin)))
 
     async def close(self) -> None:  # symmetry with OutChannel
         return None
@@ -238,9 +231,6 @@ class Worker:
         #: When set, also listen on this UNIX-domain socket and announce
         #: it, so co-located senders skip the TCP stack entirely.
         self.uds_path = uds_path
-        #: Default inbox lane count for hosted stages (coordinator HELLO
-        #: or per-stage ``net-inbox-lanes`` property override it).
-        self.inbox_lanes = 1
         self.repository = repository if repository is not None else default_repository()
         self.metrics = MetricsRegistry()
         self.policy = AdaptationPolicy()
@@ -360,7 +350,6 @@ class Worker:
         self.name = str(body.get("worker", self.name))
         self.time_scale = float(body.get("time_scale", self.time_scale))
         self.credit_window = int(body.get("credit_window", self.credit_window))
-        self.inbox_lanes = int(body.get("inbox_lanes", self.inbox_lanes))
         self.adaptation_enabled = bool(
             body.get("adaptation", self.adaptation_enabled)
         )
@@ -419,13 +408,10 @@ class Worker:
             raise WorkerError(f"{name}: code did not produce a StreamProcessor")
         properties = {str(k): str(v) for k, v in body.get("properties", {}).items()}
         capacity = int(properties.get("net-queue-capacity", DEFAULT_QUEUE_CAPACITY))
-        lanes = int(properties.get("net-inbox-lanes", self.inbox_lanes))
-        if lanes < 1:
-            raise WorkerError(f"{name}: net-inbox-lanes must be >= 1, got {lanes}")
         try:
             self._stages[name] = _HostedStage(
                 name, processor, properties,
-                AsyncInbox(capacity, self.policy.window, lanes=lanes),
+                AsyncInbox(capacity, self.policy.window),
                 self.policy, self.metrics, self.elapsed, self.batch, self.time_scale,
             )
         except ValueError as exc:
@@ -438,11 +424,7 @@ class Worker:
         if kind == "local":
             src = self._require_stage(body["src"], stream)
             dst = self._require_stage(body["dst"], stream)
-            # One inbox lane per input edge: this edge's items (and its
-            # EOS) stay FIFO in their own lane while other producers
-            # append to theirs without contending.
-            lane = len(dst.upstream_local) + len(dst.upstream_wire)
-            route = _LocalRoute(stream, dst, self, lane=lane)
+            route = _LocalRoute(stream, dst, self)
             self._annotate_shard(route, shard, body["dst"])
             src.out_routes.append(route)
             dst.eos.expect()
@@ -450,8 +432,7 @@ class Worker:
         elif kind == "in":
             dst = self._require_stage(body["dst"], stream)
             window = int(body.get("window", self.credit_window))
-            lane = len(dst.upstream_local) + len(dst.upstream_wire)
-            channel = InChannel(stream, dst.name, window, lane=lane)
+            channel = InChannel(stream, dst.name, window)
             self._in_channels[stream] = channel
             dst.eos.expect()
             dst.upstream_wire.append(channel)
@@ -583,108 +564,74 @@ class Worker:
     # -- stage execution -----------------------------------------------------
 
     async def _stage_task(self, stage: _HostedStage) -> None:
-        ctx = stage.context
+        """Interpret the kernel's :func:`stage_loop` as an asyncio task.
+
+        A stage under a batch policy drains its inbox in chunks (one
+        event-loop suspension per chunk); credit for a chunk's items goes
+        back upstream when the loop asks for the next one.  Modeled CPU
+        cost accumulates as a sleep debt, slept only past
+        ``_SLEEP_DEBT_THRESHOLD``.
+        """
+        step = stage_loop(stage, self._route_groups).send
+        limit = stage.batch.max_items if stage.batch is not None else 1
         sleep_debt = 0.0
-        # With batching on, the inbox is drained in chunks — one event-loop
-        # suspension and one aggregated metrics update per chunk instead of
-        # per item — and the per-item cost computation is skipped entirely
-        # for provably-free cost models.
-        chunked = stage.batch is not None
-        cost_model = stage.processor.cost_model
-        free = isinstance(cost_model, CpuCostModel) and cost_model.is_free
-        local: Deque[Tuple[Any, Any]] = deque()
+        drained: Any = ()
+        reply: Any = None
         try:
             while True:
-                if not local:
-                    timeout = next_flush_timeout(stage)
-                    try:
-                        if chunked:
-                            assert stage.batch is not None
-                            if timeout is None:
-                                drained = await stage.inbox.get_many(
-                                    stage.batch.max_items
-                                )
-                            else:
-                                drained = await asyncio.wait_for(
-                                    stage.inbox.get_many(stage.batch.max_items),
-                                    timeout,
-                                )
-                            local.extend(drained)
-                            count, nbytes_in = 0, 0.0
-                            for _, msg in drained:
-                                if not isinstance(msg, EndOfStream):
-                                    count += 1
-                                    nbytes_in += msg.size
-                            if count:
-                                stage.metrics.items_in.inc(count)
-                                stage.metrics.bytes_in.inc(nbytes_in)
-                        elif timeout is None:
-                            local.append(await stage.inbox.get())
-                        else:
-                            local.append(
-                                await asyncio.wait_for(stage.inbox.get(), timeout)
-                            )
-                    except asyncio.TimeoutError:
-                        await self._flush_due(stage)
-                        continue
-                channel, message = local.popleft()
-                if isinstance(message, _MigrateFence):
-                    # Live-migration drain boundary: the upstreams are
-                    # paused, so nothing can follow.  Flush everything,
+                try:
+                    effect = step(reply)
+                except StopIteration:
+                    # Past a live-migration fence with everything flushed:
                     # tear down out-routes with the plain FIN/drain close
                     # (no EOS — the stream continues on the new worker),
                     # and exit so the export handler can snapshot.
-                    await self._transmit_pending(stage)
-                    for index in list(stage.batch_buffers):
-                        await self._flush_route(stage, index)
                     for route in stage.out_routes:
                         await route.close()
                     stage.migrated_away = True
                     assert stage.fence_passed is not None
                     stage.fence_passed.set()
                     return
-                if isinstance(message, EndOfStream):
-                    if not stage.eos.observe():
+                reply = None
+                kind = effect[0]
+                if kind is TAKE:
+                    for channel, _ in drained:
+                        if channel is not None and channel.note_consumed():
+                            if channel.needs_drain():
+                                # Credit backchannel piled up past the high
+                                # watermark (slow/stalled sender): flush
+                                # before consuming more so it stays bounded.
+                                await channel.drain()
+                    try:
+                        drained = await asyncio.wait_for(
+                            stage.inbox.get_many(limit), effect[1]
+                        )
+                    except asyncio.TimeoutError:
+                        drained = reply = ()
                         continue
-                    stage.processor.flush(ctx)
-                    ctx.det.finalize_stage(stage.processor)
-                    await self._transmit_pending(stage)
-                    for index in list(stage.batch_buffers):
-                        await self._flush_route(stage, index)
-                    for route in stage.out_routes:
-                        await route.send_eos(stage.name)
-                    return
-                if not chunked:
-                    stage.metrics.items_in.inc()
-                    stage.metrics.bytes_in.inc(message.size)
-                if not free:
-                    items, nbytes = stage.processor.work_amount(
-                        message.payload, message.size
-                    )
-                    cost = cost_model.cost(items, nbytes)
-                    if cost > 0:
-                        scaled = cost * self.time_scale
-                        stage.metrics.busy_seconds.inc(scaled)
-                        sleep_debt += scaled
+                    if isinstance(drained[0][1], _MigrateFence):
+                        # Drain boundary: the upstreams are paused, so
+                        # nothing follows; reply None to flush and stop.
+                        drained = ()
+                        continue
+                    reply = [message for _, message in drained]
+                elif kind is WORK:
+                    reply = effect[1].cost(effect[2], effect[3]) * self.time_scale
+                    if reply > 0:
+                        sleep_debt += reply
                         if sleep_debt >= _SLEEP_DEBT_THRESHOLD:
                             await asyncio.sleep(sleep_debt)
                             sleep_debt = 0.0
-                stage.processor.on_item(message.payload, ctx)
-                now = self.elapsed()
-                stage.metrics.latency.observe(now - message.created_at)
-                if ctx.pending:
-                    full = self._buffer_pending(stage, now)
-                    if full is None:
-                        await self._transmit_pending(stage)
-                    else:
-                        for index in full:
-                            await self._flush_route(stage, index)
-                if channel is not None and channel.note_consumed():
-                    if channel.needs_drain():
-                        # Credit backchannel piled up past the high
-                        # watermark (slow/stalled sender): flush before
-                        # consuming more so its buffer stays bounded.
-                        await channel.drain()
+                elif kind is SEND:
+                    await stage.out_routes[effect[1]].send(effect[2], effect[3], stage.name)
+                elif kind is FLUSH:
+                    await stage.out_routes[effect[1]].channel.send_batch(
+                        [entry[:2] for entry in effect[2]]
+                    )
+                else:  # EOS
+                    for route in stage.out_routes:
+                        await route.send_eos(stage.name)
+                    return
         except asyncio.CancelledError:
             raise
         except BaseException as exc:  # noqa: BLE001 - reported via ERROR frame
@@ -698,71 +645,6 @@ class Worker:
                     pass
         finally:
             stage.done.set()
-
-    def _buffer_pending(
-        self, stage: _HostedStage, now: float
-    ) -> Optional[List[int]]:
-        """Synchronous fast path for the per-item hot loop: move every
-        pending emission into its route's batch buffer and return the
-        indices that filled (usually none — the caller then skips the
-        coroutine round-trip entirely).  Returns None without consuming
-        anything when some route has no buffer, so the caller falls back
-        to the general :meth:`_transmit_pending` path."""
-        ctx = stage.context
-        buffers = stage.batch_buffers
-        if len(buffers) != len(stage.out_routes):
-            return None
-        pending, ctx.pending = ctx.pending, []
-        full: List[int] = []
-        nbytes_out = 0.0
-        for payload, size, stream in pending:
-            nbytes_out += size
-            for index in route_indices(stage.route_units, self._route_groups, payload, stream):
-                if buffers[index].add((payload, size), now) and index not in full:
-                    full.append(index)
-        stage.metrics.items_out.inc(len(pending))
-        stage.metrics.bytes_out.inc(nbytes_out)
-        return full
-
-    async def _transmit_pending(self, stage: _HostedStage) -> None:
-        ctx = stage.context
-        if not ctx.pending:
-            return
-        now = self.elapsed()
-        full = self._buffer_pending(stage, now)
-        if full is not None:
-            for index in full:
-                await self._flush_route(stage, index)
-            return
-        # Mixed or unbatched routes: buffered where a buffer exists,
-        # shipped immediately where none does (local routes, batch off).
-        pending, ctx.pending = ctx.pending, []
-        mixed_full: List[int] = []
-        nbytes_out = 0.0
-        for payload, size, stream in pending:
-            nbytes_out += size
-            for index in route_indices(stage.route_units, self._route_groups, payload, stream):
-                buffer = stage.batch_buffers.get(index)
-                if buffer is None:
-                    await stage.out_routes[index].send(payload, size, stage.name)
-                elif buffer.add((payload, size), now) and index not in mixed_full:
-                    mixed_full.append(index)
-        stage.metrics.items_out.inc(len(pending))
-        stage.metrics.bytes_out.inc(nbytes_out)
-        for index in mixed_full:
-            await self._flush_route(stage, index)
-
-    async def _flush_due(self, stage: _HostedStage) -> None:
-        for index in due_buffers(stage, self.elapsed()):
-            await self._flush_route(stage, index, age=True)
-
-    async def _flush_route(
-        self, stage: _HostedStage, index: int, age: bool = False
-    ) -> None:
-        """Ship one route's accumulated batch as (at most a few) DATA frames."""
-        entries = drain_batch(stage, index, age)
-        if entries:
-            await stage.out_routes[index].channel.send_batch(entries)
 
     async def _monitor_task(self, stage: _HostedStage) -> None:
         """The Section 4 adaptation loop, run locally per stage."""
@@ -934,10 +816,9 @@ class Worker:
             await asyncio.sleep(0.001)
         if not stage.done.is_set():
             stage.fence_passed = asyncio.Event()
-            # A barrier, not an ordinary entry: with a sharded inbox the
-            # fence must sort after every lane's items, and the lanes
-            # are quiescent (upstreams paused), so barrier delivery ==
-            # "all lanes drained".
+            # A barrier, not an ordinary entry: it never rides inside an
+            # item chunk, so the stage sees it alone, after every item
+            # already queued (the upstreams are paused).
             await stage.inbox.put_barrier((None, _MigrateFence()))
             waits = [
                 asyncio.create_task(stage.done.wait()),
@@ -1031,7 +912,6 @@ class Worker:
             raise ProtocolError(f"channel {stream!r} attached twice")
         channel.attach(writer)
         stage = self._stages[channel.dst_stage]
-        lane = channel.lane
         saw_eos = False
         try:
             # Bulk reads through one persistent decoder: back-to-back
@@ -1054,8 +934,7 @@ class Worker:
                                 ),
                             )
                             for payload, size in decoded
-                        ],
-                        lane=lane,
+                        ]
                     )
                     stage.rate_estimator.observe(
                         self.elapsed(), count=float(len(decoded))
@@ -1065,9 +944,7 @@ class Worker:
                     )
                 elif frame.type is FrameType.EOS:
                     saw_eos = True
-                    await stage.inbox.force_put(
-                        (None, EndOfStream(origin=stream)), lane=lane
-                    )
+                    await stage.inbox.force_put((None, EndOfStream(origin=stream)))
                 else:
                     raise ProtocolError(
                         f"unexpected {frame.type.name} frame on data channel "

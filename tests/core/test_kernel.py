@@ -15,15 +15,26 @@ import repro
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.adaptation.protocol import LoadException, LoadExceptionKind
 from repro.core.api import ProcessorError, StreamProcessor
+from repro.core.batching import BatchPolicy
+from repro.core.items import EndOfStream, Item
 from repro.core.kernel import (
+    EOS,
+    FLUSH,
+    SEND,
+    TAKE,
+    WORK,
     EdgeSpec,
     StageCore,
     adaptation_tick,
     build_route_units,
     route_indices,
     run_setup,
+    stage_loop,
 )
 from repro.obs.registry import MetricsRegistry
+from repro.obs.tracing import ItemTrace
+from repro.resilience.policy import DeadLetterQueue, ResilienceConfig
+from repro.simnet.hosts import CpuCostModel
 
 
 class _Counter:
@@ -262,10 +273,125 @@ class TestAdaptationTick:
         assert stage.registry.value("stage.s.exceptions_received") == 7
 
 
+# -- the stage loop under a fake interpreter -----------------------------------
+
+
+class _Relay(StreamProcessor):
+    """Emits every payload; raises on the payload "poison" after emitting."""
+
+    cost_model = CpuCostModel()
+
+    def __init__(self):
+        self.flushed = 0
+
+    def on_item(self, payload, context):
+        context.emit(payload)
+        if payload == "poison":
+            raise ValueError("poison")
+
+    def flush(self, context):
+        self.flushed += 1
+
+
+def _loop_stage(batch=None, resilience=None, inputs=1):
+    stage = StageCore(
+        "s", _Relay(), {}, _Queue(), AdaptationPolicy(), MetricsRegistry(), lambda: 0.0,
+        batch_default=batch,
+    )
+    stage.route_units, stage.stream_names = build_route_units([EdgeSpec("out")])
+    stage.open_batch_buffers([0])
+    stage.resilience = resilience
+    stage.dead_letters = DeadLetterQueue(10)
+    for _ in range(inputs):
+        stage.eos.expect()
+    return stage
+
+
+def _drive(stage, chunks, work=0.0, **traits):
+    """Answer ``stage_loop``'s effects from a script of input chunks.
+
+    Returns every effect but TAKE, in order; stops when the script runs
+    out or the loop sends end-of-stream.
+    """
+    loop = stage_loop(stage, {}, **traits)
+    script = list(chunks)
+    effects = []
+    reply = None
+    while True:
+        effect = loop.send(reply)
+        reply = None
+        if effect[0] is TAKE:
+            if not script:
+                return effects
+            reply = script.pop(0)
+            continue
+        effects.append(effect)
+        if effect[0] is WORK:
+            reply = work
+        elif effect[0] is EOS:
+            return effects
+
+
+def _item(payload, hop=None):
+    return Item(payload=payload, size=8.0, origin="in", hop=hop)
+
+
+class TestStageLoop:
+    def test_multi_input_eos_completes_only_on_the_last_input(self):
+        stage = _loop_stage(inputs=2)
+        effects = _drive(stage, [[EndOfStream("a")], [EndOfStream("b")]])
+        assert effects == [(EOS,)]
+        assert stage.processor.flushed == 1
+        stage = _loop_stage(inputs=2)
+        assert _drive(stage, [[EndOfStream("a")]]) == []
+        assert stage.processor.flushed == 0
+
+    def test_quarantined_item_keeps_earlier_chunk_mates_emissions(self):
+        stage = _loop_stage(BatchPolicy(8, 1.0), ResilienceConfig(error_policy="dead-letter"))
+        _drive(stage, [[_item("a"), _item("poison"), _item("c")]])
+        assert [entry[0] for entry in stage.batch_buffers[0].drain()] == ["a", "c"]
+        assert stage.registry.value("fault.s.quarantined") == 1
+        assert [letter.payload for letter in stage.dead_letters.letters] == ["poison"]
+        assert stage.consumed == 3
+
+    def test_poison_item_without_resilience_raises(self):
+        with pytest.raises(ValueError, match="poison"):
+            _drive(_loop_stage(), [[_item("poison")]])
+
+    def test_full_buffer_yields_one_flush(self):
+        stage = _loop_stage(BatchPolicy(2, 1.0))
+        effects = _drive(stage, [[_item(1), _item(2), _item(3)]], deadlines=False)
+        flushes = [e for e in effects if e[0] is FLUSH]
+        assert [(index, [entry[0] for entry in entries]) for _, index, entries in flushes] == [
+            (0, [1, 2])
+        ]
+        assert stage.registry.value("batch.s.batches") == 1
+        assert stage.registry.value("stage.s.items_in") == 3
+        assert stage.registry.value("stage.s.items_out") == 3
+
+    def test_unbuffered_route_yields_a_send(self):
+        stage = _loop_stage()
+        effects = _drive(stage, [[_item(7)]])
+        assert effects == [(SEND, 0, 7, 8.0, None, None)]
+
+    def test_work_duration_lands_in_busy_seconds_and_hop(self):
+        hop = ItemTrace(1, "src", 0.0).begin_hop("s", 0.0)
+        stage = _loop_stage()
+        effects = _drive(stage, [[_item(1, hop=hop)]], work=0.25, price_free_work=True)
+        assert effects[0][0] is WORK and effects[0][2:] == (1.0, 8.0)
+        assert stage.registry.value("stage.s.busy_seconds") == 0.25
+        assert hop.process_t == 0.25
+
+
 # -- one definition ----------------------------------------------------------
 
 #: Names that may be defined only in ``core/kernel.py``.
-_KERNEL_ONLY = ("*RouteUnit", "*build_route_units", "*route_indices", "*next_flush_timeout")
+_KERNEL_ONLY = (
+    "*RouteUnit", "*build_route_units", "*route_indices", "*next_flush_timeout",
+    "*transmit_pending", "*buffer_pending", "*flush_edge*", "*flush_route",
+)
+#: Calls into user processors that only the kernel's loop makes.
+_KERNEL_ONLY_CALLS = (".on_item(", "processor.flush(")
 #: StageContext subclasses allowed outside the kernel: only the
 #: unit-test fake that predates it.  (The threaded runtime's locked
 #: ``get_suggested_value`` is bound inside ``KernelStageContext``
@@ -280,7 +406,12 @@ def test_stage_kernel_is_defined_once():
         relative = path.relative_to(root).as_posix()
         if relative == "core/kernel.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        source = path.read_text()
+        for lineno, line in enumerate(source.splitlines(), 1):
+            for call in _KERNEL_ONLY_CALLS:
+                if call in line:
+                    offenders.append(f"{relative}:{lineno} calls {call}")
+        for node in ast.walk(ast.parse(source)):
             if not isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if any(fnmatch.fnmatchcase(node.name, pattern) for pattern in _KERNEL_ONLY):

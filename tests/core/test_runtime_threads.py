@@ -1,5 +1,7 @@
 """Tests for the real-thread runtime (timing-tolerant)."""
 
+import time
+
 import pytest
 
 from repro.core.adaptation.policy import AdaptationPolicy
@@ -195,3 +197,63 @@ class TestThreadedArrivals:
                        arrivals=PoissonArrivals(200.0, seed=3))
         result = rt.run(timeout=30.0)
         assert len(result.final_value("sink")) == 100
+
+
+class _Gaps:
+    """An arrival process with fixed per-item gaps (seconds)."""
+
+    def __init__(self, *gaps):
+        self._gaps = gaps
+
+    def gaps(self):
+        return iter(self._gaps)
+
+
+class StampedRelay(StreamProcessor):
+    """Forwards each payload, noting when; busy for 0.3 s on payload 0."""
+
+    cost_model = CpuCostModel()
+
+    def __init__(self):
+        self.emitted = {}
+
+    def on_item(self, payload, context):
+        if payload == 0:
+            time.sleep(0.3)
+        self.emitted[payload] = context.now
+        context.emit(payload, size=8.0)
+
+    def result(self):
+        return dict(self.emitted)
+
+
+class StampedSink(Collect):
+    def on_item(self, payload, context):
+        self.items.append((payload, context.now))
+
+
+class TestThreadedBatching:
+    def test_chunk_ending_in_a_non_final_eos_still_flushes_on_time(self):
+        from repro.core.batching import BatchPolicy
+
+        # While the relay is busy with item 0, the fast source delivers
+        # 1-3 and its end-of-stream, so the relay drains [1, 2, 3, EOS]
+        # as one chunk; the slow source's next item comes 1 s later.
+        # Items 1-3 must not wait for it.
+        max_delay = 0.05
+        rt = ThreadedRuntime(adaptation_enabled=False, batch=BatchPolicy(32, max_delay))
+        rt.add_stage("relay", StampedRelay())
+        rt.add_stage("sink", StampedSink())
+        rt.connect("relay", "sink")
+        rt.bind_source("slow", "relay", [0, 4], arrivals=_Gaps(0.0, 1.0))
+        rt.bind_source("fast", "relay", [1, 2, 3], arrivals=_Gaps(0.1, 0.0, 0.0))
+        result = rt.run(timeout=30.0)
+        emitted = result.final_value("relay")
+        arrived = dict(result.final_value("sink"))
+        assert sorted(arrived) == [0, 1, 2, 3, 4]
+        late = {
+            payload: round(arrived[payload] - emitted[payload], 3)
+            for payload in arrived
+            if arrived[payload] - emitted[payload] > max_delay + 0.25
+        }
+        assert late == {}

@@ -481,69 +481,35 @@ class TestNoteConsumedCounts:
 
 
 class TestInboxLanes:
-    """Sharded lanes: per-lane FIFO, fair interleave, global barriers."""
-
-    def test_per_lane_fifo_is_preserved(self):
-        async def scenario():
-            inbox = AsyncInbox(capacity=32, window=4, lanes=3)
-            for i in range(4):
-                await inbox.put(("a", i), lane=0)
-                await inbox.put(("b", i), lane=1)
-                await inbox.put(("c", i), lane=2)
-            return [await inbox.get() for _ in range(12)]
-
-        out = run(scenario())
-        for name in ("a", "b", "c"):
-            seq = [i for tag, i in out if tag == name]
-            assert seq == [0, 1, 2, 3], f"lane {name} reordered: {seq}"
-
-    def test_capacity_counts_across_all_lanes(self):
-        async def scenario():
-            inbox = AsyncInbox(capacity=2, window=4, lanes=2)
-            await inbox.put("a", lane=0)
-            await inbox.put("b", lane=1)
-            blocked = asyncio.create_task(inbox.put("c", lane=0))
-            await asyncio.sleep(0.01)
-            assert not blocked.done()
-            await inbox.get()
-            await asyncio.wait_for(blocked, 1.0)
-
-        run(scenario())
+    """The migration barrier: a FIFO tail entry never mixed into a chunk."""
 
     def test_barrier_waits_for_every_lane_to_drain(self):
         async def scenario():
-            inbox = AsyncInbox(capacity=32, window=4, lanes=2)
-            await inbox.put("x0", lane=0)
-            await inbox.put("x1", lane=1)
+            inbox = AsyncInbox(capacity=32, window=4)
+            await inbox.put("x0")
+            await inbox.force_put("x1")
             await inbox.put_barrier("FENCE")
             # Items enqueued *after* the barrier must still come out
-            # after it, whatever lane they land on.
-            await inbox.put("y0", lane=0)
-            await inbox.put("y1", lane=1)
+            # after it, whichever producer path they take.
+            await inbox.put("y0")
+            await inbox.force_put_many(["y1"])
             return [await inbox.get() for _ in range(5)]
 
-        out = run(scenario())
-        assert out.index("FENCE") == 2
-        assert set(out[:2]) == {"x0", "x1"}
-        assert set(out[3:]) == {"y0", "y1"}
+        assert run(scenario()) == ["x0", "x1", "FENCE", "y0", "y1"]
 
     def test_get_many_never_mixes_barrier_with_items(self):
         async def scenario():
-            inbox = AsyncInbox(capacity=32, window=4, lanes=2)
-            await inbox.put("a", lane=0)
-            await inbox.put("b", lane=1)
+            inbox = AsyncInbox(capacity=32, window=4)
+            await inbox.put("a")
+            await inbox.put("b")
             await inbox.put_barrier("FENCE")
+            await inbox.put("c")
             first = await inbox.get_many(16)
             second = await inbox.get_many(16)
-            return first, second
+            third = await inbox.get_many(16)
+            return first, second, third
 
-        first, second = run(scenario())
-        assert set(first) == {"a", "b"}
-        assert second == ["FENCE"]
-
-    def test_rejects_silly_lanes(self):
-        with pytest.raises(ValueError, match="lanes"):
-            AsyncInbox(capacity=4, window=4, lanes=0)
+        assert run(scenario()) == (["a", "b"], ["FENCE"], ["c"])
 
 
 class _BufferedFakeWriter(_FakeWriter):
