@@ -108,7 +108,7 @@ def main() -> float:
           f"{result.metrics.value('link.edge->central.messages'):.0f} messages")
     # ...and the full run renders as a terminal report (also available
     # as `python -m repro report`, with --export jsonl/csv).
-    from repro.obs import render_report
+    from repro.obs.report import render_report
 
     print()
     print(render_report(result))

@@ -20,45 +20,15 @@ and the ``GAxxx`` code catalog (:mod:`~repro.analysis.codes`):
 See ``docs/static_analysis.md`` for the catalog of diagnostic codes.
 """
 
-from repro.analysis.codes import (
-    CODES,
-    CodeInfo,
-    analyze_codes,
-    concurrency_codes,
-    config_codes,
-    info_for,
-    lint_codes,
-    protocol_codes,
-)
-from repro.analysis.concurrency import analyze_paths
-from repro.analysis.diagnostics import Diagnostic, Report, Severity, SourceSpan
-from repro.analysis.protocol import check_conformance, check_models, explore
-from repro.analysis.verifier import (
-    verify_config,
-    verify_document,
-    verify_path,
-    verify_raw,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CODES",
-    "CodeInfo",
-    "Diagnostic",
-    "Report",
-    "Severity",
-    "SourceSpan",
-    "analyze_codes",
-    "analyze_paths",
-    "check_conformance",
-    "check_models",
-    "concurrency_codes",
-    "config_codes",
-    "explore",
-    "info_for",
-    "lint_codes",
-    "protocol_codes",
-    "verify_config",
-    "verify_document",
-    "verify_path",
-    "verify_raw",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".codes": (
+        "CODES", "CodeInfo", "analyze_codes", "concurrency_codes", "config_codes",
+        "info_for", "lint_codes", "protocol_codes",
+    ),
+    ".concurrency": ("analyze_paths",),
+    ".diagnostics": ("Diagnostic", "Report", "Severity", "SourceSpan"),
+    ".protocol": ("check_conformance", "check_models", "explore"),
+    ".verifier": ("verify_config", "verify_document", "verify_path", "verify_raw"),
+})

@@ -15,48 +15,15 @@
   (distributed port-scan detection over connection logs).
 """
 
-from repro.apps.algo_switch import (
-    AlgorithmLadder,
-    AlgorithmRung,
-    AlgorithmSwitchingFilterStage,
-)
-from repro.apps.comp_steer import (
-    AnalysisStage,
-    SamplingStage,
-    build_comp_steer_config,
-)
-from repro.apps.count_samps import (
-    CentralCountStage,
-    IntermediateMergeStage,
-    JoinStage,
-    RelayStage,
-    SourceFilterStage,
-    build_centralized_config,
-    build_distributed_config,
-    build_hierarchical_config,
-)
-from repro.apps.intrusion import (
-    AlertStage,
-    LogFilterStage,
-    build_intrusion_config,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AlertStage",
-    "AlgorithmLadder",
-    "AlgorithmRung",
-    "AlgorithmSwitchingFilterStage",
-    "AnalysisStage",
-    "CentralCountStage",
-    "IntermediateMergeStage",
-    "JoinStage",
-    "LogFilterStage",
-    "RelayStage",
-    "SamplingStage",
-    "SourceFilterStage",
-    "build_centralized_config",
-    "build_comp_steer_config",
-    "build_distributed_config",
-    "build_hierarchical_config",
-    "build_intrusion_config",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".algo_switch": ("AlgorithmLadder", "AlgorithmRung", "AlgorithmSwitchingFilterStage"),
+    ".comp_steer": ("AnalysisStage", "SamplingStage", "build_comp_steer_config"),
+    ".count_samps": (
+        "CentralCountStage", "IntermediateMergeStage", "JoinStage", "RelayStage",
+        "SourceFilterStage", "build_centralized_config", "build_distributed_config",
+        "build_hierarchical_config",
+    ),
+    ".intrusion": ("AlertStage", "LogFilterStage", "build_intrusion_config"),
+})

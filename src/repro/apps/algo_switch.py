@@ -21,7 +21,8 @@ from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.core.api import StageContext, StreamProcessor
 from repro.simnet.hosts import CpuCostModel
-from repro.streams.sketches import FrequencySketch, make_sketch
+from repro.streams.sketches.base import FrequencySketch
+from repro.streams.sketches.factory import make_sketch
 from repro.streams.wire import summary_wire_size
 
 __all__ = ["AlgorithmLadder", "AlgorithmRung", "AlgorithmSwitchingFilterStage"]
@@ -37,7 +38,7 @@ class AlgorithmRung:
     Attributes
     ----------
     name:
-        Sketch kind understood by :func:`repro.streams.sketches.make_sketch`.
+        Sketch kind understood by :func:`repro.streams.sketches.factory.make_sketch`.
     capacity_factor:
         Multiplier on the stage's base capacity k.
     cost_per_item:

@@ -33,7 +33,8 @@ from repro.core.api import StageContext, StreamProcessor
 from repro.grid.config import AppConfig, ParameterConfig, StageConfig, StreamConfig
 from repro.grid.resources import ResourceRequirement
 from repro.simnet.hosts import CpuCostModel
-from repro.streams.sketches import CountingSamples, make_sketch
+from repro.streams.sketches.counting_samples import CountingSamples
+from repro.streams.sketches.factory import make_sketch
 from repro.streams.wire import summary_wire_size
 
 __all__ = [

@@ -466,7 +466,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.analysis import verify_path
+    from repro.analysis.verifier import verify_path
     from repro.experiments.common import build_star_fabric
 
     fabric = build_star_fabric(args.sources, bandwidth=args.bandwidth)
@@ -562,7 +562,7 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.ledger import ReplaySpec, record, replay
+    from repro.ledger.harness import ReplaySpec, record, replay
 
     if args.record is not None and args.ledger is not None:
         print("replay: give either --record DIR or a LEDGER path, not both",
@@ -594,7 +594,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print("replay: need a LEDGER path to replay, or --record DIR to "
               "record one", file=sys.stderr)
         return 2
-    from repro.ledger import LedgerError
+    from repro.ledger.ledger import LedgerError
 
     try:
         report = replay(args.ledger, runtime=args.runtime)

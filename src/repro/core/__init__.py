@@ -15,64 +15,3 @@ This package is the paper's primary contribution:
   token-bucket throttled links, demonstrating the middleware under real
   concurrency.
 """
-
-from repro.core.adaptation import (
-    AdaptationPolicy,
-    LoadEstimator,
-    LoadExceptionKind,
-    ParameterController,
-    phi1,
-    phi2_linear,
-    phi2_saturating,
-    phi3,
-)
-from repro.core.api import (
-    AdjustmentParameter,
-    ProcessorError,
-    StageContext,
-    StreamProcessor,
-)
-from repro.core.items import EndOfStream, Item
-from repro.core.queries import ContinuousQuery
-from repro.core.results import RunResult, StageStats
-from repro.core.stages import (
-    AdaptiveSampleStage,
-    BatchStage,
-    CollectStage,
-    FilterStage,
-    MapStage,
-    SlidingWindowStage,
-    TumblingWindowStage,
-)
-from repro.core.runtime_sim import SimulatedRuntime, SourceBinding
-from repro.core.runtime_threads import ThreadedRuntime
-
-__all__ = [
-    "AdaptationPolicy",
-    "AdaptiveSampleStage",
-    "AdjustmentParameter",
-    "BatchStage",
-    "CollectStage",
-    "ContinuousQuery",
-    "EndOfStream",
-    "FilterStage",
-    "MapStage",
-    "SlidingWindowStage",
-    "TumblingWindowStage",
-    "Item",
-    "LoadEstimator",
-    "LoadExceptionKind",
-    "ParameterController",
-    "ProcessorError",
-    "RunResult",
-    "SimulatedRuntime",
-    "SourceBinding",
-    "StageContext",
-    "StageStats",
-    "StreamProcessor",
-    "ThreadedRuntime",
-    "phi1",
-    "phi2_linear",
-    "phi2_saturating",
-    "phi3",
-]

@@ -16,26 +16,11 @@ Components, mapped to the paper's symbols (Figure 2):
   server").
 """
 
-from repro.core.adaptation.controller import ParameterController, SigmaEstimator
-from repro.core.adaptation.load import LoadEstimator, phi1, phi2_linear, phi2_saturating, phi3
-from repro.core.adaptation.policy import AdaptationPolicy, PolicyError
-from repro.core.adaptation.protocol import (
-    ExceptionCounter,
-    LoadException,
-    LoadExceptionKind,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AdaptationPolicy",
-    "ExceptionCounter",
-    "LoadEstimator",
-    "LoadException",
-    "LoadExceptionKind",
-    "ParameterController",
-    "PolicyError",
-    "SigmaEstimator",
-    "phi1",
-    "phi2_linear",
-    "phi2_saturating",
-    "phi3",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".controller": ("ParameterController", "SigmaEstimator"),
+    ".load": ("LoadEstimator", "phi1", "phi2_linear", "phi2_saturating", "phi3"),
+    ".policy": ("AdaptationPolicy", "PolicyError"),
+    ".protocol": ("ExceptionCounter", "LoadException", "LoadExceptionKind"),
+})

@@ -17,20 +17,11 @@ Each module exposes a ``run_*`` function returning structured rows and a
 ``python -m repro.experiments.fig5`` etc.
 """
 
-from repro.experiments.common import (
-    CountSampsRun,
-    GridFabric,
-    build_star_fabric,
-    run_comp_steer,
-    run_count_samps_centralized,
-    run_count_samps_distributed,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CountSampsRun",
-    "GridFabric",
-    "build_star_fabric",
-    "run_comp_steer",
-    "run_count_samps_centralized",
-    "run_count_samps_distributed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".common": (
+        "CountSampsRun", "GridFabric", "build_star_fabric", "run_comp_steer",
+        "run_count_samps_centralized", "run_count_samps_distributed",
+    ),
+})

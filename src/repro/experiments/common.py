@@ -24,7 +24,7 @@ from repro.grid.deployer import Deployer
 from repro.grid.launcher import Launcher
 from repro.grid.registry import ServiceRegistry
 from repro.grid.repository import CodeRepository
-from repro.metrics import topk_accuracy
+from repro.metrics.accuracy import topk_accuracy
 from repro.simnet.engine import Environment
 from repro.simnet.topology import Network
 from repro.streams.sources import IntegerStream, MeshStream

@@ -21,58 +21,3 @@ substitution rationale):
   (parses configuration) and Deployer (finds nodes, instantiates GATES
   service instances, uploads stage code) of Section 3.2.
 """
-
-from repro.grid.config import AppConfig, ConfigError, StageConfig, StreamConfig
-from repro.grid.deployer import Deployer, Deployment, DeploymentError, Placement
-from repro.grid.faults import FaultInjector, FaultPlan, Redeployer
-from repro.grid.launcher import Launcher
-from repro.grid.matchmaker import Matchmaker, MatchError
-from repro.grid.monitor import FabricSnapshot, MonitoringService
-from repro.grid.registry import RegistryError, ServiceRegistry
-from repro.grid.repository import CodeRepository, RepositoryError
-from repro.grid.resources import ResourceOffer, ResourceRequirement
-from repro.grid.stream_sources import (
-    StreamSourceDescriptor,
-    bind_registered_streams,
-    register_stream_source,
-    registered_streams,
-)
-from repro.grid.services import (
-    GatesServiceInstance,
-    ServiceContainer,
-    ServiceError,
-    ServiceState,
-)
-
-__all__ = [
-    "AppConfig",
-    "CodeRepository",
-    "ConfigError",
-    "Deployer",
-    "Deployment",
-    "DeploymentError",
-    "FabricSnapshot",
-    "FaultInjector",
-    "FaultPlan",
-    "GatesServiceInstance",
-    "Launcher",
-    "MatchError",
-    "Matchmaker",
-    "MonitoringService",
-    "Redeployer",
-    "Placement",
-    "RegistryError",
-    "RepositoryError",
-    "ResourceOffer",
-    "ResourceRequirement",
-    "ServiceContainer",
-    "ServiceError",
-    "ServiceRegistry",
-    "ServiceState",
-    "StageConfig",
-    "StreamConfig",
-    "StreamSourceDescriptor",
-    "bind_registered_streams",
-    "register_stream_source",
-    "registered_streams",
-]

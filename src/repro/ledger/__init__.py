@@ -25,54 +25,16 @@ Layers:
 See ``docs/replay.md`` for the record format and determinism contract.
 """
 
-from .context import (
-    DeterministicContext,
-    MODE_OFF,
-    MODE_RECORD,
-    MODE_REPLAY,
-    base_stage_name,
-    deterministic_context_for,
-    reset_registry,
-)
-from .harness import (
-    RUNTIMES,
-    RecordResult,
-    ReplayReport,
-    ReplaySpec,
-    record,
-    replay,
-)
-from .ledger import LedgerError, LedgerReader, LedgerWriter, merge_ledgers
-from .records import GENESIS, RECORD_TYPES, Record, RecordError
-from .sinks import SinkTxn, TxnCollectStage
-from .stages import DetRelayStage, key_of, value_of, wrap
+from repro import lazy_exports
 
-__all__ = [
-    "DetRelayStage",
-    "DeterministicContext",
-    "GENESIS",
-    "LedgerError",
-    "LedgerReader",
-    "LedgerWriter",
-    "MODE_OFF",
-    "MODE_RECORD",
-    "MODE_REPLAY",
-    "RECORD_TYPES",
-    "RUNTIMES",
-    "Record",
-    "RecordError",
-    "RecordResult",
-    "ReplayReport",
-    "ReplaySpec",
-    "SinkTxn",
-    "TxnCollectStage",
-    "base_stage_name",
-    "deterministic_context_for",
-    "key_of",
-    "merge_ledgers",
-    "record",
-    "replay",
-    "reset_registry",
-    "value_of",
-    "wrap",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".context": (
+        "DeterministicContext", "MODE_OFF", "MODE_RECORD", "MODE_REPLAY", "base_stage_name",
+        "deterministic_context_for", "reset_registry",
+    ),
+    ".harness": ("RUNTIMES", "RecordResult", "ReplayReport", "ReplaySpec", "record", "replay"),
+    ".ledger": ("LedgerError", "LedgerReader", "LedgerWriter", "merge_ledgers"),
+    ".records": ("GENESIS", "RECORD_TYPES", "Record", "RecordError"),
+    ".sinks": ("SinkTxn", "TxnCollectStage"),
+    ".stages": ("DetRelayStage", "key_of", "value_of", "wrap"),
+})

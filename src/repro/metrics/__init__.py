@@ -1,19 +1,9 @@
 """Accuracy and performance metrics for the experiment harness."""
 
-from repro.metrics.accuracy import (
-    frequency_error,
-    topk_accuracy,
-    topk_recall,
-)
-from repro.metrics.ascii_chart import multi_chart, strip_chart
-from repro.metrics.rates import RateEstimator, WindowedRateEstimator
+from repro import lazy_exports
 
-__all__ = [
-    "RateEstimator",
-    "WindowedRateEstimator",
-    "frequency_error",
-    "multi_chart",
-    "strip_chart",
-    "topk_accuracy",
-    "topk_recall",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".accuracy": ("frequency_error", "topk_accuracy", "topk_recall"),
+    ".ascii_chart": ("multi_chart", "strip_chart"),
+    ".rates": ("RateEstimator", "WindowedRateEstimator"),
+})

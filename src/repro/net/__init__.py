@@ -13,15 +13,3 @@ metrics registry — when the pipeline drains.
 See ``docs/networking.md`` for the frame layout, the credit-based flow
 control semantics, and the worker lifecycle.
 """
-
-from repro.net.coordinator import NetworkedRuntime, NetworkedRuntimeError
-from repro.net.protocol import Frame, FrameDecoder, FrameType, ProtocolError
-
-__all__ = [
-    "Frame",
-    "FrameDecoder",
-    "FrameType",
-    "NetworkedRuntime",
-    "NetworkedRuntimeError",
-    "ProtocolError",
-]

@@ -285,8 +285,12 @@ class NetworkedRuntime:
 
     # -- worker process management -------------------------------------------
 
-    def _spawn_workers(self, count: int) -> List[_WorkerHandle]:
-        """Launch ``count`` local worker processes and read their ports."""
+    def _spawn_workers(self, count: int, handles: List[_WorkerHandle]) -> None:
+        """Launch ``count`` local worker processes and read their ports.
+
+        Each process joins ``handles`` as soon as it exists, so the
+        caller reaps every started worker even when a later one fails to
+        announce."""
         src_root = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))
         env = dict(os.environ)
@@ -307,7 +311,6 @@ class NetworkedRuntime:
         if use_uds and self._uds_dir is None:
             # Short prefix: AF_UNIX paths are capped around ~100 bytes.
             self._uds_dir = tempfile.mkdtemp(prefix="repro-uds-")
-        handles = []
         for i in range(count):
             name = f"worker-{i}"
             argv = [sys.executable, "-m", "repro.net.worker", "--port", "0",
@@ -322,22 +325,19 @@ class NetworkedRuntime:
                 env=env,
                 text=True,
             )
+            handle = _WorkerHandle(name=name, host="127.0.0.1", port=0, process=process)
+            handles.append(handle)
             assert process.stdout is not None
             line = process.stdout.readline()
             if not line.startswith(ANNOUNCE_PREFIX):
-                process.kill()
                 raise NetworkedRuntimeError(
                     f"worker {name} failed to announce (got {line!r})"
                 )
             parts = line.split()
-            port = int(parts[1])
+            handle.port = int(parts[1])
             # The worker only announces a third token when the UNIX
             # socket actually bound (platform support, path length).
-            uds_path = parts[2] if len(parts) > 2 else None
-            handles.append(_WorkerHandle(name=name, host="127.0.0.1",
-                                         port=port, process=process,
-                                         uds=uds_path))
-        return handles
+            handle.uds = parts[2] if len(parts) > 2 else None
 
     # -- execution -----------------------------------------------------------
 
@@ -364,13 +364,7 @@ class NetworkedRuntime:
                     f"source binding {binding.name!r} collides with a stream name"
                 )
 
-        if isinstance(self.workers_spec, int):
-            handles = self._spawn_workers(self.workers_spec)
-        else:
-            handles = [
-                _WorkerHandle(name=f"worker-{i}", host=host, port=port)
-                for i, (host, port) in enumerate(self.workers_spec)
-            ]
+        handles: List[_WorkerHandle] = []
         outcome: List[RunResult] = []
 
         async def main() -> None:
@@ -384,6 +378,13 @@ class NetworkedRuntime:
             )
 
         try:
+            if isinstance(self.workers_spec, int):
+                self._spawn_workers(self.workers_spec, handles)
+            else:
+                handles += [
+                    _WorkerHandle(name=f"worker-{i}", host=host, port=port)
+                    for i, (host, port) in enumerate(self.workers_spec)
+                ]
             asyncio.run(main())
             return outcome[0]
         except asyncio.TimeoutError:

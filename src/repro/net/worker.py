@@ -214,6 +214,21 @@ class _MigrateFence:
     """
 
 
+async def _return_credit(drained: Any) -> None:
+    """Hand credit for a consumed chunk of ``(channel, message)`` pairs
+    back upstream: one ``note_consumed`` per wire channel in the chunk."""
+    counts: Dict[InChannel, int] = {}
+    for channel, _ in drained:
+        if channel is not None:
+            counts[channel] = counts.get(channel, 0) + 1
+    for channel, n in counts.items():
+        if channel.note_consumed(n) and channel.needs_drain():
+            # Credit backchannel piled up past the high watermark
+            # (slow/stalled sender): flush before consuming more so it
+            # stays bounded.
+            await channel.drain()
+
+
 class Worker:
     """One service container: hosts stages, talks frames, adapts locally."""
 
@@ -595,20 +610,17 @@ class Worker:
                 reply = None
                 kind = effect[0]
                 if kind is TAKE:
-                    for channel, _ in drained:
-                        if channel is not None and channel.note_consumed():
-                            if channel.needs_drain():
-                                # Credit backchannel piled up past the high
-                                # watermark (slow/stalled sender): flush
-                                # before consuming more so it stays bounded.
-                                await channel.drain()
-                    try:
-                        drained = await asyncio.wait_for(
-                            stage.inbox.get_many(limit), effect[1]
-                        )
-                    except asyncio.TimeoutError:
-                        drained = reply = ()
-                        continue
+                    await _return_credit(drained)
+                    if effect[1] is None:
+                        drained = await stage.inbox.get_many(limit)
+                    else:
+                        try:
+                            drained = await asyncio.wait_for(
+                                stage.inbox.get_many(limit), effect[1]
+                            )
+                        except asyncio.TimeoutError:
+                            drained = reply = ()
+                            continue
                     if isinstance(drained[0][1], _MigrateFence):
                         # Drain boundary: the upstreams are paused, so
                         # nothing follows; reply None to flush and stop.

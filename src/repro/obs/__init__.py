@@ -15,52 +15,6 @@ what you cannot observe"):
 * :mod:`repro.obs.report` — the terminal run-summary renderer.
 
 ``export`` and ``report`` sit *above* :mod:`repro.core` (they consume
-``RunResult``), so they are loaded lazily here — the registry/tracing
-layer below the core must import without them.
+``RunResult``); the registry/tracing layer below the core must import
+without them.
 """
-
-from repro.obs.names import METRICS, MetricSpec, spec_for, validate_name
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Series,
-)
-from repro.obs.tracing import Hop, ItemTrace, TraceCollector, publish_traces
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Hop",
-    "ItemTrace",
-    "METRICS",
-    "MetricSpec",
-    "MetricsRegistry",
-    "Series",
-    "TraceCollector",
-    "export_csv",
-    "export_jsonl",
-    "load_jsonl",
-    "publish_traces",
-    "render_report",
-    "spec_for",
-    "validate_name",
-]
-
-_LAZY = {
-    "export_csv": "repro.obs.export",
-    "export_jsonl": "repro.obs.export",
-    "load_jsonl": "repro.obs.export",
-    "render_report": "repro.obs.report",
-}
-
-
-def __getattr__(name: str):
-    """Load the core-dependent layers on first use (PEP 562)."""
-    if name in _LAZY:
-        import importlib
-
-        return getattr(importlib.import_module(_LAZY[name]), name)
-    raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")

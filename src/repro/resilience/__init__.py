@@ -27,50 +27,18 @@ Delivery semantics and the failure model are documented in
 ``docs/fault_tolerance.md``.
 """
 
-from __future__ import annotations
+from repro import lazy_exports
 
-from repro.resilience.checkpoint import (
-    CheckpointStore,
-    JsonlCheckpointStore,
-    MemoryCheckpointStore,
-    StageCheckpoint,
-)
-from repro.resilience.migration import (
-    MigrationController,
-    MigrationError,
-    MigrationPlan,
-    MigrationPolicy,
-    MigrationReport,
-    Migrator,
-)
-from repro.resilience.policy import DeadLetter, DeadLetterQueue, ResilienceConfig
-from repro.resilience.replay import ReplayBuffers
-
-__all__ = [
-    "CheckpointStore",
-    "DeadLetter",
-    "DeadLetterQueue",
-    "FailoverCoordinator",
-    "JsonlCheckpointStore",
-    "MemoryCheckpointStore",
-    "MigrationController",
-    "MigrationError",
-    "MigrationPlan",
-    "MigrationPolicy",
-    "MigrationReport",
-    "Migrator",
-    "ReplayBuffers",
-    "ResilienceConfig",
-    "StageCheckpoint",
-]
-
-
-def __getattr__(name: str):
-    # FailoverCoordinator lives behind a lazy import: failover.py imports
-    # the simulated runtime, which imports this package for the config
-    # types — eager re-export would create a cycle.
-    if name == "FailoverCoordinator":
-        from repro.resilience.failover import FailoverCoordinator
-
-        return FailoverCoordinator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".checkpoint": (
+        "CheckpointStore", "JsonlCheckpointStore", "MemoryCheckpointStore",
+        "StageCheckpoint",
+    ),
+    ".failover": ("FailoverCoordinator",),
+    ".migration": (
+        "MigrationController", "MigrationError", "MigrationPlan", "MigrationPolicy",
+        "MigrationReport", "Migrator",
+    ),
+    ".policy": ("DeadLetter", "DeadLetterQueue", "ResilienceConfig"),
+    ".replay": ("ReplayBuffers",),
+})

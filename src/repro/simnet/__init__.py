@@ -13,46 +13,3 @@ Everything in the middleware layers above (``repro.grid``, ``repro.core``)
 is written against these abstractions, so experiments that in the paper
 required a cluster run here as repeatable single-process simulations.
 """
-
-from repro.simnet.engine import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from repro.simnet.crosstraffic import CrossTrafficSource, inject_cross_traffic
-from repro.simnet.hosts import CpuCostModel, Host, HostFailedError
-from repro.simnet.links import Link, TokenBucket
-from repro.simnet.resources import BoundedQueue, CapacityResource, QueueFullError, Store
-from repro.simnet.topology import Network
-from repro.simnet.trace import EventLog, StatSummary, TimeSeries
-
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "BoundedQueue",
-    "CapacityResource",
-    "CpuCostModel",
-    "CrossTrafficSource",
-    "Environment",
-    "HostFailedError",
-    "inject_cross_traffic",
-    "Event",
-    "EventLog",
-    "Host",
-    "Interrupt",
-    "Link",
-    "Network",
-    "Process",
-    "QueueFullError",
-    "SimulationError",
-    "StatSummary",
-    "Store",
-    "TimeSeries",
-    "Timeout",
-    "TokenBucket",
-]

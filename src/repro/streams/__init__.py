@@ -16,49 +16,3 @@ are built from:
   (the paper notes self-adaptation may also switch "the choice of the
   algorithm to be used").
 """
-
-from repro.streams.arrivals import (
-    ArrivalProcess,
-    ConstantArrivals,
-    OnOffArrivals,
-    PoissonArrivals,
-)
-from repro.streams.sampling import BernoulliSampler, ReservoirSampler, SystematicSampler
-from repro.streams.sketches import (
-    CountingSamples,
-    ExactCounter,
-    FrequencySketch,
-    LossyCounting,
-    MisraGries,
-    SpaceSaving,
-    make_sketch,
-)
-from repro.streams.sources import (
-    ConnectionLogStream,
-    IntegerStream,
-    MeshStream,
-    interleave,
-    partition_round_robin,
-)
-
-__all__ = [
-    "ArrivalProcess",
-    "BernoulliSampler",
-    "ConstantArrivals",
-    "OnOffArrivals",
-    "PoissonArrivals",
-    "ConnectionLogStream",
-    "CountingSamples",
-    "ExactCounter",
-    "FrequencySketch",
-    "IntegerStream",
-    "LossyCounting",
-    "MeshStream",
-    "MisraGries",
-    "ReservoirSampler",
-    "SpaceSaving",
-    "SystematicSampler",
-    "interleave",
-    "make_sketch",
-    "partition_round_robin",
-]

@@ -16,48 +16,19 @@ adaptation can also change "the choice of the algorithm to be used"
 * :class:`LossyCounting` — Manku & Motwani's epsilon-deficient counts.
 * :class:`ExactCounter` — unbounded ground truth, used for accuracy
   metrics and for the "communicate everything" centralized baseline.
+
+:func:`~repro.streams.sketches.factory.make_sketch` builds one by name.
 """
 
-from repro.streams.sketches.base import FrequencySketch, SketchError
-from repro.streams.sketches.count_min import CountMin
-from repro.streams.sketches.counting_samples import CountingSamples
-from repro.streams.sketches.exact import ExactCounter
-from repro.streams.sketches.lossy_counting import LossyCounting
-from repro.streams.sketches.misra_gries import MisraGries
-from repro.streams.sketches.space_saving import SpaceSaving
+from repro import lazy_exports
 
-__all__ = [
-    "CountMin",
-    "CountingSamples",
-    "ExactCounter",
-    "FrequencySketch",
-    "LossyCounting",
-    "MisraGries",
-    "SketchError",
-    "SpaceSaving",
-    "make_sketch",
-]
-
-_SKETCHES = {
-    "count-min": CountMin,
-    "counting-samples": CountingSamples,
-    "misra-gries": MisraGries,
-    "space-saving": SpaceSaving,
-    "lossy-counting": LossyCounting,
-    "exact": ExactCounter,
-}
-
-
-def make_sketch(kind: str, capacity: int, **kwargs) -> FrequencySketch:
-    """Factory keyed by sketch name (used by configuration properties).
-
-    ``kind`` is one of ``counting-samples``, ``misra-gries``,
-    ``space-saving``, ``lossy-counting``, ``exact``.
-    """
-    try:
-        cls = _SKETCHES[kind]
-    except KeyError:
-        raise SketchError(
-            f"unknown sketch {kind!r}; expected one of {sorted(_SKETCHES)}"
-        ) from None
-    return cls(capacity, **kwargs)
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("FrequencySketch", "SketchError"),
+    ".count_min": ("CountMin",),
+    ".counting_samples": ("CountingSamples",),
+    ".exact": ("ExactCounter",),
+    ".factory": ("make_sketch",),
+    ".lossy_counting": ("LossyCounting",),
+    ".misra_gries": ("MisraGries",),
+    ".space_saving": ("SpaceSaving",),
+})

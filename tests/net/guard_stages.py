@@ -9,14 +9,20 @@ from repro.core.api import StageContext, StreamProcessor
 
 
 class ModulesRelay(StreamProcessor):
-    """Forwards every item; ``result()`` is the hosting process's pid
-    and the sorted names in its ``sys.modules``."""
+    """Forwards every item; ``result()`` is the hosting process's pid,
+    the module it runs as ``__main__`` and the sorted names in its
+    ``sys.modules``."""
 
     def on_item(self, payload: Any, context: StageContext) -> None:
         context.emit(payload)
 
     def result(self) -> Dict[str, Any]:
-        return {"pid": os.getpid(), "modules": sorted(sys.modules)}
+        main_spec = getattr(sys.modules["__main__"], "__spec__", None)
+        return {
+            "pid": os.getpid(),
+            "main": getattr(main_spec, "name", None),
+            "modules": sorted(sys.modules),
+        }
 
 
 class ModulesSink(ModulesRelay):

@@ -479,6 +479,36 @@ class TestNoteConsumedCounts:
         channel.note_consumed(1)
         assert writer.frames[1].json() == {"stream": "s", "n": 4}
 
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 5, 8])
+    def test_a_chunk_returns_its_credit_in_one_call(self, chunk):
+        """The worker credits a chunk with one ``note_consumed(n)`` per
+        channel: the CREDIT totals match crediting item by item, and no
+        more than the window is ever outstanding."""
+        from repro.net.worker import _return_credit
+
+        window = 8
+        per_item, per_chunk = InChannel("s", "dst", window), InChannel("s", "dst", window)
+        item_writer, chunk_writer = _FakeWriter(), _FakeWriter()
+        per_item.attach(item_writer)
+        per_chunk.attach(chunk_writer)
+
+        def granted(writer):
+            return sum(frame.json()["n"] for frame in writer.frames)
+
+        consumed = 0
+        while consumed < 100:
+            # The sender ships as much of a chunk as its credit allows.
+            k = min(chunk, granted(chunk_writer) - consumed)
+            assert k > 0, "the sender starved"
+            consumed += k
+            run(_return_credit([(per_chunk, "item")] * k + [(None, "local")]))
+            for _ in range(k):
+                per_item.note_consumed()
+            for channel, writer in ((per_chunk, chunk_writer), (per_item, item_writer)):
+                assert granted(writer) - window + channel._consumed == consumed
+                assert granted(writer) - consumed <= window
+        assert len(chunk_writer.frames) <= len(item_writer.frames)
+
 
 class TestInboxLanes:
     """The migration barrier: a FIFO tail entry never mixed into a chunk."""

@@ -1,12 +1,13 @@
-"""A process that relays items loads neither numpy nor networkx.
+"""A process that relays items loads neither numpy nor networkx, and a
+networked worker loads none of the layers it does not run.
 
 Both packages are still dependencies — the stream generators and the
 sketches draw from numpy, ``AppConfig.stage_graph()`` builds a networkx
 graph — but they load where they are first used, so a networked worker,
 the coordinator and a threaded run of stages that use neither never pay
 for them (ROADMAP item 4(c); ``docs/performance.md`` "Process footprint
-and RESULT collection").  The runs happen in fresh interpreters: this
-test process has both loaded long before it gets here.
+and RESULT collection" and "Process start").  The runs happen in fresh
+interpreters: this test process has both loaded long before it gets here.
 """
 
 import ast
@@ -22,8 +23,25 @@ RUNTIME_PACKAGES = (
 )
 
 
+#: Layers a relay or sink worker does not run: the coordinator, the
+#: other two runtimes, the grid Deployer/Launcher, migration control, the
+#: analyzers and the experiment harness (ROADMAP item 4(c)).
+UNHOSTED = (
+    "repro.net.coordinator", "repro.core.runtime_sim", "repro.core.runtime_threads",
+    "repro.grid.deployer", "repro.grid.launcher", "repro.resilience.migration",
+    "repro.analysis", "repro.experiments",
+)
+
+
 def heavy_in(modules) -> list:
     return sorted(m for m in modules if m.split(".")[0] in HEAVY)
+
+
+def unhosted_in(modules) -> list:
+    return sorted(
+        m for m in modules
+        if any(m == layer or m.startswith(layer + ".") for layer in UNHOSTED)
+    )
 
 
 def test_importing_the_worker_loads_neither_package():
@@ -72,8 +90,15 @@ def test_a_networked_run_loads_neither_package_in_any_process():
     pids = {report[role]["pid"] for role in ("coordinator", "relay", "sink")}
     assert len(pids) == 3, "relay and sink were meant to land on two workers"
     for role in ("coordinator", "relay", "sink"):
-        assert "repro.net.worker" in report[role]["modules"]
         assert heavy_in(report[role]["modules"]) == [], role
+    for role in ("relay", "sink"):
+        modules = report[role]["modules"]
+        # worker.py runs once, as the script: nothing imports it again.
+        assert report[role]["main"] == "repro.net.worker", role
+        assert "repro.net.worker" not in modules, role
+        assert unhosted_in(modules) == [], role
+        # START warms the ledger context on purpose (net/worker.py).
+        assert "repro.ledger.context" in modules, role
 
 
 THREADED_RUN = """

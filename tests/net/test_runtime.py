@@ -149,6 +149,39 @@ class TestNetworkedErrors:
         with pytest.raises(NetworkedRuntimeError, match="cannot fetch code"):
             runtime.run(timeout=10.0)
 
+    def test_a_worker_that_fails_to_announce_takes_the_started_ones_down(
+        self, monkeypatch
+    ):
+        """Regression: a spawn failure after worker 0 came up left worker 0
+        serving forever and the UNIX-socket directory on disk."""
+        import os
+        import subprocess
+        import sys
+
+        from repro.net import coordinator
+
+        spawned = []
+        real_popen = subprocess.Popen
+
+        def popen(argv, **kwargs):
+            if spawned:  # every worker after the first never announces
+                argv = [sys.executable, "-c", "print('nope')"]
+            spawned.append((real_popen(argv, **kwargs), argv))
+            return spawned[-1][0]
+
+        monkeypatch.setattr(coordinator.subprocess, "Popen", popen)
+        runtime = NetworkedRuntime(build_config(), workers=3)
+        with pytest.raises(NetworkedRuntimeError, match="worker-1 failed to announce"):
+            runtime.run(timeout=10.0)
+        assert len(spawned) == 2
+        for process, _argv in spawned:
+            assert process.poll() is not None
+        uds_dirs = {
+            os.path.dirname(argv[argv.index("--uds") + 1])
+            for _process, argv in spawned if "--uds" in argv
+        }
+        assert not any(os.path.exists(path) for path in uds_dirs)
+
     def test_bind_source_to_unknown_stage(self):
         runtime = NetworkedRuntime(build_config(), workers=2)
         with pytest.raises(NetworkedRuntimeError, match="unknown stage"):
