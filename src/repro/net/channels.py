@@ -21,8 +21,11 @@ and bounded rather than hidden in socket buffers.  The sender blocks
 The send path is zero-copy: each DATA frame is built once in a
 :func:`repro.net.protocol.new_frame_buffer` (payload encoded straight
 into the buffer, header packed in place by ``finish_frame``) and handed
-to the transport as a single gathered write — one buffer, one
-``write()``, one ``drain()`` per frame regardless of batch size.
+to the transport as a single gathered write — one buffer and one
+``write()`` per frame regardless of batch size.  A send with its
+credits on hand and nothing in its way writes without awaiting at all
+(:meth:`OutChannel._ship_now`); any other send awaits the credit, pause
+and drain discipline of :meth:`OutChannel._ship`.
 """
 
 from __future__ import annotations
@@ -75,19 +78,57 @@ class _Barrier:
         self.entry = entry
 
 
+def _wake_one(waiters: deque) -> None:
+    """Resolve the first still-pending waiter future in ``waiters``."""
+    while waiters:
+        waiter = waiters.popleft()
+        if not waiter.done():
+            waiter.set_result(None)
+            return
+
+
+async def _park(waiters: deque, passes_on: Callable[[], bool]) -> None:
+    """Wait on a fresh future queued in ``waiters`` until it is resolved.
+
+    If the wait is cancelled after the future was resolved (a
+    ``wait_for`` timeout landing in the same loop iteration as the
+    wakeup), the wakeup is handed to the next waiter when
+    ``passes_on()`` says there is still something for it.
+    """
+    waiter = asyncio.get_running_loop().create_future()
+    waiters.append(waiter)
+    try:
+        await waiter
+    except BaseException:
+        waiter.cancel()
+        try:
+            waiters.remove(waiter)
+        except ValueError:
+            pass
+        if not waiter.cancelled() and passes_on():
+            _wake_one(waiters)
+        raise
+
+
 class AsyncInbox:
     """A stage's input queue, satisfying the estimator's QueueLike protocol.
 
     Two producer paths: local routes ``put`` (blocking while full — the
-    in-process backpressure), and wire channels ``force_put`` (never
-    blocking: the credit window already bounds what a remote sender can
-    have outstanding, and in-flight data cannot be un-sent — the same
-    reasoning as the simulated runtime's ``force_put``).
+    in-process backpressure), and wire channels ``put_nowait`` /
+    ``put_many_nowait`` (synchronous and never refused: the credit
+    window already bounds what a remote sender can have outstanding, and
+    in-flight data cannot be un-sent — the same reasoning as the
+    simulated runtime's ``force_put``).  The worker calls the synchronous
+    pair from the transport's ``data_received``, so a received frame's
+    items are queued before the event loop runs anything else.
 
-    The two conditions (not-empty for consumers, not-full for blocking
-    producers) share one lock but wake exactly the waiters that can make
-    progress — ``notify(1)`` instead of a notify-all thundering herd on
-    every operation.
+    One event-loop thread owns the inbox, so it needs no lock: a deque
+    of entries plus FIFO queues of getter and putter futures, each
+    wakeup resolving exactly one waiter that can make progress.  A
+    woken consumer that leaves entries behind wakes the next one; a
+    woken producer that leaves room wakes the next producer.  No entry
+    is taken before a consumer's last suspension, so cancelling a
+    ``get``/``get_many`` (a ``wait_for`` timeout) never loses one.
 
     ``put_barrier`` appends a plain FIFO entry that ``get_many`` never
     mixes into an item chunk: it is delivered alone, after every entry
@@ -100,29 +141,27 @@ class AsyncInbox:
         self.capacity = capacity
         self._entries: deque = deque()
         self._recent: deque = deque([0], maxlen=window)
-        lock = asyncio.Lock()
-        self._not_empty = asyncio.Condition(lock)
-        self._not_full = asyncio.Condition(lock)
+        self._getters: deque = deque()
+        self._putters: deque = deque()
 
     def _record(self) -> None:
         self._recent.append(len(self._entries))
 
-    async def put(self, entry: Any) -> None:
-        async with self._not_full:
-            while len(self._entries) >= self.capacity:
-                await self._not_full.wait()
-            self._entries.append(entry)
-            self._record()
-            self._not_empty.notify(1)
+    def _has_room(self) -> bool:
+        return len(self._entries) < self.capacity
 
-    async def force_put(self, entry: Any) -> None:
-        async with self._not_empty:
-            self._entries.append(entry)
-            self._record()
-            self._not_empty.notify(1)
+    def _has_entries(self) -> bool:
+        return bool(self._entries)
 
-    async def force_put_many(self, entries: "list") -> None:
-        """Append a whole batch under one lock/notify round-trip.
+    def put_nowait(self, entry: Any) -> None:
+        """Append ``entry`` past any capacity and wake one consumer."""
+        self._entries.append(entry)
+        self._record()
+        if self._getters:
+            _wake_one(self._getters)
+
+    def put_many_nowait(self, entries: "list") -> None:
+        """Append a whole batch and wake one consumer.
 
         One queue-length sample for the batch, matching the threaded
         runtime's batched-handoff semantics (a burst is one observation,
@@ -130,28 +169,44 @@ class AsyncInbox:
         """
         if not entries:
             return
-        async with self._not_empty:
-            self._entries.extend(entries)
-            self._record()
-            self._not_empty.notify_all()
+        self._entries.extend(entries)
+        self._record()
+        if self._getters:
+            _wake_one(self._getters)
+
+    async def put(self, entry: Any) -> None:
+        while len(self._entries) >= self.capacity:
+            await _park(self._putters, self._has_room)
+        self.put_nowait(entry)
+        if self._putters and self._has_room():
+            _wake_one(self._putters)
+
+    async def force_put(self, entry: Any) -> None:
+        self.put_nowait(entry)
+
+    async def force_put_many(self, entries: "list") -> None:
+        self.put_many_nowait(entries)
 
     async def put_barrier(self, entry: Any) -> None:
         """Enqueue ``entry`` to be delivered alone, never inside a chunk."""
-        async with self._not_empty:
-            self._entries.append(_Barrier(entry))
-            self._record()
-            self._not_empty.notify_all()
+        self.put_nowait(_Barrier(entry))
+
+    def _taken(self) -> None:
+        """Bookkeeping after a consumer took entries: sample the length,
+        and pass the wakeups on."""
+        self._record()
+        if self._entries and self._getters:
+            _wake_one(self._getters)
+        if self._putters:
+            _wake_one(self._putters)
 
     async def get(self) -> Any:
-        async with self._not_empty:
-            while not self._entries:
-                await self._not_empty.wait()
-            entry = self._entries.popleft()
-            self._record()
-            if self._entries:
-                self._not_empty.notify(1)
-            self._not_full.notify(1)
-            return entry.entry if type(entry) is _Barrier else entry
+        entries = self._entries
+        while not entries:
+            await _park(self._getters, self._has_entries)
+        entry = entries.popleft()
+        self._taken()
+        return entry.entry if type(entry) is _Barrier else entry
 
     async def get_many(self, max_items: int) -> "list":
         """Await the first entry, then drain up to ``max_items`` without
@@ -159,21 +214,19 @@ class AsyncInbox:
         (one event-loop suspension per chunk instead of per item).
         A barrier is never mixed into an item chunk: it is returned
         alone, once the entries before it have been taken."""
-        async with self._not_empty:
-            entries = self._entries
-            while not entries:
-                await self._not_empty.wait()
-            if type(entries[0]) is _Barrier:
-                out = [entries.popleft().entry]
-            else:
-                out = []
-                while entries and len(out) < max_items and type(entries[0]) is not _Barrier:
-                    out.append(entries.popleft())
-            self._record()
-            if entries:
-                self._not_empty.notify(1)
-            self._not_full.notify_all()
-            return out
+        entries = self._entries
+        while not entries:
+            await _park(self._getters, self._has_entries)
+        if type(entries[0]) is _Barrier:
+            out = [entries.popleft().entry]
+        elif max_items == 1 or len(entries) == 1:
+            out = [entries.popleft()]
+        else:
+            out = []
+            while entries and len(out) < max_items and type(entries[0]) is not _Barrier:
+                out.append(entries.popleft())
+        self._taken()
+        return out
 
     @property
     def current_length(self) -> int:
@@ -463,12 +516,16 @@ class OutChannel:
                 raise ChannelError(
                     f"channel {self.stream!r}: receiver went away mid-stream"
                 )
-            self._credits -= n
-            in_flight = self._window - self._credits
-            if in_flight > self._peak:
-                self._peak = in_flight
-                self.in_flight_peak.set(float(in_flight))
+            self._charge(n)
             return self._grant_epoch
+
+    def _charge(self, n: int) -> None:
+        """Spend ``n`` held credits and track the in-flight peak."""
+        self._credits -= n
+        in_flight = self._window - self._credits
+        if in_flight > self._peak:
+            self._peak = in_flight
+            self.in_flight_peak.set(float(in_flight))
 
     async def _release_credit(self, n: int, epoch: int) -> None:
         """Return credits a send acquired but did not spend (pause race).
@@ -481,6 +538,37 @@ class OutChannel:
             if epoch == self._grant_epoch:
                 self._credits += n
                 self._cond.notify_all()
+
+    def _ship_now(self, frame: Union[bytes, bytearray], items: int) -> bool:
+        """Write ``frame`` without awaiting when nothing could hold it up.
+
+        That is when the channel is connected, not paused and not
+        broken, holds ``items`` credits, no send holds ``_send_gate``,
+        and the transport has nothing queued (so a drain would return at
+        once).  Returns False having changed nothing otherwise; the
+        caller then awaits :meth:`_ship`, which behaves exactly as if
+        this had not been tried.  Each channel has one sending task, so
+        no parked sender can be overtaken.
+        """
+        writer = self._writer
+        if (
+            writer is None
+            or self._broken
+            or self._credits < items
+            or not self._resume.is_set()
+            or self._send_gate.locked()
+        ):
+            return False
+        transport = writer.transport
+        if transport.is_closing() or transport.get_write_buffer_size():
+            return False
+        if items:
+            self._charge(items)
+        writer.write(frame)
+        self.frames.inc()
+        self.bytes.inc(len(frame))
+        self.items_sent += items
+        return True
 
     async def _ship(self, frame: Union[bytes, bytearray], items: int) -> None:
         """Credit + pause discipline shared by every send path.
@@ -530,7 +618,9 @@ class OutChannel:
         """
         buf = new_frame_buffer()
         encode_payload_into(buf, payload, size)
-        await self._ship(finish_frame(buf, FrameType.DATA), 1)
+        frame = finish_frame(buf, FrameType.DATA)
+        if not self._ship_now(frame, 1):
+            await self._ship(frame, 1)
 
     async def send_batch(self, items: "list[tuple[Any, float]]") -> None:
         """Ship several ``(payload, declared size)`` items batched.
@@ -553,13 +643,17 @@ class OutChannel:
                 encode_payload_into(buf, chunk[0][0], chunk[0][1])
             else:
                 encode_payload_batch_into(buf, chunk)
-            await self._ship(finish_frame(buf, FrameType.DATA), len(chunk))
+            frame = finish_frame(buf, FrameType.DATA)
+            if not self._ship_now(frame, len(chunk)):
+                await self._ship(frame, len(chunk))
 
     async def send_eos(self) -> None:
         """Ship the end-of-stream sentinel (EOS frames consume no credit)."""
         buf = new_frame_buffer()
         buf += encode_json({"stream": self.stream})
-        await self._ship(finish_frame(buf, FrameType.EOS), 0)
+        frame = finish_frame(buf, FrameType.EOS)
+        if not self._ship_now(frame, 0):
+            await self._ship(frame, 0)
         self.eos_sent = True
 
     async def pause(self) -> None:

@@ -21,11 +21,12 @@ codec body.  Count-samps summary dicts ride the compact
 everything else falls back to JSON.
 
 The incremental :class:`FrameDecoder` is the single parsing path — the
-asyncio reader loops and the protocol fuzz tests both feed it byte
-chunks of arbitrary alignment.  It parses through a ``memoryview`` over
-a compacting ``bytearray``: the payload is materialized exactly once
-per frame, and the consumed prefix is dropped in amortized O(1) batches
-rather than per frame.
+asyncio readers, the worker's data connections (:class:`FrameStreamProtocol`
+feeds it from the transport callback) and the protocol fuzz tests all
+feed it byte chunks of arbitrary alignment.  The payload is materialized
+exactly once per frame, and a partial frame's bytes are buffered in a
+compacting ``bytearray`` whose consumed prefix is dropped in amortized
+O(1) batches rather than per frame.
 
 The send side is zero-copy too: :func:`new_frame_buffer` reserves the
 12-byte header hole, the ``encode_*_into`` codecs append the payload
@@ -42,9 +43,8 @@ import enum
 import json
 import struct
 import zlib
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, AsyncIterator, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.streams import wire as summary_wire
 
@@ -53,6 +53,7 @@ __all__ = [
     "MAX_PAYLOAD",
     "Frame",
     "FrameDecoder",
+    "FrameStreamProtocol",
     "FrameType",
     "ProtocolError",
     "cap_read_buffer",
@@ -67,7 +68,6 @@ __all__ = [
     "encode_payload_into",
     "finish_frame",
     "is_batch_payload",
-    "iter_frames",
     "new_frame_buffer",
     "read_frame",
     "send_frame",
@@ -103,7 +103,7 @@ class FrameType(enum.IntEnum):
     READY = 8       # worker ack for SYNC / START phases
     ATTACH = 9      # peer data connection: "I send stream X to stage Y"
     DATA = 10       # one stream item (typed payload)
-    CREDIT = 11     # receiver -> sender: grant n more DATA frames
+    CREDIT = 11     # receiver -> sender: grant credit for n more items
     EOS = 12        # end-of-stream sentinel for one channel
     EXCEPTION = 13  # load exception travelling upstream (paper §4)
     RESULT = 14     # worker -> coordinator: finals + metrics registry
@@ -116,15 +116,31 @@ class FrameType(enum.IntEnum):
                     # state (snapshot, parameter values, EOS counts)
 
 
-_KNOWN_TYPES = frozenset(int(t) for t in FrameType)
+#: Wire type byte -> member, built once: per frame, a dict lookup is an
+#: order of magnitude cheaper than calling the enum.
+_FRAME_TYPES: Dict[int, FrameType] = {int(t): t for t in FrameType}
 
 
-@dataclass(frozen=True)
 class Frame:
-    """One decoded frame: a type and its raw payload bytes."""
+    """One decoded frame: a type and its raw payload bytes.
 
-    type: FrameType
-    payload: bytes
+    A plain slotted class, not a dataclass: the decoder builds one per
+    frame, and a frozen dataclass costs five times as much to create.
+    """
+
+    __slots__ = ("type", "payload")
+
+    def __init__(self, type: FrameType, payload: bytes) -> None:
+        self.type = type
+        self.payload = payload
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return self.type is other.type and self.payload == other.payload
+
+    def __repr__(self) -> str:
+        return f"Frame(type={self.type!r}, payload={self.payload!r})"
 
     def json(self) -> Dict[str, Any]:
         """Decode the payload as a JSON object (control frames)."""
@@ -187,11 +203,14 @@ _COMPACT_THRESHOLD = 64 * 1024
 class FrameDecoder:
     """Incremental frame parser; tolerant of arbitrary chunk boundaries.
 
-    ``feed(data)`` buffers bytes and returns every complete frame they
-    finish.  Parsing walks an offset cursor over the buffer and reads
-    the payload through a ``memoryview`` — one ``bytes`` materialization
-    per frame, and the consumed prefix is compacted in amortized O(1)
-    batches instead of per frame.
+    ``feed(data)`` returns every complete frame ``data`` finishes.  With
+    nothing pending, a ``bytes`` chunk (what a transport delivers) is
+    parsed where it lies — each payload is one slice of it — and only an
+    unfinished tail is kept.  Otherwise the bytes join a buffer that is
+    walked with an offset cursor, payloads are read through a
+    ``memoryview``, and the consumed prefix is compacted in amortized
+    O(1) batches instead of per frame.  Either way a payload is
+    materialized exactly once.
 
     Corruption (bad magic/version/type, oversized length, CRC mismatch)
     raises :class:`ProtocolError` — a stream protocol has no way to
@@ -217,54 +236,69 @@ class FrameDecoder:
                 "decoder is poisoned after a framing error; the stream "
                 "cannot be resynchronised — drop the connection"
             )
-        self._buffer += data
+        buffer = self._buffer
+        if type(data) is bytes and self._offset == len(buffer):
+            frames, end = self._parse(data, 0)
+            buffer.clear()
+            self._offset = 0
+            if end < len(data):
+                with memoryview(data) as view:
+                    buffer += view[end:]
+            return frames
+        buffer += data
+        frames, self._offset = self._parse(buffer, self._offset)
+        if self._offset >= len(buffer):
+            buffer.clear()
+            self._offset = 0
+        elif self._offset >= _COMPACT_THRESHOLD:
+            del buffer[:self._offset]
+            self._offset = 0
+        return frames
+
+    def _parse(
+        self, buf: Union[bytes, bytearray], start: int
+    ) -> Tuple[List[Frame], int]:
+        """Every complete frame in ``buf`` from ``start``, and where the
+        first incomplete one begins."""
         frames: List[Frame] = []
+        end = len(buf)
         try:
-            while True:
-                frame = self._try_parse_one()
-                if frame is None:
+            while end - start >= FRAME_HEADER_BYTES:
+                magic, version, ftype, length, crc = _HEADER_STRUCT.unpack_from(
+                    buf, start
+                )
+                if magic != MAGIC:
+                    raise ProtocolError(f"bad frame magic {bytes(magic)!r}")
+                if version != VERSION:
+                    raise ProtocolError(f"unsupported protocol version {version}")
+                frame_type = _FRAME_TYPES.get(ftype)
+                if frame_type is None:
+                    raise ProtocolError(f"unknown frame type {ftype}")
+                if length > MAX_PAYLOAD:
+                    raise ProtocolError(
+                        f"declared payload length {length} exceeds MAX_PAYLOAD"
+                    )
+                stop = start + FRAME_HEADER_BYTES + length
+                if stop > end:
                     break
-                frames.append(frame)
+                if type(buf) is bytes:
+                    payload = buf[start + FRAME_HEADER_BYTES:stop]
+                    good = zlib.crc32(payload) == crc
+                else:
+                    with memoryview(buf) as view:
+                        with view[start + FRAME_HEADER_BYTES:stop] as body:
+                            good = zlib.crc32(body) == crc
+                            payload = bytes(body)
+                if not good:
+                    raise ProtocolError(
+                        f"payload CRC mismatch on {frame_type.name} frame"
+                    )
+                frames.append(Frame(frame_type, payload))
+                start = stop
         except ProtocolError:
             self._poisoned = True
             raise
-        if self._offset:
-            if self._offset >= len(self._buffer):
-                self._buffer.clear()
-                self._offset = 0
-            elif self._offset >= _COMPACT_THRESHOLD:
-                del self._buffer[:self._offset]
-                self._offset = 0
-        return frames
-
-    def _try_parse_one(self) -> Optional[Frame]:
-        buf = self._buffer
-        start = self._offset
-        if len(buf) - start < FRAME_HEADER_BYTES:
-            return None
-        magic, version, ftype, length, crc = _HEADER_STRUCT.unpack_from(buf, start)
-        if magic != MAGIC:
-            raise ProtocolError(f"bad frame magic {bytes(magic)!r}")
-        if version != VERSION:
-            raise ProtocolError(f"unsupported protocol version {version}")
-        if ftype not in _KNOWN_TYPES:
-            raise ProtocolError(f"unknown frame type {ftype}")
-        if length > MAX_PAYLOAD:
-            raise ProtocolError(
-                f"declared payload length {length} exceeds MAX_PAYLOAD"
-            )
-        total = FRAME_HEADER_BYTES + length
-        if len(buf) - start < total:
-            return None
-        with memoryview(buf) as view:
-            with view[start + FRAME_HEADER_BYTES:start + total] as body:
-                if zlib.crc32(body) != crc:
-                    raise ProtocolError(
-                        f"payload CRC mismatch on {FrameType(ftype).name} frame"
-                    )
-                payload = bytes(body)
-        self._offset = start + total
-        return Frame(type=FrameType(ftype), payload=payload)
+        return frames, start
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +701,8 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Frame]:
     return frames[0]
 
 
-#: Bytes asked of the socket per read in :func:`iter_frames` — large
-#: enough that one syscall typically yields many frames.
+#: Most bytes one socket read returns (see :func:`cap_read_buffer`) —
+#: large enough that one syscall typically yields many frames.
 _READ_CHUNK = 64 * 1024
 
 
@@ -681,39 +715,85 @@ def cap_read_buffer(writer: asyncio.StreamWriter) -> None:
     mmap threshold, so each socket read pays an mmap, a munmap and the
     page faults between them — some 15 µs against 1 µs from the heap.
     (The threshold only moves up once a larger mmapped block has been
-    freed, which loading ``numpy.random`` happens to do.)  Nothing here
-    reads more than ``_READ_CHUNK`` at a time anyway.  A transport without the
-    attribute (``max_size`` is not public API) is left as it is.
+    freed, which loading ``numpy.random`` happens to do.)  A transport
+    without the attribute (``max_size`` is not public API) is left as it
+    is.
     """
     transport = writer.transport
     if getattr(transport, "max_size", 0) > _READ_CHUNK:
         transport.max_size = _READ_CHUNK  # type: ignore[attr-defined]
 
 
-async def iter_frames(
-    reader: asyncio.StreamReader, chunk_size: int = _READ_CHUNK
-) -> AsyncIterator[Frame]:
-    """Yield frames from bulk reads through one persistent decoder.
+class FrameStreamProtocol(asyncio.StreamReaderProtocol):
+    """A stream protocol that can hand its bytes straight to a frame callback.
 
-    The hot-path counterpart of :func:`read_frame`: instead of two
-    ``readexactly`` syscalls per frame, each ``read`` pulls up to
-    ``chunk_size`` bytes and the decoder slices every complete frame out
-    of it — back-to-back DATA frames cost one syscall for many frames.
-    Clean EOF at a frame boundary ends the iteration; EOF mid-frame (or
-    any framing error) raises :class:`ProtocolError`.
+    Until :meth:`divert` it is an ordinary ``StreamReaderProtocol``: the
+    connection's ``StreamReader`` / ``StreamWriter`` pair works as usual,
+    so a handshake is read with :func:`read_frame`.  After it, every
+    chunk the transport receives is parsed inside ``data_received`` by
+    one persistent :class:`FrameDecoder`, and its complete frames go to
+    ``on_frames`` before the event loop runs anything else — no reader
+    task, no ``StreamReader`` buffer, no wakeup between the socket and
+    the consumer.  The writer keeps working: its drain and close hooks
+    live on this protocol.
+
+    ``on_close(error)`` is called once, when the diverted connection
+    ends: with ``None`` for a clean EOF at a frame boundary, a
+    :class:`ProtocolError` for a framing error (including one that
+    ``on_frames`` raises) or an EOF mid-frame, or the transport's own
+    exception.  Bytes after a framing error are dropped; the stream
+    cannot be resynchronised.
+
+    Divert only where the peer cannot yet have sent bytes past the
+    handshake (a data channel's sender waits for its first credit
+    grant): whatever the ``StreamReader`` already buffered stays there.
     """
-    decoder = FrameDecoder()
-    while True:
-        chunk = await reader.read(chunk_size)
-        if not chunk:
-            if decoder.pending_bytes:
-                raise ProtocolError(
-                    f"connection closed mid-frame "
-                    f"({decoder.pending_bytes} bytes buffered)"
-                )
+
+    _decoder: Optional[FrameDecoder] = None
+    _on_frames: Optional[Callable[[List[Frame]], None]] = None
+    _on_close: Optional[Callable[[Optional[BaseException]], None]] = None
+
+    def divert(
+        self,
+        on_frames: Callable[[List[Frame]], None],
+        on_close: Callable[[Optional[BaseException]], None],
+    ) -> None:
+        self._decoder = FrameDecoder()
+        self._on_frames = on_frames
+        self._on_close = on_close
+
+    def _end(self, error: Optional[BaseException]) -> None:
+        on_close = self._on_close
+        if on_close is not None:
+            self._on_frames = self._on_close = None
+            on_close(error)
+
+    def data_received(self, data: bytes) -> None:
+        if self._decoder is None:
+            super().data_received(data)
             return
-        for frame in decoder.feed(chunk):
-            yield frame
+        if self._on_frames is None:
+            return
+        try:
+            frames = self._decoder.feed(data)
+            if frames:
+                self._on_frames(frames)
+        except ProtocolError as exc:
+            self._end(exc)
+
+    def eof_received(self) -> Optional[bool]:
+        if self._decoder is not None:
+            pending = self._decoder.pending_bytes
+            self._end(
+                ProtocolError(f"connection closed mid-frame ({pending} bytes buffered)")
+                if pending else None
+            )
+        return super().eof_received()
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        if self._decoder is not None:
+            self._end(exc)
+        super().connection_lost(exc)
 
 
 async def send_frame(

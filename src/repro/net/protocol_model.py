@@ -135,7 +135,8 @@ MIGRATION: Tuple[Transition, ...] = tuple(
 #: the receiver's initial grant and batched replenishment, per-item DATA
 #: accounting, the credit-free EOS sentinel, and the upstream EXCEPTION
 #: path.  The receiving *worker* reads the data-plane socket on the
-#: receiver's behalf (``_serve_peer``), so ATTACH/DATA/EOS appear in the
+#: receiver's behalf (``_serve_peer`` and its frame callback, run from
+#: the transport's ``data_received``), so ATTACH/DATA/EOS appear in the
 #: worker's receive alphabet too.
 CREDIT: Tuple[Transition, ...] = tuple(
     _t("credit", "detached", "attached", "attach",

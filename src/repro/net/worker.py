@@ -38,7 +38,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.adaptation.protocol import LoadException, LoadExceptionKind
@@ -72,6 +72,7 @@ from repro.grid.repository import CodeRepository
 from repro.net.channels import AsyncInbox, ChannelError, InChannel, OutChannel
 from repro.net.debug import install_task_dump
 from repro.net.protocol import (
+    FrameStreamProtocol,
     FrameType,
     ProtocolError,
     cap_read_buffer,
@@ -79,7 +80,6 @@ from repro.net.protocol import (
     decode_payload_batch,
     encode_json,
     is_batch_payload,
-    iter_frames,
     read_frame,
     send_frame,
 )
@@ -214,19 +214,26 @@ class _MigrateFence:
     """
 
 
-async def _return_credit(drained: Any) -> None:
+def _return_credit(drained: Any) -> Sequence[InChannel]:
     """Hand credit for a consumed chunk of ``(channel, message)`` pairs
-    back upstream: one ``note_consumed`` per wire channel in the chunk."""
+    back upstream: one ``note_consumed`` per wire channel in the chunk.
+
+    Returns the channels whose credit backchannel piled up past the high
+    watermark (a slow or stalled sender); the caller drains them before
+    consuming more, so the backchannel stays bounded."""
+    if len(drained) == 1:
+        channel = drained[0][0]
+        if channel is not None and channel.note_consumed(1) and channel.needs_drain():
+            return (channel,)
+        return ()
     counts: Dict[InChannel, int] = {}
     for channel, _ in drained:
         if channel is not None:
             counts[channel] = counts.get(channel, 0) + 1
-    for channel, n in counts.items():
-        if channel.note_consumed(n) and channel.needs_drain():
-            # Credit backchannel piled up past the high watermark
-            # (slow/stalled sender): flush before consuming more so it
-            # stays bounded.
-            await channel.drain()
+    return [
+        channel for channel, n in counts.items()
+        if channel.note_consumed(n) and channel.needs_drain()
+    ]
 
 
 class Worker:
@@ -287,8 +294,9 @@ class Worker:
         self._shutdown = asyncio.Event()
         self._release = asyncio.Event()
         install_task_dump(f"worker {self.name}")
-        server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        loop = asyncio.get_running_loop()
+        server = await loop.create_server(
+            self._connection_protocol, self.host, self.port
         )
         port = server.sockets[0].getsockname()[1]
         unix_server = None
@@ -297,8 +305,8 @@ class Worker:
             # Best effort: a platform without AF_UNIX (or a bad path)
             # just loses the fast path; TCP keeps everything working.
             try:
-                unix_server = await asyncio.start_unix_server(
-                    self._handle_connection, path=self.uds_path
+                unix_server = await loop.create_unix_server(
+                    self._connection_protocol, path=self.uds_path
                 )
                 uds_bound = self.uds_path
             except (AttributeError, NotImplementedError, OSError):
@@ -327,6 +335,14 @@ class Worker:
                 task.cancel()
             for channel in self._out_channels:
                 await channel.close()
+
+    def _connection_protocol(self) -> FrameStreamProtocol:
+        """``asyncio.start_server``'s protocol, with a receive path that a
+        data connection can divert (see :meth:`_serve_peer`)."""
+        loop = asyncio.get_running_loop()
+        return FrameStreamProtocol(
+            asyncio.StreamReader(loop=loop), self._handle_connection, loop=loop
+        )
 
     async def _handle_connection(self, reader, writer) -> None:
         """Dispatch on the first frame: HELLO = coordinator, ATTACH = peer."""
@@ -610,8 +626,14 @@ class Worker:
                 reply = None
                 kind = effect[0]
                 if kind is TAKE:
-                    await _return_credit(drained)
-                    if effect[1] is None:
+                    if drained:
+                        for channel in _return_credit(drained):
+                            await channel.drain()
+                    if effect[1] is None or (
+                        effect[1] > 0 and stage.inbox.current_length
+                    ):
+                        # Unbounded, or a chunk is already queued: no
+                        # timer task needed to take it.
                         drained = await stage.inbox.get_many(limit)
                     else:
                         try:
@@ -915,6 +937,16 @@ class Worker:
     # -- peer (data) connections ---------------------------------------------
 
     async def _serve_peer(self, reader, writer, attach) -> None:
+        """Serve one data connection from the transport callback.
+
+        From ATTACH on, the connection's bytes bypass the StreamReader:
+        the protocol parses them inside ``data_received`` and the frame
+        callback below queues each DATA frame's items in the stage inbox
+        right there, so they are in the inbox before the event loop runs
+        anything else.  The switch happens before ``attach`` grants the
+        first credit, and a sender ships nothing before that grant.
+        This coroutine only waits for the connection to end.
+        """
         body = attach.json()
         stream = body["stream"]
         channel = self._in_channels.get(stream)
@@ -922,49 +954,58 @@ class Worker:
             raise ProtocolError(f"ATTACH for undeclared channel {stream!r}")
         if channel.attached:
             raise ProtocolError(f"channel {stream!r} attached twice")
-        channel.attach(writer)
         stage = self._stages[channel.dst_stage]
+        inbox = stage.inbox
+        observe = stage.rate_estimator.observe
+        elapsed = self.elapsed
+        recv_counts = self._recv_counts
+        recv_counts.setdefault(stream, 0)
         saw_eos = False
-        try:
-            # Bulk reads through one persistent decoder: back-to-back
-            # DATA frames cost one syscall for many frames instead of
-            # two readexactly calls per frame.
-            async for frame in iter_frames(reader):
+        ended = asyncio.get_running_loop().create_future()
+
+        def on_frames(frames: List[Any]) -> None:
+            nonlocal saw_eos
+            for frame in frames:
                 if frame.type is FrameType.DATA:
-                    if is_batch_payload(frame.payload):
-                        decoded = decode_payload_batch(frame.payload)
+                    payload = frame.payload
+                    now = elapsed()
+                    if is_batch_payload(payload):
+                        decoded = decode_payload_batch(payload)
+                        inbox.put_many_nowait([
+                            (channel, Item(payload=obj, size=size, origin=stream,
+                                           created_at=now))
+                            for obj, size in decoded
+                        ])
+                        count = len(decoded)
                     else:
-                        decoded = [decode_payload(frame.payload)]
-                    now = self.elapsed()
-                    await stage.inbox.force_put_many(
-                        [
-                            (
-                                channel,
-                                Item(
-                                    payload=payload, size=size, origin=stream,
-                                    created_at=now,
-                                ),
-                            )
-                            for payload, size in decoded
-                        ]
-                    )
-                    stage.rate_estimator.observe(
-                        self.elapsed(), count=float(len(decoded))
-                    )
-                    self._recv_counts[stream] = (
-                        self._recv_counts.get(stream, 0) + len(decoded)
-                    )
+                        obj, size = decode_payload(payload)
+                        inbox.put_nowait((channel, Item(
+                            payload=obj, size=size, origin=stream, created_at=now,
+                        )))
+                        count = 1
+                    observe(now, float(count))
+                    recv_counts[stream] += count
                 elif frame.type is FrameType.EOS:
                     saw_eos = True
-                    await stage.inbox.force_put((None, EndOfStream(origin=stream)))
+                    inbox.put_nowait((None, EndOfStream(origin=stream)))
                 else:
                     raise ProtocolError(
                         f"unexpected {frame.type.name} frame on data channel "
                         f"{stream!r}"
                     )
-        except ConnectionError:
-            pass
-        if not saw_eos:
+
+        def on_close(error: Optional[BaseException]) -> None:
+            if not ended.done():
+                ended.set_result(error)
+
+        writer.transport.get_protocol().divert(on_frames, on_close)
+        channel.attach(writer)
+        error = await ended
+        if error is not None and not isinstance(error, ConnectionError):
+            # A framing error (bad CRC, a frame cut off by EOF, ...): the
+            # stream cannot be resynchronised and its items are lost.
+            self._fail_stage(stage, f"data channel {stream!r}: {error}")
+        elif not saw_eos:
             if stream in self._migrating_streams:
                 # Planned EOF: a live migration is re-routing this stream
                 # (sender redialed to the new worker, or the migrated
@@ -974,13 +1015,16 @@ class Worker:
                 channel.detach()
                 return
             # The sender vanished mid-stream.  Waiting for an EOS that
-            # can never arrive would hang the whole run; fail the stage
-            # so the worker reports ERROR and the coordinator aborts.
-            if stage.error is None:
-                stage.error = WorkerError(
-                    f"data channel {stream!r} closed before EOS"
-                )
-            stage.done.set()
+            # can never arrive would hang the whole run.
+            self._fail_stage(stage, f"data channel {stream!r} closed before EOS")
+
+    @staticmethod
+    def _fail_stage(stage: _HostedStage, reason: str) -> None:
+        """Fail ``stage`` so the worker reports ERROR and the coordinator
+        aborts the run."""
+        if stage.error is None:
+            stage.error = WorkerError(reason)
+        stage.done.set()
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -1,15 +1,17 @@
-"""Inbox and credit-flow-control tests.
+"""Inbox, credit-flow-control, receive-path and send-path tests.
 
 The load-bearing assertion here is the flow-control bound: against a
-deliberately slow receiver, the number of DATA frames in flight (sent
-but not yet covered by a returned credit) must never exceed the granted
-window — that is what makes backpressure explicit instead of an
-unbounded socket buffer.
+deliberately slow receiver, the number of items in flight (sent but not
+yet covered by a returned credit) must never exceed the granted window —
+that is what makes backpressure explicit instead of an unbounded socket
+buffer.
 """
 
 import asyncio
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.net.channels import AsyncInbox, ChannelError, InChannel, OutChannel
 from repro.net.protocol import (
@@ -17,7 +19,10 @@ from repro.net.protocol import (
     FrameType,
     decode_payload,
     decode_payload_batch,
+    encode_frame,
     encode_json,
+    encode_payload,
+    encode_payload_batch,
     is_batch_payload,
     read_frame,
     send_frame,
@@ -501,7 +506,7 @@ class TestNoteConsumedCounts:
             k = min(chunk, granted(chunk_writer) - consumed)
             assert k > 0, "the sender starved"
             consumed += k
-            run(_return_credit([(per_chunk, "item")] * k + [(None, "local")]))
+            assert _return_credit([(per_chunk, "item")] * k + [(None, "local")]) == []
             for _ in range(k):
                 per_item.note_consumed()
             for channel, writer in ((per_chunk, chunk_writer), (per_item, item_writer)):
@@ -674,3 +679,355 @@ class TestUnixFastPath:
         kind, received = run(scenario())
         assert kind == "tcp"
         assert received == 1
+
+
+class TestInboxCancellation:
+    """The lock-free inbox: cancelled waits lose neither entries nor wakeups."""
+
+    def test_holds_no_lock_or_condition(self):
+        inbox = AsyncInbox(capacity=4, window=4)
+        assert not any(
+            isinstance(value, (asyncio.Lock, asyncio.Condition))
+            for value in vars(inbox).values()
+        )
+
+    def test_get_many_cancelled_by_its_timeout_loses_no_entry(self):
+        async def scenario():
+            inbox = AsyncInbox(capacity=64, window=4)
+            total, got, timeouts = 400, [], 0
+
+            async def producer():
+                for i in range(total):
+                    inbox.put_nowait(i)
+                    # Mostly back-to-back, sometimes just about at the
+                    # consumer's deadline.
+                    await asyncio.sleep(0 if i % 3 else 0.0004)
+
+            task = asyncio.create_task(producer())
+            while len(got) < total:
+                try:
+                    got += await asyncio.wait_for(inbox.get_many(4), 0.0003)
+                except asyncio.TimeoutError:
+                    timeouts += 1
+            await task
+            return got, timeouts, inbox.current_length
+
+        got, timeouts, left = run(scenario())
+        assert got == list(range(400))
+        assert left == 0
+        assert timeouts > 0  # the timeouts really fired
+
+    def test_a_woken_getter_cancelled_before_it_runs_passes_the_wakeup_on(self):
+        """The race a ``wait_for`` timeout creates: the put resolves the
+        first getter, which is cancelled before it runs.  The entry stays
+        queued and the second getter is woken for it."""
+
+        async def scenario():
+            inbox = AsyncInbox(capacity=8, window=4)
+            first = asyncio.create_task(inbox.get_many(4))
+            second = asyncio.create_task(inbox.get_many(4))
+            await asyncio.sleep(0)  # both park
+            inbox.put_nowait("x")
+            first.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await first
+            return await asyncio.wait_for(second, 1.0), inbox.current_length
+
+        assert run(scenario()) == (["x"], 0)
+
+    def test_a_cancelled_putter_passes_the_room_on(self):
+        async def scenario():
+            inbox = AsyncInbox(capacity=1, window=4)
+            await inbox.put("a")
+            first = asyncio.create_task(inbox.put("b"))
+            second = asyncio.create_task(inbox.put("c"))
+            await asyncio.sleep(0)  # both park on the full inbox
+            assert await inbox.get() == "a"  # room: wakes the first ...
+            first.cancel()  # ... which is cancelled before it runs
+            with pytest.raises(asyncio.CancelledError):
+                await first
+            await asyncio.wait_for(second, 1.0)
+            return await inbox.get_many(4)
+
+        assert run(scenario()) == ["c"]
+
+
+class _RecordingTransport(asyncio.Transport):
+    """An in-memory transport: keeps what is written, reports a settable
+    write-buffer size."""
+
+    def __init__(self, protocol=None):
+        super().__init__()
+        self.protocol = protocol
+        self.written = bytearray()
+        self.buffered = 0
+        self.closing = False
+
+    def write(self, data):
+        self.written += data
+
+    def get_write_buffer_size(self):
+        return self.buffered
+
+    def is_closing(self):
+        return self.closing
+
+    def close(self):
+        self.closing = True
+
+    def get_protocol(self):
+        return self.protocol
+
+    def frames(self):
+        return FrameDecoder().feed(bytes(self.written))
+
+
+_WIRE_FRAMES = [
+    encode_frame(FrameType.DATA, encode_payload(0, 8.0)),
+    encode_frame(
+        FrameType.DATA, encode_payload_batch([(1, 8.0), (2, 8.0), (3, 8.0)])
+    ),
+    encode_frame(FrameType.DATA, encode_payload(4, 8.0)),
+    encode_frame(FrameType.DATA, encode_payload({"k": "v"}, 8.0)),
+    encode_frame(FrameType.EOS, encode_json({"stream": "s0"})),
+]
+_WIRE = b"".join(_WIRE_FRAMES)
+_WIRE_ENTRIES = [1, 3, 1, 1, 1]  # inbox entries each frame adds
+
+
+def _entries_complete_by(offset):
+    total, end = 0, 0
+    for frame, entries in zip(_WIRE_FRAMES, _WIRE_ENTRIES):
+        end += len(frame)
+        if end > offset:
+            break
+        total += entries
+    return total
+
+
+class TestReceivePath:
+    """The worker queues a frame's items from inside ``data_received``."""
+
+    @staticmethod
+    async def _attached_worker():
+        from repro.net.protocol import Frame, FrameStreamProtocol
+        from repro.net.worker import Worker
+
+        worker = Worker()
+        worker._register_stage(
+            {"stage": "sink", "code": "repo://count-samps/join", "properties": {}}
+        )
+        worker._register_channel(
+            {"kind": "in", "stream": "s0", "dst": "sink", "window": 64}
+        )
+        protocol = FrameStreamProtocol(asyncio.StreamReader())
+        transport = _RecordingTransport(protocol)
+        protocol.connection_made(transport)
+        writer = asyncio.StreamWriter(
+            transport, protocol, None, asyncio.get_running_loop()
+        )
+        attach = Frame(FrameType.ATTACH, encode_json({"stream": "s0", "dst": "sink"}))
+        task = asyncio.create_task(worker._serve_peer(None, writer, attach))
+        await asyncio.sleep(0)  # diverted, and the window granted
+        assert [f.type for f in transport.frames()] == [FrameType.CREDIT]
+        return worker._stages["sink"], protocol, task, writer
+
+    @settings(max_examples=60, deadline=None)
+    @given(cuts=st.lists(st.integers(min_value=0, max_value=len(_WIRE)), max_size=8))
+    @example(cuts=[len(_WIRE_FRAMES[0]) + 5])  # inside the second header
+    @example(cuts=list(range(len(_WIRE))))  # one byte per call
+    def test_each_chunk_is_queued_before_the_loop_runs_again(self, cuts):
+        bounds = sorted({0, len(_WIRE), *cuts})
+
+        async def scenario():
+            stage, protocol, task, writer = await self._attached_worker()
+            for start, stop in zip(bounds, bounds[1:]):
+                protocol.data_received(_WIRE[start:stop])
+                # No await since the call: whatever the chunk completed
+                # is already in the inbox.
+                assert stage.inbox.current_length == _entries_complete_by(stop)
+            protocol.eof_received()
+            await task
+            writer.close()
+            return stage, await stage.inbox.get_many(16)
+
+        stage, drained = run(scenario())
+        assert stage.error is None
+        messages = [message for _, message in drained]
+        assert [m.payload for m in messages[:-1]] == [0, 1, 2, 3, 4, {"k": "v"}]
+        assert type(messages[-1]).__name__ == "EndOfStream"
+
+    @pytest.mark.parametrize("tail, reason", [
+        (b"", "closed before EOS"),
+        (_WIRE_FRAMES[0][:7], "closed mid-frame"),
+        (encode_frame(FrameType.CREDIT, b"{}"), "unexpected CREDIT frame"),
+    ])
+    def test_a_broken_stream_fails_the_stage(self, tail, reason):
+        async def scenario():
+            stage, protocol, task, writer = await self._attached_worker()
+            protocol.data_received(_WIRE_FRAMES[0] + tail)
+            protocol.eof_received()
+            await task
+            writer.close()
+            return stage
+
+        stage = run(scenario())
+        assert stage.done.is_set()
+        assert "'s0'" in str(stage.error) and reason in str(stage.error)
+
+
+class _TransportWriter:
+    """The ``StreamWriter`` surface ``OutChannel`` uses, over a
+    :class:`_RecordingTransport`."""
+
+    def __init__(self):
+        self.transport = _RecordingTransport()
+        self.drains = 0
+
+    def write(self, data):
+        self.transport.write(data)
+
+    async def drain(self):
+        self.drains += 1
+
+    def can_write_eof(self):
+        return False
+
+    def close(self):
+        self.transport.close()
+
+    async def wait_closed(self):
+        return None
+
+
+def _grant(channel, n):
+    channel._reader.feed_data(
+        encode_frame(FrameType.CREDIT, encode_json({"stream": "testchan", "n": n}))
+    )
+
+
+async def _block_paused(channel):
+    await channel.pause()
+    task = asyncio.create_task(channel.send(1, 8.0))
+    await asyncio.sleep(0.01)
+    assert not task.done()
+    channel.resume()
+    await task
+
+
+async def _block_short_of_credit(channel):
+    await channel.send(1, 8.0)
+    await channel.send(2, 8.0)  # the window of 2 is spent
+    task = asyncio.create_task(channel.send(3, 8.0))
+    await asyncio.sleep(0.01)
+    assert not task.done()
+    _grant(channel, 1)
+    await task
+
+
+async def _block_broken(channel):
+    channel._reader.feed_eof()  # the receiver went away
+    await asyncio.sleep(0)
+    for i in range(3):  # two credits on hand, then the error
+        await channel.send(i, 8.0)
+
+
+async def _block_buffered(channel):
+    channel._writer.transport.buffered = 1
+    await channel.send(1, 8.0)
+    await channel.send_eos()
+
+
+async def _block_gate_held(channel):
+    async with channel._send_gate:
+        task = asyncio.create_task(channel.send(1, 8.0))
+        await asyncio.sleep(0.01)
+        assert not task.done()
+    await task
+
+
+class TestSendFastPath:
+    """``OutChannel`` writes without awaiting only when nothing could hold
+    the frame up; every other case takes the old awaited path and ends
+    exactly as it did before the fast path existed."""
+
+    @staticmethod
+    def _outcome(block, fast):
+        async def scenario():
+            registry = MetricsRegistry()
+            channel = OutChannel(
+                "testchan", "dst", "127.0.0.1", 0, registry,
+                clock=asyncio.get_running_loop().time,
+            )
+            channel._writer = _TransportWriter()
+            channel._reader = asyncio.StreamReader()
+            channel._reader_task = asyncio.create_task(channel._read_loop())
+            _grant(channel, 2)
+            await asyncio.sleep(0)
+            assert channel.window == 2
+            slow = []
+            ship = channel._ship
+
+            async def spy(frame, items):
+                slow.append(items)
+                await ship(frame, items)
+
+            channel._ship = spy
+            if not fast:
+                channel._ship_now = lambda frame, items: False
+            error = None
+            try:
+                await block(channel)
+            except ChannelError as exc:
+                error = str(exc)
+            frames = [(f.type, f.payload) for f in channel._writer.transport.frames()]
+            await channel.close(linger=0.01)
+            return {
+                "frames": frames,
+                "error": error,
+                "items_sent": channel.items_sent,
+                "metrics": {
+                    name: registry.value(f"net.testchan.{name}")
+                    for name in ("frames", "bytes", "credit_stalls", "in_flight_peak")
+                },
+            }, slow
+
+        return run(scenario())
+
+    def test_sends_with_credit_on_hand_never_await(self):
+        async def scenario():
+            channel = OutChannel(
+                "testchan", "dst", "127.0.0.1", 0, MetricsRegistry(),
+                clock=asyncio.get_running_loop().time,
+            )
+            channel._writer = _TransportWriter()
+            channel._window = channel._credits = 4
+
+            async def never(frame, items):
+                raise AssertionError("took the awaited path")
+
+            channel._ship = never
+            await channel.send(1, 8.0)
+            await channel.send_batch([(2, 8.0), (3, 8.0)])
+            await channel.send_eos()
+            return channel
+
+        channel = run(scenario())
+        assert channel._writer.drains == 0
+        assert channel.items_sent == 3 and channel.peak_in_flight == 3
+        assert [f.type for f in channel._writer.transport.frames()] == [
+            FrameType.DATA, FrameType.DATA, FrameType.EOS,
+        ]
+
+    @pytest.mark.parametrize("block, slow_sends", [
+        (_block_paused, [1]),
+        (_block_short_of_credit, [1]),
+        (_block_broken, [1, 1, 1]),
+        (_block_buffered, [1, 0]),
+        (_block_gate_held, [1]),
+    ])
+    def test_a_blocked_send_takes_the_awaited_path(self, block, slow_sends):
+        outcome, slow = self._outcome(block, fast=True)
+        before, _ = self._outcome(block, fast=False)
+        assert slow == slow_sends
+        assert outcome == before

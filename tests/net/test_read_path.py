@@ -8,6 +8,10 @@ allocation under the threshold; this counts the faults, which repeat
 exactly, in a fresh interpreter that imports nothing but the protocol —
 a process that has imported numpy has had its threshold raised for it
 and shows 0 either way.
+
+Both ends read the way a worker's data connection does: a
+``FrameStreamProtocol`` diverted to a frame callback, parsing inside the
+transport's ``data_received``.
 """
 
 import json
@@ -16,7 +20,9 @@ from tests.net.fresh_process import run_python
 
 ECHO = """
 import asyncio, json, resource, socket, sys
-from repro.net.protocol import FrameType, cap_read_buffer, encode_frame, iter_frames
+from repro.net.protocol import (
+    FrameStreamProtocol, FrameType, cap_read_buffer, encode_frame,
+)
 
 FRAMES = 5000
 PAYLOAD = bytes(range(256)) * 2 + bytes(16)
@@ -26,43 +32,53 @@ def faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+async def open_end(sock, on_frames):
+    loop = asyncio.get_running_loop()
+    protocol = FrameStreamProtocol(asyncio.StreamReader())
+    transport, _ = await loop.create_connection(lambda: protocol, sock=sock)
+    writer = asyncio.StreamWriter(transport, protocol, None, loop)
+    cap_read_buffer(writer)
+    protocol.divert(on_frames, lambda error: None)
+    return writer
+
+
 async def main():
+    loop = asyncio.get_running_loop()
     a, b = socket.socketpair()
-    reader_a, writer_a = await asyncio.open_connection(sock=a)
-    reader_b, writer_b = await asyncio.open_connection(sock=b)
-    cap_read_buffer(writer_a)
-    cap_read_buffer(writer_b)
+    replies = []
 
-    async def echo():
-        async for frame in iter_frames(reader_b):
+    def echo(frames):
+        for frame in frames:
             writer_b.write(encode_frame(frame.type, frame.payload))
-            await writer_b.drain()
 
-    echo_task = asyncio.create_task(echo())
+    def collect(frames):
+        for frame in frames:
+            replies.pop().set_result(frame)
+
+    writer_b = await open_end(b, echo)
+    writer_a = await open_end(a, collect)
     frame = encode_frame(FrameType.DATA, PAYLOAD)
-    replies = iter_frames(reader_a)
 
     async def ping(count):
         for _ in range(count):
+            replies.append(loop.create_future())
             writer_a.write(frame)
-            await writer_a.drain()
-            reply = await replies.__anext__()
+            reply = await replies[-1]
             assert reply.payload == PAYLOAD
 
     await ping(200)  # the heap grows to its working size once
     before = faults()
     await ping(FRAMES)
     grown = faults() - before
-    writer_a.close()
-    await writer_a.wait_closed()
-    await echo_task
-    writer_b.close()
-    return {
+    report = {
         "frame_bytes": len(frame),
         "faults_per_frame": grown / FRAMES,
         "max_size": writer_a.transport.max_size,
         "numpy": "numpy" in sys.modules,
     }
+    writer_a.close()
+    writer_b.close()
+    return report
 
 
 print(json.dumps(asyncio.run(main())))

@@ -50,6 +50,68 @@ def run_networked(config):
     return runtime, runtime.run(timeout=60.0)
 
 
+def run_peer_fault(fault):
+    """Start an in-process worker hosting one stage fed by data channel
+    ``s0``, attach a peer to it, let ``fault(peer_writer)`` misbehave,
+    and return the ERROR the worker then reports on its control
+    connection — within 3 s, or the test fails."""
+    import asyncio
+    import io
+
+    from repro.net.protocol import FrameType, encode_json, read_frame, send_frame
+    from repro.net.worker import Worker
+
+    async def scenario():
+        worker = Worker()
+        announce = io.StringIO()
+        serve_task = asyncio.create_task(worker.serve(announce=announce))
+        while not announce.getvalue():
+            await asyncio.sleep(0.01)
+        port = int(announce.getvalue().split()[1])
+
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        await send_frame(
+            writer, FrameType.HELLO,
+            encode_json({"worker": "w0", "adaptation": False}),
+        )
+        assert (await read_frame(reader)).type is FrameType.HELLO
+        await send_frame(
+            writer, FrameType.REGISTER,
+            encode_json({"stage": "join", "code": "repo://count-samps/join",
+                         "properties": {}}),
+        )
+        await send_frame(
+            writer, FrameType.CHANNEL,
+            encode_json({"kind": "in", "stream": "s0", "dst": "join",
+                         "window": 4}),
+        )
+        await send_frame(writer, FrameType.SYNC, encode_json({}))
+        assert (await read_frame(reader)).type is FrameType.READY
+        await send_frame(writer, FrameType.START, encode_json({}))
+        assert (await read_frame(reader)).type is FrameType.READY
+
+        peer_reader, peer_writer = await asyncio.open_connection(
+            "127.0.0.1", port
+        )
+        await send_frame(
+            peer_writer, FrameType.ATTACH,
+            encode_json({"stream": "s0", "dst": "join"}),
+        )
+        assert (await read_frame(peer_reader)).type is FrameType.CREDIT
+        await fault(peer_writer)
+
+        error = await asyncio.wait_for(read_frame(reader), 3.0)
+        assert error.type is FrameType.ERROR
+
+        await send_frame(writer, FrameType.SHUTDOWN, encode_json({}))
+        writer.close()
+        peer_writer.close()
+        await serve_task
+        return error.json()["error"]
+
+    return asyncio.run(asyncio.wait_for(scenario(), 20.0))
+
+
 def run_threaded(config):
     repository = default_repository()
     runtime = ThreadedRuntime(adaptation_enabled=False)
@@ -194,65 +256,47 @@ class TestNetworkedErrors:
         waiting forever for an EOS that could never arrive, wedging the
         whole run until the coordinator timeout.
         """
-        import asyncio
-        import io
 
-        from repro.net.protocol import (
-            FrameType,
-            encode_json,
-            read_frame,
-            send_frame,
-        )
-        from repro.net.worker import Worker
-
-        async def scenario():
-            worker = Worker()
-            announce = io.StringIO()
-            serve_task = asyncio.create_task(worker.serve(announce=announce))
-            while not announce.getvalue():
-                await asyncio.sleep(0.01)
-            port = int(announce.getvalue().split()[1])
-
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            await send_frame(
-                writer, FrameType.HELLO,
-                encode_json({"worker": "w0", "adaptation": False}),
-            )
-            assert (await read_frame(reader)).type is FrameType.HELLO
-            await send_frame(
-                writer, FrameType.REGISTER,
-                encode_json({"stage": "join", "code": "repo://count-samps/join",
-                             "properties": {}}),
-            )
-            await send_frame(
-                writer, FrameType.CHANNEL,
-                encode_json({"kind": "in", "stream": "s0", "dst": "join",
-                             "window": 4}),
-            )
-            await send_frame(writer, FrameType.SYNC, encode_json({}))
-            assert (await read_frame(reader)).type is FrameType.READY
-            await send_frame(writer, FrameType.START, encode_json({}))
-            assert (await read_frame(reader)).type is FrameType.READY
-
-            peer_reader, peer_writer = await asyncio.open_connection(
-                "127.0.0.1", port
-            )
-            await send_frame(
-                peer_writer, FrameType.ATTACH,
-                encode_json({"stream": "s0", "dst": "join"}),
-            )
-            assert (await read_frame(peer_reader)).type is FrameType.CREDIT
+        async def vanish(peer_writer):
             peer_writer.close()  # vanish without EOS
 
-            error = await read_frame(reader)
-            assert error.type is FrameType.ERROR
-            assert "before EOS" in error.json()["error"]
+        assert "before EOS" in run_peer_fault(vanish)
 
-            await send_frame(writer, FrameType.SHUTDOWN, encode_json({}))
-            writer.close()
-            await serve_task
+    def test_corrupt_data_frame_fails_the_run(self):
+        """A DATA frame whose CRC does not match fails the stage and
+        reaches the coordinator as ERROR naming the stream.
 
-        asyncio.run(asyncio.wait_for(scenario(), 20.0))
+        Regression: the framing error used to go back to the *peer* as
+        ERROR, and the coordinator heard nothing until its timeout.
+        """
+        from repro.net.protocol import (
+            FrameType, encode_payload, finish_frame, new_frame_buffer,
+        )
+
+        async def corrupt(peer_writer):
+            frame = new_frame_buffer()
+            frame += encode_payload(7, 8.0)
+            frame = finish_frame(frame, FrameType.DATA)
+            frame[-1] ^= 0xFF  # flip payload bits under the packed CRC
+            peer_writer.write(frame)
+            await peer_writer.drain()
+
+        error = run_peer_fault(corrupt)
+        assert "'s0'" in error and "CRC mismatch" in error
+
+    def test_truncated_data_frame_fails_the_run(self):
+        """A sender closing mid-frame fails the stage with an ERROR
+        naming the stream, instead of wedging the run."""
+        from repro.net.protocol import FrameType, encode_frame, encode_payload
+
+        async def truncate(peer_writer):
+            frame = encode_frame(FrameType.DATA, encode_payload(7, 8.0))
+            peer_writer.write(frame[:-3])
+            await peer_writer.drain()
+            peer_writer.close()
+
+        error = run_peer_fault(truncate)
+        assert "'s0'" in error and "closed mid-frame" in error
 
     def test_constructor_validation(self):
         with pytest.raises(NetworkedRuntimeError, match="time_scale"):
