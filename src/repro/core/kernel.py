@@ -557,9 +557,12 @@ def stage_loop(
                 items, work_bytes = processor.work_amount(payload, message.size)
                 if items or work_bytes:
                     duration = yield (WORK, processor.cost_model, items, work_bytes)
-                    metrics.busy_seconds.inc(duration)
-                    if hop is not None:
-                        hop.process_t += duration
+                    # Free work (every item of a free model on the
+                    # simulator) books nothing: skip the locked add.
+                    if duration:
+                        metrics.busy_seconds.inc(duration)
+                        if hop is not None:
+                            hop.process_t += duration
             mark = len(ctx.pending)
             try:
                 if lock is None:

@@ -245,3 +245,23 @@ class TestCallbackOrderProperties:
         assert not env.settled()
         env.step()  # the ordinary event
         assert env.settled() and not done.processed
+
+    def test_next_up_orders_by_time_then_priority_within_the_horizon(self):
+        env = Environment()
+        assert env.next_up(5.0, env._LATE)  # empty schedule
+        env.timeout(1.0)
+        assert env.next_up(0.0) and env.next_up(0.5, env._LATE)
+        assert not env.next_up(1.0)  # scheduled first, same priority
+        assert env.next_up(1.0, env._URGENT) and not env.next_up(1.0, env._LATE)
+        assert not env.next_up(2.0, env._URGENT)
+        env.horizon = 0.25
+        assert env.next_up(0.25, env._LATE) and not env.next_up(0.5, env._LATE)
+
+    def test_complete_inline_moves_the_clock_only_when_next(self):
+        env = Environment()
+        env.timeout(1.0)
+        assert env.complete_inline(0.5) and env.now == 0.5
+        assert not env.complete_inline(0.5) and env.now == 0.5  # 1.0 comes first
+        env.run(until=2.0)
+        assert not env.complete_inline(0.5)  # past the last run's horizon
+
