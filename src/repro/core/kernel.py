@@ -5,16 +5,18 @@ developer writes ``on_item`` once.  This module is that one middleware:
 the stage record (:class:`StageCore`), the
 :class:`~repro.core.api.StageContext` handed to processors, routing over
 plain and sharded out-edges, the ``setup()`` bracket, the per-item loop
-(:func:`stage_loop`), the Section-4 sampling tick, micro-batch flush
+(:func:`stage_loop`), the source loop feeding first-layer stages
+(:func:`source_loop`), the Section-4 sampling tick, micro-batch flush
 bookkeeping, and checkpoint / dead-letter construction.
 
-It knows nothing about *how* a driver waits.  The loop is a generator
-that yields a plain effect record wherever a driver must block (take
-input, charge CPU work, send, flush a batch, send end-of-stream) and
-runs everything in between itself; ``runtime_sim`` (generator processes
-over virtual time), ``runtime_threads`` (threads, locks, token buckets)
-and ``net.worker`` (asyncio tasks, frames, credit) only interpret those
-effects over their own queues and links.
+It knows nothing about *how* a driver waits.  Both loops are generators
+that yield a plain effect record wherever a driver must block (take
+input, charge CPU work, send, flush a batch, send end-of-stream; wait
+out a source's gap, put an arrival) and run everything in between
+themselves; ``runtime_sim`` (generator processes over virtual time),
+``runtime_threads`` (threads, locks, token buckets) and ``net.worker``
+/ ``net.coordinator`` (asyncio tasks, frames, credit) only interpret
+those effects over their own queues and links.
 
 The simulator executes this module, so it must stay deterministic: no
 wall clock, no global RNG — time always comes from ``stage.clock``.
@@ -33,8 +35,8 @@ from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.adaptation.protocol import ExceptionCounter, LoadException
 from repro.core.api import AdjustmentParameter, ProcessorError, StageContext, StreamProcessor
 from repro.core.batching import BatchBuffer, BatchPolicy, batch_policy_from_properties
-from repro.core.items import EndOfStream
-from repro.core.sharding import logical_stream
+from repro.core.items import EndOfStream, Item
+from repro.core.sharding import SHARD_GROUP_PROPERTY, ShardGroup, logical_stream
 from repro.core.termination import EosTracker
 from repro.metrics.rates import RateEstimator
 from repro.obs.registry import BatchMetrics, MetricsRegistry, StageMetrics
@@ -42,10 +44,11 @@ from repro.resilience.checkpoint import StageCheckpoint
 from repro.resilience.policy import DeadLetter, DeadLetterQueue, ResilienceConfig
 
 __all__ = [
-    "EOS", "FLUSH", "SEND", "TAKE", "WORK",
-    "EdgeSpec", "KernelStageContext", "RouteUnit", "StageCore", "adaptation_tick",
-    "build_route_units", "flush_buffers", "next_flush_timeout", "quarantine",
-    "route_indices", "run_setup", "stage_checkpoint", "stage_loop",
+    "EOS", "FLUSH", "PUT", "SEND", "TAKE", "WAIT", "WORK",
+    "EdgeSpec", "KernelStageContext", "RouteUnit", "SourceBinding", "StageCore",
+    "adaptation_tick", "build_route_units", "check_binding", "flush_buffers",
+    "next_flush_timeout", "quarantine", "route_indices", "run_setup",
+    "source_loop", "stage_checkpoint", "stage_loop",
 ]
 
 #: Stands in for ``param_lock`` / ``state_lock`` on single-threaded drivers
@@ -620,6 +623,144 @@ def _route(
     stage.metrics.bytes_out.inc(nbytes)
     if hop is not None and not buffers:
         hop.tx_t += stage.clock() - now
+
+
+# -- the source loop -----------------------------------------------------------
+
+#: Effect tags of :func:`source_loop`.
+WAIT, PUT = "wait", "put"
+
+
+@dataclass
+class SourceBinding:
+    """An external data stream feeding a first-layer stage.
+
+    Parameters
+    ----------
+    name:
+        Diagnostic name; also the ``origin`` tag on injected items.
+    target_stage:
+        Name of the stage receiving the stream, or of a shard group (the
+        declared name of a stage expanded into replicas): each arrival
+        then goes to the replica owning its key, and end-of-stream to
+        every replica slot.
+    payloads:
+        Iterable of payload objects (consumed once).
+    rate:
+        Arrival rate in items per (scaled) second, or ``None`` to deliver
+        as fast as the pipeline accepts (the finite-workload mode of the
+        Figure 5/6 experiments).  Ignored when ``arrivals`` is given.
+    item_size:
+        Bytes per item, or a callable payload -> bytes.
+    arrivals:
+        Optional :class:`~repro.streams.arrivals.ArrivalProcess` supplying
+        inter-arrival gaps (Poisson, bursty ON/OFF ...); overrides
+        ``rate``.
+    drop_when_full:
+        If True, arrivals finding the stage queue at capacity are
+        *dropped* (counted in the stage's ``items_dropped``) instead of
+        back-pressuring the source — real instruments do not pause; "it
+        is often not feasible to store all data" (Section 1).  Honoured
+        by the simulated runtime.
+    """
+
+    name: str
+    target_stage: str
+    payloads: Iterable[Any]
+    rate: Optional[float] = None
+    item_size: float | Callable[[Any], float] = 8.0
+    arrivals: Optional[Any] = None
+    drop_when_full: bool = False
+
+    def targets(self, groups: Mapping[str, ShardGroup]) -> List[str]:
+        """The stages fed, in slot order: the shard group's members, or
+        the one target stage."""
+        group = groups.get(self.target_stage)
+        return list(group.members) if group is not None else [self.target_stage]
+
+
+def check_binding(
+    binding: SourceBinding,
+    stages: Mapping[str, Mapping[str, Any]],
+    error: Callable[[str], Exception],
+) -> None:
+    """Reject a binding to an unknown stage or group, or with ``rate`` <= 0.
+
+    ``stages`` maps every stage name to its properties (a replica's name
+    its group's); ``error(message)`` builds the driver's exception.
+    """
+    target = binding.target_stage
+    if target not in stages and not any(
+        properties.get(SHARD_GROUP_PROPERTY) == target for properties in stages.values()
+    ):
+        raise error(f"source {binding.name!r}: unknown stage {target!r}")
+    if binding.rate is not None and binding.rate <= 0:
+        raise error(f"source {binding.name!r}: rate must be > 0, got {binding.rate}")
+
+
+def source_loop(
+    binding: SourceBinding,
+    groups: Mapping[str, ShardGroup],
+    clock: Callable[[], float],
+    registry: MetricsRegistry,
+    *,
+    tracer: Optional[Any] = None,
+    time_scale: float = 1.0,
+    lock: Optional[Any] = None,
+) -> _Effects:
+    """The one source loop, as a generator of blocking effects.
+
+    It feeds the slots ``binding.targets(groups)``.  A driver answers
+    ``(WAIT, seconds)`` by sleeping (the gap before an arrival: ``rate``
+    or ``arrivals`` times ``time_scale``; a gap of 0 yields nothing),
+    and ``(PUT, slot, message)`` by delivering the ``Item`` or
+    ``EndOfStream`` into that slot's queue, blocking while it is full,
+    or by replying False to report the item dropped (``drop_when_full``).
+
+    In here: the payload's size, the ``Item`` stamped from ``clock``,
+    ``tracer`` sampling (``run.traced_items``; the hop opens before the
+    put), routing by ``ShardGroup.owner``, ``shard.<member>.items``
+    counts, and end-of-stream to every slot, inactive replicas included.
+    A routed put is answered while ``lock`` (the threaded group lock) is
+    held, so a rebalance never splits owner and put.  What ``payloads``
+    or ``item_size`` raise propagates.
+    """
+    name, item_size = binding.name, binding.item_size
+    sized = callable(item_size)
+    group = groups.get(binding.target_stage)
+    members = binding.targets(groups)
+    counters = [registry.counter(f"shard.{m}.items") for m in members] if group else []
+    gaps = binding.arrivals.gaps() if binding.arrivals is not None else None
+    fixed_gap = (1.0 / binding.rate) * time_scale if binding.rate else 0.0
+    slot = 0
+    for payload in binding.payloads:
+        gap = next(gaps) * time_scale if gaps is not None else fixed_gap
+        if gap:
+            yield (WAIT, gap)
+        now = clock()
+        item = Item(payload, float(item_size(payload) if sized else item_size), name, now)
+        trace = tracer.maybe_trace(name, now) if tracer is not None else None
+        if trace is not None:
+            registry.counter("run.traced_items").inc()
+            item.trace = trace
+        if lock is not None:  # by hand: a with-block costs a context manager per item
+            lock.acquire()
+        try:
+            if group is not None:
+                slot = group.owner(payload)
+            if trace is not None:
+                item.hop = trace.begin_hop(members[slot], now)
+            delivered = (yield (PUT, slot, item)) is not False
+        finally:
+            if lock is not None:
+                lock.release()
+        if not delivered:
+            if trace is not None:
+                trace.hops.remove(item.hop)
+        elif counters:
+            counters[slot].inc()
+    for slot in range(len(members)):
+        yield (PUT, slot, EndOfStream(origin=name))
 
 
 # -- fault-tolerance records ---------------------------------------------------

@@ -51,7 +51,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.adaptation.protocol import LoadException
@@ -62,14 +62,18 @@ from repro.core.kernel import (
     FLUSH,
     SEND,
     TAKE,
+    WAIT,
     WORK,
     EdgeSpec,
+    SourceBinding,
     StageCore,
     adaptation_tick,
     build_route_units,
+    check_binding,
     flush_buffers,
     quarantine,
     run_setup,
+    source_loop,
     stage_checkpoint,
     stage_loop,
 )
@@ -102,50 +106,6 @@ __all__ = ["RuntimeError_", "SimulatedRuntime", "SourceBinding"]
 
 class RuntimeError_(Exception):
     """Raised for invalid runtime configuration (name avoids the builtin)."""
-
-
-@dataclass
-class SourceBinding:
-    """An external data stream feeding a first-layer stage.
-
-    Parameters
-    ----------
-    name:
-        Diagnostic name; also the ``origin`` tag on injected items.
-    target_stage:
-        Name of the stage receiving the stream.
-    payloads:
-        Iterable of payload objects (consumed once).
-    rate:
-        Arrival rate in items/second, or ``None`` to deliver as fast as
-        the pipeline accepts (the finite-workload mode of the Figure 5/6
-        experiments).  Ignored when ``arrivals`` is given.
-    item_size:
-        Bytes per item, or a callable payload -> bytes.
-    arrivals:
-        Optional :class:`~repro.streams.arrivals.ArrivalProcess` supplying
-        inter-arrival gaps (Poisson, bursty ON/OFF ...); overrides
-        ``rate``.
-    drop_when_full:
-        If True, arrivals finding the stage queue at capacity are
-        *dropped* (counted in the stage's ``items_dropped``) instead of
-        back-pressuring the source — real instruments do not pause; "it
-        is often not feasible to store all data" (Section 1).
-    """
-
-    name: str
-    target_stage: str
-    payloads: Iterable[Any]
-    rate: Optional[float] = None
-    item_size: float | Callable[[Any], float] = 8.0
-    arrivals: Optional[Any] = None
-    drop_when_full: bool = False
-
-    def size_of(self, payload: Any) -> float:
-        """Bytes to account for ``payload`` on the wire."""
-        if callable(self.item_size):
-            return float(self.item_size(payload))
-        return float(self.item_size)
 
 
 @dataclass
@@ -294,7 +254,6 @@ class SimulatedRuntime:
         #: markers (see repro.core.sharding); static here — the
         #: simulated runtime runs the declared active count unchanged.
         self._groups: Dict[str, ShardGroup] = {}
-        self._shard_counters: Dict[str, Any] = {}
         self._stage_done: Dict[str, Event] = {}
         self._result: Optional[RunResult] = None
         self._built = False
@@ -308,27 +267,13 @@ class SimulatedRuntime:
     # -- setup -------------------------------------------------------------
 
     def bind_source(self, binding: SourceBinding) -> None:
-        """Attach an external stream to a stage (before :meth:`run`).
-
-        ``target_stage`` may also name a shard *group* (the declared
-        name of a stage expanded into replicas): the feeder then routes
-        each arrival to the replica owning its key and delivers the
-        end-of-stream sentinel to every replica slot.
-        """
+        """Attach an external stream to a stage or shard group (before
+        :meth:`run`); see :class:`~repro.core.kernel.SourceBinding`."""
         if self._built:
             raise RuntimeError_("cannot bind sources after run()")
-        if binding.rate is not None and binding.rate <= 0:
-            raise RuntimeError_(f"source rate must be > 0, got {binding.rate}")
-        config = self.deployment.config
-        target = binding.target_stage
-        if not any(
-            stage.name == target
-            or stage.properties.get(SHARD_GROUP_PROPERTY) == target
-            for stage in config.stages
-        ):
-            raise RuntimeError_(
-                f"source {binding.name!r}: unknown target stage {target!r}"
-            )
+        check_binding(
+            binding, {s.name: s.properties for s in self.deployment.config.stages}, RuntimeError_
+        )
         self._bindings.append(binding)
 
     def _build(self) -> None:
@@ -373,7 +318,6 @@ class SimulatedRuntime:
         for group in self._groups.values():
             for slot, member in enumerate(group.members):
                 counter = self.metrics.counter(f"shard.{member}.items")
-                self._shard_counters[member] = counter
                 slot_of[member] = (group.name, slot, len(group.members), counter)
 
         # Wire edges over the network.
@@ -397,12 +341,8 @@ class SimulatedRuntime:
         # Account for external source bindings (a group target expects
         # one end-of-stream per replica slot — the feeder sends to all).
         for binding in self._bindings:
-            group = self._groups.get(binding.target_stage)
-            if group is not None and binding.target_stage not in self._stages:
-                for member in group.members:
-                    self._stages[member].eos.expect()
-            else:
-                self._stages[binding.target_stage].eos.expect()
+            for name in binding.targets(self._groups):
+                self._stages[name].eos.expect()
 
         # Every stage must have at least one input, or it can never end.
         for stage in self._stages.values():
@@ -508,78 +448,50 @@ class SimulatedRuntime:
     # -- processes ------------------------------------------------------------
 
     def _start_feeder(self, binding: SourceBinding) -> None:
-        """Run :meth:`_feeder` as callbacks: a gap is a timer, and a put
-        into a full queue parks the feeder in the queue's putter FIFO
-        (:meth:`~repro.simnet.resources.Store.offer`) until a take admits
-        the item.  It starts where a process of its own would have."""
-        send = self._feeder(binding).send
+        """Interpret the kernel's :func:`source_loop` as callbacks: a gap
+        is a timer, and a put into a full queue parks the feeder in the
+        queue's putter FIFO (:meth:`~repro.simnet.resources.Store.offer`)
+        until a take admits it.  The arrival rate is observed as an item
+        lands; under ``drop_when_full`` an item finding the queue full is
+        dropped.  It starts where a process of its own would have."""
+        stages = [self._stages[name] for name in binding.targets(self._groups)]
+        loop = source_loop(binding, self._groups, self._clock, self.metrics, tracer=self.tracer)
+        send = loop.send
         call_later = self.env.call_later
+        landed: Optional[_StageRuntime] = None
 
         def resume(_event: Any) -> None:
+            nonlocal landed
+            reply = None
             while True:
+                if landed is not None:
+                    landed.rate_estimator.observe(self.env.now)
+                    landed = None
                 try:
-                    wait = send(None)
+                    effect = send(reply)
                 except StopIteration:
                     return
-                if type(wait) is not tuple:
-                    call_later(wait, resume)
+                reply = None
+                if effect[0] is WAIT:
+                    call_later(effect[1], resume)
                     return
-                queue, message = wait
-                if not queue.offer(message, resume):
+                _, slot, message = effect
+                stage = stages[slot]
+                if type(message) is Item:
+                    landed = stage
+                    if binding.drop_when_full:
+                        if stage.queue.is_full:
+                            stage.metrics.items_dropped.inc()
+                            landed, reply = None, False
+                        else:
+                            stage.queue.force_put(message)
+                        continue
+                # A blocking put waits for queue space; that back-pressure
+                # wait counts as queue time (the hop is already open).
+                if not stage.queue.offer(message, resume):
                     return
 
         call_later(0.0, resume)
-
-    def _feeder(self, binding: SourceBinding) -> Generator:
-        """One source's arrivals: yields a gap to wait, or ``(queue,
-        message)`` for a put that blocks while the queue is full."""
-        group: Optional[ShardGroup] = None
-        if binding.target_stage in self._stages:
-            targets = [self._stages[binding.target_stage]]
-        else:
-            group = self._groups[binding.target_stage]
-            targets = [self._stages[member] for member in group.members]
-        if binding.arrivals is not None:
-            gaps: Optional[Any] = binding.arrivals.gaps()
-        else:
-            gaps = None
-        fixed_gap = 1.0 / binding.rate if binding.rate else 0.0
-        for payload in binding.payloads:
-            gap = next(gaps) if gaps is not None else fixed_gap
-            if gap:
-                yield gap
-            stage = targets[group.owner(payload)] if group is not None else targets[0]
-            item = Item(
-                payload=payload,
-                size=binding.size_of(payload),
-                origin=binding.name,
-                created_at=self.env.now,
-            )
-            if self.tracer is not None:
-                item.trace = self.tracer.maybe_trace(binding.name, self.env.now)
-                if item.trace is not None:
-                    self.metrics.counter("run.traced_items").inc()
-                    # Open the hop before the put: completing a blocking
-                    # put may resume the waiting worker first, which must
-                    # already see item.hop.
-                    item.hop = item.trace.begin_hop(stage.name, self.env.now)
-            if binding.drop_when_full:
-                if stage.queue.is_full:
-                    stage.metrics.items_dropped.inc()
-                    if item.hop is not None:
-                        item.trace.hops.remove(item.hop)
-                        item.hop = None
-                    continue
-                stage.queue.force_put(item)
-            else:
-                # A blocking put waits for queue space; that back-pressure
-                # wait counts as queue time (the hop is already open).
-                yield stage.queue, item
-            stage.rate_estimator.observe(self.env.now)
-            if group is not None:
-                self._shard_counters[stage.name].inc()
-        for stage in targets:
-            yield stage.queue, EndOfStream(origin=binding.name)
 
     def _spawn_worker(self, stage: _StageRuntime) -> None:
         self.env.process(
@@ -1079,11 +991,6 @@ class SimulatedRuntime:
                 previous=previous,
                 active=active,
             )
-
-    def is_migrating(self, stage_name: str) -> bool:
-        """Whether a planned migration of ``stage_name`` is in flight."""
-        stage = self._stages.get(stage_name)
-        return stage is not None and stage.migrating
 
     def migrating_stages(self) -> frozenset:
         """Names of stages currently under planned migration."""

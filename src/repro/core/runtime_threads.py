@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.adaptation.policy import AdaptationPolicy
@@ -39,15 +39,20 @@ from repro.core.batching import BatchPolicy
 from repro.core.items import EndOfStream, Item
 from repro.core.kernel import (
     FLUSH,
+    PUT,
     SEND,
     TAKE,
+    WAIT,
     WORK,
     EdgeSpec,
     RouteUnit,
+    SourceBinding,
     StageCore,
     adaptation_tick,
     build_route_units,
+    check_binding,
     run_setup,
+    source_loop,
     stage_checkpoint,
     stage_loop,
 )
@@ -58,7 +63,6 @@ from repro.core.sharding import (
     ShardScaler,
     expand_shards,
     export_keyed_state,
-    extract_key,
     groups_of,
     import_keyed_state,
 )
@@ -155,14 +159,19 @@ class _MonitoredQueue:
             self._closed = True
             self._not_full.notify_all()
 
+    def _wait_for_items(self, timeout: Optional[float]) -> None:
+        """With the lock held, block until the queue is non-empty, or
+        raise ``TimeoutError`` after ``timeout`` seconds."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self._items:
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                raise TimeoutError("queue get timed out")
+            self._not_empty.wait(remaining)
+
     def get(self, timeout: Optional[float] = None) -> Any:
         with self._lock:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while not self._items:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError("queue get timed out")
-                self._not_empty.wait(remaining)
+            self._wait_for_items(timeout)
             item = self._items.popleft()
             self._recent.append(len(self._items))
             self._not_full.notify()
@@ -172,12 +181,7 @@ class _MonitoredQueue:
         """Block for the first item (as :meth:`get`), then drain up to
         ``max_items`` without further waiting."""
         with self._lock:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while not self._items:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError("queue get timed out")
-                self._not_empty.wait(remaining)
+            self._wait_for_items(timeout)
             taken = []
             while self._items and len(taken) < max_items:
                 taken.append(self._items.popleft())
@@ -203,21 +207,6 @@ class _ThreadEdge:
     name: Optional[str] = None
 
 
-@dataclass
-class _GroupState:
-    """Mutable runtime state of one shard group (threaded runtime).
-
-    ``lock`` serializes routing decisions against scale transitions: a
-    producer holds it per routed item, the autoscaler holds it for a
-    whole rebalance, so no item is partitioned with a stale active count
-    while keyed state is in flight.
-    """
-
-    group: ShardGroup
-    active: int
-    lock: threading.Lock = field(default_factory=threading.Lock)
-
-
 class _ThreadStage(StageCore):
     """The kernel's stage record plus the threaded driver's locks and flags."""
 
@@ -225,8 +214,6 @@ class _ThreadStage(StageCore):
         super().__init__(*core, param_lock=threading.Lock())
         self.out_edges: List[_ThreadEdge] = []
         self.upstream: List["_ThreadStage"] = []
-        #: ``shard.{stage}.items`` counter handle (replica stages only).
-        self.shard_items: Optional[Counter] = None
         #: Items routed to this stage through a shard group (written under
         #: the group's lock) vs ``consumed``, the items its worker finished
         #: with.  The autoscaler drains a group by waiting for the two to
@@ -241,16 +228,6 @@ class _ThreadStage(StageCore):
         self.state_lock = threading.Lock()
         self.done = threading.Event()
         self.error: Optional[BaseException] = None
-
-
-@dataclass
-class _ThreadSource:
-    name: str
-    target: str
-    payloads: Iterable[Any]
-    rate: Optional[float]
-    item_size: float | Callable[[Any], float]
-    arrivals: Optional[Any] = None
 
 
 class ThreadedRuntime:
@@ -314,8 +291,15 @@ class ThreadedRuntime:
         elif checkpoints is not None:
             raise ThreadedRuntimeError("checkpoints= requires resilience= as well")
         self._stages: Dict[str, _ThreadStage] = {}
-        self._sources: List[_ThreadSource] = []
-        self._groups: Dict[str, _GroupState] = {}
+        self._sources: List[SourceBinding] = []
+        #: (source name, exception) of every source that raised.
+        self._source_errors: List[Tuple[str, BaseException]] = []
+        #: Shard groups, and each one's routing lock: a producer holds it
+        #: per routed item, the autoscaler for a whole rebalance, so no
+        #: item is partitioned with a stale active count while keyed
+        #: state is in flight.
+        self._groups: Dict[str, ShardGroup] = {}
+        self._group_locks: Dict[str, threading.Lock] = {}
         self._start_time = 0.0
         self._started = False
         #: Completed planned moves (MigrationReport), in commit order.
@@ -444,28 +428,16 @@ class ThreadedRuntime:
         item_size: float | Callable[[Any], float] = 8.0,
         arrivals: Optional[Any] = None,
     ) -> None:
-        """Attach an external stream (rate in items per *scaled* second).
-
-        ``arrivals`` (an :class:`~repro.streams.arrivals.ArrivalProcess`)
-        overrides ``rate`` with per-item gaps, as in the simulated runtime.
-
-        ``target`` may also name a shard group (the declared name of a
-        stage expanded into replicas): the feeder then routes each item
-        to its key's owning replica and delivers one end-of-stream
-        sentinel per replica slot.
-        """
+        """Attach an external stream to a stage or shard group: the fields
+        of :class:`~repro.core.kernel.SourceBinding`, with ``rate`` in
+        items per *scaled* second."""
         if self._started:
             raise ThreadedRuntimeError("cannot bind sources after run()")
-        if target not in self._stages and not any(
-            s.properties.get(SHARD_GROUP_PROPERTY) == target
-            for s in self._stages.values()
-        ):
-            raise ThreadedRuntimeError(f"unknown stage {target!r}")
-        if rate is not None and rate <= 0:
-            raise ThreadedRuntimeError(f"rate must be > 0, got {rate}")
-        self._sources.append(
-            _ThreadSource(name, target, payloads, rate, item_size, arrivals)
+        binding = SourceBinding(name, target, payloads, rate, item_size, arrivals)
+        check_binding(
+            binding, {n: s.properties for n, s in self._stages.items()}, ThreadedRuntimeError
         )
+        self._sources.append(binding)
 
     # -- execution ----------------------------------------------------------------
 
@@ -475,12 +447,8 @@ class ThreadedRuntime:
             raise ThreadedRuntimeError("run() may only be called once")
         self._build_shards()
         for source in self._sources:
-            state = self._groups.get(source.target)
-            if state is not None:
-                for member in state.group.members:
-                    self._stages[member].eos.expect(group=state.group.name)
-            else:
-                self._stages[source.target].eos.expect()
+            for name in source.targets(self._groups):
+                self._stages[name].eos.expect()
         for stage in self._stages.values():
             if not stage.eos.has_inputs:
                 raise ThreadedRuntimeError(no_input_message(stage.name))
@@ -492,37 +460,23 @@ class ThreadedRuntime:
             stage.open_batch_buffers(range(len(stage.out_edges)))
             run_setup(stage, ThreadedRuntimeError)
 
-        threads: List[threading.Thread] = []
         stop_monitors = threading.Event()
+        checkpointing = (
+            self.resilience is not None and self.resilience.checkpoint_interval is not None
+        )
+        bodies: List[Tuple[Callable[..., None], Tuple[Any, ...]]] = []
         for stage in self._stages.values():
-            threads.append(
-                threading.Thread(target=self._worker, args=(stage,), daemon=True)
-            )
+            bodies.append((self._worker, (stage,)))
             if self.adaptation_enabled:
-                monitor = threading.Thread(
-                    target=self._monitor, args=(stage, stop_monitors), daemon=True
-                )
-                monitor.start()
-            if (
-                self.resilience is not None
-                and self.resilience.checkpoint_interval is not None
-            ):
-                checkpointer = threading.Thread(
-                    target=self._checkpointer, args=(stage, stop_monitors), daemon=True
-                )
-                checkpointer.start()
-        for state in self._groups.values():
-            if state.group.policy.elastic:
-                autoscaler = threading.Thread(
-                    target=self._autoscaler, args=(state, stop_monitors), daemon=True
-                )
-                autoscaler.start()
-        for source in self._sources:
-            threads.append(
-                threading.Thread(target=self._feeder, args=(source,), daemon=True)
-            )
-        for thread in threads:
-            thread.start()
+                bodies.append((self._monitor, (stage, stop_monitors)))
+            if checkpointing:
+                bodies.append((self._checkpointer, (stage, stop_monitors)))
+        for group in self._groups.values():
+            if group.policy.elastic:
+                bodies.append((self._autoscaler, (group, stop_monitors)))
+        bodies += [(self._feeder, (source,)) for source in self._sources]
+        for body, args in bodies:
+            threading.Thread(target=body, args=args, daemon=True).start()
 
         deadline = time.monotonic() + timeout
         for stage in self._stages.values():
@@ -534,14 +488,17 @@ class ThreadedRuntime:
                 )
         stop_monitors.set()
 
+        if self._source_errors:
+            name, exc = self._source_errors[0]
+            raise ThreadedRuntimeError(f"source {name!r} failed: {exc!r}") from exc
         errors = [s.error for s in self._stages.values() if s.error is not None]
         if errors:
             raise errors[0]
 
         result.execution_time = self.elapsed()
         self.metrics.gauge("run.execution_time").set(result.execution_time)
-        for group_name, state in self._groups.items():
-            self.metrics.gauge(f"shard.{group_name}.replicas").set(float(state.active))
+        for group_name, group in self._groups.items():
+            self.metrics.gauge(f"shard.{group_name}.replicas").set(float(group.active))
         if self.tracer is not None:
             result.traces = self.tracer.traces
             publish_traces(self.metrics, result.traces)
@@ -571,86 +528,53 @@ class ThreadedRuntime:
         with stage.rate_lock:
             stage.rate_estimator.observe(self.elapsed(), count=count)
 
-    def _source_item(self, source: _ThreadSource, payload: Any) -> Item:
-        """One arrival from ``source``, stamped now (and maybe traced)."""
-        size = source.item_size(payload) if callable(source.item_size) else source.item_size
-        item = Item(
-            payload=payload, size=float(size), origin=source.name, created_at=self.elapsed()
-        )
-        if self.tracer is not None:
-            item.trace = self.tracer.maybe_trace(source.name, item.created_at)
-            if item.trace is not None:
-                self.metrics.counter("run.traced_items").inc()
-        return item
+    def _feeder(self, source: SourceBinding) -> None:
+        """Interpret the kernel's :func:`source_loop` on this thread.
 
-    def _feeder(self, source: _ThreadSource) -> None:
-        state = self._groups.get(source.target)
-        if state is not None:
-            self._feed_group(source, state)
-            return
-        stage = self._stages[source.target]
-        gaps = source.arrivals.gaps() if source.arrivals is not None else None
-        fixed_gap = (1.0 / source.rate) * self.time_scale if source.rate else 0.0
-        # When the target stage batches, back-to-back arrivals (no pacing
-        # gap) are handed over in chunks of the stage's batch size — one
-        # lock round-trip and one rate observation per chunk.
-        chunk_limit = stage.batch.max_items if stage.batch is not None else 1
+        Gaps are sleeps; a group-bound put happens under the group's lock
+        (the autoscaler rebalances there).  Back-to-back arrivals into a
+        batching stage are handed over in chunks of its batch size (one
+        lock round-trip and rate observation per chunk).  A source that
+        raises ends its targets' input and fails the run.
+        """
+        group = self._groups.get(source.target_stage)
+        members = [self._stages[name] for name in source.targets(self._groups)]
+        loop = source_loop(
+            source, self._groups, self.elapsed, self.metrics, tracer=self.tracer,
+            time_scale=self.time_scale, lock=self._group_locks.get(source.target_stage),
+        )
+        stage = members[0]
+        limit = stage.batch.max_items if stage.batch is not None and group is None else 1
         chunk: List[Item] = []
 
-        def flush_chunk() -> None:
-            if not chunk:
-                return
+        def hand_over(member: _ThreadStage) -> None:
             if len(chunk) == 1:
-                stage.queue.put(chunk[0])
+                member.queue.put(chunk[0])
             else:
-                stage.queue.put_many(chunk)
-            self._observe_arrival(stage, count=len(chunk))
+                member.queue.put_many(chunk)
+            if group is not None:
+                member.delivered += 1  # one item, under the group lock
+            self._observe_arrival(member, count=len(chunk))
             chunk.clear()
 
-        for payload in source.payloads:
-            gap = next(gaps) * self.time_scale if gaps is not None else fixed_gap
-            if gap:
-                flush_chunk()
-                time.sleep(gap)
-            item = self._source_item(source, payload)
-            if item.trace is not None:
-                item.hop = item.trace.begin_hop(stage.name, self.elapsed())
-            chunk.append(item)
-            if len(chunk) >= chunk_limit:
-                flush_chunk()
-        flush_chunk()
-        stage.queue.put(EndOfStream(origin=source.name))
-
-    def _feed_group(self, source: _ThreadSource, state: _GroupState) -> None:
-        """Feeder body for a source bound to a shard group.
-
-        Each payload goes to its key's owning replica under the group's
-        routing lock; every replica slot (active or not) receives one
-        end-of-stream sentinel, matching the per-member expectations
-        registered by :meth:`run`.
-        """
-        members = [self._stages[name] for name in state.group.members]
-        gaps = source.arrivals.gaps() if source.arrivals is not None else None
-        fixed_gap = (1.0 / source.rate) * self.time_scale if source.rate else 0.0
-        for payload in source.payloads:
-            gap = next(gaps) * self.time_scale if gaps is not None else fixed_gap
-            if gap:
-                time.sleep(gap)
-            item = self._source_item(source, payload)
-            with state.lock:
-                owner = state.group.partitioner.select(
-                    extract_key(payload, state.group.shard_by), state.active
-                )
-                member = members[owner]
-                if item.trace is not None:
-                    item.hop = item.trace.begin_hop(member.name, self.elapsed())
-                member.queue.put(item)
-                member.delivered += 1
-            self._observe_arrival(member)
-            if member.shard_items is not None:
-                member.shard_items.inc()
-        for member in members:
-            member.queue.put(EndOfStream(origin=source.name))
+        try:
+            for effect in loop:
+                if effect[0] is PUT and type(effect[2]) is Item:
+                    chunk.append(effect[2])
+                    if len(chunk) >= limit:
+                        hand_over(members[effect[1]])
+                    continue
+                if chunk:
+                    hand_over(stage)
+                if effect[0] is WAIT:
+                    time.sleep(effect[1])
+                else:  # end-of-stream
+                    members[effect[1]].queue.put(effect[2])
+        except Exception as exc:  # surfaced by run()
+            loop.close()  # releases the group lock if a put raised
+            self._source_errors.append((source.name, exc))
+            for member in members:
+                member.queue.force_put(EndOfStream(origin=source.name))
 
     def _worker(self, stage: _ThreadStage) -> None:
         """Interpret the kernel's :func:`stage_loop` on this thread.
@@ -723,6 +647,13 @@ class ThreadedRuntime:
             wait = edge.bucket.consume(size)
             if wait > 0:
                 time.sleep(wait * self.time_scale)
+        self._put_emission(stage, edge, payload, size, trace)
+        self._observe_arrival(edge.dst)
+
+    def _put_emission(
+        self, stage: _ThreadStage, edge: _ThreadEdge, payload: Any, size: float, trace: Any
+    ) -> None:
+        """Stamp one emission now and put it into the edge's queue."""
         item = Item(
             payload=payload, size=size, origin=stage.name,
             created_at=self.elapsed(), trace=trace,
@@ -732,7 +663,6 @@ class ThreadedRuntime:
             # dequeue immediately.  Emissions share the parent item's trace.
             item.hop = trace.begin_hop(edge.dst.name, self.elapsed())
         edge.dst.queue.put(item)
-        self._observe_arrival(edge.dst)
 
     def _send_family(
         self,
@@ -751,25 +681,17 @@ class ThreadedRuntime:
         between the old and the new owner.  Naming a concrete per-replica
         stream (``"t#1"``) overrides the partitioner for that emission.
         """
-        state = self._groups[unit.group or ""]
+        group = self._groups[unit.group or ""]
         wait = 0.0
-        with state.lock:
+        with self._group_locks[group.name]:
             if stream is not None and stream in unit.named:
-                edge = stage.out_edges[unit.edges[unit.named[stream]]]
+                slot = unit.named[stream]
             else:
-                owner = state.group.partitioner.select(
-                    extract_key(payload, state.group.shard_by), state.active
-                )
-                edge = stage.out_edges[unit.edges[owner]]
+                slot = group.owner(payload)
+            edge = stage.out_edges[unit.edges[slot]]
             if edge.bucket is not None:
                 wait = edge.bucket.consume(size)
-            item = Item(
-                payload=payload, size=size, origin=stage.name,
-                created_at=self.elapsed(), trace=trace,
-            )
-            if trace is not None:
-                item.hop = trace.begin_hop(edge.dst.name, self.elapsed())
-            edge.dst.queue.put(item)
+            self._put_emission(stage, edge, payload, size, trace)
             edge.dst.delivered += 1
         if wait > 0:
             # The bucket already charged this emission; sleeping out here
@@ -778,8 +700,7 @@ class ThreadedRuntime:
             # every producer routing to the group (and the autoscaler).
             time.sleep(wait * self.time_scale)
         self._observe_arrival(edge.dst)
-        if edge.dst.shard_items is not None:
-            edge.dst.shard_items.inc()
+        unit.counters[slot].inc()
 
     def _ship(self, stage: _ThreadStage, index: int, entries: List[Any]) -> None:
         """Ship one edge's flushed batch downstream: one token-bucket
@@ -813,18 +734,13 @@ class ThreadedRuntime:
         families collapsed into one partitioned unit each.
         """
         properties = {name: s.properties for name, s in self._stages.items()}
-        self._groups = {
-            name: _GroupState(group=group, active=group.active)
-            for name, group in groups_of(properties).items()
-        }
-        member_slot: Dict[str, Tuple[str, int, int]] = {}
-        for group_name, state in self._groups.items():
-            members = state.group.members
-            for index, member in enumerate(members):
-                member_slot[member] = (group_name, index, len(members))
-                self._stages[member].shard_items = self.metrics.counter(
-                    f"shard.{member}.items"
-                )
+        self._groups = groups_of(properties)
+        self._group_locks = {name: threading.Lock() for name in self._groups}
+        member_slot: Dict[str, Tuple[str, int, int, Counter]] = {}
+        for group_name, group in self._groups.items():
+            for index, member in enumerate(group.members):
+                counter = self.metrics.counter(f"shard.{member}.items")
+                member_slot[member] = (group_name, index, len(group.members), counter)
         for stage in self._stages.values():
             stage.route_units, stage.stream_names = build_route_units(
                 [
@@ -833,7 +749,7 @@ class ThreadedRuntime:
                 ]
             )
 
-    def _autoscaler(self, state: _GroupState, stop: threading.Event) -> None:
+    def _autoscaler(self, group: ShardGroup, stop: threading.Event) -> None:
         """Per-group control loop: occupancy samples in, rebalances out.
 
         Samples mean queue occupancy across the group's active replicas
@@ -842,9 +758,9 @@ class ThreadedRuntime:
         executes the transitions it decides.  Every transition is
         recorded in the ``scale.*`` metric family.
         """
-        group_name = state.group.name
-        members = [self._stages[name] for name in state.group.members]
-        scaler = ShardScaler(state.group.policy, state.active)
+        group_name = group.name
+        members = [self._stages[name] for name in group.members]
+        scaler = ShardScaler(group.policy, group.active)
         replicas_series = self.metrics.series(f"scale.{group_name}.replicas")
         scale_ups = self.metrics.counter(f"scale.{group_name}.scale_ups")
         scale_downs = self.metrics.counter(f"scale.{group_name}.scale_downs")
@@ -852,33 +768,33 @@ class ThreadedRuntime:
             f"scale.{group_name}.rebalance_seconds"
         )
         interval = self.policy.sample_interval * self.time_scale
-        replicas_series.record(self.elapsed(), float(state.active))
+        replicas_series.record(self.elapsed(), float(group.active))
         while not stop.is_set():
             if stop.wait(interval):
                 return
             if all(member.done.is_set() for member in members):
                 return
-            active_members = members[: state.active]
+            active_members = members[: group.active]
             occupancy = sum(
                 min(1.0, m.queue.current_length / m.queue.capacity)
                 for m in active_members
             ) / len(active_members)
-            previous = state.active
+            previous = group.active
             target = scaler.observe(occupancy)
             if target is None or target == previous:
                 continue
             started = time.monotonic()
-            if self._rebalance(state, members, target):
+            if self._rebalance(group, members, target):
                 rebalance_seconds.observe(time.monotonic() - started)
                 (scale_ups if target > previous else scale_downs).inc()
-                replicas_series.record(self.elapsed(), float(state.active))
+                replicas_series.record(self.elapsed(), float(group.active))
             else:
                 # Transition aborted (a member finished or died mid-drain);
                 # resync the scaler with reality.
-                scaler.active = state.active
+                scaler.active = group.active
 
     def _rebalance(
-        self, state: _GroupState, members: List[_ThreadStage], target: int
+        self, group: ShardGroup, members: List[_ThreadStage], target: int
     ) -> bool:
         """Move the group to ``target`` active replicas with state handoff.
 
@@ -892,9 +808,8 @@ class ThreadedRuntime:
         Returns False — leaving the active count untouched — when a
         member terminates or errors while draining.
         """
-        group = state.group
-        with state.lock:
-            previous = state.active
+        with self._group_locks[group.name]:
+            previous = group.active
             while any(m.delivered > m.consumed for m in members[:previous]):
                 if any(m.done.is_set() for m in members):
                     return False
@@ -918,7 +833,6 @@ class ThreadedRuntime:
                     member = members[index]
                     with member.state_lock:
                         import_keyed_state(member.processor, buckets[index])
-            state.active = target
             group.active = target
         return True
 

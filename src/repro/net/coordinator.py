@@ -46,6 +46,8 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.batching import BatchBuffer, BatchPolicy
+from repro.core.items import EndOfStream
+from repro.core.kernel import WAIT, SourceBinding, check_binding, source_loop
 from repro.core.results import RunResult, StageStats
 from repro.core.sharding import (
     BOUNDARIES_PROPERTY,
@@ -92,15 +94,6 @@ _PING_ROUNDS = 3
 
 class NetworkedRuntimeError(Exception):
     """Raised for deployment or protocol failures in the networked runtime."""
-
-
-@dataclass
-class _SourceBinding:
-    name: str
-    target: str
-    payloads: Iterable[Any]
-    rate: Optional[float]
-    item_size: Union[float, Callable[[Any], float]]
 
 
 @dataclass
@@ -214,7 +207,7 @@ class NetworkedRuntime:
         self.repository = (
             repository if repository is not None else default_repository()
         )
-        self._sources: List[_SourceBinding] = []
+        self._sources: List[SourceBinding] = []
         self._started = False
         #: stage name -> worker name, decided by the matchmaker at run().
         self.placement: Dict[str, str] = {}
@@ -245,30 +238,26 @@ class NetworkedRuntime:
         rate: Optional[float] = None,
         item_size: Union[float, Callable[[Any], float]] = 8.0,
     ) -> None:
-        """Attach an external stream, fed by the coordinator process.
-
-        ``rate`` is items per *scaled* second, as in the other runtimes;
-        None feeds as fast as the credit window allows.  ``target`` may
-        also name a shard group (a stage declared with ``replicas``):
-        the coordinator then opens one channel per replica and routes
-        each payload to the replica owning its key.
-        """
+        """Attach an external stream to a stage or shard group, fed by the
+        coordinator process: the fields of
+        :class:`~repro.core.kernel.SourceBinding`, with ``rate`` in items
+        per *scaled* second (None: as fast as the credit window allows)."""
         if self._started:
             raise NetworkedRuntimeError("cannot bind sources after run()")
-        if target not in {s.name for s in self.config.stages} and (
-            target not in self._groups
-        ):
-            raise NetworkedRuntimeError(f"unknown stage {target!r}")
-        if rate is not None and rate <= 0:
-            raise NetworkedRuntimeError(f"rate must be > 0, got {rate}")
-        self._sources.append(_SourceBinding(name, target, payloads, rate, item_size))
+        if name in {s.name for s in self.config.streams}:
+            raise NetworkedRuntimeError(f"source binding {name!r} collides with a stream name")
+        binding = SourceBinding(name, target, payloads, rate, item_size)
+        check_binding(
+            binding, {s.name: s.properties for s in self.config.stages}, NetworkedRuntimeError
+        )
+        self._sources.append(binding)
 
     # -- placement -----------------------------------------------------------
 
-    def _place(self, worker_names: List[str]) -> Dict[str, str]:
-        """Matchmake stages onto the worker fleet, modeled as a full mesh."""
-        env = Environment()
-        network = Network(env)
+    @staticmethod
+    def _matchmaker(worker_names: List[str]) -> Matchmaker:
+        """A matchmaker over the worker fleet, modeled as a full mesh."""
+        network = Network(Environment())
         for name in worker_names:
             network.create_host(name, cores=4)
         for i, a in enumerate(worker_names):
@@ -276,10 +265,13 @@ class NetworkedRuntime:
                 network.connect(a, b, bandwidth=_MESH_BANDWIDTH)
         registry = ServiceRegistry()
         registry.register_network(network)
-        matchmaker = Matchmaker(registry, allow_colocation=True)
+        return Matchmaker(registry, allow_colocation=True)
+
+    def _place(self, worker_names: List[str]) -> Dict[str, str]:
+        """Matchmake stages onto the worker fleet."""
         requirements = [(s.name, s.requirement) for s in self.config.stages]
         try:
-            return matchmaker.match_all(requirements)
+            return self._matchmaker(worker_names).match_all(requirements)
         except Exception as exc:
             raise NetworkedRuntimeError(f"resource matching failed: {exc}") from exc
 
@@ -357,12 +349,6 @@ class NetworkedRuntime:
                     f"stage {stage.name!r}: cannot fetch code "
                     f"{stage.code_url!r}: {exc}"
                 ) from exc
-        for binding in self._sources:
-            taken = {s.name for s in self.config.streams}
-            if binding.name in taken:
-                raise NetworkedRuntimeError(
-                    f"source binding {binding.name!r} collides with a stream name"
-                )
 
         handles: List[_WorkerHandle] = []
         outcome: List[RunResult] = []
@@ -415,6 +401,7 @@ class NetworkedRuntime:
         # after the stage graph is built: the measured window is the run
         # itself, not the per-process control-plane handshake.
         run_started = time.monotonic()
+        feeders: List["asyncio.Future[None]"] = []
         try:
             for handle in handles:
                 await self._hello(handle)
@@ -428,10 +415,7 @@ class NetworkedRuntime:
             for handle in handles:
                 await self._expect_ready(handle, FrameType.START, "started")
             run_started = time.monotonic()
-            feeders = [
-                asyncio.create_task(self._feed_source(binding, by_name))
-                for binding in self._sources
-            ]
+            feeders = [asyncio.ensure_future(self._feed_source(b, by_name)) for b in self._sources]
             if self._migration_plans:
                 # Control RPCs and RESULT collection share each worker's
                 # single control connection, so migrations run to
@@ -446,17 +430,18 @@ class NetworkedRuntime:
                         handle.writer, FrameType.MIGRATE,
                         encode_json({"action": "collect"}),
                     )
-                results = await asyncio.gather(
-                    *(self._collect_result(h) for h in handles)
-                )
-            else:
-                results = await asyncio.gather(
-                    *(self._collect_result(h) for h in handles)
-                )
-                await asyncio.gather(*feeders)
+            # Alongside the feeders, so a failing source ends the run at once.
+            results, _ = await asyncio.gather(
+                asyncio.gather(*(self._collect_result(h) for h in handles)),
+                asyncio.gather(*feeders),
+            )
         finally:
+            for feeder in feeders:
+                feeder.cancel()  # when the run failed, stops the other sources
             for handle in handles:
                 await self._shutdown(handle)
+            for channel in list(self._feed_channels.values()):
+                await channel.close(linger=0.0)  # a no-op once a feeder closed it
         elapsed = time.monotonic() - run_started
 
         finals: Dict[str, Any] = {}
@@ -563,59 +548,45 @@ class NetworkedRuntime:
         for stream in self.config.streams:
             src_worker = by_name[self.placement[stream.src]]
             dst_worker = by_name[self.placement[stream.dst]]
-            assert src_worker.writer is not None
-            assert dst_worker.writer is not None
             if src_worker is dst_worker:
-                await send_frame(
-                    src_worker.writer,
-                    FrameType.CHANNEL,
-                    encode_json({
-                        "kind": "local",
-                        "stream": stream.name,
-                        "src": stream.src,
-                        "dst": stream.dst,
-                        "shard": shard_of(stream.dst),
-                    }),
-                )
-                continue
-            await send_frame(
-                dst_worker.writer,
-                FrameType.CHANNEL,
-                encode_json({
-                    "kind": "in",
-                    "stream": stream.name,
-                    "dst": stream.dst,
-                    "window": self.credit_window,
-                }),
-            )
-            await send_frame(
-                src_worker.writer,
-                FrameType.CHANNEL,
-                encode_json({
-                    "kind": "out",
+                await self._declare_channel(src_worker, {
+                    "kind": "local",
                     "stream": stream.name,
                     "src": stream.src,
                     "dst": stream.dst,
-                    "peer_host": dst_worker.host,
-                    "peer_port": dst_worker.port,
-                    "peer_uds": dst_worker.uds,
                     "shard": shard_of(stream.dst),
-                }),
-            )
+                })
+                continue
+            await self._declare_channel(dst_worker, {
+                "kind": "in",
+                "stream": stream.name,
+                "dst": stream.dst,
+                "window": self.credit_window,
+            })
+            await self._declare_channel(src_worker, {
+                "kind": "out",
+                "stream": stream.name,
+                "src": stream.src,
+                "dst": stream.dst,
+                "peer_host": dst_worker.host,
+                "peer_port": dst_worker.port,
+                "peer_uds": dst_worker.uds,
+                "shard": shard_of(stream.dst),
+            })
         for binding in self._sources:
             for stream_name, target in self._source_channels(binding):
-                target_worker = by_name[self.placement[target]]
-                assert target_worker.writer is not None
-                await send_frame(
-                    target_worker.writer,
-                    FrameType.CHANNEL,
-                    encode_json({
-                        "kind": "in",
-                        "stream": stream_name,
-                        "dst": target,
-                        "window": self.credit_window,
-                    }),
-                )
+                await self._declare_channel(by_name[self.placement[target]], {
+                    "kind": "in",
+                    "stream": stream_name,
+                    "dst": target,
+                    "window": self.credit_window,
+                })
+
+    @staticmethod
+    async def _declare_channel(handle: _WorkerHandle, body: Dict[str, Any]) -> None:
+        """Send one CHANNEL declaration to ``handle``'s worker."""
+        assert handle.writer is not None
+        await send_frame(handle.writer, FrameType.CHANNEL, encode_json(body))
 
     def _shard_descriptor(self, dst: str) -> Optional[Dict[str, Any]]:
         """The CHANNEL-frame shard descriptor for edges into ``dst``."""
@@ -637,15 +608,15 @@ class NetworkedRuntime:
             "boundaries": props.get(BOUNDARIES_PROPERTY),
         }
 
-    def _source_channels(self, binding: _SourceBinding) -> List[Tuple[str, str]]:
+    def _source_channels(self, binding: SourceBinding) -> List[Tuple[str, str]]:
         """The (stream name, target stage) pairs one source binding feeds.
 
         A stage-bound source is one channel; a group-bound source gets
         one channel per replica slot, suffixed like the expanded streams.
         """
-        group = self._groups.get(binding.target)
+        group = self._groups.get(binding.target_stage)
         if group is None:
-            return [(binding.name, binding.target)]
+            return [(binding.name, binding.target_stage)]
         return [
             (f"{binding.name}{SHARD_SEPARATOR}{slot}", member)
             for slot, member in enumerate(group.members)
@@ -853,23 +824,7 @@ class NetworkedRuntime:
         ):
             # The stage ran to completion before the fence could land:
             # abandon the move and let everything finish in place.
-            for worker_name, streams in upstream_by_worker.items():
-                await self._migrate_rpc(
-                    by_name[worker_name],
-                    {
-                        "action": "resume",
-                        "streams": {
-                            name: {"host": source.host, "port": source.port,
-                                   "uds": source.uds}
-                            for name in streams
-                        },
-                    },
-                    "resumed",
-                )
-            for name in feed_streams:
-                channel = self._feed_channels.get(name)
-                if channel is not None:
-                    channel.resume()
+            await self._resume_senders(upstream_by_worker, feed_streams, by_name, source)
             return
         if reply.type is not FrameType.HANDOFF:
             raise NetworkedRuntimeError(
@@ -912,27 +867,9 @@ class NetworkedRuntime:
         )
 
         # Phase 5: re-dial every paused sender at the new worker.
-        for worker_name, streams in upstream_by_worker.items():
-            await self._migrate_rpc(
-                by_name[worker_name],
-                {
-                    "action": "resume",
-                    "streams": {
-                        name: {"host": target.host, "port": target.port,
-                               "uds": target.uds}
-                        for name in streams
-                    },
-                },
-                "resumed",
-            )
-        for name in feed_streams:
-            channel = self._feed_channels.get(name)
-            if channel is not None:
-                if not channel.eos_sent:
-                    await channel.redial(
-                        target.host, target.port, uds_path=target.uds
-                    )
-                channel.resume()
+        await self._resume_senders(
+            upstream_by_worker, feed_streams, by_name, target, redial=True
+        )
 
         pause_seconds = (time.monotonic() - t0) / self.time_scale
         self.placement[stage_name] = target_name
@@ -957,6 +894,36 @@ class NetworkedRuntime:
             planned=True,
         ))
 
+    async def _resume_senders(
+        self,
+        upstream_by_worker: Dict[str, List[str]],
+        feed_streams: List[str],
+        by_name: Dict[str, _WorkerHandle],
+        at: _WorkerHandle,
+        redial: bool = False,
+    ) -> None:
+        """Release every sender paused for a move, pointed at worker
+        ``at``; with ``redial`` the coordinator's own feed channels that
+        still have data to send re-dial it first."""
+        for worker_name, streams in upstream_by_worker.items():
+            await self._migrate_rpc(
+                by_name[worker_name],
+                {
+                    "action": "resume",
+                    "streams": {
+                        name: {"host": at.host, "port": at.port, "uds": at.uds}
+                        for name in streams
+                    },
+                },
+                "resumed",
+            )
+        for name in feed_streams:
+            channel = self._feed_channels.get(name)
+            if channel is not None:
+                if redial and not channel.eos_sent:
+                    await channel.redial(at.host, at.port, uds_path=at.uds)
+                channel.resume()
+
     def _select_target(
         self, stage_name: str, by_name: Dict[str, _WorkerHandle]
     ) -> str:
@@ -974,17 +941,7 @@ class NetworkedRuntime:
         requirement = self.config.stage(stage_name).requirement
         if requirement.placement_hint is not None:
             requirement = dc_replace(requirement, placement_hint=None)
-        names = list(by_name)
-        env = Environment()
-        network = Network(env)
-        for name in names:
-            network.create_host(name, cores=4)
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                network.connect(a, b, bandwidth=_MESH_BANDWIDTH)
-        registry = ServiceRegistry()
-        registry.register_network(network)
-        matchmaker = Matchmaker(registry, allow_colocation=True)
+        matchmaker = self._matchmaker(list(by_name))
         occupied = {w for s, w in self.placement.items() if s != stage_name}
         try:
             return matchmaker.match_one(
@@ -1001,16 +958,14 @@ class NetworkedRuntime:
     # -- data plane ------------------------------------------------------------
 
     async def _feed_source(
-        self, binding: _SourceBinding, by_name: Dict[str, _WorkerHandle]
+        self, binding: SourceBinding, by_name: Dict[str, _WorkerHandle]
     ) -> None:
-        """Ship one source binding's payloads over credit-bounded channels.
-
-        A group-bound source opens one channel per replica slot and
-        routes each payload to the replica owning its key; every channel
-        gets the end-of-stream marker (inactive slots simply own no
-        keys), so replica-group termination stays per-edge.
-        """
-        group = self._groups.get(binding.target)
+        """Interpret the kernel's :func:`source_loop` over one
+        credit-bounded channel per target slot, each with a
+        :class:`BatchBuffer` under a batch policy.  A source that raises
+        fails the run with its channels still open, so no worker reports
+        the cut stream first; :meth:`_run_async` closes them once the
+        workers are torn down."""
         channels: List[OutChannel] = []
         for stream_name, target in self._source_channels(binding):
             handle = by_name[self.placement[target]]
@@ -1028,55 +983,36 @@ class NetworkedRuntime:
             # Visible to _migrate_stage, which pauses/re-dials the
             # feeder's channels when their target stage moves.
             self._feed_channels[stream_name] = channel
-        counters = (
-            [
-                self.metrics.counter(f"shard.{member}.items")
-                for member in group.members
-            ]
-            if group is not None
-            else []
-        )
-        gap = None
-        if binding.rate is not None:
-            gap = self.time_scale / binding.rate
         buffers: Optional[List[BatchBuffer]] = None
         if self.batch is not None and self.batch.enabled:
             # The feeder runs on the wall clock, so pre-scale the age
             # bound the same way the workers do.
-            buffers = [
-                BatchBuffer(BatchPolicy(
-                    max_items=self.batch.max_items,
-                    max_delay=self.batch.max_delay * self.time_scale,
-                ))
-                for _ in channels
-            ]
+            policy = BatchPolicy(self.batch.max_items, self.batch.max_delay * self.time_scale)
+            buffers = [BatchBuffer(policy) for _ in channels]
         try:
-            for payload in binding.payloads:
-                size = (
-                    binding.item_size(payload)
-                    if callable(binding.item_size)
-                    else binding.item_size
-                )
-                index = group.owner(payload) if group is not None else 0
-                channel = channels[index]
-                if buffers is None:
-                    await channel.send(payload, float(size))
+            for effect in source_loop(
+                binding, self._groups, time.monotonic, self.metrics, time_scale=self.time_scale
+            ):
+                if effect[0] is WAIT:
+                    await asyncio.sleep(effect[1])
+                    continue
+                _, slot, message = effect
+                channel = channels[slot]
+                if type(message) is EndOfStream:
+                    if buffers is not None:
+                        await channel.send_batch(buffers[slot].drain())
+                    await channel.send_eos()
+                elif buffers is None:
+                    await channel.send(message.payload, message.size)
                 else:
-                    now = time.monotonic()
-                    buffer = buffers[index]
-                    if buffer.add((payload, float(size)), now) or buffer.due(now):
+                    now = message.created_at
+                    buffer = buffers[slot]
+                    if buffer.add((message.payload, message.size), now) or buffer.due(now):
                         await channel.send_batch(buffer.drain())
-                if counters:
-                    counters[index].inc()
-                if gap is not None:
-                    await asyncio.sleep(gap)
-            for index, channel in enumerate(channels):
-                if buffers is not None:
-                    await channel.send_batch(buffers[index].drain())
-                await channel.send_eos()
-        finally:
-            for channel in channels:
-                await channel.close()
+        except Exception as exc:
+            raise NetworkedRuntimeError(f"source {binding.name!r} failed: {exc!r}") from exc
+        for channel in channels:
+            await channel.close()
 
     # -- metrics merge ---------------------------------------------------------
 

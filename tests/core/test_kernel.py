@@ -1,4 +1,5 @@
-"""The stage kernel in isolation: routing, context rules, the sampling tick.
+"""The stage kernel in isolation: routing, context rules, the sampling tick,
+the stage loop and the source loop.
 
 Also holds the one-definition guard: the kernel exists so these pieces
 live once, and an AST scan of ``src/repro`` keeps a private copy from
@@ -20,21 +21,28 @@ from repro.core.items import EndOfStream, Item
 from repro.core.kernel import (
     EOS,
     FLUSH,
+    PUT,
     SEND,
     TAKE,
+    WAIT,
     WORK,
     EdgeSpec,
+    SourceBinding,
     StageCore,
     adaptation_tick,
     build_route_units,
+    check_binding,
     route_indices,
     run_setup,
+    source_loop,
     stage_loop,
 )
+from repro.core.sharding import SHARD_GROUP_PROPERTY
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import ItemTrace
+from repro.obs.tracing import ItemTrace, TraceCollector
 from repro.resilience.policy import DeadLetterQueue, ResilienceConfig
 from repro.simnet.hosts import CpuCostModel
+from tests.raising_source import MESSAGE, WHERES, raising_source
 
 
 class _Counter:
@@ -383,12 +391,161 @@ class TestStageLoop:
         assert hop.process_t == 0.25
 
 
+# -- the source loop under a fake interpreter ----------------------------------
+
+
+class _Clock:
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+class _Arrivals:
+    def __init__(self, gaps):
+        self._gaps = gaps
+
+    def gaps(self):
+        return iter(self._gaps)
+
+
+class _Members(_Group):
+    """A shard group of ``slots`` members, ``active`` of them owning keys."""
+
+    def __init__(self, active, slots):
+        super().__init__(active)
+        self.members = [f"g#{slot}" for slot in range(slots)]
+
+
+def _feed(binding, group=None, drop=(), **traits):
+    """Answer ``source_loop``'s effects: a WAIT advances the clock, a PUT
+    of a payload in ``drop`` is answered False.  Returns every effect,
+    the clock and the registry."""
+    clock = _Clock()
+    registry = MetricsRegistry()
+    groups = {binding.target_stage: group} if group is not None else {}
+    loop = source_loop(binding, groups, clock, registry, **traits)
+    effects = []
+    reply = None
+    while True:
+        try:
+            effect = loop.send(reply)
+        except StopIteration:
+            return effects, clock, registry
+        effects.append(effect)
+        reply = None
+        if effect[0] is WAIT:
+            clock.now += effect[1]
+        elif type(effect[2]) is Item and effect[2].payload in drop:
+            reply = False
+
+
+def _waits(effects):
+    return [effect[1] for effect in effects if effect[0] is WAIT]
+
+
+def _puts(effects):
+    return [
+        (slot, message.payload if type(message) is Item else "EOS")
+        for kind, slot, message in (e for e in effects if e[0] is PUT)
+    ]
+
+
+class TestSourceLoop:
+    def test_fixed_gap_is_rate_times_time_scale_before_each_arrival(self):
+        effects, _, _ = _feed(SourceBinding("s", "a", [1, 2, 3], rate=4.0), time_scale=0.5)
+        assert [effect[0] for effect in effects] == [WAIT, PUT] * 3 + [PUT]
+        assert _waits(effects) == [0.125] * 3
+
+    def test_arrival_gaps_are_scaled_and_a_zero_gap_yields_no_wait(self):
+        binding = SourceBinding("s", "a", [1, 2, 3], rate=1.0, arrivals=_Arrivals([0.5, 0.0, 2.0]))
+        effects, _, _ = _feed(binding, time_scale=2.0)
+        assert _waits(effects) == [1.0, 4.0]
+        effects, _, _ = _feed(SourceBinding("s", "a", [1, 2, 3]))
+        assert _waits(effects) == []
+        assert _puts(effects) == [(0, 1), (0, 2), (0, 3), (0, "EOS")]
+
+    def test_group_routes_by_key_and_ends_every_slot_once(self):
+        binding = SourceBinding("s", "g", [0, 1, 2, 3, 5])
+        effects, _, registry = _feed(binding, _Members(active=2, slots=3))
+        assert _puts(effects) == [
+            (0, 0), (1, 1), (0, 2), (1, 3), (1, 5), (0, "EOS"), (1, "EOS"), (2, "EOS"),
+        ]
+        assert [registry.value(f"shard.g#{slot}.items") for slot in range(3)] == [2, 3, 0]
+
+    def test_items_are_stamped_and_sampled_from_the_supplied_clock(self):
+        binding = SourceBinding("s", "a", [1, 2, 3, 4], rate=2.0, item_size=lambda p: 10.0 * p)
+        effects, _, registry = _feed(binding, tracer=TraceCollector(2))
+        items = [effect[2] for effect in effects if effect[0] is PUT][:-1]
+        assert [(i.created_at, i.size, i.origin) for i in items] == [
+            (0.5, 10.0, "s"), (1.0, 20.0, "s"), (1.5, 30.0, "s"), (2.0, 40.0, "s"),
+        ]
+        assert [i.trace is not None for i in items] == [True, False, True, False]
+        assert [(i.hop.stage, i.hop.enqueue_t, i.trace.created_at) for i in items[::2]] == [
+            ("a", 0.5, 0.5), ("a", 1.5, 1.5),
+        ]
+        assert registry.value("run.traced_items") == 2
+
+    def test_a_dropped_arrival_closes_its_hop_and_is_not_counted(self):
+        binding = SourceBinding("s", "g", [0, 1])
+        effects, _, registry = _feed(
+            binding, _Members(active=2, slots=2), drop={1}, tracer=TraceCollector(1)
+        )
+        dropped = effects[1][2]
+        assert dropped.payload == 1 and dropped.trace.hops == []
+        assert [registry.value(f"shard.g#{slot}.items") for slot in range(2)] == [1, 0]
+
+    def test_a_put_is_answered_under_the_lock(self):
+        class Lock:
+            held = False
+
+            def acquire(self):
+                self.held = True
+
+            def release(self):
+                self.held = False
+
+        lock = Lock()
+        loop = source_loop(SourceBinding("s", "g", [0]), {"g": _Members(1, 1)}, _Clock(),
+                           MetricsRegistry(), lock=lock)
+        assert next(loop)[0] is PUT and lock.held
+        assert next(loop)[2] == EndOfStream("s") and not lock.held
+        # A driver whose put raised closes the loop, which lets go of the lock.
+        loop = source_loop(SourceBinding("s", "g", [0]), {"g": _Members(1, 1)}, _Clock(),
+                           MetricsRegistry(), lock=lock)
+        next(loop)
+        loop.close()
+        assert not lock.held
+
+    @pytest.mark.parametrize("where", WHERES)
+    def test_a_raising_source_propagates(self, where):
+        payloads, item_size = raising_source(where)
+        loop = source_loop(
+            SourceBinding("s", "a", payloads, item_size=item_size), {}, _Clock(),
+            MetricsRegistry(),
+        )
+        assert [effect[2].payload for effect in (next(loop), next(loop))] == [0, 1]
+        with pytest.raises(ValueError, match=MESSAGE):
+            next(loop)
+
+    def test_check_binding_rejects_an_unknown_target_and_a_bad_rate(self):
+        stages = {"a": {}, "g#0": {SHARD_GROUP_PROPERTY: "g"}}
+        check_binding(SourceBinding("s", "g", []), stages, ValueError)
+        with pytest.raises(ValueError, match="source 's': unknown stage 'x'"):
+            check_binding(SourceBinding("s", "x", []), stages, ValueError)
+        with pytest.raises(ValueError, match="rate must be > 0, got 0"):
+            check_binding(SourceBinding("s", "a", [], rate=0), stages, ValueError)
+
+
 # -- one definition ----------------------------------------------------------
 
 #: Names that may be defined only in ``core/kernel.py``.
 _KERNEL_ONLY = (
     "*RouteUnit", "*build_route_units", "*route_indices", "*next_flush_timeout",
     "*transmit_pending", "*buffer_pending", "*flush_edge*", "*flush_route",
+    "*SourceBinding", "*check_binding", "*source_loop", "*ThreadSource", "*feed_group",
+    "*source_item",
 )
 #: Calls into user processors that only the kernel's loop makes.
 _KERNEL_ONLY_CALLS = (".on_item(", "processor.flush(")
@@ -397,6 +554,18 @@ _KERNEL_ONLY_CALLS = (".on_item(", "processor.flush(")
 #: ``get_suggested_value`` is bound inside ``KernelStageContext``
 #: itself, so no driver needs a subclass.)
 _ALLOWED_CONTEXT_SUBCLASSES = {("core/api.py", "RecordingContext")}
+
+
+def _source_read(node):
+    """The ``x.payloads`` a loop iterates, or the ``x.gaps()`` call, that
+    ``node`` is: only the kernel's source loop consumes a binding."""
+    if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+        if isinstance(node.iter, ast.Attribute) and node.iter.attr == "payloads":
+            return node.iter
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        if node.func.attr == "gaps":
+            return node
+    return None
 
 
 def test_stage_kernel_is_defined_once():
@@ -412,6 +581,9 @@ def test_stage_kernel_is_defined_once():
                 if call in line:
                     offenders.append(f"{relative}:{lineno} calls {call}")
         for node in ast.walk(ast.parse(source)):
+            read = _source_read(node)
+            if read is not None:
+                offenders.append(f"{relative}:{read.lineno} reads a source")
             if not isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if any(fnmatch.fnmatchcase(node.name, pattern) for pattern in _KERNEL_ONLY):

@@ -1,5 +1,7 @@
 """Integration tests for the simulated runtime."""
 
+import time
+
 import pytest
 
 from repro.core.adaptation.policy import AdaptationPolicy
@@ -13,6 +15,7 @@ from repro.grid.resources import ResourceRequirement
 from repro.simnet.engine import Environment, SimulationError
 from repro.simnet.hosts import CpuCostModel
 from repro.simnet.topology import Network
+from tests.raising_source import MESSAGE, WHERES, raising_source
 
 
 class Forward(StreamProcessor):
@@ -233,6 +236,19 @@ class TestValidation:
         # No binding for "fwd": it has no inputs at all.
         with pytest.raises(RuntimeError_):
             runtime.run()
+
+    @pytest.mark.parametrize("where", WHERES)
+    def test_a_raising_source_fails_the_run_promptly(self, where):
+        env, net, dep, runtime = make_runtime(
+            [("fwd", Forward, None), ("sink", Collect, None)],
+            [("fwd", "sink")],
+        )
+        payloads, item_size = raising_source(where)
+        runtime.bind_source(SourceBinding("s", "fwd", payloads, rate=10.0, item_size=item_size))
+        started = time.monotonic()
+        with pytest.raises(ValueError, match=MESSAGE):
+            runtime.run(max_sim_time=60.0)
+        assert time.monotonic() - started < 5.0
 
     def test_run_twice_rejected(self):
         env, net, dep, runtime = make_runtime(

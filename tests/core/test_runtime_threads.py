@@ -8,6 +8,7 @@ from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.api import StreamProcessor
 from repro.core.runtime_threads import ThreadedRuntime, ThreadedRuntimeError
 from repro.simnet.hosts import CpuCostModel
+from tests.raising_source import MESSAGE, WHERES, raising_source
 
 
 class Forward(StreamProcessor):
@@ -125,6 +126,22 @@ class TestExecution:
         rt.bind_source("s", "bad", [1])
         with pytest.raises(RuntimeError, match="stage blew up"):
             rt.run(timeout=30.0)
+
+    @pytest.mark.parametrize("where", WHERES)
+    def test_a_raising_source_fails_the_run_promptly(self, where):
+        """The feeder thread used to die into ``threading.excepthook``,
+        leaving the sink waiting for end-of-stream until the timeout."""
+        rt = ThreadedRuntime(adaptation_enabled=False)
+        rt.add_stage("fwd", Forward())
+        rt.add_stage("sink", Collect())
+        rt.connect("fwd", "sink")
+        payloads, item_size = raising_source(where)
+        rt.bind_source("s", "fwd", payloads, item_size=item_size)
+        started = time.monotonic()
+        with pytest.raises(ThreadedRuntimeError, match=f"source 's' failed: .*{MESSAGE}") as info:
+            rt.run(timeout=60.0)
+        assert time.monotonic() - started < 5.0
+        assert isinstance(info.value.__cause__, ValueError)
 
     def test_run_twice_rejected(self):
         rt = ThreadedRuntime(adaptation_enabled=False)

@@ -5,6 +5,7 @@ slowest tests in the suite — sized to stay under a few seconds each.
 """
 
 import random
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.core.runtime_threads import ThreadedRuntime
 from repro.net.coordinator import NetworkedRuntime, NetworkedRuntimeError
 from repro.net.demo import run_netdemo
 from repro.net.worker import default_repository
+from tests.raising_source import MESSAGE, WHERES, raising_source
 
 N_SOURCES = 2
 ITEMS = 400
@@ -248,6 +250,34 @@ class TestNetworkedErrors:
         runtime = NetworkedRuntime(build_config(), workers=2)
         with pytest.raises(NetworkedRuntimeError, match="unknown stage"):
             runtime.bind_source("src", "no-such-stage", [1, 2, 3])
+
+    @pytest.mark.parametrize("where", WHERES)
+    def test_a_raising_source_fails_the_run_promptly(self, where, monkeypatch):
+        """The feeder's exception used to wait behind RESULT collection,
+        so the run ended only at its timeout.  Now it ends the run at
+        once, and the workers are shut down and reaped."""
+        from repro.net import coordinator
+
+        spawned = []
+        real_popen = coordinator.subprocess.Popen
+
+        def popen(argv, **kwargs):
+            spawned.append(real_popen(argv, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(coordinator.subprocess, "Popen", popen)
+        runtime = NetworkedRuntime(build_config(), workers=2, adaptation_enabled=False)
+        payloads, item_size = raising_source(where)
+        runtime.bind_source("src-0", "filter-0", payloads, item_size=item_size)
+        runtime.bind_source("src-1", "filter-1", [1, 2, 3])
+        started = time.monotonic()
+        with pytest.raises(
+            NetworkedRuntimeError, match=f"source 'src-0' failed: .*{MESSAGE}"
+        ) as info:
+            runtime.run(timeout=60.0)
+        assert time.monotonic() - started < 5.0
+        assert isinstance(info.value.__cause__, ValueError)
+        assert len(spawned) == 2 and all(p.poll() is not None for p in spawned)
 
     def test_sender_vanishing_before_eos_fails_the_run(self):
         """A data connection dying mid-stream must ERROR, not hang.
