@@ -114,11 +114,19 @@ _ALL: List[CodeInfo] = [
              "stage property disagrees with the declared parameter",
              "keep the mirrored property (name, name-min, name-max) equal "
              "to the parameter declaration, or remove the property"),
+    CodeInfo("GA209", "config", Severity.ERROR,
+             "middleware stage property is undeclared or invalid",
+             "batch-, shard-, scale-, ledger-, queue- and net- keys belong to "
+             "the middleware, which declares each one it reads in "
+             "repro.core.options.OPTIONS; an undeclared one is a typo the "
+             "runtimes would silently ignore (use the suggested key), and "
+             "a value that does not parse fails every runtime at setup"),
     CodeInfo("GA210", "config", Severity.WARNING,
              "batch property is invalid or the flush delay defeats "
              "adaptation sampling",
              "batch-max-items must be an integer >= 1 and batch-max-delay "
-             "a number in [0, sample_interval); a partial batch held "
+             "a finite number in [0, sample_interval) (a value that does "
+             "not parse is an error); a partial batch held "
              "longer than one Section-4 sampling interval makes the "
              "queue-length samples see bursts the stage created itself"),
     CodeInfo("GA220", "config", Severity.ERROR,

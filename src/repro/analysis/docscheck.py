@@ -1,7 +1,7 @@
 """Docs-consistency check: every catalog and its docs page must agree.
 
 Five reference pages each document one authoritative catalog in a
-markdown table whose first column is a backticked name (and, for three
+markdown table whose first column is a backticked name (and, for four
 of them, whose second column is a value the catalog also holds):
 
 =========================  ==========================================  ======
@@ -10,7 +10,7 @@ page                       catalog                                      value
 ``observability.md``       :data:`repro.obs.names.METRICS`             kind
 ``replay.md``              :data:`repro.ledger.records.RECORD_TYPES`   rank
 ``static_analysis.md``     :data:`repro.analysis.codes.CODES`          kind
-``sharding.md``            :data:`repro.core.sharding.KNOBS`           —
+``sharding.md``            :data:`repro.core.options.OPTIONS`          default
 ``migration.md``           :data:`repro.resilience.migration.KNOBS`    —
 =========================  ==========================================  ======
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Pattern
+from typing import Callable, Dict, List, Mapping, Optional, Pattern
 
 from repro.analysis.codes import CODES
 
@@ -62,9 +62,9 @@ def _code_kinds() -> Dict[str, str]:
 
 
 def _sharding_knobs() -> Dict[str, str]:
-    from repro.core.sharding import KNOBS
+    from repro.core.options import knobs
 
-    return dict.fromkeys(KNOBS, "")
+    return {key: option.default_text for key, option in knobs("sharding").items()}
 
 
 def _migration_knobs() -> Dict[str, str]:
@@ -116,8 +116,8 @@ class DocTable:
 
     ``row`` matches a table line; its ``name`` group is the catalog key
     and its optional ``value`` group is compared with the catalog's
-    value for that key.  ``ignore`` lists documented names that are not
-    catalog entries; ``extra`` adds page-specific problems from the text.
+    value for that key; ``extra`` adds page-specific problems from the
+    text.
     """
 
     page: str
@@ -126,7 +126,6 @@ class DocTable:
     row: Pattern[str]
     catalog: Callable[[], Mapping[str, str]]
     value_label: str = ""
-    ignore: FrozenSet[str] = frozenset()
     extra: Optional[Callable[[str, str], List[str]]] = None
 
 
@@ -164,12 +163,11 @@ DOC_TABLES: Dict[str, DocTable] = {
     "sharding": DocTable(
         page="sharding.md",
         entry="sharding knob",
-        catalog_ref="repro.core.sharding.KNOBS",
-        row=re.compile(r"^\|\s*`(?P<name>[a-z][a-z0-9-]*)`\s*\|"),
+        catalog_ref="repro.core.options.OPTIONS",
+        # ``| `knob` | default | meaning |``.
+        row=re.compile(r"^\|\s*`(?P<name>[a-z][a-z0-9-]*)`\s*\|\s*(?P<value>[^|]*?)\s*\|"),
         catalog=_sharding_knobs,
-        # Properties expand_shards stamps onto replicas, documented
-        # beside the knobs but not set by users.
-        ignore=frozenset({"shard-group", "shard-index"}),
+        value_label="default",
     ),
     "migration": DocTable(
         page="migration.md",
@@ -192,7 +190,7 @@ def _documented(table: DocTable, text: str) -> Dict[str, str]:
     rows: Dict[str, str] = {}
     for line in text.splitlines():
         match = table.row.match(line.strip())
-        if match and match.group("name") not in table.ignore:
+        if match:
             rows[match.group("name")] = match.groupdict().get("value") or ""
     return rows
 

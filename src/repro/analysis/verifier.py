@@ -11,6 +11,9 @@ otherwise surfaces at runtime — possibly mid-failover on a remote worker:
   duplicate streams between one stage pair (GA103, which the single-edge
   stage graph would silently collapse), disconnected stages (GA104),
   duplicate names (GA105), declared fan-in vs. connected streams (GA106);
+* **option passes** — the runtimes' own parser
+  (:mod:`repro.core.options`): a value they reject (GA106, GA210, GA220,
+  GA231, else GA209) and an undeclared reserved-namespace key (GA209);
 * **adaptation passes** — parameter range and shape errors (GA201-203,
   GA207), Section-4 increment-grid reachability (GA204-206), stage
   properties that mirror a parameter but disagree with it (GA208);
@@ -31,13 +34,14 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.diagnostics import Report
+from repro.analysis.diagnostics import Report, Severity
 from repro.analysis.xmlparse import (
     RawApp,
     RawParameter,
     RawStage,
     parse_document,
 )
+from repro.core.options import StageOptions, knobs, read_options, undeclared
 
 __all__ = ["verify_config", "verify_document", "verify_path", "verify_raw"]
 
@@ -45,21 +49,16 @@ __all__ = ["verify_config", "verify_document", "verify_path", "verify_raw"]
 #: values are human-written decimals, so exact float equality is wrong.
 _TOL = 1e-9
 
-#: Stage property declaring the expected number of incoming streams.
-FAN_IN_PROPERTY = "fan-in"
-
 #: Stage property marking a sketch-producing stage (its output streams
 #: carry (value, count) summary pairs in the streams.wire codec).
 SKETCH_PROPERTY = "sketch"
 
-#: Stage property opting a stage into live migration ("true" / "false").
-MIGRATABLE_PROPERTY = "migratable"
+#: The code an invalid option value is reported under, by the option's
+#: topic (any other topic: GA209).
+_VALUE_CODES = {"graph": "GA106", "batching": "GA210", "sharding": "GA220", "migration": "GA231"}
 
-#: Stage property declaring the pipeline records to the run ledger.
-LEDGER_ENABLED_PROPERTY = "ledger-enabled"
-
-#: Stage property waiving the GA240 idempotent-sink requirement.
-AT_LEAST_ONCE_OK_PROPERTY = "at-least-once-ok"
+#: Each stage with its options, or None where a value is invalid.
+_Parsed = List[Tuple[RawStage, Optional[StageOptions]]]
 
 
 def verify_path(
@@ -132,15 +131,17 @@ def verify_raw(
     report = Report()
     _check_names(app, report)
     _check_graph(app, report)
-    _check_fan_in(app, report)
-    for stage in app.stages:
+    parsed = [(stage, _check_options(app, stage, report)) for stage in app.stages]
+    _check_fan_in(app, parsed, report)
+    for stage, options in parsed:
         _check_parameters(app, stage, report)
         _check_property_mirrors(app, stage, report)
-        _check_batching(app, stage, report)
-        _check_sharding(app, stage, report)
+        if options is not None:
+            _check_batching(app, stage, options, report)
+            _check_sharding(app, stage, options, report)
     _check_wire(app, report)
-    _check_migration(app, repository, resilience, migrating, report)
-    _check_ledger(app, repository, report)
+    _check_migration(app, parsed, repository, resilience, migrating, report)
+    _check_ledger(app, parsed, repository, report)
     if repository is not None:
         _check_codes(app, repository, report)
     if registry is not None:
@@ -156,11 +157,13 @@ def _add(
     *,
     line: Optional[int] = None,
     config_path: Optional[str] = None,
+    severity: Optional[Severity] = None,
 ) -> None:
     """Report a finding located in ``app`` (attaching the source line)."""
     report.add(
         code,
         message,
+        severity=severity,
         span=app.span(line, config_path),
         source_line=app.excerpt(line),
     )
@@ -252,28 +255,38 @@ def _check_graph(app: RawApp, report: Report) -> None:
                      line=stage.line, config_path=f"stage {stage.name!r}")
 
 
-def _check_fan_in(app: RawApp, report: Report) -> None:
-    """GA106: the optional ``fan-in`` property must match the in-degree."""
-    for stage in app.stages:
-        declared = stage.properties.get(FAN_IN_PROPERTY)
-        if declared is None:
-            continue
-        config_path = f"stage {stage.name!r}"
-        try:
-            expected = int(declared)
-        except ValueError:
-            _add(report, app, "GA106",
-                 f"stage {stage.name!r}: {FAN_IN_PROPERTY} property "
-                 f"{declared!r} is not an integer",
-                 line=stage.line, config_path=config_path)
+def _check_options(app: RawApp, stage: RawStage, report: Report) -> Optional[StageOptions]:
+    """GA209 (undeclared key in a reserved namespace), and every value
+    the runtimes would reject, at ERROR severity under its topic's code.
+
+    Returns the stage's options, or None when a value is invalid.
+    """
+    config_path = f"stage {stage.name!r}"
+    for key, near in undeclared(stage.properties):
+        guess = f"; did you mean {near!r}?" if near else ""
+        _add(report, app, "GA209",
+             f"stage {stage.name!r}: {key!r} is not a middleware option{guess}",
+             line=stage.line, config_path=config_path)
+    options, problems = read_options(stage.properties)
+    for option, message in problems:
+        _add(report, app, _VALUE_CODES.get(option.topic, "GA209"),
+             f"stage {stage.name!r}: {message}",
+             line=stage.line, config_path=config_path, severity=Severity.ERROR)
+    return None if problems else options
+
+
+def _check_fan_in(app: RawApp, parsed: _Parsed, report: Report) -> None:
+    """GA106: the optional ``fan-in`` option must match the in-degree."""
+    for stage, options in parsed:
+        if options is None or options.fan_in is None:
             continue
         actual = sum(1 for s in app.streams if s.dst == stage.name)
-        if expected != actual:
+        if options.fan_in != actual:
             _add(report, app, "GA106",
-                 f"stage {stage.name!r} declares {FAN_IN_PROPERTY}="
-                 f"{expected} but {actual} incoming stream"
+                 f"stage {stage.name!r} declares fan-in={options.fan_in} "
+                 f"but {actual} incoming stream"
                  f"{'s connect' if actual != 1 else ' connects'} to it",
-                 line=stage.line, config_path=config_path)
+                 line=stage.line, config_path=f"stage {stage.name!r}")
 
 
 # -- GA2xx: adaptation parameters ----------------------------------------------
@@ -366,9 +379,10 @@ def _check_property_mirrors(app: RawApp, stage: RawStage, report: Report) -> Non
                      config_path=f"stage {stage.name!r} / property {key!r}")
 
 
-def _check_batching(app: RawApp, stage: RawStage, report: Report) -> None:
-    """GA210: batch properties must parse, and the flush delay must stay
-    under the Section-4 sampling interval.
+def _check_batching(app: RawApp, stage: RawStage, options: StageOptions, report: Report) -> None:
+    """GA210: the flush delay must stay under the Section-4 sampling
+    interval (an unparseable batch option is GA210 too, from
+    :func:`_check_options`).
 
     A partial batch held for longer than one sampling interval means the
     adaptation monitor's queue-length samples alternate between "starved"
@@ -377,102 +391,59 @@ def _check_batching(app: RawApp, stage: RawStage, report: Report) -> None:
     then reacts to.
     """
     from repro.core.adaptation.policy import AdaptationPolicy
-    from repro.core.batching import MAX_DELAY_PROPERTY, MAX_ITEMS_PROPERTY
 
-    config_path = f"stage {stage.name!r}"
-    items_text = stage.properties.get(MAX_ITEMS_PROPERTY)
-    if items_text is not None:
-        try:
-            max_items = int(items_text)
-        except ValueError:
-            max_items = 0
-        if max_items < 1:
-            _add(report, app, "GA210",
-                 f"stage {stage.name!r}: {MAX_ITEMS_PROPERTY}="
-                 f"{items_text!r} is not an integer >= 1",
-                 line=stage.line, config_path=config_path)
-    delay_text = stage.properties.get(MAX_DELAY_PROPERTY)
-    if delay_text is None:
-        return
-    try:
-        max_delay = float(delay_text)
-    except ValueError:
-        _add(report, app, "GA210",
-             f"stage {stage.name!r}: {MAX_DELAY_PROPERTY}="
-             f"{delay_text!r} is not a number",
-             line=stage.line, config_path=config_path)
-        return
-    if math.isnan(max_delay) or max_delay < 0:
-        _add(report, app, "GA210",
-             f"stage {stage.name!r}: {MAX_DELAY_PROPERTY}="
-             f"{max_delay:g} must be >= 0",
-             line=stage.line, config_path=config_path)
-        return
+    max_delay = options.batch_max_delay
     sample_interval = AdaptationPolicy().sample_interval
-    if max_delay >= sample_interval:
+    if max_delay is not None and max_delay >= sample_interval:
         _add(report, app, "GA210",
-             f"stage {stage.name!r}: {MAX_DELAY_PROPERTY}={max_delay:g} "
+             f"stage {stage.name!r}: batch-max-delay={max_delay:g} "
              f"is not below the adaptation sampling interval "
              f"({sample_interval:g}s); the monitor would sample bursts "
              "the batching itself creates",
-             line=stage.line, config_path=config_path)
+             line=stage.line, config_path=f"stage {stage.name!r}")
 
 
-def _check_sharding(app: RawApp, stage: RawStage, report: Report) -> None:
+def _check_sharding(app: RawApp, stage: RawStage, options: StageOptions, report: Report) -> None:
     """GA220 (invalid shard/scale contract), GA221 (inert knobs).
 
-    GA220 applies exactly the parsing that
+    GA220 applies exactly the checks that
     :func:`repro.core.sharding.expand_shards` would run at deployment, so
-    a malformed ``replicas``/``shard-*``/``scale-*`` declaration fails at
-    analysis time.  GA221 flags declarations that parse but do nothing: a
-    ``shard-*``/``scale-*`` knob on a stage with no ``replicas`` property
-    (expansion is keyed on ``replicas``, so the knob is inert), and a
-    range partitioner with fewer than ``slots - 1`` boundaries (the
-    boundary list induces ``len + 1`` ranges, so the replica slots above
-    that can never own a key).
+    a contradictory ``replicas``/``shard-*``/``scale-*`` declaration
+    fails at analysis time.  GA221 flags declarations that parse but do
+    nothing: a ``shard-*``/``scale-*`` knob on a stage with no
+    ``replicas`` (expansion is keyed on ``replicas``, so the knob is
+    inert), and a range partitioner with fewer than ``slots - 1``
+    boundaries (the boundary list induces ``len + 1`` ranges, so the
+    replica slots above that can never own a key).
     """
-    from repro.core.sharding import (
-        BOUNDARIES_PROPERTY,
-        KNOBS,
-        PARTITIONER_PROPERTY,
-        REPLICAS_PROPERTY,
-        SHARD_GROUP_PROPERTY,
-        ShardingError,
-        validate_shard_properties,
-    )
+    from repro.core.sharding import ShardingError, shard_spec
 
     config_path = f"stage {stage.name!r}"
     try:
-        spec = validate_shard_properties(stage.name, dict(stage.properties))
+        spec = shard_spec(stage.name, options)
     except ShardingError as exc:
         _add(report, app, "GA220", str(exc),
              line=stage.line, config_path=config_path)
         return
     if spec is None:
-        if SHARD_GROUP_PROPERTY in stage.properties:
+        if options.shard_group is not None:
             return  # an already-expanded replica; markers are expected
-        inert = sorted(
-            knob for knob in KNOBS
-            if knob != REPLICAS_PROPERTY and knob in stage.properties
-        )
+        inert = sorted(options.given.intersection(knobs("sharding")))
         if inert:
             _add(report, app, "GA221",
                  f"stage {stage.name!r}: {', '.join(inert)} without "
-                 f"{REPLICAS_PROPERTY} has no effect; the stage will "
-                 "not be sharded",
+                 "replicas has no effect; the stage will not be sharded",
                  line=stage.line, config_path=config_path)
         return
     _replicas, slots, _policy = spec
-    if stage.properties.get(PARTITIONER_PROPERTY, "hash") == "range":
-        boundaries_text = stage.properties.get(BOUNDARIES_PROPERTY, "")
-        boundaries = [b for b in boundaries_text.split(",") if b.strip()]
-        if len(boundaries) < slots - 1:
-            _add(report, app, "GA221",
-                 f"stage {stage.name!r}: range partitioner declares "
-                 f"{len(boundaries)} boundaries for {slots} replica "
-                 f"slots; slots above {len(boundaries)} can never own "
-                 "any keys",
-                 line=stage.line, config_path=config_path)
+    boundaries = len(options.shard_boundaries or ())
+    if options.shard_partitioner == "range" and boundaries < slots - 1:
+        _add(report, app, "GA221",
+             f"stage {stage.name!r}: range partitioner declares "
+             f"{boundaries} boundaries for {slots} replica "
+             f"slots; slots above {boundaries} can never own "
+             "any keys",
+             line=stage.line, config_path=config_path)
 
 
 # -- GA23x: live migration -----------------------------------------------------
@@ -480,6 +451,7 @@ def _check_sharding(app: RawApp, stage: RawStage, report: Report) -> None:
 
 def _check_migration(
     app: RawApp,
+    parsed: _Parsed,
     repository: Optional[object],
     resilience: Optional[object],
     migrating: Optional[Iterable[str]],
@@ -503,7 +475,7 @@ def _check_migration(
     mid-move crash cannot degrade to failover.
     """
     from repro.core.api import StreamProcessor
-    from repro.core.sharding import REPLICAS_PROPERTY, SHARD_SEPARATOR
+    from repro.core.sharding import SHARD_SEPARATOR
     from repro.grid.repository import RepositoryError
 
     requested = {name for name in (migrating or ())}
@@ -513,24 +485,17 @@ def _check_migration(
              f"migration plan targets unknown stage {name!r}")
 
     enabled: List[RawStage] = []
-    for stage in app.stages:
-        config_path = f"stage {stage.name!r}"
-        declared = stage.properties.get(MIGRATABLE_PROPERTY)
-        if declared is not None and declared not in ("true", "false"):
-            _add(report, app, "GA231",
-                 f"stage {stage.name!r}: {MIGRATABLE_PROPERTY}="
-                 f"{declared!r} must be 'true' or 'false'",
-                 line=stage.line, config_path=config_path)
+    for stage, options in parsed:
+        if options is None:
+            continue  # an invalid value is already reported
+        if not options.migratable and stage.name not in requested:
             continue
-        if declared != "true" and stage.name not in requested:
-            continue
-        if (REPLICAS_PROPERTY in stage.properties
-                or SHARD_SEPARATOR in stage.name):
+        if options.replicas is not None or SHARD_SEPARATOR in stage.name:
             _add(report, app, "GA231",
-                 f"stage {stage.name!r} is sharded ({REPLICAS_PROPERTY} "
+                 f"stage {stage.name!r} is sharded (replicas "
                  "declared) and cannot migrate; replicas are pinned to "
                  "their partitioner slots",
-                 line=stage.line, config_path=config_path)
+                 line=stage.line, config_path=f"stage {stage.name!r}")
             continue
         enabled.append(stage)
 
@@ -566,7 +531,7 @@ def _check_migration(
 
 
 def _check_ledger(
-    app: RawApp, repository: Optional[object], report: Report
+    app: RawApp, parsed: _Parsed, repository: Optional[object], report: Report
 ) -> None:
     """GA240: sinks in a ledger-enabled pipeline must be idempotent.
 
@@ -583,19 +548,18 @@ def _check_ledger(
     """
     from repro.grid.repository import RepositoryError
 
-    def _ledgered(stage: RawStage) -> bool:
-        if stage.properties.get(LEDGER_ENABLED_PROPERTY) == "true":
-            return True
-        return stage.properties.get("ledger-mode") in ("record", "replay")
-
-    if not any(_ledgered(stage) for stage in app.stages):
+    if not any(
+        options is not None
+        and (options.ledger_enabled or options.ledger_mode in ("record", "replay"))
+        for _, options in parsed
+    ):
         return
     sources = {stream.src for stream in app.streams}
-    for stage in app.stages:
+    for stage, options in parsed:
         if stage.name in sources:
             continue  # not a sink
         config_path = f"stage {stage.name!r}"
-        if stage.properties.get(AT_LEAST_ONCE_OK_PROPERTY) == "true":
+        if options is None or options.at_least_once_ok:
             continue
         if repository is None:
             continue  # cannot resolve the class without a repository
@@ -614,7 +578,7 @@ def _check_ledger(
              "not implement the SinkTxn protocol; redelivered duplicates "
              "in this ledger-enabled pipeline would double-apply effects "
              "(add txn_begin/txn_commit via repro.ledger.sinks.SinkTxn, "
-             f"or declare {AT_LEAST_ONCE_OK_PROPERTY}: true)",
+             "or declare at-least-once-ok: true)",
              line=stage.line, config_path=config_path)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.api import StageContext, StreamProcessor
+from repro.core.options import stamp
 from repro.grid.config import AppConfig, ParameterConfig, StageConfig, StreamConfig
 from repro.grid.resources import ResourceRequirement
 from repro.simnet.hosts import CpuCostModel
@@ -187,16 +188,15 @@ def build_comp_steer_config(
                 name="analysis",
                 code_url="repo://comp-steer/analysis",
                 requirement=analysis_req,
-                properties={
+                # A small input buffer keeps the load signal tight to the
+                # actual arrival/consumption balance: a deep queue would
+                # keep reporting overload for the whole time its backlog
+                # drains, making the sampling rate oscillate far more than
+                # the paper's trajectories.
+                properties=stamp({
                     "analysis-ms-per-byte": str(analysis_ms_per_byte),
                     "feature-threshold": str(feature_threshold),
-                    # A small input buffer keeps the load signal tight to
-                    # the actual arrival/consumption balance: a deep queue
-                    # would keep reporting overload for the whole time its
-                    # backlog drains, making the sampling rate oscillate
-                    # far more than the paper's trajectories.
-                    "queue-capacity": "40",
-                },
+                }, queue_capacity=40),
             ),
         ],
         streams=[

@@ -20,16 +20,11 @@ from the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Generic, List, Optional, TypeVar
+from typing import Generic, List, Optional, TypeVar
 
-__all__ = ["BatchBuffer", "BatchPolicy", "batch_policy_from_properties"]
-
-#: Stage-property keys that override a runtime-level batch policy
-#: (parsed by :func:`batch_policy_from_properties` and checked statically
-#: by the verifier's GA210 pass).
-MAX_ITEMS_PROPERTY = "batch-max-items"
-MAX_DELAY_PROPERTY = "batch-max-delay"
+__all__ = ["BatchBuffer", "BatchPolicy"]
 
 
 @dataclass(frozen=True)
@@ -54,50 +49,13 @@ class BatchPolicy:
     def __post_init__(self) -> None:
         if self.max_items < 1:
             raise ValueError(f"max_items must be >= 1, got {self.max_items}")
-        if self.max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {self.max_delay}")
+        if not (math.isfinite(self.max_delay) and self.max_delay >= 0):
+            raise ValueError(f"max_delay must be a finite number >= 0, got {self.max_delay}")
 
     @property
     def enabled(self) -> bool:
         """False when the policy degenerates to one-at-a-time."""
         return self.max_items > 1
-
-
-def batch_policy_from_properties(
-    properties: Dict[str, str], default: Optional[BatchPolicy]
-) -> Optional[BatchPolicy]:
-    """Resolve one stage's effective policy from its properties.
-
-    ``batch-max-items`` / ``batch-max-delay`` stage properties override
-    the runtime-level ``default`` (either key alone inherits the other
-    from the default, or from ``BatchPolicy()`` when there is none).
-
-    Arguments:
-        properties: The stage's configuration properties.
-        default: The runtime-level policy, or ``None`` when the runtime
-            runs unbatched.
-
-    Returns:
-        The effective per-stage policy — ``default`` untouched when
-        neither property is present.
-
-    Raises:
-        ValueError: When a present property does not parse.
-    """
-    items_text = properties.get(MAX_ITEMS_PROPERTY)
-    delay_text = properties.get(MAX_DELAY_PROPERTY)
-    if items_text is None and delay_text is None:
-        return default
-    base = default if default is not None else BatchPolicy()
-    try:
-        max_items = int(items_text) if items_text is not None else base.max_items
-        max_delay = float(delay_text) if delay_text is not None else base.max_delay
-    except ValueError as exc:
-        raise ValueError(
-            f"bad batch property ({MAX_ITEMS_PROPERTY}={items_text!r}, "
-            f"{MAX_DELAY_PROPERTY}={delay_text!r}): {exc}"
-        ) from None
-    return BatchPolicy(max_items=max_items, max_delay=max_delay)
 
 
 T = TypeVar("T")

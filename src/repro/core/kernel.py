@@ -34,9 +34,10 @@ from repro.core.adaptation.load import LoadEstimator
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.adaptation.protocol import ExceptionCounter, LoadException
 from repro.core.api import AdjustmentParameter, ProcessorError, StageContext, StreamProcessor
-from repro.core.batching import BatchBuffer, BatchPolicy, batch_policy_from_properties
+from repro.core.batching import BatchBuffer, BatchPolicy
 from repro.core.items import EndOfStream, Item
-from repro.core.sharding import SHARD_GROUP_PROPERTY, ShardGroup, logical_stream
+from repro.core.options import StageOptions, stage_options
+from repro.core.sharding import ShardGroup, logical_stream
 from repro.core.termination import EosTracker
 from repro.metrics.rates import RateEstimator
 from repro.obs.registry import BatchMetrics, MetricsRegistry, StageMetrics
@@ -46,7 +47,7 @@ from repro.resilience.policy import DeadLetter, DeadLetterQueue, ResilienceConfi
 __all__ = [
     "EOS", "FLUSH", "PUT", "SEND", "TAKE", "WAIT", "WORK",
     "EdgeSpec", "KernelStageContext", "RouteUnit", "SourceBinding", "StageCore",
-    "adaptation_tick", "build_route_units", "check_binding", "flush_buffers",
+    "adaptation_tick", "build_route_units", "check_binding", "edge_spec", "flush_buffers",
     "next_flush_timeout", "quarantine", "route_indices", "run_setup",
     "source_loop", "stage_checkpoint", "stage_loop",
 ]
@@ -96,6 +97,21 @@ class RouteUnit:
     group: Optional[str] = None
     named: Dict[str, int] = field(default_factory=dict)
     counters: List[Any] = field(default_factory=list)
+
+
+def edge_spec(
+    stream: Optional[str], dst: str, options: StageOptions, registry: MetricsRegistry
+) -> EdgeSpec:
+    """Describe an out-edge into stage ``dst`` (whose options are
+    ``options``) for :func:`build_route_units`: an edge into a shard
+    replica carries the replica's group, slot and slot count, and its
+    ``shard.{dst}.items`` counter."""
+    if options.shard_group is None:
+        return EdgeSpec(stream)
+    return EdgeSpec(
+        stream, options.shard_group, options.shard_index or 0, options.shard_count or 0,
+        registry.counter(f"shard.{dst}.items"),
+    )
 
 
 def build_route_units(
@@ -279,14 +295,16 @@ class StageCore:
     """Per-stage state every runtime keeps; drivers subclass it.
 
     Subclasses add what their blocking model needs (out-edges, done
-    flags, failover cursors).  ``queue`` is the stage's input
+    flags, failover cursors).  ``properties`` are parsed once, into
+    :attr:`options` (an invalid one raises ``ValueError`` or
+    ``ShardingError``); ``queue(capacity)`` builds the stage's input
     queue (anything with ``current_length`` / ``recent_average``),
-    ``clock`` the driver's time source, ``param_lock`` the lock guarding
+    ``clock`` is the driver's time source, ``param_lock`` the lock guarding
     parameter values where several threads touch them (None elsewhere).
     ``batch_default`` is the runtime-level micro-batch policy, resolved
-    here against the stage's ``batch-*`` properties with ``max_delay``
+    here against the stage's ``batch-*`` options with ``max_delay``
     pre-scaled by ``time_scale`` so deadlines compare directly against
-    ``clock()``; a malformed property raises ``ValueError``.
+    ``clock()``.
     """
 
     def __init__(
@@ -294,7 +312,7 @@ class StageCore:
         name: str,
         processor: StreamProcessor,
         properties: Dict[str, str],
-        queue: Any,
+        queue: Callable[[int], Any],
         policy: AdaptationPolicy,
         registry: MetricsRegistry,
         clock: Callable[[], float],
@@ -305,7 +323,8 @@ class StageCore:
         self.name = name
         self.processor = processor
         self.properties = properties
-        self.queue = queue
+        self.options: StageOptions = stage_options(properties)
+        self.queue = queue(self.options.queue_capacity)
         self.policy = policy
         self.registry = registry
         self.clock = clock
@@ -335,7 +354,7 @@ class StageCore:
         self.stream_names: FrozenSet[str] = frozenset()
         #: Effective micro-batch policy (None = one-at-a-time emission).
         self.batch: Optional[BatchPolicy] = None
-        effective = batch_policy_from_properties(properties, batch_default)
+        effective = self.options.batch_policy(batch_default)
         if effective is not None and effective.enabled:
             self.batch = BatchPolicy(
                 max_items=effective.max_items, max_delay=effective.max_delay * time_scale
@@ -346,7 +365,7 @@ class StageCore:
         self.batch_metrics: Optional[BatchMetrics] = None
         #: Registry-backed metric handles (items/bytes/latency/queue...).
         self.metrics = StageMetrics(registry, name)
-        self.estimator = LoadEstimator(name, queue, policy)
+        self.estimator = LoadEstimator(name, self.queue, policy)
         registry.series(f"adapt.{name}.d_tilde", self.estimator.history)
         self.context = KernelStageContext(self)
 
@@ -681,17 +700,17 @@ class SourceBinding:
 
 def check_binding(
     binding: SourceBinding,
-    stages: Mapping[str, Mapping[str, Any]],
+    stages: Mapping[str, StageOptions],
     error: Callable[[str], Exception],
 ) -> None:
     """Reject a binding to an unknown stage or group, or with ``rate`` <= 0.
 
-    ``stages`` maps every stage name to its properties (a replica's name
+    ``stages`` maps every stage name to its options (a replica's name
     its group's); ``error(message)`` builds the driver's exception.
     """
     target = binding.target_stage
     if target not in stages and not any(
-        properties.get(SHARD_GROUP_PROPERTY) == target for properties in stages.values()
+        options.shard_group == target for options in stages.values()
     ):
         raise error(f"source {binding.name!r}: unknown stage {target!r}")
     if binding.rate is not None and binding.rate <= 0:

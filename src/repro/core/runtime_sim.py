@@ -64,12 +64,12 @@ from repro.core.kernel import (
     TAKE,
     WAIT,
     WORK,
-    EdgeSpec,
     SourceBinding,
     StageCore,
     adaptation_tick,
     build_route_units,
     check_binding,
+    edge_spec,
     flush_buffers,
     quarantine,
     run_setup,
@@ -78,11 +78,8 @@ from repro.core.kernel import (
     stage_loop,
 )
 from repro.core.results import RunResult, StageStats
-from repro.core.sharding import (
-    SHARD_GROUP_PROPERTY,
-    ShardGroup,
-    groups_of,
-)
+from repro.core.options import read_options
+from repro.core.sharding import ShardGroup, groups_of
 from repro.core.termination import no_input_message
 from repro.grid.config import StreamConfig
 from repro.grid.deployer import Deployment
@@ -192,10 +189,6 @@ class SimulatedRuntime:
     fail-stop behaviour — any fault aborts the run.
     """
 
-    #: Default input-queue capacity C when a stage doesn't override it via
-    #: the "queue-capacity" configuration property.
-    DEFAULT_QUEUE_CAPACITY = 200
-
     def __init__(
         self,
         env: Environment,
@@ -271,9 +264,8 @@ class SimulatedRuntime:
         :meth:`run`); see :class:`~repro.core.kernel.SourceBinding`."""
         if self._built:
             raise RuntimeError_("cannot bind sources after run()")
-        check_binding(
-            binding, {s.name: s.properties for s in self.deployment.config.stages}, RuntimeError_
-        )
+        stages = {s.name: read_options(s.properties)[0] for s in self.deployment.config.stages}
+        check_binding(binding, stages, RuntimeError_)
         self._bindings.append(binding)
 
     def _build(self) -> None:
@@ -284,8 +276,6 @@ class SimulatedRuntime:
                 k: str(v)
                 for k, v in self.deployment.instance_of(stage_cfg.name).properties.items()
             }
-            capacity = int(properties.get("queue-capacity", self.DEFAULT_QUEUE_CAPACITY))
-            queue = BoundedQueue(self.env, capacity=capacity, window=self.policy.window)
             processor = self.deployment.instance_of(stage_cfg.name).instantiate_processor()
             if not isinstance(processor, StreamProcessor):
                 raise RuntimeError_(
@@ -294,7 +284,10 @@ class SimulatedRuntime:
                 )
             try:
                 stage = _StageRuntime(
-                    host_name, stage_cfg.name, processor, properties, queue,
+                    host_name, stage_cfg.name, processor, properties,
+                    lambda capacity: BoundedQueue(
+                        self.env, capacity=capacity, window=self.policy.window
+                    ),
                     self.policy, self.metrics, self._clock, self.batch,
                 )
             except ValueError as exc:
@@ -304,21 +297,13 @@ class SimulatedRuntime:
                 # Record every insertion at insertion time (including
                 # blocked puts admitted later), so a failover's purge can
                 # never outrun the replay record.
-                queue.on_insert = (
+                stage.queue.on_insert = (
                     lambda message, _stage=stage: self._record_delivery(_stage, message)
                 )
             self._stages[stage_cfg.name] = stage
 
         # Reconstruct shard groups from the expanded config's markers.
-        self._groups = groups_of(
-            {name: stage.properties for name, stage in self._stages.items()}
-        )
-        #: Replica name -> (group, slot, slots, routed-items counter).
-        slot_of: Dict[str, Tuple[str, int, int, Any]] = {}
-        for group in self._groups.values():
-            for slot, member in enumerate(group.members):
-                counter = self.metrics.counter(f"shard.{member}.items")
-                slot_of[member] = (group.name, slot, len(group.members), counter)
+        self._groups = groups_of(stage.options for stage in self._stages.values())
 
         # Wire edges over the network.
         for stream in config.streams:
@@ -328,11 +313,11 @@ class SimulatedRuntime:
             self._wire_edge(edge, src)
             src.out_edges.append(edge)
             dst.upstream.append(src)
-            dst.eos.expect(group=src.properties.get(SHARD_GROUP_PROPERTY))
+            dst.eos.expect(group=src.options.shard_group)
         for stage in self._stages.values():
             stage.route_units, stage.stream_names = build_route_units(
                 [
-                    EdgeSpec(edge.stream.name, *slot_of.get(edge.dst.name, ()))
+                    edge_spec(edge.stream.name, edge.dst.name, edge.dst.options, self.metrics)
                     for edge in stage.out_edges
                 ]
             )

@@ -44,13 +44,13 @@ from repro.core.kernel import (
     TAKE,
     WAIT,
     WORK,
-    EdgeSpec,
     RouteUnit,
     SourceBinding,
     StageCore,
     adaptation_tick,
     build_route_units,
     check_binding,
+    edge_spec,
     run_setup,
     source_loop,
     stage_checkpoint,
@@ -58,7 +58,6 @@ from repro.core.kernel import (
 )
 from repro.core.results import RunResult, StageStats
 from repro.core.sharding import (
-    SHARD_GROUP_PROPERTY,
     ShardGroup,
     ShardScaler,
     expand_shards,
@@ -67,7 +66,7 @@ from repro.core.sharding import (
     import_keyed_state,
 )
 from repro.core.termination import no_input_message
-from repro.obs.registry import Counter, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import TraceCollector, publish_traces
 from repro.resilience.checkpoint import CheckpointStore, MemoryCheckpointStore
 from repro.resilience.policy import DeadLetterQueue, ResilienceConfig
@@ -243,8 +242,6 @@ class ThreadedRuntime:
         result = rt.run(timeout=30.0)
     """
 
-    DEFAULT_QUEUE_CAPACITY = 200
-
     def __init__(
         self,
         policy: Optional[AdaptationPolicy] = None,
@@ -364,7 +361,6 @@ class ThreadedRuntime:
         name: str,
         processor: StreamProcessor,
         properties: Optional[Dict[str, str]] = None,
-        queue_capacity: Optional[int] = None,
     ) -> None:
         """Register a stage."""
         if self._started:
@@ -373,11 +369,10 @@ class ThreadedRuntime:
             raise ThreadedRuntimeError(f"duplicate stage {name!r}")
         if not isinstance(processor, StreamProcessor):
             raise ThreadedRuntimeError(f"{name}: processor must be a StreamProcessor")
-        capacity = queue_capacity or self.DEFAULT_QUEUE_CAPACITY
         try:
             stage = _ThreadStage(
                 name, processor, dict(properties or {}),
-                _MonitoredQueue(capacity, self.policy.window),
+                lambda capacity: _MonitoredQueue(capacity, self.policy.window),
                 self.policy, self.metrics, self.elapsed, self.batch, self.time_scale,
             )
         except ValueError as exc:
@@ -417,7 +412,7 @@ class ThreadedRuntime:
             )
         source.out_edges.append(_ThreadEdge(dst=target, bucket=bucket, name=name))
         target.upstream.append(source)
-        target.eos.expect(group=source.properties.get(SHARD_GROUP_PROPERTY))
+        target.eos.expect(group=source.options.shard_group)
 
     def bind_source(
         self,
@@ -435,7 +430,7 @@ class ThreadedRuntime:
             raise ThreadedRuntimeError("cannot bind sources after run()")
         binding = SourceBinding(name, target, payloads, rate, item_size, arrivals)
         check_binding(
-            binding, {n: s.properties for n, s in self._stages.items()}, ThreadedRuntimeError
+            binding, {n: s.options for n, s in self._stages.items()}, ThreadedRuntimeError
         )
         self._sources.append(binding)
 
@@ -733,18 +728,12 @@ class ThreadedRuntime:
         kernel's route units — solo edges as-is, per-replica edge
         families collapsed into one partitioned unit each.
         """
-        properties = {name: s.properties for name, s in self._stages.items()}
-        self._groups = groups_of(properties)
+        self._groups = groups_of(s.options for s in self._stages.values())
         self._group_locks = {name: threading.Lock() for name in self._groups}
-        member_slot: Dict[str, Tuple[str, int, int, Counter]] = {}
-        for group_name, group in self._groups.items():
-            for index, member in enumerate(group.members):
-                counter = self.metrics.counter(f"shard.{member}.items")
-                member_slot[member] = (group_name, index, len(group.members), counter)
         for stage in self._stages.values():
             stage.route_units, stage.stream_names = build_route_units(
                 [
-                    EdgeSpec(edge.name, *member_slot.get(edge.dst.name, ()))
+                    edge_spec(edge.name, edge.dst.name, edge.dst.options, self.metrics)
                     for edge in stage.out_edges
                 ]
             )

@@ -19,8 +19,8 @@ scale-down decisions (the Grid-brokering direction of the related work).
 The :class:`~repro.core.runtime_threads.ThreadedRuntime` executes those
 decisions live; the simulated and networked runtimes run the static
 replica count.  See ``docs/sharding.md`` for the documented model
-(:mod:`repro.analysis.docscheck` keeps that document and :data:`KNOBS`
-in lockstep).
+(:mod:`repro.analysis.docscheck` keeps its knob table and the sharding
+rows of :data:`repro.core.options.OPTIONS` in lockstep).
 
 Everything here is deterministic: partition mapping uses a stable CRC-32
 hash (Python's ``hash`` is salted per process, which would break
@@ -30,17 +30,17 @@ pure function of its observation sequence.
 
 from __future__ import annotations
 
-import re
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.grid.config import AppConfig, ConfigError, StageConfig, StreamConfig
+from repro.core.options import SHARD_BY_FIELD, SHARD_BY_INDEX, ShardingError, StageOptions
+from repro.core.options import read_options, stamp
+from repro.grid.config import AppConfig, StageConfig, StreamConfig
 
 __all__ = [
     "HashPartitioner",
-    "KNOBS",
     "Partitioner",
     "RangePartitioner",
     "ScalingPolicy",
@@ -54,62 +54,16 @@ __all__ = [
     "import_keyed_state",
     "logical_stream",
     "parse_replica",
-    "partitioner_from_properties",
+    "partitioner_for",
     "replica_name",
+    "shard_spec",
     "stable_hash",
-    "validate_shard_properties",
 ]
 
 #: Separator between a stage's base name and its replica index.  Never a
 #: dot: replica names instantiate ``stage.{stage}.*`` metric templates,
 #: whose placeholders match any dot-free run of characters.
 SHARD_SEPARATOR = "#"
-
-# -- configuration property keys (the documented scaling knobs) ------------
-
-REPLICAS_PROPERTY = "replicas"
-SHARD_BY_PROPERTY = "shard-by"
-PARTITIONER_PROPERTY = "shard-partitioner"
-BOUNDARIES_PROPERTY = "shard-boundaries"
-SCALE_MIN_PROPERTY = "scale-min-replicas"
-SCALE_MAX_PROPERTY = "scale-max-replicas"
-SCALE_UP_OCCUPANCY_PROPERTY = "scale-up-occupancy"
-SCALE_DOWN_OCCUPANCY_PROPERTY = "scale-down-occupancy"
-SCALE_BREACH_SAMPLES_PROPERTY = "scale-breach-samples"
-SCALE_IDLE_SAMPLES_PROPERTY = "scale-idle-samples"
-SCALE_COOLDOWN_SAMPLES_PROPERTY = "scale-cooldown-samples"
-
-# -- properties stamped onto replicas by expand_shards ---------------------
-
-SHARD_GROUP_PROPERTY = "shard-group"
-SHARD_INDEX_PROPERTY = "shard-index"
-SHARD_COUNT_PROPERTY = "shard-count"
-SHARD_ACTIVE_PROPERTY = "shard-active"
-
-#: The user-facing sharding/autoscaling knobs, single source of truth for
-#: the ``docs/sharding.md`` knobs table (diffed by
-#: :mod:`repro.analysis.docscheck`).
-KNOBS: Dict[str, str] = {
-    REPLICAS_PROPERTY: "replica count the stage starts with (>= 1)",
-    SHARD_BY_PROPERTY: "key extractor: payload | field:<name> | index:<i>",
-    PARTITIONER_PROPERTY: "partition function: hash (default) | range",
-    BOUNDARIES_PROPERTY: "sorted comma-separated range boundaries (range only)",
-    SCALE_MIN_PROPERTY: "elastic floor on the active replica count",
-    SCALE_MAX_PROPERTY: "elastic ceiling; also the number of replica slots",
-    SCALE_UP_OCCUPANCY_PROPERTY: "mean queue occupancy that counts as a breach",
-    SCALE_DOWN_OCCUPANCY_PROPERTY: "mean queue occupancy that counts as idle",
-    SCALE_BREACH_SAMPLES_PROPERTY: "consecutive breach samples before scale-up",
-    SCALE_IDLE_SAMPLES_PROPERTY: "consecutive idle samples before scale-down",
-    SCALE_COOLDOWN_SAMPLES_PROPERTY: "samples ignored after each transition",
-}
-
-_SHARD_BY_FIELD = re.compile(r"^field:(?P<name>.+)$")
-_SHARD_BY_INDEX = re.compile(r"^index:(?P<index>\d+)$")
-
-
-class ShardingError(ConfigError):
-    """Raised for invalid sharding or scaling configuration."""
-
 
 def stable_hash(key: Any) -> int:
     """Process-independent 32-bit hash of a partition key.
@@ -151,7 +105,7 @@ def extract_key(payload: Any, shard_by: str) -> Any:
     """
     if shard_by == "payload":
         return payload
-    match = _SHARD_BY_FIELD.match(shard_by)
+    match = SHARD_BY_FIELD.match(shard_by)
     if match:
         name = match.group("name")
         if isinstance(payload, dict):
@@ -167,7 +121,7 @@ def extract_key(payload: Any, shard_by: str) -> Any:
             raise ShardingError(
                 f"shard-by field {name!r} missing from payload {payload!r}"
             ) from None
-    match = _SHARD_BY_INDEX.match(shard_by)
+    match = SHARD_BY_INDEX.match(shard_by)
     if match:
         index = int(match.group("index"))
         try:
@@ -262,11 +216,11 @@ class RangePartitioner(Partitioner):
         return min(index, count - 1)
 
 
-def partitioner_from_properties(properties: Dict[str, str]) -> Partitioner:
-    """Build the partitioner a stage's properties declare.
+def partitioner_for(options: StageOptions) -> Partitioner:
+    """Build the partitioner a stage's options declare.
 
     Arguments:
-        properties: The stage's configuration properties.
+        options: The stage's parsed options.
 
     Returns:
         A :class:`HashPartitioner` (the default) or a
@@ -274,27 +228,13 @@ def partitioner_from_properties(properties: Dict[str, str]) -> Partitioner:
         ``"range"`` (which requires ``shard-boundaries``).
 
     Raises:
-        ShardingError: On an unknown partitioner or malformed boundaries.
+        ShardingError: When range boundaries are missing or unsorted.
     """
-    kind = properties.get(PARTITIONER_PROPERTY, "hash")
-    if kind == "hash":
+    if options.shard_partitioner == "hash":
         return HashPartitioner()
-    if kind == "range":
-        raw = properties.get(BOUNDARIES_PROPERTY)
-        if raw is None:
-            raise ShardingError(
-                f"{PARTITIONER_PROPERTY}=range requires {BOUNDARIES_PROPERTY}"
-            )
-        try:
-            bounds = [float(part) for part in raw.split(",") if part.strip()]
-        except ValueError:
-            raise ShardingError(
-                f"bad {BOUNDARIES_PROPERTY} {raw!r}: want comma-separated numbers"
-            ) from None
-        return RangePartitioner(bounds)
-    raise ShardingError(
-        f"unknown {PARTITIONER_PROPERTY} {kind!r} (want hash or range)"
-    )
+    if options.shard_boundaries is None:
+        raise ShardingError("shard-partitioner=range requires shard-boundaries")
+    return RangePartitioner(options.shard_boundaries)
 
 
 def replica_name(base: str, index: int) -> str:
@@ -388,45 +328,29 @@ class ScalingPolicy:
             raise ShardingError("cooldown_samples must be >= 0")
 
     @classmethod
-    def from_properties(
-        cls, properties: Dict[str, str], replicas: int
-    ) -> "ScalingPolicy":
-        """Read the ``scale-*`` properties of a sharded stage.
+    def from_options(cls, options: StageOptions, replicas: int) -> "ScalingPolicy":
+        """Read the ``scale-*`` options of a sharded stage.
 
         Arguments:
-            properties: The stage's configuration properties.
+            options: The stage's parsed options.
             replicas: The stage's declared starting replica count
-                (defaults both bounds when no ``scale-*`` knob is given).
+                (defaults both bounds when no ``scale-*`` bound is given).
 
         Returns:
-            The effective policy; without any ``scale-*`` bound property
-            the bounds collapse to ``replicas`` and the group is static.
+            The effective policy; without any ``scale-*`` bound the
+            bounds collapse to ``replicas`` and the group is static.
         """
-        elastic = (
-            SCALE_MIN_PROPERTY in properties or SCALE_MAX_PROPERTY in properties
+        low, high = options.scale_min_replicas, options.scale_max_replicas
+        elastic = low is not None or high is not None
+        return cls(
+            min_replicas=low if low is not None else (1 if elastic else replicas),
+            max_replicas=high if high is not None else replicas,
+            up_occupancy=options.scale_up_occupancy,
+            down_occupancy=options.scale_down_occupancy,
+            breach_samples=options.scale_breach_samples,
+            idle_samples=options.scale_idle_samples,
+            cooldown_samples=options.scale_cooldown_samples,
         )
-        try:
-            return cls(
-                min_replicas=int(
-                    properties.get(SCALE_MIN_PROPERTY, 1 if elastic else replicas)
-                ),
-                max_replicas=int(properties.get(SCALE_MAX_PROPERTY, replicas)),
-                up_occupancy=float(
-                    properties.get(SCALE_UP_OCCUPANCY_PROPERTY, 0.75)
-                ),
-                down_occupancy=float(
-                    properties.get(SCALE_DOWN_OCCUPANCY_PROPERTY, 0.10)
-                ),
-                breach_samples=int(
-                    properties.get(SCALE_BREACH_SAMPLES_PROPERTY, 3)
-                ),
-                idle_samples=int(properties.get(SCALE_IDLE_SAMPLES_PROPERTY, 5)),
-                cooldown_samples=int(
-                    properties.get(SCALE_COOLDOWN_SAMPLES_PROPERTY, 2)
-                ),
-            )
-        except ValueError as exc:
-            raise ShardingError(f"bad scale-* property: {exc}") from None
 
     @property
     def elastic(self) -> bool:
@@ -524,6 +448,29 @@ class ShardGroup:
     active: int
     policy: ScalingPolicy
 
+    @classmethod
+    def of(cls, options: StageOptions) -> "ShardGroup":
+        """The group a replica's options describe.
+
+        Arguments:
+            options: Any member's options: expansion stamps the same group
+                facts onto every replica, and names the ``shard-count``
+                members with :func:`replica_name`.
+        """
+        name = str(options.shard_group)
+        members = [replica_name(name, index) for index in range(options.shard_count or 0)]
+        active = len(members) if options.shard_active is None else options.shard_active
+        return cls(
+            name=name,
+            members=members,
+            partitioner=partitioner_for(options),
+            shard_by=options.shard_by,
+            active=min(max(active, 1), len(members)),
+            policy=ScalingPolicy.from_options(
+                options, active if options.replicas is None else options.replicas
+            ),
+        )
+
     def owner(self, payload: Any) -> int:
         """Index of the replica owning ``payload``'s key.
 
@@ -537,42 +484,21 @@ class ShardGroup:
         return self.partitioner.select(key, self.active)
 
 
-def groups_of(stage_properties: Dict[str, Dict[str, str]]) -> Dict[str, ShardGroup]:
-    """Reconstruct the shard groups from expanded stages' properties.
+def groups_of(stages: Iterable[StageOptions]) -> Dict[str, ShardGroup]:
+    """Reconstruct the shard groups from expanded stages' options.
 
     Arguments:
-        stage_properties: Mapping of stage name to its properties, as a
-            runtime holds them after :func:`expand_shards`.
+        stages: Every stage's options, as a runtime holds them after
+            :func:`expand_shards`.
 
     Returns:
-        Mapping of group (base stage) name to its :class:`ShardGroup`,
-        members sorted by shard index.
+        Mapping of group (base stage) name to its :class:`ShardGroup`.
     """
-    slots: Dict[str, List[Tuple[int, str]]] = {}
-    samples: Dict[str, Dict[str, str]] = {}
-    for name, properties in stage_properties.items():
-        group = properties.get(SHARD_GROUP_PROPERTY)
-        if group is None:
-            continue
-        slots.setdefault(group, []).append(
-            (int(properties[SHARD_INDEX_PROPERTY]), name)
-        )
-        samples[group] = properties
-    groups: Dict[str, ShardGroup] = {}
-    for group, indexed in slots.items():
-        properties = samples[group]
-        members = [name for _, name in sorted(indexed)]
-        active = int(properties.get(SHARD_ACTIVE_PROPERTY, len(members)))
-        replicas = int(properties.get(REPLICAS_PROPERTY, active))
-        groups[group] = ShardGroup(
-            name=group,
-            members=members,
-            partitioner=partitioner_from_properties(properties),
-            shard_by=properties.get(SHARD_BY_PROPERTY, "payload"),
-            active=min(max(active, 1), len(members)),
-            policy=ScalingPolicy.from_properties(properties, replicas),
-        )
-    return groups
+    return {
+        str(options.shard_group): ShardGroup.of(options)
+        for options in stages
+        if options.shard_group is not None
+    }
 
 
 # -- keyed-state handoff ---------------------------------------------------
@@ -615,92 +541,45 @@ def import_keyed_state(processor: Any, state: Dict[Any, Any]) -> None:
 # -- configuration expansion -----------------------------------------------
 
 
-def _shard_spec(stage: StageConfig) -> Optional[Tuple[int, int, ScalingPolicy]]:
-    """Parse a stage's sharding declaration.
+def shard_spec(name: str, options: StageOptions) -> Optional[Tuple[int, int, ScalingPolicy]]:
+    """Check a declared stage's sharding knobs the way expansion applies them.
 
-    Arguments:
-        stage: A declared (pre-expansion) stage.
-
-    Returns:
-        ``(replicas, slots, policy)`` for sharded stages — ``slots`` is
-        ``policy.max_replicas``, the number of replica stages to create —
-        or ``None`` for ordinary single-instance stages.
-
-    Raises:
-        ShardingError: On malformed ``replicas``/``shard-*``/``scale-*``
-            properties.
-    """
-    if SHARD_GROUP_PROPERTY in stage.properties:
-        return None  # already a replica; expansion is idempotent
-    raw = stage.properties.get(REPLICAS_PROPERTY)
-    if raw is None:
-        return None
-    try:
-        replicas = int(raw)
-    except ValueError:
-        raise ShardingError(
-            f"stage {stage.name!r}: {REPLICAS_PROPERTY} must be an integer, "
-            f"got {raw!r}"
-        ) from None
-    if replicas < 1:
-        raise ShardingError(
-            f"stage {stage.name!r}: {REPLICAS_PROPERTY} must be >= 1, "
-            f"got {replicas}"
-        )
-    shard_by = stage.properties.get(SHARD_BY_PROPERTY, "payload")
-    if shard_by != "payload" and not (
-        _SHARD_BY_FIELD.match(shard_by) or _SHARD_BY_INDEX.match(shard_by)
-    ):
-        raise ShardingError(
-            f"stage {stage.name!r}: invalid {SHARD_BY_PROPERTY} {shard_by!r}"
-        )
-    partitioner_from_properties(stage.properties)  # validates eagerly
-    try:
-        policy = ScalingPolicy.from_properties(stage.properties, replicas)
-    except ShardingError as exc:
-        raise ShardingError(f"stage {stage.name!r}: {exc}") from None
-    if replicas > policy.max_replicas or replicas < policy.min_replicas:
-        raise ShardingError(
-            f"stage {stage.name!r}: {REPLICAS_PROPERTY}={replicas} outside "
-            f"[{policy.min_replicas}, {policy.max_replicas}]"
-        )
-    if SHARD_SEPARATOR in stage.name:
-        raise ShardingError(
-            f"stage {stage.name!r}: sharded stage names may not contain "
-            f"{SHARD_SEPARATOR!r}"
-        )
-    return replicas, policy.max_replicas, policy
-
-
-def validate_shard_properties(
-    name: str, properties: Dict[str, str]
-) -> Optional[Tuple[int, int, ScalingPolicy]]:
-    """Validate a stage's sharding/scaling knobs without expanding it.
-
-    The static verifier's entry point (diagnostic ``GA220``): applies the
-    exact parsing that :func:`expand_shards` would, against a bare
-    ``(name, properties)`` pair, so configurations fail at analysis time
-    rather than at deployment.
+    Also the static verifier's entry point (diagnostic ``GA220``), so a
+    configuration fails at analysis time rather than at deployment.
 
     Arguments:
         name: The declared stage name (used in error messages and for the
             :data:`SHARD_SEPARATOR` name check).
-        properties: The stage's raw string properties.
+        options: The stage's parsed options.
 
     Returns:
-        ``(replicas, slots, policy)`` when the stage declares
-        ``replicas``, else ``None`` (the stage would not expand).
+        ``(replicas, slots, policy)`` for sharded stages — ``slots`` is
+        ``policy.max_replicas``, the number of replica stages to create —
+        or ``None`` for ordinary single-instance stages and for replicas
+        (expansion is idempotent).
 
     Raises:
-        ShardingError: On malformed ``replicas``/``shard-*``/``scale-*``
-            properties, exactly as expansion would.
+        ShardingError: When the knobs parse but contradict each other.
     """
-    stage = StageConfig(
-        name=name,
-        code_url="py://repro.core.sharding:validate",
-        properties=dict(properties),
-    )
-    return _shard_spec(stage)
+    replicas = options.replicas
+    if options.shard_group is not None or replicas is None:
+        return None
+    try:
+        partitioner_for(options)  # validates eagerly
+        policy = ScalingPolicy.from_options(options, replicas)
+    except ShardingError as exc:
+        raise ShardingError(f"stage {name!r}: {exc}") from None
+    if replicas > policy.max_replicas or replicas < policy.min_replicas:
+        raise ShardingError(
+            f"stage {name!r}: replicas={replicas} outside "
+            f"[{policy.min_replicas}, {policy.max_replicas}]"
+        )
+    if SHARD_SEPARATOR in name:
+        raise ShardingError(
+            f"stage {name!r}: sharded stage names may not contain "
+            f"{SHARD_SEPARATOR!r}"
+        )
+    return replicas, policy.max_replicas, policy
 
 
 def expand_shards(config: AppConfig) -> AppConfig:
@@ -732,7 +611,11 @@ def expand_shards(config: AppConfig) -> AppConfig:
     """
     specs: Dict[str, Tuple[int, int, ScalingPolicy]] = {}
     for stage in config.stages:
-        spec = _shard_spec(stage)
+        options, problems = read_options(stage.properties)
+        for option, message in problems:
+            if option.error is ShardingError:
+                raise ShardingError(f"stage {stage.name!r}: {message}")
+        spec = shard_spec(stage.name, options)
         if spec is not None and spec[1] > 1:
             specs[stage.name] = spec
     if not specs:
@@ -745,13 +628,9 @@ def expand_shards(config: AppConfig) -> AppConfig:
             continue
         replicas, slots, _policy = specs[stage.name]
         for index in range(slots):
-            properties = dict(stage.properties)
-            properties.pop(REPLICAS_PROPERTY, None)
-            properties[SHARD_GROUP_PROPERTY] = stage.name
-            properties[SHARD_INDEX_PROPERTY] = str(index)
-            properties[SHARD_COUNT_PROPERTY] = str(slots)
-            properties[SHARD_ACTIVE_PROPERTY] = str(replicas)
-            properties[REPLICAS_PROPERTY] = str(replicas)
+            properties = stamp(dict(stage.properties), replicas=None)
+            stamp(properties, shard_group=stage.name, shard_index=index,
+                  shard_count=slots, shard_active=replicas, replicas=replicas)
             stages.append(
                 StageConfig(
                     name=replica_name(stage.name, index),

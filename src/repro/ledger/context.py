@@ -40,6 +40,8 @@ import threading
 import zlib
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from repro.core.options import stage_options
+
 from .ledger import LedgerReader, LedgerWriter
 
 __all__ = [
@@ -54,11 +56,6 @@ __all__ = [
 MODE_OFF = "off"
 MODE_RECORD = "record"
 MODE_REPLAY = "replay"
-
-#: Stage properties that configure the context (shared with config docs).
-PROP_MODE = "ledger-mode"
-PROP_DIR = "ledger-dir"
-PROP_PATH = "ledger-path"
 
 _KIND_TO_TYPE = {"clock": "CLOCK", "rng": "RNG", "param": "PARAM"}
 
@@ -286,16 +283,15 @@ def deterministic_context_for(
     """Build (or fetch) the DeterministicContext for one stage.
 
     Reads the ``ledger-mode`` / ``ledger-dir`` / ``ledger-path`` stage
-    properties; returns a shared passthrough context when recording is
+    options; returns a shared passthrough context when recording is
     off.  Re-entrant: the same sidecar path always yields the same
     context within a process.
     """
     import os
 
     global _OFF_SINGLETON
-    props = properties or {}
-    mode = str(props.get(PROP_MODE, MODE_OFF)).strip().lower()
-    ledger_dir = str(props.get(PROP_DIR, "")).strip()
+    options = stage_options(properties or {})
+    mode, ledger_dir = options.ledger_mode, options.ledger_dir
     if mode not in (MODE_RECORD, MODE_REPLAY) or not ledger_dir:
         if _OFF_SINGLETON is None:
             _OFF_SINGLETON = DeterministicContext("", MODE_OFF)
@@ -313,7 +309,7 @@ def deterministic_context_for(
         stage_name,
         mode,
         sidecar_path=sidecar,
-        replay_path=str(props.get(PROP_PATH, "")).strip() or None,
+        replay_path=options.ledger_path or None,
         fallback_now=fallback_now,
     )
     with _ACTIVE_LOCK:

@@ -39,16 +39,9 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.options import stamp
 from ..grid.config import AppConfig, StageConfig, StreamConfig
-from .context import (
-    MODE_RECORD,
-    MODE_REPLAY,
-    PROP_DIR,
-    PROP_MODE,
-    PROP_PATH,
-    base_stage_name,
-    reset_registry,
-)
+from .context import MODE_RECORD, MODE_REPLAY, base_stage_name, reset_registry
 from .ledger import LedgerError, LedgerReader, LedgerWriter, merge_ledgers
 from .records import READ_TYPES, SCHEMA, Record
 from .stages import wrap
@@ -70,9 +63,6 @@ RUN_LEDGER = "run.ledger"
 
 #: Sidecar holding the harness's own run-level records.
 _RUN_SIDECAR = "_run.ledger"
-
-#: Stage property marking a pipeline as ledger-enabled (GA240 gate).
-LEDGER_ENABLED = "ledger-enabled"
 
 #: Event-log kinds mined into decision records after a recorded run.
 _EVENT_TO_TYPE = {
@@ -225,21 +215,17 @@ def demo_config(spec: Optional[ReplaySpec] = None, *, hints: bool = False) -> Ap
             StageConfig(
                 "src", "py://repro.ledger.stages:DetRelayStage",
                 requirement=req("edge"),
-                properties={"migratable": "false"},
+                properties=stamp({}, migratable=False),
             ),
             StageConfig(
                 "work", "py://repro.ledger.stages:DetRelayStage",
                 requirement=req(None),
-                properties={
-                    "replicas": "1",
-                    "scale-max-replicas": "2",
-                    "shard-by": "field:lk",
-                },
+                properties=stamp({}, replicas=1, scale_max_replicas=2, shard_by="field:lk"),
             ),
             StageConfig(
                 "mid", "py://repro.ledger.stages:DetRelayStage",
                 requirement=req(None),
-                properties={"migratable": "true"},
+                properties=stamp({}, migratable=True),
             ),
             StageConfig(
                 "sink", "py://repro.ledger.sinks:TxnCollectStage",
@@ -262,13 +248,13 @@ def stamp_ledger(
 ) -> AppConfig:
     """Stamp record/replay properties onto every stage, in place."""
     for stage in config.stages:
-        stage.properties[LEDGER_ENABLED] = "true"
-        stage.properties[PROP_MODE] = mode
-        stage.properties[PROP_DIR] = os.path.abspath(ledger_dir)
-        if ledger_path is not None:
-            stage.properties[PROP_PATH] = os.path.abspath(ledger_path)
-        else:
-            stage.properties.pop(PROP_PATH, None)
+        stamp(
+            stage.properties,
+            ledger_enabled=True,
+            ledger_mode=mode,
+            ledger_dir=os.path.abspath(ledger_dir),
+            ledger_path=None if ledger_path is None else os.path.abspath(ledger_path),
+        )
     return config
 
 

@@ -22,9 +22,6 @@ from .stages import key_of, value_of
 
 __all__ = ["SinkTxn", "TxnCollectStage"]
 
-#: Stage property that waives the GA240 idempotency requirement.
-AT_LEAST_ONCE_OK = "at-least-once-ok"
-
 
 class SinkTxn:
     """Mixin protocol for idempotent sink stages.

@@ -49,19 +49,8 @@ from repro.core.batching import BatchBuffer, BatchPolicy
 from repro.core.items import EndOfStream
 from repro.core.kernel import WAIT, SourceBinding, check_binding, source_loop
 from repro.core.results import RunResult, StageStats
-from repro.core.sharding import (
-    BOUNDARIES_PROPERTY,
-    PARTITIONER_PROPERTY,
-    SHARD_ACTIVE_PROPERTY,
-    SHARD_BY_PROPERTY,
-    SHARD_COUNT_PROPERTY,
-    SHARD_GROUP_PROPERTY,
-    SHARD_INDEX_PROPERTY,
-    SHARD_SEPARATOR,
-    ShardGroup,
-    expand_shards,
-    groups_of,
-)
+from repro.core.options import StageOptions, stage_options
+from repro.core.sharding import SHARD_SEPARATOR, ShardGroup, expand_shards, groups_of
 from repro.grid.config import AppConfig
 from repro.grid.matchmaker import Matchmaker
 from repro.grid.registry import ServiceRegistry
@@ -192,10 +181,15 @@ class NetworkedRuntime:
         # placement, so the matchmaker spreads a group's replicas across
         # the worker fleet.
         self.config = expand_shards(config)
-        self._groups: Dict[str, ShardGroup] = groups_of({
-            s.name: {str(k): str(v) for k, v in s.properties.items()}
-            for s in self.config.stages
-        })
+        # Parsed here as well as on the workers, so an invalid option
+        # fails before any worker spawns.
+        self._options: Dict[str, StageOptions] = {}
+        for stage in self.config.stages:
+            try:
+                self._options[stage.name] = stage_options(stage.properties)
+            except ValueError as exc:
+                raise NetworkedRuntimeError(f"stage {stage.name!r}: {exc}") from None
+        self._groups: Dict[str, ShardGroup] = groups_of(self._options.values())
         self.workers_spec = workers
         self.policy = policy or AdaptationPolicy()
         self.adaptation_enabled = adaptation_enabled
@@ -247,9 +241,7 @@ class NetworkedRuntime:
         if name in {s.name for s in self.config.streams}:
             raise NetworkedRuntimeError(f"source binding {name!r} collides with a stream name")
         binding = SourceBinding(name, target, payloads, rate, item_size)
-        check_binding(
-            binding, {s.name: s.properties for s in self.config.stages}, NetworkedRuntimeError
-        )
+        check_binding(binding, self._options, NetworkedRuntimeError)
         self._sources.append(binding)
 
     # -- placement -----------------------------------------------------------
@@ -526,13 +518,10 @@ class NetworkedRuntime:
     ) -> None:
         """Ship REGISTER and CHANNEL frames reflecting the placement.
 
-        Channels whose destination is a shard-group replica carry a
-        ``shard`` descriptor (group, slot, slot count, active count, key
-        extractor, partition function), which the sending worker uses to
+        A sending end's CHANNEL frame carries the destination's
+        properties, so a worker sending into a shard-group replica can
         collapse the per-replica edges into one key-partitioned route.
         """
-        shard_of = self._shard_descriptor
-
         for stage in self.config.stages:
             handle = by_name[self.placement[stage.name]]
             assert handle.writer is not None
@@ -554,7 +543,7 @@ class NetworkedRuntime:
                     "stream": stream.name,
                     "src": stream.src,
                     "dst": stream.dst,
-                    "shard": shard_of(stream.dst),
+                    "dst_properties": self.config.stage(stream.dst).properties,
                 })
                 continue
             await self._declare_channel(dst_worker, {
@@ -571,7 +560,7 @@ class NetworkedRuntime:
                 "peer_host": dst_worker.host,
                 "peer_port": dst_worker.port,
                 "peer_uds": dst_worker.uds,
-                "shard": shard_of(stream.dst),
+                "dst_properties": self.config.stage(stream.dst).properties,
             })
         for binding in self._sources:
             for stream_name, target in self._source_channels(binding):
@@ -587,26 +576,6 @@ class NetworkedRuntime:
         """Send one CHANNEL declaration to ``handle``'s worker."""
         assert handle.writer is not None
         await send_frame(handle.writer, FrameType.CHANNEL, encode_json(body))
-
-    def _shard_descriptor(self, dst: str) -> Optional[Dict[str, Any]]:
-        """The CHANNEL-frame shard descriptor for edges into ``dst``."""
-        props = {
-            str(k): str(v)
-            for k, v in self.config.stage(dst).properties.items()
-        }
-        group = props.get(SHARD_GROUP_PROPERTY)
-        if group is None:
-            return None
-        slots = int(props[SHARD_COUNT_PROPERTY])
-        return {
-            "group": group,
-            "slot": int(props[SHARD_INDEX_PROPERTY]),
-            "slots": slots,
-            "active": int(props.get(SHARD_ACTIVE_PROPERTY, slots)),
-            "by": props.get(SHARD_BY_PROPERTY, "payload"),
-            "partitioner": props.get(PARTITIONER_PROPERTY, "hash"),
-            "boundaries": props.get(BOUNDARIES_PROPERTY),
-        }
 
     def _source_channels(self, binding: SourceBinding) -> List[Tuple[str, str]]:
         """The (stream name, target stage) pairs one source binding feeds.
@@ -858,7 +827,7 @@ class NetworkedRuntime:
                         "peer_host": by_name[self.placement[s.dst]].host,
                         "peer_port": by_name[self.placement[s.dst]].port,
                         "peer_uds": by_name[self.placement[s.dst]].uds,
-                        "shard": self._shard_descriptor(s.dst),
+                        "dst_properties": self.config.stage(s.dst).properties,
                     }
                     for s in out_streams
                 ],

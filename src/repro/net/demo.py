@@ -20,6 +20,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.apps.count_samps import JoinStage, build_distributed_config
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.api import CpuCostModel, StageContext
+from repro.core.options import stamp
 from repro.core.results import RunResult
 from repro.net.coordinator import NetworkedRuntime
 from repro.obs.registry import MetricsRegistry
@@ -75,7 +76,7 @@ def run_netdemo(
     join.properties["join-cost-ms"] = repr(join_cost_ms)
     # A small inbox relative to the credit window: the wire can keep it
     # saturated, so the estimator sees a genuinely overloaded queue.
-    join.properties["net-queue-capacity"] = "16"
+    stamp(join.properties, queue_capacity=16)
 
     policy = AdaptationPolicy().with_(sample_interval=0.05, adjust_every=2)
     runtime = NetworkedRuntime(

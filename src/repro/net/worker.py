@@ -37,7 +37,6 @@ import asyncio
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.adaptation.policy import AdaptationPolicy
@@ -50,23 +49,15 @@ from repro.core.kernel import (
     SEND,
     TAKE,
     WORK,
-    EdgeSpec,
     StageCore,
     adaptation_tick,
     build_route_units,
+    edge_spec,
     run_setup,
     stage_loop,
 )
-from repro.core.sharding import (
-    BOUNDARIES_PROPERTY,
-    PARTITIONER_PROPERTY,
-    SHARD_ACTIVE_PROPERTY,
-    SHARD_COUNT_PROPERTY,
-    SHARD_GROUP_PROPERTY,
-    Partitioner,
-    extract_key,
-    partitioner_from_properties,
-)
+from repro.core.options import StageOptions, stage_options
+from repro.core.sharding import ShardGroup
 from repro.core.termination import no_input_message
 from repro.grid.repository import CodeRepository
 from repro.net.channels import AsyncInbox, ChannelError, InChannel, OutChannel
@@ -93,9 +84,6 @@ __all__ = ["ANNOUNCE_PREFIX", "Worker", "WorkerError", "default_repository", "ma
 #: working).
 ANNOUNCE_PREFIX = "REPRO-NET-WORKER"
 
-#: Inbox capacity when a stage's properties carry no override.
-DEFAULT_QUEUE_CAPACITY = 200
-
 #: Accumulate modeled compute cost and sleep only past this debt, so
 #: micro-costs (50 us/item) do not each pay the event loop's wakeup
 #: granularity.
@@ -120,31 +108,18 @@ def default_repository() -> CodeRepository:
     return repository
 
 
-@dataclass
-class _RouteGroup:
-    """Partitioning facts for one sharded destination group."""
-
-    partitioner: Partitioner
-    shard_by: str
-    active: int
-
-    def owner(self, payload: Any) -> int:
-        return self.partitioner.select(
-            extract_key(payload, self.shard_by), self.active
-        )
-
-
 class _LocalRoute:
     """In-process edge between two stages hosted on the same worker."""
 
-    def __init__(self, stream: str, dst: "_HostedStage", worker: "Worker") -> None:
+    def __init__(
+        self, stream: str, dst: "_HostedStage", worker: "Worker", dst_options: StageOptions
+    ) -> None:
         self.stream = stream
         self.dst = dst
+        self.dst_name = dst.name
+        #: The destination's options, from the CHANNEL frame.
+        self.dst_options = dst_options
         self._worker = worker
-        #: ``shard`` descriptor from the CHANNEL frame (None when the
-        #: destination is not a replica); set by ``_register_channel``.
-        self.shard: Optional[Dict[str, Any]] = None
-        self.shard_counter: Optional[Any] = None
 
     async def send(self, payload: Any, size: float, origin: str) -> None:
         item = Item(
@@ -164,11 +139,12 @@ class _LocalRoute:
 class _WireRoute:
     """Outbound edge to a stage on another worker, via an OutChannel."""
 
-    def __init__(self, channel: OutChannel) -> None:
+    def __init__(self, channel: OutChannel, dst_options: StageOptions) -> None:
         self.channel = channel
         self.stream = channel.stream
-        self.shard: Optional[Dict[str, Any]] = None
-        self.shard_counter: Optional[Any] = None
+        self.dst_name = channel.dst_stage
+        #: The destination's options, from the CHANNEL frame.
+        self.dst_options = dst_options
 
     async def send(self, payload: Any, size: float, origin: str) -> None:
         await self.channel.send(payload, size)
@@ -261,9 +237,9 @@ class Worker:
         self.credit_window = 32
         self.batch: Optional[BatchPolicy] = None
         self._stages: Dict[str, _HostedStage] = {}
-        #: Partitioning facts per sharded destination group, built at
-        #: START from the CHANNEL frames' shard descriptors.
-        self._route_groups: Dict[str, _RouteGroup] = {}
+        #: Sharded destination groups, built at START from the options of
+        #: the replicas the CHANNEL frames name.
+        self._route_groups: Dict[str, ShardGroup] = {}
         self._in_channels: Dict[str, InChannel] = {}
         self._out_channels: List[OutChannel] = []
         self._tasks: List[asyncio.Task] = []
@@ -438,11 +414,10 @@ class Worker:
         if not isinstance(processor, StreamProcessor):
             raise WorkerError(f"{name}: code did not produce a StreamProcessor")
         properties = {str(k): str(v) for k, v in body.get("properties", {}).items()}
-        capacity = int(properties.get("net-queue-capacity", DEFAULT_QUEUE_CAPACITY))
         try:
             self._stages[name] = _HostedStage(
                 name, processor, properties,
-                AsyncInbox(capacity, self.policy.window),
+                lambda capacity: AsyncInbox(capacity, self.policy.window),
                 self.policy, self.metrics, self.elapsed, self.batch, self.time_scale,
             )
         except ValueError as exc:
@@ -451,13 +426,11 @@ class Worker:
     def _register_channel(self, body: Dict[str, Any]) -> None:
         kind = body["kind"]
         stream = body["stream"]
-        shard = body.get("shard")
+        dst_options = stage_options(body.get("dst_properties") or {})
         if kind == "local":
             src = self._require_stage(body["src"], stream)
             dst = self._require_stage(body["dst"], stream)
-            route = _LocalRoute(stream, dst, self)
-            self._annotate_shard(route, shard, body["dst"])
-            src.out_routes.append(route)
+            src.out_routes.append(_LocalRoute(stream, dst, self, dst_options))
             dst.eos.expect()
             dst.upstream_local.append(src.name)
         elif kind == "in":
@@ -480,20 +453,9 @@ class Worker:
                 uds_path=body.get("peer_uds"),
             )
             self._out_channels.append(channel)
-            route = _WireRoute(channel)
-            self._annotate_shard(route, shard, body["dst"])
-            src.out_routes.append(route)
+            src.out_routes.append(_WireRoute(channel, dst_options))
         else:
             raise WorkerError(f"unknown channel kind {kind!r} for {stream!r}")
-
-    def _annotate_shard(
-        self, route: Any, shard: Optional[Dict[str, Any]], dst_name: str
-    ) -> None:
-        """Attach a CHANNEL frame's shard descriptor to an out-route."""
-        if shard is None:
-            return
-        route.shard = shard
-        route.shard_counter = self.metrics.counter(f"shard.{dst_name}.items")
 
     def _require_stage(self, name: str, stream: str) -> _HostedStage:
         try:
@@ -537,12 +499,9 @@ class Worker:
         for stage in self._stages.values():
             self._build_routes(stage)
             run_setup(stage, WorkerError)
-            group = stage.properties.get(SHARD_GROUP_PROPERTY)
+            group = stage.options.shard_group
             if group is not None:
-                active = stage.properties.get(
-                    SHARD_ACTIVE_PROPERTY,
-                    stage.properties.get(SHARD_COUNT_PROPERTY, "1"),
-                )
+                active = ShardGroup.of(stage.options).active
                 self.metrics.gauge(f"shard.{group}.replicas").set(float(active))
         # Dial every outbound channel; the receiving workers are already
         # synced (the coordinator barriers SYNC/READY before any START),
@@ -560,31 +519,17 @@ class Worker:
         """Turn a stage's out-routes into the kernel's route units.
 
         Local and wire routes mix freely inside a family — the replicas
-        may live anywhere in the fleet.  Partitioning facts for each
-        sharded destination group come from the CHANNEL frames' shard
-        descriptors.
+        may live anywhere in the fleet.  Each sharded destination group is
+        built from the options of a replica the CHANNEL frames name.
         """
         stage.route_units, stage.stream_names = build_route_units(
-            [
-                EdgeSpec(r.stream) if r.shard is None else EdgeSpec(
-                    r.stream, str(r.shard["group"]), int(r.shard["slot"]),
-                    int(r.shard["slots"]), r.shard_counter,
-                )
-                for r in stage.out_routes
-            ]
+            [edge_spec(r.stream, r.dst_name, r.dst_options, self.metrics) for r in stage.out_routes]
         )
         for unit in stage.route_units:
-            if unit.group is None or unit.group in self._route_groups:
-                continue
-            shard = stage.out_routes[unit.edges[0]].shard
-            properties = {PARTITIONER_PROPERTY: str(shard.get("partitioner", "hash"))}
-            if shard.get("boundaries") is not None:
-                properties[BOUNDARIES_PROPERTY] = str(shard["boundaries"])
-            self._route_groups[unit.group] = _RouteGroup(
-                partitioner=partitioner_from_properties(properties),
-                shard_by=str(shard.get("by", "payload")),
-                active=int(shard["active"]),
-            )
+            if unit.group is not None and unit.group not in self._route_groups:
+                self._route_groups[unit.group] = ShardGroup.of(
+                    stage.out_routes[unit.edges[0]].dst_options
+                )
         # Batch buffers exist only for wire routes: a local handoff is
         # already a single in-process append, while a wire route pays a
         # frame + syscall per send, which batching amortizes.
@@ -912,7 +857,7 @@ class Worker:
                 "peer_host": spec["peer_host"],
                 "peer_port": spec["peer_port"],
                 "peer_uds": spec.get("peer_uds"),
-                "shard": spec.get("shard"),
+                "dst_properties": spec.get("dst_properties"),
             })
         new_channels = self._out_channels[out_before:]
         self._build_routes(stage)

@@ -31,6 +31,7 @@ CASES = [
     ("ga206_increment_span", "GA206"),
     ("ga207_duplicate_param", "GA207"),
     ("ga208_property_mirror", "GA208"),
+    ("ga209_undeclared_option", "GA209"),
     ("ga210_batch_delay", "GA210"),
     ("ga220_shard_invalid", "GA220"),
     ("ga221_inert_shard_knob", "GA221"),
@@ -86,6 +87,47 @@ def test_diagnostics_carry_spans_and_hints(fabric):
     assert diag.span.file.endswith("ga201_init_range.xml")
     assert diag.hint
     assert diag.severity is Severity.ERROR
+
+
+def test_undeclared_option_names_the_declared_key(fabric):
+    report = run("ga209_undeclared_option", fabric)
+    messages = [d.message for d in report.errors if d.code == "GA209"]
+    assert any("'batch-max-itemz'" in m and "did you mean 'batch-max-items'?" in m
+               for m in messages), messages
+    assert any("queue-capacity='forty'" in m for m in messages), messages
+
+
+@pytest.mark.parametrize("delay", ["nan", "inf", "x"])
+def test_a_batch_delay_every_runtime_rejects_is_an_error(delay):
+    """``repro check`` used to only warn (GA210) about values the
+    runtimes accepted (nan, inf) or rejected (x) at setup."""
+    from repro.analysis import verify_config
+    from repro.grid.config import AppConfig, StageConfig
+
+    config = AppConfig(name="batch", stages=[
+        StageConfig("a", "repo://count-samps/relay", properties={"batch-max-delay": delay}),
+    ])
+    report = verify_config(config)
+    assert [(d.code, d.severity) for d in report.diagnostics] == [("GA210", Severity.ERROR)]
+
+
+@pytest.mark.parametrize("mode", ["record", "Record", " record"])
+def test_ga240_reads_ledger_mode_the_way_the_runtime_does(mode, fabric, tmp_path):
+    """The runtime normalises ``ledger-mode``; GA240 used to compare the
+    raw text, so "Record" recorded without the idempotent-sink check."""
+    from repro.analysis import verify_config
+    from repro.grid.config import AppConfig, StageConfig, StreamConfig
+
+    config = AppConfig(
+        name="ledger",
+        stages=[
+            StageConfig("src", "py://tests.analysis.stages:StatelessStage",
+                        properties={"ledger-mode": mode, "ledger-dir": str(tmp_path)}),
+            StageConfig("sink", "py://tests.analysis.stages:StatelessStage"),
+        ],
+        streams=[StreamConfig("s1", "src", "sink")],
+    )
+    assert verify_config(config, repository=fabric.repository).codes() == ["GA240"]
 
 
 def test_warnings_do_not_fail_the_report(fabric):

@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.core.batching import (
-    MAX_DELAY_PROPERTY,
-    MAX_ITEMS_PROPERTY,
-    BatchBuffer,
-    BatchPolicy,
-    batch_policy_from_properties,
-)
+from repro.core.batching import BatchBuffer, BatchPolicy
+from repro.core.options import stage_options
+
+
+def policy_of(properties, default):
+    return stage_options(properties).batch_policy(default)
 
 
 class TestBatchPolicy:
@@ -85,43 +84,53 @@ class TestBatchBuffer:
 class TestPolicyFromProperties:
     def test_no_properties_returns_default_untouched(self):
         default = BatchPolicy(max_items=7, max_delay=0.5)
-        assert batch_policy_from_properties({}, default) is default
-        assert batch_policy_from_properties({}, None) is None
+        assert policy_of({}, default) is default
+        assert policy_of({}, None) is None
 
     def test_both_properties_override(self):
-        policy = batch_policy_from_properties(
-            {MAX_ITEMS_PROPERTY: "16", MAX_DELAY_PROPERTY: "0.125"}, None
+        policy = policy_of(
+            {"batch-max-items": "16", "batch-max-delay": "0.125"}, None
         )
         assert policy == BatchPolicy(max_items=16, max_delay=0.125)
 
     def test_single_property_inherits_rest_from_default(self):
         default = BatchPolicy(max_items=64, max_delay=0.25)
-        policy = batch_policy_from_properties(
-            {MAX_ITEMS_PROPERTY: "8"}, default
+        policy = policy_of(
+            {"batch-max-items": "8"}, default
         )
         assert policy == BatchPolicy(max_items=8, max_delay=0.25)
-        policy = batch_policy_from_properties(
-            {MAX_DELAY_PROPERTY: "0.5"}, default
+        policy = policy_of(
+            {"batch-max-delay": "0.5"}, default
         )
         assert policy == BatchPolicy(max_items=64, max_delay=0.5)
 
     def test_single_property_without_default_uses_policy_defaults(self):
-        policy = batch_policy_from_properties({MAX_ITEMS_PROPERTY: "8"}, None)
+        policy = policy_of({"batch-max-items": "8"}, None)
         assert policy == BatchPolicy(max_items=8, max_delay=BatchPolicy().max_delay)
 
     def test_property_can_disable_runtime_batching(self):
         default = BatchPolicy(max_items=32, max_delay=0.01)
-        policy = batch_policy_from_properties({MAX_ITEMS_PROPERTY: "1"}, default)
+        policy = policy_of({"batch-max-items": "1"}, default)
         assert policy is not None and not policy.enabled
 
     def test_unparseable_properties_raise(self):
         with pytest.raises(ValueError):
-            batch_policy_from_properties({MAX_ITEMS_PROPERTY: "lots"}, None)
+            policy_of({"batch-max-items": "lots"}, None)
         with pytest.raises(ValueError):
-            batch_policy_from_properties({MAX_DELAY_PROPERTY: "soon"}, None)
+            policy_of({"batch-max-delay": "soon"}, None)
 
     def test_out_of_range_values_raise(self):
         with pytest.raises(ValueError):
-            batch_policy_from_properties({MAX_ITEMS_PROPERTY: "0"}, None)
+            policy_of({"batch-max-items": "0"}, None)
         with pytest.raises(ValueError):
-            batch_policy_from_properties({MAX_DELAY_PROPERTY: "-1"}, None)
+            policy_of({"batch-max-delay": "-1"}, None)
+
+    @pytest.mark.parametrize("delay", ["nan", "inf", "-inf"])
+    def test_non_finite_delay_raises(self, delay):
+        """A nan delay made the threaded worker busy-spin (its flush
+        timeout was 0 and the batch never came due); inf overflowed
+        ``Condition.wait``."""
+        with pytest.raises(ValueError, match="finite"):
+            policy_of({"batch-max-delay": delay}, None)
+        with pytest.raises(ValueError, match="finite"):
+            BatchPolicy(max_delay=float(delay))

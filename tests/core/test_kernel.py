@@ -37,7 +37,7 @@ from repro.core.kernel import (
     source_loop,
     stage_loop,
 )
-from repro.core.sharding import SHARD_GROUP_PROPERTY
+from repro.core.options import stage_options
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import ItemTrace, TraceCollector
 from repro.resilience.policy import DeadLetterQueue, ResilienceConfig
@@ -160,7 +160,7 @@ class _Error(Exception):
 
 def _stage(processor=None, queue=None, policy=None, clock=None):
     return StageCore(
-        "s", processor or _Declares(), {}, queue or _Queue(),
+        "s", processor or _Declares(), {}, lambda capacity: queue or _Queue(),
         policy or AdaptationPolicy(), MetricsRegistry(), clock or (lambda: 0.0),
     )
 
@@ -303,7 +303,8 @@ class _Relay(StreamProcessor):
 
 def _loop_stage(batch=None, resilience=None, inputs=1):
     stage = StageCore(
-        "s", _Relay(), {}, _Queue(), AdaptationPolicy(), MetricsRegistry(), lambda: 0.0,
+        "s", _Relay(), {}, lambda capacity: _Queue(), AdaptationPolicy(), MetricsRegistry(),
+        lambda: 0.0,
         batch_default=batch,
     )
     stage.route_units, stage.stream_names = build_route_units([EdgeSpec("out")])
@@ -530,7 +531,7 @@ class TestSourceLoop:
             next(loop)
 
     def test_check_binding_rejects_an_unknown_target_and_a_bad_rate(self):
-        stages = {"a": {}, "g#0": {SHARD_GROUP_PROPERTY: "g"}}
+        stages = {"a": stage_options({}), "g#0": stage_options({"shard-group": "g"})}
         check_binding(SourceBinding("s", "g", []), stages, ValueError)
         with pytest.raises(ValueError, match="source 's': unknown stage 'x'"):
             check_binding(SourceBinding("s", "x", []), stages, ValueError)
@@ -594,4 +595,45 @@ def test_stage_kernel_is_defined_once():
                 bases = [getattr(b, "attr", getattr(b, "id", "")) for b in node.bases]
                 if any(base.endswith("StageContext") for base in bases):
                     offenders.append(f"{relative}:{node.lineno} subclasses StageContext")
+    assert offenders == []
+
+
+def _keyed_uses(tree, keys):
+    """``(line, what)`` for each constant naming a declared option key,
+    and each keyed access to one: ``.get`` / ``.pop`` / ``.setdefault``,
+    a subscript, an ``in`` test or a dict-literal key."""
+    def key(node):
+        return node.value if isinstance(node, ast.Constant) and node.value in keys else None
+
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and key(node.value):
+            yield node.lineno, f"defines a constant {key(node.value)!r}"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in ("get", "pop", "setdefault") and node.args and key(node.args[0]):
+                yield node.lineno, f"accesses {key(node.args[0])!r}"
+        elif isinstance(node, ast.Subscript) and key(node.slice):
+            yield node.lineno, f"accesses {key(node.slice)!r}"
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+            if key(node.left):
+                yield node.lineno, f"tests for {key(node.left)!r}"
+        elif isinstance(node, ast.Dict):
+            for entry in node.keys:
+                if entry is not None and key(entry):
+                    yield node.lineno, f"writes {key(entry)!r}"
+
+
+def test_stage_options_are_declared_once():
+    """Every middleware stage property is one row of ``core/options.py``,
+    read through its parser and written through ``stamp``: no other
+    module names a declared key as a constant or accesses one by key."""
+    from repro.core.options import OPTIONS
+
+    keys = {option.key for option in OPTIONS}
+    root = Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(root).as_posix()}:{line} {what}"
+        for path in sorted(root.rglob("*.py"))
+        if path.relative_to(root).as_posix() != "core/options.py"
+        for line, what in _keyed_uses(ast.parse(path.read_text()), keys)
+    ]
     assert offenders == []

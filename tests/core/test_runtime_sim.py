@@ -8,7 +8,7 @@ from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.api import StreamProcessor
 from repro.core.runtime_sim import RuntimeError_, SimulatedRuntime, SourceBinding
 from repro.grid.config import AppConfig, StageConfig, StreamConfig
-from repro.grid.deployer import Deployer
+from repro.grid.deployer import Deployer, DeploymentError
 from repro.grid.registry import ServiceRegistry
 from repro.grid.repository import CodeRepository
 from repro.grid.resources import ResourceRequirement
@@ -74,7 +74,7 @@ class AdaptiveForward(StreamProcessor):
 
 
 def make_runtime(stages, streams, bandwidth=1e6, adaptation=False, policy=None,
-                 n_hosts=2, batch=None):
+                 n_hosts=2, batch=None, verify=True):
     env = Environment()
     net = Network(env)
     hosts = [f"h{i}" for i in range(n_hosts)]
@@ -104,7 +104,7 @@ def make_runtime(stages, streams, bandwidth=1e6, adaptation=False, policy=None,
         stages=stage_cfgs,
         streams=[StreamConfig(f"e{i}", s, d) for i, (s, d) in enumerate(streams)],
     )
-    deployment = Deployer(registry, repo).deploy(config)
+    deployment = Deployer(registry, repo).deploy(config, verify=verify)
     runtime = SimulatedRuntime(
         env, net, deployment, policy=policy, adaptation_enabled=adaptation,
         batch=batch,
@@ -249,6 +249,18 @@ class TestValidation:
         with pytest.raises(ValueError, match=MESSAGE):
             runtime.run(max_sim_time=60.0)
         assert time.monotonic() - started < 5.0
+
+    @pytest.mark.parametrize("delay", ["nan", "inf"])
+    def test_non_finite_batch_delay_rejected(self, delay):
+        """The runtime itself, not only the pre-deploy verifier, refuses a
+        delay no batch could ever come due by."""
+        stages = [("fwd", Forward, {"batch-max-delay": delay}), ("sink", Collect, None)]
+        with pytest.raises(DeploymentError, match="GA210"):
+            make_runtime(stages, [("fwd", "sink")])
+        env, net, dep, runtime = make_runtime(stages, [("fwd", "sink")], verify=False)
+        runtime.bind_source(SourceBinding("s", "fwd", [1]))
+        with pytest.raises(RuntimeError_, match="batch-max-delay"):
+            runtime.run()
 
     def test_run_twice_rejected(self):
         env, net, dep, runtime = make_runtime(

@@ -93,6 +93,14 @@ class TestConstruction:
         with pytest.raises(ThreadedRuntimeError):
             rt.bind_source("s", "a", [1], rate=0)
 
+    @pytest.mark.parametrize("delay", ["nan", "inf"])
+    def test_non_finite_batch_delay_rejected(self, delay):
+        """A nan delay made the stage's worker busy-spin; inf killed it
+        with an OverflowError from ``Condition.wait``."""
+        rt = ThreadedRuntime()
+        with pytest.raises(ThreadedRuntimeError, match="batch-max-delay"):
+            rt.add_stage("a", Forward(), properties={"batch-max-delay": delay})
+
     def test_inputless_stage_rejected_at_run(self):
         rt = ThreadedRuntime()
         rt.add_stage("a", Forward())
@@ -190,6 +198,22 @@ class TestExecution:
         result = rt.run(timeout=30.0)
         assert result.stage("sink").bytes_in == pytest.approx(400.0)
         assert all(l >= 0 for l in result.stage("sink").latencies)
+
+
+class Slow(StreamProcessor):
+    cost_model = CpuCostModel(per_item=0.002)
+
+    def on_item(self, payload, context):
+        pass
+
+
+def test_queue_capacity_property_bounds_the_stage_queue():
+    """``queue-capacity`` used to be honoured on the simulator only."""
+    rt = ThreadedRuntime(policy=quick_policy())
+    rt.add_stage("sink", Slow(), properties={"queue-capacity": "4"})
+    rt.bind_source("s", "sink", range(200))
+    lengths = rt.run(timeout=30.0).stage("sink").queue_history.values
+    assert lengths and max(lengths) <= 4
 
 
 class TestThreadedArrivals:

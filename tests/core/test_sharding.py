@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.options import stage_options
 from repro.core.sharding import (
     HashPartitioner,
     RangePartitioner,
@@ -15,10 +16,10 @@ from repro.core.sharding import (
     import_keyed_state,
     logical_stream,
     parse_replica,
-    partitioner_from_properties,
+    partitioner_for,
     replica_name,
+    shard_spec,
     stable_hash,
-    validate_shard_properties,
 )
 from repro.core.termination import EosTracker
 from repro.grid.config import AppConfig, StageConfig, StreamConfig
@@ -78,16 +79,16 @@ def test_range_partitioner_boundaries_and_clamping():
 
 
 def test_partitioner_from_properties():
-    assert isinstance(partitioner_from_properties({}), HashPartitioner)
-    ranged = partitioner_from_properties(
-        {"shard-partitioner": "range", "shard-boundaries": "1, 2, 3"}
+    assert isinstance(partitioner_for(stage_options({})), HashPartitioner)
+    ranged = partitioner_for(
+        stage_options({"shard-partitioner": "range", "shard-boundaries": "1, 2, 3"})
     )
     assert isinstance(ranged, RangePartitioner)
     assert ranged.boundaries == [1.0, 2.0, 3.0]
     with pytest.raises(ShardingError):
-        partitioner_from_properties({"shard-partitioner": "range"})
+        partitioner_for(stage_options({"shard-partitioner": "range"}))
     with pytest.raises(ShardingError):
-        partitioner_from_properties({"shard-partitioner": "mystery"})
+        partitioner_for(stage_options({"shard-partitioner": "mystery"}))
 
 
 # -- names -----------------------------------------------------------------
@@ -106,14 +107,14 @@ def test_replica_names_round_trip():
 
 
 def test_scaling_policy_defaults_are_static():
-    policy = ScalingPolicy.from_properties({}, replicas=3)
+    policy = ScalingPolicy.from_options(stage_options({}), replicas=3)
     assert (policy.min_replicas, policy.max_replicas) == (3, 3)
     assert not policy.elastic
 
 
 def test_scaling_policy_elastic_bounds():
-    policy = ScalingPolicy.from_properties(
-        {"scale-max-replicas": "4"}, replicas=1
+    policy = ScalingPolicy.from_options(
+        stage_options({"scale-max-replicas": "4"}), replicas=1
     )
     assert (policy.min_replicas, policy.max_replicas) == (1, 4)
     assert policy.elastic
@@ -215,21 +216,21 @@ def test_expand_rejects_malformed_declarations():
 
 
 def test_validate_shard_properties_mirrors_expansion():
-    assert validate_shard_properties("relay", {}) is None
-    replicas, slots, policy = validate_shard_properties(
-        "relay", {"replicas": "2", "scale-max-replicas": "4"}
+    assert shard_spec("relay", stage_options({})) is None
+    replicas, slots, policy = shard_spec(
+        "relay", stage_options({"replicas": "2", "scale-max-replicas": "4"})
     )
     assert (replicas, slots) == (2, 4)
     assert policy.elastic
     with pytest.raises(ShardingError):
-        validate_shard_properties("relay", {"replicas": "many"})
+        shard_spec("relay", stage_options({"replicas": "many"}))
     with pytest.raises(ShardingError):
-        validate_shard_properties("re#lay", {"replicas": "2"})
+        shard_spec("re#lay", stage_options({"replicas": "2"}))
 
 
 def test_groups_of_reconstructs_the_group():
     expanded = expand_shards(_config({"replicas": "2", "shard-by": "field:k"}))
-    groups = groups_of({s.name: s.properties for s in expanded.stages})
+    groups = groups_of(stage_options(s.properties) for s in expanded.stages)
     assert set(groups) == {"relay"}
     group = groups["relay"]
     assert group.members == ["relay#0", "relay#1"]

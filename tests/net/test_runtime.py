@@ -328,6 +328,17 @@ class TestNetworkedErrors:
         error = run_peer_fault(truncate)
         assert "'s0'" in error and "closed mid-frame" in error
 
+    @pytest.mark.parametrize("delay", ["nan", "inf"])
+    def test_non_finite_batch_delay_is_rejected(self, delay):
+        """Workers used to accept a nan or inf ``batch-max-delay``."""
+        config = build_config()
+        config.stages[0].properties["batch-max-delay"] = delay
+        with pytest.raises(NetworkedRuntimeError, match="failed verification"):
+            NetworkedRuntime(config, workers=2)
+        # Even with the gate skipped, the failure precedes worker spawn.
+        with pytest.raises(NetworkedRuntimeError, match="batch-max-delay"):
+            NetworkedRuntime(config, workers=2, verify=False)
+
     def test_constructor_validation(self):
         with pytest.raises(NetworkedRuntimeError, match="time_scale"):
             NetworkedRuntime(build_config(), time_scale=0)
@@ -335,6 +346,26 @@ class TestNetworkedErrors:
             NetworkedRuntime(build_config(), credit_window=0)
         with pytest.raises(NetworkedRuntimeError, match="at least 1 worker"):
             NetworkedRuntime(build_config(), workers=0)
+
+
+def test_queue_capacity_property_bounds_a_stage_inbox():
+    """``queue-capacity`` used to be read on the simulator only; net read
+    a ``net-queue-capacity`` of its own.  The sink's inbox is fed by a
+    local route (one worker), so only the capacity bounds it."""
+    from repro.core.adaptation.policy import AdaptationPolicy
+    from repro.grid.config import AppConfig, StageConfig, StreamConfig
+
+    config = AppConfig("capacity", stages=[
+        StageConfig("relay", "py://tests.shard_stages:KeyedRelay"),
+        StageConfig("sink", "py://tests.shard_stages:SlowKeyedRelay",
+                    properties={"queue-capacity": "4"}),
+    ], streams=[StreamConfig("t", "relay", "sink")])
+    runtime = NetworkedRuntime(
+        config, workers=1, policy=AdaptationPolicy(sample_interval=0.02, adjust_every=2)
+    )
+    runtime.bind_source("src", "relay", [{"k": f"k{i % 7}", "i": i} for i in range(300)])
+    lengths = runtime.run(timeout=60.0).stage("sink").queue_history.values
+    assert lengths and max(lengths) <= 4 + 1  # + the force-put end-of-stream
 
 
 class TestNetdemoAcceptance:
