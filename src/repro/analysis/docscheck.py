@@ -1,18 +1,18 @@
 """Docs-consistency check: every catalog and its docs page must agree.
 
 Five reference pages each document one authoritative catalog in a
-markdown table whose first column is a backticked name (and, for four
-of them, whose second column is a value the catalog also holds):
+markdown table whose first column is a backticked name and whose second
+column is a value the catalog also holds:
 
-=========================  ==========================================  ======
-page                       catalog                                      value
-=========================  ==========================================  ======
-``observability.md``       :data:`repro.obs.names.METRICS`             kind
-``replay.md``              :data:`repro.ledger.records.RECORD_TYPES`   rank
-``static_analysis.md``     :data:`repro.analysis.codes.CODES`          kind
-``sharding.md``            :data:`repro.core.options.OPTIONS`          default
-``migration.md``           :data:`repro.resilience.migration.KNOBS`    —
-=========================  ==========================================  ======
+======================  ===================================================  =======
+page                    catalog                                              value
+======================  ===================================================  =======
+``observability.md``    :data:`repro.obs.names.METRICS`                      kind
+``replay.md``           :data:`repro.ledger.records.RECORD_TYPES`            rank
+``static_analysis.md``  :data:`repro.analysis.codes.CODES`                   kind
+``sharding.md``         :data:`repro.core.options.OPTIONS`                   default
+``migration.md``        :class:`repro.resilience.migration.MigrationPolicy`  default
+======================  ===================================================  =======
 
 :func:`check_docs` diffs one page's table rows against its catalog in
 both directions — a catalog entry without a row, a row for an entry the
@@ -31,7 +31,7 @@ page's problem list is empty, so no reference can drift.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Pattern
 
@@ -68,9 +68,9 @@ def _sharding_knobs() -> Dict[str, str]:
 
 
 def _migration_knobs() -> Dict[str, str]:
-    from repro.resilience.migration import KNOBS
+    from repro.resilience.migration import MigrationPolicy
 
-    return dict.fromkeys(KNOBS, "")
+    return {knob.name: str(knob.default) for knob in fields(MigrationPolicy)}
 
 
 def render_catalog_table() -> str:
@@ -172,9 +172,11 @@ DOC_TABLES: Dict[str, DocTable] = {
     "migration": DocTable(
         page="migration.md",
         entry="migration knob",
-        catalog_ref="repro.resilience.migration.KNOBS",
-        row=re.compile(r"^\|\s*`(?P<name>[a-z][a-z0-9_]*)`\s*\|"),
+        catalog_ref="repro.resilience.migration.MigrationPolicy",
+        # ``| `knob` | default | meaning |``.
+        row=re.compile(r"^\|\s*`(?P<name>[a-z][a-z0-9_]*)`\s*\|\s*(?P<value>[^|]*?)\s*\|"),
         catalog=_migration_knobs,
+        value_label="default",
         extra=_mentions_migration_metrics,
     ),
 }

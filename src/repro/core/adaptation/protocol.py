@@ -75,9 +75,13 @@ class ExceptionCounter:
         return totals
 
     def snapshot(self) -> dict:
-        """Checkpointable state (see :mod:`repro.resilience`)."""
+        """Checkpointable state (see :mod:`repro.resilience`).
+
+        The counts are copied in one step first: on the threaded runtime
+        a downstream monitor thread may report while a checkpoint reads.
+        """
         return {
-            "counts": [[r, t1, t2] for r, (t1, t2) in self._counts.items()],
+            "counts": [[r, t1, t2] for r, (t1, t2) in list(self._counts.items())],
             "total_overloads": self.total_overloads,
             "total_underloads": self.total_underloads,
         }

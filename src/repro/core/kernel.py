@@ -7,7 +7,8 @@ the stage record (:class:`StageCore`), the
 plain and sharded out-edges, the ``setup()`` bracket, the per-item loop
 (:func:`stage_loop`), the source loop feeding first-layer stages
 (:func:`source_loop`), the Section-4 sampling tick, micro-batch flush
-bookkeeping, and checkpoint / dead-letter construction.
+bookkeeping, checkpoint capture and restore (with the processor swap
+failover and migration share), and dead-letter construction.
 
 It knows nothing about *how* a driver waits.  Both loops are generators
 that yield a plain effect record wherever a driver must block (take
@@ -48,8 +49,8 @@ __all__ = [
     "EOS", "FLUSH", "PUT", "SEND", "TAKE", "WAIT", "WORK",
     "EdgeSpec", "KernelStageContext", "RouteUnit", "SourceBinding", "StageCore",
     "adaptation_tick", "build_route_units", "check_binding", "edge_spec", "flush_buffers",
-    "next_flush_timeout", "quarantine", "route_indices", "run_setup",
-    "source_loop", "stage_checkpoint", "stage_loop",
+    "next_flush_timeout", "quarantine", "restore_checkpoint", "route_indices", "run_setup",
+    "source_loop", "stage_checkpoint", "stage_loop", "swap_processor",
 ]
 
 #: Stands in for ``param_lock`` / ``state_lock`` on single-threaded drivers
@@ -786,17 +787,15 @@ def source_loop(
 
 
 def stage_checkpoint(
-    stage: StageCore,
-    generation: int = 0,
-    cursors: Optional[Dict[str, int]] = None,
-    eos_seen: int = 0,
+    stage: StageCore, generation: int = 0, cursors: Optional[Dict[str, int]] = None
 ) -> StageCheckpoint:
     """Snapshot a stage between items.
 
     The caller guarantees the processor is not mid-item (the simulator
     defers to the item boundary; the threaded driver holds its state
-    lock).  ``generation`` / ``cursors`` / ``eos_seen`` are the replay
-    position where the driver has one.
+    lock; the networked worker waits for its migration fence).
+    ``generation`` / ``cursors`` are the replay position where the
+    driver has one; EOS progress is read from ``stage.eos``.
     """
     with stage.param_lock or _NO_LOCK:
         parameters = {name: p.value for name, p in stage.parameters.items()}
@@ -809,8 +808,72 @@ def stage_checkpoint(
         estimator=stage.estimator.snapshot(),
         exceptions=stage.exceptions.snapshot(),
         cursors=dict(cursors or {}),
-        eos_seen=eos_seen,
+        eos_seen=stage.eos.snapshot(),
     )
+
+
+def restore_checkpoint(
+    stage: StageCore, checkpoint: Optional[StageCheckpoint], processor_only: bool = False
+) -> None:
+    """Apply ``checkpoint`` to ``stage``: the inverse of :func:`stage_checkpoint`.
+
+    Every parameter the processor still declares takes its checkpointed
+    value (stamped at ``stage.clock()``); the load estimator, exception
+    counts, processor state and EOS progress are rebuilt; emissions not
+    yet routed are dropped, since they followed the snapshot.  With
+    ``checkpoint`` None (none was taken) only EOS progress restarts, at
+    zero, and the processor keeps its fresh ``setup()`` state.
+    ``processor_only`` applies the processor state alone: a threaded hot
+    swap, whose stage record lives on and whose monitor thread samples
+    the estimator without the state lock.
+    """
+    processor = stage.processor
+    if processor_only:
+        assert checkpoint is not None
+        if checkpoint.processor_state is not None:
+            processor.restore(checkpoint.processor_state)
+        return
+    stage.context.pending.clear()
+    if checkpoint is None:
+        stage.eos.restore(0)
+        return
+    now = stage.clock()
+    with stage.param_lock or _NO_LOCK:
+        for name, value in checkpoint.parameters.items():
+            if name in stage.parameters:
+                stage.parameters[name].set_value(value, now)
+    if checkpoint.estimator is not None:
+        stage.estimator.restore(checkpoint.estimator)
+    if checkpoint.exceptions:
+        stage.exceptions.restore(checkpoint.exceptions)
+    if checkpoint.processor_state is not None:
+        processor.restore(checkpoint.processor_state)
+    stage.eos.restore(checkpoint.eos_seen)
+
+
+def swap_processor(
+    stage: StageCore, replacement: Any, error: Callable[[str], Exception]
+) -> None:
+    """Make ``replacement`` the stage's processor and re-run ``setup()``.
+
+    ``replacement`` must be a :class:`StreamProcessor` (else
+    ``error(message)``, the driver's exception).  Its ``setup()`` runs
+    restoring, so parameter declarations rebind the live parameters; if
+    it raises, the previous processor is put back and the exception
+    propagates.  The caller holds the stage between items; the
+    replacement's state comes from :func:`restore_checkpoint`.
+    """
+    if not isinstance(replacement, StreamProcessor):
+        raise error(
+            f"stage {stage.name!r}: replacement is not a StreamProcessor "
+            f"(got {type(replacement).__name__})"
+        )
+    previous, stage.processor = stage.processor, replacement
+    try:
+        run_setup(stage, error, restoring=True)
+    except BaseException:
+        stage.processor = previous
+        raise
 
 
 def quarantine(

@@ -72,10 +72,12 @@ from repro.core.kernel import (
     edge_spec,
     flush_buffers,
     quarantine,
+    restore_checkpoint,
     run_setup,
     source_loop,
     stage_checkpoint,
     stage_loop,
+    swap_processor,
 )
 from repro.core.results import RunResult, StageStats
 from repro.core.options import read_options
@@ -752,9 +754,7 @@ class SimulatedRuntime:
     def _checkpoint_stage(self, stage: _StageRuntime) -> StageCheckpoint:
         """Snapshot the stage and trim its acknowledged replay history."""
         assert self.checkpoints is not None and self.replay is not None
-        checkpoint = stage_checkpoint(
-            stage, stage.generation, stage.cursors, stage.eos.snapshot()
-        )
+        checkpoint = stage_checkpoint(stage, stage.generation, stage.cursors)
         self.checkpoints.save(checkpoint)
         for channel, cursor in checkpoint.cursors.items():
             self.replay.trim(stage.name, channel, cursor)
@@ -821,7 +821,9 @@ class SimulatedRuntime:
         self._note_stage_down(stage)
         self._restore_stage(stage)
 
-    def _restore_stage(self, stage: _StageRuntime) -> None:
+    def _restore_stage(self, stage: _StageRuntime) -> Tuple[int, int]:
+        """Restore from the last checkpoint and replay; returns the
+        ``(replayed, duplicates)`` counts."""
         assert self.replay is not None and self.checkpoints is not None
         down_since = stage.down_since if stage.down_since is not None else self.env.now
         stage.generation += 1
@@ -890,6 +892,7 @@ class SimulatedRuntime:
                 checkpoint_time=checkpoint.time if checkpoint is not None else None,
             )
         self._spawn_worker(stage)
+        return replayed, duplicates
 
     def _reinstantiate_from_checkpoint(self, stage: _StageRuntime):
         """Fresh processor from the stage's (possibly new) service
@@ -902,30 +905,10 @@ class SimulatedRuntime:
         """
         assert self.checkpoints is not None
         processor = self.deployment.instance_of(stage.name).instantiate_processor()
-        if not isinstance(processor, StreamProcessor):
-            raise RuntimeError_(
-                f"stage {stage.name!r} code is not a StreamProcessor "
-                f"(got {type(processor).__name__})"
-            )
-        stage.processor = processor
-        stage.context.pending.clear()
-        run_setup(stage, RuntimeError_, restoring=True)
-
+        swap_processor(stage, processor, RuntimeError_)
         checkpoint = self.checkpoints.latest(stage.name)
-        if checkpoint is not None:
-            for pname, value in checkpoint.parameters.items():
-                if pname in stage.parameters:
-                    stage.parameters[pname].set_value(value, self.env.now)
-            if checkpoint.estimator is not None:
-                stage.estimator.restore(checkpoint.estimator)
-            stage.exceptions.restore(checkpoint.exceptions)
-            if checkpoint.processor_state is not None:
-                processor.restore(checkpoint.processor_state)
-            stage.eos.restore(checkpoint.eos_seen)
-            stage.cursors = dict(checkpoint.cursors)
-        else:
-            stage.eos.restore(0)
-            stage.cursors = {}
+        restore_checkpoint(stage, checkpoint)
+        stage.cursors = dict(checkpoint.cursors) if checkpoint is not None else {}
         return checkpoint
 
     def _rewire_stage(self, stage: _StageRuntime) -> None:
@@ -1040,7 +1023,7 @@ class SimulatedRuntime:
         target_host: Optional[str],
         trigger: str,
     ) -> Generator:
-        from repro.resilience.migration import MigrationReport
+        from repro.resilience.migration import MigrationReport, book_move
 
         if stage.done:
             return
@@ -1069,49 +1052,26 @@ class SimulatedRuntime:
                 # The source host died mid-plan: the queue content is
                 # gone with it, so fall through to the ordinary failover
                 # restore (checkpoint + replay, at-least-once).
-                before_r = self.metrics.counter(
-                    f"recovery.{stage.name}.items_replayed"
-                ).value
-                before_d = self.metrics.counter(
-                    f"recovery.{stage.name}.duplicates"
-                ).value
-                self._restore_stage(stage)
-                replayed = int(
-                    self.metrics.counter(
-                        f"recovery.{stage.name}.items_replayed"
-                    ).value - before_r
-                )
-                duplicates = int(
-                    self.metrics.counter(
-                        f"recovery.{stage.name}.duplicates"
-                    ).value - before_d
-                )
+                replayed, duplicates = self._restore_stage(stage)
             else:
                 self._switch_stage(stage)
             pause = self.env.now - requested_at
-            self.metrics.counter(f"migration.{stage.name}.moves").inc()
-            self.metrics.histogram(f"migration.{stage.name}.pause_seconds").observe(pause)
-            if replayed:
-                self.metrics.counter(
-                    f"migration.{stage.name}.items_replayed"
-                ).inc(replayed)
-            if duplicates:
-                self.metrics.counter(
-                    f"migration.{stage.name}.duplicates"
-                ).inc(duplicates)
-            report = MigrationReport(
-                stage=stage.name,
-                from_host=old_host,
-                to_host=new_host,
-                trigger=trigger,
-                requested_at=requested_at,
-                completed_at=self.env.now,
-                pause_seconds=pause,
-                items_replayed=replayed,
-                duplicates=duplicates,
-                planned=not crashed,
+            book_move(
+                MigrationReport(
+                    stage=stage.name,
+                    from_host=old_host,
+                    to_host=new_host,
+                    trigger=trigger,
+                    requested_at=requested_at,
+                    completed_at=self.env.now,
+                    pause_seconds=pause,
+                    items_replayed=replayed,
+                    duplicates=duplicates,
+                    planned=not crashed,
+                ),
+                self.metrics,
+                self.migrations,
             )
-            self.migrations.append(report)
             if self._result is not None:
                 self._result.events.log(
                     self.env.now,

@@ -51,10 +51,12 @@ from repro.core.kernel import (
     build_route_units,
     check_binding,
     edge_spec,
+    restore_checkpoint,
     run_setup,
     source_loop,
     stage_checkpoint,
     stage_loop,
+    swap_processor,
 )
 from repro.core.results import RunResult, StageStats
 from repro.core.sharding import (
@@ -854,19 +856,22 @@ class ThreadedRuntime:
         """Swap a running stage's processor live, preserving its state.
 
         The threaded runtime has no placement fabric, so its "move" is
-        the processor half of a migration: snapshot the live processor
-        at an item boundary (under ``state_lock``, exactly like the
+        the processor half of a migration: checkpoint the stage at an
+        item boundary (under ``state_lock``, exactly like the
         checkpointer), instantiate a replacement (``factory`` or the
-        same class), re-run ``setup()`` with parameter re-declaration
-        bound to the live adjustment parameters, ``restore()`` the
-        snapshot into it, and swap — while the worker thread is parked
-        at the lock.  Concurrent calls for the same stage queue at a
-        per-stage lock; no two moves interleave.
+        same class), swap it in with the kernel's
+        :func:`~repro.core.kernel.swap_processor` (``setup()`` re-run,
+        parameters bound to the live ones) and restore the checkpoint's
+        processor state into it — while the worker thread is parked at
+        the lock.  The stage record lives on, so its parameters,
+        estimator and EOS progress are not rolled back.  Concurrent
+        calls for the same stage queue at a per-stage lock; no two moves
+        interleave.
 
         Returns the :class:`~repro.resilience.migration.MigrationReport`
         (hosts are ``"local"``; the pause is wall-clock scaled seconds).
         """
-        from repro.resilience.migration import MigrationReport
+        from repro.resilience.migration import MigrationReport, book_move
 
         stage = self._stages.get(stage_name)
         if stage is None:
@@ -880,38 +885,24 @@ class ThreadedRuntime:
                     raise ThreadedRuntimeError(
                         f"stage {stage_name!r} already finished; nothing to migrate"
                     )
-                state = stage.processor.snapshot()
+                checkpoint = stage_checkpoint(stage)
                 replacement = (factory or type(stage.processor))()
-                if not isinstance(replacement, StreamProcessor):
-                    raise ThreadedRuntimeError(
-                        f"stage {stage_name!r}: replacement is not a "
-                        f"StreamProcessor (got {type(replacement).__name__})"
-                    )
-                previous, stage.processor = stage.processor, replacement
-                try:
-                    run_setup(stage, ThreadedRuntimeError, restoring=True)
-                except BaseException:
-                    stage.processor = previous
-                    raise
-                if state is not None:
-                    replacement.restore(state)
+                swap_processor(stage, replacement, ThreadedRuntimeError)
+                restore_checkpoint(stage, checkpoint, processor_only=True)
             pause = (time.monotonic() - t0) / self.time_scale
-            self.metrics.counter(f"migration.{stage_name}.moves").inc()
-            self.metrics.histogram(f"migration.{stage_name}.pause_seconds").observe(pause)
-            report = MigrationReport(
-                stage=stage_name,
-                from_host="local",
-                to_host="local",
-                trigger="manual",
-                requested_at=requested_at,
-                completed_at=self.elapsed(),
-                pause_seconds=pause,
-                items_replayed=0,
-                duplicates=0,
-                planned=True,
+            return book_move(
+                MigrationReport(
+                    stage=stage_name,
+                    from_host="local",
+                    to_host="local",
+                    trigger="manual",
+                    requested_at=requested_at,
+                    completed_at=self.elapsed(),
+                    pause_seconds=pause,
+                ),
+                self.metrics,
+                self.migrations,
             )
-            self.migrations.append(report)
-            return report
 
     def _monitor(self, stage: _ThreadStage, stop: threading.Event) -> None:
         def report(exception: LoadException) -> None:

@@ -20,9 +20,9 @@ start processing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Any, Dict, List
 
-from repro.grid.config import AppConfig
+from repro.grid.config import AppConfig, StageConfig
 from repro.grid.matchmaker import Matchmaker
 from repro.grid.registry import ServiceRegistry
 from repro.grid.repository import CodeRepository
@@ -164,24 +164,56 @@ class Deployer:
 
         # Steps 3 + 5: instantiate and customize service instances.
         deployment = Deployment(config=config)
-        created: List[GatesServiceInstance] = []
         try:
             for stage in config.stages:
                 host_name = assignment[stage.name]
-                container = self.container_for(host_name)
-                instance = container.create_instance(
-                    f"{config.name}/{stage.name}", lifetime=self.service_lifetime
-                )
-                created.append(instance)
-                instance.customize(factories[stage.name], **stage.properties)
-                instance.activate()
                 deployment.placements[stage.name] = Placement(
                     stage_name=stage.name,
                     host_name=host_name,
-                    instance=instance,
+                    instance=self._launch(config, stage, host_name, factories[stage.name]),
                 )
         except Exception as exc:
-            for instance in created:
-                instance.destroy()
+            deployment.teardown()
             raise DeploymentError(f"deployment of {config.name!r} failed: {exc}") from exc
         return deployment
+
+    def replace_instance(self, deployment: Deployment, stage_name: str, host_name: str) -> None:
+        """Move ``stage_name``'s service instance onto ``host_name``.
+
+        Create before destroy: the stage code is fetched and the
+        replacement created, customized and activated before the old
+        instance is destroyed, so a failure at any step leaves
+        ``deployment`` pointing at the old instance.  Raises
+        :class:`DeploymentError` ("code vanished from repository: ..." or
+        "replacement activation failed: ..."); the Redeployer and the
+        Migrator each add their own context.
+        """
+        stage = deployment.config.stage(stage_name)
+        try:
+            factory = self.repository.fetch(stage.code_url)
+        except Exception as exc:
+            raise DeploymentError(f"code vanished from repository: {exc}") from exc
+        try:
+            instance = self._launch(deployment.config, stage, host_name, factory)
+        except Exception as exc:
+            raise DeploymentError(f"replacement activation failed: {exc}") from exc
+        deployment.placements[stage_name].instance.destroy()
+        deployment.placements[stage_name] = Placement(
+            stage_name=stage_name, host_name=host_name, instance=instance
+        )
+
+    def _launch(
+        self, config: AppConfig, stage: StageConfig, host_name: str, factory: Any
+    ) -> GatesServiceInstance:
+        """Create, customize and activate ``stage``'s instance on
+        ``host_name``; an instance that fails to activate is destroyed."""
+        instance = self.container_for(host_name).create_instance(
+            f"{config.name}/{stage.name}", lifetime=self.service_lifetime
+        )
+        try:
+            instance.customize(factory, **stage.properties)
+            instance.activate()
+        except Exception:
+            instance.destroy()
+            raise
+        return instance

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, List, Optional
 
-from repro.grid.deployer import Deployer, Deployment, DeploymentError, Placement
+from repro.grid.deployer import Deployer, Deployment, DeploymentError
 from repro.simnet.engine import Environment
 from repro.simnet.topology import Network
 
@@ -188,11 +188,13 @@ class Redeployer:
     ) -> RedeploymentReport:
         """Re-place every stage of ``deployment`` on ``failed_host``.
 
-        The replacement instances are created, customized from the
-        repository, and activated; the dead instances are destroyed
-        (deregistering them).  Placement hints pinning a stage to the
-        failed host are ignored for the replacement (the pin is
-        unsatisfiable); ``near:`` hints re-resolve normally.
+        Each stage goes through the grid layer's one re-placement:
+        :meth:`~repro.grid.matchmaker.Matchmaker.match_relaxed` picks the
+        host (a pin or ``near:`` hint that resolves to the failed host is
+        unsatisfiable, so it is relaxed; other hints hold), and
+        :meth:`~repro.grid.deployer.Deployer.replace_instance` creates,
+        customizes and activates the replacement before destroying (and
+        deregistering) the dead instance.
 
         Stages named in ``exclude_stages`` are skipped (and recorded in
         the report's ``skipped_stages``): a stage mid-way through a
@@ -210,64 +212,20 @@ class Redeployer:
             affected.append(name)
         if not affected:
             return report
-        matchmaker = self.deployer.matchmaker
         claimed = {
             p.host_name for p in deployment.placements.values()
             if p.host_name != failed_host
         }
         for stage_name in affected:
-            stage_cfg = deployment.config.stage(stage_name)
-            requirement = stage_cfg.requirement
+            requirement = deployment.config.stage(stage_name).requirement
             try:
-                new_host = matchmaker.match_one(requirement, exclude=set(claimed))
-            except Exception:
-                # The placement hint (a direct pin or a near:-hint) may
-                # resolve to the failed host itself; it is unsatisfiable
-                # now, so retry placement unconstrained.
-                if requirement.placement_hint is None:
-                    raise DeploymentError(
-                        f"cannot re-place stage {stage_name!r} after "
-                        f"{failed_host!r} failed"
-                    ) from None
-                from dataclasses import replace as dc_replace
-
-                relaxed = dc_replace(requirement, placement_hint=None)
-                try:
-                    new_host = matchmaker.match_one(relaxed, exclude=set(claimed))
-                except Exception as exc:
-                    raise DeploymentError(
-                        f"cannot re-place stage {stage_name!r} after "
-                        f"{failed_host!r} failed: {exc}"
-                    ) from exc
-            try:
-                factory = self.deployer.repository.fetch(stage_cfg.code_url)
+                new_host = self.deployer.matchmaker.match_relaxed(requirement, set(claimed))
+                self.deployer.replace_instance(deployment, stage_name, new_host)
             except Exception as exc:
-                raise DeploymentError(
-                    f"stage {stage_name!r}: code vanished from repository: {exc}"
-                ) from exc
-            # Secure the replacement fully (created, customized, activated)
-            # BEFORE destroying the old instance: if any replacement step
-            # fails, the deployment record must still point at the old
-            # instance rather than be left half-torn-down.
-            container = self.deployer.container_for(new_host)
-            instance = container.create_instance(
-                f"{deployment.config.name}/{stage_name}",
-                lifetime=self.deployer.service_lifetime,
-            )
-            try:
-                instance.customize(factory, **stage_cfg.properties)
-                instance.activate()
-            except Exception as exc:
-                instance.destroy()
                 raise DeploymentError(
                     f"cannot re-place stage {stage_name!r} after "
-                    f"{failed_host!r} failed: replacement activation failed: {exc}"
+                    f"{failed_host!r} failed: {exc}"
                 ) from exc
-            old = deployment.placements[stage_name].instance
-            old.destroy()
-            deployment.placements[stage_name] = Placement(
-                stage_name=stage_name, host_name=new_host, instance=instance
-            )
             claimed.add(new_host)
             report.moved_stages.append(stage_name)
             report.new_hosts[stage_name] = new_host

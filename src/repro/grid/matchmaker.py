@@ -16,6 +16,7 @@ the application configuration, it produces a host assignment that
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.grid.registry import ServiceRegistry
@@ -97,6 +98,33 @@ class Matchmaker:
         raise MatchError(
             f"all feasible hosts already claimed and colocation disabled: {requirement}"
         )
+
+    def match_relaxed(
+        self, requirement: ResourceRequirement, exclude: Set[str], strict: bool = False
+    ) -> str:
+        """Choose a host, relaxing the placement pin once if it cannot hold.
+
+        The one rule for re-placing a stage whose pin is unsatisfiable
+        (a failover off its pinned host) or is what the move overrides
+        (a migration): try ``requirement`` as declared; if that raises,
+        or with ``strict`` lands on a host in ``exclude`` (a pin and the
+        colocation fallback both override ``exclude``), retry once with
+        ``placement_hint`` cleared.  Raises :class:`MatchError` when no
+        acceptable host is left.
+        """
+        attempts = [requirement]
+        if requirement.placement_hint is not None:
+            attempts.append(replace(requirement, placement_hint=None))
+        for attempt in attempts:
+            try:
+                host = self.match_one(attempt, exclude)
+            except Exception:
+                if attempt is attempts[-1]:
+                    raise
+                continue
+            if not (strict and host in exclude):
+                return host
+        raise MatchError(f"every host for {requirement} is excluded ({sorted(exclude)})")
 
     def match_all(
         self,

@@ -67,7 +67,7 @@ from repro.net.protocol import (
 )
 from repro.net.worker import ANNOUNCE_PREFIX, default_repository
 from repro.obs.registry import MetricsRegistry
-from repro.resilience.migration import MigrationPlan, MigrationReport
+from repro.resilience.migration import MigrationPlan, MigrationReport, book_move
 from repro.simnet.engine import Environment
 from repro.simnet.topology import Network
 from repro.simnet.trace import TimeSeries
@@ -813,9 +813,7 @@ class NetworkedRuntime:
                     "code": stage_cfg.code_url,
                     "properties": stage_cfg.properties,
                 },
-                "state": handoff.get("state"),
-                "parameters": handoff.get("parameters", {}),
-                "eos_seen": handoff.get("eos_seen", 0),
+                "checkpoint": handoff,
                 "in": [
                     {"stream": name, "window": self.credit_window}
                     for name in expect_in
@@ -845,23 +843,20 @@ class NetworkedRuntime:
         if stage_name in source.stages:
             source.stages.remove(stage_name)
         target.stages.append(stage_name)
-        self.metrics.counter(f"migration.{stage_name}.moves").inc()
-        self.metrics.histogram(
-            f"migration.{stage_name}.pause_seconds"
-        ).observe(pause_seconds)
         requested_at = (t0 - run_started) / self.time_scale
-        self.migrations.append(MigrationReport(
-            stage=stage_name,
-            from_host=source_name,
-            to_host=target_name,
-            trigger="planned",
-            requested_at=requested_at,
-            completed_at=requested_at + pause_seconds,
-            pause_seconds=pause_seconds,
-            items_replayed=0,
-            duplicates=0,
-            planned=True,
-        ))
+        book_move(
+            MigrationReport(
+                stage=stage_name,
+                from_host=source_name,
+                to_host=target_name,
+                trigger="planned",
+                requested_at=requested_at,
+                completed_at=requested_at + pause_seconds,
+                pause_seconds=pause_seconds,
+            ),
+            self.metrics,
+            self.migrations,
+        )
 
     async def _resume_senders(
         self,
@@ -898,27 +893,21 @@ class NetworkedRuntime:
     ) -> str:
         """Matchmake a destination worker, mirroring :meth:`_place`.
 
-        The fleet is re-modeled as a full mesh, every worker already
-        hosting a stage is preferred-against first (soft exclusion), and
-        the current worker is always excluded; a placement hint pinning
-        the stage is relaxed, as in
-        :meth:`repro.resilience.migration.Migrator.select_target`.
+        The fleet is re-modeled as a full mesh and the current worker is
+        always excluded.  :meth:`~repro.grid.matchmaker.Matchmaker.match_relaxed`
+        (the Migrator's and Redeployer's rule) relaxes a pin it cannot
+        honour; it runs first with every worker already hosting a stage
+        excluded too, so an unoccupied worker is preferred.
         """
-        from dataclasses import replace as dc_replace
-
         current = self.placement[stage_name]
         requirement = self.config.stage(stage_name).requirement
-        if requirement.placement_hint is not None:
-            requirement = dc_replace(requirement, placement_hint=None)
         matchmaker = self._matchmaker(list(by_name))
         occupied = {w for s, w in self.placement.items() if s != stage_name}
         try:
-            return matchmaker.match_one(
-                requirement, exclude={current} | occupied
-            )
+            return matchmaker.match_relaxed(requirement, {current} | occupied, strict=True)
         except Exception:
             try:
-                return matchmaker.match_one(requirement, exclude={current})
+                return matchmaker.match_relaxed(requirement, {current}, strict=True)
             except Exception as exc:
                 raise NetworkedRuntimeError(
                     f"no migration target for stage {stage_name!r}: {exc}"

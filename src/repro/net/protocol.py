@@ -113,7 +113,7 @@ class FrameType(enum.IntEnum):
                     # adopt/resume/collect; JSON body with "action" or,
                     # in worker replies, "phase") — see docs/migration.md
     HANDOFF = 18    # worker -> coordinator: migrating stage's exported
-                    # state (snapshot, parameter values, EOS counts)
+                    # StageCheckpoint.to_dict() (the adopt body carries it on)
 
 
 #: Wire type byte -> member, built once: per frame, a dict lookup is an

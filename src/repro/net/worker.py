@@ -53,7 +53,9 @@ from repro.core.kernel import (
     adaptation_tick,
     build_route_units,
     edge_spec,
+    restore_checkpoint,
     run_setup,
+    stage_checkpoint,
     stage_loop,
 )
 from repro.core.options import StageOptions, stage_options
@@ -75,6 +77,7 @@ from repro.net.protocol import (
     send_frame,
 )
 from repro.obs.registry import MetricsRegistry
+from repro.resilience.checkpoint import StageCheckpoint
 
 __all__ = ["ANNOUNCE_PREFIX", "Worker", "WorkerError", "default_repository", "main"]
 
@@ -817,16 +820,7 @@ class Worker:
             )
             return
         await send_frame(
-            writer, FrameType.HANDOFF,
-            encode_json({
-                "stage": stage.name,
-                "state": stage.processor.snapshot(),
-                "parameters": {
-                    name: param.value
-                    for name, param in stage.parameters.items()
-                },
-                "eos_seen": stage.eos.snapshot(),
-            }),
+            writer, FrameType.HANDOFF, encode_json(stage_checkpoint(stage).to_dict())
         )
 
     async def _adopt_stage(self, body: Dict[str, Any], writer) -> None:
@@ -834,8 +828,10 @@ class Worker:
 
         Mirrors the REGISTER/CHANNEL/START sequence for one stage:
         fresh processor, fresh channels, ``setup()`` for structure, then
-        the handed-off parameters/state/EOS progress layered on top —
-        the same fresh-instance restore contract failover uses.
+        the handed-off :class:`StageCheckpoint` restored on top with the
+        kernel's :func:`restore_checkpoint` — parameters, load estimator,
+        exception counts, processor state and EOS progress, the same
+        restore failover uses.
         """
         register = body["register"]
         self._register_stage(register, allow_after_start=True)
@@ -862,13 +858,7 @@ class Worker:
         new_channels = self._out_channels[out_before:]
         self._build_routes(stage)
         run_setup(stage, WorkerError)
-        now = self.elapsed()
-        for pname, value in body.get("parameters", {}).items():
-            if pname in stage.parameters:
-                stage.parameters[pname].set_value(float(value), now)
-        if body.get("state") is not None:
-            stage.processor.restore(body["state"])
-        stage.eos.restore(int(body.get("eos_seen", 0)))
+        restore_checkpoint(stage, StageCheckpoint.from_dict(body["checkpoint"]))
         await asyncio.gather(*(c.connect() for c in new_channels))
         self._tasks.append(asyncio.create_task(self._stage_task(stage)))
         if self.adaptation_enabled:

@@ -6,12 +6,14 @@ the non-destructive counterpart — the control-plane move GATES's
 long-running-pipeline pitch actually needs when deployment-time
 assumptions drift but nothing has failed:
 
-* :class:`Migrator` — the grid-layer half of a planned move.  Given a
-  live :class:`~repro.grid.deployer.Deployment`, it asks the ordinary
+* :class:`Migrator` — the grid-layer half of a planned move, the same
+  re-placement the Redeployer runs.  Given a live
+  :class:`~repro.grid.deployer.Deployment`, it asks the ordinary
   :class:`~repro.grid.matchmaker.Matchmaker` for a better node
-  (excluding the current one), secures the replacement service instance
-  *before* destroying the old one (the Redeployer's ordering), and
-  swaps the placement record.  It moves no state: draining, snapshot
+  (excluding the current one), and the
+  :class:`~repro.grid.deployer.Deployer` secures the replacement service
+  instance *before* destroying the old one and swaps the placement
+  record.  It moves no state: draining, snapshot
   hand-off and channel switch-over are the runtime's job
   (:meth:`~repro.core.runtime_sim.SimulatedRuntime.migrate_stage`,
   :meth:`~repro.core.runtime_threads.ThreadedRuntime.migrate_stage`,
@@ -26,8 +28,9 @@ assumptions drift but nothing has failed:
   breaches only, with a per-stage cooldown, exactly the
   breach/idle/cooldown shape the PR 6 autoscaler uses.
 
-Every move is reported as a :class:`MigrationReport` and surfaced under
-the ``migration.*`` metric family (see docs/migration.md).
+Every move is reported as a :class:`MigrationReport`, booked by
+:func:`book_move` on all three runtimes under the ``migration.*`` metric
+family (see docs/migration.md).
 
 Unlike failover, a *planned* move is loss-free and duplicate-free by
 construction: the stage is drained to an item boundary, checkpointed,
@@ -38,34 +41,22 @@ PR 2 failover path and is reported with ``planned=False``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.grid.deployer import Deployer, Deployment, DeploymentError, Placement
+from repro.grid.deployer import Deployer, Deployment, DeploymentError
 from repro.grid.monitor import MonitoringService
+from repro.obs.registry import MetricsRegistry
 
 __all__ = [
-    "KNOBS",
     "MigrationError",
     "MigrationPlan",
     "MigrationPolicy",
     "MigrationReport",
     "MigrationController",
     "Migrator",
+    "book_move",
 ]
-
-#: The user-facing migration knobs — the :class:`MigrationPolicy` fields,
-#: single source of truth for the ``docs/migration.md`` knobs table
-#: (diffed by :mod:`repro.analysis.docscheck`; the tier-1 docs test also
-#: asserts this dict and the dataclass never drift apart).
-KNOBS: Dict[str, str] = {
-    "interval": "seconds between controller drift evaluations",
-    "host_high": "sustained host occupancy that counts as a breach",
-    "host_low": "destination occupancy ceiling an occupancy move requires",
-    "bandwidth_ratio": "fraction of baseline link capacity that counts as drift",
-    "breach_samples": "consecutive breach samples before a trigger",
-    "cooldown": "seconds a stage is immune after each of its moves",
-}
 
 
 class MigrationError(Exception):
@@ -110,13 +101,36 @@ class MigrationReport:
     planned: bool = True
 
 
+def book_move(
+    report: MigrationReport, metrics: MetricsRegistry, migrations: List[MigrationReport]
+) -> MigrationReport:
+    """Record one completed move, on every runtime the same way.
+
+    Counts ``migration.{stage}.moves``, observes the pause in
+    ``migration.{stage}.pause_seconds``, adds the failover fallback's
+    nonzero ``items_replayed`` / ``duplicates``, and appends ``report``
+    to ``migrations`` (the runtime's list).  Returns ``report``.
+    """
+    prefix = f"migration.{report.stage}"
+    metrics.counter(f"{prefix}.moves").inc()
+    metrics.histogram(f"{prefix}.pause_seconds").observe(report.pause_seconds)
+    if report.items_replayed:
+        metrics.counter(f"{prefix}.items_replayed").inc(report.items_replayed)
+    if report.duplicates:
+        metrics.counter(f"{prefix}.duplicates").inc(report.duplicates)
+    migrations.append(report)
+    return report
+
+
 class Migrator:
     """Grid-layer re-placement of one healthy stage (create before destroy).
 
-    The service-instance dance mirrors :class:`~repro.grid.faults.Redeployer`
-    — replacement fully secured (created, customized, activated) before
-    the old instance is destroyed — but for a single, *live* stage, and
-    with the current host excluded rather than a failed one.
+    The Redeployer's re-placement — :meth:`Matchmaker.match_relaxed
+    <repro.grid.matchmaker.Matchmaker.match_relaxed>` then
+    :meth:`Deployer.replace_instance
+    <repro.grid.deployer.Deployer.replace_instance>` — for a single,
+    *live* stage, with the current host excluded rather than a failed
+    one.
     """
 
     def __init__(self, deployer: Deployer, deployment: Deployment) -> None:
@@ -134,41 +148,14 @@ class Migrator:
         pinning the stage to its current host is relaxed (the pin is
         what we are deliberately overriding).
         """
-        current = self.deployment.host_of(stage_name)
-        stage_cfg = self.deployment.config.stage(stage_name)
-        requirement = stage_cfg.requirement
-        excluded = {current} | set(exclude)
-        matchmaker = self.deployer.matchmaker
+        excluded = {self.deployment.host_of(stage_name)} | set(exclude)
+        requirement = self.deployment.config.stage(stage_name).requirement
         try:
-            choice = matchmaker.match_one(requirement, exclude=excluded)
-        except Exception:
-            choice = None
-        # A pinned hint overrides ``exclude`` in the matchmaker, so the
-        # first attempt can hand back the very host we are leaving —
-        # treat that as a miss and retry with the pin relaxed (the pin
-        # is what we are deliberately overriding).
-        if choice is not None and choice not in excluded:
-            return choice
-        if requirement.placement_hint is None:
-            raise MigrationError(
-                f"no eligible target host for stage {stage_name!r} "
-                f"(excluded: {sorted(excluded)})"
-            )
-        from dataclasses import replace as dc_replace
-
-        relaxed = dc_replace(requirement, placement_hint=None)
-        try:
-            choice = matchmaker.match_one(relaxed, exclude=excluded)
+            return self.deployer.matchmaker.match_relaxed(requirement, excluded, strict=True)
         except Exception as exc:
             raise MigrationError(
                 f"no eligible target host for stage {stage_name!r}: {exc}"
             ) from exc
-        if choice in excluded:
-            raise MigrationError(
-                f"no eligible target host for stage {stage_name!r} "
-                f"(excluded: {sorted(excluded)})"
-            )
-        return choice
 
     def place(
         self, stage_name: str, target_host: Optional[str] = None
@@ -181,7 +168,6 @@ class Migrator:
         instance.
         """
         old_host = self.deployment.host_of(stage_name)
-        stage_cfg = self.deployment.config.stage(stage_name)
         if target_host is None:
             new_host = self.select_target(stage_name)
         else:
@@ -197,32 +183,9 @@ class Migrator:
                 f"stage {stage_name!r} is already on {old_host!r}"
             )
         try:
-            factory = self.deployer.repository.fetch(stage_cfg.code_url)
-        except Exception as exc:
-            raise MigrationError(
-                f"stage {stage_name!r}: code vanished from repository: {exc}"
-            ) from exc
-        container = self.deployer.container_for(new_host)
-        instance = container.create_instance(
-            f"{self.deployment.config.name}/{stage_name}",
-            lifetime=self.deployer.service_lifetime,
-        )
-        try:
-            instance.customize(factory, **stage_cfg.properties)
-            instance.activate()
-        except Exception as exc:
-            instance.destroy()
-            raise MigrationError(
-                f"cannot migrate stage {stage_name!r}: replacement "
-                f"activation failed: {exc}"
-            ) from exc
-        try:
-            self.deployment.placements[stage_name].instance.destroy()
-        except DeploymentError:
-            pass
-        self.deployment.placements[stage_name] = Placement(
-            stage_name=stage_name, host_name=new_host, instance=instance
-        )
+            self.deployer.replace_instance(self.deployment, stage_name, new_host)
+        except DeploymentError as exc:
+            raise MigrationError(f"cannot migrate stage {stage_name!r}: {exc}") from exc
         self.moves.append((stage_name, old_host, new_host))
         return old_host, new_host
 
@@ -238,14 +201,26 @@ class MigrationPolicy:
     ``cooldown`` simulated seconds of its previous move.  ``host_low``
     keeps the loop from ping-ponging: a host-occupancy move needs a
     destination below that band to be worth the pause.
+
+    Each field's ``doc`` metadata is its line in ``docs/migration.md``'s
+    knob table, whose names and defaults :mod:`repro.analysis.docscheck`
+    diffs against these fields.
     """
 
-    interval: float = 0.5
-    host_high: float = 0.85
-    host_low: float = 0.5
-    bandwidth_ratio: float = 0.5
-    breach_samples: int = 3
-    cooldown: float = 5.0
+    interval: float = field(
+        default=0.5, metadata={"doc": "seconds between controller drift evaluations"})
+    host_high: float = field(
+        default=0.85, metadata={"doc": "sustained host occupancy that counts as a breach"})
+    host_low: float = field(
+        default=0.5,
+        metadata={"doc": "destination occupancy ceiling an occupancy move requires"})
+    bandwidth_ratio: float = field(
+        default=0.5,
+        metadata={"doc": "fraction of baseline link capacity that counts as drift"})
+    breach_samples: int = field(
+        default=3, metadata={"doc": "consecutive breach samples before a trigger"})
+    cooldown: float = field(
+        default=5.0, metadata={"doc": "seconds a stage is immune after each of its moves"})
 
     def __post_init__(self) -> None:
         if self.interval <= 0:

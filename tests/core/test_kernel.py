@@ -32,10 +32,13 @@ from repro.core.kernel import (
     adaptation_tick,
     build_route_units,
     check_binding,
+    restore_checkpoint,
     route_indices,
     run_setup,
     source_loop,
+    stage_checkpoint,
     stage_loop,
+    swap_processor,
 )
 from repro.core.options import stage_options
 from repro.obs.registry import MetricsRegistry
@@ -279,6 +282,109 @@ class TestAdaptationTick:
         assert controller.calls == [(3, 0, 3.0), (3, 1, 6.0)]
         assert adjustments == [[], [], [("p", 0.25)], [], [], [("p", 0.25)]]
         assert stage.registry.value("stage.s.exceptions_received") == 7
+
+
+# -- checkpoint, restore and the processor swap ---------------------------------
+
+
+class _Tally(_Declares):
+    """A parameter plus a running total as its checkpointable state."""
+
+    def __init__(self):
+        self.total = 0
+
+    def on_item(self, payload, context):
+        self.total += payload
+
+    def snapshot(self):
+        return {"total": self.total}
+
+    def restore(self, state):
+        self.total = state["total"]
+
+
+def _worked_stage(now):
+    """A two-input stage with every part of its state moved off its
+    start: parameter, estimator, exception counts, processor, EOS."""
+    stage = _stage(_Tally(), queue=_Queue(10), clock=lambda: now[0])
+    stage.eos.expect()
+    stage.eos.expect()
+    run_setup(stage, _Error)
+    stage.parameters["rate"].set_value(0.8, 1.0)
+    for tick in range(3):
+        now[0] = float(tick)
+        adaptation_tick(stage, lambda exc: None)
+    stage.receive_exception(LoadException(LoadExceptionKind.UNDERLOAD, "down", 0.0, -1.0))
+    stage.processor.total = 42
+    assert stage.eos.observe() is False  # one of the two inputs ended
+    return stage
+
+
+class TestCheckpoint:
+    def test_checkpoint_records_eos_progress(self):
+        """A stage that saw one of two end-of-streams checkpoints that
+        progress, whoever takes the checkpoint: a resumed stage must
+        not wait for an end-of-stream that already came."""
+        stage = _worked_stage([0.0])
+        assert stage_checkpoint(stage).eos_seen == 1
+
+    def test_restore_is_the_inverse_of_checkpoint(self):
+        now = [0.0]
+        checkpoint = stage_checkpoint(_worked_stage(now))
+        fresh = _stage(_Tally(), clock=lambda: now[0])
+        fresh.eos.expect()
+        fresh.eos.expect()
+        run_setup(fresh, _Error)
+        fresh.context.pending.append(("stale", 8.0, None))
+        now[0] = 9.0
+        restore_checkpoint(fresh, checkpoint)
+        again = stage_checkpoint(fresh)
+        assert again.to_dict() == {**checkpoint.to_dict(), "time": 9.0}
+        assert fresh.parameters["rate"].history.last() == (9.0, 0.8)
+        assert fresh.context.pending == []
+        assert fresh.eos.observe() is True
+
+    def test_no_checkpoint_restarts_eos_progress_only(self):
+        stage = _worked_stage([0.0])
+        estimator = stage.estimator.snapshot()
+        restore_checkpoint(stage, None)
+        assert stage.eos.seen == 0
+        assert stage.processor.total == 42
+        assert stage.estimator.snapshot() == estimator
+
+    def test_processor_only_leaves_the_live_stage_alone(self):
+        now = [0.0]
+        stage = _worked_stage(now)
+        checkpoint = stage_checkpoint(stage)
+        stage.parameters["rate"].set_value(0.3, 5.0)
+        stage.context.pending.append(("kept", 8.0, None))
+        swap_processor(stage, _Tally(), _Error)
+        restore_checkpoint(stage, checkpoint, processor_only=True)
+        assert stage.processor.total == 42
+        assert stage.parameters["rate"].value == 0.3
+        assert stage.context.pending == [("kept", 8.0, None)]
+        assert stage.eos.seen == 1
+
+    def test_swap_rebinds_parameters_and_type_checks(self):
+        stage = _worked_stage([0.0])
+        live = stage.parameters["rate"]
+        replacement = _Tally()
+        swap_processor(stage, replacement, _Error)
+        assert stage.processor is replacement and replacement.param is live
+        with pytest.raises(_Error, match="not a StreamProcessor"):
+            swap_processor(stage, object(), _Error)
+        assert stage.processor is replacement
+
+    def test_swap_rolls_back_when_setup_raises(self):
+        class Broken(_Tally):
+            def setup(self, context):
+                raise RuntimeError("no")
+
+        stage = _worked_stage([0.0])
+        previous = stage.processor
+        with pytest.raises(RuntimeError, match="no"):
+            swap_processor(stage, Broken(), _Error)
+        assert stage.processor is previous
 
 
 # -- the stage loop under a fake interpreter -----------------------------------
@@ -596,6 +702,46 @@ def test_stage_kernel_is_defined_once():
                 if any(base.endswith("StageContext") for base in bases):
                     offenders.append(f"{relative}:{node.lineno} subclasses StageContext")
     assert offenders == []
+
+
+#: Receivers whose state only the kernel's ``stage_checkpoint`` captures
+#: and ``restore_checkpoint`` applies (``replacement``: a processor
+#: about to be swapped in).
+_STAGE_STATE = {"processor", "replacement", "estimator", "exceptions", "eos"}
+
+
+def _stage_state_calls(tree):
+    """``(line, call)`` for each ``.snapshot()`` or ``.restore(...)`` on a
+    processor, load estimator, exception counter or EOS tracker.
+    Sharding's keyed-state hand-off (``export_keyed_state`` /
+    ``import_keyed_state``) is a different contract and is not matched."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        if node.func.attr not in ("snapshot", "restore"):
+            continue
+        receiver = node.func.value
+        name = getattr(receiver, "attr", getattr(receiver, "id", None))
+        if name in _STAGE_STATE:
+            yield node.lineno, f"{name}.{node.func.attr}()"
+
+
+def stage_state_offenders(root):
+    """Every stage-state snapshot/restore outside ``core/kernel.py``."""
+    return [
+        f"{path.relative_to(root).as_posix()}:{line} calls {call}"
+        for path in sorted(root.rglob("*.py"))
+        if path.relative_to(root).as_posix() != "core/kernel.py"
+        for line, call in _stage_state_calls(ast.parse(path.read_text()))
+    ]
+
+
+def test_stage_state_is_restored_once():
+    """Checkpoint, failover and migration share one snapshot
+    (``stage_checkpoint``), one restore (``restore_checkpoint``) and one
+    processor swap (``swap_processor``): no other module snapshots or
+    restores a processor, estimator, exception counter or EOS tracker."""
+    assert stage_state_offenders(Path(repro.__file__).parent) == []
 
 
 def _keyed_uses(tree, keys):

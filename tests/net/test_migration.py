@@ -121,3 +121,90 @@ def test_sharded_stage_is_rejected_up_front():
             config, workers=4,
             migrations=[MigrationPlan(stage="join", at=0.25)],
         )
+
+
+def _adaptation_state(stage):
+    """What a move must carry beyond the processor's own state."""
+    return {
+        "parameters": {name: p.value for name, p in stage.parameters.items()},
+        "estimator": stage.estimator.snapshot(),
+        "exceptions": stage.exceptions.snapshot(),
+        "eos_seen": stage.eos.seen,
+    }
+
+
+def test_adopted_stage_resumes_the_exported_adaptation_state(monkeypatch):
+    """After a mid-stream move the adopted stage continues from the
+    exported checkpoint: parameter values, load estimator (t1/t2, window,
+    d̃), exception counts and EOS progress — not from a fresh start.
+
+    The five workers run in this process (one event loop on a helper
+    thread), so the state each side holds right after export and right
+    after adopt can be read off the stage records.  The stage moved is
+    ``merge-0`` of the three-tier count-samps: a fan-in of two whose
+    first input has already ended, with adaptation on.  (Its processor
+    keeps no state worth moving, so the verifier's migratable-stage
+    check is skipped: this test is about the middleware's state.)
+    """
+    import asyncio
+    import io
+    import threading
+
+    from repro.apps.count_samps import build_hierarchical_config
+    from repro.core.adaptation.policy import AdaptationPolicy
+    from repro.net.worker import Worker
+
+    states = {}
+
+    def capture(side, method):
+        async def wrapped(self, body, writer):
+            await method(self, body, writer)
+            name = body["stage"] if "stage" in body else body["register"]["stage"]
+            states[side] = _adaptation_state(self._stages[name])
+
+        return wrapped
+
+    monkeypatch.setattr(Worker, "_export_stage", capture("exported", Worker._export_stage))
+    monkeypatch.setattr(Worker, "_adopt_stage", capture("adopted", Worker._adopt_stage))
+
+    loop = asyncio.new_event_loop()
+    announces = [io.StringIO() for _ in range(5)]
+    serving = [loop.create_task(Worker().serve(announce=a)) for a in announces]
+    def serve_all():
+        try:
+            loop.run_until_complete(asyncio.gather(*serving))
+        except asyncio.CancelledError:
+            pass
+
+    thread = threading.Thread(target=serve_all, daemon=True)
+    thread.start()
+    try:
+        while not all(a.getvalue() for a in announces):
+            threading.Event().wait(0.01)
+        ports = [int(a.getvalue().split()[1]) for a in announces]
+        config = build_hierarchical_config(
+            n_sources=2, source_hosts=["worker-0", "worker-1"], batch=20, top_n=8, seed=SEED,
+        )
+        runtime = NetworkedRuntime(
+            config, workers=[("127.0.0.1", port) for port in ports],
+            policy=AdaptationPolicy(sample_interval=0.02), credit_window=16,
+            migrations=[MigrationPlan(stage="merge-0", at=0.6)], verify=False,
+        )
+        runtime.bind_source("src-0", "filter-0", payloads(SEED, 100), item_size=8.0)
+        runtime.bind_source(
+            "src-1", "filter-1", payloads(SEED + 1, 1200), rate=1000.0, item_size=8.0,
+        )
+        runtime.run(timeout=60.0)
+    finally:
+        thread.join(timeout=5.0)  # the coordinator shuts the workers down
+        if thread.is_alive():
+            loop.call_soon_threadsafe(lambda: [task.cancel() for task in serving])
+            thread.join(timeout=5.0)
+        loop.close()
+    (report,) = runtime.migrations
+    assert report.planned and report.from_host != report.to_host
+    exported = states["exported"]
+    assert exported["eos_seen"] == 1  # filter-0 had already finished
+    assert exported["estimator"]["window"] and exported["estimator"]["t2"] > 0
+    assert exported["exceptions"]["total_underloads"] > 0
+    assert states["adopted"] == exported

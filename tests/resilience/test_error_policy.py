@@ -233,10 +233,16 @@ class TestThreadedCheckpointing:
         latest = store.latest("sink")
         assert latest.processor_state["count"] > 0
         # Threaded checkpoints carry no replay anchors.
-        assert latest.cursors == {} and latest.eos_seen == 0
+        assert latest.cursors == {}
         assert result.metrics.value("recovery.sink.checkpoints") == len(
             store.history("sink")
         )
+        # They do carry the stage's EOS progress: a checkpoint taken
+        # once the sink has seen its one end-of-stream records it.
+        sink = runtime._stages["sink"]
+        assert sink.eos.seen == 1
+        runtime._checkpoint_stage(sink)
+        assert store.latest("sink").eos_seen == 1
 
     def test_checkpoints_without_resilience_rejected(self):
         with pytest.raises(ThreadedRuntimeError, match="resilience"):
