@@ -3,10 +3,11 @@
 Three front ends share the :mod:`~repro.analysis.diagnostics` machinery
 and the ``GAxxx`` code catalog (:mod:`~repro.analysis.codes`):
 
-* the **pipeline verifier** (:mod:`~repro.analysis.verifier`) runs
-  multi-pass semantic analysis over application configurations —
-  ``repro check app.xml`` on the command line, and the pre-deploy gate
-  inside all three runtimes;
+* the **pipeline verifier** (:mod:`~repro.analysis.verifier`) reports
+  every structural finding of :mod:`repro.grid.config` (which reads the
+  document and owns those rules) and runs multi-pass semantic analysis
+  over application configurations — ``repro check app.xml`` on the
+  command line, and the pre-deploy gate inside all three runtimes;
 * the **repo lint** (:mod:`~repro.analysis.lint`) runs AST checkers over
   the source tree enforcing invariants generic linters cannot express —
   ``repro lint`` / ``python -m repro.analysis.lint``;
@@ -30,5 +31,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".concurrency": ("analyze_paths",),
     ".diagnostics": ("Diagnostic", "Report", "Severity", "SourceSpan"),
     ".protocol": ("check_conformance", "check_models", "explore"),
-    ".verifier": ("verify_config", "verify_document", "verify_path", "verify_raw"),
+    ".verifier": ("check_document", "verify_config", "verify_document", "verify_path"),
 })

@@ -2,20 +2,25 @@
 
 The Launcher "parses an XML file specifying the configuration information
 of an application" before the Deployer touches the grid (Section 3.2).
-:meth:`AppConfig.validate` only enforces the structural minimum (names,
-endpoints, acyclicity); this module is the deep pre-deploy gate that the
-``repro check`` command and all three runtimes run, covering what
-otherwise surfaces at runtime — possibly mid-failover on a remote worker:
+:meth:`AppConfig.validate` raises the first structural finding of
+:mod:`repro.grid.config` (shape, names, endpoints, acyclicity, parameter
+ranges); this module reports every one of them, with its line, and adds
+the deep pre-deploy passes that the ``repro check`` command and all three
+runtimes run, covering what otherwise surfaces at runtime — possibly
+mid-failover on a remote worker:
 
-* **graph passes** — cycles (GA101), dangling stream endpoints (GA102),
-  duplicate streams between one stage pair (GA103, which the single-edge
-  stage graph would silently collapse), disconnected stages (GA104),
-  duplicate names (GA105), declared fan-in vs. connected streams (GA106);
+* **structural rules** — :meth:`AppConfig.findings` and the shape
+  findings of :func:`~repro.grid.config.parse_document` (GA100-102,
+  GA105, GA201-203), the exact set the loader rejects;
+* **graph passes** — duplicate streams between one stage pair (GA103,
+  which the single-edge stage graph would silently collapse),
+  disconnected stages (GA104), declared fan-in vs. connected streams
+  (GA106);
 * **option passes** — the runtimes' own parser
   (:mod:`repro.core.options`): a value they reject (GA106, GA210, GA220,
   GA231, else GA209) and an undeclared reserved-namespace key (GA209);
-* **adaptation passes** — parameter range and shape errors (GA201-203,
-  GA207), Section-4 increment-grid reachability (GA204-206), stage
+* **adaptation passes** — duplicate parameters (GA207), Section-4
+  increment-grid reachability (GA204-206), stage
   properties that mirror a parameter but disagree with it (GA208);
 * **deployment passes** — stage code resolution through the repository
   (GA301), the snapshot/restore checkpoint contract (GA302), a placement
@@ -23,10 +28,10 @@ otherwise surfaces at runtime — possibly mid-failover on a remote worker:
   item sizes vs. the wire codec (GA304).
 
 Entry points: :func:`verify_path` / :func:`verify_document` analyze XML
-text (tolerantly parsed, with line numbers); :func:`verify_config`
-analyzes an in-memory :class:`~repro.grid.config.AppConfig` (used by the
-runtimes' pre-deploy gates).  All return a
-:class:`~repro.analysis.diagnostics.Report`.
+text (read once, with line numbers; :func:`check_document` also returns
+the configuration read); :func:`verify_config` analyzes an in-memory
+:class:`~repro.grid.config.AppConfig` (used by the runtimes' pre-deploy
+gates).  All report a :class:`~repro.analysis.diagnostics.Report`.
 """
 
 from __future__ import annotations
@@ -34,16 +39,11 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.diagnostics import Report, Severity
-from repro.analysis.xmlparse import (
-    RawApp,
-    RawParameter,
-    RawStage,
-    parse_document,
-)
+from repro.analysis.diagnostics import Report, Severity, SourceSpan
 from repro.core.options import StageOptions, knobs, read_options, undeclared
+from repro.grid.config import AppConfig, StageConfig, parse_document
 
-__all__ = ["verify_config", "verify_document", "verify_path", "verify_raw"]
+__all__ = ["check_document", "verify_config", "verify_document", "verify_path"]
 
 #: Relative/absolute tolerance for the increment-grid arithmetic: config
 #: values are human-written decimals, so exact float equality is wrong.
@@ -58,7 +58,7 @@ SKETCH_PROPERTY = "sketch"
 _VALUE_CODES = {"graph": "GA106", "batching": "GA210", "sharding": "GA220", "migration": "GA231"}
 
 #: Each stage with its options, or None where a value is invalid.
-_Parsed = List[Tuple[RawStage, Optional[StageOptions]]]
+_Parsed = List[Tuple[StageConfig, Optional[StageOptions]]]
 
 
 def verify_path(
@@ -82,45 +82,47 @@ def verify_document(
     repository: Optional[object] = None,
     registry: Optional[object] = None,
 ) -> Report:
-    """Verify configuration XML ``text`` (tolerant parse, all passes)."""
-    app, shape_diagnostics = parse_document(text, filename)
-    report = Report(shape_diagnostics)
-    if app is not None:
-        report.extend(verify_raw(app, repository=repository, registry=registry))
-    return report
+    """Verify configuration XML ``text`` (every finding, all passes)."""
+    return check_document(
+        text, filename, repository=repository, registry=registry
+    )[1]
+
+
+def check_document(
+    text: str,
+    filename: Optional[str] = None,
+    *,
+    repository: Optional[object] = None,
+    registry: Optional[object] = None,
+) -> Tuple[Optional[AppConfig], Report]:
+    """Read configuration XML ``text`` once: the configuration read (None
+    when the XML breaks before its root element) and its report."""
+    config, shape = parse_document(text)
+    out = _Located(filename, text)
+    for finding in shape:
+        out.report.add(finding.code, finding.message, span=SourceSpan(
+            file=filename, line=finding.line, column=finding.column))
+    if config is not None:
+        _verify(config, out, repository, registry, None, None)
+    return config, out.report
 
 
 def verify_config(
-    config: "AppConfig",  # noqa: F821 - imported lazily to avoid a cycle
+    config: AppConfig,
     *,
     repository: Optional[object] = None,
     registry: Optional[object] = None,
     resilience: Optional[object] = None,
     migrating: Optional[Iterable[str]] = None,
 ) -> Report:
-    """Verify an in-memory AppConfig (no file spans, same passes)."""
-    return verify_raw(
-        RawApp.from_config(config), repository=repository, registry=registry,
-        resilience=resilience, migrating=migrating,
-    )
-
-
-def verify_raw(
-    app: RawApp,
-    *,
-    repository: Optional[object] = None,
-    registry: Optional[object] = None,
-    resilience: Optional[object] = None,
-    migrating: Optional[Iterable[str]] = None,
-) -> Report:
-    """Run every semantic pass over a tolerant document model.
+    """Run every pass over an in-memory configuration.
 
     ``repository`` (a :class:`~repro.grid.repository.CodeRepository`)
     enables the code-resolution and checkpoint-contract passes;
     ``registry`` (a :class:`~repro.grid.registry.ServiceRegistry` with a
     registered network) enables the placement dry-run.  Either may be
-    None, which skips the corresponding passes — the graph and parameter
-    passes never need external services.
+    None, which skips the corresponding passes — the structural, graph
+    and parameter passes never need external services.
 
     ``migrating`` names stages treated as migration-enabled in addition
     to any declaring ``migratable: true``; ``resilience`` (a
@@ -128,134 +130,114 @@ def verify_raw(
     pass confirm the checkpoint store backing a migration-enabled run
     is actually armed.
     """
-    report = Report()
-    _check_names(app, report)
-    _check_graph(app, report)
-    parsed = [(stage, _check_options(app, stage, report)) for stage in app.stages]
-    _check_fan_in(app, parsed, report)
-    for stage, options in parsed:
-        _check_parameters(app, stage, report)
-        _check_property_mirrors(app, stage, report)
-        if options is not None:
-            _check_batching(app, stage, options, report)
-            _check_sharding(app, stage, options, report)
-    _check_wire(app, report)
-    _check_migration(app, parsed, repository, resilience, migrating, report)
-    _check_ledger(app, parsed, repository, report)
-    if repository is not None:
-        _check_codes(app, repository, report)
-    if registry is not None:
-        _check_placement(app, registry, report)
-    return report
+    out = _Located()
+    _verify(config, out, repository, registry, resilience, migrating)
+    return out.report
 
 
-def _add(
-    report: Report,
-    app: RawApp,
-    code: str,
-    message: str,
-    *,
-    line: Optional[int] = None,
-    config_path: Optional[str] = None,
-    severity: Optional[Severity] = None,
+class _Located:
+    """A report whose findings point into one document, when there is one."""
+
+    def __init__(self, file: Optional[str] = None, text: Optional[str] = None) -> None:
+        self.report = Report()
+        self.file = file
+        self.lines = None if text is None else text.splitlines()
+
+    def add(
+        self,
+        code: str,
+        message: str,
+        *,
+        line: Optional[int] = None,
+        config_path: Optional[str] = None,
+        severity: Optional[Severity] = None,
+    ) -> None:
+        """Report a finding, attaching the source line when known."""
+        excerpt = None
+        if self.lines is not None and line is not None and 1 <= line <= len(self.lines):
+            excerpt = self.lines[line - 1]
+        self.report.add(
+            code,
+            message,
+            severity=severity,
+            span=SourceSpan(file=self.file, line=line, config_path=config_path),
+            source_line=excerpt,
+        )
+
+
+def _verify(
+    config: AppConfig,
+    out: _Located,
+    repository: Optional[object],
+    registry: Optional[object],
+    resilience: Optional[object],
+    migrating: Optional[Iterable[str]],
 ) -> None:
-    """Report a finding located in ``app`` (attaching the source line)."""
-    report.add(
-        code,
-        message,
-        severity=severity,
-        span=app.span(line, config_path),
-        source_line=app.excerpt(line),
-    )
+    for finding in config.findings():
+        out.add(finding.code, finding.message, line=finding.line,
+                config_path=finding.config_path)
+    _check_duplicate_parameters(config, out)
+    _check_graph(config, out)
+    parsed = [(stage, _check_options(stage, out)) for stage in config.stages]
+    _check_fan_in(config, parsed, out)
+    for stage, options in parsed:
+        _check_parameters(stage, out)
+        _check_property_mirrors(stage, out)
+        if options is not None:
+            _check_batching(stage, options, out)
+            _check_sharding(stage, options, out)
+    _check_wire(config, out)
+    _check_migration(config, parsed, repository, resilience, migrating, out)
+    _check_ledger(config, parsed, repository, out)
+    if repository is not None:
+        _check_codes(config, repository, out)
+    if registry is not None:
+        _check_placement(config, registry, out)
 
 
 # -- GA1xx: names and graph ----------------------------------------------------
 
 
-def _check_names(app: RawApp, report: Report) -> None:
-    """GA100 (empty app), GA105 (duplicate names), GA207 (dup parameters)."""
-    if not app.stages:
-        _add(report, app, "GA100",
-             f"application {app.name!r} declares no stages")
-    seen_stages: Dict[str, RawStage] = {}
-    for stage in app.stages:
-        if stage.name in seen_stages:
-            _add(report, app, "GA105",
-                 f"stage name {stage.name!r} declared more than once",
-                 line=stage.line, config_path=f"stage {stage.name!r}")
-        else:
-            seen_stages[stage.name] = stage
-    seen_streams: Dict[str, int] = {}
-    for stream in app.streams:
-        if stream.name in seen_streams:
-            _add(report, app, "GA105",
-                 f"stream name {stream.name!r} declared more than once",
-                 line=stream.line, config_path=f"stream {stream.name!r}")
-        else:
-            seen_streams[stream.name] = 1
-    for stage in app.stages:
+def _check_duplicate_parameters(config: AppConfig, out: _Located) -> None:
+    """GA207: a stage declaring one parameter name twice."""
+    for stage in config.stages:
         declared: Dict[str, int] = {}
         for param in stage.parameters:
             if param.name and param.name in declared:
-                _add(report, app, "GA207",
-                     f"stage {stage.name!r} declares parameter "
-                     f"{param.name!r} twice",
-                     line=param.line,
-                     config_path=f"stage {stage.name!r} / "
-                                 f"parameter {param.name!r}")
+                out.add("GA207",
+                        f"stage {stage.name!r} declares parameter "
+                        f"{param.name!r} twice",
+                        line=param.line,
+                        config_path=f"stage {stage.name!r} / "
+                                    f"parameter {param.name!r}")
             declared[param.name] = 1
 
 
-def _check_graph(app: RawApp, report: Report) -> None:
-    """GA101 (cycles), GA102 (dangling endpoints), GA103 (duplicate
-    edges), GA104 (disconnected stages)."""
-    known = {stage.name for stage in app.stages}
+def _check_graph(config: AppConfig, out: _Located) -> None:
+    """GA103 (duplicate edges), GA104 (disconnected stages)."""
+    known = {stage.name for stage in config.stages}
     pairs: Dict[Tuple[str, str], List[str]] = {}
-    for stream in app.streams:
-        dangling = False
-        for label, endpoint in (("from", stream.src), ("to", stream.dst)):
-            if endpoint not in known:
-                _add(report, app, "GA102",
-                     f"stream {stream.name!r} {label}= references unknown "
-                     f"stage {endpoint!r}",
-                     line=stream.line, config_path=f"stream {stream.name!r}")
-                dangling = True
-        if dangling:
-            continue
-        pairs.setdefault((stream.src, stream.dst), []).append(stream.name)
+    for stream in config.streams:
+        if stream.src in known and stream.dst in known:
+            pairs.setdefault((stream.src, stream.dst), []).append(stream.name)
     for (src, dst), names in sorted(pairs.items()):
         if len(names) > 1:
             first, rest = names[0], names[1:]
-            _add(report, app, "GA103",
-                 f"streams {', '.join(repr(n) for n in rest)} duplicate "
-                 f"stream {first!r} between {src!r} and {dst!r}",
-                 config_path=f"stream {rest[0]!r}")
-    # Peel off, round by round, every stage that no remaining stage
-    # feeds; whatever cannot be peeled lies on or behind a cycle.
-    remaining = set(known)
-    while True:
-        fed = {dst for src, dst in pairs if src in remaining}
-        if remaining <= fed:
-            break
-        remaining &= fed
-    if remaining:
-        from repro.grid.config import find_cycle
-
-        cycle = find_cycle([stage.name for stage in app.stages], pairs)
-        path = " -> ".join([edge[0] for edge in cycle] + [cycle[0][0]])
-        _add(report, app, "GA101",
-             f"stage graph has a cycle: {path}")
-    if len(app.stages) > 1:
-        touched = {s.src for s in app.streams} | {s.dst for s in app.streams}
-        for stage in app.stages:
+            out.add("GA103",
+                    f"streams {', '.join(repr(n) for n in rest)} duplicate "
+                    f"stream {first!r} between {src!r} and {dst!r}",
+                    config_path=f"stream {rest[0]!r}")
+    if len(config.stages) > 1:
+        touched = {s.src for s in config.streams} | {s.dst for s in config.streams}
+        for stage in config.stages:
             if stage.name not in touched:
-                _add(report, app, "GA104",
-                     f"stage {stage.name!r} has no incoming or outgoing "
-                     "streams",
-                     line=stage.line, config_path=f"stage {stage.name!r}")
+                out.add("GA104",
+                        f"stage {stage.name!r} has no incoming or outgoing "
+                        "streams",
+                        line=stage.line, config_path=f"stage {stage.name!r}")
 
 
-def _check_options(app: RawApp, stage: RawStage, report: Report) -> Optional[StageOptions]:
+def _check_options(stage: StageConfig, out: _Located) -> Optional[StageOptions]:
     """GA209 (undeclared key in a reserved namespace), and every value
     the runtimes would reject, at ERROR severity under its topic's code.
 
@@ -264,29 +246,29 @@ def _check_options(app: RawApp, stage: RawStage, report: Report) -> Optional[Sta
     config_path = f"stage {stage.name!r}"
     for key, near in undeclared(stage.properties):
         guess = f"; did you mean {near!r}?" if near else ""
-        _add(report, app, "GA209",
-             f"stage {stage.name!r}: {key!r} is not a middleware option{guess}",
-             line=stage.line, config_path=config_path)
+        out.add("GA209",
+                f"stage {stage.name!r}: {key!r} is not a middleware option{guess}",
+                line=stage.line, config_path=config_path)
     options, problems = read_options(stage.properties)
     for option, message in problems:
-        _add(report, app, _VALUE_CODES.get(option.topic, "GA209"),
-             f"stage {stage.name!r}: {message}",
-             line=stage.line, config_path=config_path, severity=Severity.ERROR)
+        out.add(_VALUE_CODES.get(option.topic, "GA209"),
+                f"stage {stage.name!r}: {message}",
+                line=stage.line, config_path=config_path, severity=Severity.ERROR)
     return None if problems else options
 
 
-def _check_fan_in(app: RawApp, parsed: _Parsed, report: Report) -> None:
+def _check_fan_in(config: AppConfig, parsed: _Parsed, out: _Located) -> None:
     """GA106: the optional ``fan-in`` option must match the in-degree."""
     for stage, options in parsed:
         if options is None or options.fan_in is None:
             continue
-        actual = sum(1 for s in app.streams if s.dst == stage.name)
+        actual = sum(1 for s in config.streams if s.dst == stage.name)
         if options.fan_in != actual:
-            _add(report, app, "GA106",
-                 f"stage {stage.name!r} declares fan-in={options.fan_in} "
-                 f"but {actual} incoming stream"
-                 f"{'s connect' if actual != 1 else ' connects'} to it",
-                 line=stage.line, config_path=f"stage {stage.name!r}")
+            out.add("GA106",
+                    f"stage {stage.name!r} declares fan-in={options.fan_in} "
+                    f"but {actual} incoming stream"
+                    f"{'s connect' if actual != 1 else ' connects'} to it",
+                    line=stage.line, config_path=f"stage {stage.name!r}")
 
 
 # -- GA2xx: adaptation parameters ----------------------------------------------
@@ -298,64 +280,39 @@ def _off_grid(offset: float, increment: float) -> bool:
     return abs(steps - round(steps)) > _TOL * max(1.0, abs(steps))
 
 
-def _check_parameters(app: RawApp, stage: RawStage, report: Report) -> None:
-    """GA201-GA206 for every parameter of one stage."""
+def _check_parameters(stage: StageConfig, out: _Located) -> None:
+    """GA204-GA206 for every parameter of one stage that satisfies the
+    structural rules (:meth:`ParameterConfig.findings`)."""
     for param in stage.parameters:
-        if not param.ok:
-            continue  # shape errors already reported as GA100
+        if any(param.findings(stage.name)):
+            continue  # reported by the structural rules
         config_path = f"stage {stage.name!r} / parameter {param.name!r}"
-
-        def emit(code: str, message: str, _p: RawParameter = param,
-                 _cp: str = config_path) -> None:
-            _add(report, app, code, message, line=_p.line, config_path=_cp)
-
-        range_ok = True
-        if param.minimum > param.maximum:
-            emit("GA202",
-                 f"parameter {param.name!r}: min {param.minimum:g} > "
-                 f"max {param.maximum:g}")
-            range_ok = False
-        elif not (param.minimum <= param.init <= param.maximum):
-            emit("GA201",
-                 f"parameter {param.name!r}: init {param.init:g} outside "
-                 f"[{param.minimum:g}, {param.maximum:g}]")
-            range_ok = False
-        stepping_ok = True
-        if not (param.increment > 0):  # catches NaN too
-            emit("GA203",
-                 f"parameter {param.name!r}: increment must be > 0, "
-                 f"got {param.increment:g}")
-            stepping_ok = False
-        if param.direction not in (-1.0, 1.0):
-            emit("GA203",
-                 f"parameter {param.name!r}: direction must be +1 or -1, "
-                 f"got {param.direction:g}")
-            stepping_ok = False
-        if not (range_ok and stepping_ok):
-            continue
         span = param.maximum - param.minimum
         if span > 0 and param.increment > span + _TOL:
-            emit("GA206",
-                 f"parameter {param.name!r}: increment {param.increment:g} "
-                 f"exceeds the adjustable span {span:g}")
+            out.add("GA206",
+                    f"parameter {param.name!r}: increment {param.increment:g} "
+                    f"exceeds the adjustable span {span:g}",
+                    line=param.line, config_path=config_path)
             continue
         if span > 0 and _off_grid(span, param.increment):
-            emit("GA204",
-                 f"parameter {param.name!r}: max {param.maximum:g} is not "
-                 f"min + k*increment (increment {param.increment:g}), so "
-                 "adaptation only reaches it by clamping")
+            out.add("GA204",
+                    f"parameter {param.name!r}: max {param.maximum:g} is not "
+                    f"min + k*increment (increment {param.increment:g}), so "
+                    "adaptation only reaches it by clamping",
+                    line=param.line, config_path=config_path)
         if _off_grid(param.init - param.minimum, param.increment):
-            emit("GA205",
-                 f"parameter {param.name!r}: init {param.init:g} is off the "
-                 f"min + k*increment grid (increment {param.increment:g}); "
-                 "the first adjustment will move it")
+            out.add("GA205",
+                    f"parameter {param.name!r}: init {param.init:g} is off the "
+                    f"min + k*increment grid (increment {param.increment:g}); "
+                    "the first adjustment will move it",
+                    line=param.line, config_path=config_path)
 
 
-def _check_property_mirrors(app: RawApp, stage: RawStage, report: Report) -> None:
+def _check_property_mirrors(stage: StageConfig, out: _Located) -> None:
     """GA208: ``name``/``name-min``/``name-max`` properties must agree
     with the parameter declaration they mirror."""
     for param in stage.parameters:
-        if not param.ok or not param.name:
+        if not param.name:
             continue
         mirrors = (
             (param.name, "init", param.init),
@@ -371,15 +328,15 @@ def _check_property_mirrors(app: RawApp, stage: RawStage, report: Report) -> Non
             except ValueError:
                 continue  # non-numeric property, not a mirror
             if not math.isclose(value, declared, rel_tol=_TOL, abs_tol=_TOL):
-                _add(report, app, "GA208",
-                     f"stage {stage.name!r}: property {key}={value:g} "
-                     f"disagrees with parameter {param.name!r} "
-                     f"{attribute}={declared:g}",
-                     line=param.line,
-                     config_path=f"stage {stage.name!r} / property {key!r}")
+                out.add("GA208",
+                        f"stage {stage.name!r}: property {key}={value:g} "
+                        f"disagrees with parameter {param.name!r} "
+                        f"{attribute}={declared:g}",
+                        line=param.line,
+                        config_path=f"stage {stage.name!r} / property {key!r}")
 
 
-def _check_batching(app: RawApp, stage: RawStage, options: StageOptions, report: Report) -> None:
+def _check_batching(stage: StageConfig, options: StageOptions, out: _Located) -> None:
     """GA210: the flush delay must stay under the Section-4 sampling
     interval (an unparseable batch option is GA210 too, from
     :func:`_check_options`).
@@ -395,15 +352,15 @@ def _check_batching(app: RawApp, stage: RawStage, options: StageOptions, report:
     max_delay = options.batch_max_delay
     sample_interval = AdaptationPolicy().sample_interval
     if max_delay is not None and max_delay >= sample_interval:
-        _add(report, app, "GA210",
-             f"stage {stage.name!r}: batch-max-delay={max_delay:g} "
-             f"is not below the adaptation sampling interval "
-             f"({sample_interval:g}s); the monitor would sample bursts "
-             "the batching itself creates",
-             line=stage.line, config_path=f"stage {stage.name!r}")
+        out.add("GA210",
+                f"stage {stage.name!r}: batch-max-delay={max_delay:g} "
+                f"is not below the adaptation sampling interval "
+                f"({sample_interval:g}s); the monitor would sample bursts "
+                "the batching itself creates",
+                line=stage.line, config_path=f"stage {stage.name!r}")
 
 
-def _check_sharding(app: RawApp, stage: RawStage, options: StageOptions, report: Report) -> None:
+def _check_sharding(stage: StageConfig, options: StageOptions, out: _Located) -> None:
     """GA220 (invalid shard/scale contract), GA221 (inert knobs).
 
     GA220 applies exactly the checks that
@@ -422,40 +379,40 @@ def _check_sharding(app: RawApp, stage: RawStage, options: StageOptions, report:
     try:
         spec = shard_spec(stage.name, options)
     except ShardingError as exc:
-        _add(report, app, "GA220", str(exc),
-             line=stage.line, config_path=config_path)
+        out.add("GA220", str(exc),
+                line=stage.line, config_path=config_path)
         return
     if spec is None:
         if options.shard_group is not None:
             return  # an already-expanded replica; markers are expected
         inert = sorted(options.given.intersection(knobs("sharding")))
         if inert:
-            _add(report, app, "GA221",
-                 f"stage {stage.name!r}: {', '.join(inert)} without "
-                 "replicas has no effect; the stage will not be sharded",
-                 line=stage.line, config_path=config_path)
+            out.add("GA221",
+                    f"stage {stage.name!r}: {', '.join(inert)} without "
+                    "replicas has no effect; the stage will not be sharded",
+                    line=stage.line, config_path=config_path)
         return
     _replicas, slots, _policy = spec
     boundaries = len(options.shard_boundaries or ())
     if options.shard_partitioner == "range" and boundaries < slots - 1:
-        _add(report, app, "GA221",
-             f"stage {stage.name!r}: range partitioner declares "
-             f"{boundaries} boundaries for {slots} replica "
-             f"slots; slots above {boundaries} can never own "
-             "any keys",
-             line=stage.line, config_path=config_path)
+        out.add("GA221",
+                f"stage {stage.name!r}: range partitioner declares "
+                f"{boundaries} boundaries for {slots} replica "
+                f"slots; slots above {boundaries} can never own "
+                "any keys",
+                line=stage.line, config_path=config_path)
 
 
 # -- GA23x: live migration -----------------------------------------------------
 
 
 def _check_migration(
-    app: RawApp,
+    config: AppConfig,
     parsed: _Parsed,
     repository: Optional[object],
     resilience: Optional[object],
     migrating: Optional[Iterable[str]],
-    report: Report,
+    out: _Located,
 ) -> None:
     """GA230 (handoff contract), GA231 (invalid or unsatisfiable gate).
 
@@ -479,23 +436,23 @@ def _check_migration(
     from repro.grid.repository import RepositoryError
 
     requested = {name for name in (migrating or ())}
-    known = {stage.name for stage in app.stages}
+    known = {stage.name for stage in config.stages}
     for name in sorted(requested - known):
-        _add(report, app, "GA231",
-             f"migration plan targets unknown stage {name!r}")
+        out.add("GA231",
+                f"migration plan targets unknown stage {name!r}")
 
-    enabled: List[RawStage] = []
+    enabled: List[StageConfig] = []
     for stage, options in parsed:
         if options is None:
             continue  # an invalid value is already reported
         if not options.migratable and stage.name not in requested:
             continue
         if options.replicas is not None or SHARD_SEPARATOR in stage.name:
-            _add(report, app, "GA231",
-                 f"stage {stage.name!r} is sharded (replicas "
-                 "declared) and cannot migrate; replicas are pinned to "
-                 "their partitioner slots",
-                 line=stage.line, config_path=f"stage {stage.name!r}")
+            out.add("GA231",
+                    f"stage {stage.name!r} is sharded (replicas "
+                    "declared) and cannot migrate; replicas are pinned to "
+                    "their partitioner slots",
+                    line=stage.line, config_path=f"stage {stage.name!r}")
             continue
         enabled.append(stage)
 
@@ -504,11 +461,11 @@ def _check_migration(
     if resilience is not None and getattr(
             resilience, "checkpoint_interval", None) is None:
         names = ", ".join(repr(s.name) for s in enabled)
-        _add(report, app, "GA231",
-             f"migration-enabled stage{'s' if len(enabled) > 1 else ''} "
-             f"{names} without a checkpoint store: set "
-             "resilience.checkpoint_interval so a mid-move crash can "
-             "degrade to failover")
+        out.add("GA231",
+                f"migration-enabled stage{'s' if len(enabled) > 1 else ''} "
+                f"{names} without a checkpoint store: set "
+                "resilience.checkpoint_interval so a mid-move crash can "
+                "degrade to failover")
     if repository is None:
         return
     for stage in enabled:
@@ -523,15 +480,15 @@ def _check_migration(
         has_snapshot = factory.snapshot is not StreamProcessor.snapshot
         has_restore = factory.restore is not StreamProcessor.restore
         if not (has_snapshot and has_restore):
-            _add(report, app, "GA230",
-                 f"stage {stage.name!r}: class {factory.__name__} does "
-                 "not override snapshot() and restore(); the migration "
-                 "handoff would move it with empty state",
-                 line=stage.line, config_path=config_path)
+            out.add("GA230",
+                    f"stage {stage.name!r}: class {factory.__name__} does "
+                    "not override snapshot() and restore(); the migration "
+                    "handoff would move it with empty state",
+                    line=stage.line, config_path=config_path)
 
 
 def _check_ledger(
-    app: RawApp, parsed: _Parsed, repository: Optional[object], report: Report
+    config: AppConfig, parsed: _Parsed, repository: Optional[object], out: _Located
 ) -> None:
     """GA240: sinks in a ledger-enabled pipeline must be idempotent.
 
@@ -554,7 +511,7 @@ def _check_ledger(
         for _, options in parsed
     ):
         return
-    sources = {stream.src for stream in app.streams}
+    sources = {stream.src for stream in config.streams}
     for stage, options in parsed:
         if stage.name in sources:
             continue  # not a sink
@@ -573,31 +530,31 @@ def _check_ledger(
             getattr(factory, "txn_commit", None)
         ):
             continue
-        _add(report, app, "GA240",
-             f"stage {stage.name!r}: sink class {factory.__name__} does "
-             "not implement the SinkTxn protocol; redelivered duplicates "
-             "in this ledger-enabled pipeline would double-apply effects "
-             "(add txn_begin/txn_commit via repro.ledger.sinks.SinkTxn, "
-             "or declare at-least-once-ok: true)",
-             line=stage.line, config_path=config_path)
+        out.add("GA240",
+                f"stage {stage.name!r}: sink class {factory.__name__} does "
+                "not implement the SinkTxn protocol; redelivered duplicates "
+                "in this ledger-enabled pipeline would double-apply effects "
+                "(add txn_begin/txn_commit via repro.ledger.sinks.SinkTxn, "
+                "or declare at-least-once-ok: true)",
+                line=stage.line, config_path=config_path)
 
 
 # -- GA3xx: deployment ---------------------------------------------------------
 
 
-def _check_codes(app: RawApp, repository: object, report: Report) -> None:
+def _check_codes(config: AppConfig, repository: object, out: _Located) -> None:
     """GA301 (unresolvable code URL), GA302 (checkpoint contract)."""
     from repro.core.api import StreamProcessor
     from repro.grid.repository import RepositoryError
 
-    for stage in app.stages:
+    for stage in config.stages:
         config_path = f"stage {stage.name!r}"
         try:
             factory: Callable[..., object] = repository.fetch(stage.code_url)
         except RepositoryError as exc:
-            _add(report, app, "GA301",
-                 f"stage {stage.name!r}: {exc}",
-                 line=stage.line, config_path=config_path)
+            out.add("GA301",
+                    f"stage {stage.name!r}: {exc}",
+                    line=stage.line, config_path=config_path)
             continue
         cls = factory if isinstance(factory, type) else type(factory)
         if not (isinstance(factory, type)
@@ -610,58 +567,36 @@ def _check_codes(app: RawApp, repository: object, report: Report) -> None:
         if has_snapshot != has_restore:
             present = "snapshot()" if has_snapshot else "restore()"
             missing = "restore()" if has_snapshot else "snapshot()"
-            _add(report, app, "GA302",
-                 f"stage {stage.name!r}: class {cls.__name__} overrides "
-                 f"{present} but not {missing}; failover cannot rebuild "
-                 "its state",
-                 line=stage.line, config_path=config_path)
+            out.add("GA302",
+                    f"stage {stage.name!r}: class {cls.__name__} overrides "
+                    f"{present} but not {missing}; failover cannot rebuild "
+                    "its state",
+                    line=stage.line, config_path=config_path)
 
 
-def _check_wire(app: RawApp, report: Report) -> None:
+def _check_wire(config: AppConfig, out: _Located) -> None:
     """GA304: sketch-stage output streams must use the codec pair size."""
     from repro.streams.wire import PAIR_BYTES
 
-    for stream in app.streams:
-        source = app.stage_named(stream.src)
+    for stream in config.streams:
+        source = next((s for s in config.stages if s.name == stream.src), None)
         if source is None or SKETCH_PROPERTY not in source.properties:
             continue
-        if math.isnan(stream.item_size):
-            continue  # unparseable size already reported as GA100
         if not math.isclose(stream.item_size, PAIR_BYTES,
                             rel_tol=_TOL, abs_tol=_TOL):
-            _add(report, app, "GA304",
-                 f"stream {stream.name!r} from sketch stage {stream.src!r} "
-                 f"declares item-size {stream.item_size:g}, but the wire "
-                 f"codec sends {PAIR_BYTES}-byte (value, count) pairs",
-                 line=stream.line, config_path=f"stream {stream.name!r}")
+            out.add("GA304",
+                    f"stream {stream.name!r} from sketch stage {stream.src!r} "
+                    f"declares item-size {stream.item_size:g}, but the wire "
+                    f"codec sends {PAIR_BYTES}-byte (value, count) pairs",
+                    line=stream.line, config_path=f"stream {stream.name!r}")
 
 
-def _check_placement(app: RawApp, registry: object, report: Report) -> None:
+def _check_placement(config: AppConfig, registry: object, out: _Located) -> None:
     """GA303: dry-run the Matchmaker over the declared requirements."""
     from repro.grid.matchmaker import MatchError, Matchmaker
-    from repro.grid.resources import ResourceRequirement
 
-    requirements: List[Tuple[str, ResourceRequirement]] = []
-    for stage in app.stages:
-        raw = stage.requirement
-        if math.isnan(raw.min_memory_mb) or math.isnan(raw.min_speed_factor):
-            continue  # unparseable requirement already reported as GA100
-        try:
-            requirement = ResourceRequirement(
-                min_cores=raw.min_cores,
-                min_memory_mb=raw.min_memory_mb,
-                min_speed_factor=raw.min_speed_factor,
-                placement_hint=raw.placement_hint,
-                min_bandwidth_to=dict(raw.min_bandwidth_to),
-            )
-        except ValueError as exc:
-            _add(report, app, "GA303",
-                 f"stage {stage.name!r}: invalid requirement: {exc}",
-                 line=raw.line or stage.line,
-                 config_path=f"stage {stage.name!r}")
-            return
-        requirements.append((stage.name, requirement))
+    requirements = [(stage.name, stage.requirement) for stage in config.stages]
     try:
         Matchmaker(registry).match_all(requirements)
     except MatchError as exc:
-        _add(report, app, "GA303", f"placement dry-run failed: {exc}")
+        out.add("GA303", f"placement dry-run failed: {exc}")

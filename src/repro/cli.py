@@ -35,7 +35,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
+
+if TYPE_CHECKING:
+    from repro.grid.config import AppConfig
 
 __all__ = ["main"]
 
@@ -466,19 +469,19 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.analysis.verifier import verify_path
+    from repro.analysis.verifier import check_document
     from repro.experiments.common import build_star_fabric
 
     fabric = build_star_fabric(args.sources, bandwidth=args.bandwidth)
     try:
-        report = verify_path(
-            args.config,
-            repository=fabric.repository,
-            registry=fabric.registry,
-        )
+        with open(args.config, "r", encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         print(f"cannot read {args.config!r}: {exc}", file=sys.stderr)
         return 1
+    config, report = check_document(
+        text, args.config, repository=fabric.repository, registry=fabric.registry,
+    )
     # Any finding fails the run, and the verdict must not depend on the
     # output mode: a warning-only config exits 1 with and without --json.
     if args.json:
@@ -487,24 +490,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if not report.ok:
         print(report.render_text(), file=sys.stderr)
         return 1
-    if not report.clean:
+    if config is None or not report.clean:  # no config is an error above
         print(report.render_text())
         return 1
-    _print_dag(args.config)
+    _print_dag(config)
     return 0
 
 
-def _print_dag(path: str) -> None:
+def _print_dag(config: AppConfig) -> None:
     """The ``OK: ...`` banner and stage DAG printed by a clean ``check``."""
-    from repro.grid.config import AppConfig, ConfigError
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            config = AppConfig.from_xml(handle.read())
-    except (OSError, ConfigError):
-        # Verification passed but the strict loader still objects (should
-        # not happen); the verifier's verdict stands.
-        return
     print(f"OK: application {config.name!r}")
     print(f"  stages ({len(config.stages)}):")
     for stage in config.topological_stages():

@@ -93,8 +93,10 @@ def test_cycle_is_rejected_with_the_message_networkx_gave():
             StreamConfig("e4", "c", "out"),
         ],
     )
-    expected = f"stage graph has a cycle: {nx.find_cycle(config.stage_graph())}"
-    assert expected == "stage graph has a cycle: [('a', 'b'), ('b', 'c'), ('c', 'a')]"
+    cycle = nx.find_cycle(config.stage_graph())
+    assert cycle == [("a", "b"), ("b", "c"), ("c", "a")]
+    expected = "stage graph has a cycle: " + " -> ".join([a for a, _ in cycle] + ["a"])
+    assert expected == "stage graph has a cycle: a -> b -> c -> a"
     with pytest.raises(ConfigError) as raised:
         config.validate()
     assert str(raised.value) == expected

@@ -1,5 +1,6 @@
 """A process that relays items loads neither numpy nor networkx, and a
-networked worker loads none of the layers it does not run.
+networked worker loads none of the layers it does not run, nor any XML
+module.
 
 Both packages are still dependencies — the stream generators and the
 sketches draw from numpy, ``AppConfig.stage_graph()`` builds a networkx
@@ -33,6 +34,12 @@ UNHOSTED = (
 )
 
 
+def xml_in(modules) -> list:
+    """XML modules: only reading or writing a configuration document
+    loads them, and a worker does neither."""
+    return sorted(m for m in modules if m.split(".")[0] in ("xml", "pyexpat"))
+
+
 def heavy_in(modules) -> list:
     return sorted(m for m in modules if m.split(".")[0] in HEAVY)
 
@@ -53,6 +60,7 @@ def test_importing_the_worker_loads_neither_package():
     modules = json.loads(out)
     assert "repro.net.worker" in modules
     assert heavy_in(modules) == []
+    assert xml_in(modules) == []
 
 
 NETWORKED_RUN = """
@@ -97,6 +105,7 @@ def test_a_networked_run_loads_neither_package_in_any_process():
         assert report[role]["main"] == "repro.net.worker", role
         assert "repro.net.worker" not in modules, role
         assert unhosted_in(modules) == [], role
+        assert xml_in(modules) == [], role
         # START warms the ledger context on purpose (net/worker.py).
         assert "repro.ledger.context" in modules, role
 
