@@ -101,6 +101,22 @@ class BatchBuffer(Generic[T]):
         self.entries.append(entry)
         return len(self.entries) >= self.policy.max_items
 
+    def extend(self, entries: List[T], now: float) -> bool:
+        """:meth:`add` for several entries at once.
+
+        Arguments:
+            entries: Entries to buffer, at most the room left before
+                ``max_items`` (the caller flushes between slices).
+            now: The current time in the caller's clock.
+
+        Returns:
+            ``True`` when the buffer has reached ``max_items``.
+        """
+        if not self.entries:
+            self.first_at = now
+        self.entries += entries
+        return len(self.entries) >= self.policy.max_items
+
     def due(self, now: float) -> bool:
         """Whether the age bound demands a flush.
 

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.obs.tracing import Hop, ItemTrace
 
-__all__ = ["EndOfStream", "Item"]
+__all__ = ["EndOfStream", "Item", "ItemRun"]
 
 
 @dataclass(slots=True)
@@ -45,6 +45,33 @@ class Item:
     def __post_init__(self) -> None:
         if self.size < 0:
             raise ValueError(f"item size must be >= 0, got {self.size}")
+
+
+class ItemRun:
+    """Untraced items that arrived together: one message for a whole run.
+
+    The networked runtime queues one per DATA frame (and its feeder
+    batches arrivals into one): ``values[i]`` is an item's payload,
+    ``sizes[i]`` its declared size, and all share one ``created_at`` and
+    one ``origin``.  The stage loop takes the payloads straight from it,
+    so no :class:`Item` is built per item.
+    """
+
+    __slots__ = ("values", "sizes", "created_at", "origin")
+
+    def __init__(
+        self, values: Sequence[Any], sizes: Sequence[float], created_at: float, origin: str
+    ) -> None:
+        self.values = values
+        self.sizes = sizes
+        self.created_at = created_at
+        self.origin = origin
+
+    def take(self, n: int) -> "ItemRun":
+        """Split off and return the first ``n`` items; the rest stay here."""
+        head = ItemRun(self.values[:n], self.sizes[:n], self.created_at, self.origin)
+        self.values, self.sizes = self.values[n:], self.sizes[n:]
+        return head
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Dict, FrozenSet, Generator, Iterable, Iterator, List
 from typing import Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -36,7 +37,7 @@ from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.adaptation.protocol import ExceptionCounter, LoadException
 from repro.core.api import AdjustmentParameter, ProcessorError, StageContext, StreamProcessor
 from repro.core.batching import BatchBuffer, BatchPolicy
-from repro.core.items import EndOfStream, Item
+from repro.core.items import EndOfStream, Item, ItemRun
 from repro.core.options import StageOptions, stage_options
 from repro.core.sharding import ShardGroup, logical_stream
 from repro.core.termination import EosTracker
@@ -348,10 +349,10 @@ class StageCore:
         self.rate_estimator = RateEstimator()
         #: Monitor samples taken so far (drives the ``adjust_every`` cadence).
         self.samples = 0
-        #: Routing decisions over the driver's out-edges and the stream
+        #: Routing decisions (see :attr:`route_units`) and the stream
         #: names ``emit`` accepts; set from :func:`build_route_units`
         #: once the edges are wired.
-        self.route_units: List[RouteUnit] = []
+        self.route_units = []
         self.stream_names: FrozenSet[str] = frozenset()
         #: Effective micro-batch policy (None = one-at-a-time emission).
         self.batch: Optional[BatchPolicy] = None
@@ -369,6 +370,20 @@ class StageCore:
         self.estimator = LoadEstimator(name, self.queue, policy)
         registry.series(f"adapt.{name}.d_tilde", self.estimator.history)
         self.context = KernelStageContext(self)
+
+    @property
+    def route_units(self) -> List[RouteUnit]:
+        """Routing decisions over the driver's out-edges."""
+        return self._route_units
+
+    @route_units.setter
+    def route_units(self, units: List[RouteUnit]) -> None:
+        """Set the units, and :attr:`solo_edges`: every unit's edge when
+        all are solo (an emission naming no stream goes to each), else
+        None, worked out once here rather than per routed emission."""
+        self._route_units = units
+        solo = [unit.edges[0] for unit in units if unit.group is None]
+        self.solo_edges: Optional[List[int]] = solo if len(solo) == len(units) else None
 
     def open_batch_buffers(self, indices: Iterable[int]) -> None:
         """Give each listed out-edge a batch buffer (no-op when unbatched)."""
@@ -455,6 +470,7 @@ TAKE, WORK, SEND, FLUSH, EOS = "take", "work", "send", "flush", "eos"
 
 _Effects = Generator[Tuple[Any, ...], Any, None]
 _TAKE = (TAKE, None)
+_STREAM = itemgetter(2)  # the stream an emission names (None: every edge)
 
 
 def next_flush_timeout(stage: StageCore) -> Optional[float]:
@@ -506,9 +522,10 @@ def stage_loop(
     A driver primes it with ``send(None)`` and answers each effect:
 
     - ``(TAKE, timeout)``: wait up to ``timeout`` seconds (None: no
-      bound); reply with a chunk of ``Item`` / ``EndOfStream`` messages,
-      ``()`` on timeout, or None at a drain boundary (every buffer is
-      flushed and the loop ends without end-of-stream).
+      bound); reply with a chunk of ``Item`` / ``ItemRun`` /
+      ``EndOfStream`` messages, ``()`` on timeout, or None at a drain
+      boundary (every buffer is flushed and the loop ends without
+      end-of-stream).
     - ``(WORK, cost_model, items, nbytes)``: charge one item's CPU work;
       reply with the seconds charged.
     - ``(SEND, route, payload, size, stream, trace)``: deliver one
@@ -522,7 +539,10 @@ def stage_loop(
     ``stage.state_lock`` where there is one, quarantine under
     ``stage.resilience``, and routing ``ctx.pending``.  Unbuffered or
     traced emissions are routed after their item, the rest once per
-    chunk, so an item that blocks on nothing costs no generator resume.
+    chunk, so an item that blocks on nothing costs no generator resume;
+    emissions naming no stream from a stage whose out-edges are all
+    solo skip the per-emission route generator, and go into a lone
+    buffered edge as one list.
     ``price_free_work`` charges work even under a free cost model (a
     simulated core is still claimed); ``deadlines`` bounds each wait by
     the oldest batch's age and flushes due batches after every chunk
@@ -538,6 +558,7 @@ def stage_loop(
     tolerant = resilience is not None and resilience.error_policy != "fail"
     priced: Any = None
     free = False
+    observe = metrics.latency.observe
     while True:
         chunk = yield (TAKE, next_flush_timeout(stage)) if deadlines else _TAKE
         if chunk is None:
@@ -546,7 +567,10 @@ def stage_loop(
         count = 0
         nbytes = 0.0
         for message in chunk:
-            if type(message) is not EndOfStream:
+            if type(message) is ItemRun:
+                count += len(message.values)
+                nbytes += sum(message.sizes)
+            elif type(message) is not EndOfStream:
                 count += 1
                 nbytes += message.size
         if count:
@@ -568,47 +592,52 @@ def stage_loop(
                 yield from flush_buffers(stage, buffers)
                 yield (EOS,)
                 return
-            payload = message.payload
-            hop = message.hop
-            if hop is not None:
-                hop.dequeue_t = clock()
+            if type(message) is ItemRun:
+                # Untraced arrivals sharing one arrival time.
+                values, sizes, trace, hop = message.values, message.sizes, None, None
+            else:
+                values, sizes = (message.payload,), (message.size,)
+                trace, hop = message.trace, message.hop
+                if hop is not None:
+                    hop.dequeue_t = clock()
+            created_at = message.created_at
             processor = stage.processor
             if processor is not priced:
                 priced = processor
                 free = not price_free_work and getattr(processor.cost_model, "is_free", False)
-            if not free:
-                items, work_bytes = processor.work_amount(payload, message.size)
-                if items or work_bytes:
-                    duration = yield (WORK, processor.cost_model, items, work_bytes)
-                    # Free work (every item of a free model on the
-                    # simulator) books nothing: skip the locked add.
-                    if duration:
-                        metrics.busy_seconds.inc(duration)
-                        if hop is not None:
-                            hop.process_t += duration
-            mark = len(ctx.pending)
-            try:
-                if lock is None:
-                    processor.on_item(payload, ctx)
-                else:
-                    with lock:
-                        stage.processor.on_item(payload, ctx)
-            except Exception as exc:
-                if not tolerant:
-                    raise
-                # Drop what the poison item half-emitted; earlier
-                # chunk-mates' emissions stay.
-                del ctx.pending[mark:]
-                quarantine(stage, payload, exc)
-                continue
-            metrics.latency.observe(clock() - message.created_at)
-            trace = message.trace
-            if ctx.pending and (trace is not None or not buffers):
-                pending, ctx.pending = ctx.pending, []
-                if mark:
-                    yield from _route(stage, groups, pending[:mark], None, None)
-                    del pending[:mark]
-                yield from _route(stage, groups, pending, trace, hop)
+            for payload, size in zip(values, sizes):
+                if not free:
+                    items, work_bytes = processor.work_amount(payload, size)
+                    if items or work_bytes:
+                        duration = yield (WORK, processor.cost_model, items, work_bytes)
+                        # Free work (every item of a free model on the
+                        # simulator) books nothing: skip the locked add.
+                        if duration:
+                            metrics.busy_seconds.inc(duration)
+                            if hop is not None:
+                                hop.process_t += duration
+                mark = len(ctx.pending)
+                try:
+                    if lock is None:
+                        processor.on_item(payload, ctx)
+                    else:
+                        with lock:
+                            stage.processor.on_item(payload, ctx)
+                except Exception as exc:
+                    if not tolerant:
+                        raise
+                    # Drop what the poison item half-emitted; earlier
+                    # chunk-mates' emissions stay.
+                    del ctx.pending[mark:]
+                    quarantine(stage, payload, exc)
+                    continue
+                observe(clock() - created_at)
+                if ctx.pending and (trace is not None or not buffers):
+                    pending, ctx.pending = ctx.pending, []
+                    if mark:
+                        yield from _route(stage, groups, pending[:mark], None, None)
+                        del pending[:mark]
+                    yield from _route(stage, groups, pending, trace, hop)
         stage.consumed += count
         if ctx.pending:
             pending, ctx.pending = ctx.pending, []
@@ -631,15 +660,37 @@ def _route(
     buffers = stage.batch_buffers
     now = stage.clock()
     nbytes = 0.0
+    emitted = len(pending)
+    # Every unit solo: an emission naming no stream goes to each edge,
+    # and into one buffered edge the whole list goes in bulk.
+    solo = stage.solo_edges
+    if solo is not None and len(solo) == 1 and solo[0] in buffers and not any(
+        map(_STREAM, pending)
+    ):
+        index, buffer = solo[0], buffers[solo[0]]
+        entries = []
+        for payload, size, _ in pending:
+            nbytes += size
+            entries.append((payload, size, now, trace, hop))
+        while entries:
+            room = buffer.policy.max_items - len(buffer)
+            if buffer.extend(entries[:room], now):
+                yield from flush_buffers(stage, (index,))
+            del entries[:room]
+        pending = []
     for payload, size, stream in pending:
         nbytes += size
-        for route in route_indices(stage.route_units, groups, payload, stream):
+        routes = (
+            solo if stream is None and solo is not None
+            else route_indices(stage.route_units, groups, payload, stream)
+        )
+        for route in routes:
             buffer = buffers.get(route) if type(route) is int else None
             if buffer is None:
                 yield (SEND, route, payload, size, stream, trace)
             elif buffer.add((payload, size, now, trace, hop), now):
                 yield from flush_buffers(stage, (route,))
-    stage.metrics.items_out.inc(len(pending))
+    stage.metrics.items_out.inc(emitted)
     stage.metrics.bytes_out.inc(nbytes)
     if hop is not None and not buffers:
         hop.tx_t += stage.clock() - now
@@ -727,6 +778,7 @@ def source_loop(
     tracer: Optional[Any] = None,
     time_scale: float = 1.0,
     lock: Optional[Any] = None,
+    batch: Optional[BatchPolicy] = None,
 ) -> _Effects:
     """The one source loop, as a generator of blocking effects.
 
@@ -744,6 +796,12 @@ def source_loop(
     A routed put is answered while ``lock`` (the threaded group lock) is
     held, so a rebalance never splits owner and put.  What ``payloads``
     or ``item_size`` raise propagates.
+
+    Under ``batch`` (a driver that ships batches, never drops, and
+    passes no ``tracer`` or ``lock``) no ``Item`` is built: each slot's
+    arrivals collect in an :class:`~repro.core.items.ItemRun`, put once
+    it holds ``max_items`` or an arrival finds its first one
+    ``max_delay`` old, and before the slot's end-of-stream.
     """
     name, item_size = binding.name, binding.item_size
     sized = callable(item_size)
@@ -753,12 +811,30 @@ def source_loop(
     gaps = binding.arrivals.gaps() if binding.arrivals is not None else None
     fixed_gap = (1.0 / binding.rate) * time_scale if binding.rate else 0.0
     slot = 0
+    # Under ``batch``, each slot's arrivals not yet put: payloads, sizes
+    # and the first one's arrival time.
+    runs: List[Optional[Tuple[List[Any], List[float], float]]] = [None] * len(members)
     for payload in binding.payloads:
         gap = next(gaps) * time_scale if gaps is not None else fixed_gap
         if gap:
             yield (WAIT, gap)
         now = clock()
-        item = Item(payload, float(item_size(payload) if sized else item_size), name, now)
+        size = float(item_size(payload) if sized else item_size)
+        if batch is not None:
+            if group is not None:
+                slot = group.owner(payload)
+            run = runs[slot]
+            if run is None:
+                run = runs[slot] = ([], [], now)
+            run[0].append(payload)
+            run[1].append(size)
+            if len(run[0]) >= batch.max_items or now - run[2] >= batch.max_delay:
+                runs[slot] = None
+                yield (PUT, slot, ItemRun(run[0], run[1], run[2], name))
+                if counters:
+                    counters[slot].inc(len(run[0]))
+            continue
+        item = Item(payload, size, name, now)
         trace = tracer.maybe_trace(name, now) if tracer is not None else None
         if trace is not None:
             registry.counter("run.traced_items").inc()
@@ -779,7 +855,11 @@ def source_loop(
                 trace.hops.remove(item.hop)
         elif counters:
             counters[slot].inc()
-    for slot in range(len(members)):
+    for slot, run in enumerate(runs):
+        if run is not None:
+            yield (PUT, slot, ItemRun(run[0], run[1], run[2], name))
+            if counters:
+                counters[slot].inc(len(run[0]))
         yield (PUT, slot, EndOfStream(origin=name))
 
 

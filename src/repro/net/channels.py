@@ -10,11 +10,13 @@ on the same socket (full duplex, exactly the paper's inter-server
 arrangement where load exceptions travel against the data).
 
 Flow control is credit-based: the receiver grants an initial window of
-``window`` *items* and replenishes in batches as its stage consumes
-them.  Credit is charged per item — a batched DATA frame carrying n
-items costs n credits — so the invariant is independent of framing: at
-most ``window`` items are ever in flight, and backpressure is explicit
-and bounded rather than hidden in socket buffers.  The sender blocks
+``window`` *items* and returns credit as its stage takes them, at most
+one CREDIT per channel per stage-task wakeup (:class:`InChannel`), a
+binary count the sender reads in the transport callback.  Credit is
+charged per item — a DATA frame carrying n items costs n credits — so
+the invariant is independent of framing: at most ``window`` items are
+ever in flight, and backpressure is explicit and bounded rather than
+hidden in socket buffers.  The sender blocks
 (`net.{channel}.credit_stalls`) when the window is exhausted;
 ``net.{channel}.in_flight_peak`` records the observed maximum.
 
@@ -32,19 +34,21 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Union
 
+from repro.core.items import ItemRun
 from repro.net.protocol import (
     FrameType,
     ProtocolError,
-    cap_read_buffer,
+    decode_credit,
+    encode_credit,
     encode_frame,
     encode_json,
-    encode_payload_batch_into,
+    encode_payload_columns_into,
     encode_payload_into,
     finish_frame,
     new_frame_buffer,
-    read_frame,
+    open_frame_connection,
     send_frame,
 )
 from repro.obs.registry import MetricsRegistry
@@ -114,13 +118,15 @@ class AsyncInbox:
     """A stage's input queue, satisfying the estimator's QueueLike protocol.
 
     Two producer paths: local routes ``put`` (blocking while full — the
-    in-process backpressure), and wire channels ``put_nowait`` /
-    ``put_many_nowait`` (synchronous and never refused: the credit
-    window already bounds what a remote sender can have outstanding, and
-    in-flight data cannot be un-sent — the same reasoning as the
-    simulated runtime's ``force_put``).  The worker calls the synchronous
-    pair from the transport's ``data_received``, so a received frame's
-    items are queued before the event loop runs anything else.
+    in-process backpressure), and wire channels ``put_nowait`` (synchronous
+    and never refused: the credit window already bounds what a remote
+    sender can have outstanding, and in-flight data cannot be un-sent —
+    the same reasoning as the simulated runtime's ``force_put``).  The
+    worker calls ``put_nowait`` from the transport's ``data_received``,
+    one :class:`~repro.core.items.ItemRun` entry per DATA frame, so a
+    frame's items are queued before the event loop runs anything else.
+    Lengths (``capacity``, :attr:`current_length`, the one queue-length
+    sample per put) count items: a run its items, any other entry one.
 
     One event-loop thread owns the inbox, so it needs no lock: a deque
     of entries plus FIFO queues of getter and putter futures, each
@@ -140,15 +146,13 @@ class AsyncInbox:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: deque = deque()
+        self._length = 0
         self._recent: deque = deque([0], maxlen=window)
         self._getters: deque = deque()
         self._putters: deque = deque()
 
-    def _record(self) -> None:
-        self._recent.append(len(self._entries))
-
     def _has_room(self) -> bool:
-        return len(self._entries) < self.capacity
+        return self._length < self.capacity
 
     def _has_entries(self) -> bool:
         return bool(self._entries)
@@ -156,26 +160,24 @@ class AsyncInbox:
     def put_nowait(self, entry: Any) -> None:
         """Append ``entry`` past any capacity and wake one consumer."""
         self._entries.append(entry)
-        self._record()
+        self._length += len(entry.values) if type(entry) is ItemRun else 1
+        self._recent.append(self._length)
         if self._getters:
             _wake_one(self._getters)
 
     def put_many_nowait(self, entries: "list") -> None:
-        """Append a whole batch and wake one consumer.
-
-        One queue-length sample for the batch, matching the threaded
-        runtime's batched-handoff semantics (a burst is one observation,
-        not n zero-gap ones).
-        """
+        """Append several one-item entries (one queue-length sample, as
+        the threaded runtime's batched handoff) and wake one consumer."""
         if not entries:
             return
         self._entries.extend(entries)
-        self._record()
+        self._length += len(entries)
+        self._recent.append(self._length)
         if self._getters:
             _wake_one(self._getters)
 
     async def put(self, entry: Any) -> None:
-        while len(self._entries) >= self.capacity:
+        while self._length >= self.capacity:
             await _park(self._putters, self._has_room)
         self.put_nowait(entry)
         if self._putters and self._has_room():
@@ -191,46 +193,54 @@ class AsyncInbox:
         """Enqueue ``entry`` to be delivered alone, never inside a chunk."""
         self.put_nowait(_Barrier(entry))
 
-    def _taken(self) -> None:
-        """Bookkeeping after a consumer took entries: sample the length,
-        and pass the wakeups on."""
-        self._record()
+    def _taken(self, n: int) -> None:
+        """Bookkeeping after a consumer took ``n`` items: sample the
+        length, and pass the wakeups on."""
+        self._length -= n
+        self._recent.append(self._length)
         if self._entries and self._getters:
             _wake_one(self._getters)
         if self._putters:
             _wake_one(self._putters)
 
     async def get(self) -> Any:
-        entries = self._entries
-        while not entries:
-            await _park(self._getters, self._has_entries)
-        entry = entries.popleft()
-        self._taken()
-        return entry.entry if type(entry) is _Barrier else entry
+        return (await self.get_many(1))[0]
 
     async def get_many(self, max_items: int) -> "list":
-        """Await the first entry, then drain up to ``max_items`` without
-        further waiting — the consumer-side half of the batched handoff
-        (one event-loop suspension per chunk instead of per item).
-        A barrier is never mixed into an item chunk: it is returned
-        alone, once the entries before it have been taken."""
+        """Await the first entry, then take entries holding up to
+        ``max_items`` items without further waiting (one suspension per
+        chunk), splitting a run that does not fit.  A barrier is never
+        mixed into an item chunk: it is returned alone, once the entries
+        before it have been taken."""
         entries = self._entries
         while not entries:
             await _park(self._getters, self._has_entries)
         if type(entries[0]) is _Barrier:
             out = [entries.popleft().entry]
-        elif max_items == 1 or len(entries) == 1:
-            out = [entries.popleft()]
-        else:
-            out = []
-            while entries and len(out) < max_items and type(entries[0]) is not _Barrier:
-                out.append(entries.popleft())
-        self._taken()
+            self._taken(1)
+            return out
+        out = []
+        room = max_items
+        while entries and room > 0 and type(entries[0]) is not _Barrier:
+            head = entries[0]
+            n = len(head.values) if type(head) is ItemRun else 1
+            if n > room:
+                head, n = head.take(room), room
+            else:
+                entries.popleft()
+            out.append(head)
+            room -= n
+        self._taken(max_items - room)
         return out
+
+    def queued_from(self, origin: str) -> int:
+        """Items of ``origin``'s runs still queued (a detached sender's)."""
+        runs = [e for e in self._entries if type(e) is ItemRun and e.origin == origin]
+        return sum(len(run.values) for run in runs)
 
     @property
     def current_length(self) -> int:
-        return len(self._entries)
+        return self._length
 
     @property
     def recent_average(self) -> float:
@@ -238,21 +248,23 @@ class AsyncInbox:
 
 
 class InChannel:
-    """Receiver-side endpoint of a wire channel: grants and replenishes credit.
+    """Receiver-side endpoint of a wire channel: grants and returns credit.
 
     Created when the coordinator declares the channel (CHANNEL frame,
     kind="in"); the socket arrives later, when the remote sender dials in
-    with ATTACH.  Credit is replenished in batches of ``window // 2`` (at
-    least 1): on a busy pipeline every credit frame costs a syscall and
-    a cross-process wakeup, so half-window batches halve that traffic
-    while the outstanding half-window keeps the sender from starving.
+    with ATTACH.  :meth:`attach` grants the initial window.  The worker
+    counts each item its stage takes (:meth:`note_consumed`) and calls
+    :meth:`grant` just before the stage task suspends.  Once ``window //
+    2`` (at least 1) items are taken since the last grant, it is *earned*:
+    one CREDIT carries them all back — at most one per wakeup, never zero,
+    never held across a suspension, not one per item of a trickle.
 
     Backchannel writes (CREDIT/EXCEPTION) are fire-and-forget so stage
     loops never await a slow upstream inline — but once the transport
     buffer crosses :data:`BACKCHANNEL_HIGH_WATERMARK` the owner must
     await :meth:`drain` before more items are consumed (the worker
-    checks :meth:`needs_drain` after each ``note_consumed``), bounding
-    what a stalled peer can pin in memory.
+    checks :meth:`needs_drain` after each written grant), bounding what
+    a stalled peer can pin in memory.
     """
 
     def __init__(self, stream: str, dst_stage: str, window: int) -> None:
@@ -269,16 +281,17 @@ class InChannel:
     def attached(self) -> bool:
         return self._writer is not None
 
-    def detach(self) -> None:
+    def detach(self, backlog: int) -> None:
         """Forget a sender that closed without EOS (live migration).
 
         The migrated stage's replacement dials in next; ``attach`` then
-        grants it a fresh window.  Any items the old sender had in
-        flight were drained before its FIN (the export fence), so the
-        re-grant does not double the effective bound for long.
+        grants it a fresh window.  The ``backlog`` items the old sender
+        shipped that are still queued here are taken before anything
+        the next one ships, and their credit left with the old
+        connection: they pay off a negative count, never a grant.
         """
         self._writer = None
-        self._consumed = 0
+        self._consumed = -backlog
 
     def _write(self, data: bytes) -> bool:
         """Write to the sender if its socket is still up (it may legally
@@ -319,28 +332,23 @@ class InChannel:
     def attach(self, writer: asyncio.StreamWriter) -> None:
         """Bind the sender's socket and grant the initial window."""
         self._writer = writer
-        self._write(
-            encode_frame(
-                FrameType.CREDIT,
-                encode_json({"stream": self.stream, "n": self.window}),
-            )
-        )
+        self._write(encode_frame(FrameType.CREDIT, encode_credit(self.window)))
 
     def note_consumed(self, n: int = 1) -> bool:
-        """The stage finished ``n`` items from this channel; maybe replenish.
-
-        Returns True when a credit frame actually went out — the only
-        time the caller needs to bother with the watermark check."""
+        """The stage took ``n`` more items; True once a grant is earned."""
         self._consumed += n
-        if self._consumed >= self.replenish_batch:
-            if self._write(
-                encode_frame(
-                    FrameType.CREDIT,
-                    encode_json({"stream": self.stream, "n": self._consumed}),
-                )
-            ):
-                self._consumed = 0
-                return True
+        return self._consumed >= self.replenish_batch
+
+    def grant(self) -> bool:
+        """Return the consumed items' credit if the grant is earned.
+
+        Returns True when a CREDIT frame actually went out — the only
+        time the caller needs to bother with the watermark check."""
+        if self._consumed >= self.replenish_batch and self._write(
+            encode_frame(FrameType.CREDIT, encode_credit(self._consumed))
+        ):
+            self._consumed = 0
+            return True
         return False
 
     def send_exception(self, body: Dict[str, Any]) -> bool:
@@ -364,6 +372,13 @@ class OutChannel:
     may be remote after a migration, the platform may lack AF_UNIX, or
     the socket file may be gone.  :attr:`transport_kind` records which
     path a live connection took (``"uds"`` or ``"tcp"``).
+
+    CREDIT and EXCEPTION frames are handled inside the transport's
+    ``data_received`` (:func:`~repro.net.protocol.open_frame_connection`);
+    a stalled sender is woken by one future.  A grant that is not a
+    positive count, or that would lift the credits on hand above the
+    window, breaks the channel: the next or stalled send raises
+    :class:`ChannelError` naming the cause.
 
     All ``net.{channel}.*`` wire metrics are counted here, on the sender
     side only, so merging every participant's registry never
@@ -393,6 +408,7 @@ class OutChannel:
         prefix = f"net.{stream}"
         self.frames = registry.counter(f"{prefix}.frames")
         self.bytes = registry.counter(f"{prefix}.bytes")
+        self.credit_frames = registry.counter(f"{prefix}.credit_frames")
         self.credit_stalls = registry.counter(f"{prefix}.credit_stalls")
         self.credit_wait = registry.counter(f"{prefix}.credit_wait_seconds")
         self.in_flight_peak = registry.gauge(f"{prefix}.in_flight_peak")
@@ -403,11 +419,11 @@ class OutChannel:
         #: against an older epoch are never returned into the new pool.
         self._grant_epoch = 0
         self._peak = 0
-        self._broken = False
-        self._cond = asyncio.Condition()
-        self._reader: Optional[asyncio.StreamReader] = None
+        #: Why it broke (None: up), the credit wait, the connection's end.
+        self._broken: Optional[str] = None
+        self._waiter: Optional[asyncio.Future] = None
+        self._closed: Optional[asyncio.Future] = None
         self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional[asyncio.Task] = None
         #: Items shipped so far (the receiver compares against its own
         #: receive count during a migration's drain barrier).
         self.items_sent = 0
@@ -432,21 +448,10 @@ class OutChannel:
 
     async def _dial(self) -> None:
         """Open the data connection: UDS fast path, then TCP fallback."""
-        if self.uds_path:
-            try:
-                self._reader, self._writer = await asyncio.open_unix_connection(
-                    self.uds_path
-                )
-                self.transport_kind = "uds"
-                cap_read_buffer(self._writer)
-                return
-            except (OSError, NotImplementedError, AttributeError):
-                pass  # remote peer, missing socket file, or no AF_UNIX
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+        self._closed = asyncio.get_running_loop().create_future()
+        self._writer, self.transport_kind = await open_frame_connection(
+            self._on_frames, self._on_close, self.host, self.port, self.uds_path
         )
-        self.transport_kind = "tcp"
-        cap_read_buffer(self._writer)
 
     async def connect(self, timeout: float = 10.0) -> None:
         """Dial the receiving worker, attach, and await the initial grant."""
@@ -457,43 +462,51 @@ class OutChannel:
             FrameType.ATTACH,
             encode_json({"stream": self.stream, "dst": self.dst_stage}),
         )
-        self._reader_task = asyncio.create_task(self._read_loop())
+        await asyncio.wait_for(self._wait_until(lambda: self._window > 0), timeout)
+        if self._broken is not None:
+            raise ChannelError(f"channel {self.stream!r}: {self._broken}")
 
-        async def _await_window() -> None:
-            async with self._cond:
-                while self._window == 0 and not self._broken:
-                    await self._cond.wait()
+    def _on_frames(self, frames: "list") -> None:
+        """The backchannel's frames, from the transport callback."""
+        for frame in frames:
+            if frame.type is FrameType.CREDIT:
+                n = decode_credit(frame.payload)
+                window = self._window or n
+                if n < 1 or self._credits + n > window:
+                    raise ProtocolError(f"CREDIT grant of {n} with {self._credits} "
+                                        f"of a {self._window}-item window on hand")
+                self.credit_frames.inc()
+                self._window = window
+                self._credits += n
+                self._wake()
+            elif frame.type is FrameType.EXCEPTION:
+                self.exceptions.inc()
+                if self._on_exception is not None:
+                    self._on_exception(frame.json())
 
-        await asyncio.wait_for(_await_window(), timeout)
-        if self._broken:
-            raise ChannelError(
-                f"channel {self.stream!r}: receiver closed before granting credit"
-            )
+    def _on_close(self, error: Optional[BaseException]) -> None:
+        """The connection ended: after a bad grant, with no credit left."""
+        if isinstance(error, ProtocolError):
+            self._broken = f"receiver broke the protocol: {error}"
+            self._credits = 0
+        elif self._window == 0:
+            self._broken = "receiver closed before granting credit"
+        else:
+            self._broken = "receiver went away mid-stream"
+        self._wake()
+        if self._closed is not None and not self._closed.done():
+            self._closed.set_result(None)
 
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
-        try:
-            while True:
-                frame = await read_frame(self._reader)
-                if frame is None:
-                    break
-                if frame.type is FrameType.CREDIT:
-                    n = int(frame.json()["n"])
-                    async with self._cond:
-                        if self._window == 0:
-                            self._window = n  # the initial grant sizes the window
-                        self._credits += n
-                        self._cond.notify_all()
-                elif frame.type is FrameType.EXCEPTION:
-                    self.exceptions.inc()
-                    if self._on_exception is not None:
-                        self._on_exception(frame.json())
-        except (ProtocolError, ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            async with self._cond:
-                self._broken = True
-                self._cond.notify_all()
+    async def _wait_until(self, ready: Callable[[], bool]) -> None:
+        """Park until ``ready()`` or the channel breaks."""
+        while not ready() and self._broken is None:
+            self._waiter = asyncio.get_running_loop().create_future()
+            await self._waiter
+
+    def _wake(self) -> None:
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
 
     async def _acquire_credit(self, n: int = 1) -> int:
         """Take ``n`` credits (one per item), waiting for replenishment.
@@ -505,19 +518,15 @@ class OutChannel:
         credits were taken from, so an unused acquisition can be returned
         to the right pool (see :meth:`_release_credit`).
         """
-        async with self._cond:
-            if self._credits < n:
-                self.credit_stalls.inc()
-                stalled_at = self._clock()
-                while self._credits < n and not self._broken:
-                    await self._cond.wait()
-                self.credit_wait.inc(max(0.0, self._clock() - stalled_at))
-            if self._broken and self._credits < n:
-                raise ChannelError(
-                    f"channel {self.stream!r}: receiver went away mid-stream"
-                )
-            self._charge(n)
-            return self._grant_epoch
+        if self._credits < n:
+            self.credit_stalls.inc()
+            stalled_at = self._clock()
+            await self._wait_until(lambda: self._credits >= n)
+            self.credit_wait.inc(max(0.0, self._clock() - stalled_at))
+        if self._broken is not None and self._credits < n:
+            raise ChannelError(f"channel {self.stream!r}: {self._broken}")
+        self._charge(n)
+        return self._grant_epoch
 
     def _charge(self, n: int) -> None:
         """Spend ``n`` held credits and track the in-flight peak."""
@@ -527,44 +536,46 @@ class OutChannel:
             self._peak = in_flight
             self.in_flight_peak.set(float(in_flight))
 
-    async def _release_credit(self, n: int, epoch: int) -> None:
+    def _release_credit(self, n: int, epoch: int) -> None:
         """Return credits a send acquired but did not spend (pause race).
 
         Dropped silently when the grant epoch has moved on: a redial
         reset the pool, and credits taken from the old receiver's window
         must not inflate the new receiver's grant.
         """
-        async with self._cond:
-            if epoch == self._grant_epoch:
-                self._credits += n
-                self._cond.notify_all()
+        if epoch == self._grant_epoch:
+            self._credits += n
 
-    def _ship_now(self, frame: Union[bytes, bytearray], items: int) -> bool:
-        """Write ``frame`` without awaiting when nothing could hold it up.
-
-        That is when the channel is connected, not paused and not
-        broken, holds ``items`` credits, no send holds ``_send_gate``,
-        and the transport has nothing queued (so a drain would return at
-        once).  Returns False having changed nothing otherwise; the
-        caller then awaits :meth:`_ship`, which behaves exactly as if
-        this had not been tried.  Each channel has one sending task, so
-        no parked sender can be overtaken.
-        """
+    def can_ship(self, items: int) -> bool:
+        """Whether ``items`` items would be written without awaiting:
+        connected, not paused or broken, the credits on hand, no send
+        holding ``_send_gate``, and nothing queued on the transport."""
         writer = self._writer
         if (
             writer is None
-            or self._broken
+            or self._broken is not None
             or self._credits < items
             or not self._resume.is_set()
             or self._send_gate.locked()
         ):
             return False
         transport = writer.transport
-        if transport.is_closing() or transport.get_write_buffer_size():
+        return not (transport.is_closing() or transport.get_write_buffer_size())
+
+    def _ship_now(self, frame: Union[bytes, bytearray], items: int) -> bool:
+        """Write ``frame`` without awaiting when :meth:`can_ship` says so.
+
+        Returns False having changed nothing otherwise; the caller then
+        awaits :meth:`_ship`, which behaves exactly as if this had not
+        been tried.  Each channel has one sending task, so no parked
+        sender can be overtaken.
+        """
+        if not self.can_ship(items):
             return False
         if items:
             self._charge(items)
-        writer.write(frame)
+        assert self._writer is not None
+        self._writer.write(frame)
         self.frames.inc()
         self.bytes.inc(len(frame))
         self.items_sent += items
@@ -595,11 +606,11 @@ class OutChannel:
             async with self._send_gate:
                 if not self._resume.is_set():
                     if items:
-                        await self._release_credit(items, epoch)
+                        self._release_credit(items, epoch)
                     continue
                 if self._writer is None:
                     if items:
-                        await self._release_credit(items, epoch)
+                        self._release_credit(items, epoch)
                     raise ChannelError(f"channel {self.stream!r} is not connected")
                 self._writer.write(frame)
                 await self._writer.drain()
@@ -622,27 +633,32 @@ class OutChannel:
         if not self._ship_now(frame, 1):
             await self._ship(frame, 1)
 
-    async def send_batch(self, items: "list[tuple[Any, float]]") -> None:
-        """Ship several ``(payload, declared size)`` items batched.
+    async def send_batch(self, items: "Sequence[tuple]") -> None:
+        """:meth:`send_columns` for tuples starting ``(payload, size)``."""
+        if items:
+            columns = tuple(zip(*items))
+            await self.send_columns(columns[0], columns[1])
 
-        Chunks the batch to at most ``window`` items per DATA frame —
-        acquiring more credits than the window holds would deadlock, and
-        the receiver sized its buffering to the window.  Each chunk is
-        encoded straight into one frame buffer and costs one write and
-        one drain instead of one per item.
+    async def send_columns(self, values: Sequence[Any], sizes: Sequence[float]) -> None:
+        """Ship the items ``values`` (declared ``sizes``) batched.
+
+        Chunks the batch to at most ``window - window // 2 + 1`` items
+        per DATA frame: a receiver may idle on up to ``window // 2 - 1``
+        items of unearned credit, so a larger frame could wait forever.
+        Each chunk is encoded straight into one frame buffer: one write
+        and one drain instead of one per item.
         """
-        if not items:
-            return
         start = 0
-        while start < len(items):
-            limit = self._window if self._window > 0 else 1
-            chunk = items[start:start + limit]
+        while start < len(values):
+            window = self._window
+            limit = window - max(1, window // 2) + 1 if window > 0 else 1
+            chunk, chunk_sizes = values[start:start + limit], sizes[start:start + limit]
             start += len(chunk)
             buf = new_frame_buffer()
             if len(chunk) == 1:
-                encode_payload_into(buf, chunk[0][0], chunk[0][1])
+                encode_payload_into(buf, chunk[0], chunk_sizes[0])
             else:
-                encode_payload_batch_into(buf, chunk)
+                encode_payload_columns_into(buf, chunk, chunk_sizes)
             frame = finish_frame(buf, FrameType.DATA)
             if not self._ship_now(frame, len(chunk)):
                 await self._ship(frame, len(chunk))
@@ -692,7 +708,7 @@ class OutChannel:
         self.host = host
         self.port = port
         self.uds_path = uds_path
-        self._broken = False
+        self._broken = None
         self._window = 0
         self._credits = 0
         self._grant_epoch += 1
@@ -706,31 +722,26 @@ class OutChannel:
         destroys in-flight DATA/EOS still queued on the receiver's side.
         So: half-close our direction, keep consuming CREDIT/EXCEPTION
         frames until the receiver has read everything and closed its
-        side (the read loop exits on its FIN), and only then release the
+        side (the connection reports its FIN), and only then release the
         socket.  ``linger`` bounds the wait when the peer is gone.
         """
-        if self._writer is not None and self._reader_task is not None:
+        writer, closed = self._writer, self._closed
+        if writer is None:
+            return
+        if closed is not None and not closed.done():
             try:
-                await self._writer.drain()
-                if self._writer.can_write_eof():
-                    self._writer.write_eof()
+                await writer.drain()
+                if writer.can_write_eof():
+                    writer.write_eof()
             except (ConnectionError, OSError):
                 pass
             try:
-                await asyncio.wait_for(asyncio.shield(self._reader_task), linger)
+                await asyncio.wait_for(asyncio.shield(closed), linger)
             except (asyncio.TimeoutError, asyncio.CancelledError):
                 pass
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
-            self._reader_task = None
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._writer = None
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+        self._writer = None

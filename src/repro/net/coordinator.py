@@ -45,8 +45,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.adaptation.policy import AdaptationPolicy
-from repro.core.batching import BatchBuffer, BatchPolicy
-from repro.core.items import EndOfStream
+from repro.core.batching import BatchPolicy
+from repro.core.items import EndOfStream, ItemRun
 from repro.core.kernel import WAIT, SourceBinding, check_binding, source_loop
 from repro.core.results import RunResult, StageStats
 from repro.core.options import StageOptions, stage_options
@@ -919,8 +919,9 @@ class NetworkedRuntime:
         self, binding: SourceBinding, by_name: Dict[str, _WorkerHandle]
     ) -> None:
         """Interpret the kernel's :func:`source_loop` over one
-        credit-bounded channel per target slot, each with a
-        :class:`BatchBuffer` under a batch policy.  A source that raises
+        credit-bounded channel per target slot; under a batch policy the
+        loop hands over each slot's arrivals as one ``ItemRun`` per DATA
+        frame.  A source that raises
         fails the run with its channels still open, so no worker reports
         the cut stream first; :meth:`_run_async` closes them once the
         workers are torn down."""
@@ -941,32 +942,27 @@ class NetworkedRuntime:
             # Visible to _migrate_stage, which pauses/re-dials the
             # feeder's channels when their target stage moves.
             self._feed_channels[stream_name] = channel
-        buffers: Optional[List[BatchBuffer]] = None
+        batch = None
         if self.batch is not None and self.batch.enabled:
             # The feeder runs on the wall clock, so pre-scale the age
             # bound the same way the workers do.
-            policy = BatchPolicy(self.batch.max_items, self.batch.max_delay * self.time_scale)
-            buffers = [BatchBuffer(policy) for _ in channels]
+            batch = BatchPolicy(self.batch.max_items, self.batch.max_delay * self.time_scale)
         try:
             for effect in source_loop(
-                binding, self._groups, time.monotonic, self.metrics, time_scale=self.time_scale
+                binding, self._groups, time.monotonic, self.metrics,
+                time_scale=self.time_scale, batch=batch,
             ):
                 if effect[0] is WAIT:
                     await asyncio.sleep(effect[1])
                     continue
                 _, slot, message = effect
                 channel = channels[slot]
-                if type(message) is EndOfStream:
-                    if buffers is not None:
-                        await channel.send_batch(buffers[slot].drain())
+                if type(message) is ItemRun:
+                    await channel.send_columns(message.values, message.sizes)
+                elif type(message) is EndOfStream:
                     await channel.send_eos()
-                elif buffers is None:
-                    await channel.send(message.payload, message.size)
                 else:
-                    now = message.created_at
-                    buffer = buffers[slot]
-                    if buffer.add((message.payload, message.size), now) or buffer.due(now):
-                        await channel.send_batch(buffer.drain())
+                    await channel.send(message.payload, message.size)
         except Exception as exc:
             raise NetworkedRuntimeError(f"source {binding.name!r} failed: {exc!r}") from exc
         for channel in channels:

@@ -21,7 +21,7 @@ codec body.  Count-samps summary dicts ride the compact
 everything else falls back to JSON.
 
 The incremental :class:`FrameDecoder` is the single parsing path — the
-asyncio readers, the worker's data connections (:class:`FrameStreamProtocol`
+asyncio readers, both ends of every data connection (:class:`FrameStreamProtocol`
 feeds it from the transport callback) and the protocol fuzz tests all
 feed it byte chunks of arbitrary alignment.  The payload is materialized
 exactly once per frame, and a partial frame's bytes are buffered in a
@@ -44,7 +44,7 @@ import json
 import struct
 import zlib
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.streams import wire as summary_wire
 
@@ -57,18 +57,23 @@ __all__ = [
     "FrameType",
     "ProtocolError",
     "cap_read_buffer",
+    "decode_credit",
     "decode_json",
     "decode_payload",
     "decode_payload_batch",
+    "decode_payload_columns",
+    "encode_credit",
     "encode_frame",
     "encode_json",
     "encode_payload",
     "encode_payload_batch",
     "encode_payload_batch_into",
+    "encode_payload_columns_into",
     "encode_payload_into",
     "finish_frame",
     "is_batch_payload",
     "new_frame_buffer",
+    "open_frame_connection",
     "read_frame",
     "send_frame",
 ]
@@ -323,6 +328,23 @@ def decode_json(payload: bytes) -> Dict[str, Any]:
     return obj
 
 
+#: CREDIT body: the item count granted, int32 little-endian (signed, so a
+#: negative grant reads as one); the stream is the connection's.
+_CREDIT_STRUCT = struct.Struct("<i")
+
+
+def encode_credit(n: int) -> bytes:
+    """The body of a CREDIT frame granting ``n`` more items."""
+    return _CREDIT_STRUCT.pack(n)
+
+
+def decode_credit(payload: _Buffer) -> int:
+    """The count a CREDIT body grants; the sender validates its range."""
+    if len(payload) != _CREDIT_STRUCT.size:
+        raise ProtocolError(f"CREDIT body of {len(payload)} bytes, expected 4")
+    return _CREDIT_STRUCT.unpack(payload)[0]
+
+
 # ---------------------------------------------------------------------------
 # DATA payloads: codec tag + declared size + body
 # ---------------------------------------------------------------------------
@@ -478,7 +500,7 @@ def is_batch_payload(data: _Buffer) -> bool:
 
 
 def _try_encode_summary_batch_into(
-    out: bytearray, items: "List[Tuple[Any, float]]"
+    out: bytearray, values: Sequence[Any], sizes: Sequence[float]
 ) -> bool:
     """Append the summary-batch body when *every* item is a summary dict.
 
@@ -487,9 +509,9 @@ def _try_encode_summary_batch_into(
     """
     base = len(out)
     out += bytes((_PAYLOAD_SUMMARY_BATCH,))
-    out += _COUNT_STRUCT.pack(len(items))
+    out += _COUNT_STRUCT.pack(len(values))
     records = []
-    for obj, size in items:
+    for obj, size in zip(values, sizes):
         if not isinstance(obj, dict) or set(obj.keys()) != _SUMMARY_KEYS:
             del out[base:]
             return False
@@ -520,58 +542,65 @@ def _try_encode_summary_batch_into(
 
 
 def _try_encode_int_batch_into(
-    out: bytearray, items: "List[Tuple[Any, float]]"
+    out: bytearray, values: Sequence[Any], sizes: Sequence[float]
 ) -> bool:
     """Append the int-batch body when *every* item is a plain int64.
 
-    Two vectorized packs (all sizes, then all values) replace ``len(items)``
+    Two vectorized packs (all sizes, then all values) replace ``len(values)``
     per-item tag/size/value packs — the dominant encode cost for the
     plain-int workloads the ingress stages ship.  ``type(obj) is int``
     deliberately excludes bools and int subclasses so their encodings stay
     byte-identical to the single-item codec's.
     """
-    for obj, _ in items:
+    for obj in values:
         if type(obj) is not int:
             return False
     base = len(out)
-    n = len(items)
+    n = len(values)
     out += bytes((_PAYLOAD_INT_BATCH,))
     out += _COUNT_STRUCT.pack(n)
     try:
-        out += _sizes_struct(n).pack(*(float(size) for _, size in items))
-        out += _ints_struct(n).pack(*(obj for obj, _ in items))
+        out += _sizes_struct(n).pack(*sizes)
+        out += _ints_struct(n).pack(*values)
     except (struct.error, TypeError, ValueError, OverflowError):
         del out[base:]  # a value outside int64 or a bad size; generic path
         return False
     return True
 
 
-def encode_payload_batch_into(
-    out: bytearray, items: "List[Tuple[Any, float]]"
+def encode_payload_columns_into(
+    out: bytearray, values: Sequence[Any], sizes: Sequence[float]
 ) -> None:
-    """Append several items' batched DATA encoding to ``out``.
+    """Append the batched DATA encoding of ``values`` (declared ``sizes``).
 
     The whole batch — tag, counts, per-item encodings — is built in the
     caller's buffer with length holes patched by ``struct.pack_into``;
-    nothing round-trips through intermediate ``bytes`` objects.  Callers
-    typically pass a :func:`new_frame_buffer` and ship the result of
-    :func:`finish_frame` directly.
+    nothing round-trips through intermediate objects.  Callers typically
+    pass a :func:`new_frame_buffer` and ship :func:`finish_frame`'s result.
     """
-    if not items:
+    if not values:
         raise ProtocolError("cannot encode an empty payload batch")
-    if len(items) > 0xFFFFFFFF:
-        raise ProtocolError(f"too many items for uint32 count: {len(items)}")
-    if _try_encode_int_batch_into(out, items):
+    if len(values) > 0xFFFFFFFF:
+        raise ProtocolError(f"too many items for uint32 count: {len(values)}")
+    if _try_encode_int_batch_into(out, values, sizes):
         return
-    if _try_encode_summary_batch_into(out, items):
+    if _try_encode_summary_batch_into(out, values, sizes):
         return
     out += bytes((_PAYLOAD_BATCH,))
-    out += _COUNT_STRUCT.pack(len(items))
-    for obj, size in items:
+    out += _COUNT_STRUCT.pack(len(values))
+    for obj, size in zip(values, sizes):
         hole = len(out)
         out += _COUNT_HOLE
         encode_payload_into(out, obj, size)
         _COUNT_STRUCT.pack_into(out, hole, len(out) - hole - _COUNT_STRUCT.size)
+
+
+def encode_payload_batch_into(out: bytearray, items: "Sequence[Tuple[Any, ...]]") -> None:
+    """:func:`encode_payload_columns_into` for tuples ``(object, size, ...)``."""
+    if not items:
+        raise ProtocolError("cannot encode an empty payload batch")
+    columns = tuple(zip(*items))
+    encode_payload_columns_into(out, columns[0], columns[1])
 
 
 def encode_payload_batch(items: "List[Tuple[Any, float]]") -> bytes:
@@ -592,11 +621,18 @@ def encode_payload_batch(items: "List[Tuple[Any, float]]") -> bytes:
 
 
 def decode_payload_batch(data: _Buffer) -> "List[Tuple[Any, float]]":
-    """Inverse of :func:`encode_payload_batch`.
+    """Inverse of :func:`encode_payload_batch`: ``(object, size)`` pairs."""
+    if len(data) and data[0] not in _BATCH_TAGS:
+        raise ProtocolError(f"unknown batch payload codec tag {data[0]}")
+    return list(zip(*decode_payload_columns(data)))
 
-    Parses in place over one ``memoryview`` — per-item bodies and the
-    summary blob are handed to the inner codecs as zero-copy slices.
-    """
+
+def decode_payload_columns(data: _Buffer) -> Tuple[Sequence[Any], Sequence[float]]:
+    """Any DATA payload as ``(objects, declared sizes)``, parsed in place:
+    an int batch is the two tuples its layout unpacks to."""
+    if not is_batch_payload(data):
+        obj, size = decode_payload(data)
+        return (obj,), (size,)
     if len(data) < 1 + _COUNT_STRUCT.size:
         raise ProtocolError(f"batch payload too short: {len(data)} bytes")
     kind = data[0]
@@ -632,9 +668,9 @@ def decode_payload_batch(data: _Buffer) -> "List[Tuple[Any, float]]":
                 f"carries {len(records)}"
             )
         return [
-            ({"source": source, "pairs": pairs, "items_seen": items_seen}, size)
-            for (source, size), (pairs, items_seen) in zip(metadata, records)
-        ]
+            {"source": source, "pairs": pairs, "items_seen": items_seen}
+            for (source, _), (pairs, items_seen) in zip(metadata, records)
+        ], [size for _, size in metadata]
     if kind == _PAYLOAD_INT_BATCH:
         expected = count * (_SIZE_STRUCT.size + _INT_STRUCT.size)
         if size_total - offset != expected:
@@ -646,9 +682,10 @@ def decode_payload_batch(data: _Buffer) -> "List[Tuple[Any, float]]":
         values = _ints_struct(count).unpack_from(
             data, offset + count * _SIZE_STRUCT.size
         )
-        return list(zip(values, sizes))
+        return values, sizes
     if kind == _PAYLOAD_BATCH:
-        items: List[Tuple[Any, float]] = []
+        objects: List[Any] = []
+        declared: List[float] = []
         for index in range(count):
             if size_total - offset < _COUNT_STRUCT.size:
                 raise ProtocolError(f"batch truncated at item {index} length")
@@ -659,14 +696,16 @@ def decode_payload_batch(data: _Buffer) -> "List[Tuple[Any, float]]":
                     f"batch truncated in item {index}: declared {item_len} "
                     f"bytes, {size_total - offset} left"
                 )
-            items.append(decode_payload(view[offset:offset + item_len]))
+            obj, size = decode_payload(view[offset:offset + item_len])
+            objects.append(obj)
+            declared.append(size)
             offset += item_len
         if offset != size_total:
             raise ProtocolError(
                 f"trailing bytes: {size_total - offset} past the declared "
                 f"item count {count}"
             )
-        return items
+        return objects, declared
     raise ProtocolError(f"unknown batch payload codec tag {kind}")
 
 
@@ -746,7 +785,8 @@ class FrameStreamProtocol(asyncio.StreamReaderProtocol):
 
     Divert only where the peer cannot yet have sent bytes past the
     handshake (a data channel's sender waits for its first credit
-    grant): whatever the ``StreamReader`` already buffered stays there.
+    grant, and its own end is diverted before it sends ATTACH):
+    whatever the ``StreamReader`` already buffered stays there.
     """
 
     _decoder: Optional[FrameDecoder] = None
@@ -794,6 +834,31 @@ class FrameStreamProtocol(asyncio.StreamReaderProtocol):
         if self._decoder is not None:
             self._end(exc)
         super().connection_lost(exc)
+
+
+async def open_frame_connection(
+    on_frames: Callable[[List[Frame]], None],
+    on_close: Callable[[Optional[BaseException]], None],
+    host: str, port: int, path: Optional[str] = None,
+) -> Tuple[asyncio.StreamWriter, str]:
+    """Dial the UNIX socket ``path`` if reachable, else ``host:port``, diverted
+    from the first byte; returns the writer and ``"uds"`` or ``"tcp"``."""
+    loop = asyncio.get_running_loop()
+    reader = asyncio.StreamReader(loop=loop)
+    protocol = FrameStreamProtocol(reader, loop=loop)
+    kind = "uds"
+    try:
+        if path is None:
+            raise OSError("no UNIX socket advertised")
+        transport, _ = await loop.create_unix_connection(lambda: protocol, path)
+    except (OSError, NotImplementedError, AttributeError):
+        # Remote peer, missing socket file, or no AF_UNIX: TCP.
+        transport, _ = await loop.create_connection(lambda: protocol, host, port)
+        kind = "tcp"
+    protocol.divert(on_frames, on_close)
+    writer = asyncio.StreamWriter(transport, protocol, reader, loop)
+    cap_read_buffer(writer)
+    return writer, kind
 
 
 async def send_frame(

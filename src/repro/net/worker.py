@@ -43,7 +43,7 @@ from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.adaptation.protocol import LoadException, LoadExceptionKind
 from repro.core.api import StreamProcessor
 from repro.core.batching import BatchPolicy
-from repro.core.items import EndOfStream, Item
+from repro.core.items import EndOfStream, Item, ItemRun
 from repro.core.kernel import (
     FLUSH,
     SEND,
@@ -69,10 +69,8 @@ from repro.net.protocol import (
     FrameType,
     ProtocolError,
     cap_read_buffer,
-    decode_payload,
-    decode_payload_batch,
+    decode_payload_columns,
     encode_json,
-    is_batch_payload,
     read_frame,
     send_frame,
 )
@@ -124,16 +122,15 @@ class _LocalRoute:
         self.dst_options = dst_options
         self._worker = worker
 
+    def ready(self, items: int) -> bool:
+        return self.dst.inbox.current_length < self.dst.inbox.capacity
+
     async def send(self, payload: Any, size: float, origin: str) -> None:
-        item = Item(
-            payload=payload, size=size, origin=origin,
-            created_at=self._worker.elapsed(),
-        )
-        await self.dst.inbox.put((None, item))
+        await self.dst.inbox.put(Item(payload, size, origin, self._worker.elapsed()))
         self.dst.rate_estimator.observe(self._worker.elapsed())
 
     async def send_eos(self, origin: str) -> None:
-        await self.dst.inbox.force_put((None, EndOfStream(origin=origin)))
+        await self.dst.inbox.force_put(EndOfStream(origin=origin))
 
     async def close(self) -> None:  # symmetry with OutChannel
         return None
@@ -148,6 +145,9 @@ class _WireRoute:
         self.dst_name = channel.dst_stage
         #: The destination's options, from the CHANNEL frame.
         self.dst_options = dst_options
+
+    def ready(self, items: int) -> bool:
+        return self.channel.can_ship(items)
 
     async def send(self, payload: Any, size: float, origin: str) -> None:
         await self.channel.send(payload, size)
@@ -193,26 +193,10 @@ class _MigrateFence:
     """
 
 
-def _return_credit(drained: Any) -> Sequence[InChannel]:
-    """Hand credit for a consumed chunk of ``(channel, message)`` pairs
-    back upstream: one ``note_consumed`` per wire channel in the chunk.
-
-    Returns the channels whose credit backchannel piled up past the high
-    watermark (a slow or stalled sender); the caller drains them before
-    consuming more, so the backchannel stays bounded."""
-    if len(drained) == 1:
-        channel = drained[0][0]
-        if channel is not None and channel.note_consumed(1) and channel.needs_drain():
-            return (channel,)
-        return ()
-    counts: Dict[InChannel, int] = {}
-    for channel, _ in drained:
-        if channel is not None:
-            counts[channel] = counts.get(channel, 0) + 1
-    return [
-        channel for channel, n in counts.items()
-        if channel.note_consumed(n) and channel.needs_drain()
-    ]
+def _return_credit(channels: Sequence[InChannel]) -> List[InChannel]:
+    """Write each channel's earned grant; return those whose backchannel
+    piled up past the high watermark, to drain before consuming more."""
+    return [channel for channel in channels if channel.grant() and channel.needs_drain()]
 
 
 class Worker:
@@ -546,16 +530,27 @@ class Worker:
         """Interpret the kernel's :func:`stage_loop` as an asyncio task.
 
         A stage under a batch policy drains its inbox in chunks (one
-        event-loop suspension per chunk); credit for a chunk's items goes
-        back upstream when the loop asks for the next one.  Modeled CPU
-        cost accumulates as a sleep debt, slept only past
-        ``_SLEEP_DEBT_THRESHOLD``.
+        event-loop suspension per chunk).  Items taken from a wire
+        channel count toward its next grant, written just before the
+        task next suspends: an empty inbox, a send that cannot go out at
+        once, a sleep, or the end.  Modeled CPU cost accumulates as a
+        sleep debt, slept only past ``_SLEEP_DEBT_THRESHOLD``.
         """
         step = stage_loop(stage, self._route_groups).send
         limit = stage.batch.max_items if stage.batch is not None else 1
+        inbox = stage.inbox
+        in_channels = self._in_channels
         sleep_debt = 0.0
-        drained: Any = ()
         reply: Any = None
+        owed = False  # a grant is earned and not yet written
+
+        async def suspending() -> None:
+            nonlocal owed
+            if owed:
+                owed = False
+                for channel in _return_credit(stage.upstream_wire):
+                    await channel.drain()
+
         try:
             while True:
                 try:
@@ -565,6 +560,7 @@ class Worker:
                     # tear down out-routes with the plain FIN/drain close
                     # (no EOS — the stream continues on the new worker),
                     # and exit so the export handler can snapshot.
+                    await suspending()
                     for route in stage.out_routes:
                         await route.close()
                     stage.migrated_away = True
@@ -574,43 +570,47 @@ class Worker:
                 reply = None
                 kind = effect[0]
                 if kind is TAKE:
-                    if drained:
-                        for channel in _return_credit(drained):
-                            await channel.drain()
-                    if effect[1] is None or (
-                        effect[1] > 0 and stage.inbox.current_length
-                    ):
+                    if effect[1] is None or (effect[1] > 0 and inbox.current_length):
                         # Unbounded, or a chunk is already queued: no
                         # timer task needed to take it.
-                        drained = await stage.inbox.get_many(limit)
+                        if owed and not inbox.current_length:
+                            await suspending()
+                        reply = await inbox.get_many(limit)
                     else:
+                        await suspending()
                         try:
-                            drained = await asyncio.wait_for(
-                                stage.inbox.get_many(limit), effect[1]
-                            )
+                            reply = await asyncio.wait_for(inbox.get_many(limit), effect[1])
                         except asyncio.TimeoutError:
-                            drained = reply = ()
+                            reply = ()
                             continue
-                    if isinstance(drained[0][1], _MigrateFence):
+                    if isinstance(reply[0], _MigrateFence):
                         # Drain boundary: the upstreams are paused, so
                         # nothing follows; reply None to flush and stop.
-                        drained = ()
+                        reply = None
                         continue
-                    reply = [message for _, message in drained]
+                    for message in reply:
+                        if type(message) is ItemRun:
+                            owed |= in_channels[message.origin].note_consumed(len(message.values))
                 elif kind is WORK:
                     reply = effect[1].cost(effect[2], effect[3]) * self.time_scale
                     if reply > 0:
                         sleep_debt += reply
                         if sleep_debt >= _SLEEP_DEBT_THRESHOLD:
+                            await suspending()
                             await asyncio.sleep(sleep_debt)
                             sleep_debt = 0.0
                 elif kind is SEND:
-                    await stage.out_routes[effect[1]].send(effect[2], effect[3], stage.name)
+                    route = stage.out_routes[effect[1]]
+                    if owed and not route.ready(1):
+                        await suspending()
+                    await route.send(effect[2], effect[3], stage.name)
                 elif kind is FLUSH:
-                    await stage.out_routes[effect[1]].channel.send_batch(
-                        [entry[:2] for entry in effect[2]]
-                    )
+                    route = stage.out_routes[effect[1]]
+                    if owed and not route.ready(len(effect[2])):
+                        await suspending()
+                    await route.channel.send_batch(effect[2])
                 else:  # EOS
+                    await suspending()
                     for route in stage.out_routes:
                         await route.send_eos(stage.name)
                     return
@@ -801,7 +801,7 @@ class Worker:
             # A barrier, not an ordinary entry: it never rides inside an
             # item chunk, so the stage sees it alone, after every item
             # already queued (the upstreams are paused).
-            await stage.inbox.put_barrier((None, _MigrateFence()))
+            await stage.inbox.put_barrier(_MigrateFence())
             waits = [
                 asyncio.create_task(stage.done.wait()),
                 asyncio.create_task(stage.fence_passed.wait()),
@@ -876,9 +876,10 @@ class Worker:
 
         From ATTACH on, the connection's bytes bypass the StreamReader:
         the protocol parses them inside ``data_received`` and the frame
-        callback below queues each DATA frame's items in the stage inbox
-        right there, so they are in the inbox before the event loop runs
-        anything else.  The switch happens before ``attach`` grants the
+        callback below queues each DATA frame in the stage inbox right
+        there, as one :class:`~repro.core.items.ItemRun` entry, so its
+        items are in the inbox before the event loop runs anything else.
+        The switch happens before ``attach`` grants the
         first credit, and a sender ships nothing before that grant.
         This coroutine only waits for the connection to end.
         """
@@ -902,27 +903,14 @@ class Worker:
             nonlocal saw_eos
             for frame in frames:
                 if frame.type is FrameType.DATA:
-                    payload = frame.payload
+                    values, sizes = decode_payload_columns(frame.payload)
                     now = elapsed()
-                    if is_batch_payload(payload):
-                        decoded = decode_payload_batch(payload)
-                        inbox.put_many_nowait([
-                            (channel, Item(payload=obj, size=size, origin=stream,
-                                           created_at=now))
-                            for obj, size in decoded
-                        ])
-                        count = len(decoded)
-                    else:
-                        obj, size = decode_payload(payload)
-                        inbox.put_nowait((channel, Item(
-                            payload=obj, size=size, origin=stream, created_at=now,
-                        )))
-                        count = 1
-                    observe(now, float(count))
-                    recv_counts[stream] += count
+                    inbox.put_nowait(ItemRun(values, sizes, now, stream))
+                    observe(now, float(len(values)))
+                    recv_counts[stream] += len(values)
                 elif frame.type is FrameType.EOS:
                     saw_eos = True
-                    inbox.put_nowait((None, EndOfStream(origin=stream)))
+                    inbox.put_nowait(EndOfStream(origin=stream))
                 else:
                     raise ProtocolError(
                         f"unexpected {frame.type.name} frame on data channel "
@@ -947,7 +935,7 @@ class Worker:
                 # stage closed its own outputs).  Detach so a later
                 # re-attach — e.g. migrating back — gets a fresh window.
                 self._migrating_streams.discard(stream)
-                channel.detach()
+                channel.detach(inbox.queued_from(stream))
                 return
             # The sender vanished mid-stream.  Waiting for an EOS that
             # can never arrive would hang the whole run.

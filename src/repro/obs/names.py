@@ -267,6 +267,10 @@ METRICS: Tuple[MetricSpec, ...] = (
                "network volume the evaluation measures (Fig 5 bytes column)",
                "Encoded frame bytes (header + payload) put on the wire "
                "by the channel's sender."),
+    MetricSpec("net.{channel}.credit_frames", "counter", "frames", ("net",),
+               "backpressure in the Fig 4 queue model, made explicit",
+               "CREDIT frames the channel's sender received, the initial "
+               "grant included (at most one per receiver wakeup)."),
     MetricSpec("net.{channel}.credit_stalls", "counter", "stalls", ("net",),
                "backpressure in the Fig 4 queue model, made explicit",
                "Sends that blocked because the credit window was exhausted."),

@@ -17,7 +17,7 @@ from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.adaptation.protocol import LoadException, LoadExceptionKind
 from repro.core.api import ProcessorError, StreamProcessor
 from repro.core.batching import BatchPolicy
-from repro.core.items import EndOfStream, Item
+from repro.core.items import EndOfStream, Item, ItemRun
 from repro.core.kernel import (
     EOS,
     FLUSH,
@@ -498,6 +498,34 @@ class TestStageLoop:
         assert hop.process_t == 0.25
 
 
+    @pytest.mark.parametrize("batch", [None, BatchPolicy(2, 1.0)])
+    @pytest.mark.parametrize("price_free_work", [False, True])
+    def test_a_run_is_taken_exactly_as_its_items(self, batch, price_free_work):
+        """An ``ItemRun`` chunk yields the same effects, counters and
+        latency samples as the same payloads sent as ``Item`` messages;
+        a poison value in it is quarantined alone."""
+        payloads = [1, 2, "poison", 3, 4]
+        outcomes = []
+        for chunk in (
+            [_item(p) for p in payloads],
+            [ItemRun(payloads[:2], [8.0] * 2, 0.0, "in"),
+             ItemRun(payloads[2:], [8.0] * 3, 0.0, "in")],
+        ):
+            stage = _loop_stage(batch, ResilienceConfig(error_policy="dead-letter"))
+            effects = _drive(stage, [chunk, [EndOfStream("in")]], work=0.5,
+                             price_free_work=price_free_work)
+            outcomes.append((
+                effects,
+                {name: stage.registry.value(f"stage.s.{name}")
+                 for name in ("items_in", "bytes_in", "items_out", "bytes_out", "busy_seconds")},
+                stage.registry.histogram("stage.s.latency").samples,
+                [letter.payload for letter in stage.dead_letters.letters],
+                stage.consumed,
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[1][3] == ["poison"] and outcomes[1][4] == 5
+
+
 # -- the source loop under a fake interpreter ----------------------------------
 
 
@@ -602,6 +630,38 @@ class TestSourceLoop:
         dropped = effects[1][2]
         assert dropped.payload == 1 and dropped.trace.hops == []
         assert [registry.value(f"shard.g#{slot}.items") for slot in range(2)] == [1, 0]
+
+    def test_under_a_batch_policy_arrivals_are_put_as_runs(self):
+        """No ``Item`` per arrival: a slot's arrivals go out as one
+        ``ItemRun`` once it holds ``max_items``, when an arrival finds the
+        first one ``max_delay`` old, and before the slot's end-of-stream."""
+        binding = SourceBinding(
+            "s", "a", [1, 2, 3, 4, 5, 6, 7], rate=1.0, arrivals=_Arrivals([0, 0, 0, 0, 1.0, 0, 0]),
+        )
+        effects, _, _ = _feed(binding, batch=BatchPolicy(max_items=3, max_delay=0.5))
+        puts = [effect[1:] for effect in effects if effect[0] is PUT]
+        assert not any(type(message) is Item for _, message in puts)
+        assert [
+            (slot, list(m.values), list(m.sizes), m.created_at, m.origin)
+            for slot, m in puts[:-1]
+        ] == [
+            (0, [1, 2, 3], [8.0] * 3, 0.0, "s"), (0, [4, 5], [8.0] * 2, 0.0, "s"),
+            (0, [6, 7], [8.0] * 2, 1.0, "s"),
+        ]
+        assert puts[-1] == (0, EndOfStream("s"))
+
+    def test_batched_runs_are_routed_by_key_and_counted_per_slot(self):
+        binding = SourceBinding("s", "g", [0, 1, 2, 3, 4, 5])
+        effects, _, registry = _feed(
+            binding, _Members(active=2, slots=3), batch=BatchPolicy(max_items=2, max_delay=9.0)
+        )
+        assert [
+            (slot, list(m.values) if type(m) is ItemRun else "EOS")
+            for kind, slot, m in effects
+        ] == [
+            (0, [0, 2]), (1, [1, 3]), (0, [4]), (0, "EOS"), (1, [5]), (1, "EOS"), (2, "EOS"),
+        ]
+        assert [registry.value(f"shard.g#{slot}.items") for slot in range(3)] == [3, 3, 0]
 
     def test_a_put_is_answered_under_the_lock(self):
         class Lock:

@@ -14,11 +14,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net.channels import AsyncInbox, ChannelError, InChannel, OutChannel
+from repro.core.api import StreamProcessor
+from repro.core.items import ItemRun
 from repro.net.protocol import (
     FrameDecoder,
     FrameType,
+    decode_credit,
     decode_payload,
     decode_payload_batch,
+    encode_credit,
     encode_frame,
     encode_json,
     encode_payload,
@@ -28,6 +32,7 @@ from repro.net.protocol import (
     send_frame,
 )
 from repro.obs.registry import MetricsRegistry
+from repro.simnet.hosts import CpuCostModel
 
 
 def run(coro, timeout=20.0):
@@ -104,18 +109,20 @@ class TestInChannel:
         writer = _FakeWriter()
         channel.attach(writer)
         assert [f.type for f in writer.frames] == [FrameType.CREDIT]
-        assert writer.frames[0].json() == {"stream": "s", "n": 12}
+        assert decode_credit(writer.frames[0].payload) == 12
 
     def test_replenish_batches_amortize_credit_frames(self):
         channel = InChannel("s", "dst", window=8)  # batch = 4
         writer = _FakeWriter()
         channel.attach(writer)
         for _ in range(3):
-            assert channel.note_consumed() is False
+            channel.note_consumed()
+            assert channel.grant() is False
         assert len(writer.frames) == 1  # below batch: no frame yet
-        assert channel.note_consumed() is True
+        channel.note_consumed()
+        assert channel.grant() is True
         assert len(writer.frames) == 2
-        assert writer.frames[1].json() == {"stream": "s", "n": 4}
+        assert decode_credit(writer.frames[1].payload) == 4
 
     def test_exception_before_attach_is_dropped(self):
         channel = InChannel("s", "dst", window=4)
@@ -156,10 +163,7 @@ class _SlowReceiver:
     async def _serve(self, reader, writer):
         attach = await read_frame(reader)
         assert attach.type is FrameType.ATTACH
-        await send_frame(
-            writer, FrameType.CREDIT,
-            encode_json({"stream": "testchan", "n": self.window}),
-        )
+        await send_frame(writer, FrameType.CREDIT, encode_credit(self.window))
         self.granted = self.window
         while True:
             frame = await read_frame(reader)
@@ -179,10 +183,7 @@ class _SlowReceiver:
             # Consume slowly, then hand back one credit at a time — the
             # sender must stall while it waits.
             await asyncio.sleep(self.consume_delay)
-            await send_frame(
-                writer, FrameType.CREDIT,
-                encode_json({"stream": "testchan", "n": 1}),
-            )
+            await send_frame(writer, FrameType.CREDIT, encode_credit(1))
             self.granted += 1
 
 
@@ -279,6 +280,36 @@ class TestCreditFlowControl:
             assert receiver.received == 10
             assert receiver.eos_seen
 
+    def test_the_backchannel_runs_on_the_transport_callback(self):
+        """No reader task and no condition: a CREDIT is handled inside
+        ``data_received``, and a stalled send is woken by one future."""
+        async def scenario():
+            receiver = _SlowReceiver(window=2, consume_delay=0.0)
+            await receiver.start()
+            loop = asyncio.get_running_loop()
+            channel = OutChannel(
+                "testchan", "dst", "127.0.0.1", receiver.port, MetricsRegistry(), clock=loop.time,
+            )
+            await channel.connect()
+            assert not [
+                task for task in asyncio.all_tasks()
+                if task.get_coro().__qualname__.startswith("OutChannel")
+            ]
+            assert not any(
+                isinstance(value, (asyncio.Condition, asyncio.Task))
+                for value in vars(channel).values()
+            )
+            for i in range(6):
+                await channel.send(i, 8.0)
+            await channel.send_eos()
+            await channel.close()
+            receiver.server.close()
+            await receiver.server.wait_closed()
+            return receiver
+
+        receiver = run(scenario())
+        assert receiver.received == 6 and receiver.eos_seen
+
     def test_connect_times_out_without_a_grant(self):
         async def scenario():
             async def mute_server(reader, writer):
@@ -327,10 +358,7 @@ class _BatchReceiver:
     async def _serve(self, reader, writer):
         attach = await read_frame(reader)
         assert attach.type is FrameType.ATTACH
-        await send_frame(
-            writer, FrameType.CREDIT,
-            encode_json({"stream": "testchan", "n": self.window}),
-        )
+        await send_frame(writer, FrameType.CREDIT, encode_credit(self.window))
         self.granted = self.window
         while True:
             frame = await read_frame(reader)
@@ -350,10 +378,7 @@ class _BatchReceiver:
             outstanding = len(self.items) - self.granted
             self.max_outstanding = max(self.max_outstanding, outstanding)
             await asyncio.sleep(self.consume_delay)
-            await send_frame(
-                writer, FrameType.CREDIT,
-                encode_json({"stream": "testchan", "n": len(decoded)}),
-            )
+            await send_frame(writer, FrameType.CREDIT, encode_credit(len(decoded)))
             self.granted += len(decoded)
 
 
@@ -472,23 +497,27 @@ class TestNoteConsumedCounts:
         writer = _FakeWriter()
         channel.attach(writer)
         channel.note_consumed(5)
+        channel.grant()
         assert len(writer.frames) == 2  # the attach grant, then one credit
-        assert writer.frames[1].json() == {"stream": "s", "n": 5}
+        assert decode_credit(writer.frames[1].payload) == 5
 
     def test_counts_accumulate_across_calls(self):
         channel = InChannel("s", "dst", window=8)  # batch = 4
         writer = _FakeWriter()
         channel.attach(writer)
         channel.note_consumed(3)
+        channel.grant()
         assert len(writer.frames) == 1  # below the batch threshold
         channel.note_consumed(1)
-        assert writer.frames[1].json() == {"stream": "s", "n": 4}
+        channel.grant()
+        assert decode_credit(writer.frames[1].payload) == 4
 
     @pytest.mark.parametrize("chunk", [1, 3, 4, 5, 8])
     def test_a_chunk_returns_its_credit_in_one_call(self, chunk):
         """The worker credits a chunk with one ``note_consumed(n)`` per
-        channel: the CREDIT totals match crediting item by item, and no
-        more than the window is ever outstanding."""
+        channel and one grant before it idles: the CREDIT totals match
+        crediting item by item, and no more than the window is ever
+        outstanding."""
         from repro.net.worker import _return_credit
 
         window = 8
@@ -498,7 +527,7 @@ class TestNoteConsumedCounts:
         per_chunk.attach(chunk_writer)
 
         def granted(writer):
-            return sum(frame.json()["n"] for frame in writer.frames)
+            return sum(decode_credit(frame.payload) for frame in writer.frames)
 
         consumed = 0
         while consumed < 100:
@@ -506,9 +535,11 @@ class TestNoteConsumedCounts:
             k = min(chunk, granted(chunk_writer) - consumed)
             assert k > 0, "the sender starved"
             consumed += k
-            assert _return_credit([(per_chunk, "item")] * k + [(None, "local")]) == []
+            per_chunk.note_consumed(k)
+            assert _return_credit([per_chunk]) == []
             for _ in range(k):
                 per_item.note_consumed()
+                per_item.grant()
             for channel, writer in ((per_chunk, chunk_writer), (per_item, item_writer)):
                 assert granted(writer) - window + channel._consumed == consumed
                 assert granted(writer) - consumed <= window
@@ -623,10 +654,7 @@ class TestUnixFastPath:
             async def serve(reader, writer):
                 attach = await read_frame(reader)
                 assert attach.type is FrameType.ATTACH
-                await send_frame(
-                    writer, FrameType.CREDIT,
-                    encode_json({"stream": "testchan", "n": 8}),
-                )
+                await send_frame(writer, FrameType.CREDIT, encode_credit(8))
                 while True:
                     frame = await read_frame(reader)
                     if frame is None:
@@ -792,7 +820,7 @@ _WIRE_FRAMES = [
     encode_frame(FrameType.EOS, encode_json({"stream": "s0"})),
 ]
 _WIRE = b"".join(_WIRE_FRAMES)
-_WIRE_ENTRIES = [1, 3, 1, 1, 1]  # inbox entries each frame adds
+_WIRE_ENTRIES = [1, 3, 1, 1, 1]  # inbox items each frame adds
 
 
 def _entries_complete_by(offset):
@@ -809,17 +837,10 @@ class TestReceivePath:
     """The worker queues a frame's items from inside ``data_received``."""
 
     @staticmethod
-    async def _attached_worker():
+    async def _attach(worker):
+        """Dial ``s0`` on ``worker`` over an in-memory transport."""
         from repro.net.protocol import Frame, FrameStreamProtocol
-        from repro.net.worker import Worker
 
-        worker = Worker()
-        worker._register_stage(
-            {"stage": "sink", "code": "repo://count-samps/join", "properties": {}}
-        )
-        worker._register_channel(
-            {"kind": "in", "stream": "s0", "dst": "sink", "window": 64}
-        )
         protocol = FrameStreamProtocol(asyncio.StreamReader())
         transport = _RecordingTransport(protocol)
         protocol.connection_made(transport)
@@ -830,6 +851,22 @@ class TestReceivePath:
         task = asyncio.create_task(worker._serve_peer(None, writer, attach))
         await asyncio.sleep(0)  # diverted, and the window granted
         assert [f.type for f in transport.frames()] == [FrameType.CREDIT]
+        return protocol, transport, task, writer
+
+    @staticmethod
+    def _worker(code="repo://count-samps/join", window=64):
+        from repro.net.worker import Worker
+
+        worker = Worker()
+        worker._register_stage({"stage": "sink", "code": code, "properties": {}})
+        worker._register_channel(
+            {"kind": "in", "stream": "s0", "dst": "sink", "window": window}
+        )
+        return worker
+
+    async def _attached_worker(self):
+        worker = self._worker()
+        protocol, _transport, task, writer = await self._attach(worker)
         return worker._stages["sink"], protocol, task, writer
 
     @settings(max_examples=60, deadline=None)
@@ -853,9 +890,10 @@ class TestReceivePath:
 
         stage, drained = run(scenario())
         assert stage.error is None
-        messages = [message for _, message in drained]
-        assert [m.payload for m in messages[:-1]] == [0, 1, 2, 3, 4, {"k": "v"}]
-        assert type(messages[-1]).__name__ == "EndOfStream"
+        # One inbox entry per DATA frame, its items in order.
+        assert [len(run.values) for run in drained[:-1]] == _WIRE_ENTRIES[:-1]
+        assert [v for run in drained[:-1] for v in run.values] == [0, 1, 2, 3, 4, {"k": "v"}]
+        assert type(drained[-1]).__name__ == "EndOfStream"
 
     @pytest.mark.parametrize("tail, reason", [
         (b"", "closed before EOS"),
@@ -875,6 +913,39 @@ class TestReceivePath:
         assert stage.done.is_set()
         assert "'s0'" in str(stage.error) and reason in str(stage.error)
 
+
+    def test_a_redialed_sender_is_not_granted_the_old_senders_backlog(self):
+        """A live migration moves the stage feeding ``s0``: its old
+        connection ends (FIN, no EOS) with 8 items still queued here,
+        unconsumed, and the replacement dials in for a fresh window.
+        Those 8 items' credit left with the old connection, so the new
+        sender is granted back exactly the 6 items it shipped, never
+        more than its window (which its grant check would refuse)."""
+        batch = encode_payload_batch
+
+        async def scenario():
+            worker = self._worker("py://tests.net.test_channels:FreeSink", window=8)
+            stage = worker._stages["sink"]
+            old, _, old_task, old_writer = await self._attach(worker)
+            old.data_received(encode_frame(FrameType.DATA, batch([(i, 8.0) for i in range(8)])))
+            worker._migrating_streams.add("s0")
+            old.eof_received()
+            await old_task
+            old_writer.close()
+            new, transport, new_task, new_writer = await self._attach(worker)
+            new.data_received(
+                encode_frame(FrameType.DATA, batch([(i, 8.0) for i in range(8, 14)]))
+                + encode_frame(FrameType.EOS, encode_json({"stream": "s0"}))
+            )
+            await worker._stage_task(stage)
+            new.eof_received()
+            await new_task
+            new_writer.close()
+            return stage, [decode_credit(f.payload) for f in transport.frames()]
+
+        stage, grants = run(scenario())
+        assert stage.error is None and stage.processor.items == 14
+        assert grants == [8, 6]
 
 class _TransportWriter:
     """The ``StreamWriter`` surface ``OutChannel`` uses, over a
@@ -901,9 +972,7 @@ class _TransportWriter:
 
 
 def _grant(channel, n):
-    channel._reader.feed_data(
-        encode_frame(FrameType.CREDIT, encode_json({"stream": "testchan", "n": n}))
-    )
+    channel._on_frames(FrameDecoder().feed(encode_frame(FrameType.CREDIT, encode_credit(n))))
 
 
 async def _block_paused(channel):
@@ -926,7 +995,7 @@ async def _block_short_of_credit(channel):
 
 
 async def _block_broken(channel):
-    channel._reader.feed_eof()  # the receiver went away
+    channel._on_close(None)  # the receiver went away
     await asyncio.sleep(0)
     for i in range(3):  # two credits on hand, then the error
         await channel.send(i, 8.0)
@@ -960,8 +1029,6 @@ class TestSendFastPath:
                 clock=asyncio.get_running_loop().time,
             )
             channel._writer = _TransportWriter()
-            channel._reader = asyncio.StreamReader()
-            channel._reader_task = asyncio.create_task(channel._read_loop())
             _grant(channel, 2)
             await asyncio.sleep(0)
             assert channel.window == 2
@@ -1031,3 +1098,342 @@ class TestSendFastPath:
         before, _ = self._outcome(block, fast=False)
         assert slow == slow_sends
         assert outcome == before
+
+
+def _run_of(values):
+    return ItemRun(list(values), [8.0] * len(values), 0.0, "s")
+
+
+class TestInboxRunEntries:
+    """A DATA frame is one inbox entry; lengths and chunks count items."""
+
+    def test_current_length_counts_items(self):
+        async def scenario():
+            inbox = AsyncInbox(capacity=4, window=4)
+            inbox.put_nowait(_run_of(range(32)))
+            inbox.put_nowait("local")
+            lengths = [inbox.current_length]
+            await inbox.get_many(10)
+            lengths.append(inbox.current_length)
+            return lengths, list(inbox._recent)
+
+        lengths, recent = run(scenario())
+        assert lengths == [33, 23]
+        # After the initial zero, one queue-length sample per put (a
+        # frame is one observation, not 32) and one per take.
+        assert recent == [0, 32, 33, 23]
+
+    def test_get_many_splits_an_entry_larger_than_max_items(self):
+        async def scenario():
+            inbox = AsyncInbox(capacity=64, window=4)
+            inbox.put_nowait(_run_of(range(10)))
+            inbox.put_nowait(_run_of(range(10, 13)))
+            chunks = []
+            while inbox.current_length:
+                chunks.append(await inbox.get_many(4))
+            return chunks
+
+        chunks = run(scenario())
+        assert [[list(r.values) for r in chunk] for chunk in chunks] == [
+            [[0, 1, 2, 3]], [[4, 5, 6, 7]], [[8, 9], [10, 11]], [[12]],
+        ]
+        assert all(sum(len(r.sizes) for r in chunk) <= 4 for chunk in chunks)
+
+    def test_a_barrier_is_never_mixed_into_a_chunk_of_runs(self):
+        async def scenario():
+            inbox = AsyncInbox(capacity=64, window=4)
+            inbox.put_nowait(_run_of(range(3)))
+            await inbox.put_barrier("FENCE")
+            inbox.put_nowait(_run_of(range(3, 5)))
+            return [await inbox.get_many(16) for _ in range(3)]
+
+        first, second, third = run(scenario())
+        assert [list(r.values) for r in first] == [[0, 1, 2]]
+        assert second == ["FENCE"]
+        assert [list(r.values) for r in third] == [[3, 4]]
+
+    def test_a_cancelled_get_many_loses_no_item_of_a_run(self):
+        async def scenario():
+            inbox = AsyncInbox(capacity=64, window=4)
+            total, got, timeouts = 300, [], 0
+
+            async def producer():
+                for index, start in enumerate(range(0, total, 3)):
+                    inbox.put_nowait(_run_of(range(start, min(start + 3, total))))
+                    # Mostly back to back, sometimes past the deadline.
+                    await asyncio.sleep(0.001 if index % 4 == 3 else 0)
+
+            task = asyncio.create_task(producer())
+            while len(got) < total:
+                try:
+                    chunk = await asyncio.wait_for(inbox.get_many(5), 0.0003)
+                except asyncio.TimeoutError:
+                    timeouts += 1
+                    continue
+                got += [v for r in chunk for v in r.values]
+            await task
+            return got, timeouts, inbox.current_length
+
+        got, timeouts, left = run(scenario())
+        assert got == list(range(300))
+        assert left == 0
+        assert timeouts > 0
+
+
+class _HostileReceiver:
+    """Grants a window of 4, then answers the first DATA frame with
+    ``body`` as a CREDIT, and keeps reading until the sender leaves."""
+
+    def __init__(self, body):
+        self.body = body
+        self.server = None
+        self.port = None
+
+    async def start(self):
+        self.server = await asyncio.start_server(self._serve, "127.0.0.1", 0)
+        self.port = self.server.sockets[0].getsockname()[1]
+
+    async def _serve(self, reader, writer):
+        await read_frame(reader)  # ATTACH
+        await send_frame(writer, FrameType.CREDIT, encode_credit(4))
+        answered = False
+        while (frame := await read_frame(reader)) is not None:
+            if frame.type is FrameType.DATA and not answered:
+                answered = True
+                await send_frame(writer, FrameType.CREDIT, self.body)
+        writer.close()
+
+
+class TestHostileGrants:
+    """A grant that is not a positive count, or that would lift the
+    credits above the window, breaks the channel with an error naming the
+    stream and the cause — instead of a wedged sender or a misreport."""
+
+    @pytest.mark.parametrize("body, cause", [
+        (encode_credit(-100), "CREDIT grant of -100"),
+        (encode_credit(0), "CREDIT grant of 0"),
+        (encode_credit(1000), "CREDIT grant of 1000"),
+        (b"x", "CREDIT body of 1 bytes"),
+    ])
+    def test_a_bad_grant_breaks_the_channel(self, body, cause):
+        async def scenario():
+            receiver = _HostileReceiver(body)
+            await receiver.start()
+            registry = MetricsRegistry()
+            loop = asyncio.get_running_loop()
+            channel = OutChannel(
+                "testchan", "dst", "127.0.0.1", receiver.port, registry, clock=loop.time,
+            )
+            await channel.connect()
+            started = loop.time()
+            with pytest.raises(ChannelError) as raised:
+                for i in range(100):
+                    await channel.send(i, 8.0)
+            elapsed = loop.time() - started
+            await channel.close(linger=0.5)
+            receiver.server.close()
+            await receiver.server.wait_closed()
+            return str(raised.value), elapsed, channel, registry
+
+        message, elapsed, channel, registry = run(scenario(), timeout=10.0)
+        assert "'testchan'" in message and cause in message
+        assert elapsed < 5.0
+        # The in-flight bound held to the end: no send spent credit that
+        # was never granted.
+        assert channel.items_sent <= 4
+        assert channel.peak_in_flight <= 4
+        assert registry.value("net.testchan.credit_frames") == 1  # the window only
+
+
+class TestCreditConservation:
+    """The real sender (``OutChannel.send_batch``) against the real
+    receiver half (``AsyncInbox`` + ``InChannel`` + the worker's
+    ``_return_credit``), wired back to back in memory, over generated
+    frame sizes, chunk limits and receiver wakeup patterns."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        window=st.integers(min_value=1, max_value=40),
+        batches=st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=12),
+        limit=st.integers(min_value=1, max_value=48),
+        wakeups=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=16)
+        .filter(any),
+    )
+    @example(window=4, batches=[1, 4], limit=1, wakeups=[1])  # a frame above the unearned slack
+    def test_grants_conserve_credit_and_none_is_held_at_idle(self, window, batches, limit, wakeups):
+        from repro.net.protocol import decode_payload_columns
+        from repro.net.worker import _return_credit
+
+        async def scenario():
+            inbox = AsyncInbox(capacity=10**6, window=4)
+            receiver = InChannel("testchan", "dst", window)
+            sender = OutChannel(
+                "testchan", "dst", "127.0.0.1", 0, MetricsRegistry(),
+                clock=asyncio.get_running_loop().time,
+            )
+            grants, arrived = [], [0]
+
+            class Backchannel(_FakeWriter):
+                def write(self, data):
+                    frames = self.decoder.feed(data)
+                    grants.extend(decode_credit(f.payload) for f in frames)
+                    sender._on_frames(frames)
+
+            class Wire(_TransportWriter):
+                def write(self, data):
+                    for frame in FrameDecoder().feed(bytes(data)):
+                        if frame.type is FrameType.DATA:
+                            values, sizes = decode_payload_columns(frame.payload)
+                            arrived[0] += len(values)
+                            # In flight never exceeds the window.
+                            assert arrived[0] <= sum(grants)
+                            inbox.put_nowait(ItemRun(values, sizes, 0.0, "testchan"))
+
+            sender._writer = Wire()
+            receiver.attach(Backchannel())
+            total = sum(batches)
+
+            async def send_all():
+                for n in batches:
+                    await sender.send_batch([(i, 8.0) for i in range(n)])
+
+            feeding = asyncio.create_task(send_all())
+            consumed, idle_rounds, pattern, last = 0, 0, 0, None
+            while consumed < total:
+                # One wakeup: take up to k chunks without suspending ...
+                for _ in range(wakeups[pattern % len(wakeups)]):
+                    if not inbox.current_length:
+                        break
+                    for entry in await inbox.get_many(limit):
+                        receiver.note_consumed(len(entry.values))
+                        consumed += len(entry.values)
+                pattern += 1
+                # ... then return credit just before idling.
+                before = len(grants)
+                assert _return_credit([receiver]) == []
+                assert len(grants) - before <= 1
+                assert receiver._consumed < receiver.replenish_batch
+                assert sum(grants) + receiver._consumed == window + consumed
+                state = (consumed, arrived[0], len(grants))
+                idle_rounds = idle_rounds + 1 if state == last else 0
+                last = state
+                assert idle_rounds < 50, "the sender starved on held credit"
+                await asyncio.sleep(0)
+            await feeding
+            return grants
+
+        grants = run(scenario())
+        assert all(n > 0 for n in grants)  # no zero-count CREDIT
+
+
+class FreeRelay(StreamProcessor):
+    """Forwards every item at no modeled cost (the stage never sleeps)."""
+
+    cost_model = CpuCostModel()
+
+    def on_item(self, payload, context):
+        context.emit(payload)
+
+
+class FreeSink(FreeRelay):
+    """Counts arrivals at no modeled cost."""
+
+    def __init__(self):
+        self.items = 0
+
+    def on_item(self, payload, context):
+        self.items += 1
+
+    def result(self):
+        return self.items
+
+
+class TestCreditPerWakeup:
+    def test_an_in_process_relay_returns_at_most_one_credit_per_hop_per_wakeup(
+        self, monkeypatch
+    ):
+        """source -> relay -> sink over two in-process workers, batched as
+        the saturating bench relay is.  Every CREDIT after the initial
+        window is written right before the receiving stage's task could
+        suspend: a take from an empty inbox, a send that cannot go out
+        at once, or its end.  Counting those per stage bounds the
+        grants of each hop into it."""
+        import io
+        import threading
+
+        from repro.core.batching import BatchPolicy
+        from repro.grid.config import AppConfig, StageConfig, StreamConfig
+        from repro.grid.resources import ResourceRequirement
+        from repro.net.coordinator import NetworkedRuntime
+        from repro.net.worker import Worker
+
+        waits = {}
+        get_many, ship, wait_for = AsyncInbox.get_many, OutChannel._ship, asyncio.wait_for
+
+        async def counting_get_many(inbox, max_items):
+            if not inbox.current_length:
+                waits[id(inbox)] = waits.get(id(inbox), 0) + 1
+            return await get_many(inbox, max_items)
+
+        async def counting_wait_for(aw, timeout):
+            inbox = getattr(aw, "cr_frame", None) and aw.cr_frame.f_locals.get("self")
+            if isinstance(inbox, AsyncInbox) and inbox.current_length:
+                waits[id(inbox)] = waits.get(id(inbox), 0) + 1  # a due-batch timeout
+            return await wait_for(aw, timeout)
+
+        async def counting_ship(channel, frame, items):
+            waits[id(channel)] = waits.get(id(channel), 0) + 1
+            await ship(channel, frame, items)
+
+        monkeypatch.setattr(AsyncInbox, "get_many", counting_get_many)
+        monkeypatch.setattr(OutChannel, "_ship", counting_ship)
+        monkeypatch.setattr(asyncio, "wait_for", counting_wait_for)
+
+        loop = asyncio.new_event_loop()
+        workers = [Worker(), Worker()]
+        announces = [io.StringIO() for _ in workers]
+        serving = [loop.create_task(w.serve(announce=a)) for w, a in zip(workers, announces)]
+        thread = threading.Thread(
+            target=lambda: loop.run_until_complete(asyncio.gather(*serving)), daemon=True
+        )
+        thread.start()
+        try:
+            while not all(a.getvalue() for a in announces):
+                threading.Event().wait(0.01)
+            stages = "py://tests.net.test_channels:"
+            config = AppConfig(
+                name="relay",
+                stages=[
+                    StageConfig("relay", stages + "FreeRelay",
+                                requirement=ResourceRequirement(placement_hint="worker-0")),
+                    StageConfig("sink", stages + "FreeSink",
+                                requirement=ResourceRequirement(placement_hint="worker-1")),
+                ],
+                streams=[StreamConfig("wire", "relay", "sink")],
+            )
+            runtime = NetworkedRuntime(
+                config, workers=[("127.0.0.1", int(a.getvalue().split()[1])) for a in announces],
+                adaptation_enabled=False, credit_window=64, batch=BatchPolicy(32, 0.02),
+                verify=False,
+            )
+            runtime.bind_source("src", "relay", list(range(4000)), item_size=8.0)
+            result = runtime.run(timeout=60.0)
+        finally:
+            thread.join(timeout=5.0)
+            if thread.is_alive():
+                loop.call_soon_threadsafe(lambda: [task.cancel() for task in serving])
+                thread.join(timeout=5.0)
+            loop.close()
+        assert result.final_value("sink") == 4000
+        by_name = {name: stage for w in workers for name, stage in w._stages.items()}
+        relay, sink = by_name["relay"], by_name["sink"]
+        relay_wakeups = waits.get(id(relay.inbox), 0) + sum(
+            waits.get(id(route.channel), 0) for route in relay.out_routes
+        )
+        sink_wakeups = waits.get(id(sink.inbox), 0)
+        for stream, wakeups in (("src", relay_wakeups), ("wire", sink_wakeups)):
+            grants = result.metrics.counter(f"net.{stream}.credit_frames").value
+            frames = result.metrics.counter(f"net.{stream}.frames").value
+            # The initial window, then at most one per wakeup (+1: the end).
+            assert 1 < grants <= 1 + wakeups + 1, (stream, grants, wakeups)
+            assert grants - 1 <= frames  # never more grants than DATA frames

@@ -13,9 +13,11 @@ import random
 import pytest
 
 from repro.apps.count_samps import build_distributed_config
+from repro.core.api import StreamProcessor
 from repro.grid.config import ResourceRequirement
 from repro.net.coordinator import NetworkedRuntime, NetworkedRuntimeError
 from repro.resilience.migration import MigrationPlan
+from repro.simnet.hosts import CpuCostModel
 
 ITEMS = 400
 SEED = 5
@@ -208,3 +210,85 @@ def test_adopted_stage_resumes_the_exported_adaptation_state(monkeypatch):
     assert exported["estimator"]["window"] and exported["estimator"]["t2"] > 0
     assert exported["exceptions"]["total_underloads"] > 0
     assert states["adopted"] == exported
+
+
+
+class Relay(StreamProcessor):
+    """Forwards every item at no modeled cost."""
+
+    cost_model = CpuCostModel()
+
+    def on_item(self, payload, context):
+        context.emit(payload)
+
+
+class StallingSink(StreamProcessor):
+    """Collects arrivals, free except item 20: 0.6 s of modeled work, a
+    stall that lets everything behind it pile up in the inbox."""
+
+    cost_model = CpuCostModel(per_item=0.6)
+
+    def __init__(self):
+        self.items = []
+
+    def work_amount(self, payload, size):
+        return (1.0, 0.0) if payload == 20 else (0.0, 0.0)
+
+    def on_item(self, payload, context):
+        self.items.append(payload)
+
+    def result(self):
+        return self.items
+
+
+def test_moving_a_stage_whose_downstream_holds_a_backlog():
+    """``relay`` moves at 0.3 s while ``sink`` is stalled on item 20 (until
+    about 0.7 s) with the relay's later items queued.  The replacement
+    dials the sink for a fresh window; the old connection's queued items
+    must not come back to it as credit once the sink catches up (the
+    sender refuses a grant above its window, which would fail the run).
+    Every item arrives, once and in order."""
+    import asyncio
+    import io
+    import threading
+
+    from repro.grid.config import AppConfig, StageConfig, StreamConfig
+    from repro.net.worker import Worker
+
+    loop = asyncio.new_event_loop()
+    announces = [io.StringIO() for _ in range(3)]
+    serving = [loop.create_task(Worker().serve(announce=a)) for a in announces]
+    thread = threading.Thread(
+        target=lambda: loop.run_until_complete(asyncio.gather(*serving)), daemon=True
+    )
+    thread.start()
+    try:
+        while not all(a.getvalue() for a in announces):
+            threading.Event().wait(0.01)
+        code = "py://tests.net.test_migration:"
+        config = AppConfig(
+            name="backlog",
+            stages=[
+                StageConfig("relay", code + "Relay",
+                            requirement=ResourceRequirement(placement_hint="worker-0")),
+                StageConfig("sink", code + "StallingSink",
+                            requirement=ResourceRequirement(placement_hint="worker-1")),
+            ],
+            streams=[StreamConfig("wire", "relay", "sink")],
+        )
+        runtime = NetworkedRuntime(
+            config, workers=[("127.0.0.1", int(a.getvalue().split()[1])) for a in announces],
+            adaptation_enabled=False, credit_window=64, verify=False,
+            migrations=[MigrationPlan(stage="relay", at=0.3, target="worker-2")],
+        )
+        runtime.bind_source("src", "relay", list(range(300)), rate=200.0, item_size=8.0)
+        result = runtime.run(timeout=20.0)
+    finally:
+        thread.join(timeout=5.0)
+        if thread.is_alive():
+            loop.call_soon_threadsafe(lambda: [task.cancel() for task in serving])
+            thread.join(timeout=5.0)
+        loop.close()
+    (report,) = runtime.migrations
+    assert report.from_host == "worker-0" and report.to_host == "worker-2"
+    assert result.final_value("sink") == list(range(300))

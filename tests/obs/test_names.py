@@ -34,6 +34,7 @@ EXPECTED_TEMPLATES = [
     "migration.{stage}.pause_seconds",
     "migration.{stage}.triggers",
     "net.{channel}.bytes",
+    "net.{channel}.credit_frames",
     "net.{channel}.credit_stalls",
     "net.{channel}.credit_wait_seconds",
     "net.{channel}.exceptions",
