@@ -90,6 +90,14 @@ class _MonitoredQueue:
     unbounded deque.  ``force_put`` bypasses the bound for control
     messages that must never deadlock (the error-path end-of-stream),
     and ``close`` releases any blocked producers when the consumer dies.
+
+    Items the consumer takes with :meth:`get_many` are *held*: they stay
+    counted — in :attr:`current_length`, in the d̄ window and against
+    ``capacity`` — until the consumer's next take releases them.  So
+    queued plus in-hand items never exceed ``capacity``, and the length
+    still shows the backlog the stage has not served.  The d̄ window
+    gets one sample per length change: one per item put, one per
+    release.
     """
 
     def __init__(self, capacity: int, window: int) -> None:
@@ -97,6 +105,8 @@ class _MonitoredQueue:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._items: deque = deque()
+        #: Items the consumer took with ``get_many`` and has not released.
+        self._held = 0
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
@@ -106,12 +116,12 @@ class _MonitoredQueue:
     def put(self, item: Any) -> None:
         """Append one item, blocking while the queue is at capacity."""
         with self._lock:
-            while len(self._items) >= self.capacity and not self._closed:
+            while len(self._items) + self._held >= self.capacity and not self._closed:
                 self._not_full.wait()
             if self._closed:
                 return
             self._items.append(item)
-            self._recent.append(len(self._items))
+            self._recent.append(len(self._items) + self._held)
             self._not_empty.notify()
 
     def put_many(self, items: List[Any]) -> None:
@@ -119,19 +129,21 @@ class _MonitoredQueue:
 
         Blocks whenever the queue is full, appending as many items as fit
         per wakeup — the capacity bound holds exactly, the per-item lock
-        and notify round-trips are amortized over the batch.
+        and notify round-trips are amortized over the batch.  The d̄
+        window gets the same samples as one :meth:`put` per item.
         """
         with self._lock:
             index = 0
             while index < len(items):
-                while len(self._items) >= self.capacity and not self._closed:
+                while len(self._items) + self._held >= self.capacity and not self._closed:
                     self._not_full.wait()
                 if self._closed:
                     return
-                while index < len(items) and len(self._items) < self.capacity:
-                    self._items.append(items[index])
-                    index += 1
-                self._recent.append(len(self._items))
+                length = len(self._items) + self._held
+                fit = items[index:index + self.capacity - length]
+                self._items.extend(fit)
+                self._recent.extend(range(length + 1, length + len(fit) + 1))
+                index += len(fit)
                 self._not_empty.notify()
 
     def force_put(self, item: Any) -> None:
@@ -145,7 +157,7 @@ class _MonitoredQueue:
             if self._closed:
                 return
             self._items.append(item)
-            self._recent.append(len(self._items))
+            self._recent.append(len(self._items) + self._held)
             self._not_empty.notify()
 
     def close(self) -> None:
@@ -160,9 +172,20 @@ class _MonitoredQueue:
             self._closed = True
             self._not_full.notify_all()
 
-    def _wait_for_items(self, timeout: Optional[float]) -> None:
-        """With the lock held, block until the queue is non-empty, or
-        raise ``TimeoutError`` after ``timeout`` seconds."""
+    def idle(self) -> bool:
+        """Whether nothing is queued (held items aside): the consumer is
+        waiting, or will be at its next take.  An unlocked peek — a hint
+        for a producer deciding when to hand over, never a guarantee."""
+        return not self._items
+
+    def _take(self, timeout: Optional[float]) -> None:
+        """With the lock held: release what the consumer holds, then
+        block until the queue is non-empty, or raise ``TimeoutError``
+        after ``timeout`` seconds."""
+        if self._held:
+            self._not_full.notify(self._held)
+            self._held = 0
+            self._recent.append(len(self._items))
         deadline = None if timeout is None else time.monotonic() + timeout
         while not self._items:
             remaining = None if deadline is None else deadline - time.monotonic()
@@ -171,29 +194,31 @@ class _MonitoredQueue:
             self._not_empty.wait(remaining)
 
     def get(self, timeout: Optional[float] = None) -> Any:
+        """Take one item outright (it is not held), releasing any held
+        items first."""
         with self._lock:
-            self._wait_for_items(timeout)
+            self._take(timeout)
             item = self._items.popleft()
             self._recent.append(len(self._items))
             self._not_full.notify()
             return item
 
     def get_many(self, max_items: int, timeout: Optional[float] = None) -> List[Any]:
-        """Block for the first item (as :meth:`get`), then drain up to
-        ``max_items`` without further waiting."""
+        """Release the held items, block for the first item (as
+        :meth:`get`), then take up to ``max_items`` without further
+        waiting.  The taken items are held until the next take."""
         with self._lock:
-            self._wait_for_items(timeout)
-            taken = []
-            while self._items and len(taken) < max_items:
-                taken.append(self._items.popleft())
-            self._recent.append(len(self._items))
-            self._not_full.notify(len(taken))
+            self._take(timeout)
+            items = self._items
+            taken = [items.popleft() for _ in range(min(max_items, len(items)))]
+            self._held = len(taken)
             return taken
 
     @property
     def current_length(self) -> int:
+        """Queued plus held items."""
         with self._lock:
-            return len(self._items)
+            return len(self._items) + self._held
 
     @property
     def recent_average(self) -> float:
@@ -528,11 +553,16 @@ class ThreadedRuntime:
     def _feeder(self, source: SourceBinding) -> None:
         """Interpret the kernel's :func:`source_loop` on this thread.
 
-        Gaps are sleeps; a group-bound put happens under the group's lock
-        (the autoscaler rebalances there).  Back-to-back arrivals into a
-        batching stage are handed over in chunks of its batch size (one
-        lock round-trip and rate observation per chunk).  A source that
-        raises ends its targets' input and fails the run.
+        Gaps are sleeps; a group-bound put happens per item under the
+        group's lock (the autoscaler rebalances there).  Into any other
+        stage, back-to-back arrivals are collected and handed over as one
+        chunk (one lock round-trip and one rate observation): at once
+        while the stage's queue is idle, since its worker is or is about
+        to be waiting; when the chunk reaches a quarter of the queue's
+        capacity; and at every gap or end-of-stream.  So paced sources,
+        and iterables that block between pulls while the stage keeps up,
+        still deliver each item as it arrives.  A source that raises
+        ends its targets' input and fails the run.
         """
         group = self._groups.get(source.target_stage)
         members = [self._stages[name] for name in source.targets(self._groups)]
@@ -541,7 +571,8 @@ class ThreadedRuntime:
             time_scale=self.time_scale, lock=self._group_locks.get(source.target_stage),
         )
         stage = members[0]
-        limit = stage.batch.max_items if stage.batch is not None and group is None else 1
+        idle = stage.queue.idle
+        limit = 1 if group is not None else max(1, stage.queue.capacity // 4)
         chunk: List[Item] = []
 
         def hand_over(member: _ThreadStage) -> None:
@@ -558,7 +589,7 @@ class ThreadedRuntime:
             for effect in loop:
                 if effect[0] is PUT and type(effect[2]) is Item:
                     chunk.append(effect[2])
-                    if len(chunk) >= limit:
+                    if len(chunk) >= limit or idle():
                         hand_over(members[effect[1]])
                     continue
                 if chunk:
@@ -576,12 +607,13 @@ class ThreadedRuntime:
     def _worker(self, stage: _ThreadStage) -> None:
         """Interpret the kernel's :func:`stage_loop` on this thread.
 
-        A stage under a batch policy drains its queue in chunks of the
-        batch size (sinks included: one lock round-trip per chunk);
-        otherwise one item per ``TAKE``.
+        Each ``TAKE`` drains the queue in one ``get_many``: up to the
+        batch size under a batch policy, otherwise everything queued.
+        The taken items stay counted in the queue until the next take.
         """
         step = stage_loop(stage, None).send
-        limit = stage.batch.max_items if stage.batch is not None else 1
+        get_many = stage.queue.get_many
+        limit = stage.batch.max_items if stage.batch is not None else stage.queue.capacity
         reply: Any = None
         try:
             while True:
@@ -590,10 +622,7 @@ class ThreadedRuntime:
                 kind = effect[0]
                 if kind is TAKE:
                     try:
-                        if limit == 1:
-                            reply = (stage.queue.get(effect[1]),)
-                        else:
-                            reply = stage.queue.get_many(limit, effect[1])
+                        reply = get_many(limit, effect[1])
                     except TimeoutError:
                         reply = ()  # the oldest batch is due: the loop flushes it
                 elif kind is WORK:

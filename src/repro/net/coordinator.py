@@ -42,7 +42,7 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Awaitable, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.batching import BatchPolicy
@@ -408,24 +408,21 @@ class NetworkedRuntime:
                 await self._expect_ready(handle, FrameType.START, "started")
             run_started = time.monotonic()
             feeders = [asyncio.ensure_future(self._feed_source(b, by_name)) for b in self._sources]
+            fed: Awaitable[Any] = asyncio.gather(*feeders)
             if self._migration_plans:
                 # Control RPCs and RESULT collection share each worker's
                 # single control connection, so migrations run to
-                # completion (and the feeders drain) before any reader
-                # starts waiting on RESULT frames; workers hold results
-                # until the "collect" broadcast (HELLO hold_results).
+                # completion before any reader starts waiting on RESULT
+                # frames; workers hold results until the "collect"
+                # broadcast (HELLO hold_results), sent once the feeders
+                # drain.
                 await self._run_migrations(by_name, run_started)
-                await asyncio.gather(*feeders)
-                for handle in handles:
-                    assert handle.writer is not None
-                    await send_frame(
-                        handle.writer, FrameType.MIGRATE,
-                        encode_json({"action": "collect"}),
-                    )
-            # Alongside the feeders, so a failing source ends the run at once.
+                fed = self._collect_after(fed, handles)
+            # Alongside the feeders, so a failing source — or a stage
+            # failing after a move, whose worker reports ERROR at once —
+            # ends the run at once.
             results, _ = await asyncio.gather(
-                asyncio.gather(*(self._collect_result(h) for h in handles)),
-                asyncio.gather(*feeders),
+                asyncio.gather(*(self._collect_result(h) for h in handles)), fed,
             )
         finally:
             for feeder in feeders:
@@ -620,6 +617,16 @@ class NetworkedRuntime:
                 f"worker {handle.name} reported: {frame.json().get('error')}"
             )
         return frame
+
+    @staticmethod
+    async def _collect_after(fed: Awaitable[Any], handles: List[_WorkerHandle]) -> None:
+        """Broadcast the "collect" release once ``fed`` (the feeders) is done."""
+        await fed
+        for handle in handles:
+            assert handle.writer is not None
+            await send_frame(
+                handle.writer, FrameType.MIGRATE, encode_json({"action": "collect"}),
+            )
 
     async def _collect_result(self, handle: _WorkerHandle) -> Dict[str, Any]:
         frame = await self._next_frame(handle)

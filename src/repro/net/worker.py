@@ -245,6 +245,9 @@ class Worker:
         #: report before they might adopt one.
         self._hold_results = False
         self._release: Optional[asyncio.Event] = None
+        #: Set when a hosted stage fails: wakes a completion task held at
+        #: the collect release (a stage adopted later may fail there).
+        self._failure: Optional[asyncio.Event] = None
 
     def elapsed(self) -> float:
         """Wall-clock seconds since START (process start before that)."""
@@ -256,6 +259,7 @@ class Worker:
         """Bind, announce ``REPRO-NET-WORKER <port>``, serve until SHUTDOWN."""
         self._shutdown = asyncio.Event()
         self._release = asyncio.Event()
+        self._failure = asyncio.Event()
         install_task_dump(f"worker {self.name}")
         loop = asyncio.get_running_loop()
         server = await loop.create_server(
@@ -618,6 +622,8 @@ class Worker:
             raise
         except BaseException as exc:  # noqa: BLE001 - reported via ERROR frame
             stage.error = exc
+            assert self._failure is not None
+            self._failure.set()
             # Release downstream stages (they will never hear from us
             # again); best effort — peers may already be gone.
             for route in stage.out_routes:
@@ -669,27 +675,32 @@ class Worker:
             stages = list(self._stages.values())
             for stage in stages:
                 await stage.done.wait()
-            if any(
-                s.error is not None and not s.migrated_away
-                for s in self._stages.values()
-            ):
-                # An error aborts the run: never hold it behind the
-                # collect release, or a crashed stage stops consuming,
-                # the coordinator's feeder starves on credit, and the
-                # release broadcast it is waiting for never arrives.
+            # An error aborts the run: never hold it behind the collect
+            # release, or a crashed stage stops consuming, the
+            # coordinator's feeder starves on credit, and the release
+            # broadcast it is waiting for never arrives.  The wait
+            # below wakes on a failure too: a stage adopted after it
+            # started was not in the snapshot.
+            if self._failed_stages() or not self._hold_results:
                 break
-            if not self._hold_results:
+            assert self._release is not None and self._failure is not None
+            waits = [
+                asyncio.ensure_future(event.wait())
+                for event in (self._release, self._failure)
+            ]
+            try:
+                await asyncio.wait(waits, return_when=asyncio.FIRST_COMPLETED)
+            finally:
+                for wait in waits:
+                    wait.cancel()
+            if self._failed_stages():
                 break
-            assert self._release is not None
-            await self._release.wait()
-            if len(self._stages) == len(stages) and all(
+            self._failure.clear()  # a moved-away copy's failure is not ours
+            if self._release.is_set() and len(self._stages) == len(stages) and all(
                 s.done.is_set() for s in self._stages.values()
             ):
                 break
-        failed = [
-            s for s in self._stages.values()
-            if s.error is not None and not s.migrated_away
-        ]
+        failed = self._failed_stages()
         try:
             if failed:
                 await send_frame(
@@ -941,13 +952,21 @@ class Worker:
             # can never arrive would hang the whole run.
             self._fail_stage(stage, f"data channel {stream!r} closed before EOS")
 
-    @staticmethod
-    def _fail_stage(stage: _HostedStage, reason: str) -> None:
+    def _fail_stage(self, stage: _HostedStage, reason: str) -> None:
         """Fail ``stage`` so the worker reports ERROR and the coordinator
         aborts the run."""
         if stage.error is None:
             stage.error = WorkerError(reason)
         stage.done.set()
+        if self._failure is not None:
+            self._failure.set()
+
+    def _failed_stages(self) -> List[_HostedStage]:
+        """Hosted stages that failed (a moved-away copy is not hosted)."""
+        return [
+            s for s in self._stages.values()
+            if s.error is not None and not s.migrated_away
+        ]
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -298,3 +298,103 @@ class TestThreadedBatching:
             if arrived[payload] - emitted[payload] > max_delay + 0.25
         }
         assert late == {}
+
+
+class SourceOrderSink(StreamProcessor):
+    """Per-source arrivals in order; ``flush`` notes how many had arrived
+    when the stage's input ended."""
+
+    cost_model = CpuCostModel()
+
+    def __init__(self):
+        self.by_source = {}
+        self.seen_at_flush = None
+
+    def on_item(self, payload, context):
+        source, index = payload
+        self.by_source.setdefault(source, []).append(index)
+
+    def flush(self, context):
+        self.seen_at_flush = sum(map(len, self.by_source.values()))
+
+    def result(self):
+        return {"by_source": self.by_source, "seen_at_flush": self.seen_at_flush}
+
+
+class TestChunkedHandoff:
+    """Feeders hand back-to-back arrivals over in chunks and workers take
+    everything queued; order, end-of-stream, failures, shard routing and
+    prompt delivery must be what per-item handoffs gave."""
+
+    def test_per_source_order_and_eos_after_the_last_item(self):
+        rt = ThreadedRuntime(adaptation_enabled=False)
+        rt.add_stage("relay", Forward(), properties={"queue-capacity": "16"})
+        rt.add_stage("sink", SourceOrderSink(), properties={"queue-capacity": "8"})
+        rt.connect("relay", "sink")
+        for name in ("a", "b", "c"):
+            rt.bind_source(name, "relay", [(name, i) for i in range(3000)])
+        value = rt.run(timeout=60.0).final_value("sink")
+        assert value["by_source"] == {name: list(range(3000)) for name in "abc"}
+        assert value["seen_at_flush"] == 9000
+
+    def test_a_source_raising_mid_chunk_fails_the_run_promptly(self):
+        def payloads():
+            yield from range(500)
+            raise ValueError("broke mid-chunk")
+
+        rt = ThreadedRuntime(adaptation_enabled=False)
+        # A slow first item keeps the queue non-idle, so arrivals pile
+        # up in the feeder's chunk when the source raises.
+        rt.add_stage("fwd", StampedRelay())
+        rt.add_stage("sink", Collect())
+        rt.connect("fwd", "sink")
+        rt.bind_source("s", "fwd", payloads())
+        started = time.monotonic()
+        with pytest.raises(ThreadedRuntimeError, match="source 's' failed: .*broke mid-chunk"):
+            rt.run(timeout=60.0)
+        assert time.monotonic() - started < 5.0
+
+    def test_shard_group_sources_keep_delivered_equal_to_items(self):
+        from repro.grid.config import AppConfig, StageConfig, StreamConfig
+
+        config = AppConfig(
+            name="group-feed",
+            stages=[
+                StageConfig("relay", "py://tests.shard_stages:KeyedRelay",
+                            properties={"replicas": "3", "shard-by": "field:k",
+                                        "queue-capacity": "8"}),
+                StageConfig("sink", "py://tests.shard_stages:CountSink"),
+            ],
+            streams=[StreamConfig("t", "relay", "sink")],
+        )
+        rt = ThreadedRuntime.from_config(config, adaptation_enabled=False)
+        payloads = [{"k": f"k{i % 11}", "i": i} for i in range(2000)]
+        rt.bind_source("s", "relay", payloads)
+        result = rt.run(timeout=60.0)
+        assert result.final_value("sink") == 2000
+        members = [rt._stages[f"relay#{i}"] for i in range(3)]
+        for member in members:
+            routed = result.metrics.value(f"shard.{member.name}.items")
+            assert member.delivered == member.consumed == routed
+        assert sum(member.delivered for member in members) == 2000
+
+    def test_an_unpaced_source_that_blocks_between_pulls_delivers_at_once(self):
+        """``rate=None`` and a live iterable: each item must be handed
+        over as it is pulled (the queue is idle), not held in the
+        feeder's chunk until the next pull 20 ms later."""
+        rt = ThreadedRuntime(adaptation_enabled=False)
+        pulled = {}
+
+        def live():
+            for i in range(10):
+                time.sleep(0.02)
+                pulled[i] = rt.elapsed()
+                yield i
+
+        rt.add_stage("fwd", Forward())
+        rt.add_stage("sink", StampedSink())
+        rt.connect("fwd", "sink")
+        rt.bind_source("s", "fwd", live())
+        arrived = dict(rt.run(timeout=30.0).final_value("sink"))
+        delays = [arrived[i] - pulled[i] for i in range(10)]
+        assert max(delays) < 0.015, [round(d * 1e3, 2) for d in delays]

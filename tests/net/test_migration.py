@@ -292,3 +292,87 @@ def test_moving_a_stage_whose_downstream_holds_a_backlog():
     (report,) = runtime.migrations
     assert report.from_host == "worker-0" and report.to_host == "worker-2"
     assert result.final_value("sink") == list(range(300))
+
+
+class FailsAfterAdoption(Relay):
+    """A relay that raises on its fifth item after a restore, i.e. only
+    once a live migration has adopted it."""
+
+    FAIL_AT = 5
+
+    def __init__(self):
+        self.since_restore = None
+
+    def snapshot(self):
+        return {"stateful": True}  # the kernel restores only a state
+
+    def restore(self, state):
+        self.since_restore = 0
+
+    def on_item(self, payload, context):
+        if self.since_restore is not None:
+            self.since_restore += 1
+            if self.since_restore == self.FAIL_AT:
+                raise RuntimeError("adopted relay blew up")
+        context.emit(payload)
+
+
+def test_a_stage_failing_after_adoption_fails_the_run_promptly():
+    """``relay`` moves to worker-2 at 0.3 s and raises on its fifth item
+    there.  worker-2 hosted nothing when its completion wait began, so
+    that wait must also wake on the adopted stage's failure: otherwise
+    the run's feeder stalls on credit, the collect release never comes,
+    and the run hangs until its timeout instead of failing."""
+    import asyncio
+    import io
+    import threading
+    import time
+
+    from repro.grid.config import AppConfig, StageConfig, StreamConfig
+    from repro.net.worker import Worker
+
+    loop = asyncio.new_event_loop()
+    announces = [io.StringIO() for _ in range(3)]
+    serving = [loop.create_task(Worker().serve(announce=a)) for a in announces]
+
+    def serve_all():
+        try:
+            loop.run_until_complete(asyncio.gather(*serving))
+        except asyncio.CancelledError:
+            pass
+
+    thread = threading.Thread(target=serve_all, daemon=True)
+    thread.start()
+    timeout = 20.0
+    try:
+        while not all(a.getvalue() for a in announces):
+            threading.Event().wait(0.01)
+        code = "py://tests.net.test_migration:"
+        config = AppConfig(
+            name="adopted-failure",
+            stages=[
+                StageConfig("relay", code + "FailsAfterAdoption",
+                            requirement=ResourceRequirement(placement_hint="worker-0")),
+                StageConfig("sink", code + "StallingSink",
+                            requirement=ResourceRequirement(placement_hint="worker-1")),
+            ],
+            streams=[StreamConfig("wire", "relay", "sink")],
+        )
+        runtime = NetworkedRuntime(
+            config, workers=[("127.0.0.1", int(a.getvalue().split()[1])) for a in announces],
+            adaptation_enabled=False, credit_window=16, verify=False,
+            migrations=[MigrationPlan(stage="relay", at=0.3, target="worker-2")],
+        )
+        runtime.bind_source("src", "relay", list(range(1000)), rate=200.0, item_size=8.0)
+        started = time.monotonic()
+        with pytest.raises(NetworkedRuntimeError, match="adopted relay blew up"):
+            runtime.run(timeout=timeout)
+        assert time.monotonic() - started < timeout / 2
+    finally:
+        thread.join(timeout=5.0)
+        if thread.is_alive():
+            loop.call_soon_threadsafe(lambda: [task.cancel() for task in serving])
+            thread.join(timeout=5.0)
+        loop.close()
+    (report,) = runtime.migrations
+    assert report.to_host == "worker-2"
