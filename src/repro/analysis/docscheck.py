@@ -15,7 +15,9 @@ page                    catalog                                              val
 ======================  ===================================================  =======
 
 :func:`check_docs` diffs one page's table rows against its catalog in
-both directions — a catalog entry without a row, a row for an entry the
+both directions (:func:`diff_table` does the same for any text and any
+:class:`DocTable`, e.g. a section of EXPERIMENTS.md against the
+experiment rows) — a catalog entry without a row, a row for an entry the
 catalog no longer has, or a value mismatch each produce one problem
 string — plus two page-specific pins:
 
@@ -41,6 +43,7 @@ __all__ = [
     "DOC_TABLES",
     "DocTable",
     "check_docs",
+    "diff_table",
     "render_catalog_table",
 ]
 
@@ -197,6 +200,33 @@ def _documented(table: DocTable, text: str) -> Dict[str, str]:
     return rows
 
 
+def diff_table(table: DocTable, text: str, page: str) -> List[str]:
+    """Problems keeping one page's ``text`` and ``table``'s catalog apart
+    (empty = in sync); ``page`` names the page in the messages."""
+    rows = _documented(table, text)
+    catalog = table.catalog()
+    problems: List[str] = []
+    for key in sorted(catalog):
+        if key not in rows:
+            problems.append(
+                f"{table.entry} {key!r} is not documented in {page}"
+            )
+        elif rows[key] != catalog[key]:
+            problems.append(
+                f"{key!r}: catalog says {table.value_label} {catalog[key]}, "
+                f"docs say {rows[key]}"
+            )
+    for key in sorted(rows):
+        if key not in catalog:
+            problems.append(
+                f"{page} documents {key!r}, which is not in the "
+                f"catalog ({table.catalog_ref})"
+            )
+    if table.extra is not None:
+        problems += table.extra(page, text)
+    return problems
+
+
 def check_docs(name: str, path: Optional[Path] = None) -> List[str]:
     """Problems keeping one page and its catalog apart (empty = in sync).
 
@@ -207,29 +237,7 @@ def check_docs(name: str, path: Optional[Path] = None) -> List[str]:
     path = path if path is not None else _DOCS_DIR / table.page
     if not path.exists():
         return [f"docs file missing: {path}"]
-    text = path.read_text(encoding="utf-8")
-    rows = _documented(table, text)
-    catalog = table.catalog()
-    problems: List[str] = []
-    for key in sorted(catalog):
-        if key not in rows:
-            problems.append(
-                f"{table.entry} {key!r} is not documented in {path.name}"
-            )
-        elif rows[key] != catalog[key]:
-            problems.append(
-                f"{key!r}: catalog says {table.value_label} {catalog[key]}, "
-                f"docs say {rows[key]}"
-            )
-    for key in sorted(rows):
-        if key not in catalog:
-            problems.append(
-                f"{path.name} documents {key!r}, which is not in the "
-                f"catalog ({table.catalog_ref})"
-            )
-    if table.extra is not None:
-        problems += table.extra(path.name, text)
-    return problems
+    return diff_table(table, path.read_text(encoding="utf-8"), path.name)
 
 
 if __name__ == "__main__":

@@ -190,17 +190,9 @@ class AppConfig:
                     yield Finding("GA102", f"stream {stream.name!r} {label}= references "
                                            f"unknown stage {endpoint!r}",
                                   stream.line, f"stream {stream.name!r}")
-        if len(self._topological_names()) < len(stages):
-            # networkx only names the cycle, so a process that runs valid
-            # applications never loads it.
-            import networkx as nx
-
-            graph = nx.DiGraph()
-            graph.add_nodes_from(stages)
-            graph.add_edges_from((s.src, s.dst) for s in self.streams
-                                 if s.src in stages and s.dst in stages)
-            cycle = nx.find_cycle(graph)
-            path = " -> ".join([edge[0] for edge in cycle] + [cycle[0][0]])
+        cycle = self._cycle()
+        if cycle:
+            path = " -> ".join(cycle + cycle[:1])
             yield Finding("GA101", f"stage graph has a cycle: {path}")
         for stream in self.streams:
             if not 0 < stream.item_size < math.inf:
@@ -216,21 +208,6 @@ class AppConfig:
         for finding in self.findings():
             raise ConfigError(str(finding))
 
-    def stage_graph(self) -> Any:
-        """The stage DAG as a ``networkx.DiGraph`` (nodes = stage names,
-        edges = streams).
-
-        For analysis and tests; nothing a run executes calls it, which
-        is why networkx is imported here and not by the module.
-        """
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        graph.add_nodes_from(s.name for s in self.stages)
-        for stream in self.streams:
-            graph.add_edge(stream.src, stream.dst, stream=stream)
-        return graph
-
     def stage(self, name: str) -> StageConfig:
         """Look up a stage by name."""
         for stage in self.stages:
@@ -238,21 +215,56 @@ class AppConfig:
                 return stage
         raise ConfigError(f"no stage {name!r} in application {self.name!r}")
 
+    def _downstream(self) -> Dict[str, Dict[str, None]]:
+        """Each stage's downstream stages, in stream declaration order
+        (stages in declaration order; streams naming an unknown stage
+        are ignored)."""
+        downstream: Dict[str, Dict[str, None]] = {s.name: {} for s in self.stages}
+        for stream in self.streams:
+            if stream.src in downstream and stream.dst in downstream:
+                downstream[stream.src][stream.dst] = None
+        return downstream
+
+    def _cycle(self) -> List[str]:
+        """The stages of one cycle, in stream direction, or ``[]``.
+
+        A depth-first search from each stage in declaration order that
+        follows streams in declaration order and stops at the first
+        stream back onto its own path: the cycle the graph library it
+        replaced reported, which ``tests/grid/test_graph_equivalence.py``
+        holds it to.
+        """
+        downstream = self._downstream()
+        finished: Set[str] = set()
+        for start in downstream:
+            if start in finished:
+                continue
+            path = [start]
+            pending = [iter(downstream[start])]
+            while pending:
+                target = next(pending[-1], None)
+                if target is None:
+                    finished.add(path.pop())
+                    pending.pop()
+                elif target in path:
+                    return path[path.index(target):]
+                elif target not in finished:
+                    path.append(target)
+                    pending.append(iter(downstream[target]))
+        return []
+
     def _topological_names(self) -> List[str]:
         """Stage names by Kahn's algorithm, one generation at a time.
 
         A generation lists its stages in the order their last upstream
         stage released them (declaration order for the sources), and a
         stage's downstream stages are visited in stream declaration
-        order — the order ``networkx.topological_sort`` gives for
-        :meth:`stage_graph`.  Stages on or behind a cycle are left out,
-        so a result shorter than the distinct stage names means the
-        graph is cyclic.  Streams naming an unknown stage are ignored.
+        order — the order of the graph library it replaced, which
+        ``tests/grid/test_graph_equivalence.py`` holds it to.  Stages on
+        or behind a cycle are left out, so a result shorter than the
+        distinct stage names means the graph is cyclic.
         """
-        downstream: Dict[str, Dict[str, None]] = {s.name: {} for s in self.stages}
-        for stream in self.streams:
-            if stream.src in downstream and stream.dst in downstream:
-                downstream[stream.src][stream.dst] = None
+        downstream = self._downstream()
         waiting = dict.fromkeys(downstream, 0)
         for targets in downstream.values():
             for target in targets:

@@ -65,8 +65,6 @@ __all__ = [
     "encode_credit",
     "encode_frame",
     "encode_json",
-    "encode_payload",
-    "encode_payload_batch",
     "encode_payload_batch_into",
     "encode_payload_columns_into",
     "encode_payload_into",
@@ -384,8 +382,11 @@ _INT64_MAX = (1 << 63) - 1
 def encode_payload_into(out: bytearray, obj: Any, size: float) -> None:
     """Append one stream item's DATA encoding to ``out`` (no copies).
 
-    Byte-identical to :func:`encode_payload`; the caller supplies the
-    buffer so batch/frame builders compose without intermediate ``bytes``
+    ``size`` is the *declared* item size (what ``context.emit`` was told)
+    — the receiver re-attaches it so stage byte metrics stay comparable
+    across the simulated/threaded/networked runtimes, while ``net.*``
+    metrics count the real encoded bytes.  The caller supplies the buffer
+    so batch/frame builders compose without intermediate ``bytes``
     objects.
     """
     base = len(out)
@@ -423,21 +424,8 @@ def encode_payload_into(out: bytearray, obj: Any, size: float) -> None:
     out += blob
 
 
-def encode_payload(obj: Any, size: float) -> bytes:
-    """Encode one stream item for a DATA frame.
-
-    ``size`` is the *declared* item size (what ``context.emit`` was told)
-    — the receiver re-attaches it so stage byte metrics stay comparable
-    across the simulated/threaded/networked runtimes, while ``net.*``
-    metrics count the real encoded bytes.
-    """
-    out = bytearray()
-    encode_payload_into(out, obj, size)
-    return bytes(out)
-
-
 def decode_payload(data: _Buffer) -> Tuple[Any, float]:
-    """Inverse of :func:`encode_payload`: returns (object, declared size).
+    """Inverse of :func:`encode_payload_into`: returns (object, declared size).
 
     Accepts any bytes-like buffer; batch decoding hands in ``memoryview``
     slices so per-item bodies are never copied.
@@ -596,32 +584,25 @@ def encode_payload_columns_into(
 
 
 def encode_payload_batch_into(out: bytearray, items: "Sequence[Tuple[Any, ...]]") -> None:
-    """:func:`encode_payload_columns_into` for tuples ``(object, size, ...)``."""
+    """Append several ``(object, declared size, ...)`` items as one DATA payload.
+
+    :func:`encode_payload_columns_into` picks the int-batch fast path when
+    every item is a plain int64 (two vectorized struct packs), the
+    summary-batch fast path when every item is a count-samps summary dict
+    (one :func:`repro.streams.wire.encode_summary_batch_into` blob,
+    per-record metadata up front), and otherwise the generic batch: each
+    item's ordinary :func:`encode_payload_into` bytes behind a uint32
+    length prefix.  The receiver distinguishes batch from single-item
+    payloads by the leading codec tag.
+    """
     if not items:
         raise ProtocolError("cannot encode an empty payload batch")
     columns = tuple(zip(*items))
     encode_payload_columns_into(out, columns[0], columns[1])
 
 
-def encode_payload_batch(items: "List[Tuple[Any, float]]") -> bytes:
-    """Encode several ``(object, declared size)`` items into one DATA payload.
-
-    Picks the int-batch fast path when every item is a plain int64 (two
-    vectorized struct packs), the summary-batch fast path when every item
-    is a count-samps summary dict (one
-    :func:`repro.streams.wire.encode_summary_batch` blob, per-record
-    metadata up front), and otherwise falls back to the generic batch:
-    each item's ordinary :func:`encode_payload` bytes behind a uint32
-    length prefix.  The receiver distinguishes batch from single-item
-    payloads by the leading codec tag.
-    """
-    out = bytearray()
-    encode_payload_batch_into(out, items)
-    return bytes(out)
-
-
 def decode_payload_batch(data: _Buffer) -> "List[Tuple[Any, float]]":
-    """Inverse of :func:`encode_payload_batch`: ``(object, size)`` pairs."""
+    """Inverse of :func:`encode_payload_batch_into`: ``(object, size)`` pairs."""
     if len(data) and data[0] not in _BATCH_TAGS:
         raise ProtocolError(f"unknown batch payload codec tag {data[0]}")
     return list(zip(*decode_payload_columns(data)))

@@ -173,8 +173,9 @@ class Network:
         relax in the order their links were added and one push counter
         breaks heap ties on both sides, so among equal-weight routes the
         choice is a function of construction order alone — the same
-        choice ``networkx.shortest_path(..., weight=...)`` makes, which
-        this replaces and the tests hold it to, hop for hop.
+        choice the graph library this replaces makes for a weighted
+        shortest path, as ``tests/grid/test_graph_equivalence.py``
+        holds it to, hop for hop.
         """
         adjacency = (self._succ, self._pred)
         settled: Tuple[Dict[str, float], ...] = ({}, {})

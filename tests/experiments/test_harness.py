@@ -1,20 +1,12 @@
-"""Integration tests: the experiment harness reproduces the paper's shapes.
+"""The experiment harness's star fabric.
 
-These run the real experiment code at reduced scale (fewer items, shorter
-horizons) and assert the *qualitative* claims of each figure — who wins,
-in which direction parameters move — not absolute numbers.
+The paper's shapes themselves are claims over the full-scale runs
+(``tests/experiments/claims.py``), checked by ``test_claims.py``.
 """
 
 import pytest
 
-from repro.experiments.common import (
-    build_star_fabric,
-    run_comp_steer,
-    run_count_samps_centralized,
-    run_count_samps_distributed,
-)
-from repro.experiments.fig8 import feasible_rate as fig8_feasible
-from repro.experiments.fig9 import feasible_rate as fig9_feasible
+from repro.experiments.common import build_star_fabric
 
 
 class TestFabricBuilder:
@@ -45,153 +37,3 @@ class TestFabricBuilder:
     def test_invalid_source_count(self):
         with pytest.raises(ValueError):
             build_star_fabric(0, bandwidth=1000.0)
-
-
-@pytest.fixture(scope="module")
-def fig5_pair():
-    centralized = run_count_samps_centralized(
-        items_per_source=5_000, bandwidth=100_000.0, seed=7
-    )
-    distributed = run_count_samps_distributed(
-        items_per_source=5_000, bandwidth=100_000.0, sample_size=100.0, seed=7
-    )
-    return centralized, distributed
-
-
-class TestFig5Shape:
-    def test_distributed_is_faster(self, fig5_pair):
-        centralized, distributed = fig5_pair
-        assert distributed.execution_time < centralized.execution_time
-
-    def test_distributed_moves_fewer_bytes(self, fig5_pair):
-        centralized, distributed = fig5_pair
-        assert distributed.bytes_to_center < 0.5 * centralized.bytes_to_center
-
-    def test_both_accuracies_high(self, fig5_pair):
-        centralized, distributed = fig5_pair
-        assert centralized.accuracy > 0.9
-        assert distributed.accuracy > 0.85
-
-    def test_accuracy_loss_is_modest(self, fig5_pair):
-        centralized, distributed = fig5_pair
-        assert centralized.accuracy >= distributed.accuracy - 0.02
-        assert centralized.accuracy - distributed.accuracy < 0.15
-
-    def test_reported_values_overlap_truth(self, fig5_pair):
-        _, distributed = fig5_pair
-        truth = {v for v, _ in distributed.truth}
-        reported = {v for v, _ in distributed.reported}
-        assert len(truth & reported) >= 8
-
-
-class TestFig67Shape:
-    def test_small_k_faster_than_large_k_at_low_bandwidth(self):
-        small = run_count_samps_distributed(
-            items_per_source=5_000, bandwidth=1_000.0, sample_size=40.0,
-            source_rate=2_000.0, seed=3,
-        )
-        large = run_count_samps_distributed(
-            items_per_source=5_000, bandwidth=1_000.0, sample_size=160.0,
-            source_rate=2_000.0, seed=3,
-        )
-        assert small.execution_time < large.execution_time
-        assert small.accuracy <= large.accuracy + 0.02
-
-    def test_bandwidth_irrelevant_when_fat(self):
-        a = run_count_samps_distributed(
-            items_per_source=5_000, bandwidth=1_000_000.0, sample_size=160.0,
-            source_rate=2_000.0, seed=3,
-        )
-        b = run_count_samps_distributed(
-            items_per_source=5_000, bandwidth=100_000.0, sample_size=160.0,
-            source_rate=2_000.0, seed=3,
-        )
-        assert a.execution_time == pytest.approx(b.execution_time, rel=0.1)
-
-    def test_adaptive_raises_k_when_unconstrained(self):
-        run = run_count_samps_distributed(
-            items_per_source=8_000, bandwidth=1_000_000.0,
-            sample_size=100.0, adaptive=True, source_rate=2_000.0, seed=3,
-        )
-        series = run.result.stage("filter-0").parameter_history["sample-size"]
-        assert series.last()[1] > 100.0
-
-    def test_adaptive_lowers_k_when_network_constrained(self):
-        run = run_count_samps_distributed(
-            items_per_source=8_000, bandwidth=1_000.0,
-            sample_size=200.0, adaptive=True, source_rate=2_000.0, seed=3,
-        )
-        series = run.result.stage("filter-0").parameter_history["sample-size"]
-        assert series.last()[1] < 200.0
-
-    def test_adaptive_between_extremes_at_low_bandwidth(self):
-        kwargs = dict(items_per_source=5_000, bandwidth=1_000.0,
-                      source_rate=2_000.0, seed=3)
-        small = run_count_samps_distributed(sample_size=40.0, **kwargs)
-        large = run_count_samps_distributed(sample_size=160.0, **kwargs)
-        adaptive = run_count_samps_distributed(
-            sample_size=100.0, adaptive=True, **kwargs
-        )
-        # Never the worst of either axis (the paper's headline claim).
-        assert adaptive.execution_time <= large.execution_time * 1.05
-        assert adaptive.accuracy >= small.accuracy - 0.05
-
-
-class TestFig8Shape:
-    def test_unconstrained_costs_converge_to_one(self):
-        run = run_comp_steer(
-            analysis_ms_per_byte=1.0, duration_seconds=150.0
-        )
-        assert run.converged_rate > 0.9
-
-    def test_constrained_cost_converges_below_feasible_plus_margin(self):
-        run = run_comp_steer(
-            analysis_ms_per_byte=20.0, duration_seconds=250.0
-        )
-        feasible = fig8_feasible(20.0)
-        assert run.converged_rate == pytest.approx(feasible, abs=0.15)
-        assert run.converged_rate < 0.6
-
-    def test_ordering_across_costs(self):
-        rates = [
-            run_comp_steer(
-                analysis_ms_per_byte=cost, duration_seconds=200.0
-            ).converged_rate
-            for cost in (5.0, 10.0, 20.0)
-        ]
-        assert rates[0] > rates[1] > rates[2]
-
-    def test_rate_starts_at_initial_value(self):
-        run = run_comp_steer(analysis_ms_per_byte=1.0, duration_seconds=60.0,
-                             initial_rate=0.13)
-        assert run.rate_series[0][1] == pytest.approx(0.13)
-
-
-class TestFig9Shape:
-    def test_fat_generation_converges_to_one(self):
-        run = run_comp_steer(
-            generation_rate_bytes=5_000.0, analysis_ms_per_byte=0.01,
-            link_bandwidth=10_000.0, initial_rate=0.01,
-            duration_seconds=200.0, item_bytes=200.0,
-        )
-        assert run.converged_rate > 0.9
-
-    def test_network_constraint_detected(self):
-        run = run_comp_steer(
-            generation_rate_bytes=40_000.0, analysis_ms_per_byte=0.01,
-            link_bandwidth=10_000.0, initial_rate=0.01,
-            duration_seconds=250.0, item_bytes=200.0,
-        )
-        feasible = fig9_feasible(40_000.0)
-        assert run.converged_rate == pytest.approx(feasible, abs=0.12)
-
-    def test_ordering_across_generation_rates(self):
-        rates = [
-            run_comp_steer(
-                generation_rate_bytes=gen, analysis_ms_per_byte=0.01,
-                link_bandwidth=10_000.0, initial_rate=0.01,
-                duration_seconds=200.0, item_bytes=200.0,
-            ).converged_rate
-            for gen in (20_000.0, 40_000.0, 80_000.0)
-        ]
-        assert rates[0] > rates[1] > rates[2]

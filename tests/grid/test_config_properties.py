@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.grid.config import AppConfig, ParameterConfig, StageConfig, StreamConfig
 from repro.grid.resources import ResourceRequirement
+from tests.grid.test_graph_equivalence import stage_graph
 
 name_strategy = st.text(
     alphabet=string.ascii_lowercase + string.digits + "-",
@@ -120,7 +121,7 @@ class TestConfigRoundTripProperties:
     @given(config=app_configs())
     @settings(max_examples=40, deadline=None)
     def test_graph_queries_consistent(self, config):
-        graph = config.stage_graph()
+        graph = stage_graph(config)
         assert set(graph.nodes) == {s.name for s in config.stages}
         for stream in config.streams:
             assert stream.dst in config.downstream_of(stream.src)

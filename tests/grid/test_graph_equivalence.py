@@ -1,17 +1,20 @@
 """The stage-graph and routing code against networkx, the reference.
 
-``AppConfig`` orders stages with its own Kahn's algorithm and
-``Network`` routes with its own Dijkstra, so that no process of a run
-imports networkx.  Both replaced networkx calls whose *tie-breaking*
-other code had come to rely on (deployment order; which of two
-equal-bandwidth routes a stream takes, which the golden simulator
-digests hash), so they are held here to the same answers as networkx —
-element for element and hop for hop, ties included.
+``AppConfig`` orders stages with its own Kahn's algorithm, names a
+cycle with its own depth-first search, and ``Network`` routes with its
+own Dijkstra, so that nothing under ``src/`` imports networkx (a test
+dependency only).  Each replaced a networkx call whose *tie-breaking*
+other code had come to rely on (deployment order; the cycle GA101
+names; which of two equal-bandwidth routes a stream takes, which the
+golden simulator digests hash), so they are held here to the same
+answers as networkx — element for element and hop for hop, ties
+included.
 """
 
 import glob
 import itertools
 import os
+import sys
 
 import networkx as nx
 import pytest
@@ -32,8 +35,18 @@ CONFIGS = os.path.join(
 # -- stage graph --------------------------------------------------------------
 
 
+def stage_graph(config: AppConfig) -> nx.DiGraph:
+    """The stage graph as networkx sees it: stages in declaration order,
+    one edge per stream (parallel streams merge)."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(s.name for s in config.stages)
+    for stream in config.streams:
+        graph.add_edge(stream.src, stream.dst, stream=stream)
+    return graph
+
+
 def assert_same_order(config: AppConfig) -> None:
-    graph = config.stage_graph()
+    graph = stage_graph(config)
     assert [s.name for s in config.topological_stages()] == list(
         nx.topological_sort(graph)
     )
@@ -93,7 +106,7 @@ def test_cycle_is_rejected_with_the_message_networkx_gave():
             StreamConfig("e4", "c", "out"),
         ],
     )
-    cycle = nx.find_cycle(config.stage_graph())
+    cycle = nx.find_cycle(stage_graph(config))
     assert cycle == [("a", "b"), ("b", "c"), ("c", "a")]
     expected = "stage graph has a cycle: " + " -> ".join([a for a, _ in cycle] + ["a"])
     assert expected == "stage graph has a cycle: a -> b -> c -> a"
@@ -102,6 +115,46 @@ def test_cycle_is_rejected_with_the_message_networkx_gave():
     assert str(raised.value) == expected
     with pytest.raises(ConfigError):
         config.topological_stages()
+
+
+@st.composite
+def digraph_configs(draw):
+    """Any stage graph: cycles, self-loops and parallel streams allowed."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = list(itertools.product(range(n), repeat=2))
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=14))
+    return AppConfig(
+        name="generated",
+        stages=[StageConfig(f"s{i}", "repo://x/y") for i in range(n)],
+        streams=[
+            StreamConfig(f"e{k}", f"s{a}", f"s{b}") for k, (a, b) in enumerate(chosen)
+        ],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraph_configs())
+def test_generated_cycles_are_named_as_networkx_names_them(config):
+    cycles = [f.message for f in config.findings() if f.code == "GA101"]
+    try:
+        cycle = nx.find_cycle(stage_graph(config))
+    except nx.NetworkXNoCycle:
+        assert cycles == []
+        return
+    names = [a for a, _ in cycle] + [cycle[0][0]]
+    assert cycles == ["stage graph has a cycle: " + " -> ".join(names)]
+
+
+def test_configs_load_and_cycles_are_named_without_networkx(monkeypatch):
+    monkeypatch.setitem(sys.modules, "networkx", None)
+    with pytest.raises(ImportError):
+        import networkx  # noqa: F401
+    for _, config in valid_fixture_configs():
+        config.validate()
+    with open(os.path.join(CONFIGS, "ga101_cycle.xml"), encoding="utf-8") as handle:
+        report = verify_document(handle.read(), filename="ga101_cycle.xml")
+    (diagnostic,) = [d for d in report.errors if d.code == "GA101"]
+    assert diagnostic.message == "stage graph has a cycle: a -> b -> a"
 
 
 def test_ga101_report_text():

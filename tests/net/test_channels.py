@@ -25,14 +25,13 @@ from repro.net.protocol import (
     encode_credit,
     encode_frame,
     encode_json,
-    encode_payload,
-    encode_payload_batch,
     is_batch_payload,
     read_frame,
     send_frame,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.simnet.hosts import CpuCostModel
+from tests.net.payloads import payload, payload_batch
 
 
 def run(coro, timeout=20.0):
@@ -811,12 +810,12 @@ class _RecordingTransport(asyncio.Transport):
 
 
 _WIRE_FRAMES = [
-    encode_frame(FrameType.DATA, encode_payload(0, 8.0)),
+    encode_frame(FrameType.DATA, payload(0, 8.0)),
     encode_frame(
-        FrameType.DATA, encode_payload_batch([(1, 8.0), (2, 8.0), (3, 8.0)])
+        FrameType.DATA, payload_batch([(1, 8.0), (2, 8.0), (3, 8.0)])
     ),
-    encode_frame(FrameType.DATA, encode_payload(4, 8.0)),
-    encode_frame(FrameType.DATA, encode_payload({"k": "v"}, 8.0)),
+    encode_frame(FrameType.DATA, payload(4, 8.0)),
+    encode_frame(FrameType.DATA, payload({"k": "v"}, 8.0)),
     encode_frame(FrameType.EOS, encode_json({"stream": "s0"})),
 ]
 _WIRE = b"".join(_WIRE_FRAMES)
@@ -921,7 +920,7 @@ class TestReceivePath:
         Those 8 items' credit left with the old connection, so the new
         sender is granted back exactly the 6 items it shipped, never
         more than its window (which its grant check would refuse)."""
-        batch = encode_payload_batch
+        batch = payload_batch
 
         async def scenario():
             worker = self._worker("py://tests.net.test_channels:FreeSink", window=8)

@@ -2,11 +2,11 @@
 networked worker loads none of the layers it does not run, nor any XML
 module.
 
-Both packages are still dependencies — the stream generators and the
-sketches draw from numpy, ``AppConfig.stage_graph()`` builds a networkx
-graph — but they load where they are first used, so a networked worker,
-the coordinator and a threaded run of stages that use neither never pay
-for them (ROADMAP item 4(c); ``docs/performance.md`` "Process footprint
+numpy is still a dependency — the stream generators and the sketches
+draw from it — but it loads where it is first used, and networkx is a
+test-only dependency nothing under ``src/`` imports, so a networked
+worker, the coordinator and a threaded run of stages that use neither
+never pay for them (ROADMAP item 4(c); ``docs/performance.md`` "Process footprint
 and RESULT collection" and "Process start").  The runs happen in fresh
 interpreters: this test process has both loaded long before it gets here.
 """

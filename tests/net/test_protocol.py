@@ -26,10 +26,9 @@ from repro.net.protocol import (
     decode_payload_batch,
     encode_frame,
     encode_json,
-    encode_payload,
-    encode_payload_batch,
     is_batch_payload,
 )
+from tests.net.payloads import payload, payload_batch
 
 
 def frame_of(ftype=FrameType.DATA, payload=b"hello"):
@@ -186,23 +185,23 @@ class TestJsonPayloads:
 
 class TestDataPayloadCodec:
     def test_int_round_trips_via_fixed_layout(self):
-        data = encode_payload(12345, 8.0)
+        data = payload(12345, 8.0)
         assert data[0] == 1  # _PAYLOAD_INT tag
         assert decode_payload(data) == (12345, 8.0)
 
     def test_int_boundaries(self):
         for value in (-(1 << 63), (1 << 63) - 1, 0, -1):
-            obj, size = decode_payload(encode_payload(value, 4.0))
+            obj, size = decode_payload(payload(value, 4.0))
             assert obj == value
 
     def test_oversized_int_falls_back_to_json(self):
         huge = 1 << 70
-        data = encode_payload(huge, 8.0)
+        data = payload(huge, 8.0)
         assert data[0] == 0  # _PAYLOAD_JSON tag
         assert decode_payload(data) == (huge, 8.0)
 
     def test_bool_is_not_confused_with_int(self):
-        obj, _ = decode_payload(encode_payload(True, 1.0))
+        obj, _ = decode_payload(payload(True, 1.0))
         assert obj is True
 
     def test_summary_rides_the_compact_wire_codec(self):
@@ -211,7 +210,7 @@ class TestDataPayloadCodec:
             "pairs": [(7, 3), (1, 2)],
             "items_seen": 11,
         }
-        data = encode_payload(summary, 24.0)
+        data = payload(summary, 24.0)
         assert data[0] == 2  # _PAYLOAD_SUMMARY tag
         obj, size = decode_payload(data)
         assert size == 24.0
@@ -221,17 +220,17 @@ class TestDataPayloadCodec:
 
     def test_summary_shaped_dict_with_extra_keys_goes_json(self):
         almost = {"source": "s", "pairs": [], "items_seen": 0, "extra": 1}
-        assert encode_payload(almost, 1.0)[0] == 0
+        assert payload(almost, 1.0)[0] == 0
 
     def test_declared_size_is_preserved_not_recomputed(self):
-        data = encode_payload({"big": "x" * 1000}, 12.0)
+        data = payload({"big": "x" * 1000}, 12.0)
         _, size = decode_payload(data)
         assert size == 12.0
         assert len(data) > 1000  # encoded bytes dwarf the declared size
 
     def test_unencodable_object_raises(self):
         with pytest.raises(ProtocolError, match="not wire-encodable"):
-            encode_payload(object(), 8.0)
+            payload(object(), 8.0)
 
     def test_truncated_payload_raises(self):
         with pytest.raises(ProtocolError, match="too short"):
@@ -245,7 +244,7 @@ class TestDataPayloadCodec:
     def test_payload_codec_fuzz(self):
         rng = random.Random(7)
         for _ in range(200):
-            good = encode_payload(
+            good = payload(
                 {"k": rng.randrange(1000)}, float(rng.randrange(64))
             )
             blob = bytearray(good)
@@ -279,7 +278,7 @@ class TestBatchPayloadCodec:
     ]
 
     def test_mixed_batch_round_trips_via_generic_tag(self):
-        data = encode_payload_batch(self.MIXED)
+        data = payload_batch(self.MIXED)
         assert data[0] == 3  # _PAYLOAD_BATCH tag
         decoded = decode_payload_batch(data)
         assert decoded[0] == (42, 8.0)
@@ -291,7 +290,7 @@ class TestBatchPayloadCodec:
         assert [tuple(p) for p in obj["pairs"]] == [(7, 3)]
 
     def test_all_summary_batch_takes_the_compact_tag(self):
-        data = encode_payload_batch(self.SUMMARIES)
+        data = payload_batch(self.SUMMARIES)
         assert data[0] == 4  # _PAYLOAD_SUMMARY_BATCH tag
         decoded = decode_payload_batch(data)
         assert [size for _, size in decoded] == [24.0, 12.0, 6.0 * 2]
@@ -303,53 +302,53 @@ class TestBatchPayloadCodec:
             ]
 
     def test_summary_batch_is_smaller_than_generic_framing(self):
-        compact = encode_payload_batch(self.SUMMARIES)
+        compact = payload_batch(self.SUMMARIES)
         # The generic batch would carry each item's single encoding behind
         # a uint32 length prefix, after the tag byte and uint32 count.
         generic = 1 + 4 + sum(
-            4 + len(encode_payload(obj, size)) for obj, size in self.SUMMARIES
+            4 + len(payload(obj, size)) for obj, size in self.SUMMARIES
         )
         assert len(compact) < generic
 
     def test_single_item_batch_round_trips(self):
-        decoded = decode_payload_batch(encode_payload_batch([(7, 8.0)]))
+        decoded = decode_payload_batch(payload_batch([(7, 8.0)]))
         assert decoded == [(7, 8.0)]
 
     def test_is_batch_payload_discriminates(self):
-        assert is_batch_payload(encode_payload_batch(self.MIXED))
-        assert is_batch_payload(encode_payload_batch(self.SUMMARIES))
-        assert not is_batch_payload(encode_payload(42, 8.0))
-        assert not is_batch_payload(encode_payload(self.SUMMARIES[0][0], 24.0))
+        assert is_batch_payload(payload_batch(self.MIXED))
+        assert is_batch_payload(payload_batch(self.SUMMARIES))
+        assert not is_batch_payload(payload(42, 8.0))
+        assert not is_batch_payload(payload(self.SUMMARIES[0][0], 24.0))
         assert not is_batch_payload(b"")
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ProtocolError, match="empty payload batch"):
-            encode_payload_batch([])
+            payload_batch([])
 
     def test_unencodable_item_raises(self):
         with pytest.raises(ProtocolError, match="not wire-encodable"):
-            encode_payload_batch([(1, 8.0), (object(), 8.0)])
+            payload_batch([(1, 8.0), (object(), 8.0)])
 
     def test_truncated_batch_raises(self):
-        good = encode_payload_batch(self.MIXED)
+        good = payload_batch(self.MIXED)
         for cut in range(1, len(good)):
             with pytest.raises(ProtocolError):
                 decode_payload_batch(good[:cut])
 
     def test_truncated_summary_batch_raises(self):
-        good = encode_payload_batch(self.SUMMARIES)
+        good = payload_batch(self.SUMMARIES)
         for cut in range(1, len(good)):
             with pytest.raises(ProtocolError):
                 decode_payload_batch(good[:cut])
 
     def test_trailing_bytes_rejected(self):
-        good = encode_payload_batch(self.MIXED)
+        good = payload_batch(self.MIXED)
         with pytest.raises(ProtocolError, match="trailing bytes"):
             decode_payload_batch(good + b"\x00")
 
     def test_count_mismatch_in_summary_batch(self):
         # Declare one more record than the wire blob carries.
-        good = bytearray(encode_payload_batch(self.SUMMARIES))
+        good = bytearray(payload_batch(self.SUMMARIES))
         (count,) = struct.unpack_from("<I", good, 1)
         struct.pack_into("<I", good, 1, count + 1)
         with pytest.raises(ProtocolError):
@@ -367,7 +366,7 @@ class TestBatchPayloadCodec:
                 ({"k": rng.randrange(1000)}, float(rng.randrange(64)))
                 for _ in range(rng.randrange(1, 6))
             ]
-            blob = bytearray(encode_payload_batch(items))
+            blob = bytearray(payload_batch(items))
             blob[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
             try:
                 decoded = decode_payload_batch(bytes(blob))
@@ -391,7 +390,7 @@ class TestBatchPayloadCodec:
                 )
                 for _ in range(rng.randrange(1, 5))
             ]
-            blob = bytearray(encode_payload_batch(items))
+            blob = bytearray(payload_batch(items))
             blob[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
             try:
                 decoded = decode_payload_batch(bytes(blob))
@@ -410,26 +409,26 @@ class TestIntBatchPayloadCodec:
     INTS = [(42, 8.0), (-7, 16.0), (0, 0.0), ((1 << 63) - 1, 8.0), (-(1 << 63), 8.0)]
 
     def test_all_int_batch_takes_the_vectorized_tag(self):
-        data = encode_payload_batch(self.INTS)
+        data = payload_batch(self.INTS)
         assert data[0] == 5  # _PAYLOAD_INT_BATCH tag
         assert is_batch_payload(data)
         assert decode_payload_batch(data) == self.INTS
 
     def test_int_batch_is_smaller_than_generic_framing(self):
-        compact = encode_payload_batch(self.INTS)
+        compact = payload_batch(self.INTS)
         generic = 1 + 4 + sum(
-            4 + len(encode_payload(obj, size)) for obj, size in self.INTS
+            4 + len(payload(obj, size)) for obj, size in self.INTS
         )
         assert len(compact) < generic
 
     def test_bool_items_force_the_generic_tag(self):
-        data = encode_payload_batch([(1, 8.0), (True, 8.0)])
+        data = payload_batch([(1, 8.0), (True, 8.0)])
         assert data[0] == 3  # bools keep their single-item JSON encoding
         assert decode_payload_batch(data) == [(1, 8.0), (True, 8.0)]
 
     def test_oversized_int_forces_the_generic_tag(self):
         items = [(1, 8.0), (1 << 63, 8.0)]
-        data = encode_payload_batch(items)
+        data = payload_batch(items)
         assert data[0] == 3  # beyond int64 → per-item JSON fallback
         assert decode_payload_batch(data) == items
 
@@ -437,23 +436,23 @@ class TestIntBatchPayloadCodec:
         class MyInt(int):
             pass
 
-        data = encode_payload_batch([(MyInt(5), 8.0), (6, 8.0)])
+        data = payload_batch([(MyInt(5), 8.0), (6, 8.0)])
         assert data[0] == 3
         assert decode_payload_batch(data) == [(5, 8.0), (6, 8.0)]
 
     def test_truncated_int_batch_raises(self):
-        good = encode_payload_batch(self.INTS)
+        good = payload_batch(self.INTS)
         for cut in range(1, len(good)):
             with pytest.raises(ProtocolError):
                 decode_payload_batch(good[:cut])
 
     def test_trailing_bytes_in_int_batch_raise(self):
-        good = encode_payload_batch(self.INTS)
+        good = payload_batch(self.INTS)
         with pytest.raises(ProtocolError, match="int batch"):
             decode_payload_batch(good + b"\x00")
 
     def test_int_batch_decodes_from_memoryview_slice(self):
-        good = encode_payload_batch(self.INTS)
+        good = payload_batch(self.INTS)
         padded = b"\xff" * 3 + good + b"\xff" * 2
         view = memoryview(padded)[3 : 3 + len(good)]
         assert decode_payload_batch(view) == self.INTS
@@ -465,11 +464,11 @@ class TestIntBatchPayloadCodec:
         items = [(value, 8.0) for value in range(32)]
 
         def batched():
-            decode_payload_batch(encode_payload_batch(items))
+            decode_payload_batch(payload_batch(items))
 
         def single():
             for obj, size in items:
-                decode_payload(encode_payload(obj, size))
+                decode_payload(payload(obj, size))
 
         assert min_seconds(batched) <= min_seconds(single)
 
@@ -480,7 +479,7 @@ class TestIntBatchPayloadCodec:
                 (rng.randrange(-(1 << 63), 1 << 63), float(rng.randrange(64)))
                 for _ in range(rng.randrange(1, 9))
             ]
-            blob = bytearray(encode_payload_batch(items))
+            blob = bytearray(payload_batch(items))
             assert blob[0] == 5
             blob[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
             try:

@@ -300,12 +300,12 @@ class TestNetworkedErrors:
         ERROR, and the coordinator heard nothing until its timeout.
         """
         from repro.net.protocol import (
-            FrameType, encode_payload, finish_frame, new_frame_buffer,
+            FrameType, encode_payload_into, finish_frame, new_frame_buffer,
         )
 
         async def corrupt(peer_writer):
             frame = new_frame_buffer()
-            frame += encode_payload(7, 8.0)
+            encode_payload_into(frame, 7, 8.0)
             frame = finish_frame(frame, FrameType.DATA)
             frame[-1] ^= 0xFF  # flip payload bits under the packed CRC
             peer_writer.write(frame)
@@ -317,10 +317,11 @@ class TestNetworkedErrors:
     def test_truncated_data_frame_fails_the_run(self):
         """A sender closing mid-frame fails the stage with an ERROR
         naming the stream, instead of wedging the run."""
-        from repro.net.protocol import FrameType, encode_frame, encode_payload
+        from repro.net.protocol import FrameType, encode_frame
+        from tests.net.payloads import payload
 
         async def truncate(peer_writer):
-            frame = encode_frame(FrameType.DATA, encode_payload(7, 8.0))
+            frame = encode_frame(FrameType.DATA, payload(7, 8.0))
             peer_writer.write(frame[:-3])
             await peer_writer.drain()
             peer_writer.close()

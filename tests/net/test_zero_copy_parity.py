@@ -28,8 +28,7 @@ from repro.net.protocol import (
     decode_payload,
     decode_payload_batch,
     encode_frame,
-    encode_payload,
-    encode_payload_batch,
+    encode_payload_into,
     finish_frame,
     new_frame_buffer,
 )
@@ -39,6 +38,7 @@ from repro.streams.wire import (
     encode_summary,
     encode_summary_batch,
 )
+from tests.net.payloads import payload, payload_batch
 
 # ---------------------------------------------------------------------------
 # Legacy encoders: the exact pre-rewrite byte layouts, rebuilt from plain
@@ -200,13 +200,13 @@ def _sizes(corpus):
 class TestPayloadParity:
     def test_single_item_encodings_are_byte_identical(self, ledger_corpus):
         for obj, size in zip(ledger_corpus, _sizes(ledger_corpus)):
-            new = encode_payload(obj, size)
+            new = payload(obj, size)
             old = _legacy_encode_payload(obj, size)
             assert new == old, f"payload bytes diverged for {obj!r}"
 
     def test_single_item_round_trip(self, ledger_corpus):
         for obj, size in zip(ledger_corpus, _sizes(ledger_corpus)):
-            decoded, got_size = decode_payload(encode_payload(obj, size))
+            decoded, got_size = decode_payload(payload(obj, size))
             assert got_size == size
             rec = _summary_record(obj)
             if rec is not None:
@@ -232,7 +232,7 @@ class TestPayloadParity:
                 )
                 if not items:
                     continue
-                new = encode_payload_batch(items)
+                new = payload_batch(items)
                 decoded = decode_payload_batch(new)
                 assert [s for _, s in decoded] == [s for _, s in items]
                 if all(
@@ -257,7 +257,7 @@ class TestPayloadParity:
             if _summary_record(obj) is not None
         ]
         assert len(summaries) >= 4
-        new = encode_payload_batch(summaries)
+        new = payload_batch(summaries)
         old = _legacy_encode_payload_batch(summaries)
         assert new == old
         assert new[0] == 4  # summary-batch tag
@@ -268,7 +268,7 @@ class TestPayloadParity:
 
     def test_decode_accepts_memoryview_slices(self, ledger_corpus):
         for obj, size in zip(ledger_corpus, _sizes(ledger_corpus)):
-            blob = encode_payload(obj, size)
+            blob = payload(obj, size)
             padded = b"\xff" * 3 + blob + b"\xff" * 2
             view = memoryview(padded)[3 : 3 + len(blob)]
             assert decode_payload(view) == decode_payload(blob)
@@ -278,11 +278,11 @@ class TestFrameParity:
     def test_finish_frame_matches_legacy_frame_bytes(self, ledger_corpus):
         for obj, size in zip(ledger_corpus, _sizes(ledger_corpus)):
             buf = new_frame_buffer()
-            buf += encode_payload(obj, size)
-            payload = bytes(buf[12:])
+            encode_payload_into(buf, obj, size)
+            body = bytes(buf[12:])
             finished = finish_frame(buf, FrameType.DATA)
-            assert bytes(finished) == _legacy_encode_frame(FrameType.DATA, payload)
-            assert bytes(finished) == encode_frame(FrameType.DATA, payload)
+            assert bytes(finished) == _legacy_encode_frame(FrameType.DATA, body)
+            assert bytes(finished) == encode_frame(FrameType.DATA, body)
 
     def test_empty_frame_parity(self):
         for ftype in (FrameType.SYNC, FrameType.EOS, FrameType.CREDIT):
