@@ -8,7 +8,8 @@ plain and sharded out-edges, the ``setup()`` bracket, the per-item loop
 (:func:`stage_loop`), the source loop feeding first-layer stages
 (:func:`source_loop`), the Section-4 sampling tick, micro-batch flush
 bookkeeping, checkpoint capture and restore (with the processor swap
-failover and migration share), and dead-letter construction.
+failover and migration share), dead-letter construction, and the report
+of a finished run (:func:`stage_finals`, :func:`run_report`).
 
 It knows nothing about *how* a driver waits.  Both loops are generators
 that yield a plain effect record wherever a driver must block (take
@@ -29,7 +30,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Dict, FrozenSet, Generator, Iterable, Iterator, List
-from typing import Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.adaptation.controller import ParameterController
 from repro.core.adaptation.load import LoadEstimator
@@ -43,15 +44,20 @@ from repro.core.sharding import ShardGroup, logical_stream
 from repro.core.termination import EosTracker
 from repro.metrics.rates import RateEstimator
 from repro.obs.registry import BatchMetrics, MetricsRegistry, StageMetrics
+from repro.obs.tracing import publish_traces
 from repro.resilience.checkpoint import StageCheckpoint
 from repro.resilience.policy import DeadLetter, DeadLetterQueue, ResilienceConfig
+
+if TYPE_CHECKING:
+    from repro.core.results import RunResult
 
 __all__ = [
     "EOS", "FLUSH", "PUT", "SEND", "TAKE", "WAIT", "WORK",
     "EdgeSpec", "KernelStageContext", "RouteUnit", "SourceBinding", "StageCore",
     "adaptation_tick", "build_route_units", "check_binding", "edge_spec", "flush_buffers",
-    "next_flush_timeout", "quarantine", "restore_checkpoint", "route_indices", "run_setup",
-    "source_loop", "stage_checkpoint", "stage_loop", "swap_processor",
+    "next_flush_timeout", "quarantine", "restore_checkpoint", "route_indices", "run_report",
+    "run_setup", "source_loop", "stage_checkpoint", "stage_finals", "stage_loop",
+    "swap_processor",
 ]
 
 #: Stands in for ``param_lock`` / ``state_lock`` on single-threaded drivers
@@ -981,3 +987,48 @@ def quarantine(
         stage.events.log(
             stage.clock(), "item-quarantined", stage=stage.name, reason=reason, error=repr(exc)
         )
+
+
+# -- the end of a run ------------------------------------------------------------
+
+
+def stage_finals(stages: Iterable[StageCore], now: float) -> Dict[str, Any]:
+    """Set each stage's arrival-rate gauge to its decayed estimate at
+    ``now``; return each processor's ``result()`` by stage name."""
+    finals: Dict[str, Any] = {}
+    for stage in stages:
+        stage.metrics.arrival_rate.set(stage.rate_estimator.decayed_rate(now))
+        finals[stage.name] = stage.processor.result()
+    return finals
+
+
+def run_report(
+    result: RunResult,
+    metrics: MetricsRegistry,
+    execution_time: float,
+    hosts: Mapping[str, str],
+    finals: Mapping[str, Any],
+    groups: Mapping[str, ShardGroup],
+    tracer: Optional[Any] = None,
+) -> RunResult:
+    """Fill ``result``, every runtime's report of a finished run: the
+    ``run.execution_time`` and ``shard.{group}.replicas`` gauges, the
+    tracer's traces, and a :class:`~repro.core.results.StageStats` per
+    stage of ``hosts`` (stage -> host, in report order) with its final
+    value from ``finals``."""
+    # Imported here: a networked worker runs stages but never reports a run.
+    from repro.core.results import StageStats
+
+    result.execution_time = execution_time
+    metrics.gauge("run.execution_time").set(execution_time)
+    for name, group in groups.items():
+        metrics.gauge(f"shard.{name}.replicas").set(float(group.active))
+    if tracer is not None:
+        result.traces = tracer.traces
+        publish_traces(metrics, result.traces)
+    for name, host in hosts.items():
+        result.stages[name] = StageStats.from_registry(
+            metrics, name, host_name=host, final_value=finals.get(name)
+        )
+    result.metrics = metrics
+    return result

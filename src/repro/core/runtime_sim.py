@@ -73,20 +73,22 @@ from repro.core.kernel import (
     flush_buffers,
     quarantine,
     restore_checkpoint,
+    run_report,
     run_setup,
     source_loop,
     stage_checkpoint,
+    stage_finals,
     stage_loop,
     swap_processor,
 )
-from repro.core.results import RunResult, StageStats
+from repro.core.results import RunResult
 from repro.core.options import read_options
 from repro.core.sharding import ShardGroup, groups_of
 from repro.core.termination import no_input_message
 from repro.grid.config import StreamConfig
 from repro.grid.deployer import Deployment
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import TraceCollector, publish_traces
+from repro.obs.tracing import TraceCollector
 from repro.resilience.checkpoint import (
     CheckpointStore,
     MemoryCheckpointStore,
@@ -411,26 +413,12 @@ class SimulatedRuntime:
                 f"(now={self.env.now}); pipeline likely wedged"
             )
 
-        result.execution_time = self.env.now - start
-        self.metrics.gauge("run.execution_time").set(result.execution_time)
-        for group_name, group in self._groups.items():
-            self.metrics.gauge(f"shard.{group_name}.replicas").set(
-                float(group.active)
-            )
-        if self.tracer is not None:
-            result.traces = self.tracer.traces
-            publish_traces(self.metrics, result.traces)
-        for stage in self._stages.values():
-            stage.metrics.arrival_rate.set(
-                stage.rate_estimator.decayed_rate(self.env.now)
-            )
-            result.stages[stage.name] = StageStats.from_registry(
-                self.metrics, stage.name,
-                host_name=stage.host_name,
-                final_value=stage.processor.result(),
-            )
-        result.metrics = self.metrics
-        return result
+        now = self.env.now
+        return run_report(
+            result, self.metrics, now - start,
+            {name: stage.host_name for name, stage in self._stages.items()},
+            stage_finals(self._stages.values(), now), self._groups, self.tracer,
+        )
 
     # -- processes ------------------------------------------------------------
 

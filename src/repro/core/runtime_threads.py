@@ -52,24 +52,26 @@ from repro.core.kernel import (
     check_binding,
     edge_spec,
     restore_checkpoint,
+    run_report,
     run_setup,
     source_loop,
     stage_checkpoint,
+    stage_finals,
     stage_loop,
     swap_processor,
 )
-from repro.core.results import RunResult, StageStats
+from repro.core.results import RunResult
 from repro.core.sharding import (
     ShardGroup,
     ShardScaler,
-    expand_shards,
     export_keyed_state,
     groups_of,
     import_keyed_state,
 )
 from repro.core.termination import no_input_message
+from repro.grid.admission import admit
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import TraceCollector, publish_traces
+from repro.obs.tracing import TraceCollector
 from repro.resilience.checkpoint import CheckpointStore, MemoryCheckpointStore
 from repro.resilience.policy import DeadLetterQueue, ResilienceConfig
 from repro.simnet.links import TokenBucket
@@ -178,38 +180,23 @@ class _MonitoredQueue:
         for a producer deciding when to hand over, never a guarantee."""
         return not self._items
 
-    def _take(self, timeout: Optional[float]) -> None:
-        """With the lock held: release what the consumer holds, then
-        block until the queue is non-empty, or raise ``TimeoutError``
-        after ``timeout`` seconds."""
-        if self._held:
-            self._not_full.notify(self._held)
-            self._held = 0
-            self._recent.append(len(self._items))
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self._items:
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                raise TimeoutError("queue get timed out")
-            self._not_empty.wait(remaining)
-
-    def get(self, timeout: Optional[float] = None) -> Any:
-        """Take one item outright (it is not held), releasing any held
-        items first."""
-        with self._lock:
-            self._take(timeout)
-            item = self._items.popleft()
-            self._recent.append(len(self._items))
-            self._not_full.notify()
-            return item
-
     def get_many(self, max_items: int, timeout: Optional[float] = None) -> List[Any]:
-        """Release the held items, block for the first item (as
-        :meth:`get`), then take up to ``max_items`` without further
-        waiting.  The taken items are held until the next take."""
+        """Release the held items, block until the queue is non-empty
+        (raising ``TimeoutError`` after ``timeout`` seconds), then take
+        up to ``max_items`` without further waiting.  The taken items are
+        held until the next take."""
         with self._lock:
-            self._take(timeout)
+            if self._held:
+                self._not_full.notify(self._held)
+                self._held = 0
+                self._recent.append(len(self._items))
             items = self._items
+            deadline = None if timeout is None else time.monotonic() + timeout
+            while not items:
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    raise TimeoutError("queue get timed out")
+                self._not_empty.wait(remaining)
             taken = [items.popleft() for _ in range(min(max_items, len(items)))]
             self._held = len(taken)
             return taken
@@ -348,37 +335,17 @@ class ThreadedRuntime:
         verify: bool = True,
         **kwargs: Any,
     ) -> "ThreadedRuntime":
-        """Build a runtime with stages and streams from an AppConfig.
-
-        Resolves each stage's code URL through ``repository`` (default:
-        the built-in application repository), instantiates the
-        processors, and wires the declared streams.  Sources still need
-        :meth:`bind_source`; ``kwargs`` pass through to the constructor.
-
-        ``verify=True`` (the default) runs the static verifier
-        (:mod:`repro.analysis.verifier`) first and refuses configurations
-        with error-severity findings — the threaded runtime's pre-deploy
-        gate; pass ``verify=False`` to skip it.
-        """
-        if repository is None:
-            from repro.net.worker import default_repository
-
-            repository = default_repository()
-        if verify:
-            from repro.analysis.verifier import verify_config
-
-            report = verify_config(config, repository=repository)
-            if not report.ok:
-                raise ThreadedRuntimeError(
-                    f"configuration {config.name!r} failed verification "
-                    f"({report.summary_line()}):\n{report.render_text()}"
-                )
-        config.validate()
-        config = expand_shards(config)
+        """Admit ``config`` (:func:`~repro.grid.admission.admit` against
+        ``repository``; ``verify=False`` skips its static-verifier gate),
+        instantiate its processors and wire its streams.  Sources still
+        need :meth:`bind_source`; ``kwargs`` pass through to the
+        constructor."""
+        config, factories = admit(
+            config, ThreadedRuntimeError, repository=repository, verify=verify
+        )
         runtime = cls(**kwargs)
         for stage in config.stages:
-            factory = repository.fetch(stage.code_url)
-            runtime.add_stage(stage.name, factory(), properties=stage.properties)
+            runtime.add_stage(stage.name, factories[stage.name](), properties=stage.properties)
         for stream in config.streams:
             runtime.connect(stream.src, stream.dst, name=stream.name)
         return runtime
@@ -476,7 +443,6 @@ class ThreadedRuntime:
                 raise ThreadedRuntimeError(no_input_message(stage.name))
         self._started = True
         self._start_time = time.monotonic()
-        result = RunResult(app_name="threaded-app")
 
         for stage in self._stages.values():
             stage.open_batch_buffers(range(len(stage.out_edges)))
@@ -517,24 +483,12 @@ class ThreadedRuntime:
         if errors:
             raise errors[0]
 
-        result.execution_time = self.elapsed()
-        self.metrics.gauge("run.execution_time").set(result.execution_time)
-        for group_name, group in self._groups.items():
-            self.metrics.gauge(f"shard.{group_name}.replicas").set(float(group.active))
-        if self.tracer is not None:
-            result.traces = self.tracer.traces
-            publish_traces(self.metrics, result.traces)
-        for stage in self._stages.values():
-            stage.metrics.arrival_rate.set(
-                stage.rate_estimator.decayed_rate(self.elapsed())
-            )
-            result.stages[stage.name] = StageStats.from_registry(
-                self.metrics, stage.name,
-                host_name="local-thread",
-                final_value=stage.processor.result(),
-            )
-        result.metrics = self.metrics
-        return result
+        elapsed = self.elapsed()
+        return run_report(
+            RunResult(app_name="threaded-app"), self.metrics, elapsed,
+            dict.fromkeys(self._stages, "local-thread"),
+            stage_finals(self._stages.values(), elapsed), self._groups, self.tracer,
+        )
 
     # -- thread bodies -----------------------------------------------------------
 

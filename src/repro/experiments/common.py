@@ -12,14 +12,15 @@ quantities the figures plot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.apps import comp_steer as comp_steer_app
 from repro.apps import count_samps as count_samps_app
-from repro.apps import intrusion as intrusion_app
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.results import RunResult
 from repro.core.runtime_sim import SimulatedRuntime, SourceBinding
+from repro.grid.admission import builtin_repository
+from repro.grid.config import AppConfig
 from repro.grid.deployer import Deployer
 from repro.grid.launcher import Launcher
 from repro.grid.registry import ServiceRegistry
@@ -75,10 +76,7 @@ def build_star_fabric(
     )
     registry = ServiceRegistry()
     registry.register_network(network)
-    repository = CodeRepository()
-    count_samps_app._register_codes(repository)
-    comp_steer_app._register_codes(repository)
-    intrusion_app._register_codes(repository)
+    repository = builtin_repository()
     deployer = Deployer(registry, repository)
     return GridFabric(
         env=env,
@@ -150,48 +148,16 @@ def run_count_samps_distributed(
     decomposed with ``repro report``.
     """
     fabric = build_star_fabric(n_sources, bandwidth)
-    if adaptive:
-        config = count_samps_app.build_distributed_config(
-            n_sources, fabric.source_hosts,
-            sample_size=sample_size,
-            sample_size_min=sample_size_min,
-            sample_size_max=sample_size_max,
-            batch=batch, top_n=top_n, sketch=sketch, seed=seed,
-        )
-    else:
-        config = count_samps_app.build_distributed_config(
-            n_sources, fabric.source_hosts,
-            sample_size=sample_size,
-            sample_size_min=sample_size,
-            sample_size_max=sample_size,
-            batch=batch, top_n=top_n, sketch=sketch, seed=seed,
-        )
-    deployment = fabric.launcher.launch(config)
-    runtime = SimulatedRuntime(
-        fabric.env, fabric.network, deployment,
-        policy=policy, adaptation_enabled=adaptive, trace_every=trace_every,
+    low, high = (sample_size_min, sample_size_max) if adaptive else (sample_size, sample_size)
+    config = count_samps_app.build_distributed_config(
+        n_sources, fabric.source_hosts,
+        sample_size=sample_size, sample_size_min=low, sample_size_max=high,
+        batch=batch, top_n=top_n, sketch=sketch, seed=seed,
     )
-    substreams, truth = _make_substreams(
-        n_sources, items_per_source, universe, skew, seed
-    )
-    for i, payloads in enumerate(substreams):
-        runtime.bind_source(
-            SourceBinding(
-                name=f"stream-{i}", target_stage=f"filter-{i}",
-                payloads=payloads, rate=source_rate,
-                item_size=count_samps_app.RAW_INT_BYTES,
-            )
-        )
-    result = runtime.run()
-    reported = result.final_value("join")
-    accuracy = topk_accuracy(reported, truth, k=top_n)
-    return CountSampsRun(
-        execution_time=result.execution_time,
-        accuracy=accuracy,
-        reported=reported,
-        truth=truth[:top_n],
-        bytes_to_center=result.stage("join").bytes_in,
-        result=result,
+    return _count_samps_run(
+        fabric, config, "filter", "join",
+        dict(policy=policy, adaptation_enabled=adaptive, trace_every=trace_every),
+        items_per_source, universe, skew, seed, top_n, source_rate,
     )
 
 
@@ -218,31 +184,41 @@ def run_count_samps_centralized(
         n_sources, fabric.source_hosts, top_n=top_n, seed=seed,
         sketch_capacity=sketch_capacity,
     )
-    deployment = fabric.launcher.launch(config)
-    runtime = SimulatedRuntime(
-        fabric.env, fabric.network, deployment, adaptation_enabled=False,
-        trace_every=trace_every,
+    return _count_samps_run(
+        fabric, config, "relay", "central",
+        dict(adaptation_enabled=False, trace_every=trace_every),
+        items_per_source, universe, skew, seed, top_n, source_rate,
     )
+
+
+def _count_samps_run(
+    fabric: GridFabric, config: AppConfig, entry: str, sink: str, options: Dict[str, Any],
+    items_per_source: int, universe: int, skew: float, seed: int, top_n: int,
+    source_rate: Optional[float],
+) -> CountSampsRun:
+    """Launch ``config`` on ``fabric``, feed sub-stream i into stage
+    ``{entry}-{i}``, run, and score ``sink``'s top-``top_n`` answer."""
+    deployment = fabric.launcher.launch(config)
+    runtime = SimulatedRuntime(fabric.env, fabric.network, deployment, **options)
     substreams, truth = _make_substreams(
-        n_sources, items_per_source, universe, skew, seed
+        len(fabric.source_hosts), items_per_source, universe, skew, seed
     )
     for i, payloads in enumerate(substreams):
         runtime.bind_source(
             SourceBinding(
-                name=f"stream-{i}", target_stage=f"relay-{i}",
+                name=f"stream-{i}", target_stage=f"{entry}-{i}",
                 payloads=payloads, rate=source_rate,
                 item_size=count_samps_app.RAW_INT_BYTES,
             )
         )
     result = runtime.run()
-    reported = result.final_value("central")
-    accuracy = topk_accuracy(reported, truth, k=top_n)
+    reported = result.final_value(sink)
     return CountSampsRun(
         execution_time=result.execution_time,
-        accuracy=accuracy,
+        accuracy=topk_accuracy(reported, truth, k=top_n),
         reported=reported,
         truth=truth[:top_n],
-        bytes_to_center=result.stage("central").bytes_in,
+        bytes_to_center=result.stage(sink).bytes_in,
         result=result,
     )
 

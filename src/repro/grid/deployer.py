@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
+from repro.grid.admission import admit
 from repro.grid.config import AppConfig, StageConfig
 from repro.grid.matchmaker import Matchmaker
 from repro.grid.registry import ServiceRegistry
@@ -100,60 +101,18 @@ class Deployer:
             self._containers[host_name] = container
         return container
 
-    def verify(self, config: AppConfig) -> None:
-        """Run the static verifier; raise on error-severity findings.
-
-        The pre-deploy gate: the full multi-pass analysis of
-        :mod:`repro.analysis.verifier` (graph, adaptation, code,
-        checkpoint-contract, placement and wire passes) against this
-        deployer's repository and registry.  Callers opt out with
-        ``deploy(config, verify=False)`` — the API equivalent of the
-        CLI's ``--no-verify``.
-        """
-        from repro.analysis.verifier import verify_config
-
-        report = verify_config(
-            config, repository=self.repository, registry=self.registry
-        )
-        if not report.ok:
-            raise DeploymentError(
-                f"configuration {config.name!r} failed verification "
-                f"({report.summary_line()}):\n{report.render_text()}"
-            )
-
     def deploy(self, config: AppConfig, verify: bool = True) -> Deployment:
         """Run the five-step deployment of Section 3.2.
 
-        ``verify=False`` skips the static pre-deploy verifier (the
-        structural ``config.validate()`` minimum still applies).
+        Step 1, with step 4 hoisted, is :func:`~repro.grid.admission.admit`
+        against this deployer's repository and registry; its replica
+        slots are matched one by one, so a group spreads across nodes.
+        ``verify=False`` skips the static verifier (the CLI's ``--no-verify``).
         """
-        # Step 1: receive + validate configuration.
-        config.validate()
-        if verify:
-            self.verify(config)
-
-        # Expand sharded stages into their replica slots *after* the
-        # verifier ran (diagnostics reference the declared stage names)
-        # but *before* matchmaking, so every replica is placed
-        # independently — the matchmaker's claimed-host exclusion then
-        # spreads a group's replicas across distinct nodes whenever the
-        # fabric has the capacity.  (Imported lazily: repro.core.sharding
-        # itself depends on repro.grid.config.)
-        from repro.core.sharding import expand_shards
-
-        config = expand_shards(config)
-
-        # Step 4 (hoisted): verify all stage code exists *before* touching
-        # any node, so a bad code URL cannot leave a half deployment.
-        factories = {}
-        for stage in config.stages:
-            try:
-                factories[stage.name] = self.repository.fetch(stage.code_url)
-            except Exception as exc:
-                raise DeploymentError(
-                    f"stage {stage.name!r}: cannot fetch code "
-                    f"{stage.code_url!r}: {exc}"
-                ) from exc
+        config, factories = admit(
+            config, DeploymentError, repository=self.repository,
+            verify=verify, registry=self.registry,
+        )
 
         # Step 2: consult the resource manager.
         requirements = [(s.name, s.requirement) for s in config.stages]

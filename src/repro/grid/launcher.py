@@ -50,7 +50,7 @@ class Launcher:
         """Resolve ``ref`` and deploy the application.
 
         ``verify=False`` skips the static pre-deploy verifier (see
-        :meth:`repro.grid.deployer.Deployer.verify`).
+        :func:`repro.grid.admission.admit`).
         """
         config = self.resolve(ref)
         return self.deployer.deploy(config, verify=verify)

@@ -125,8 +125,9 @@ class AsyncInbox:
     worker calls ``put_nowait`` from the transport's ``data_received``,
     one :class:`~repro.core.items.ItemRun` entry per DATA frame, so a
     frame's items are queued before the event loop runs anything else.
-    Lengths (``capacity``, :attr:`current_length`, the one queue-length
-    sample per put) count items: a run its items, any other entry one.
+    Lengths (``capacity``, :attr:`current_length`, the queue-length
+    samples) count items: a run its items, any other entry one, and a
+    put leaves one d̄ sample per item it adds.
 
     One event-loop thread owns the inbox, so it needs no lock: a deque
     of entries plus FIFO queues of getter and putter futures, each
@@ -160,21 +161,32 @@ class AsyncInbox:
     def put_nowait(self, entry: Any) -> None:
         """Append ``entry`` past any capacity and wake one consumer."""
         self._entries.append(entry)
-        self._length += len(entry.values) if type(entry) is ItemRun else 1
-        self._recent.append(self._length)
+        n = len(entry.values) if type(entry) is ItemRun else 1
+        length = self._length = self._length + n
+        if n == 1:
+            self._recent.append(length)
+        else:
+            self._sample(length, n)
         if self._getters:
             _wake_one(self._getters)
 
     def put_many_nowait(self, entries: "list") -> None:
-        """Append several one-item entries (one queue-length sample, as
-        the threaded runtime's batched handoff) and wake one consumer."""
+        """Append several one-item entries (one d̄ sample each) and wake
+        one consumer."""
         if not entries:
             return
         self._entries.extend(entries)
         self._length += len(entries)
-        self._recent.append(self._length)
+        self._sample(self._length, len(entries))
         if self._getters:
             _wake_one(self._getters)
+
+    def _sample(self, length: int, n: int) -> None:
+        """The d̄ samples of the last ``n`` items put, ``length`` now: one
+        per item, as ``n`` single puts (and the other two runtimes'
+        queues) leave — only those the window keeps are appended."""
+        recent = self._recent
+        recent.extend(range(max(length - n, length - recent.maxlen) + 1, length + 1))
 
     async def put(self, entry: Any) -> None:
         while self._length >= self.capacity:

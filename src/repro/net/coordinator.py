@@ -26,9 +26,10 @@ Lifecycle driven by :meth:`NetworkedRuntime.run`:
    worker dials out), then START everyone;
 5. feed the source bindings over the coordinator's own credit-bounded
    :class:`~repro.net.channels.OutChannel` connections;
-6. collect one RESULT (or ERROR) frame per worker, merge every worker's
-   metrics registry into the coordinator's, SHUTDOWN the fleet, and
-   assemble the RunResult.
+6. once the feeders drain, broadcast "collect" (MIGRATE), read one
+   RESULT (or ERROR) frame per worker, merge every worker's metrics
+   registry into the coordinator's, SHUTDOWN the fleet, and report the
+   run with the kernel's :func:`~repro.core.kernel.run_report`.
 """
 
 from __future__ import annotations
@@ -41,16 +42,17 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Awaitable, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.batching import BatchPolicy
 from repro.core.items import EndOfStream, ItemRun
-from repro.core.kernel import WAIT, SourceBinding, check_binding, source_loop
-from repro.core.results import RunResult, StageStats
+from repro.core.kernel import WAIT, SourceBinding, check_binding, run_report, source_loop
+from repro.core.results import RunResult
 from repro.core.options import StageOptions, stage_options
-from repro.core.sharding import SHARD_SEPARATOR, ShardGroup, expand_shards, groups_of
+from repro.core.sharding import SHARD_SEPARATOR, ShardGroup, groups_of
+from repro.grid.admission import admit
 from repro.grid.config import AppConfig
 from repro.grid.matchmaker import Matchmaker
 from repro.grid.registry import ServiceRegistry
@@ -65,7 +67,7 @@ from repro.net.protocol import (
     read_frame,
     send_frame,
 )
-from repro.net.worker import ANNOUNCE_PREFIX, default_repository
+from repro.net.worker import ANNOUNCE_PREFIX
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.migration import MigrationPlan, MigrationReport, book_move
 from repro.simnet.engine import Environment
@@ -95,7 +97,6 @@ class _WorkerHandle:
     process: Optional[subprocess.Popen] = None
     reader: Optional[asyncio.StreamReader] = None
     writer: Optional[asyncio.StreamWriter] = None
-    stages: List[str] = field(default_factory=list)
     #: UNIX-socket path the worker announced (spawned co-located workers
     #: only); advertised to peers as the fast path with TCP fallback.
     uds: Optional[str] = None
@@ -123,10 +124,9 @@ class NetworkedRuntime:
         verify: bool = True,
         migrations: Optional[Sequence[MigrationPlan]] = None,
     ) -> None:
-        """``verify=True`` (the default) runs the static verifier
-        (:mod:`repro.analysis.verifier`) over ``config`` and refuses
-        configurations with error-severity findings before any worker
-        process is spawned; ``verify=False`` skips the gate.
+        """``config`` is admitted here (:func:`~repro.grid.admission.admit`
+        against ``repository``), before any worker process is spawned;
+        ``verify=False`` skips its static-verifier gate.
 
         ``batch`` switches the data plane onto the micro-batched fast
         path: workers pack up to ``batch.max_items`` items per DATA
@@ -161,26 +161,10 @@ class NetworkedRuntime:
                 raise NetworkedRuntimeError(
                     f"migrations must be MigrationPlan instances, got {plan!r}"
                 )
-        if verify:
-            from repro.analysis.verifier import verify_config
-
-            report = verify_config(
-                config,
-                repository=(
-                    repository if repository is not None else default_repository()
-                ),
-                migrating=[plan.stage for plan in plans],
-            )
-            if not report.ok:
-                raise NetworkedRuntimeError(
-                    f"configuration {config.name!r} failed verification "
-                    f"({report.summary_line()}):\n{report.render_text()}"
-                )
-        # Expand sharded stages into replica slots after the verifier ran
-        # (its diagnostics reference the declared names) but before
-        # placement, so the matchmaker spreads a group's replicas across
-        # the worker fleet.
-        self.config = expand_shards(config)
+        self.config, _ = admit(
+            config, NetworkedRuntimeError, repository=repository, verify=verify,
+            migrating=[plan.stage for plan in plans],
+        )
         # Parsed here as well as on the workers, so an invalid option
         # fails before any worker spawns.
         self._options: Dict[str, StageOptions] = {}
@@ -198,9 +182,6 @@ class NetworkedRuntime:
         self.batch = batch
         self._uds_dir: Optional[str] = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.repository = (
-            repository if repository is not None else default_repository()
-        )
         self._sources: List[SourceBinding] = []
         self._started = False
         #: stage name -> worker name, decided by the matchmaker at run().
@@ -330,17 +311,6 @@ class NetworkedRuntime:
         if self._started:
             raise NetworkedRuntimeError("run() may only be called once")
         self._started = True
-        self.config.validate()
-        # Fail before spawning anything if some stage code is unfetchable
-        # (the Deployer hoists the same check before touching any node).
-        for stage in self.config.stages:
-            try:
-                self.repository.fetch(stage.code_url)
-            except Exception as exc:
-                raise NetworkedRuntimeError(
-                    f"stage {stage.name!r}: cannot fetch code "
-                    f"{stage.code_url!r}: {exc}"
-                ) from exc
 
         handles: List[_WorkerHandle] = []
         outcome: List[RunResult] = []
@@ -385,8 +355,6 @@ class NetworkedRuntime:
         install_task_dump("coordinator")
         self.placement = self._place([h.name for h in handles])
         by_name = {h.name: h for h in handles}
-        for stage_name, worker_name in self.placement.items():
-            by_name[worker_name].stages.append(stage_name)
 
         # ``execution_time`` starts at the post-START barrier (re-stamped
         # below), matching the threaded runtime, which stamps its start
@@ -408,21 +376,19 @@ class NetworkedRuntime:
                 await self._expect_ready(handle, FrameType.START, "started")
             run_started = time.monotonic()
             feeders = [asyncio.ensure_future(self._feed_source(b, by_name)) for b in self._sources]
-            fed: Awaitable[Any] = asyncio.gather(*feeders)
-            if self._migration_plans:
-                # Control RPCs and RESULT collection share each worker's
-                # single control connection, so migrations run to
-                # completion before any reader starts waiting on RESULT
-                # frames; workers hold results until the "collect"
-                # broadcast (HELLO hold_results), sent once the feeders
-                # drain.
-                await self._run_migrations(by_name, run_started)
-                fed = self._collect_after(fed, handles)
-            # Alongside the feeders, so a failing source — or a stage
-            # failing after a move, whose worker reports ERROR at once —
-            # ends the run at once.
+            # Control RPCs and RESULT collection share each worker's
+            # single control connection, so migrations run to completion
+            # before any reader starts waiting on RESULT frames.  Workers
+            # hold their results until the "collect" broadcast, sent once
+            # the feeders drain: an adopted stage is then included, and a
+            # spare worker does not report before it might adopt one.
+            await self._run_migrations(by_name, run_started)
+            # Alongside the feeders, so a failing source — or a failing
+            # stage, whose worker reports ERROR at once — ends the run at
+            # once.
             results, _ = await asyncio.gather(
-                asyncio.gather(*(self._collect_result(h) for h in handles)), fed,
+                asyncio.gather(*(self._collect_result(h) for h in handles)),
+                self._collect_after(asyncio.gather(*feeders), handles),
             )
         finally:
             for feeder in feeders:
@@ -434,24 +400,14 @@ class NetworkedRuntime:
         elapsed = time.monotonic() - run_started
 
         finals: Dict[str, Any] = {}
-        for handle, body in zip(handles, results):
+        for body in results:
             finals.update(body.get("finals", {}))
             self._merge_registry(body.get("metrics", {}))
-        self.metrics.gauge("run.execution_time").set(elapsed)
-
-        result = RunResult(
-            app_name=self.config.name,
-            execution_time=elapsed,
-            metrics=self.metrics,
+        return run_report(
+            RunResult(app_name=self.config.name), self.metrics, elapsed,
+            {stage.name: self.placement[stage.name] for stage in self.config.stages},
+            finals, self._groups,
         )
-        for stage in self.config.stages:
-            result.stages[stage.name] = StageStats.from_registry(
-                self.metrics,
-                stage.name,
-                host_name=self.placement[stage.name],
-                final_value=finals.get(stage.name),
-            )
-        return result
 
     # -- control-plane steps --------------------------------------------------
 
@@ -474,7 +430,6 @@ class NetworkedRuntime:
                 "time_scale": self.time_scale,
                 "credit_window": self.credit_window,
                 "adaptation": self.adaptation_enabled,
-                "hold_results": bool(self._migration_plans),
                 "policy": asdict(self.policy),
                 "batch": (
                     {
@@ -847,9 +802,6 @@ class NetworkedRuntime:
 
         pause_seconds = (time.monotonic() - t0) / self.time_scale
         self.placement[stage_name] = target_name
-        if stage_name in source.stages:
-            source.stages.remove(stage_name)
-        target.stages.append(stage_name)
         requested_at = (t0 - run_started) / self.time_scale
         book_move(
             MigrationReport(

@@ -8,9 +8,10 @@ worker``), binds a TCP port, and announces it on stdout as
 1. the coordinator connects and HELLOs (assigning the worker its
    placement name, adaptation policy, time scale, and credit window);
 2. REGISTER frames instantiate stage processors (code resolved through
-   the same :class:`~repro.grid.repository.CodeRepository` scheme the
-   simulated Deployer uses: built-in ``repo://`` publications plus
-   ``py://module:attr`` imports);
+   the same built-in repository every runtime admits against,
+   :func:`repro.grid.admission.builtin_repository`: every built-in
+   application's ``repo://`` publications plus ``py://module:attr``
+   imports);
 3. CHANNEL frames declare the stage graph's edges as seen from this
    worker — local (both ends here), inbound (remote sender will ATTACH),
    or outbound (dial the peer worker at START);
@@ -21,9 +22,11 @@ worker``), binds a TCP port, and announces it on stdout as
    over-/under-load exceptions upstream *over the wire* when the
    upstream stage lives on another worker;
 5. when every local stage has drained (one EndOfStream per input,
-   tracked by the shared :class:`~repro.core.termination.EosTracker`),
-   the worker sends RESULT with its stage finals and its entire metrics
-   registry, then waits for SHUTDOWN.
+   tracked by the shared :class:`~repro.core.termination.EosTracker`)
+   and the coordinator's "collect" has arrived, the worker sends RESULT
+   with its stage finals (:func:`repro.core.kernel.stage_finals`) and
+   its entire metrics registry, then waits for SHUTDOWN; a failed stage
+   sends ERROR at once.
 
 The worker is single-threaded asyncio: stages are tasks, not threads,
 which keeps per-stage state lock-free while the real concurrency lives
@@ -56,11 +59,13 @@ from repro.core.kernel import (
     restore_checkpoint,
     run_setup,
     stage_checkpoint,
+    stage_finals,
     stage_loop,
 )
 from repro.core.options import StageOptions, stage_options
 from repro.core.sharding import ShardGroup
 from repro.core.termination import no_input_message
+from repro.grid.admission import builtin_repository
 from repro.grid.repository import CodeRepository
 from repro.net.channels import AsyncInbox, ChannelError, InChannel, OutChannel
 from repro.net.debug import install_task_dump
@@ -77,7 +82,7 @@ from repro.net.protocol import (
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.checkpoint import StageCheckpoint
 
-__all__ = ["ANNOUNCE_PREFIX", "Worker", "WorkerError", "default_repository", "main"]
+__all__ = ["ANNOUNCE_PREFIX", "Worker", "WorkerError", "main"]
 
 #: stdout announce line: ``REPRO-NET-WORKER <port>`` — plus an optional
 #: third token, the worker's UNIX-socket path, when one is bound (the
@@ -93,20 +98,6 @@ _SLEEP_DEBT_THRESHOLD = 0.001
 
 class WorkerError(Exception):
     """Raised for protocol violations or invalid registrations."""
-
-
-def default_repository() -> CodeRepository:
-    """The code repository a bare worker resolves ``repo://`` URLs from.
-
-    Publishes the built-in application stages (count-samps and friends);
-    anything else ships as a ``py://module:attr`` reference, which the
-    repository imports directly.
-    """
-    from repro.apps.count_samps import _register_codes
-
-    repository = CodeRepository()
-    _register_codes(repository)
-    return repository
 
 
 class _LocalRoute:
@@ -216,7 +207,9 @@ class Worker:
         #: When set, also listen on this UNIX-domain socket and announce
         #: it, so co-located senders skip the TCP stack entirely.
         self.uds_path = uds_path
-        self.repository = repository if repository is not None else default_repository()
+        #: Built at the first REGISTER when not given, so a spawned
+        #: worker announces without importing every application first.
+        self.repository = repository
         self.metrics = MetricsRegistry()
         self.policy = AdaptationPolicy()
         self.adaptation_enabled = True
@@ -239,11 +232,9 @@ class Worker:
         #: Streams whose sender may legally EOF without EOS because a
         #: live migration is re-routing them (coordinator "expect" step).
         self._migrating_streams: set = set()
-        #: When True (coordinator HELLO, runs with scheduled migrations),
-        #: RESULT/ERROR are held until the coordinator's "collect" —
-        #: adopted stages must be included and spare workers must not
-        #: report before they might adopt one.
-        self._hold_results = False
+        #: Set by the coordinator's "collect": RESULT is held until then,
+        #: so a stage adopted mid-run is included and a spare worker does
+        #: not report before it might adopt one (an ERROR is never held).
         self._release: Optional[asyncio.Event] = None
         #: Set when a hosted stage fails: wakes a completion task held at
         #: the collect release (a stage adopted later may fail there).
@@ -351,7 +342,6 @@ class Worker:
         self.adaptation_enabled = bool(
             body.get("adaptation", self.adaptation_enabled)
         )
-        self._hold_results = bool(body.get("hold_results", False))
         if body.get("policy") is not None:
             self.policy = AdaptationPolicy(**body["policy"])
         if body.get("batch") is not None:
@@ -400,6 +390,8 @@ class Worker:
             raise WorkerError("cannot register stages after START")
         if name in self._stages:
             raise WorkerError(f"duplicate stage {name!r}")
+        if self.repository is None:
+            self.repository = builtin_repository()
         factory = self.repository.fetch(body["code"])
         processor = factory()
         if not isinstance(processor, StreamProcessor):
@@ -490,10 +482,6 @@ class Worker:
         for stage in self._stages.values():
             self._build_routes(stage)
             run_setup(stage, WorkerError)
-            group = stage.options.shard_group
-            if group is not None:
-                active = ShardGroup.of(stage.options).active
-                self.metrics.gauge(f"shard.{group}.replicas").set(float(active))
         # Dial every outbound channel; the receiving workers are already
         # synced (the coordinator barriers SYNC/READY before any START),
         # so their InChannels exist and grant credit on ATTACH.
@@ -681,7 +669,7 @@ class Worker:
             # broadcast it is waiting for never arrives.  The wait
             # below wakes on a failure too: a stage adopted after it
             # started was not in the snapshot.
-            if self._failed_stages() or not self._hold_results:
+            if self._failed_stages():
                 break
             assert self._release is not None and self._failure is not None
             waits = [
@@ -712,16 +700,11 @@ class Worker:
                     }),
                 )
                 return
-            finals: Dict[str, Any] = {}
-            for stage in self._stages.values():
-                if stage.migrated_away:
-                    # The live copy (and its final value) moved to
-                    # another worker; ours is a stale snapshot.
-                    continue
-                stage.metrics.arrival_rate.set(
-                    stage.rate_estimator.decayed_rate(self.elapsed())
-                )
-                finals[stage.name] = stage.processor.result()
+            # A moved-away stage's live copy (and its final value) is on
+            # another worker; ours is a stale snapshot.
+            finals = stage_finals(
+                (s for s in self._stages.values() if not s.migrated_away), self.elapsed()
+            )
             for channel in self._out_channels:
                 await channel.close()
             await send_frame(

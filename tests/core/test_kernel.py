@@ -735,19 +735,45 @@ def _source_read(node):
     return None
 
 
+#: Run-lifecycle calls each made at one ``src/`` site — admission
+#: (``grid/admission.py``) and the run report (``core/kernel.py``) —
+#: besides the analysis passes and the CLI, which check configurations
+#: without admitting them.
+_ONE_CALL_SITE = ("verify_config", "expand_shards", "_register_codes", "StageStats.from_registry")
+
+
+def _called_name(node):
+    """``name`` or ``Owner.name`` for a call of a plain or dotted name."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        owner = func.value
+        if isinstance(owner, ast.Name) and f"{owner.id}.{func.attr}" in _ONE_CALL_SITE:
+            return f"{owner.id}.{func.attr}"
+        return func.attr
+    return None
+
+
 def test_stage_kernel_is_defined_once():
     root = Path(repro.__file__).parent
     offenders = []
+    call_sites = {name: [] for name in _ONE_CALL_SITE}
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root).as_posix()
+        source = path.read_text()
+        tree = ast.parse(source)
+        if not (relative.startswith("analysis/") or relative == "cli.py"):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and _called_name(node) in call_sites:
+                    call_sites[_called_name(node)].append(f"{relative}:{node.lineno}")
         if relative == "core/kernel.py":
             continue
-        source = path.read_text()
         for lineno, line in enumerate(source.splitlines(), 1):
             for call in _KERNEL_ONLY_CALLS:
                 if call in line:
                     offenders.append(f"{relative}:{lineno} calls {call}")
-        for node in ast.walk(ast.parse(source)):
+        for node in ast.walk(tree):
             read = _source_read(node)
             if read is not None:
                 offenders.append(f"{relative}:{read.lineno} reads a source")
@@ -761,6 +787,10 @@ def test_stage_kernel_is_defined_once():
                 bases = [getattr(b, "attr", getattr(b, "id", "")) for b in node.bases]
                 if any(base.endswith("StageContext") for base in bases):
                     offenders.append(f"{relative}:{node.lineno} subclasses StageContext")
+    offenders += [
+        f"{name} is called at {len(sites)} sites: {', '.join(sites)}"
+        for name, sites in call_sites.items() if len(sites) != 1
+    ]
     assert offenders == []
 
 

@@ -37,10 +37,12 @@ class TestPutBlocksAtCapacity:
         thread.start()
         assert not unblocked.wait(0.1), "put() returned while queue was full"
         assert queue.current_length == 2
-        assert queue.get(timeout=1.0) == "a"
+        assert queue.get_many(1, timeout=1.0) == ["a"]  # held: still full
+        assert not unblocked.wait(0.1), "put() ignored the held item"
+        assert queue.get_many(1, timeout=1.0) == ["b"]  # releases "a"
         assert unblocked.wait(2.0), "put() stayed blocked after a drain"
         thread.join(2.0)
-        assert queue.current_length == 2
+        assert queue.current_length == 2  # "b" held, "c" queued
 
     def test_put_many_respects_capacity_exactly(self):
         queue = make_queue(capacity=3)
@@ -111,8 +113,11 @@ class TestGetMany:
         queue = make_queue()
         with pytest.raises(TimeoutError):
             queue.get_many(4, timeout=0.05)
+        queue.put("a")
+        assert queue.get_many(4, timeout=0.05) == ["a"]
         with pytest.raises(TimeoutError):
-            queue.get(timeout=0.05)
+            queue.get_many(4, timeout=0.05)  # releases "a", then times out
+        assert queue.current_length == 0
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

@@ -490,6 +490,23 @@ class TestInboxBatchSurface:
         assert drained == list(range(7))
 
 
+@pytest.mark.parametrize("put", ["run", "many"])
+def test_inbox_samples_d_bar_per_item_like_the_threaded_queue(put):
+    """A frame of n items, or n entries put together, leaves the n d̄
+    samples n single puts would — as ``_MonitoredQueue.put_many`` on the
+    threaded runtime and the simulator's queue do — not one."""
+    from repro.core.runtime_threads import _MonitoredQueue
+
+    inbox = AsyncInbox(capacity=16, window=16)
+    if put == "run":
+        inbox.put_nowait(_run_of(range(4)))
+    else:
+        inbox.put_many_nowait(list(range(4)))
+    threaded = _MonitoredQueue(capacity=16, window=16)
+    threaded.put_many(list(range(4)))
+    assert list(inbox._recent) == list(threaded._recent) == [0, 1, 2, 3, 4]
+
+
 class TestNoteConsumedCounts:
     def test_note_consumed_n_replenishes_in_one_frame(self):
         channel = InChannel("s", "dst", window=8)  # batch = 4
@@ -1118,9 +1135,9 @@ class TestInboxRunEntries:
 
         lengths, recent = run(scenario())
         assert lengths == [33, 23]
-        # After the initial zero, one queue-length sample per put (a
-        # frame is one observation, not 32) and one per take.
-        assert recent == [0, 32, 33, 23]
+        # One queue-length sample per item put (the window of four keeps
+        # the frame's last three) and one per take.
+        assert recent == [31, 32, 33, 23]
 
     def test_get_many_splits_an_entry_larger_than_max_items(self):
         async def scenario():

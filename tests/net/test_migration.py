@@ -141,8 +141,8 @@ def test_adopted_stage_resumes_the_exported_adaptation_state(monkeypatch):
     d̃), exception counts and EOS progress — not from a fresh start.
 
     The five workers run in this process (one event loop on a helper
-    thread), so the state each side holds right after export and right
-    after adopt can be read off the stage records.  The stage moved is
+    thread), so the state each side holds when the checkpoint is taken
+    and when it is restored can be read off the stage records.  The stage moved is
     ``merge-0`` of the three-tier count-samps: a fan-in of two whose
     first input has already ended, with adaptation on.  (Its processor
     keeps no state worth moving, so the verifier's migratable-stage
@@ -156,18 +156,23 @@ def test_adopted_stage_resumes_the_exported_adaptation_state(monkeypatch):
     from repro.core.adaptation.policy import AdaptationPolicy
     from repro.net.worker import Worker
 
+    from repro.net import worker as worker_module
+
     states = {}
 
-    def capture(side, method):
-        async def wrapped(self, body, writer):
-            await method(self, body, writer)
-            name = body["stage"] if "stage" in body else body["register"]["stage"]
-            states[side] = _adaptation_state(self._stages[name])
+    def capture(side, kernel_call):
+        # At the hand-off itself: once the adopted stage's channels are
+        # up, an exception the join reports upstream is its own, not
+        # part of what moved.
+        def wrapped(stage, *args):
+            out = kernel_call(stage, *args)
+            states[side] = _adaptation_state(stage)
+            return out
 
         return wrapped
 
-    monkeypatch.setattr(Worker, "_export_stage", capture("exported", Worker._export_stage))
-    monkeypatch.setattr(Worker, "_adopt_stage", capture("adopted", Worker._adopt_stage))
+    for side, name in (("exported", "stage_checkpoint"), ("adopted", "restore_checkpoint")):
+        monkeypatch.setattr(worker_module, name, capture(side, getattr(worker_module, name)))
 
     loop = asyncio.new_event_loop()
     announces = [io.StringIO() for _ in range(5)]

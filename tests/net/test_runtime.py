@@ -13,7 +13,7 @@ from repro.apps.count_samps import build_distributed_config
 from repro.core.runtime_threads import ThreadedRuntime
 from repro.net.coordinator import NetworkedRuntime, NetworkedRuntimeError
 from repro.net.demo import run_netdemo
-from repro.net.worker import default_repository
+from repro.grid.admission import builtin_repository
 from tests.raising_source import MESSAGE, WHERES, raising_source
 
 N_SOURCES = 2
@@ -115,7 +115,7 @@ def run_peer_fault(fault):
 
 
 def run_threaded(config):
-    repository = default_repository()
+    repository = builtin_repository()
     runtime = ThreadedRuntime(adaptation_enabled=False)
     for stage in config.stages:
         runtime.add_stage(
@@ -208,10 +208,10 @@ class TestNetworkedErrors:
         # The pre-deploy verifier refuses at construction (GA301).
         with pytest.raises(NetworkedRuntimeError, match="failed verification"):
             NetworkedRuntime(config, workers=2)
-        # Even with the gate skipped, the failure precedes worker spawn.
-        runtime = NetworkedRuntime(config, workers=2, verify=False)
+        # Even with the gate skipped, admission fetches every stage's
+        # code at construction, before any worker can spawn.
         with pytest.raises(NetworkedRuntimeError, match="cannot fetch code"):
-            runtime.run(timeout=10.0)
+            NetworkedRuntime(config, workers=2, verify=False)
 
     def test_a_worker_that_fails_to_announce_takes_the_started_ones_down(
         self, monkeypatch
@@ -439,7 +439,7 @@ class TestBatchedParity:
 
     def test_batched_networked_matches_batched_threaded(self, networked_batched):
         _, net_result = networked_batched
-        repository = default_repository()
+        repository = builtin_repository()
         config = build_config()
         runtime = ThreadedRuntime(
             adaptation_enabled=False, batch=_batch_policy()
