@@ -4,7 +4,8 @@
 configuration tooling without writing any Python:
 
 * ``fig5`` / ``fig6-7`` / ``fig8`` / ``fig9`` — regenerate one evaluation
-  artifact (flags control scale so quick runs are possible);
+  artifact and print it beside the paper's numbers (the one printer of
+  each figure; flags control scale so quick runs are possible);
 * ``report [export.jsonl]`` — render a run summary (per-stage table,
   latency decomposition from hop traces, adaptation charts); with no
   argument it runs the built-in quickstart demo, with ``--export``
@@ -29,11 +30,17 @@ configuration tooling without writing any Python:
 * ``replay [run.ledger]`` — record a run into a hash-chained ledger
   (``--record DIR``), or replay a recorded ledger on any runtime and
   assert bit-identical sink output.
+
+``worker``, ``lint`` and ``analyze`` are their modules' own ``main(argv)``
+(:mod:`repro.net.worker`, :mod:`repro.analysis.lint`,
+:mod:`repro.analysis.analyze`), which define their flags; this module
+hands them the rest of the command line untouched.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -70,7 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fig67 = sub.add_parser("fig6-7", help="Figures 6/7: versions x bandwidths")
     fig67.add_argument("--items", type=int, default=25_000)
-    fig67.add_argument("--seeds", type=_parse_seeds, default=(0, 1, 2))
+    fig67.add_argument("--seeds", type=_parse_seeds, default=None,
+                       help="comma-separated seeds to average (default: "
+                            "fig6_7.SEEDS, the seeds EXPERIMENTS.md reports)")
     fig67.add_argument("--json", dest="json_path", default=None)
 
     fig8 = sub.add_parser("fig8", help="Figure 8: processing constraint")
@@ -155,22 +164,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="skip the static pre-deploy verifier "
                               "(repro check) on the generated config")
 
-    worker = sub.add_parser(
+    # lint, analyze and worker own their flags: main() hands such a verb
+    # the rest of its argv, and these entries only list it under --help.
+    sub.add_parser(
         "worker",
         help="run one networked worker process and wait for a coordinator",
     )
-    worker.add_argument("--host", default="127.0.0.1",
-                        help="interface to bind (default 127.0.0.1)")
-    worker.add_argument("--port", type=int, default=0,
-                        help="TCP port to bind (default 0: ephemeral, "
-                             "announced on stdout)")
-    worker.add_argument("--name", default="worker",
-                        help="fallback worker name until the coordinator "
-                             "assigns one")
-    worker.add_argument("--uds", default=None, metavar="PATH",
-                        help="also listen on this UNIX-domain socket and "
-                             "announce it (co-located fast path; ignored "
-                             "on platforms without AF_UNIX)")
 
     check = sub.add_parser(
         "check",
@@ -186,31 +185,17 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--bandwidth", type=float, default=100_000.0,
                        help="dry-run link bandwidth in bytes/s (default 100000)")
 
-    lint = sub.add_parser(
+    sub.add_parser(
         "lint",
         help="run the AST lint suite (metric catalog, determinism, async "
              "hygiene, checkpoint contract) over the source tree",
     )
-    lint.add_argument("paths", nargs="*", default=None,
-                      help="files or directories to lint (default: src/repro)")
-    lint.add_argument("--json", action="store_true",
-                      help="emit the machine-readable JSON report")
-
-    analyze = sub.add_parser(
+    sub.add_parser(
         "analyze",
         help="run the whole-program concurrency analysis (lock order, locks "
              "across waits, guarded state) and the protocol model checker "
              "with model<->code conformance (GA6xx)",
     )
-    analyze.add_argument("paths", nargs="*", default=None,
-                         help="files or directories to analyze "
-                              "(default: src/repro)")
-    analyze.add_argument("--json", action="store_true",
-                         help="emit the machine-readable JSON report")
-    analyze.add_argument("--models", metavar="FILE", default=None,
-                         help="check the MODELS list from this Python file "
-                              "instead of the built-in bounded protocol "
-                              "configurations")
 
     topology = sub.add_parser(
         "topology", help="dry-run placement of a config on a star fabric"
@@ -270,6 +255,7 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
             f"  {row.processing_style:<12} exec={row.execution_time:8.1f}s "
             f"accuracy={row.accuracy:.3f} bytes={row.bytes_to_center:.0f}"
         )
+    print("(paper: Centralized 257.5 s / 0.99; Distributed 180.8 s / 0.97)")
     if args.json_path:
         _write_json(args.json_path, rows)
     return 0
@@ -278,12 +264,15 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
 def _cmd_fig67(args: argparse.Namespace) -> int:
     from repro.experiments import fig6_7
 
-    rows = fig6_7.run_fig6_7(items_per_source=args.items, seeds=tuple(args.seeds))
-    print(f"{'bandwidth':>12} {'version':>9} {'exec (s)':>10} {'accuracy':>9}")
+    seeds = fig6_7.SEEDS if args.seeds is None else tuple(args.seeds)
+    rows = fig6_7.run_fig6_7(items_per_source=args.items, seeds=seeds)
+    print("Figures 6 & 7: execution time and accuracy vs bandwidth")
+    print(f"{'bandwidth':>12} {'version':>9} {'exec (s)':>10} {'accuracy':>9} "
+          f"{'final k':>8}")
     for row in rows:
         print(
             f"{row.bandwidth/1000:>10.0f}KB {row.version:>9} "
-            f"{row.execution_time:>10.1f} {row.accuracy:>9.3f}"
+            f"{row.execution_time:>10.1f} {row.accuracy:>9.3f} {row.final_k:>8.0f}"
         )
     if args.json_path:
         _write_json(args.json_path, rows)
@@ -294,11 +283,13 @@ def _cmd_fig8(args: argparse.Namespace) -> int:
     from repro.experiments import fig8
 
     rows = fig8.run_fig8(duration_seconds=args.duration)
+    print("Figure 8: sampling factor chosen under a processing constraint")
     for row in rows:
         print(
             f"  cost={row.ms_per_byte:5.1f} ms/B converged={row.converged_rate:.3f} "
             f"feasible={row.feasible_rate:.3f}"
         )
+    print("(paper: converges to 1, 1, .65, .55, .31)")
     if args.json_path:
         _write_json(args.json_path, rows)
     return 0
@@ -308,11 +299,13 @@ def _cmd_fig9(args: argparse.Namespace) -> int:
     from repro.experiments import fig9
 
     rows = fig9.run_fig9(duration_seconds=args.duration)
+    print("Figure 9: sampling factor chosen under a network constraint")
     for row in rows:
         print(
             f"  gen={row.generation_rate/1000:4.0f}KB/s "
             f"converged={row.converged_rate:.3f} feasible={row.feasible_rate:.3f}"
         )
+    print("(paper: converges to ~1, ~1, ~.5, ~.25, ~.125)")
     if args.json_path:
         _write_json(args.json_path, rows)
     return 0
@@ -459,15 +452,6 @@ def _cmd_netdemo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.net.worker import main as worker_main
-
-    argv = ["--host", args.host, "--port", str(args.port), "--name", args.name]
-    if args.uds is not None:
-        argv += ["--uds", args.uds]
-    return worker_main(argv)
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.analysis.verifier import check_document
     from repro.experiments.common import build_star_fabric
@@ -506,26 +490,6 @@ def _print_dag(config: AppConfig) -> None:
         arrow = f" -> {', '.join(downstream)}" if downstream else " (sink)"
         params = f" [{len(stage.parameters)} adjustable]" if stage.parameters else ""
         print(f"    {stage.name}{params}{arrow}")
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.lint import main as lint_main
-
-    argv = list(args.paths or [])
-    if args.json:
-        argv.append("--json")
-    return lint_main(argv)
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.analysis.analyze import main as analyze_main
-
-    argv = list(args.paths or [])
-    if args.json:
-        argv.append("--json")
-    if args.models:
-        argv.extend(["--models", args.models])
-    return analyze_main(argv)
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
@@ -612,17 +576,27 @@ _COMMANDS = {
     "report": _cmd_report,
     "chaos": _cmd_chaos,
     "netdemo": _cmd_netdemo,
-    "worker": _cmd_worker,
     "check": _cmd_check,
-    "lint": _cmd_lint,
-    "analyze": _cmd_analyze,
     "topology": _cmd_topology,
     "replay": _cmd_replay,
 }
 
 
+#: Verbs whose module defines their flags: ``repro VERB ARGS`` is that
+#: module's ``main(ARGS)`` (CI also runs them as ``python -m MODULE``).
+_MODULE_VERBS = {
+    "worker": "repro.net.worker",
+    "lint": "repro.analysis.lint",
+    "analyze": "repro.analysis.analyze",
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _MODULE_VERBS:
+        module = importlib.import_module(_MODULE_VERBS[argv[0]])
+        return module.main(argv[1:])
     args = _build_parser().parse_args(argv)
     return _COMMANDS[args.command](args)
 

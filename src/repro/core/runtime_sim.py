@@ -202,7 +202,6 @@ class SimulatedRuntime:
         adaptation_enabled: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         trace_every: Optional[int] = None,
-        max_traces: int = 10_000,
         resilience: Optional[ResilienceConfig] = None,
         checkpoints: Optional[CheckpointStore] = None,
         batch: Optional[BatchPolicy] = None,
@@ -226,9 +225,7 @@ class SimulatedRuntime:
         self.adaptation_enabled = adaptation_enabled
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer: Optional[TraceCollector] = (
-            TraceCollector(trace_every, max_traces=max_traces)
-            if trace_every is not None
-            else None
+            TraceCollector(trace_every) if trace_every is not None else None
         )
         self.batch = batch
         self.resilience = resilience
@@ -240,8 +237,8 @@ class SimulatedRuntime:
             self.checkpoints = (
                 checkpoints if checkpoints is not None else MemoryCheckpointStore()
             )
-            self.replay = ReplayBuffers(resilience.replay_limit)
-            self.dead_letters = DeadLetterQueue(resilience.dead_letter_limit)
+            self.replay = ReplayBuffers()
+            self.dead_letters = DeadLetterQueue()
             self._retry_rng = random.Random(resilience.seed)
         elif checkpoints is not None:
             raise RuntimeError_("checkpoints= requires resilience= as well")

@@ -263,7 +263,6 @@ class ThreadedRuntime:
         adaptation_enabled: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         trace_every: Optional[int] = None,
-        max_traces: int = 10_000,
         resilience: Optional[ResilienceConfig] = None,
         checkpoints: Optional[CheckpointStore] = None,
         batch: Optional[BatchPolicy] = None,
@@ -286,9 +285,7 @@ class ThreadedRuntime:
         self.adaptation_enabled = adaptation_enabled
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer: Optional[TraceCollector] = (
-            TraceCollector(trace_every, max_traces=max_traces)
-            if trace_every is not None
-            else None
+            TraceCollector(trace_every) if trace_every is not None else None
         )
         self.batch = batch
         self.resilience = resilience
@@ -298,7 +295,7 @@ class ThreadedRuntime:
             self.checkpoints = (
                 checkpoints if checkpoints is not None else MemoryCheckpointStore()
             )
-            self.dead_letters = DeadLetterQueue(resilience.dead_letter_limit)
+            self.dead_letters = DeadLetterQueue()
         elif checkpoints is not None:
             raise ThreadedRuntimeError("checkpoints= requires resilience= as well")
         self._stages: Dict[str, _ThreadStage] = {}

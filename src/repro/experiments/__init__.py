@@ -12,9 +12,10 @@
 * :mod:`repro.experiments.fig9` — Figure 9: sampling-factor convergence
   under a network constraint.
 
-Each module exposes a ``run_*`` function returning structured rows and a
-``main()`` that prints the same rows the paper reports; run them as
-``python -m repro.experiments.fig5`` etc.
+Each module exposes a ``run_*`` function returning structured rows; the
+CLI prints them next to the paper's numbers (``python -m repro fig5``,
+``fig6-7``, ``fig8``, ``fig9``).  :mod:`repro.experiments.dynamic`, an
+extension with no verb, runs as ``python -m repro.experiments.dynamic``.
 """
 
 from repro import lazy_exports

@@ -9,7 +9,7 @@ Paper numbers: centralized 257.5 s / 0.99 accuracy; distributed 180.8 s /
 0.97 accuracy.  The reproduction target is the *shape*: distributed is
 faster with a small accuracy loss.
 
-Run: ``python -m repro.experiments.fig5``
+Run: ``python -m repro fig5``
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.experiments.common import (
     run_count_samps_distributed,
 )
 
-__all__ = ["Fig5Row", "main", "run_fig5"]
+__all__ = ["Fig5Row", "run_fig5"]
 
 BANDWIDTH = 100_000.0  # 100 KB/s
 SUMMARY_SIZE = 100.0   # items forwarded per source in the distributed version
@@ -84,20 +84,3 @@ def run_fig5(
             _mean(distributed, "bytes_to_center"),
         ),
     ]
-
-
-def main() -> List[Fig5Row]:
-    rows = run_fig5()
-    print("Figure 5: Benefits of Distributed Processing (4 sub-streams)")
-    print(f"{'Processing Style':<18} {'Avg Performance (s)':>20} {'Avg Accuracy':>14} {'Bytes to center':>16}")
-    for row in rows:
-        print(
-            f"{row.processing_style:<18} {row.execution_time:>20.1f} "
-            f"{row.accuracy:>14.3f} {row.bytes_to_center:>16.0f}"
-        )
-    print("(paper: Centralized 257.5 s / 0.99; Distributed 180.8 s / 0.97)")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -9,7 +9,7 @@ Paper convergence values: 1, 1, ≈0.65, ≈0.55, ≈0.31 — i.e. the highest
 sampling rate that still meets the processing constraint
 (capacity = 1000/cost bytes/s, feasible rate = capacity / 160).
 
-Run: ``python -m repro.experiments.fig8``
+Run: ``python -m repro fig8``
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.common import run_comp_steer
 
-__all__ = ["Fig8Row", "main", "run_fig8", "ANALYSIS_COSTS_MS_PER_BYTE"]
+__all__ = ["Fig8Row", "run_fig8", "ANALYSIS_COSTS_MS_PER_BYTE"]
 
 #: The paper's five post-processing costs (ms/byte).
 ANALYSIS_COSTS_MS_PER_BYTE: Sequence[float] = (1.0, 5.0, 8.0, 10.0, 20.0)
@@ -70,20 +70,3 @@ def run_fig8(
             )
         )
     return rows
-
-
-def main() -> List[Fig8Row]:
-    rows = run_fig8()
-    print("Figure 8: sampling factor chosen under a processing constraint")
-    print(f"{'cost (ms/B)':>12} {'converged rate':>15} {'feasible rate':>14}")
-    for row in rows:
-        print(
-            f"{row.ms_per_byte:>12.0f} {row.converged_rate:>15.3f} "
-            f"{row.feasible_rate:>14.3f}"
-        )
-    print("(paper: converges to 1, 1, .65, .55, .31)")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -8,7 +8,7 @@ factor over time for each version.
 Reproduction target: convergence to the bandwidth-feasible rate
 ``min(1, 10 KB/s / generation_rate)`` — about 1, 1, 0.5, 0.25, 0.125.
 
-Run: ``python -m repro.experiments.fig9``
+Run: ``python -m repro fig9``
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.common import run_comp_steer
 
-__all__ = ["Fig9Row", "main", "run_fig9", "GENERATION_RATES"]
+__all__ = ["Fig9Row", "run_fig9", "GENERATION_RATES"]
 
 #: The paper's five pre-sampling generation rates (bytes/second).
 GENERATION_RATES: Sequence[float] = (5_000.0, 10_000.0, 20_000.0, 40_000.0, 80_000.0)
@@ -73,20 +73,3 @@ def run_fig9(
             )
         )
     return rows
-
-
-def main() -> List[Fig9Row]:
-    rows = run_fig9()
-    print("Figure 9: sampling factor chosen under a network constraint")
-    print(f"{'gen rate':>10} {'converged rate':>15} {'feasible rate':>14}")
-    for row in rows:
-        print(
-            f"{row.generation_rate/1000:>8.0f}KB {row.converged_rate:>15.3f} "
-            f"{row.feasible_rate:>14.3f}"
-        )
-    print("(paper: converges to ~1, ~1, ~.5, ~.25, ~.125)")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -203,10 +203,3 @@ class MonitoringService:
             return self._link_tput[link_name]
         except KeyError:
             raise KeyError(f"unknown link {link_name!r}") from None
-
-    def link_utilization(self, link_name: str) -> TimeSeries:
-        """TX-busy-fraction history of a link direction."""
-        try:
-            return self._link_util[link_name]
-        except KeyError:
-            raise KeyError(f"unknown link {link_name!r}") from None

@@ -4,17 +4,14 @@
 computing resources and memory, and the available network bandwidth"
 (Section 1).  :class:`RateEstimator` is the arrival-rate piece: an
 exponentially-weighted events-per-second estimate that is robust to
-bursty arrivals, plus an exact windowed variant
-(:class:`WindowedRateEstimator`) for short-horizon queries.
+bursty arrivals.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Deque
 
-__all__ = ["RateEstimator", "WindowedRateEstimator"]
+__all__ = ["RateEstimator"]
 
 
 class RateEstimator:
@@ -78,30 +75,3 @@ class RateEstimator:
             return 0.0
         silence = max(0.0, now - self._last_time)
         return self._rate * self.tau / (self.tau + silence)
-
-
-class WindowedRateEstimator:
-    """Exact events-per-second over a sliding time window."""
-
-    def __init__(self, window: float = 10.0) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be > 0, got {window}")
-        self.window = float(window)
-        self._times: Deque[float] = deque()
-
-    def observe(self, now: float) -> None:
-        """Record one event at time ``now``."""
-        if self._times and now < self._times[-1]:
-            raise ValueError(f"time went backwards: {now} < {self._times[-1]}")
-        self._times.append(now)
-        self._evict(now)
-
-    def rate(self, now: float) -> float:
-        """Events per second over the trailing window at time ``now``."""
-        self._evict(now)
-        return len(self._times) / self.window
-
-    def _evict(self, now: float) -> None:
-        cutoff = now - self.window
-        while self._times and self._times[0] <= cutoff:
-            self._times.popleft()

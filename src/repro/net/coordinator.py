@@ -60,6 +60,7 @@ from repro.grid.repository import CodeRepository
 from repro.net.channels import OutChannel
 from repro.net.debug import install_task_dump
 from repro.net.protocol import (
+    ANNOUNCE_PREFIX,
     FrameType,
     ProtocolError,
     cap_read_buffer,
@@ -67,7 +68,6 @@ from repro.net.protocol import (
     read_frame,
     send_frame,
 )
-from repro.net.worker import ANNOUNCE_PREFIX
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.migration import MigrationPlan, MigrationReport, book_move
 from repro.simnet.engine import Environment
@@ -276,6 +276,8 @@ class NetworkedRuntime:
         if use_uds and self._uds_dir is None:
             # Short prefix: AF_UNIX paths are capped around ~100 bytes.
             self._uds_dir = tempfile.mkdtemp(prefix="repro-uds-")
+        # Start every process before reading any announce line, so the
+        # workers' interpreter starts overlap instead of queueing.
         for i in range(count):
             name = f"worker-{i}"
             argv = [sys.executable, "-m", "repro.net.worker", "--port", "0",
@@ -290,13 +292,15 @@ class NetworkedRuntime:
                 env=env,
                 text=True,
             )
-            handle = _WorkerHandle(name=name, host="127.0.0.1", port=0, process=process)
-            handles.append(handle)
-            assert process.stdout is not None
-            line = process.stdout.readline()
+            handles.append(
+                _WorkerHandle(name=name, host="127.0.0.1", port=0, process=process)
+            )
+        for handle in handles[len(handles) - count:]:
+            assert handle.process is not None and handle.process.stdout is not None
+            line = handle.process.stdout.readline()
             if not line.startswith(ANNOUNCE_PREFIX):
                 raise NetworkedRuntimeError(
-                    f"worker {name} failed to announce (got {line!r})"
+                    f"worker {handle.name} failed to announce (got {line!r})"
                 )
             parts = line.split()
             handle.port = int(parts[1])

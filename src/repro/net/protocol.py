@@ -49,6 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.streams import wire as summary_wire
 
 __all__ = [
+    "ANNOUNCE_PREFIX",
     "FRAME_HEADER_BYTES",
     "MAX_PAYLOAD",
     "Frame",
@@ -75,6 +76,12 @@ __all__ = [
     "read_frame",
     "send_frame",
 ]
+
+#: A worker's stdout announce line: ``REPRO-NET-WORKER <port>`` — plus an
+#: optional third token, the worker's UNIX-socket path, when one is bound
+#: (the co-located fast path; older parsers that only read the port keep
+#: working).
+ANNOUNCE_PREFIX = "REPRO-NET-WORKER"
 
 MAGIC = b"GS"
 VERSION = 1

@@ -70,6 +70,7 @@ from repro.grid.repository import CodeRepository
 from repro.net.channels import AsyncInbox, ChannelError, InChannel, OutChannel
 from repro.net.debug import install_task_dump
 from repro.net.protocol import (
+    ANNOUNCE_PREFIX,
     FrameStreamProtocol,
     FrameType,
     ProtocolError,
@@ -82,13 +83,7 @@ from repro.net.protocol import (
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.checkpoint import StageCheckpoint
 
-__all__ = ["ANNOUNCE_PREFIX", "Worker", "WorkerError", "main"]
-
-#: stdout announce line: ``REPRO-NET-WORKER <port>`` — plus an optional
-#: third token, the worker's UNIX-socket path, when one is bound (the
-#: co-located fast path; older parsers that only read the port keep
-#: working).
-ANNOUNCE_PREFIX = "REPRO-NET-WORKER"
+__all__ = ["Worker", "WorkerError", "main"]
 
 #: Accumulate modeled compute cost and sleep only past this debt, so
 #: micro-costs (50 us/item) do not each pay the event loop's wakeup

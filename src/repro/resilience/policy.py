@@ -15,12 +15,18 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, List, Optional
 
-__all__ = ["DeadLetter", "DeadLetterQueue", "ERROR_POLICIES", "ResilienceConfig"]
+__all__ = [
+    "DEAD_LETTER_LIMIT", "DeadLetter", "DeadLetterQueue", "ERROR_POLICIES",
+    "ResilienceConfig",
+]
 
 #: What the runtime does when ``on_item`` raises:
 #: ``fail`` aborts the run (seed behaviour), ``skip`` drops the item and
 #: counts it, ``dead-letter`` drops it into the :class:`DeadLetterQueue`.
 ERROR_POLICIES = ("fail", "skip", "dead-letter")
+#: Bound on a run's retained :class:`DeadLetter` records (counters keep
+#: counting past it).
+DEAD_LETTER_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -33,16 +39,11 @@ class ResilienceConfig:
         Seconds (simulated, or scaled wall-clock on the threaded runtime)
         between stage checkpoints; ``None`` disables checkpointing (a
         failover then restarts the stage from empty state and replays the
-        whole retained buffer).
-    replay_limit:
-        Per-(stage, channel) bound on retained unacknowledged input.
-        Deliveries beyond it evict the oldest entries; evictions that a
-        later replay needed are surfaced as ``recovery.*.replay_dropped``.
+        whole retained buffer, at most
+        :data:`repro.resilience.replay.REPLAY_LIMIT` entries per channel).
     error_policy:
-        One of :data:`ERROR_POLICIES`; governs ``on_item`` exceptions.
-    dead_letter_limit:
-        Bound on retained :class:`DeadLetter` records (counters keep
-        counting past it).
+        One of :data:`ERROR_POLICIES`; governs ``on_item`` exceptions
+        (``dead-letter`` retains at most :data:`DEAD_LETTER_LIMIT`).
     max_retries:
         Transmission retries after the first failed attempt.
     retry_base_delay:
@@ -62,9 +63,7 @@ class ResilienceConfig:
     """
 
     checkpoint_interval: Optional[float] = 1.0
-    replay_limit: int = 1024
     error_policy: str = "fail"
-    dead_letter_limit: int = 1000
     max_retries: int = 3
     retry_base_delay: float = 0.05
     retry_multiplier: float = 2.0
@@ -77,15 +76,9 @@ class ResilienceConfig:
             raise ValueError(
                 f"checkpoint_interval must be > 0 or None, got {self.checkpoint_interval}"
             )
-        if self.replay_limit < 1:
-            raise ValueError(f"replay_limit must be >= 1, got {self.replay_limit}")
         if self.error_policy not in ERROR_POLICIES:
             raise ValueError(
                 f"error_policy must be one of {ERROR_POLICIES}, got {self.error_policy!r}"
-            )
-        if self.dead_letter_limit < 1:
-            raise ValueError(
-                f"dead_letter_limit must be >= 1, got {self.dead_letter_limit}"
             )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
@@ -135,7 +128,7 @@ class DeadLetter:
 class DeadLetterQueue:
     """Bounded FIFO of quarantined items, shared by a whole run."""
 
-    def __init__(self, limit: int = 1000) -> None:
+    def __init__(self, limit: int = DEAD_LETTER_LIMIT) -> None:
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         self.limit = limit

@@ -19,16 +19,20 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List, Tuple
 
-__all__ = ["ReplayBuffers"]
+__all__ = ["REPLAY_LIMIT", "ReplayBuffers"]
+
+#: Per-(stage, channel) bound on retained unacknowledged input.
+#: Deliveries beyond it evict the oldest entries; evictions that a later
+#: replay needed are surfaced as ``recovery.*.replay_dropped``.
+REPLAY_LIMIT = 1024
 
 
 class _Channel:
     """One (stage, origin) channel: a bounded deque of (seq, message)."""
 
-    __slots__ = ("entries", "next_seq", "evicted_up_to", "limit")
+    __slots__ = ("entries", "next_seq", "evicted_up_to")
 
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
+    def __init__(self) -> None:
         self.entries: Deque[Tuple[int, Any]] = deque()
         self.next_seq = 1
         #: Highest sequence number evicted by the bound (0 = none).
@@ -38,17 +42,14 @@ class _Channel:
 class ReplayBuffers:
     """Retained unacknowledged input, per stage and channel."""
 
-    def __init__(self, limit: int = 1024) -> None:
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        self.limit = limit
+    def __init__(self) -> None:
         self._channels: Dict[Tuple[str, str], _Channel] = {}
 
     def _channel(self, stage: str, channel: str) -> _Channel:
         key = (stage, channel)
         found = self._channels.get(key)
         if found is None:
-            found = self._channels[key] = _Channel(self.limit)
+            found = self._channels[key] = _Channel()
         return found
 
     def append(self, stage: str, channel: str, message: Any) -> int:
@@ -57,7 +58,7 @@ class ReplayBuffers:
         seq = chan.next_seq
         chan.next_seq += 1
         chan.entries.append((seq, message))
-        while len(chan.entries) > chan.limit:
+        while len(chan.entries) > REPLAY_LIMIT:
             evicted_seq, _ = chan.entries.popleft()
             chan.evicted_up_to = evicted_seq
         return seq
@@ -96,8 +97,3 @@ class ReplayBuffers:
     def retained(self, stage: str, channel: str) -> int:
         chan = self._channels.get((stage, channel))
         return len(chan.entries) if chan else 0
-
-    def last_seq(self, stage: str, channel: str) -> int:
-        """Sequence number of the most recent delivery (0 = none)."""
-        chan = self._channels.get((stage, channel))
-        return chan.next_seq - 1 if chan else 0

@@ -32,6 +32,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.dynamic import run_dynamic_bandwidth
 from repro.experiments.fig5 import run_fig5
+from repro.experiments.fig6_7 import SEEDS as FIG67_SEEDS
 from repro.experiments.fig6_7 import run_fig6_7
 from repro.experiments.fig8 import run_fig8
 from repro.experiments.fig9 import run_fig9
@@ -39,8 +40,6 @@ from repro.metrics import topk_accuracy
 
 Rows = Dict[str, object]
 
-#: Fig 6/7 cells are averaged over these seeds (Fig 5 uses its own three).
-FIG67_SEEDS = (0, 1)
 #: The cost every comp-steer ablation runs at (feasible rate 0.3125).
 ABLATION_COST = 20.0
 #: Half-width of the band around the feasible rate a plateau must enter.

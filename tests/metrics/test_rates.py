@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.metrics.rates import RateEstimator, WindowedRateEstimator
+from repro.metrics.rates import RateEstimator
 
 
 class TestRateEstimator:
@@ -118,27 +118,3 @@ class TestExactExponentialAlpha:
         rate = est.observe(1.0 + gap)
         alpha = 1.0 - math.exp(-gap / tau)
         assert rate == pytest.approx(before + alpha * (1.0 / gap - before))
-
-
-class TestWindowedRateEstimator:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WindowedRateEstimator(window=0)
-
-    def test_exact_rate_in_window(self):
-        est = WindowedRateEstimator(window=10.0)
-        for i in range(100):
-            est.observe(i * 0.1)  # 10/s for 10 seconds
-        assert est.rate(10.0) == pytest.approx(10.0, rel=0.05)
-
-    def test_events_age_out(self):
-        est = WindowedRateEstimator(window=5.0)
-        for i in range(10):
-            est.observe(float(i))
-        assert est.rate(100.0) == 0.0
-
-    def test_backwards_time_rejected(self):
-        est = WindowedRateEstimator()
-        est.observe(5.0)
-        with pytest.raises(ValueError):
-            est.observe(4.0)

@@ -63,6 +63,20 @@ def test_importing_the_worker_loads_neither_package():
     assert xml_in(modules) == []
 
 
+def test_importing_the_coordinator_does_not_load_the_worker():
+    """The coordinator spawns workers as ``python -m repro.net.worker``
+    and reads their announce line with the prefix from the protocol
+    module, so its own process never executes worker.py."""
+    out = run_python(
+        "import json, sys\n"
+        "import repro.net.coordinator\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    modules = json.loads(out)
+    assert "repro.net.coordinator" in modules
+    assert "repro.net.worker" not in modules
+
+
 NETWORKED_RUN = """
 import json, os, sys
 from repro.grid.config import AppConfig, StageConfig, StreamConfig

@@ -237,7 +237,9 @@ class TestNetworkedErrors:
         runtime = NetworkedRuntime(build_config(), workers=3)
         with pytest.raises(NetworkedRuntimeError, match="worker-1 failed to announce"):
             runtime.run(timeout=10.0)
-        assert len(spawned) == 2
+        # Every worker starts before any announce is read, so all three
+        # exist when worker-1's announce fails, and all three are reaped.
+        assert len(spawned) == 3
         for process, _argv in spawned:
             assert process.poll() is not None
         uds_dirs = {
@@ -245,6 +247,47 @@ class TestNetworkedErrors:
             for _process, argv in spawned if "--uds" in argv
         }
         assert not any(os.path.exists(path) for path in uds_dirs)
+
+    def test_every_worker_starts_before_the_first_announce_is_read(
+        self, monkeypatch
+    ):
+        """The workers' interpreter starts overlap: ``_spawn_workers``
+        starts every process, then reads the announce lines in index
+        order, and every started process lands in ``handles``."""
+        import shutil
+
+        from repro.net import coordinator
+        from repro.net.protocol import ANNOUNCE_PREFIX
+
+        events = []
+
+        class FakeStdout:
+            def __init__(self, index):
+                self.index = index
+
+            def readline(self):
+                events.append(("readline", self.index))
+                return f"{ANNOUNCE_PREFIX} {9000 + self.index}\n"
+
+        class FakePopen:
+            def __init__(self, argv, **kwargs):
+                index = sum(1 for kind, _ in events if kind == "start")
+                events.append(("start", index))
+                self.stdout = FakeStdout(index)
+
+        monkeypatch.setattr(coordinator.subprocess, "Popen", FakePopen)
+        runtime = NetworkedRuntime(build_config(), workers=3)
+        handles = []
+        try:
+            runtime._spawn_workers(3, handles)
+        finally:
+            if runtime._uds_dir is not None:
+                shutil.rmtree(runtime._uds_dir, ignore_errors=True)
+        assert events == [("start", i) for i in range(3)] + [
+            ("readline", i) for i in range(3)
+        ]
+        assert [h.name for h in handles] == ["worker-0", "worker-1", "worker-2"]
+        assert [h.port for h in handles] == [9000, 9001, 9002]
 
     def test_bind_source_to_unknown_stage(self):
         runtime = NetworkedRuntime(build_config(), workers=2)
