@@ -17,14 +17,15 @@ Run: ``python examples/algorithm_switching.py``
 """
 
 from repro.core.adaptation.policy import AdaptationPolicy
-from repro.core.runtime_sim import SimulatedRuntime, SourceBinding
+from repro.core.kernel import SourceBinding
+from repro.core.run import RunOptions, run
 from repro.experiments.common import build_star_fabric
 from repro.grid.config import AppConfig, ParameterConfig, StageConfig, StreamConfig
 from repro.grid.resources import ResourceRequirement
 from repro.streams.sources import IntegerStream
 
 
-def run(bandwidth: float):
+def run_at(bandwidth: float):
     fabric = build_star_fabric(1, bandwidth=bandwidth)
     config = AppConfig(
         name="algo-demo",
@@ -42,24 +43,16 @@ def run(bandwidth: float):
         ],
         streams=[StreamConfig("summaries", "ladder-filter", "join", item_size=12.0)],
     )
-    deployment = fabric.launcher.launch(config)
-    runtime = SimulatedRuntime(
-        fabric.env, fabric.network, deployment,
-        policy=AdaptationPolicy(sample_interval=0.1),
-    )
     stream = IntegerStream(20_000, universe=500, seed=5)
-    runtime.bind_source(
-        SourceBinding("ints", "ladder-filter", list(stream),
-                      rate=2_000.0, item_size=8.0)
-    )
-    result = runtime.run()
-    return result
+    source = SourceBinding("ints", "ladder-filter", list(stream), rate=2_000.0, item_size=8.0)
+    options = RunOptions(policy=AdaptationPolicy(sample_interval=0.1))
+    return run(config, "sim", options, [source], fabric=fabric)
 
 
 def main() -> None:
     for label, bandwidth in (("fat link (1 MB/s)", 1_000_000.0),
                              ("starved link (200 B/s)", 200.0)):
-        result = run(bandwidth)
+        result = run_at(bandwidth)
         info = result.final_value("ladder-filter")
         series = result.parameter_series("ladder-filter", "algorithm-level")
         trajectory = " -> ".join(f"{v:.0f}" for v in series.downsample(8).values)

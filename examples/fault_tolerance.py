@@ -13,18 +13,19 @@ Run: ``python examples/fault_tolerance.py``
 """
 
 from repro.apps.count_samps import build_distributed_config
-from repro.core.runtime_sim import SimulatedRuntime, SourceBinding
+from repro.core.kernel import SourceBinding
+from repro.core.run import RunOptions, build, run
 from repro.experiments.common import build_star_fabric
 from repro.grid.faults import FaultInjector, FaultPlan, Redeployer
 from repro.simnet.hosts import HostFailedError
 from repro.streams.sources import IntegerStream
 
 
-def bind_sources(runtime, streams):
-    for i, stream in enumerate(streams):
-        runtime.bind_source(
-            SourceBinding(f"s{i}", f"filter-{i}", list(stream), rate=2_000.0)
-        )
+def sources(streams):
+    return [
+        SourceBinding(f"s{i}", f"filter-{i}", list(stream), rate=2_000.0)
+        for i, stream in enumerate(streams)
+    ]
 
 
 def main() -> None:
@@ -36,20 +37,18 @@ def main() -> None:
     fabric.registry.register_network(fabric.network)  # re-advertise with spare
 
     config = build_distributed_config(n, fabric.source_hosts, batch=400)
-    deployment = fabric.launcher.launch(config)
+    streams = [IntegerStream(10_000, universe=1000, seed=i) for i in range(n)]
+    options = RunOptions(adaptation_enabled=False)
+    first = build(config, "sim", options, sources(streams), fabric=fabric)
+    deployment = first.runtime.deployment
     print("initial placement:",
           {s: p.host_name for s, p in deployment.placements.items()})
 
-    streams = [IntegerStream(10_000, universe=1000, seed=i) for i in range(n)]
-
-    runtime = SimulatedRuntime(fabric.env, fabric.network, deployment,
-                               adaptation_enabled=False)
-    bind_sources(runtime, streams)
     injector = FaultInjector(fabric.env, fabric.network)
     injector.schedule(FaultPlan("source-1", fail_at=1.0))
 
     try:
-        runtime.run()
+        first.run()
         raise AssertionError("expected the failure to surface")
     except HostFailedError as exc:
         print(f"\nfailure at t={fabric.env.now:.1f}s: {exc}")
@@ -57,10 +56,8 @@ def main() -> None:
     report = Redeployer(fabric.deployer).redeploy(deployment, "source-1")
     print(f"redeployed stages {report.moved_stages} -> {report.new_hosts}")
 
-    runtime2 = SimulatedRuntime(fabric.env, fabric.network, deployment,
-                                adaptation_enabled=False)
-    bind_sources(runtime2, streams)
-    result = runtime2.run()
+    # The redeployed deployment runs again on the same fabric.
+    result = run(deployment, "sim", options, sources(streams), fabric=fabric)
     top = result.final_value("join")
     print(f"\nre-run completed in {result.execution_time:.1f} simulated seconds")
     print(f"filter-1 now runs on {result.stage('filter-1').host_name!r}")

@@ -10,7 +10,8 @@ Run: ``python examples/intrusion_detection.py``
 """
 
 from repro.apps.intrusion import build_intrusion_config
-from repro.core.runtime_sim import SimulatedRuntime, SourceBinding
+from repro.core.kernel import SourceBinding
+from repro.core.run import run
 from repro.experiments.common import build_star_fabric
 from repro.streams.sources import ConnectionLogStream
 
@@ -22,24 +23,20 @@ def main() -> None:
     config = build_intrusion_config(
         fabric.source_hosts, report_size=10.0, batch=1_000, alert_threshold=25
     )
-    deployment = fabric.launcher.launch(config)
-    print("placements:", {s: p.host_name for s, p in deployment.placements.items()})
-
-    runtime = SimulatedRuntime(fabric.env, fabric.network, deployment)
-    for i in range(n_sites):
-        logs = ConnectionLogStream(
-            length=10_000, attack_fraction=0.02, rate=500.0, seed=i
+    sources = [
+        SourceBinding(
+            name=f"site-{i}-logs",
+            target_stage=f"site-filter-{i}",
+            payloads=ConnectionLogStream(
+                length=10_000, attack_fraction=0.02, rate=500.0, seed=i
+            ),
+            rate=500.0,
+            item_size=48.0,
         )
-        runtime.bind_source(
-            SourceBinding(
-                name=f"site-{i}-logs",
-                target_stage=f"site-filter-{i}",
-                payloads=logs,
-                rate=500.0,
-                item_size=48.0,
-            )
-        )
-    result = runtime.run()
+        for i in range(n_sites)
+    ]
+    result = run(config, "sim", sources=sources, fabric=fabric)
+    print("placements:", {name: stats.host_name for name, stats in result.stages.items()})
 
     alert_result = result.final_value("alert")
     print(f"\nprocessed {sum(result.stage(f'site-filter-{i}').items_in for i in range(n_sites))} "

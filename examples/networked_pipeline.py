@@ -22,7 +22,8 @@ Run: ``python examples/networked_pipeline.py``
 import random
 
 from repro.apps.count_samps import build_distributed_config
-from repro.net.coordinator import NetworkedRuntime
+from repro.core.kernel import SourceBinding
+from repro.core.run import RunOptions, build
 
 N_SOURCES = 2
 ITEMS_PER_SOURCE = 3000
@@ -38,21 +39,18 @@ def main() -> None:
         top_n=5,
         seed=SEED,
     )
-    runtime = NetworkedRuntime(
-        config,
-        workers=3,
-        adaptation_enabled=False,
-        credit_window=16,
-    )
     rng = random.Random(SEED)
-    for i in range(N_SOURCES):
-        runtime.bind_source(
-            f"src-{i}",
-            f"filter-{i}",
-            [rng.randrange(0, 40) for _ in range(ITEMS_PER_SOURCE)],
-            item_size=8.0,
+    sources = [
+        SourceBinding(
+            f"src-{i}", f"filter-{i}",
+            [rng.randrange(0, 40) for _ in range(ITEMS_PER_SOURCE)], item_size=8.0,
         )
-    result = runtime.run(timeout=60.0)
+        for i in range(N_SOURCES)
+    ]
+    options = RunOptions(workers=3, adaptation_enabled=False, credit_window=16, timeout=60.0)
+    built = build(config, "net", options, sources)
+    result = built.run()
+    runtime = built.runtime
 
     print(f"application {result.app_name!r} "
           f"completed in {result.execution_time:.2f}s")

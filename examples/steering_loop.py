@@ -17,7 +17,8 @@ Run: ``python examples/steering_loop.py``
 
 from repro.apps.comp_steer import build_comp_steer_config
 from repro.core.queries import ContinuousQuery
-from repro.core.runtime_sim import SimulatedRuntime, SourceBinding
+from repro.core.kernel import SourceBinding
+from repro.core.run import RunOptions, build
 from repro.experiments.common import build_star_fabric
 from repro.streams.sources import MeshStream
 
@@ -61,18 +62,14 @@ def main() -> None:
         feature_threshold=1.5,
         analysis_host=fabric.center_host,
     )
-    deployment = fabric.launcher.launch(config)
-    runtime = SimulatedRuntime(fabric.env, fabric.network, deployment)
-
     simulation = SteerableSimulation(base_rate=32.0)   # 256 B/s initially
-    runtime.bind_source(
-        SourceBinding("simulation", "sampler", simulation.payloads(),
-                      arrivals=simulation, item_size=8.0)
-    )
+    source = SourceBinding("simulation", "sampler", simulation.payloads(),
+                           arrivals=simulation, item_size=8.0)
+    built = build(config, "sim", RunOptions(stop_at=400.0), [source], fabric=fabric)
 
     # The steering client: poll the live analysis; on the first feature
     # detection, boost the simulation's resolution.
-    query = ContinuousQuery(runtime, "analysis", interval=2.0)
+    query = ContinuousQuery(built.runtime, "analysis", interval=2.0)
     query.attach()
 
     def steering_client(env):
@@ -86,7 +83,7 @@ def main() -> None:
                           f"(now {simulation.rate:.0f} values/s)")
 
     fabric.env.process(steering_client(fabric.env), name="steering-client")
-    result = runtime.run(stop_at=400.0)
+    result = built.run()
 
     series = result.parameter_series("sampler", "sampling-rate")
     before = [v for t, v in series if t < 50.0]

@@ -1,6 +1,6 @@
 """Docs-consistency check: every catalog and its docs page must agree.
 
-Five reference pages each document one authoritative catalog in a
+Six reference pages each document one authoritative catalog in a
 markdown table whose first column is a backticked name and whose second
 column is a value the catalog also holds:
 
@@ -12,6 +12,7 @@ page                    catalog                                              val
 ``static_analysis.md``  :data:`repro.analysis.codes.CODES`                   kind
 ``sharding.md``         :data:`repro.core.options.OPTIONS`                   default
 ``migration.md``        :class:`repro.resilience.migration.MigrationPolicy`  default
+``architecture.md``     :data:`repro.core.run.ROWS`                          runtimes
 ======================  ===================================================  =======
 
 :func:`check_docs` diffs one page's table rows against its catalog in
@@ -74,6 +75,12 @@ def _migration_knobs() -> Dict[str, str]:
     from repro.resilience.migration import MigrationPolicy
 
     return {knob.name: str(knob.default) for knob in fields(MigrationPolicy)}
+
+
+def _run_option_runtimes() -> Dict[str, str]:
+    from repro.core.run import ROWS
+
+    return {row.name: ", ".join(row.runtimes) for row in ROWS}
 
 
 def render_catalog_table() -> str:
@@ -181,6 +188,15 @@ DOC_TABLES: Dict[str, DocTable] = {
         catalog=_migration_knobs,
         value_label="default",
         extra=_mentions_migration_metrics,
+    ),
+    "run-options": DocTable(
+        page="architecture.md",
+        entry="run option",
+        catalog_ref="repro.core.run.ROWS",
+        # ``| `option` | runtimes | ...``.
+        row=re.compile(r"^\|\s*`(?P<name>[a-z][a-z_]*)`\s*\|\s*(?P<value>[^|]*?)\s*\|"),
+        catalog=_run_option_runtimes,
+        value_label="runtimes",
     ),
 }
 

@@ -493,8 +493,9 @@ def _print_dag(config: AppConfig) -> None:
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
-    from repro.experiments.common import build_star_fabric
     from repro.grid.config import AppConfig, ConfigError
+    from repro.grid.deployer import DeploymentError
+    from repro.grid.fabric import build_star_fabric
 
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -504,10 +505,9 @@ def _cmd_topology(args: argparse.Namespace) -> int:
         return 1
     fabric = build_star_fabric(args.sources, bandwidth=args.bandwidth)
     try:
-        assignment = fabric.deployer.matchmaker.match_all(
-            [(s.name, s.requirement) for s in config.stages]
-        )
-    except Exception as exc:  # MatchError and friends
+        # The deployer's own admission and matching: replicas included.
+        _, _, assignment = fabric.deployer.place(config, verify=False)
+    except DeploymentError as exc:
         print(f"UNPLACEABLE: {exc}", file=sys.stderr)
         return 1
     print(f"placement of {config.name!r} on a {args.sources}-source star "

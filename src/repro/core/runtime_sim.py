@@ -53,10 +53,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.adaptation.protocol import LoadException
 from repro.core.api import StreamProcessor
-from repro.core.batching import BatchPolicy
 from repro.core.items import EndOfStream, Item
 from repro.core.kernel import (
     FLUSH,
@@ -83,17 +81,13 @@ from repro.core.kernel import (
 )
 from repro.core.results import RunResult
 from repro.core.options import read_options
+from repro.core.run import RunOptions, take
 from repro.core.sharding import ShardGroup, groups_of
 from repro.core.termination import no_input_message
 from repro.grid.config import StreamConfig
 from repro.grid.deployer import Deployment
-from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import TraceCollector
-from repro.resilience.checkpoint import (
-    CheckpointStore,
-    MemoryCheckpointStore,
-    StageCheckpoint,
-)
+from repro.resilience.checkpoint import CheckpointStore, StageCheckpoint
 from repro.resilience.policy import DeadLetterQueue, ResilienceConfig
 from repro.resilience.replay import ReplayBuffers
 from repro.simnet.engine import Environment, Event, SimulationError
@@ -177,11 +171,11 @@ class _StageRuntime(StageCore):
 class SimulatedRuntime:
     """Executes a deployment on the simulated grid fabric.
 
-    Typical use::
+    Built by :func:`repro.core.run.build`, which launches the
+    configuration on a :class:`~repro.grid.fabric.GridFabric`::
 
-        runtime = SimulatedRuntime(env, network, deployment)
-        runtime.bind_source(SourceBinding("s0", "filter-0", payloads, rate=100.0))
-        result = runtime.run()
+        sources = [SourceBinding("s0", "filter-0", payloads, rate=100.0)]
+        result = run(config, "sim", RunOptions(), sources, fabric=fabric)
 
     ``run`` drives the environment until every stage has flushed (or
     ``max_sim_time`` elapses) and returns a
@@ -194,54 +188,33 @@ class SimulatedRuntime:
     """
 
     def __init__(
-        self,
-        env: Environment,
-        network: Network,
-        deployment: Deployment,
-        policy: Optional[AdaptationPolicy] = None,
-        adaptation_enabled: bool = True,
-        metrics: Optional[MetricsRegistry] = None,
-        trace_every: Optional[int] = None,
-        resilience: Optional[ResilienceConfig] = None,
-        checkpoints: Optional[CheckpointStore] = None,
-        batch: Optional[BatchPolicy] = None,
+        self, env: Environment, network: Network, deployment: Deployment, **options: Any
     ) -> None:
-        """``metrics`` shares a registry (e.g. with a MonitoringService);
-        ``trace_every=N`` hop-traces every N-th source arrival (None
-        disables tracing; 1 traces everything).  ``checkpoints`` selects
-        the checkpoint store (defaults to an in-memory one when
-        ``resilience`` is given).  ``batch`` enables the micro-batched
-        emission fast path for every stage (``batch-max-items`` /
-        ``batch-max-delay`` stage properties override it per stage);
-        ``max_delay`` is in simulated seconds.  See docs/performance.md.
-        """
+        """``options`` are the sim build rows of
+        :class:`~repro.core.run.RunOptions`; another row raises
+        :class:`RuntimeError_`.  ``batch``'s ``max_delay`` is in simulated
+        seconds (docs/performance.md)."""
+        opts = take("sim", RuntimeError_, options)
         self.env = env
         #: ``env.now`` as a callable for the kernel; the C-level partial
         #: reads the property with no Python frame of its own.
         self._clock: Callable[[], float] = partial(getattr, env, "now")
         self.network = network
         self.deployment = deployment
-        self.policy = policy or AdaptationPolicy()
-        self.adaptation_enabled = adaptation_enabled
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer: Optional[TraceCollector] = (
-            TraceCollector(trace_every) if trace_every is not None else None
-        )
-        self.batch = batch
-        self.resilience = resilience
-        self.checkpoints: Optional[CheckpointStore] = None
+        self.policy = opts.policy
+        self.adaptation_enabled = opts.adaptation_enabled
+        self.metrics = opts.metrics
+        self.tracer: Optional[TraceCollector] = opts.tracer()
+        self.batch = opts.batch
+        self.resilience: Optional[ResilienceConfig] = opts.resilience
+        self.checkpoints: Optional[CheckpointStore] = opts.checkpoints
         self.replay: Optional[ReplayBuffers] = None
         self.dead_letters: Optional[DeadLetterQueue] = None
         self._retry_rng: Optional[random.Random] = None
-        if resilience is not None:
-            self.checkpoints = (
-                checkpoints if checkpoints is not None else MemoryCheckpointStore()
-            )
+        if self.resilience is not None:
             self.replay = ReplayBuffers()
             self.dead_letters = DeadLetterQueue()
-            self._retry_rng = random.Random(resilience.seed)
-        elif checkpoints is not None:
-            raise RuntimeError_("checkpoints= requires resilience= as well")
+            self._retry_rng = random.Random(self.resilience.seed)
         self._bindings: List[SourceBinding] = []
         self._stages: Dict[str, _StageRuntime] = {}
         #: Shard groups reconstructed from the expanded config's replica
@@ -357,7 +330,11 @@ class SimulatedRuntime:
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, max_sim_time: float = 1e7, stop_at: Optional[float] = None) -> RunResult:
+    def run(
+        self,
+        max_sim_time: float = RunOptions.max_sim_time,
+        stop_at: Optional[float] = RunOptions.stop_at,
+    ) -> RunResult:
         """Execute to completion and collect results.
 
         ``stop_at`` ends the run gracefully at that simulation time even

@@ -5,12 +5,10 @@ links; this runtime is the Python equivalent, demonstrating the same
 middleware (processors, adjustment parameters, the Section 4 adaptation
 algorithm) under genuine concurrency and wall-clock time.
 
-Compared to :class:`~repro.core.runtime_sim.SimulatedRuntime` it is
-programmatic (stages and edges are added directly rather than via a
-Deployment) and inherently noisy — exactly the "impact of the thread
-scheduler" the paper observed.  The benchmark harness therefore uses the
-simulated runtime; this one backs the threaded example and its
-timing-tolerant tests.
+A configuration runs here through :func:`repro.core.run.run` (which
+calls :meth:`ThreadedRuntime.from_config`); ``add_stage`` / ``connect``
+also build a pipeline by hand.  Unlike the simulator it is noisy — the
+"impact of the thread scheduler" the paper observed.
 
 Processing cost is modeled by sleeping ``cost * time_scale`` seconds per
 item (``time_scale`` defaults to 1.0; tests shrink it).
@@ -32,10 +30,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.adaptation.protocol import LoadException
 from repro.core.api import StreamProcessor
-from repro.core.batching import BatchPolicy
 from repro.core.items import EndOfStream, Item
 from repro.core.kernel import (
     FLUSH,
@@ -61,6 +57,7 @@ from repro.core.kernel import (
     swap_processor,
 )
 from repro.core.results import RunResult
+from repro.core.run import RunOptions, at, take
 from repro.core.sharding import (
     ShardGroup,
     ShardScaler,
@@ -70,9 +67,8 @@ from repro.core.sharding import (
 )
 from repro.core.termination import no_input_message
 from repro.grid.admission import admit
-from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import TraceCollector
-from repro.resilience.checkpoint import CheckpointStore, MemoryCheckpointStore
+from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.policy import DeadLetterQueue, ResilienceConfig
 from repro.simnet.links import TokenBucket
 
@@ -244,60 +240,28 @@ class _ThreadStage(StageCore):
 
 
 class ThreadedRuntime:
-    """Programmatic pipeline executed on real threads.
+    """A pipeline executed on real threads: built from a configuration
+    by :meth:`from_config`, or stage by stage with :meth:`add_stage`,
+    :meth:`connect` (optionally over a token-bucket link) and
+    :meth:`bind_source`."""
 
-    Example::
-
-        rt = ThreadedRuntime(time_scale=0.01)
-        rt.add_stage("sampler", SamplerProcessor())
-        rt.add_stage("sink", SinkProcessor())
-        rt.connect("sampler", "sink", bandwidth=10_000)
-        rt.bind_source("gen", "sampler", payloads, rate=200.0)
-        result = rt.run(timeout=30.0)
-    """
-
-    def __init__(
-        self,
-        policy: Optional[AdaptationPolicy] = None,
-        time_scale: float = 1.0,
-        adaptation_enabled: bool = True,
-        metrics: Optional[MetricsRegistry] = None,
-        trace_every: Optional[int] = None,
-        resilience: Optional[ResilienceConfig] = None,
-        checkpoints: Optional[CheckpointStore] = None,
-        batch: Optional[BatchPolicy] = None,
-    ) -> None:
-        """``metrics``/``trace_every``/``resilience`` mirror
-        :class:`~repro.core.runtime_sim.SimulatedRuntime`: both runtimes
-        publish the same ``stage.*`` / ``adapt.*`` metric families, and
-        both quarantine poison items and checkpoint on a cadence when
-        ``resilience`` is given (failover/replay are simulation-only).
-
-        ``batch`` enables the micro-batched emission fast path for every
-        stage (``batch-max-items`` / ``batch-max-delay`` stage properties
-        override it per stage); ``max_delay`` is in scaled seconds, like
-        processing cost.  See docs/performance.md.
-        """
-        if time_scale <= 0:
-            raise ThreadedRuntimeError(f"time_scale must be > 0, got {time_scale}")
-        self.policy = policy or AdaptationPolicy()
-        self.time_scale = time_scale
-        self.adaptation_enabled = adaptation_enabled
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer: Optional[TraceCollector] = (
-            TraceCollector(trace_every) if trace_every is not None else None
+    def __init__(self, **options: Any) -> None:
+        """``options`` are the threaded build rows of
+        :class:`~repro.core.run.RunOptions`; another row raises
+        :class:`ThreadedRuntimeError`.  ``batch``'s ``max_delay`` is in
+        scaled seconds, like processing cost (docs/performance.md)."""
+        opts = take("threaded", ThreadedRuntimeError, options)
+        self.policy = opts.policy
+        self.time_scale = opts.time_scale
+        self.adaptation_enabled = opts.adaptation_enabled
+        self.metrics = opts.metrics
+        self.tracer: Optional[TraceCollector] = opts.tracer()
+        self.batch = opts.batch
+        self.resilience: Optional[ResilienceConfig] = opts.resilience
+        self.checkpoints: Optional[CheckpointStore] = opts.checkpoints
+        self.dead_letters: Optional[DeadLetterQueue] = (
+            DeadLetterQueue() if self.resilience is not None else None
         )
-        self.batch = batch
-        self.resilience = resilience
-        self.checkpoints: Optional[CheckpointStore] = None
-        self.dead_letters: Optional[DeadLetterQueue] = None
-        if resilience is not None:
-            self.checkpoints = (
-                checkpoints if checkpoints is not None else MemoryCheckpointStore()
-            )
-            self.dead_letters = DeadLetterQueue()
-        elif checkpoints is not None:
-            raise ThreadedRuntimeError("checkpoints= requires resilience= as well")
         self._stages: Dict[str, _ThreadStage] = {}
         self._sources: List[SourceBinding] = []
         #: (source name, exception) of every source that raised.
@@ -327,20 +291,18 @@ class ThreadedRuntime:
     def from_config(
         cls,
         config: "AppConfig",  # noqa: F821 - imported lazily below
-        repository: Optional[Any] = None,
-        *,
-        verify: bool = True,
-        **kwargs: Any,
+        **options: Any,
     ) -> "ThreadedRuntime":
         """Admit ``config`` (:func:`~repro.grid.admission.admit` against
-        ``repository``; ``verify=False`` skips its static-verifier gate),
-        instantiate its processors and wire its streams.  Sources still
-        need :meth:`bind_source`; ``kwargs`` pass through to the
-        constructor."""
+        the ``repository`` option; ``verify=False`` skips its
+        static-verifier gate), instantiate its processors and wire its
+        streams.  Sources still need :meth:`bind_source`; the other
+        options go to the constructor."""
+        opts = take("threaded", ThreadedRuntimeError, options, ("admit", "build"))
         config, factories = admit(
-            config, ThreadedRuntimeError, repository=repository, verify=verify
+            config, ThreadedRuntimeError, repository=opts.repository, verify=opts.verify
         )
-        runtime = cls(**kwargs)
+        runtime = cls(**at("build", options))
         for stage in config.stages:
             runtime.add_stage(stage.name, factories[stage.name](), properties=stage.properties)
         for stream in config.streams:
@@ -427,7 +389,7 @@ class ThreadedRuntime:
 
     # -- execution ----------------------------------------------------------------
 
-    def run(self, timeout: float = 120.0) -> RunResult:
+    def run(self, timeout: float = RunOptions.timeout) -> RunResult:
         """Run all threads to completion (or raise on ``timeout``)."""
         if self._started:
             raise ThreadedRuntimeError("run() may only be called once")

@@ -1,33 +1,27 @@
-"""Shared fabric builders and application runners for the experiments.
+"""Shared application runners for the experiments.
 
 The paper's testbed is a star: N stream-source machines around one central
-analysis machine, links emulated at a configurable bandwidth.
-:func:`build_star_fabric` assembles the simulated equivalent (network +
-registry + repository + deployer + launcher) and
+analysis machine, links emulated at a configurable bandwidth
+(:func:`~repro.grid.fabric.build_star_fabric`, re-exported here).
 :func:`run_count_samps_distributed` / :func:`run_count_samps_centralized` /
-:func:`run_comp_steer` execute one configured run and return the measured
-quantities the figures plot.
+:func:`run_comp_steer` execute one configured run on it and return the
+measured quantities the figures plot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.apps import comp_steer as comp_steer_app
 from repro.apps import count_samps as count_samps_app
 from repro.core.adaptation.policy import AdaptationPolicy
+from repro.core.kernel import SourceBinding
 from repro.core.results import RunResult
-from repro.core.runtime_sim import SimulatedRuntime, SourceBinding
-from repro.grid.admission import builtin_repository
+from repro.core.run import RunOptions, run
 from repro.grid.config import AppConfig
-from repro.grid.deployer import Deployer
-from repro.grid.launcher import Launcher
-from repro.grid.registry import ServiceRegistry
-from repro.grid.repository import CodeRepository
+from repro.grid.fabric import GridFabric, build_star_fabric
 from repro.metrics.accuracy import topk_accuracy
-from repro.simnet.engine import Environment
-from repro.simnet.topology import Network
 from repro.streams.sources import IntegerStream, MeshStream
 
 __all__ = [
@@ -38,56 +32,6 @@ __all__ = [
     "run_count_samps_centralized",
     "run_count_samps_distributed",
 ]
-
-
-@dataclass
-class GridFabric:
-    """One assembled simulated grid."""
-
-    env: Environment
-    network: Network
-    registry: ServiceRegistry
-    repository: CodeRepository
-    deployer: Deployer
-    launcher: Launcher
-    source_hosts: List[str]
-    center_host: str
-
-
-def build_star_fabric(
-    n_sources: int,
-    bandwidth: float,
-    latency: float = 0.0,
-    center: str = "central",
-    center_cores: int = 4,
-) -> GridFabric:
-    """The paper's testbed shape: N sources star-connected to a center.
-
-    ``bandwidth`` is bytes/second on each source->center link (the paper
-    sweeps 1 KB/s ... 1 MB/s).
-    """
-    if n_sources < 1:
-        raise ValueError(f"n_sources must be >= 1, got {n_sources}")
-    env = Environment()
-    source_hosts = [f"source-{i}" for i in range(n_sources)]
-    network = Network.star(
-        env, center, source_hosts, bandwidth=bandwidth, latency=latency,
-        center_cores=center_cores,
-    )
-    registry = ServiceRegistry()
-    registry.register_network(network)
-    repository = builtin_repository()
-    deployer = Deployer(registry, repository)
-    return GridFabric(
-        env=env,
-        network=network,
-        registry=registry,
-        repository=repository,
-        deployer=deployer,
-        launcher=Launcher(deployer),
-        source_hosts=source_hosts,
-        center_host=center,
-    )
 
 
 @dataclass
@@ -156,7 +100,7 @@ def run_count_samps_distributed(
     )
     return _count_samps_run(
         fabric, config, "filter", "join",
-        dict(policy=policy, adaptation_enabled=adaptive, trace_every=trace_every),
+        RunOptions(policy=policy, adaptation_enabled=adaptive, trace_every=trace_every),
         items_per_source, universe, skew, seed, top_n, source_rate,
     )
 
@@ -186,32 +130,29 @@ def run_count_samps_centralized(
     )
     return _count_samps_run(
         fabric, config, "relay", "central",
-        dict(adaptation_enabled=False, trace_every=trace_every),
+        RunOptions(adaptation_enabled=False, trace_every=trace_every),
         items_per_source, universe, skew, seed, top_n, source_rate,
     )
 
 
 def _count_samps_run(
-    fabric: GridFabric, config: AppConfig, entry: str, sink: str, options: Dict[str, Any],
+    fabric: GridFabric, config: AppConfig, entry: str, sink: str, options: RunOptions,
     items_per_source: int, universe: int, skew: float, seed: int, top_n: int,
     source_rate: Optional[float],
 ) -> CountSampsRun:
-    """Launch ``config`` on ``fabric``, feed sub-stream i into stage
-    ``{entry}-{i}``, run, and score ``sink``'s top-``top_n`` answer."""
-    deployment = fabric.launcher.launch(config)
-    runtime = SimulatedRuntime(fabric.env, fabric.network, deployment, **options)
+    """Run ``config`` on ``fabric``, feed sub-stream i into stage
+    ``{entry}-{i}``, and score ``sink``'s top-``top_n`` answer."""
     substreams, truth = _make_substreams(
         len(fabric.source_hosts), items_per_source, universe, skew, seed
     )
-    for i, payloads in enumerate(substreams):
-        runtime.bind_source(
-            SourceBinding(
-                name=f"stream-{i}", target_stage=f"{entry}-{i}",
-                payloads=payloads, rate=source_rate,
-                item_size=count_samps_app.RAW_INT_BYTES,
-            )
+    sources = [
+        SourceBinding(
+            name=f"stream-{i}", target_stage=f"{entry}-{i}", payloads=payloads,
+            rate=source_rate, item_size=count_samps_app.RAW_INT_BYTES,
         )
-    result = runtime.run()
+        for i, payloads in enumerate(substreams)
+    ]
+    result = run(config, "sim", options, sources, fabric=fabric)
     reported = result.final_value(sink)
     return CountSampsRun(
         execution_time=result.execution_time,
@@ -279,20 +220,15 @@ def run_comp_steer(
         item_bytes=item_bytes,
         analysis_host=fabric.center_host,
     )
-    deployment = fabric.launcher.launch(config)
-    runtime = SimulatedRuntime(
-        fabric.env, fabric.network, deployment, policy=policy,
-        trace_every=trace_every,
+    source = SourceBinding(
+        name="simulation", target_stage="sampler",
+        payloads=_continuous_mesh_values(seed),
+        rate=generation_rate_bytes / item_bytes, item_size=item_bytes,
     )
-    items_per_second = generation_rate_bytes / item_bytes
-    runtime.bind_source(
-        SourceBinding(
-            name="simulation", target_stage="sampler",
-            payloads=_continuous_mesh_values(seed),
-            rate=items_per_second, item_size=item_bytes,
-        )
+    result = run(
+        config, "sim", RunOptions(policy=policy, trace_every=trace_every, stop_at=duration_seconds),
+        [source], fabric=fabric,
     )
-    result = runtime.run(stop_at=duration_seconds)
     series = result.parameter_series("sampler", "sampling-rate")
     sampler_stats = result.final_value("sampler")
     return CompSteerRun(

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.apps import comp_steer as comp_steer_app
-from repro.core.runtime_sim import SimulatedRuntime, SourceBinding
+from repro.core.kernel import SourceBinding
+from repro.core.run import RunOptions, build
 from repro.experiments.common import _continuous_mesh_values, build_star_fabric
 
 __all__ = ["DynamicBandwidthResult", "main", "run_dynamic_bandwidth"]
@@ -66,15 +67,12 @@ def run_dynamic_bandwidth(
         item_bytes=ITEM_BYTES,
         analysis_host=fabric.center_host,
     )
-    deployment = fabric.launcher.launch(config)
-    runtime = SimulatedRuntime(fabric.env, fabric.network, deployment)
-    runtime.bind_source(
-        SourceBinding(
-            name="simulation", target_stage="sampler",
-            payloads=_continuous_mesh_values(seed),
-            rate=generation_rate / ITEM_BYTES, item_size=ITEM_BYTES,
-        )
+    source = SourceBinding(
+        name="simulation", target_stage="sampler",
+        payloads=_continuous_mesh_values(seed),
+        rate=generation_rate / ITEM_BYTES, item_size=ITEM_BYTES,
     )
+    built = build(config, "sim", RunOptions(stop_at=duration_seconds), [source], fabric=fabric)
 
     link = fabric.network.link(fabric.source_hosts[0], fabric.center_host)
 
@@ -84,7 +82,7 @@ def run_dynamic_bandwidth(
             link.set_bandwidth(bandwidth)
 
     fabric.env.process(_vary(fabric.env), name="bandwidth-schedule")
-    result = runtime.run(stop_at=duration_seconds)
+    result = built.run()
     series = result.parameter_series("sampler", "sampling-rate")
 
     plateaus: List[Tuple[float, float, float]] = []

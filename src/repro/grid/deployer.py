@@ -20,7 +20,7 @@ start processing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.grid.admission import admit
 from repro.grid.config import AppConfig, StageConfig
@@ -101,8 +101,12 @@ class Deployer:
             self._containers[host_name] = container
         return container
 
-    def deploy(self, config: AppConfig, verify: bool = True) -> Deployment:
-        """Run the five-step deployment of Section 3.2.
+    def place(
+        self, config: AppConfig, verify: bool = True
+    ) -> Tuple[AppConfig, Dict[str, Callable[..., Any]], Dict[str, str]]:
+        """Steps 1, 2 and 4 of :meth:`deploy`, which starts nothing: the
+        admitted (shard-expanded) config, each stage's factory, and the
+        host matched to each stage.
 
         Step 1, with step 4 hoisted, is :func:`~repro.grid.admission.admit`
         against this deployer's repository and registry; its replica
@@ -113,13 +117,18 @@ class Deployer:
             config, DeploymentError, repository=self.repository,
             verify=verify, registry=self.registry,
         )
-
-        # Step 2: consult the resource manager.
         requirements = [(s.name, s.requirement) for s in config.stages]
         try:
             assignment = self.matchmaker.match_all(requirements)
         except Exception as exc:
             raise DeploymentError(f"resource matching failed: {exc}") from exc
+        return config, factories, assignment
+
+    def deploy(self, config: AppConfig, verify: bool = True) -> Deployment:
+        """Run the five-step deployment of Section 3.2: :meth:`place`,
+        then create, customize and activate one service instance per
+        stage on its host."""
+        config, factories, assignment = self.place(config, verify)
 
         # Steps 3 + 5: instantiate and customize service instances.
         deployment = Deployment(config=config)

@@ -29,7 +29,8 @@ class Launcher:
     def __init__(self, deployer: Deployer) -> None:
         self.deployer = deployer
 
-    def resolve(self, ref: ConfigRef) -> AppConfig:
+    @staticmethod
+    def resolve(ref: ConfigRef) -> AppConfig:
         """Turn a configuration reference into a validated AppConfig.
 
         Accepts an :class:`AppConfig` (validated in place), a path to an

@@ -197,8 +197,8 @@ def demo_config(spec: Optional[ReplaySpec] = None, *, hints: bool = False) -> Ap
     """The four-stage replay demo pipeline (no ledger properties yet).
 
     ``hints`` pins ``src`` to the crashable edge host and ``sink`` to
-    the central host of :func:`_sim_fabric` — only valid when the run
-    executes on the simulated fabric.
+    the central host of the simulator's fabric (see :func:`_run_pipeline`) —
+    only valid when the run executes there.
     """
     from ..grid.resources import ResourceRequirement
 
@@ -258,92 +258,59 @@ def stamp_ledger(
     return config
 
 
-def _sim_fabric() -> Tuple[Any, Any, Any]:
-    """A five-host star fabric: two worker hosts, edge, spare, central."""
-    from ..grid.registry import ServiceRegistry
-    from ..simnet.engine import Environment
-    from ..simnet.topology import Network
+def _run_pipeline(config: AppConfig, spec: ReplaySpec, runtime: str, *, chaos: bool) -> Any:
+    """Run ``config`` on ``runtime``, fed by ``spec``'s payloads.
 
-    env = Environment()
-    net = Network(env)
-    for name in ("w1", "w2", "edge", "spare", "central"):
-        net.create_host(name, cores=4)
-    for name in ("w1", "w2", "edge", "spare"):
-        net.connect(name, "central", bandwidth=10_000.0, latency=0.005)
-    registry = ServiceRegistry()
-    registry.register_network(net)
-    return env, net, registry
+    The simulator runs on a five-host star (two worker hosts, edge,
+    spare, central) with checkpoints armed, its feed paced at
+    ``spec.rate``; ``chaos`` adds the edge crash with heartbeat
+    failover, the ``work`` scale-up and the ``mid`` migration.  The
+    threaded and networked runs feed as fast as the pipeline accepts.
+    """
+    from ..core.kernel import SourceBinding
+    from ..core.run import RunOptions, build
 
+    fabric = None
+    options = RunOptions()
+    if runtime == "sim":
+        from ..grid.fabric import star_fabric
+        from ..resilience.policy import ResilienceConfig
 
-def _run_sim(config: AppConfig, spec: ReplaySpec, *, chaos: bool) -> Any:
-    """Deploy and run on the simulated fabric, with optional fault load."""
-    from ..core.runtime_sim import SimulatedRuntime, SourceBinding
-    from ..grid.deployer import Deployer
-    from ..grid.faults import FaultInjector, FaultPlan, Redeployer
-    from ..grid.heartbeat import HeartbeatDetector
-    from ..grid.repository import CodeRepository
-    from ..resilience.failover import FailoverCoordinator
-    from ..resilience.migration import Migrator
-    from ..resilience.policy import ResilienceConfig
-
-    env, net, registry = _sim_fabric()
-    deployer = Deployer(registry, CodeRepository())
-    deployment = deployer.deploy(config)
-    runtime = SimulatedRuntime(
-        env, net, deployment,
-        adaptation_enabled=spec.adaptation,
-        resilience=ResilienceConfig(
-            checkpoint_interval=spec.checkpoint_interval
-        ),
+        fabric = star_fabric(
+            ["w1", "w2", "edge", "spare"], bandwidth=10_000.0, latency=0.005, leaf_cores=4
+        )
+        options = RunOptions(
+            adaptation_enabled=spec.adaptation,
+            resilience=ResilienceConfig(checkpoint_interval=spec.checkpoint_interval),
+        )
+    elif runtime == "net":
+        options = RunOptions(workers=spec.workers, adaptation_enabled=False, timeout=90.0)
+    source = SourceBinding(
+        "feed", "src", payloads=spec.payloads(), rate=spec.rate if fabric else None
     )
-    runtime.bind_source(
-        SourceBinding("feed", "src", payloads=spec.payloads(), rate=spec.rate)
-    )
+    built = build(config, runtime, options, [source], fabric=fabric)
     if chaos:
-        FaultInjector(env, net).schedule(FaultPlan("edge", fail_at=spec.fail_at))
-        detector = HeartbeatDetector(env, net, interval=0.05, timeout=0.15)
-        FailoverCoordinator(runtime, detector, Redeployer(deployer)).arm()
+        from ..grid.faults import FaultInjector, FaultPlan, Redeployer
+        from ..grid.heartbeat import HeartbeatDetector
+        from ..resilience.failover import FailoverCoordinator
+        from ..resilience.migration import Migrator
+
+        assert fabric is not None
+        sim, env = built.runtime, fabric.env
+        FaultInjector(env, fabric.network).schedule(FaultPlan("edge", fail_at=spec.fail_at))
+        detector = HeartbeatDetector(env, fabric.network, interval=0.05, timeout=0.15)
+        FailoverCoordinator(sim, detector, Redeployer(fabric.deployer)).arm()
         detector.start()
-        migrator = Migrator(deployer, deployment)
+        migrator = Migrator(fabric.deployer, sim.deployment)
 
         def _decisions() -> Any:
             yield env.timeout(spec.scale_at)
-            runtime.scale_stage("work", 2)
+            sim.scale_stage("work", 2)
             yield env.timeout(max(spec.migrate_at - spec.scale_at, 0.001))
-            runtime.migrate_stage("mid", migrator=migrator, trigger="chaos")
+            sim.migrate_stage("mid", migrator=migrator, trigger="chaos")
 
         env.process(_decisions(), name="chaos-decisions")
-    return runtime.run()
-
-
-def _run_threaded(config: AppConfig, spec: ReplaySpec) -> Any:
-    """Run on the in-process threaded runtime."""
-    from ..core.runtime_threads import ThreadedRuntime
-
-    runtime = ThreadedRuntime.from_config(config)
-    runtime.bind_source("feed", "src", spec.payloads())
-    return runtime.run(timeout=120.0)
-
-
-def _run_net(config: AppConfig, spec: ReplaySpec) -> Any:
-    """Run on the networked (multi-process) runtime."""
-    from ..net.coordinator import NetworkedRuntime
-
-    runtime = NetworkedRuntime(
-        config, workers=spec.workers, adaptation_enabled=False
-    )
-    runtime.bind_source("feed", "src", spec.payloads())
-    return runtime.run(timeout=90.0)
-
-
-def _execute(config: AppConfig, spec: ReplaySpec, runtime: str, *, chaos: bool) -> Any:
-    if runtime == "sim":
-        return _run_sim(config, spec, chaos=chaos)
-    if runtime == "threaded":
-        return _run_threaded(config, spec)
-    if runtime == "net":
-        return _run_net(config, spec)
-    raise ValueError(f"unknown runtime {runtime!r}; expected one of {RUNTIMES}")
+    return built.run()
 
 
 # -- digests ---------------------------------------------------------------
@@ -541,7 +508,7 @@ def record(
     meta_xml = base.to_xml()
     config = stamp_ledger(base, MODE_RECORD, out_dir)
     try:
-        result = _execute(config, spec, runtime, chaos=spec.chaos)
+        result = _run_pipeline(config, spec, runtime, chaos=spec.chaos)
     finally:
         reset_registry()  # close sidecar writers before merging
 
@@ -726,7 +693,7 @@ def replay(
     reset_registry()
     stamp_ledger(config, MODE_REPLAY, work_dir, ledger_path=ledger_path)
     try:
-        result = _execute(config, replay_spec, runtime, chaos=False)
+        result = _run_pipeline(config, replay_spec, runtime, chaos=False)
     finally:
         reset_registry()
 

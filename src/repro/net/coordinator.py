@@ -43,20 +43,19 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Awaitable, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Awaitable, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.batching import BatchPolicy
 from repro.core.items import EndOfStream, ItemRun
 from repro.core.kernel import WAIT, SourceBinding, check_binding, run_report, source_loop
 from repro.core.results import RunResult
+from repro.core.run import RunOptions, take
 from repro.core.options import StageOptions, stage_options
 from repro.core.sharding import SHARD_SEPARATOR, ShardGroup, groups_of
 from repro.grid.admission import admit
 from repro.grid.config import AppConfig
 from repro.grid.matchmaker import Matchmaker
 from repro.grid.registry import ServiceRegistry
-from repro.grid.repository import CodeRepository
 from repro.net.channels import OutChannel
 from repro.net.debug import install_task_dump
 from repro.net.protocol import (
@@ -68,7 +67,6 @@ from repro.net.protocol import (
     read_frame,
     send_frame,
 )
-from repro.obs.registry import MetricsRegistry
 from repro.resilience.migration import MigrationPlan, MigrationReport, book_move
 from repro.simnet.engine import Environment
 from repro.simnet.topology import Network
@@ -110,22 +108,11 @@ class NetworkedRuntime:
     workers (started with ``repro worker --port N``).
     """
 
-    def __init__(
-        self,
-        config: AppConfig,
-        workers: Union[int, Sequence[Tuple[str, int]]] = 3,
-        policy: Optional[AdaptationPolicy] = None,
-        adaptation_enabled: bool = True,
-        time_scale: float = 1.0,
-        credit_window: int = 32,
-        batch: Optional[BatchPolicy] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        repository: Optional[CodeRepository] = None,
-        verify: bool = True,
-        migrations: Optional[Sequence[MigrationPlan]] = None,
-    ) -> None:
-        """``config`` is admitted here (:func:`~repro.grid.admission.admit`
-        against ``repository``), before any worker process is spawned;
+    def __init__(self, config: AppConfig, **options: Any) -> None:
+        """``options`` are the net rows of :class:`~repro.core.run.RunOptions`;
+        another row raises :class:`NetworkedRuntimeError`.  ``config`` is
+        admitted here (:func:`~repro.grid.admission.admit` against
+        ``repository``), before any worker process is spawned;
         ``verify=False`` skips its static-verifier gate.
 
         ``batch`` switches the data plane onto the micro-batched fast
@@ -147,22 +134,15 @@ class NetworkedRuntime:
         The verify gate treats every planned stage as migration-enabled,
         so a class that cannot hand its state off (GA230) or a sharded
         target (GA231) is rejected before any worker spawns."""
-        if time_scale <= 0:
-            raise NetworkedRuntimeError(f"time_scale must be > 0, got {time_scale}")
-        if credit_window < 1:
-            raise NetworkedRuntimeError(
-                f"credit_window must be >= 1, got {credit_window}"
-            )
-        if isinstance(workers, int) and workers < 1:
-            raise NetworkedRuntimeError(f"need at least 1 worker, got {workers}")
-        plans = list(migrations) if migrations else []
+        opts = take("net", NetworkedRuntimeError, options, ("admit", "build"))
+        plans = list(opts.migrations or ())
         for plan in plans:
             if not isinstance(plan, MigrationPlan):
                 raise NetworkedRuntimeError(
                     f"migrations must be MigrationPlan instances, got {plan!r}"
                 )
         self.config, _ = admit(
-            config, NetworkedRuntimeError, repository=repository, verify=verify,
+            config, NetworkedRuntimeError, repository=opts.repository, verify=opts.verify,
             migrating=[plan.stage for plan in plans],
         )
         # Parsed here as well as on the workers, so an invalid option
@@ -174,14 +154,14 @@ class NetworkedRuntime:
             except ValueError as exc:
                 raise NetworkedRuntimeError(f"stage {stage.name!r}: {exc}") from None
         self._groups: Dict[str, ShardGroup] = groups_of(self._options.values())
-        self.workers_spec = workers
-        self.policy = policy or AdaptationPolicy()
-        self.adaptation_enabled = adaptation_enabled
-        self.time_scale = time_scale
-        self.credit_window = credit_window
-        self.batch = batch
+        self.workers_spec = opts.workers
+        self.policy = opts.policy
+        self.adaptation_enabled = opts.adaptation_enabled
+        self.time_scale = opts.time_scale
+        self.credit_window = opts.credit_window
+        self.batch = opts.batch
         self._uds_dir: Optional[str] = None
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = opts.metrics
         self._sources: List[SourceBinding] = []
         self._started = False
         #: stage name -> worker name, decided by the matchmaker at run().
@@ -310,7 +290,7 @@ class NetworkedRuntime:
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, timeout: float = 120.0) -> RunResult:
+    def run(self, timeout: float = RunOptions.timeout) -> RunResult:
         """Deploy, execute to completion, and collect the merged result."""
         if self._started:
             raise NetworkedRuntimeError("run() may only be called once")

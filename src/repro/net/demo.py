@@ -20,9 +20,10 @@ from typing import Any, Dict, Optional, Tuple
 from repro.apps.count_samps import JoinStage, build_distributed_config
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.api import CpuCostModel, StageContext
+from repro.core.kernel import SourceBinding
 from repro.core.options import stamp
 from repro.core.results import RunResult
-from repro.net.coordinator import NetworkedRuntime
+from repro.core.run import RunOptions, build
 from repro.obs.registry import MetricsRegistry
 
 __all__ = ["SlowJoinStage", "run_netdemo"]
@@ -78,25 +79,25 @@ def run_netdemo(
     # saturated, so the estimator sees a genuinely overloaded queue.
     stamp(join.properties, queue_capacity=16)
 
-    policy = AdaptationPolicy().with_(sample_interval=0.05, adjust_every=2)
-    runtime = NetworkedRuntime(
-        config,
+    rng = random.Random(seed)
+    sources = [
+        SourceBinding(
+            f"src-{i}", f"filter-{i}",
+            [rng.randrange(0, 50) for _ in range(items_per_source)], item_size=8.0,
+        )
+        for i in range(n_sources)
+    ]
+    options = RunOptions(
         workers=workers,
-        policy=policy,
-        adaptation_enabled=True,
+        policy=AdaptationPolicy().with_(sample_interval=0.05, adjust_every=2),
         credit_window=16,
         metrics=metrics,
         verify=verify,
+        timeout=timeout,
     )
-    rng = random.Random(seed)
-    for i in range(n_sources):
-        runtime.bind_source(
-            f"src-{i}",
-            f"filter-{i}",
-            [rng.randrange(0, 50) for _ in range(items_per_source)],
-            item_size=8.0,
-        )
-    result = runtime.run(timeout=timeout)
+    built = build(config, "net", options, sources)
+    result = built.run()
+    runtime = built.runtime
 
     registry = runtime.metrics
     channels: Dict[str, Dict[str, float]] = {}

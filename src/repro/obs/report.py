@@ -182,71 +182,13 @@ def render_report(result: RunResult, width: int = 72) -> str:
 
 
 def run_quickstart_demo(trace_every: int = 1) -> RunResult:
-    """Run the quickstart two-stage pipeline with tracing enabled.
-
-    The same application as ``examples/quickstart.py`` (squares on an
-    edge host, running mean on a central host, a 10 KB/s link between) —
-    the built-in data source for ``repro report`` when no export file is
+    """Run the quickstart pipeline (:mod:`repro.apps.quickstart`, the
+    application of ``examples/quickstart.py``) with tracing enabled — the
+    built-in data source for ``repro report`` when no export file is
     given.  Imports are local: this module is otherwise import-light.
     """
-    from repro.core.api import StageContext, StreamProcessor
-    from repro.core.runtime_sim import SimulatedRuntime, SourceBinding
-    from repro.grid.deployer import Deployer
-    from repro.grid.launcher import Launcher
-    from repro.grid.registry import ServiceRegistry
-    from repro.grid.repository import CodeRepository
-    from repro.simnet.engine import Environment
-    from repro.simnet.hosts import CpuCostModel
-    from repro.simnet.topology import Network
+    from repro.apps.quickstart import APP_XML, numbers, quickstart_fabric
+    from repro.core.run import RunOptions, run
 
-    class Squarer(StreamProcessor):
-        cost_model = CpuCostModel(per_item=1e-4)
-
-        def on_item(self, payload, context: StageContext) -> None:
-            context.emit(payload * payload, size=8.0)
-
-    class Averager(StreamProcessor):
-        cost_model = CpuCostModel(per_item=1e-4)
-
-        def __init__(self) -> None:
-            self._count = 0
-            self._total = 0.0
-
-        def on_item(self, payload, context: StageContext) -> None:
-            self._count += 1
-            self._total += payload
-
-        def result(self):
-            return self._total / self._count if self._count else 0.0
-
-    app_xml = """
-    <application name="quickstart">
-      <stage name="square" code="repo://quickstart/square">
-        <requirement placement="near:edge"/>
-      </stage>
-      <stage name="average" code="repo://quickstart/average">
-        <requirement min-cores="2"/>
-      </stage>
-      <stream name="squares" from="square" to="average" item-size="8.0"/>
-    </application>
-    """
-    env = Environment()
-    network = Network(env)
-    network.create_host("edge", cores=1)
-    network.create_host("central", cores=4)
-    network.connect("edge", "central", bandwidth=10_000.0, latency=0.01)
-    registry = ServiceRegistry()
-    registry.register_network(network)
-    repository = CodeRepository()
-    repository.publish("repo://quickstart/square", Squarer)
-    repository.publish("repo://quickstart/average", Averager)
-    launcher = Launcher(Deployer(registry, repository))
-    deployment = launcher.launch(app_xml)
-    runtime = SimulatedRuntime(
-        env, network, deployment, adaptation_enabled=False,
-        trace_every=trace_every,
-    )
-    runtime.bind_source(
-        SourceBinding("numbers", "square", payloads=range(1, 101), rate=200.0)
-    )
-    return runtime.run()
+    options = RunOptions(adaptation_enabled=False, trace_every=trace_every)
+    return run(APP_XML, "sim", options, [numbers()], fabric=quickstart_fabric())

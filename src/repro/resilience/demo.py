@@ -12,11 +12,16 @@ sink, a counted duplicate, or a counted quarantine.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.core.api import StageContext, StreamProcessor
 from repro.core.results import RunResult
 from repro.resilience.policy import ResilienceConfig
+
+if TYPE_CHECKING:
+    from repro.core.kernel import SourceBinding
+    from repro.grid.config import AppConfig
+    from repro.grid.fabric import GridFabric
 
 __all__ = ["run_chaos_demo", "run_migrate_demo"]
 
@@ -70,6 +75,47 @@ class _ChaosSink(StreamProcessor):
         return list(self.items)
 
 
+def _fabric(name: str, cores: int, work: Callable[[], StreamProcessor]) -> "GridFabric":
+    """The three-host topology: ``edge`` and a ``spare`` around
+    ``central``, 10 KB/s links, and the scenario's two stage codes
+    published under ``repo://{name}/``."""
+    from repro.grid.fabric import star_fabric
+
+    fabric = star_fabric(
+        ["edge", "spare"], bandwidth=10_000.0, latency=0.01, leaf_cores=cores, center_cores=cores
+    )
+    fabric.repository.publish(f"repo://{name}/work", work)
+    fabric.repository.publish(f"repo://{name}/sink", _ChaosSink)
+    return fabric
+
+
+def _config(name: str) -> "AppConfig":
+    """``work`` pinned to the edge host, ``sink`` to the central one."""
+    from repro.grid.config import AppConfig, StageConfig, StreamConfig
+    from repro.grid.resources import ResourceRequirement
+
+    return AppConfig(
+        name=name,
+        stages=[
+            StageConfig(
+                "work", f"repo://{name}/work",
+                requirement=ResourceRequirement(placement_hint="edge"),
+            ),
+            StageConfig(
+                "sink", f"repo://{name}/sink",
+                requirement=ResourceRequirement(placement_hint="central"),
+            ),
+        ],
+        streams=[StreamConfig("doubled", "work", "sink")],
+    )
+
+
+def _feed(items: int, rate: float) -> "SourceBinding":
+    from repro.core.kernel import SourceBinding
+
+    return SourceBinding("feed", "work", payloads=list(range(items)), rate=rate)
+
+
 def run_chaos_demo(
     items: int = 500,
     fail_at: Optional[float] = 1.0,
@@ -100,67 +146,36 @@ def run_chaos_demo(
     rate:
         Source rate in items per simulated second.
     """
-    from repro.core.runtime_sim import SimulatedRuntime, SourceBinding
-    from repro.grid.config import AppConfig, StageConfig, StreamConfig
-    from repro.grid.deployer import Deployer
+    from repro.core.run import RunOptions, build
     from repro.grid.faults import FaultInjector, FaultPlan, Redeployer
     from repro.grid.heartbeat import HeartbeatDetector
-    from repro.grid.registry import ServiceRegistry
-    from repro.grid.repository import CodeRepository
-    from repro.grid.resources import ResourceRequirement
     from repro.resilience.failover import FailoverCoordinator
-    from repro.simnet.engine import Environment
-    from repro.simnet.topology import Network
 
-    env = Environment()
-    net = Network(env)
-    for name in ("edge", "spare", "central"):
-        net.create_host(name, cores=2)
-    net.connect("edge", "central", bandwidth=10_000.0, latency=0.01)
-    net.connect("spare", "central", bandwidth=10_000.0, latency=0.01)
+    fabric = _fabric("chaos", cores=2, work=lambda: _ChaosWork(poison_every))
+    env, net = fabric.env, fabric.network
     if loss > 0:
         for a, b in (("edge", "central"), ("spare", "central")):
             net.link(a, b).set_loss(loss, seed=7)
-
-    registry = ServiceRegistry()
-    registry.register_network(net)
-    repo = CodeRepository()
-    repo.publish("repo://chaos/work", lambda: _ChaosWork(poison_every))
-    repo.publish("repo://chaos/sink", _ChaosSink)
-    config = AppConfig(
-        name="chaos",
-        stages=[
-            StageConfig("work", "repo://chaos/work",
-                        requirement=ResourceRequirement(placement_hint="edge")),
-            StageConfig("sink", "repo://chaos/sink",
-                        requirement=ResourceRequirement(placement_hint="central")),
-        ],
-        streams=[StreamConfig("doubled", "work", "sink")],
-    )
-    deployer = Deployer(registry, repo)
-    deployment = deployer.deploy(config)
-
     resilience = ResilienceConfig(
         checkpoint_interval=checkpoint_interval,
         error_policy=policy,
         max_retries=5,
     )
-    runtime = SimulatedRuntime(
-        env, net, deployment, adaptation_enabled=False, resilience=resilience
+    built = build(
+        _config("chaos"), "sim", RunOptions(adaptation_enabled=False, resilience=resilience),
+        [_feed(items, rate)], fabric=fabric,
     )
-    runtime.bind_source(
-        SourceBinding("feed", "work", payloads=list(range(items)), rate=rate)
-    )
+    runtime = built.runtime
 
     coordinator = None
     if fail_at is not None:
         FaultInjector(env, net).schedule(FaultPlan("edge", fail_at=fail_at))
         detector = HeartbeatDetector(env, net, interval=0.2, timeout=0.6)
-        coordinator = FailoverCoordinator(runtime, detector, Redeployer(deployer))
+        coordinator = FailoverCoordinator(runtime, detector, Redeployer(fabric.deployer))
         coordinator.arm()
         detector.start()
 
-    result = runtime.run()
+    result = built.run()
 
     metrics = result.metrics
     sink_items = result.final_value("sink")
@@ -221,27 +236,11 @@ def run_migrate_demo(
     signal and re-places the ``work`` stage — a planned, loss-free move
     with a bounded pause, not a failover (see docs/migration.md).
     """
-    from repro.core.runtime_sim import SimulatedRuntime, SourceBinding
-    from repro.grid.config import AppConfig, StageConfig, StreamConfig
-    from repro.grid.deployer import Deployer
+    from repro.core.run import RunOptions, build
     from repro.grid.faults import DriftPlan, FaultInjector
     from repro.grid.monitor import MonitoringService
-    from repro.grid.registry import ServiceRegistry
-    from repro.grid.repository import CodeRepository
-    from repro.grid.resources import ResourceRequirement
     from repro.resilience.migration import MigrationController, Migrator
-    from repro.simnet.engine import Environment
     from repro.simnet.hosts import CpuCostModel
-    from repro.simnet.topology import Network
-
-    env = Environment()
-    net = Network(env)
-    for name in ("edge", "spare", "central"):
-        # Single-core hosts so one saturated stage reads as ~1.0
-        # occupancy (utilization is busy core-seconds over capacity).
-        net.create_host(name, cores=1)
-    net.connect("edge", "central", bandwidth=10_000.0, latency=0.01)
-    net.connect("spare", "central", bandwidth=10_000.0, latency=0.01)
 
     def _work() -> _ChaosWork:
         work = _ChaosWork(None)
@@ -250,31 +249,16 @@ def run_migrate_demo(
         work.cost_model = CpuCostModel(per_item=0.005)
         return work
 
-    registry = ServiceRegistry()
-    registry.register_network(net)
-    repo = CodeRepository()
-    repo.publish("repo://chaos/work", _work)
-    repo.publish("repo://chaos/sink", _ChaosSink)
-    config = AppConfig(
-        name="migrate",
-        stages=[
-            StageConfig("work", "repo://chaos/work",
-                        requirement=ResourceRequirement(placement_hint="edge")),
-            StageConfig("sink", "repo://chaos/sink",
-                        requirement=ResourceRequirement(placement_hint="central")),
-        ],
-        streams=[StreamConfig("doubled", "work", "sink")],
-    )
-    deployer = Deployer(registry, repo)
-    deployment = deployer.deploy(config)
-
-    runtime = SimulatedRuntime(
-        env, net, deployment, adaptation_enabled=False,
+    # Single-core hosts so one saturated stage reads as ~1.0 occupancy
+    # (utilization is busy core-seconds over capacity).
+    fabric = _fabric("migrate", cores=1, work=_work)
+    env, net = fabric.env, fabric.network
+    options = RunOptions(
+        adaptation_enabled=False,
         resilience=ResilienceConfig(checkpoint_interval=checkpoint_interval),
     )
-    runtime.bind_source(
-        SourceBinding("feed", "work", payloads=list(range(items)), rate=rate)
-    )
+    built = build(_config("migrate"), "sim", options, [_feed(items, rate)], fabric=fabric)
+    runtime = built.runtime
 
     FaultInjector(env, net).schedule_drift(DriftPlan(
         kind="host-slowdown", target="edge", start_at=drift_at,
@@ -284,11 +268,11 @@ def run_migrate_demo(
                                 registry=runtime.metrics)
     monitor.start()
     controller = MigrationController(
-        runtime, Migrator(deployer, deployment), monitor=monitor
+        runtime, Migrator(fabric.deployer, runtime.deployment), monitor=monitor
     )
     controller.start()
 
-    result = runtime.run()
+    result = built.run()
 
     metrics = result.metrics
     sink_items = result.final_value("sink")

@@ -31,15 +31,15 @@ __all__ = ["FailoverCoordinator"]
 class FailoverCoordinator:
     """Wires detector suspicions to redeployment plus state restoration.
 
-    Typical use::
+    Typical use, on a runtime :func:`repro.core.run.build` made::
 
-        runtime = SimulatedRuntime(env, net, deployment,
-                                   resilience=ResilienceConfig())
-        detector = HeartbeatDetector(env, net, interval=0.5, timeout=1.5)
-        coordinator = FailoverCoordinator(runtime, detector, Redeployer(deployer))
+        options = RunOptions(resilience=ResilienceConfig())
+        built = build(config, "sim", options, sources, fabric=fabric)
+        detector = HeartbeatDetector(fabric.env, fabric.network, interval=0.5, timeout=1.5)
+        coordinator = FailoverCoordinator(built.runtime, detector, Redeployer(fabric.deployer))
         coordinator.arm()
         detector.start()
-        result = runtime.run()
+        result = built.run()
 
     Every handled suspicion is recorded in :attr:`recoveries` as
     ``(time, host, moved_stage_names)``.

@@ -2,7 +2,7 @@
 
 One parametrized suite over :data:`repro.analysis.docscheck.DOC_TABLES`
 (metrics, ledger record types, diagnostic codes, sharding knobs,
-migration knobs), plus the two page-specific pins.
+migration knobs, run options), plus the two page-specific pins.
 """
 
 import dataclasses
@@ -24,6 +24,7 @@ STALE = {
     "codes": "GA999",
     "sharding": "shard-flavor",
     "migration": "teleport_speed",
+    "run-options": "warp_factor",
 }
 
 
@@ -127,3 +128,4 @@ def test_migration_knobs_are_the_policy_defaults():
         f.name: str(f.default) for f in policy_fields
     }
     assert all(f.metadata.get("doc") for f in policy_fields)
+

@@ -171,6 +171,25 @@ class TestParameterController:
             value = ctl.adjust(local_score=0.9, t1=3, t2=0, now=float(i))
         assert value == 0.0
 
+    def test_saturation_does_not_wind_up(self):
+        """Anti-windup: however long the parameter sits at ``max``, its
+        raw state stays in ``[min, max]``, so the first rounds of the
+        opposite signal bring the value back off the bound.  (A raw
+        state allowed past ``max`` would need as many rounds to unwind
+        as it spent saturated.)"""
+        param = make_param(direction=-1, initial=0.5)
+        ctl = ParameterController(param, AdaptationPolicy())
+        for i in range(200):  # underload: the value rises and saturates
+            value = ctl.adjust(local_score=-1.0, t1=0, t2=0, now=float(i))
+            assert param.minimum <= ctl._raw <= param.maximum
+        assert value == param.maximum
+        for i in range(200, 203):  # overload: it must leave max at once
+            value = ctl.adjust(local_score=1.0, t1=0, t2=0, now=float(i))
+            assert param.minimum <= ctl._raw <= param.maximum
+            if value < param.maximum:
+                break
+        assert value < param.maximum, "the value stayed at max: the raw state wound up"
+
     def test_adjust_quantizes_to_increment(self):
         param = make_param(direction=-1)
         ctl = ParameterController(param, AdaptationPolicy())

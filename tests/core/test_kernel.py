@@ -3,7 +3,8 @@ the stage loop and the source loop.
 
 Also holds the one-definition guard: the kernel exists so these pieces
 live once, and an AST scan of ``src/repro`` keeps a private copy from
-growing back inside a driver.
+growing back inside a driver (and a runtime from being built anywhere
+but ``repro.core.run``, in ``src/`` or ``examples/``).
 """
 
 import ast
@@ -755,6 +756,26 @@ def _called_name(node):
     return None
 
 
+#: Runtime constructions only ``core/run.py``'s ``build`` makes, under
+#: ``src/`` and ``examples/``: a configuration runs one way.  (The
+#: drivers' own tests and ``bench/`` still build runtimes directly.)
+_BUILT_BY_RUN = (
+    "SimulatedRuntime", "ThreadedRuntime", "ThreadedRuntime.from_config", "NetworkedRuntime",
+)
+
+
+def _constructions(where, tree):
+    """``where:line builds X`` for each :data:`_BUILT_BY_RUN` call in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None)
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                name = f"{func.value.id}.{func.attr}"
+            if name in _BUILT_BY_RUN:
+                yield f"{where}:{node.lineno} builds {name}"
+
+
 def test_stage_kernel_is_defined_once():
     root = Path(repro.__file__).parent
     offenders = []
@@ -767,6 +788,8 @@ def test_stage_kernel_is_defined_once():
             for node in ast.walk(tree):
                 if isinstance(node, ast.Call) and _called_name(node) in call_sites:
                     call_sites[_called_name(node)].append(f"{relative}:{node.lineno}")
+        if relative != "core/run.py":
+            offenders += _constructions(relative, tree)
         if relative == "core/kernel.py":
             continue
         for lineno, line in enumerate(source.splitlines(), 1):
@@ -791,6 +814,8 @@ def test_stage_kernel_is_defined_once():
         f"{name} is called at {len(sites)} sites: {', '.join(sites)}"
         for name, sites in call_sites.items() if len(sites) != 1
     ]
+    for path in sorted((root.parents[1] / "examples").glob("*.py")):
+        offenders += _constructions(f"examples/{path.name}", ast.parse(path.read_text()))
     assert offenders == []
 
 

@@ -103,6 +103,27 @@ class TestTopology:
     def test_missing_file(self, tmp_path):
         assert main(["topology", str(tmp_path / "nope.xml")]) == 1
 
+    def test_sharded_stage_placed_as_deployed(self, tmp_path, capsys):
+        """``topology`` matched the declared stages, so a sharded join
+        printed as one stage on ``central`` while the Deployer spreads
+        its replicas over the star."""
+        from repro.core.options import stamp
+        from repro.experiments.common import build_star_fabric
+
+        cfg = build_distributed_config(4, [f"source-{i}" for i in range(4)])
+        stamp(cfg.stage("join").properties, replicas=3)
+        path = tmp_path / "sharded.xml"
+        path.write_text(cfg.to_xml(), encoding="utf-8")
+        deployment = build_star_fabric(4, bandwidth=100_000.0).launcher.launch(str(path))
+        assert main(["topology", str(path)]) == 0
+        printed = dict(
+            line.split(" -> ") for line in
+            (row.strip() for row in capsys.readouterr().out.splitlines()[1:])
+        )
+        placed = {name: p.host_name for name, p in deployment.placements.items()}
+        assert {name.strip(): host for name, host in printed.items()} == placed
+        assert {"join#0", "join#1", "join#2"} <= set(placed)
+
 
 class TestExperimentCommands:
     def test_fig5_reduced(self, capsys):
