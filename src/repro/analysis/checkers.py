@@ -1,4 +1,4 @@
-"""The AST lint rules (GA501-GA509).
+"""The AST lint rules that are not name bans (GA501, GA505-GA508).
 
 Each rule enforces a repo-specific invariant that a generic linter cannot
 express — they encode contracts established by earlier subsystems:
@@ -6,18 +6,16 @@ express — they encode contracts established by earlier subsystems:
 * GA501 — metric names must instantiate a template from the
   :mod:`repro.obs.names` catalog (the registry enforces this at runtime;
   the lint moves the failure to authoring time).
-* GA502/GA503 — the simulation is deterministic: no wall clock, no
-  global RNG, in :mod:`repro.simnet` / :mod:`repro.core.runtime_sim`.
-* GA504/GA505 — async hygiene in :mod:`repro.net`: no blocking calls in
-  ``async def``, no synchronous lock held across an ``await``.
+* GA505 — async hygiene in :mod:`repro.net`: no synchronous lock held
+  across an ``await``.
 * GA506 — the checkpoint contract: processor classes override
   ``snapshot``/``restore`` together or not at all.
 * GA507 — no bare or silently-swallowed ``except`` in data-plane code.
 * GA508 — every public function/method in :mod:`repro.core` carries a
   docstring (the core API is the middleware's contract surface).
-* GA509 — record/replay determinism: wall-clock and global-RNG reads in
-  :mod:`repro.ledger` and in stage ``on_item`` bodies go through the
-  :class:`~repro.ledger.DeterministicContext` (``context.det``).
+
+The name bans (GA502-GA504, GA509 and the GA52x structure rules) are
+rows of :data:`repro.analysis.rules.RULES`.
 
 Scoping is by module path (see each checker's ``applies_to``); a file
 opts out of one rule with ``# repro: noqa[GAxxx]`` (see
@@ -29,24 +27,18 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.engine import Checker, FileContext
+from repro.analysis.engine import Checker, FileContext, dotted_name, nearest_function
+from repro.analysis.rules import RuleChecker
 
 __all__ = [
     "ALL_CHECKERS",
-    "AsyncBlockingCallChecker",
     "BareExceptChecker",
-    "DeterministicReadChecker",
     "LockAcrossAwaitChecker",
     "MetricNameChecker",
-    "ModuleLevelRandomChecker",
     "PublicDocstringChecker",
     "SnapshotContractChecker",
-    "WallClockChecker",
     "default_checkers",
 ]
-
-#: Module prefixes whose event order must be reproducible run-to-run.
-DETERMINISTIC_PREFIXES = ("repro.simnet", "repro.core.runtime_sim", "repro.core.kernel")
 
 #: Module prefixes that move stream data (where a swallowed exception
 #: silently loses items or corrupts accounting).
@@ -66,25 +58,6 @@ def _in_modules(context: FileContext, prefixes: Tuple[str, ...]) -> bool:
     )
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _nearest_function(enclosing: Sequence[ast.AST]) -> Optional[ast.AST]:
-    for node in reversed(enclosing):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return node
-    return None
-
-
 class MetricNameChecker(Checker):
     """GA501: metric-name literals must resolve in the obs catalog."""
 
@@ -102,8 +75,7 @@ class MetricNameChecker(Checker):
         func = node.func
         if not isinstance(func, ast.Attribute) or func.attr not in self.METHODS:
             return
-        receiver = _dotted(func.value)
-        if receiver is None or receiver.split(".")[-1] not in self.RECEIVERS:
+        if dotted_name(func.value).split(".")[-1] not in self.RECEIVERS:
             return
         if not node.args:
             return
@@ -152,100 +124,6 @@ class MetricNameChecker(Checker):
         return "".join(parts)
 
 
-class WallClockChecker(Checker):
-    """GA502: no wall-clock reads in deterministic modules."""
-
-    code = "GA502"
-    interests = (ast.Call,)
-    FORBIDDEN = (
-        "time.time", "time.monotonic", "time.perf_counter",
-        "time.time_ns", "time.monotonic_ns",
-        "datetime.now", "datetime.utcnow",
-        "datetime.datetime.now", "datetime.datetime.utcnow",
-    )
-
-    def applies_to(self, context: FileContext) -> bool:
-        return _in_modules(context, DETERMINISTIC_PREFIXES)
-
-    def visit(
-        self, node: ast.Call, enclosing: Sequence[ast.AST],
-        context: FileContext,
-    ) -> None:
-        name = _dotted(node.func)
-        if name in self.FORBIDDEN:
-            context.add(
-                self.code,
-                f"{name}() reads the wall clock in deterministic module "
-                f"{context.module}",
-                node,
-            )
-
-
-class ModuleLevelRandomChecker(Checker):
-    """GA503: no global-RNG calls in deterministic modules."""
-
-    code = "GA503"
-    interests = (ast.Call,)
-    #: ``random.<attr>`` calls that are *not* violations (constructors of
-    #: seedable instances).
-    ALLOWED = ("Random", "SystemRandom")
-
-    def applies_to(self, context: FileContext) -> bool:
-        return _in_modules(context, DETERMINISTIC_PREFIXES)
-
-    def visit(
-        self, node: ast.Call, enclosing: Sequence[ast.AST],
-        context: FileContext,
-    ) -> None:
-        func = node.func
-        if not (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "random"):
-            return
-        if func.attr in self.ALLOWED:
-            return
-        context.add(
-            self.code,
-            f"random.{func.attr}() uses the unseeded module-level RNG in "
-            f"deterministic module {context.module}; use a "
-            "random.Random(seed) instance",
-            node,
-        )
-
-
-class AsyncBlockingCallChecker(Checker):
-    """GA504: no blocking calls inside ``async def`` bodies."""
-
-    code = "GA504"
-    interests = (ast.Call,)
-    BLOCKING = (
-        "time.sleep",
-        "socket.create_connection",
-        "socket.getaddrinfo",
-        "subprocess.run",
-        "subprocess.check_output",
-        "subprocess.check_call",
-    )
-
-    def applies_to(self, context: FileContext) -> bool:
-        return _in_modules(context, ("repro.net",))
-
-    def visit(
-        self, node: ast.Call, enclosing: Sequence[ast.AST],
-        context: FileContext,
-    ) -> None:
-        if not isinstance(_nearest_function(enclosing), ast.AsyncFunctionDef):
-            return
-        name = _dotted(node.func)
-        if name in self.BLOCKING or name == "open":
-            context.add(
-                self.code,
-                f"blocking call {name}() inside an async function stalls "
-                "the event loop",
-                node,
-            )
-
-
 class LockAcrossAwaitChecker(Checker):
     """GA505: no synchronous lock held across an ``await`` point."""
 
@@ -259,7 +137,7 @@ class LockAcrossAwaitChecker(Checker):
         self, node: ast.With, enclosing: Sequence[ast.AST],
         context: FileContext,
     ) -> None:
-        if not isinstance(_nearest_function(enclosing), ast.AsyncFunctionDef):
+        if not isinstance(nearest_function(enclosing), ast.AsyncFunctionDef):
             return
         if not self._manages_lock(node):
             return
@@ -280,8 +158,7 @@ class LockAcrossAwaitChecker(Checker):
             expr = item.context_expr
             if isinstance(expr, ast.Call):
                 expr = expr.func
-            name = _dotted(expr)
-            if name and "lock" in name.split(".")[-1].lower():
+            if "lock" in dotted_name(expr).split(".")[-1].lower():
                 return True
         return False
 
@@ -319,10 +196,7 @@ class SnapshotContractChecker(Checker):
 
     def _is_processor(self, node: ast.ClassDef) -> bool:
         for base in node.bases:
-            name = _dotted(base)
-            if name is None:
-                continue
-            tail = name.split(".")[-1]
+            tail = dotted_name(base).split(".")[-1]
             if any(tail.endswith(marker) for marker in self.BASE_MARKERS):
                 return True
         return False
@@ -349,8 +223,8 @@ class BareExceptChecker(Checker):
                 node,
             )
             return
-        name = _dotted(node.type)
-        if name is None or name.split(".")[-1] not in self.BROAD:
+        name = dotted_name(node.type)
+        if name.split(".")[-1] not in self.BROAD:
             return
         if all(self._is_noop(stmt) for stmt in node.body):
             context.add(
@@ -391,7 +265,7 @@ class PublicDocstringChecker(Checker):
         assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         if node.name.startswith("_"):
             return
-        if _nearest_function(enclosing) is not None:
+        if nearest_function(enclosing) is not None:
             return  # a closure, not API surface
         classes = [n for n in enclosing if isinstance(n, ast.ClassDef)]
         if any(cls.name.startswith("_") for cls in classes):
@@ -407,71 +281,16 @@ class PublicDocstringChecker(Checker):
         )
 
 
-class DeterministicReadChecker(Checker):
-    """GA509: nondeterministic reads must go through ``context.det``.
-
-    Scope: everywhere in :mod:`repro.ledger` (the replay subsystem must
-    itself be replay-clean), plus every stage ``on_item`` body anywhere
-    (the per-item path is what record/replay pins).  A direct wall-clock
-    or global-RNG call there produces values the run ledger never sees,
-    so a recorded run cannot replay bit-identically.
-    """
-
-    code = "GA509"
-    interests = (ast.Call,)
-    CLOCK = WallClockChecker.FORBIDDEN
-    #: ``random.<attr>`` calls that are not draws (seedable constructors).
-    RNG_ALLOWED = ModuleLevelRandomChecker.ALLOWED
-
-    def visit(
-        self, node: ast.Call, enclosing: Sequence[ast.AST],
-        context: FileContext,
-    ) -> None:
-        name = _dotted(node.func)
-        if name is None:
-            return
-        is_clock = name in self.CLOCK
-        is_rng = (
-            name.startswith("random.")
-            and name.count(".") == 1
-            and name.split(".")[1] not in self.RNG_ALLOWED
-        )
-        if not (is_clock or is_rng):
-            return
-        in_ledger = _in_modules(context, ("repro.ledger",))
-        function = _nearest_function(enclosing)
-        in_on_item = (
-            function is not None
-            and getattr(function, "name", "") == "on_item"
-        )
-        if not (in_ledger or in_on_item):
-            return
-        where = (
-            f"module {context.module}" if in_ledger
-            else "a stage on_item() body"
-        )
-        kind = "reads the wall clock" if is_clock else "draws from the global RNG"
-        context.add(
-            self.code,
-            f"{name}() {kind} in {where}; route it through "
-            "context.det (now()/draw()) so record/replay can pin it",
-            node,
-        )
-
-
 ALL_CHECKERS = (
     MetricNameChecker,
-    WallClockChecker,
-    ModuleLevelRandomChecker,
-    AsyncBlockingCallChecker,
     LockAcrossAwaitChecker,
     SnapshotContractChecker,
     BareExceptChecker,
     PublicDocstringChecker,
-    DeterministicReadChecker,
 )
 
 
 def default_checkers() -> List[Checker]:
-    """Fresh instances of every registered checker."""
-    return [checker() for checker in ALL_CHECKERS]
+    """Fresh instances of every registered checker, and of the checker
+    that runs :data:`repro.analysis.rules.RULES`."""
+    return [checker() for checker in ALL_CHECKERS] + [RuleChecker()]

@@ -15,7 +15,8 @@ single source of truth three consumers share:
 
 Numbering: ``GA1xx`` graph/structure passes, ``GA2xx`` adaptation
 (parameter) passes, ``GA3xx`` deployment passes (code resolution,
-checkpoint contract, placement, wire sizing), ``GA5xx`` AST lint rules,
+checkpoint contract, placement, wire sizing), ``GA5xx`` AST lint rules
+(``GA52x`` the architecture rules of :mod:`repro.analysis.rules`),
 ``GA60x`` whole-program concurrency analysis, ``GA61x`` protocol
 model checking and model↔code conformance (``repro analyze``).
 """
@@ -229,6 +230,27 @@ _ALL: List[CodeInfo] = [
              "(now()/draw()) so recorded runs capture them and replay "
              "can pin them; a direct time.*/random.* call makes the run "
              "unreplayable"),
+    # -- GA52x: architecture rules (repro.analysis.rules) ----------------------
+    CodeInfo("GA520", "lint", Severity.ERROR, "stage-kernel piece defined outside the kernel",
+             "call the definition in repro/core/kernel.py instead of writing a copy"),
+    CodeInfo("GA521", "lint", Severity.ERROR, "processor called outside the kernel's stage loop",
+             "only stage_loop calls on_item() and processor.flush(); interpret its effects"),
+    CodeInfo("GA522", "lint", Severity.ERROR, "source binding read outside the source loop",
+             "drive repro.core.kernel.source_loop instead of reading payloads or gaps"),
+    CodeInfo("GA523", "lint", Severity.ERROR, "run-lifecycle call made at more than one site",
+             "call grid.admission.admit() or kernel.run_report(), which make these calls"),
+    CodeInfo("GA524", "lint", Severity.ERROR, "runtime constructed outside core/run.py",
+             "run a configuration with repro.core.run.run (or build, to act mid-run)"),
+    CodeInfo("GA525", "lint", Severity.ERROR, "stage state snapshot or restore outside the kernel",
+             "use the kernel's stage_checkpoint / restore_checkpoint / swap_processor"),
+    CodeInfo("GA526", "lint", Severity.ERROR, "stage option named by key outside core/options.py",
+             "read the option through StageOptions and write it with stamp()"),
+    CodeInfo("GA527", "lint", Severity.ERROR, "runtime module imports numpy or networkx eagerly",
+             "import it inside the function that first uses it (TYPE_CHECKING for hints)"),
+    CodeInfo("GA528", "lint", Severity.ERROR, "XML read outside grid/config.py",
+             "call AppConfig.from_xml, the one parser of the application document"),
+    CodeInfo("GA529", "lint", Severity.ERROR, "package export imported inside src/",
+             "import the name from its defining module, not through a package's exports"),
     # -- GA60x: whole-program concurrency ---------------------------------------
     CodeInfo("GA600", "concurrency", Severity.ERROR,
              "lock-order inversion between two lock families",

@@ -1,6 +1,6 @@
 """Docs-consistency check: every catalog and its docs page must agree.
 
-Six reference pages each document one authoritative catalog in a
+Six reference pages document seven authoritative catalogs, each in a
 markdown table whose first column is a backticked name and whose second
 column is a value the catalog also holds:
 
@@ -10,6 +10,7 @@ page                    catalog                                              val
 ``observability.md``    :data:`repro.obs.names.METRICS`                      kind
 ``replay.md``           :data:`repro.ledger.records.RECORD_TYPES`            rank
 ``static_analysis.md``  :data:`repro.analysis.codes.CODES`                   kind
+``static_analysis.md``  :data:`repro.analysis.rules.RULES`                   code
 ``sharding.md``         :data:`repro.core.options.OPTIONS`                   default
 ``migration.md``        :class:`repro.resilience.migration.MigrationPolicy`  default
 ``architecture.md``     :data:`repro.core.run.ROWS`                          runtimes
@@ -22,9 +23,10 @@ experiment rows) — a catalog entry without a row, a row for an entry the
 catalog no longer has, or a value mismatch each produce one problem
 string — plus two page-specific pins:
 
-* ``static_analysis.md`` must embed :func:`render_catalog_table`
-  **verbatim** (``python -m repro.analysis.docscheck`` prints it for
-  pasting), so any edit to a code's kind, severity or title breaks it;
+* ``static_analysis.md`` must embed :func:`render_catalog_table` and
+  :func:`repro.analysis.rules.render_rule_table` **verbatim** (``python
+  -m repro.analysis.docscheck`` prints both for pasting), so any edit to
+  a code's kind, severity or title, or to a rule row, breaks it;
 * ``migration.md`` must mention every ``migration.*`` metric template.
 
 The tier-1 test ``tests/analysis/test_docscheck.py`` asserts every
@@ -39,6 +41,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Pattern
 
 from repro.analysis.codes import CODES
+from repro.analysis.rules import RULES, render_rule_table
 
 __all__ = [
     "DOC_TABLES",
@@ -77,6 +80,10 @@ def _migration_knobs() -> Dict[str, str]:
     return {knob.name: str(knob.default) for knob in fields(MigrationPolicy)}
 
 
+def _rule_codes() -> Dict[str, str]:
+    return {rule.id: rule.code for rule in RULES}
+
+
 def _run_option_runtimes() -> Dict[str, str]:
     from repro.core.run import ROWS
 
@@ -103,13 +110,16 @@ def render_catalog_table() -> str:
     return "\n".join(lines)
 
 
-def _embeds_code_table(page: str, text: str) -> List[str]:
-    if render_catalog_table() in text:
-        return []
-    return [
-        f"{page} does not embed the generated catalog table verbatim; "
-        "regenerate with 'python -m repro.analysis.docscheck' and paste it in"
-    ]
+def _embeds(render: Callable[[], str], what: str) -> Callable[[str, str], List[str]]:
+    """A page check: the page embeds ``render()``'s table verbatim."""
+    def check(page: str, text: str) -> List[str]:
+        if render() in text:
+            return []
+        return [
+            f"{page} does not embed the generated {what} table verbatim; "
+            "regenerate with 'python -m repro.analysis.docscheck' and paste it in"
+        ]
+    return check
 
 
 def _mentions_migration_metrics(page: str, text: str) -> List[str]:
@@ -168,7 +178,17 @@ DOC_TABLES: Dict[str, DocTable] = {
         row=re.compile(r"^\|\s*`(?P<name>GA\d{3})`\s*\|\s*(?P<value>\w+)\s*\|"),
         catalog=_code_kinds,
         value_label="kind",
-        extra=_embeds_code_table,
+        extra=_embeds(render_catalog_table, "catalog"),
+    ),
+    "rules": DocTable(
+        page="static_analysis.md",
+        entry="architecture rule",
+        catalog_ref="repro.analysis.rules.RULES",
+        # ``| `rule-id` | GAxxx | ...``.
+        row=re.compile(r"^\|\s*`(?P<name>[a-z][a-z0-9-]*)`\s*\|\s*(?P<value>[^|]*?)\s*\|"),
+        catalog=_rule_codes,
+        value_label="code",
+        extra=_embeds(render_rule_table, "rule"),
     ),
     "sharding": DocTable(
         page="sharding.md",
@@ -257,4 +277,4 @@ def check_docs(name: str, path: Optional[Path] = None) -> List[str]:
 
 
 if __name__ == "__main__":
-    print(render_catalog_table())
+    print(render_catalog_table(), render_rule_table(), sep="\n\n")

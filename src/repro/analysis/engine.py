@@ -36,7 +36,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
 from repro.analysis.codes import CODES
 from repro.analysis.diagnostics import Diagnostic, Report, Severity, SourceSpan
 
-__all__ = ["Checker", "FileContext", "lint_paths", "lint_source"]
+__all__ = [
+    "Checker", "FileContext", "dotted_name", "lint_paths", "lint_source", "nearest_function",
+]
 
 _NOQA = re.compile(r"#\s*repro:\s*noqa\[([A-Za-z0-9,\s]+)\]")
 
@@ -168,8 +170,29 @@ class Checker:
     def finish(self, context: FileContext) -> None:
         """Called once after traversal (emit whole-file findings)."""
 
+    def conclude(self, report: Report) -> None:
+        """Called once after every file of a :func:`lint_paths` run
+        (emit findings that count across files)."""
+
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def dotted_name(node: ast.AST) -> str:
+    """``a.b.c`` for a Name/Attribute chain; a base that is not a name
+    spells ``()`` (``x[0].on_item`` is ``().on_item``)."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    parts.append(node.id if isinstance(node, ast.Name) else "()")
+    return ".".join(reversed(parts))
+
+
+def nearest_function(enclosing: Sequence[ast.AST]) -> Optional[ast.AST]:
+    """The innermost function in an enclosing stack, if any."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return next((n for n in reversed(enclosing) if isinstance(n, functions)), None)
 
 
 def _dispatch(
@@ -231,6 +254,8 @@ def lint_paths(
     for path in _expand(paths):
         source = Path(path).read_text(encoding="utf-8")
         report.extend(lint_source(path, source, checkers))
+    for checker in checkers:
+        checker.conclude(report)
     return report
 
 

@@ -20,7 +20,7 @@ from repro.analysis.engine import lint_paths
 __all__ = ["lint", "main"]
 
 #: What ``repro lint`` analyzes when no paths are given.
-DEFAULT_TARGETS = ("src/repro",)
+DEFAULT_TARGETS = ("src/repro", "examples")
 
 
 def lint(paths: List[str]) -> Report:

@@ -1,8 +1,9 @@
 """Every reference page and its catalog must not drift.
 
 One parametrized suite over :data:`repro.analysis.docscheck.DOC_TABLES`
-(metrics, ledger record types, diagnostic codes, sharding knobs,
-migration knobs, run options), plus the two page-specific pins.
+(metrics, ledger record types, diagnostic codes, architecture rules,
+sharding knobs, migration knobs, run options), plus the page-specific
+pins.
 """
 
 import dataclasses
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.docscheck import DOC_TABLES, check_docs, render_catalog_table
+from repro.analysis.rules import render_rule_table
 from repro.resilience.migration import MigrationPolicy
 
 DOCS = Path(__file__).resolve().parents[2] / "docs"
@@ -22,6 +24,7 @@ STALE = {
     "metrics": "stage.{stage}.removed_metric",
     "records": "GHOST",
     "codes": "GA999",
+    "rules": "ghost-rule",
     "sharding": "shard-flavor",
     "migration": "teleport_speed",
     "run-options": "warp_factor",
@@ -105,6 +108,14 @@ def test_code_table_must_be_embedded_verbatim(tmp_path):
     )
     (problem,) = check_docs("codes", path)
     assert "verbatim" in problem
+
+
+def test_rule_table_must_be_embedded_verbatim(tmp_path):
+    path = write_page(tmp_path, "rules", catalog_rows("rules"))
+    (problem,) = check_docs("rules", path)
+    assert "verbatim" in problem
+    path.write_text(render_rule_table() + "\n", encoding="utf-8")
+    assert check_docs("rules", path) == []
 
 
 def test_every_migration_metric_template_is_mentioned(tmp_path):

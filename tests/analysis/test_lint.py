@@ -1,6 +1,8 @@
 """Tests for the AST lint suite: broken corpus, suppression, scoping."""
 
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.analysis.checkers import default_checkers
 from repro.analysis.engine import lint_paths as _lint_paths
 from repro.analysis.engine import lint_source as _lint_source
 from repro.analysis.lint import DEFAULT_TARGETS, lint
+from repro.analysis.rules import RULES, RuleChecker
 
 CORPUS = os.path.join(os.path.dirname(__file__), "fixtures", "lint")
 REPO_ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
@@ -29,13 +32,37 @@ CASES = [
     ("repro/core/bad_metrics.py", {"GA501", "GA506"}),
     ("repro/core/bad_docstring.py", {"GA508"}),
     ("repro/ledger/bad_det.py", {"GA509"}),
+    ("repro/net/ga520_second_definition.py", {"GA520"}),
+    ("repro/core/ga521_processor_call.py", {"GA521"}),
+    ("repro/core/ga522_source_read.py", {"GA522"}),
+    ("repro/grid/ga523_second_call_site.py", {"GA523"}),
+    ("examples/ga524_direct_runtime.py", {"GA524"}),
+    ("repro/core/ga525_stray_snapshot.py", {"GA525"}),
+    ("repro/core/ga526_keyed_option.py", {"GA526"}),
+    ("repro/net/ga527_heavy_import.py", {"GA527"}),
+    ("repro/grid/ga528_xml_reader.py", {"GA528"}),
+    ("repro/obs/ga529_package_export.py", {"GA529"}),
+    ("repro/simnet/aliased_imports.py", {"GA502", "GA503"}),
+    ("repro/net/aliased_sleep.py", {"GA504"}),
+    ("repro/ledger/aliased_det.py", {"GA509"}),
 ]
+
+#: ``# expect: GAxxx`` marks a line the fixture must be reported on.
+EXPECT = re.compile(r"#\s*expect:\s*(GA\d{3})")
 
 
 @pytest.mark.parametrize("relpath,codes", CASES)
 def test_broken_fixture_raises_its_codes(relpath, codes):
+    """A fixture raises its codes; one that marks lines ``# expect: GAxxx``
+    is reported on exactly those lines (aliases and second call sites
+    cannot hide)."""
     report = lint_paths([os.path.join(CORPUS, relpath)])
     assert set(report.codes()) == codes, report.render_text()
+    lines = Path(CORPUS, relpath).read_text(encoding="utf-8").splitlines()
+    marked = {(number, match.group(1)) for number, line in enumerate(lines, 1)
+              for match in [EXPECT.search(line)] if match}
+    if marked:
+        assert {(d.span.line, d.code) for d in report.diagnostics} == marked
 
 
 def test_corpus_as_a_whole_fails():
@@ -51,8 +78,20 @@ def test_every_lint_code_is_exercised():
     assert corpus_codes | {"GA500"} == {info.code for info in lint_codes()}
 
 
+def test_every_rule_fires_on_its_fixture():
+    """Each row of the table, run alone, reports its code on the fixture
+    it names, and the fixture is one of ``CASES``."""
+    cases = dict(CASES)
+    assert len({rule.id for rule in RULES}) == len(RULES)
+    for rule in RULES:
+        assert rule.code in cases[rule.fixture], rule.id
+        report = _lint_paths([os.path.join(CORPUS, rule.fixture)], [RuleChecker([rule])])
+        assert report.codes() == [rule.code], rule.id
+
+
 def test_repo_is_lint_clean():
-    """src/repro passes its own lint — the CI gate, run as a test."""
+    """src/repro and examples pass their own lint — the CI gate, run as a
+    test, and the tier-1 home of every architecture rule."""
     targets = [os.path.join(REPO_ROOT, t) for t in DEFAULT_TARGETS]
     report = lint(targets)
     assert report.clean, report.render_text()

@@ -1,19 +1,13 @@
 """The stage kernel in isolation: routing, context rules, the sampling tick,
 the stage loop and the source loop.
 
-Also holds the one-definition guard: the kernel exists so these pieces
-live once, and an AST scan of ``src/repro`` keeps a private copy from
-growing back inside a driver (and a runtime from being built anywhere
-but ``repro.core.run``, in ``src/`` or ``examples/``).
+That these pieces live once — no copy in a driver, no runtime built
+outside ``repro.core.run`` — is the GA520–GA526 rows of
+:data:`repro.analysis.rules.RULES`, which ``repro lint`` runs.
 """
-
-import ast
-import fnmatch
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.adaptation.protocol import LoadException, LoadExceptionKind
 from repro.core.api import ProcessorError, StreamProcessor
@@ -704,197 +698,3 @@ class TestSourceLoop:
             check_binding(SourceBinding("s", "x", []), stages, ValueError)
         with pytest.raises(ValueError, match="rate must be > 0, got 0"):
             check_binding(SourceBinding("s", "a", [], rate=0), stages, ValueError)
-
-
-# -- one definition ----------------------------------------------------------
-
-#: Names that may be defined only in ``core/kernel.py``.
-_KERNEL_ONLY = (
-    "*RouteUnit", "*build_route_units", "*route_indices", "*next_flush_timeout",
-    "*transmit_pending", "*buffer_pending", "*flush_edge*", "*flush_route",
-    "*SourceBinding", "*check_binding", "*source_loop", "*ThreadSource", "*feed_group",
-    "*source_item",
-)
-#: Calls into user processors that only the kernel's loop makes.
-_KERNEL_ONLY_CALLS = (".on_item(", "processor.flush(")
-#: StageContext subclasses allowed outside the kernel: only the
-#: unit-test fake that predates it.  (The threaded runtime's locked
-#: ``get_suggested_value`` is bound inside ``KernelStageContext``
-#: itself, so no driver needs a subclass.)
-_ALLOWED_CONTEXT_SUBCLASSES = {("core/api.py", "RecordingContext")}
-
-
-def _source_read(node):
-    """The ``x.payloads`` a loop iterates, or the ``x.gaps()`` call, that
-    ``node`` is: only the kernel's source loop consumes a binding."""
-    if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
-        if isinstance(node.iter, ast.Attribute) and node.iter.attr == "payloads":
-            return node.iter
-    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        if node.func.attr == "gaps":
-            return node
-    return None
-
-
-#: Run-lifecycle calls each made at one ``src/`` site — admission
-#: (``grid/admission.py``) and the run report (``core/kernel.py``) —
-#: besides the analysis passes and the CLI, which check configurations
-#: without admitting them.
-_ONE_CALL_SITE = ("verify_config", "expand_shards", "_register_codes", "StageStats.from_registry")
-
-
-def _called_name(node):
-    """``name`` or ``Owner.name`` for a call of a plain or dotted name."""
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        owner = func.value
-        if isinstance(owner, ast.Name) and f"{owner.id}.{func.attr}" in _ONE_CALL_SITE:
-            return f"{owner.id}.{func.attr}"
-        return func.attr
-    return None
-
-
-#: Runtime constructions only ``core/run.py``'s ``build`` makes, under
-#: ``src/`` and ``examples/``: a configuration runs one way.  (The
-#: drivers' own tests and ``bench/`` still build runtimes directly.)
-_BUILT_BY_RUN = (
-    "SimulatedRuntime", "ThreadedRuntime", "ThreadedRuntime.from_config", "NetworkedRuntime",
-)
-
-
-def _constructions(where, tree):
-    """``where:line builds X`` for each :data:`_BUILT_BY_RUN` call in ``tree``."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = getattr(func, "id", None)
-            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-                name = f"{func.value.id}.{func.attr}"
-            if name in _BUILT_BY_RUN:
-                yield f"{where}:{node.lineno} builds {name}"
-
-
-def test_stage_kernel_is_defined_once():
-    root = Path(repro.__file__).parent
-    offenders = []
-    call_sites = {name: [] for name in _ONE_CALL_SITE}
-    for path in sorted(root.rglob("*.py")):
-        relative = path.relative_to(root).as_posix()
-        source = path.read_text()
-        tree = ast.parse(source)
-        if not (relative.startswith("analysis/") or relative == "cli.py"):
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Call) and _called_name(node) in call_sites:
-                    call_sites[_called_name(node)].append(f"{relative}:{node.lineno}")
-        if relative != "core/run.py":
-            offenders += _constructions(relative, tree)
-        if relative == "core/kernel.py":
-            continue
-        for lineno, line in enumerate(source.splitlines(), 1):
-            for call in _KERNEL_ONLY_CALLS:
-                if call in line:
-                    offenders.append(f"{relative}:{lineno} calls {call}")
-        for node in ast.walk(tree):
-            read = _source_read(node)
-            if read is not None:
-                offenders.append(f"{relative}:{read.lineno} reads a source")
-            if not isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if any(fnmatch.fnmatchcase(node.name, pattern) for pattern in _KERNEL_ONLY):
-                offenders.append(f"{relative}:{node.lineno} defines {node.name}")
-            if isinstance(node, ast.ClassDef) and (relative, node.name) not in (
-                _ALLOWED_CONTEXT_SUBCLASSES
-            ):
-                bases = [getattr(b, "attr", getattr(b, "id", "")) for b in node.bases]
-                if any(base.endswith("StageContext") for base in bases):
-                    offenders.append(f"{relative}:{node.lineno} subclasses StageContext")
-    offenders += [
-        f"{name} is called at {len(sites)} sites: {', '.join(sites)}"
-        for name, sites in call_sites.items() if len(sites) != 1
-    ]
-    for path in sorted((root.parents[1] / "examples").glob("*.py")):
-        offenders += _constructions(f"examples/{path.name}", ast.parse(path.read_text()))
-    assert offenders == []
-
-
-#: Receivers whose state only the kernel's ``stage_checkpoint`` captures
-#: and ``restore_checkpoint`` applies (``replacement``: a processor
-#: about to be swapped in).
-_STAGE_STATE = {"processor", "replacement", "estimator", "exceptions", "eos"}
-
-
-def _stage_state_calls(tree):
-    """``(line, call)`` for each ``.snapshot()`` or ``.restore(...)`` on a
-    processor, load estimator, exception counter or EOS tracker.
-    Sharding's keyed-state hand-off (``export_keyed_state`` /
-    ``import_keyed_state``) is a different contract and is not matched."""
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-            continue
-        if node.func.attr not in ("snapshot", "restore"):
-            continue
-        receiver = node.func.value
-        name = getattr(receiver, "attr", getattr(receiver, "id", None))
-        if name in _STAGE_STATE:
-            yield node.lineno, f"{name}.{node.func.attr}()"
-
-
-def stage_state_offenders(root):
-    """Every stage-state snapshot/restore outside ``core/kernel.py``."""
-    return [
-        f"{path.relative_to(root).as_posix()}:{line} calls {call}"
-        for path in sorted(root.rglob("*.py"))
-        if path.relative_to(root).as_posix() != "core/kernel.py"
-        for line, call in _stage_state_calls(ast.parse(path.read_text()))
-    ]
-
-
-def test_stage_state_is_restored_once():
-    """Checkpoint, failover and migration share one snapshot
-    (``stage_checkpoint``), one restore (``restore_checkpoint``) and one
-    processor swap (``swap_processor``): no other module snapshots or
-    restores a processor, estimator, exception counter or EOS tracker."""
-    assert stage_state_offenders(Path(repro.__file__).parent) == []
-
-
-def _keyed_uses(tree, keys):
-    """``(line, what)`` for each constant naming a declared option key,
-    and each keyed access to one: ``.get`` / ``.pop`` / ``.setdefault``,
-    a subscript, an ``in`` test or a dict-literal key."""
-    def key(node):
-        return node.value if isinstance(node, ast.Constant) and node.value in keys else None
-
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Assign, ast.AnnAssign)) and key(node.value):
-            yield node.lineno, f"defines a constant {key(node.value)!r}"
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in ("get", "pop", "setdefault") and node.args and key(node.args[0]):
-                yield node.lineno, f"accesses {key(node.args[0])!r}"
-        elif isinstance(node, ast.Subscript) and key(node.slice):
-            yield node.lineno, f"accesses {key(node.slice)!r}"
-        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
-            if key(node.left):
-                yield node.lineno, f"tests for {key(node.left)!r}"
-        elif isinstance(node, ast.Dict):
-            for entry in node.keys:
-                if entry is not None and key(entry):
-                    yield node.lineno, f"writes {key(entry)!r}"
-
-
-def test_stage_options_are_declared_once():
-    """Every middleware stage property is one row of ``core/options.py``,
-    read through its parser and written through ``stamp``: no other
-    module names a declared key as a constant or accesses one by key."""
-    from repro.core.options import OPTIONS
-
-    keys = {option.key for option in OPTIONS}
-    root = Path(repro.__file__).parent
-    offenders = [
-        f"{path.relative_to(root).as_posix()}:{line} {what}"
-        for path in sorted(root.rglob("*.py"))
-        if path.relative_to(root).as_posix() != "core/options.py"
-        for line, what in _keyed_uses(ast.parse(path.read_text()), keys)
-    ]
-    assert offenders == []

@@ -1,6 +1,5 @@
 """Unit tests for the XML application configuration model."""
 
-import ast
 import glob
 import math
 import os
@@ -376,27 +375,3 @@ def test_an_unreadable_number_is_a_config_error(attribute, tmp_path, capsys):
     assert main(["topology", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("INVALID: line 1: <") and "Traceback" not in err
-
-
-def test_only_grid_config_reads_xml():
-    """One parser: nothing under src/repro but grid/config.py imports
-    expat or parses with ElementTree."""
-    root = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src", "repro")
-    readers = {}
-    for path in glob.glob(os.path.join(root, "**", "*.py"), recursive=True):
-        with open(path, encoding="utf-8") as handle:
-            tree = ast.parse(handle.read(), filename=path)
-        found = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                found += [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                found += [f"{node.module}.{a.name}" for a in node.names]
-            elif isinstance(node, ast.Attribute):
-                found.append(node.attr)
-        found = [name for name in found
-                 if name.startswith(("xml.parsers", "pyexpat"))
-                 or name.rsplit(".", 1)[-1] in ("fromstring", "iterparse", "XMLParser")]
-        if found:
-            readers[os.path.relpath(path, root)] = found
-    assert sorted(readers) == [os.path.join("grid", "config.py")]

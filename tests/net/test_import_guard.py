@@ -9,19 +9,15 @@ worker, the coordinator and a threaded run of stages that use neither
 never pay for them (ROADMAP item 4(c); ``docs/performance.md`` "Process footprint
 and RESULT collection" and "Process start").  The runs happen in fresh
 interpreters: this test process has both loaded long before it gets here.
+That no runtime package imports either at module level is the GA527 row
+of :data:`repro.analysis.rules.RULES`.
 """
 
-import ast
 import json
-import os
 
-from tests.net.fresh_process import SRC_ROOT, run_python
+from tests.net.fresh_process import run_python
 
 HEAVY = ("numpy", "networkx")
-#: Packages a run executes; experiments, the CLI and the analyzers are not.
-RUNTIME_PACKAGES = (
-    "core", "net", "obs", "grid", "simnet", "resilience", "ledger", "streams",
-)
 
 
 #: Layers a relay or sink worker does not run: the coordinator, the
@@ -148,41 +144,3 @@ def test_a_threaded_run_from_a_config_does_not_load_networkx():
     sink = json.loads(run_python(THREADED_RUN))
     assert sink["items"] == 200
     assert [m for m in sink["modules"] if m.split(".")[0] == "networkx"] == []
-
-
-def _module_level_imports(tree: ast.Module):
-    """Names imported when the module is, ``if TYPE_CHECKING:`` aside."""
-    pending = list(tree.body)
-    while pending:
-        node = pending.pop()
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            yield node.module or ""
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        elif isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
-            pending.extend(node.orelse)
-        else:
-            pending.extend(
-                child for child in ast.iter_child_nodes(node)
-                if isinstance(child, ast.stmt)
-            )
-
-
-def test_no_runtime_module_imports_either_package_at_module_level():
-    offenders = []
-    for package in RUNTIME_PACKAGES:
-        for folder, _dirs, files in os.walk(os.path.join(SRC_ROOT, "repro", package)):
-            for name in files:
-                if not name.endswith(".py"):
-                    continue
-                path = os.path.join(folder, name)
-                with open(path, encoding="utf-8") as handle:
-                    tree = ast.parse(handle.read(), filename=path)
-                offenders += [
-                    f"{os.path.relpath(path, SRC_ROOT)}: import {imported}"
-                    for imported in _module_level_imports(tree)
-                    if imported.split(".")[0] in HEAVY
-                ]
-    assert offenders == []
