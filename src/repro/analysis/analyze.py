@@ -24,12 +24,14 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.concurrency import analyze_paths
 from repro.analysis.diagnostics import Report
+from repro.analysis.engine import checkout_paths
 from repro.analysis.protocol import check_conformance, check_models, load_models
 from repro.net.protocol_model import ProtocolModel
 
 __all__ = ["analyze", "main"]
 
-#: What ``repro analyze`` analyzes when no paths are given.
+#: What ``repro analyze`` analyzes when no paths are given, from the root
+#: of the checkout repro runs from (:func:`~repro.analysis.engine.checkout_paths`).
 DEFAULT_TARGETS = ("src/repro",)
 
 
@@ -59,9 +61,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "docs/static_analysis.md",
     )
     parser.add_argument(
-        "paths", nargs="*", default=list(DEFAULT_TARGETS),
+        "paths", nargs="*",
         help="files or directories to analyze "
-             f"(default: {' '.join(DEFAULT_TARGETS)})",
+             f"(default: {' '.join(DEFAULT_TARGETS)} of the checkout repro runs from)",
     )
     parser.add_argument(
         "--json", action="store_true",
@@ -81,7 +83,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"cannot load models from {args.models!r}: {exc}",
                   file=sys.stderr)
             return 2
-    report = analyze(args.paths, models=models)
+    try:
+        paths = args.paths or checkout_paths(DEFAULT_TARGETS)
+    except ValueError as exc:
+        print(f"repro analyze: {exc}", file=sys.stderr)
+        return 2
+    report = analyze(paths, models=models)
     output = report.render_json() if args.json else report.render_text()
     stream = sys.stdout if report.ok else sys.stderr
     print(output, file=stream)

@@ -30,6 +30,7 @@ import ast
 import io
 import re
 import tokenize
+import warnings
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
 
@@ -37,7 +38,8 @@ from repro.analysis.codes import CODES
 from repro.analysis.diagnostics import Diagnostic, Report, Severity, SourceSpan
 
 __all__ = [
-    "Checker", "FileContext", "dotted_name", "lint_paths", "lint_source", "nearest_function",
+    "CHECKOUT", "Checker", "FileContext", "checkout_paths", "dotted_name", "lint_paths",
+    "lint_source", "nearest_function",
 ]
 
 _NOQA = re.compile(r"#\s*repro:\s*noqa\[([A-Za-z0-9,\s]+)\]")
@@ -223,15 +225,22 @@ def _dispatch(
 def lint_source(
     path: str, source: str, checkers: Sequence[Checker]
 ) -> Report:
-    """Lint one file's source text with the given checkers."""
+    """Lint one file's source text with the given checkers.
+
+    Source the compiler refuses is GA500 and nothing else: the parser
+    alone accepts some of it, such as a ``from __future__`` import after
+    other statements."""
     try:
         tree = ast.parse(source, filename=path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # e.g. SyntaxWarning: not ours to report
+            compile(tree, path, "exec", dont_inherit=True)
     except SyntaxError as exc:
         report = Report()
         report.diagnostics.append(Diagnostic(
             code="GA500",
             severity=Severity.ERROR,
-            message=f"cannot parse file: {exc.msg}",
+            message=f"cannot compile file: {exc.msg}",
             span=SourceSpan(file=path, line=exc.lineno, column=exc.offset),
         ))
         return report
@@ -244,6 +253,29 @@ def lint_source(
     for checker in active:
         checker.finish(context)
     return context.report
+
+
+#: The repository root this package runs from, when it runs from a
+#: checkout (this file is ``src/repro/analysis/engine.py`` under it).
+CHECKOUT = Path(__file__).resolve().parents[3]
+
+
+def checkout_paths(relative: Sequence[str]) -> List[str]:
+    """``relative`` (paths from a repository root) in the checkout this
+    package runs from, whatever the working directory: relative to the
+    working directory when they lie under it, else absolute.  Raises
+    ``ValueError`` when the package does not run from a checkout."""
+    missing = [path for path in relative if not (CHECKOUT / path).exists()]
+    if missing:
+        raise ValueError(
+            f"{CHECKOUT} is not a repro checkout (no {', '.join(missing)}); "
+            "name the files or directories to check"
+        )
+    cwd = Path.cwd()
+    return [
+        str(target.relative_to(cwd)) if target.is_relative_to(cwd) else str(target)
+        for target in (CHECKOUT / path for path in relative)
+    ]
 
 
 def lint_paths(

@@ -15,11 +15,12 @@ from typing import List, Optional
 
 from repro.analysis.checkers import default_checkers
 from repro.analysis.diagnostics import Report
-from repro.analysis.engine import lint_paths
+from repro.analysis.engine import checkout_paths, lint_paths
 
 __all__ = ["lint", "main"]
 
-#: What ``repro lint`` analyzes when no paths are given.
+#: What ``repro lint`` analyzes when no paths are given, from the root of
+#: the checkout repro runs from (:func:`~repro.analysis.engine.checkout_paths`).
 DEFAULT_TARGETS = ("src/repro", "examples")
 
 
@@ -36,15 +37,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "checkpoint contract); see docs/static_analysis.md",
     )
     parser.add_argument(
-        "paths", nargs="*", default=list(DEFAULT_TARGETS),
-        help=f"files or directories to lint (default: {' '.join(DEFAULT_TARGETS)})",
+        "paths", nargs="*",
+        help="files or directories to lint (default: "
+             f"{' and '.join(DEFAULT_TARGETS)} of the checkout repro runs from)",
     )
     parser.add_argument(
         "--json", action="store_true",
         help="emit the machine-readable JSON report instead of text",
     )
     args = parser.parse_args(argv)
-    report = lint(args.paths)
+    try:
+        paths = args.paths or checkout_paths(DEFAULT_TARGETS)
+    except ValueError as exc:
+        print(f"repro lint: {exc}", file=sys.stderr)
+        return 2
+    report = lint(paths)
     output = report.render_json() if args.json else report.render_text()
     stream = sys.stdout if report.ok else sys.stderr
     print(output, file=stream)

@@ -12,9 +12,11 @@ and the Section 4 adaptation loop executing inside each worker.
 
 Lifecycle driven by :meth:`NetworkedRuntime.run`:
 
-1. spawn local workers (``python -m repro.net.worker --port 0``) and
-   read each one's ``REPRO-NET-WORKER <port>`` announce line — or attach
-   to externally started workers given as ``(host, port)`` pairs;
+1. spawn the local workers as one ``python -m repro.net.worker --port 0``
+   process, which imports once and forks one copy per further worker,
+   and read each worker's ``REPRO-NET-WORKER <port> <name> <pid>``
+   announce line — or attach to externally started workers given as
+   ``(host, port)`` pairs;
 2. HELLO each worker (assigning its name, adaptation policy, time
    scale, and credit window), then PING a few times to seed the
    ``net.{worker}.rtt`` histogram;
@@ -36,7 +38,9 @@ from __future__ import annotations
 
 import asyncio
 import os
+import select
 import shutil
+import signal
 import socket
 import subprocess
 import sys
@@ -59,11 +63,11 @@ from repro.grid.registry import ServiceRegistry
 from repro.net.channels import OutChannel
 from repro.net.debug import install_task_dump
 from repro.net.protocol import (
-    ANNOUNCE_PREFIX,
     FrameType,
     ProtocolError,
     cap_read_buffer,
     encode_json,
+    parse_announce,
     read_frame,
     send_frame,
 )
@@ -80,19 +84,49 @@ _MESH_BANDWIDTH = 1e9
 
 _PING_ROUNDS = 3
 
+#: Seconds a clean run waits for its spawned workers to exit after
+#: SHUTDOWN before it kills them.
+_EXIT_BOUND = 2.0
+
 
 class NetworkedRuntimeError(Exception):
     """Raised for deployment or protocol failures in the networked runtime."""
 
 
+def _read_announces(
+    stdout: int, pending: Dict[str, "_WorkerHandle"], deadline: float
+) -> None:
+    """Fill each pending handle from its worker's announce line.
+
+    The lines arrive on one pipe, whole and in any order.  End of file
+    (every live worker has announced and let go of the pipe) or the
+    deadline with a worker still pending fails the run naming it."""
+    buffered = b""
+    while pending:
+        ready, _, _ = select.select([stdout], [], [], max(0.0, deadline - time.monotonic()))
+        chunk = os.read(stdout, 4096) if ready else b""
+        if not chunk:
+            got = f" (got {buffered!r})" if buffered else ""
+            raise NetworkedRuntimeError(f"worker {', '.join(pending)} failed to announce{got}")
+        *lines, buffered = (buffered + chunk).split(b"\n")
+        for line in lines:
+            try:
+                name, port, _pid, uds = parse_announce(line.decode())
+                handle = pending.pop(name)
+            except (ValueError, KeyError):
+                raise NetworkedRuntimeError(
+                    f"worker {', '.join(pending)} failed to announce (got {line!r})"
+                ) from None
+            handle.port, handle.uds = port, uds
+
+
 @dataclass
 class _WorkerHandle:
-    """One worker in the fleet: address, process (if we spawned it), socket."""
+    """One worker in the fleet: address and control socket."""
 
     name: str
     host: str
     port: int
-    process: Optional[subprocess.Popen] = None
     reader: Optional[asyncio.StreamReader] = None
     writer: Optional[asyncio.StreamWriter] = None
     #: UNIX-socket path the worker announced (spawned co-located workers
@@ -103,9 +137,10 @@ class _WorkerHandle:
 class NetworkedRuntime:
     """Run an :class:`AppConfig` across worker OS processes on localhost.
 
-    ``workers`` is either a count (that many local processes are spawned
-    and reaped) or a list of ``(host, port)`` pairs of already-running
-    workers (started with ``repro worker --port N``).
+    ``workers`` is either a count (that many local workers are spawned,
+    forked from one process, and reaped) or a list of ``(host, port)``
+    pairs of already-running workers (started with ``repro worker --port
+    N``).
     """
 
     def __init__(self, config: AppConfig, **options: Any) -> None:
@@ -155,12 +190,20 @@ class NetworkedRuntime:
                 raise NetworkedRuntimeError(f"stage {stage.name!r}: {exc}") from None
         self._groups: Dict[str, ShardGroup] = groups_of(self._options.values())
         self.workers_spec = opts.workers
+        if isinstance(self.workers_spec, int) and not hasattr(os, "fork"):
+            raise NetworkedRuntimeError(
+                "spawned workers are forked from one process, and this platform "
+                "has no os.fork: start each worker with `repro worker --port N` "
+                "and pass workers=[(host, port), ...]"
+            )
         self.policy = opts.policy
         self.adaptation_enabled = opts.adaptation_enabled
         self.time_scale = opts.time_scale
         self.credit_window = opts.credit_window
         self.batch = opts.batch
         self._uds_dir: Optional[str] = None
+        #: The one process the spawned workers run in (``int`` workers only).
+        self._process: Optional[subprocess.Popen] = None
         self.metrics = opts.metrics
         self._sources: List[SourceBinding] = []
         self._started = False
@@ -230,12 +273,17 @@ class NetworkedRuntime:
 
     # -- worker process management -------------------------------------------
 
-    def _spawn_workers(self, count: int, handles: List[_WorkerHandle]) -> None:
-        """Launch ``count`` local worker processes and read their ports.
+    def _spawn_workers(
+        self, count: int, handles: List[_WorkerHandle], timeout: float
+    ) -> None:
+        """Launch ``count`` local workers from one process and read their ports.
 
-        Each process joins ``handles`` as soon as it exists, so the
-        caller reaps every started worker even when a later one fails to
-        announce."""
+        One ``python -m repro.net.worker`` process, given ``--name`` (and
+        ``--uds``) once per worker, imports once and forks the others;
+        each worker announces itself by name, in any order.  Every worker
+        joins ``handles`` before the first line is read, so the caller
+        takes them all down even when one fails to announce within
+        ``timeout``."""
         src_root = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))
         env = dict(os.environ)
@@ -256,37 +304,61 @@ class NetworkedRuntime:
         if use_uds and self._uds_dir is None:
             # Short prefix: AF_UNIX paths are capped around ~100 bytes.
             self._uds_dir = tempfile.mkdtemp(prefix="repro-uds-")
-        # Start every process before reading any announce line, so the
-        # workers' interpreter starts overlap instead of queueing.
+        argv = [sys.executable, "-m", "repro.net.worker", "--port", "0"]
+        pending: Dict[str, _WorkerHandle] = {}
         for i in range(count):
             name = f"worker-{i}"
-            argv = [sys.executable, "-m", "repro.net.worker", "--port", "0",
-                    "--name", name]
+            argv += ["--name", name]
             if use_uds:
                 assert self._uds_dir is not None
                 argv += ["--uds", os.path.join(self._uds_dir, f"w{i}.sock")]
-            process = subprocess.Popen(
-                argv,
-                stdout=subprocess.PIPE,
-                stderr=stderr,
-                env=env,
-                text=True,
+            pending[name] = _WorkerHandle(name=name, host="127.0.0.1", port=0)
+        handles += pending.values()
+        # A process group of its own: a failed run kills the group, which
+        # holds every fork, announced or not.  Python 3.10 has no
+        # ``process_group`` and starts a session instead; where the kernel
+        # schedules by session (Linux autogroup), that also takes the
+        # workers out of this process's scheduling group.
+        group: Dict[str, Any] = (
+            {"process_group": 0} if sys.version_info >= (3, 11)
+            else {"start_new_session": True}
+        )
+        self._process = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=stderr, env=env, **group
+        )
+        assert self._process.stdout is not None
+        try:
+            _read_announces(
+                self._process.stdout.fileno(), pending, time.monotonic() + timeout
             )
-            handles.append(
-                _WorkerHandle(name=name, host="127.0.0.1", port=0, process=process)
-            )
-        for handle in handles[len(handles) - count:]:
-            assert handle.process is not None and handle.process.stdout is not None
-            line = handle.process.stdout.readline()
-            if not line.startswith(ANNOUNCE_PREFIX):
-                raise NetworkedRuntimeError(
-                    f"worker {handle.name} failed to announce (got {line!r})"
-                )
-            parts = line.split()
-            handle.port = int(parts[1])
-            # The worker only announces a third token when the UNIX
-            # socket actually bound (platform support, path length).
-            handle.uds = parts[2] if len(parts) > 2 else None
+        finally:
+            self._process.stdout.close()
+
+    def _reap(self, clean: bool) -> None:
+        """End the spawned workers' process.
+
+        After a clean run the workers have their SHUTDOWN and exit on
+        their own, the first process last, once it has reaped every fork:
+        waiting for it (up to ``_EXIT_BOUND``) brings every worker's CPU
+        time into this process's ``RUSAGE_CHILDREN``.  After a failed
+        run, or past the bound, the process group is killed at once.
+        """
+        process, self._process = self._process, None
+        if process is None:
+            return
+        if clean:
+            try:
+                process.wait(_EXIT_BOUND)
+            except subprocess.TimeoutExpired:
+                pass
+        if process.returncode is None:
+            # The unreaped first process pins the group id, so the
+            # signal cannot reach anyone else's processes.
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except (ProcessLookupError, PermissionError):
+                pass
+            process.wait()
 
     # -- execution -----------------------------------------------------------
 
@@ -309,28 +381,24 @@ class NetworkedRuntime:
                 await asyncio.wait_for(self._run_async(handles), timeout)
             )
 
+        clean = False
         try:
             if isinstance(self.workers_spec, int):
-                self._spawn_workers(self.workers_spec, handles)
+                self._spawn_workers(self.workers_spec, handles, timeout)
             else:
                 handles += [
                     _WorkerHandle(name=f"worker-{i}", host=host, port=port)
                     for i, (host, port) in enumerate(self.workers_spec)
                 ]
             asyncio.run(main())
+            clean = True
             return outcome[0]
         except asyncio.TimeoutError:
             raise NetworkedRuntimeError(
                 f"networked run did not complete within {timeout}s"
             ) from None
         finally:
-            for handle in handles:
-                if handle.process is not None:
-                    if handle.process.poll() is None:
-                        handle.process.kill()
-                    handle.process.wait()
-                    if handle.process.stdout is not None:
-                        handle.process.stdout.close()
+            self._reap(clean)
             if self._uds_dir is not None:
                 shutil.rmtree(self._uds_dir, ignore_errors=True)
                 self._uds_dir = None

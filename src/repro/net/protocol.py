@@ -57,6 +57,7 @@ __all__ = [
     "FrameStreamProtocol",
     "FrameType",
     "ProtocolError",
+    "announce_line",
     "cap_read_buffer",
     "decode_credit",
     "decode_json",
@@ -73,15 +74,33 @@ __all__ = [
     "is_batch_payload",
     "new_frame_buffer",
     "open_frame_connection",
+    "parse_announce",
     "read_frame",
     "send_frame",
 ]
 
-#: A worker's stdout announce line: ``REPRO-NET-WORKER <port>`` — plus an
-#: optional third token, the worker's UNIX-socket path, when one is bound
-#: (the co-located fast path; older parsers that only read the port keep
-#: working).
+#: A worker's stdout announce line: ``REPRO-NET-WORKER <port> <name>
+#: <pid>`` — plus a fifth token, the worker's UNIX-socket path, when one is
+#: bound (the co-located fast path).  Workers forked from one interpreter
+#: share that stdout, so each line is written whole and carries the
+#: worker's name: a reader maps lines by name, in any order.  The pid
+#: tells the forks apart, which share one command line (``kill -USR1``
+#: dumps a worker's tasks, ``docs/networking.md``).
 ANNOUNCE_PREFIX = "REPRO-NET-WORKER"
+
+
+def announce_line(port: int, name: str, pid: int, uds: Optional[str] = None) -> str:
+    """One worker's announce line, newline included."""
+    return f"{ANNOUNCE_PREFIX} {port} {name} {pid}" + (f" {uds}" if uds else "") + "\n"
+
+
+def parse_announce(line: str) -> Tuple[str, int, int, Optional[str]]:
+    """``(name, port, pid, uds)`` of an announce line; ``ValueError`` when
+    ``line`` is not one."""
+    parts = line.rstrip("\n").split(" ", 4)
+    if len(parts) < 4 or parts[0] != ANNOUNCE_PREFIX:
+        raise ValueError(f"not an announce line: {line!r}")
+    return parts[2], int(parts[1]), int(parts[3]), parts[4] if len(parts) > 4 else None
 
 MAGIC = b"GS"
 VERSION = 1

@@ -2,8 +2,10 @@
 
 A worker is launched with ``python -m repro.net.worker`` (or ``repro
 worker``), binds a TCP port, and announces it on stdout as
-``REPRO-NET-WORKER <port>`` so a coordinator spawning it with ``--port
-0`` can find it.  Everything after that arrives over sockets:
+``REPRO-NET-WORKER <port> <name> <pid>`` so a coordinator spawning it
+with ``--port 0`` can find it.  One such process serves one worker per
+``--name``: it imports this module once and forks the others from
+itself (:func:`main`).  Everything after that arrives over sockets:
 
 1. the coordinator connects and HELLOs (assigning the worker its
    placement name, adaptation policy, time scale, and credit window);
@@ -40,7 +42,8 @@ import asyncio
 import os
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence
+import traceback
+from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.adaptation.protocol import LoadException, LoadExceptionKind
@@ -70,10 +73,10 @@ from repro.grid.repository import CodeRepository
 from repro.net.channels import AsyncInbox, ChannelError, InChannel, OutChannel
 from repro.net.debug import install_task_dump
 from repro.net.protocol import (
-    ANNOUNCE_PREFIX,
     FrameStreamProtocol,
     FrameType,
     ProtocolError,
+    announce_line,
     cap_read_buffer,
     decode_payload_columns,
     encode_json,
@@ -242,7 +245,8 @@ class Worker:
     # -- lifecycle -----------------------------------------------------------
 
     async def serve(self, announce=None) -> None:
-        """Bind, announce ``REPRO-NET-WORKER <port>``, serve until SHUTDOWN."""
+        """Bind, announce (:func:`~repro.net.protocol.announce_line`) on
+        ``announce`` or else on stdout, serve until SHUTDOWN."""
         self._shutdown = asyncio.Event()
         self._release = asyncio.Event()
         self._failure = asyncio.Event()
@@ -264,11 +268,11 @@ class Worker:
                 uds_bound = self.uds_path
             except (AttributeError, NotImplementedError, OSError):
                 unix_server = None
-        announce_line = f"{ANNOUNCE_PREFIX} {port}"
-        if uds_bound:
-            announce_line += f" {uds_bound}"
-        stream = announce if announce is not None else sys.stdout
-        print(announce_line, file=stream, flush=True)
+        line = announce_line(port, self.name, os.getpid(), uds_bound)
+        if announce is not None:
+            announce.write(line)
+        else:
+            _announce_on_stdout(line)
         try:
             async with server:
                 await self._shutdown.wait()
@@ -947,35 +951,95 @@ class Worker:
         ]
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.net.worker`` / ``repro worker`` entry point."""
+def _announce_on_stdout(line: str) -> None:
+    """Announce with one ``os.write``, then let go of stdout.
+
+    Workers forked from one interpreter share one stdout pipe; a single
+    write of a short line is atomic, so their lines never interleave.  A
+    worker has nothing more to say there, so it points its stdout at
+    ``/dev/null``: once every worker has announced, the pipe reaches
+    end-of-file, and a worker that died before announcing shows as
+    end-of-file at once rather than as a wait.
+    """
+    os.write(sys.stdout.fileno(), line.encode())
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _fork_workers(count: int) -> Tuple[int, List[int]]:
+    """Fork ``count - 1`` copies of this process: ``(index, forks)``.
+
+    The calling process keeps index 0 and the forks' pids, which it must
+    reap; a fork gets its own index and no pids.  Called before any
+    thread or event loop exists, so a fork starts with this
+    interpreter's imports done and nothing running.
+    """
+    forks: List[int] = []
+    for index in range(1, count):
+        pid = os.fork()
+        if pid == 0:
+            return index, []
+        forks.append(pid)
+    return 0, forks
+
+
+def main(argv: Optional[List[str]] = None) -> NoReturn:
+    """``python -m repro.net.worker`` / ``repro worker`` entry point.
+
+    One process serves one worker per ``--name``: it imports once, forks
+    a copy for every name after the first, and each process serves its
+    own.  Every process leaves with ``os._exit`` once its standard
+    streams are flushed, the first only after it has reaped every fork,
+    so the forks' CPU time reaches whoever waits for the first.
+    """
     parser = argparse.ArgumentParser(
         prog="repro worker",
-        description="Run one repro.net worker process (a GATES service "
-        "container) and wait for a coordinator.",
+        description="Run repro.net worker processes (GATES service "
+        "containers) and wait for a coordinator: one per --name, forked "
+        "from this process after its imports.",
     )
     parser.add_argument("--host", default="127.0.0.1",
                         help="interface to bind (default 127.0.0.1)")
     parser.add_argument("--port", type=int, default=0,
                         help="TCP port to bind (default 0: ephemeral, "
-                        "announced on stdout)")
-    parser.add_argument("--name", default="worker",
+                        "announced on stdout; several workers need 0)")
+    parser.add_argument("--name", action="append", default=None,
                         help="fallback worker name until the coordinator "
-                        "assigns one")
-    parser.add_argument("--uds", default=None, metavar="PATH",
+                        "assigns one (default 'worker'); repeat for one "
+                        "more worker each")
+    parser.add_argument("--uds", action="append", default=None, metavar="PATH",
                         help="also listen on this UNIX-domain socket and "
                         "announce it (co-located fast path; ignored on "
-                        "platforms without AF_UNIX)")
+                        "platforms without AF_UNIX); once per --name")
     args = parser.parse_args(argv)
+    names = args.name or ["worker"]
+    sockets = args.uds or []
+    if sockets and len(sockets) != len(names):
+        parser.error("give --uds once per --name, or not at all")
+    if len(names) > 1 and args.port:
+        parser.error("several workers cannot share one --port; use --port 0")
+    if len(names) > 1 and not hasattr(os, "fork"):
+        parser.error("several workers need os.fork; start one process per worker")
+    index, forks = _fork_workers(len(names))
     worker = Worker(
-        host=args.host, port=args.port, name=args.name, uds_path=args.uds
+        host=args.host, port=args.port, name=names[index],
+        uds_path=sockets[index] if sockets else None,
     )
+    code = 0
     try:
         asyncio.run(worker.serve())
     except KeyboardInterrupt:
-        return 130
-    return 0
+        code = 130
+    except Exception:
+        traceback.print_exc()
+        code = 1
+    for pid in forks:
+        os.waitpid(pid, 0)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    main()

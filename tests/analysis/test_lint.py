@@ -45,6 +45,7 @@ CASES = [
     ("repro/simnet/aliased_imports.py", {"GA502", "GA503"}),
     ("repro/net/aliased_sleep.py", {"GA504"}),
     ("repro/ledger/aliased_det.py", {"GA509"}),
+    ("repro/core/ga500_late_future.py", {"GA500"}),
 ]
 
 #: ``# expect: GAxxx`` marks a line the fixture must be reported on.
@@ -73,7 +74,8 @@ def test_corpus_as_a_whole_fails():
 
 def test_every_lint_code_is_exercised():
     """GA500 (engine meta) is covered by the syntax-error/noqa tests
-    below; every real rule has a corpus fixture."""
+    below and one compile-refusal fixture; every real rule has a corpus
+    fixture."""
     corpus_codes = {c for _, cs in CASES for c in cs}
     assert corpus_codes | {"GA500"} == {info.code for info in lint_codes()}
 
@@ -171,3 +173,36 @@ def test_syntax_error_becomes_ga500():
     report = lint_source("def broken(:\n", "repro/simnet/x.py")
     assert "GA500" in report.codes()
     assert not report.ok
+
+
+def test_compile_refusal_becomes_ga500():
+    """``ast.parse`` accepts a late ``from __future__`` import; the
+    compiler does not, and neither does the lint."""
+    report = lint_source("import os\nfrom __future__ import annotations\n", "repro/core/x.py")
+    assert report.codes() == ["GA500"]
+    assert report.diagnostics[0].span.line == 2
+
+
+def test_default_targets_come_from_the_checkout(monkeypatch, tmp_path):
+    """Run from anywhere, ``repro lint`` lints this checkout's
+    ``src/repro`` and ``examples``, not the working directory's."""
+    from repro.analysis.engine import checkout_paths
+
+    monkeypatch.chdir(tmp_path)
+    targets = checkout_paths(DEFAULT_TARGETS)
+    assert [Path(t).resolve() for t in targets] == [
+        Path(REPO_ROOT, t).resolve() for t in DEFAULT_TARGETS
+    ]
+
+
+@pytest.mark.parametrize("verb", ["lint", "analyze"])
+def test_defaults_outside_a_checkout_exit_2_with_one_line(verb, monkeypatch, tmp_path, capsys):
+    from repro.analysis import engine
+    from repro.cli import main
+
+    monkeypatch.setattr(engine, "CHECKOUT", tmp_path)
+    assert main([verb]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"repro {verb}: {tmp_path} is not a repro checkout")

@@ -4,6 +4,7 @@ These spawn real worker OS processes over loopback TCP, so they are the
 slowest tests in the suite — sized to stay under a few seconds each.
 """
 
+import os
 import random
 import time
 
@@ -50,6 +51,76 @@ def run_networked(config):
             f"src-{i}", f"filter-{i}", payloads(SEED + i, ITEMS), item_size=8.0
         )
     return runtime, runtime.run(timeout=60.0)
+
+
+#: The spawned workers' process, except that worker-1's fork exits
+#: before it announces.
+NEVER_ANNOUNCES = """
+import os, sys
+from repro.net import worker
+
+serve = worker.Worker.serve
+
+async def serve_unless_worker_1(self, announce=None):
+    if self.name == "worker-1":
+        os._exit(3)
+    await serve(self, announce)
+
+worker.Worker.serve = serve_unless_worker_1
+worker.main(sys.argv[1:])
+"""
+
+
+def record_spawn(monkeypatch, script=None):
+    """Record the one process the coordinator spawns and the pids its
+    workers announce; with ``script``, the process runs ``python -c
+    script`` (with the worker's arguments) instead of ``-m
+    repro.net.worker``."""
+    from repro.net import coordinator
+
+    spawned, announced = [], []
+    real_popen = coordinator.subprocess.Popen
+    real_parse = coordinator.parse_announce
+
+    def popen(argv, **kwargs):
+        if script is not None:
+            module = argv.index("-m")
+            argv = argv[:module] + ["-c", script] + argv[module + 2:]
+        spawned.append(real_popen(argv, **kwargs))
+        return spawned[-1]
+
+    def parse_announce(line):
+        name, port, pid, uds = real_parse(line)
+        announced.append(pid)
+        return name, port, pid, uds
+
+    monkeypatch.setattr(coordinator.subprocess, "Popen", popen)
+    monkeypatch.setattr(coordinator, "parse_announce", parse_announce)
+    return spawned, announced
+
+
+def running(pid):
+    """Whether ``pid`` still runs.  A zombie does not: a killed fork whose
+    first process died too is reaped by init, whenever init gets to it."""
+    if os.path.isdir("/proc/self"):
+        try:
+            with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+                return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def still_running(pids, within=5.0):
+    """The ``pids`` still running after up to ``within`` seconds."""
+    deadline = time.monotonic() + within
+    while any(running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return [pid for pid in pids if running(pid)]
 
 
 def run_peer_fault(fault):
@@ -213,81 +284,75 @@ class TestNetworkedErrors:
         with pytest.raises(NetworkedRuntimeError, match="cannot fetch code"):
             NetworkedRuntime(config, workers=2, verify=False)
 
-    def test_a_worker_that_fails_to_announce_takes_the_started_ones_down(
-        self, monkeypatch
-    ):
-        """Regression: a spawn failure after worker 0 came up left worker 0
-        serving forever and the UNIX-socket directory on disk."""
-        import os
-        import subprocess
-        import sys
-
+    def test_a_fork_that_never_announces_takes_every_worker_down(self, monkeypatch):
+        """Successor of ``test_a_worker_that_fails_to_announce_takes_the_
+        started_ones_down``, now that the workers are one process and its
+        forks: worker-1's fork exits before it announces.  The run fails
+        naming it, at once rather than at a timeout or a clean-exit wait,
+        and leaves no worker running and no UNIX-socket directory."""
         from repro.net import coordinator
 
-        spawned = []
-        real_popen = subprocess.Popen
-
-        def popen(argv, **kwargs):
-            if spawned:  # every worker after the first never announces
-                argv = [sys.executable, "-c", "print('nope')"]
-            spawned.append((real_popen(argv, **kwargs), argv))
-            return spawned[-1][0]
-
-        monkeypatch.setattr(coordinator.subprocess, "Popen", popen)
+        spawned, announced = record_spawn(monkeypatch, NEVER_ANNOUNCES)
+        monkeypatch.setattr(coordinator, "_EXIT_BOUND", 60.0)
         runtime = NetworkedRuntime(build_config(), workers=3)
-        with pytest.raises(NetworkedRuntimeError, match="worker-1 failed to announce"):
-            runtime.run(timeout=10.0)
-        # Every worker starts before any announce is read, so all three
-        # exist when worker-1's announce fails, and all three are reaped.
-        assert len(spawned) == 3
-        for process, _argv in spawned:
-            assert process.poll() is not None
-        uds_dirs = {
-            os.path.dirname(argv[argv.index("--uds") + 1])
-            for _process, argv in spawned if "--uds" in argv
-        }
-        assert not any(os.path.exists(path) for path in uds_dirs)
+        started = time.monotonic()
+        with pytest.raises(NetworkedRuntimeError, match="worker worker-1 failed to announce"):
+            runtime.run(timeout=30.0)
+        assert time.monotonic() - started < 10.0
+        assert len(spawned) == 1 and spawned[0].poll() is not None
+        assert len(announced) == 2 and spawned[0].pid in announced
+        assert still_running(announced) == []
+        argv = spawned[0].args
+        if "--uds" in argv:  # where the platform has AF_UNIX
+            assert not os.path.exists(os.path.dirname(argv[argv.index("--uds") + 1]))
 
-    def test_every_worker_starts_before_the_first_announce_is_read(
+    def test_one_process_starts_every_worker_and_announces_map_by_name(
         self, monkeypatch
     ):
-        """The workers' interpreter starts overlap: ``_spawn_workers``
-        starts every process, then reads the announce lines in index
-        order, and every started process lands in ``handles``."""
+        """Successor of ``test_every_worker_starts_before_the_first_
+        announce_is_read``: ``_spawn_workers(3)`` starts one process, with
+        one ``--name``/``--uds`` pair per worker, and maps the announce
+        lines to the workers by name, whatever their order and however
+        the pipe splits them."""
         import shutil
 
         from repro.net import coordinator
-        from repro.net.protocol import ANNOUNCE_PREFIX
+        from repro.net.protocol import announce_line
 
-        events = []
-
-        class FakeStdout:
-            def __init__(self, index):
-                self.index = index
-
-            def readline(self):
-                events.append(("readline", self.index))
-                return f"{ANNOUNCE_PREFIX} {9000 + self.index}\n"
+        started = []
 
         class FakePopen:
             def __init__(self, argv, **kwargs):
-                index = sum(1 for kind, _ in events if kind == "start")
-                events.append(("start", index))
-                self.stdout = FakeStdout(index)
+                started.append(argv)
+                read, write = os.pipe()
+                os.write(write, (announce_line(9002, "worker-2", 102)
+                                 + announce_line(9000, "worker-0", 100, "/x/w0.sock")).encode())
+                os.write(write, announce_line(9001, "worker-1", 101).encode())
+                os.close(write)
+                self.stdout = os.fdopen(read, "rb")
 
         monkeypatch.setattr(coordinator.subprocess, "Popen", FakePopen)
         runtime = NetworkedRuntime(build_config(), workers=3)
         handles = []
         try:
-            runtime._spawn_workers(3, handles)
+            runtime._spawn_workers(3, handles, timeout=5.0)
         finally:
             if runtime._uds_dir is not None:
                 shutil.rmtree(runtime._uds_dir, ignore_errors=True)
-        assert events == [("start", i) for i in range(3)] + [
-            ("readline", i) for i in range(3)
+        (argv,) = started
+        assert argv[argv.index("-m") + 1] == "repro.net.worker"
+        assert [argv[i + 1] for i, arg in enumerate(argv) if arg == "--name"] == [
+            "worker-0", "worker-1", "worker-2"
         ]
         assert [h.name for h in handles] == ["worker-0", "worker-1", "worker-2"]
         assert [h.port for h in handles] == [9000, 9001, 9002]
+        assert [h.uds for h in handles] == ["/x/w0.sock", None, None]
+
+    def test_spawned_workers_need_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(NetworkedRuntimeError, match=r"workers=\[\(host, port\)"):
+            NetworkedRuntime(build_config(), workers=2)
+        NetworkedRuntime(build_config(), workers=[("127.0.0.1", 1)])
 
     def test_bind_source_to_unknown_stage(self):
         runtime = NetworkedRuntime(build_config(), workers=2)
@@ -295,20 +360,14 @@ class TestNetworkedErrors:
             runtime.bind_source("src", "no-such-stage", [1, 2, 3])
 
     @pytest.mark.parametrize("where", WHERES)
-    def test_a_raising_source_fails_the_run_promptly(self, where, monkeypatch):
-        """The feeder's exception used to wait behind RESULT collection,
-        so the run ended only at its timeout.  Now it ends the run at
-        once, and the workers are shut down and reaped."""
-        from repro.net import coordinator
-
-        spawned = []
-        real_popen = coordinator.subprocess.Popen
-
-        def popen(argv, **kwargs):
-            spawned.append(real_popen(argv, **kwargs))
-            return spawned[-1]
-
-        monkeypatch.setattr(coordinator.subprocess, "Popen", popen)
+    def test_a_raising_source_takes_every_worker_down(
+        self, where, monkeypatch
+    ):
+        """Successor of ``test_a_raising_source_fails_the_run_promptly``:
+        the feeder's exception ends the run at once (it used to wait
+        behind RESULT collection until the timeout), and within 5 s no
+        spawned or forked worker is left running."""
+        spawned, announced = record_spawn(monkeypatch)
         runtime = NetworkedRuntime(build_config(), workers=2, adaptation_enabled=False)
         payloads, item_size = raising_source(where)
         runtime.bind_source("src-0", "filter-0", payloads, item_size=item_size)
@@ -320,7 +379,9 @@ class TestNetworkedErrors:
             runtime.run(timeout=60.0)
         assert time.monotonic() - started < 5.0
         assert isinstance(info.value.__cause__, ValueError)
-        assert len(spawned) == 2 and all(p.poll() is not None for p in spawned)
+        assert len(spawned) == 1 and spawned[0].poll() is not None
+        assert len(announced) == 2 and spawned[0].pid in announced
+        assert still_running(announced) == []
 
     def test_sender_vanishing_before_eos_fails_the_run(self):
         """A data connection dying mid-stream must ERROR, not hang.
@@ -550,3 +611,76 @@ class TestBatchedParity:
         )
         assert total_batches > 0
         assert total_items >= total_batches  # batches carry >= 1 item each
+
+
+#: The spawned workers' process, logging each fork it makes: how many OS
+#: and Python threads were alive, and what warnings the fork raised
+#: (Python 3.12+ warns on a fork with threads alive).
+RECORD_FORKS = """
+import json, os, sys, threading, warnings
+from repro.net import worker
+
+fork = os.fork
+
+def recorded_fork():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+        python_threads = threading.active_count()
+        pid = fork()
+    if pid:
+        with open(LOG, "a", encoding="utf-8") as log:
+            log.write(json.dumps({"threads": threads, "python_threads": python_threads,
+                                  "warnings": [str(w.message) for w in caught]}) + "\\n")
+    return pid
+
+os.fork = recorded_fork
+worker.main(sys.argv[1:])
+"""
+
+
+class TestSpawnedWorkers:
+    def test_a_clean_run_reaps_every_fork_and_keeps_its_cpu(self, monkeypatch, tmp_path):
+        """After a clean two-worker run every announced pid is reaped, and
+        ``RUSAGE_CHILDREN`` grew by at least the CPU each hosting process
+        reported: the fork's time reached the coordinator through the
+        first process, which reaps it before it exits.  The fork happened
+        with one thread alive."""
+        import json
+        import resource
+
+        from repro.grid.config import AppConfig, StageConfig, StreamConfig
+        from repro.grid.resources import ResourceRequirement
+
+        log = tmp_path / "forks.jsonl"
+        spawned, announced = record_spawn(monkeypatch, f"LOG = {str(log)!r}\n{RECORD_FORKS}")
+        config = AppConfig(
+            name="usage",
+            stages=[
+                StageConfig("relay", "py://tests.net.usage_stages:UsageRelay",
+                            requirement=ResourceRequirement(placement_hint="worker-0")),
+                StageConfig("sink", "py://tests.net.usage_stages:UsageSink",
+                            requirement=ResourceRequirement(placement_hint="worker-1")),
+            ],
+            streams=[StreamConfig("s", "relay", "sink")],
+        )
+        runtime = NetworkedRuntime(config, workers=2, adaptation_enabled=False)
+        runtime.bind_source("src", "relay", list(range(2000)))
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        result = runtime.run(timeout=60.0)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        relay, sink = result.final_value("relay"), result.final_value("sink")
+        assert sink["items"] == 2000
+        (process,) = spawned
+        assert process.returncode == 0, "the first process was killed, not waited for"
+        assert sorted(announced) == sorted({relay["pid"], sink["pid"]})
+        assert relay["pid"] == process.pid
+        for pid in announced:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)  # a zombie would still answer
+        grew = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+        assert grew >= relay["cpu_s"] + sink["cpu_s"]
+        forks = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        assert len(forks) == 1
+        assert forks[0]["python_threads"] == 1 and forks[0]["threads"] in (1, None)
+        assert forks[0]["warnings"] == []
