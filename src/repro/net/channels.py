@@ -26,15 +26,21 @@ into the buffer, header packed in place by ``finish_frame``) and handed
 to the transport as a single gathered write — one buffer and one
 ``write()`` per frame regardless of batch size.  A send with its
 credits on hand and nothing in its way writes without awaiting at all
-(:meth:`OutChannel._ship_now`); any other send awaits the credit, pause
+(:meth:`OutChannel._ship_now`); any other send awaits the credit, detach
 and drain discipline of :meth:`OutChannel._ship`.
+
+A sender that leaves mid-stream (live migration) writes one credit-free
+DETACH frame and closes (:meth:`OutChannel.detach`): the receiver then
+knows that everything sent before it has arrived and that the end of
+the connection is planned.  An end with neither EOS nor DETACH is a
+dead peer.
 """
 
 from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Any, Callable, Dict, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.items import ItemRun
 from repro.net.protocol import (
@@ -288,22 +294,26 @@ class InChannel:
         self.replenish_batch = max(1, window // 2)
         self._writer: Optional[asyncio.StreamWriter] = None
         self._consumed = 0
+        #: Set once the attached sender's last frame arrived — its EOS or
+        #: its DETACH — so nothing more from it can follow.
+        self.marked = asyncio.Event()
 
     @property
     def attached(self) -> bool:
         return self._writer is not None
 
     def detach(self, backlog: int) -> None:
-        """Forget a sender that closed without EOS (live migration).
+        """Forget a sender that left with DETACH (live migration).
 
-        The migrated stage's replacement dials in next; ``attach`` then
-        grants it a fresh window.  The ``backlog`` items the old sender
-        shipped that are still queued here are taken before anything
-        the next one ships, and their credit left with the old
-        connection: they pay off a negative count, never a grant.
+        The next sender dials in later; ``attach`` then grants it a
+        fresh window.  The ``backlog`` items the old sender shipped that
+        are still queued here are taken before anything the next one
+        ships, and their credit left with the old connection: they pay
+        off a negative count, never a grant.
         """
         self._writer = None
         self._consumed = -backlog
+        self.marked.set()
 
     def _write(self, data: bytes) -> bool:
         """Write to the sender if its socket is still up (it may legally
@@ -344,6 +354,7 @@ class InChannel:
     def attach(self, writer: asyncio.StreamWriter) -> None:
         """Bind the sender's socket and grant the initial window."""
         self._writer = writer
+        self.marked.clear()
         self._write(encode_frame(FrameType.CREDIT, encode_credit(self.window)))
 
     def note_consumed(self, n: int = 1) -> bool:
@@ -387,7 +398,7 @@ class OutChannel:
 
     CREDIT and EXCEPTION frames are handled inside the transport's
     ``data_received`` (:func:`~repro.net.protocol.open_frame_connection`);
-    a stalled sender is woken by one future.  A grant that is not a
+    a parked send is woken by a future.  A grant that is not a
     positive count, or that would lift the credits on hand above the
     window, breaks the channel: the next or stalled send raises
     :class:`ChannelError` naming the cause.
@@ -427,26 +438,20 @@ class OutChannel:
         self.exceptions = registry.counter(f"{prefix}.exceptions")
         self._credits = 0
         self._window = 0
-        #: Bumped when a redial resets the credit pool: credits acquired
-        #: against an older epoch are never returned into the new pool.
-        self._grant_epoch = 0
         self._peak = 0
-        #: Why it broke (None: up), the credit wait, the connection's end.
+        #: Why it broke (None: up), the parked sends, the connection's end.
         self._broken: Optional[str] = None
-        self._waiter: Optional[asyncio.Future] = None
+        self._waiters: List[asyncio.Future] = []
         self._closed: Optional[asyncio.Future] = None
         self._writer: Optional[asyncio.StreamWriter] = None
-        #: Items shipped so far (the receiver compares against its own
-        #: receive count during a migration's drain barrier).
-        self.items_sent = 0
         #: True once the EOS sentinel went out on this channel.
         self.eos_sent = False
-        #: Cleared by pause(): senders park *before* shipping the next
-        #: item, so a pause lands exactly at an item boundary.
-        self._resume = asyncio.Event()
-        self._resume.set()
-        #: Held for the duration of each ship; pause() acquires it once
-        #: to wait out an in-flight send.
+        #: True from :meth:`detach` until the channel dials again: sends
+        #: park *before* shipping the next item, so a detach lands exactly
+        #: at an item boundary.
+        self.detached = False
+        #: Held for each awaited write and its drain; :meth:`detach`
+        #: acquires it once to wait out an in-flight send.
         self._send_gate = asyncio.Lock()
 
     @property
@@ -458,17 +463,14 @@ class OutChannel:
     def peak_in_flight(self) -> int:
         return self._peak
 
-    async def _dial(self) -> None:
-        """Open the data connection: UDS fast path, then TCP fallback."""
+    async def connect(self, timeout: float = 10.0) -> None:
+        """Dial the receiving worker (UDS fast path, then TCP fallback),
+        attach, and await the initial grant; a detached channel's parked
+        sender then resumes under it."""
         self._closed = asyncio.get_running_loop().create_future()
         self._writer, self.transport_kind = await open_frame_connection(
             self._on_frames, self._on_close, self.host, self.port, self.uds_path
         )
-
-    async def connect(self, timeout: float = 10.0) -> None:
-        """Dial the receiving worker, attach, and await the initial grant."""
-        await self._dial()
-        assert self._writer is not None
         await send_frame(
             self._writer,
             FrameType.ATTACH,
@@ -477,6 +479,15 @@ class OutChannel:
         await asyncio.wait_for(self._wait_until(lambda: self._window > 0), timeout)
         if self._broken is not None:
             raise ChannelError(f"channel {self.stream!r}: {self._broken}")
+        self.detached = False
+        self._wake()
+
+    async def dial(self, host: str, port: int, uds_path: Optional[str] = None) -> None:
+        """Point a detached channel at its receiver's new worker and
+        :meth:`connect` — over that worker's UNIX socket when one is
+        advertised."""
+        self.host, self.port, self.uds_path = host, port, uds_path
+        await self.connect()
 
     def _on_frames(self, frames: "list") -> None:
         """The backchannel's frames, from the transport callback."""
@@ -497,13 +508,14 @@ class OutChannel:
                     self._on_exception(frame.json())
 
     def _on_close(self, error: Optional[BaseException]) -> None:
-        """The connection ended: after a bad grant, with no credit left."""
+        """The connection ended: after a bad grant, before its first
+        grant, as planned after a detach, or with no credit left."""
         if isinstance(error, ProtocolError):
             self._broken = f"receiver broke the protocol: {error}"
             self._credits = 0
         elif self._window == 0:
             self._broken = "receiver closed before granting credit"
-        else:
+        elif not self.detached:
             self._broken = "receiver went away mid-stream"
         self._wake()
         if self._closed is not None and not self._closed.done():
@@ -512,33 +524,17 @@ class OutChannel:
     async def _wait_until(self, ready: Callable[[], bool]) -> None:
         """Park until ``ready()`` or the channel breaks."""
         while not ready() and self._broken is None:
-            self._waiter = asyncio.get_running_loop().create_future()
-            await self._waiter
+            waiter = asyncio.get_running_loop().create_future()
+            self._waiters.append(waiter)
+            await waiter
 
     def _wake(self) -> None:
-        waiter = self._waiter
-        if waiter is not None and not waiter.done():
-            waiter.set_result(None)
-
-    async def _acquire_credit(self, n: int = 1) -> int:
-        """Take ``n`` credits (one per item), waiting for replenishment.
-
-        Credit is charged per item, not per frame: a batched DATA frame
-        carrying n items acquires n credits before it ships, so the
-        receiver's in-flight bound (``window`` items) holds no matter how
-        items are packed into frames.  Returns the grant epoch the
-        credits were taken from, so an unused acquisition can be returned
-        to the right pool (see :meth:`_release_credit`).
-        """
-        if self._credits < n:
-            self.credit_stalls.inc()
-            stalled_at = self._clock()
-            await self._wait_until(lambda: self._credits >= n)
-            self.credit_wait.inc(max(0.0, self._clock() - stalled_at))
-        if self._broken is not None and self._credits < n:
-            raise ChannelError(f"channel {self.stream!r}: {self._broken}")
-        self._charge(n)
-        return self._grant_epoch
+        """Resolve every parked wait: a sender's, and a connect's."""
+        if self._waiters:
+            waiters, self._waiters = self._waiters, []
+            for waiter in waiters:
+                if not waiter.done():
+                    waiter.set_result(None)
 
     def _charge(self, n: int) -> None:
         """Spend ``n`` held credits and track the in-flight peak."""
@@ -548,26 +544,20 @@ class OutChannel:
             self._peak = in_flight
             self.in_flight_peak.set(float(in_flight))
 
-    def _release_credit(self, n: int, epoch: int) -> None:
-        """Return credits a send acquired but did not spend (pause race).
-
-        Dropped silently when the grant epoch has moved on: a redial
-        reset the pool, and credits taken from the old receiver's window
-        must not inflate the new receiver's grant.
-        """
-        if epoch == self._grant_epoch:
-            self._credits += n
+    def _sendable(self, items: int) -> bool:
+        """Connected, not detached, and ``items`` credits on hand."""
+        return not self.detached and self._writer is not None and self._credits >= items
 
     def can_ship(self, items: int) -> bool:
         """Whether ``items`` items would be written without awaiting:
-        connected, not paused or broken, the credits on hand, no send
+        connected, not detached or broken, the credits on hand, no send
         holding ``_send_gate``, and nothing queued on the transport."""
         writer = self._writer
         if (
             writer is None
             or self._broken is not None
             or self._credits < items
-            or not self._resume.is_set()
+            or self.detached
             or self._send_gate.locked()
         ):
             return False
@@ -590,55 +580,54 @@ class OutChannel:
         self._writer.write(frame)
         self.frames.inc()
         self.bytes.inc(len(frame))
-        self.items_sent += items
         return True
 
     async def _ship(self, frame: Union[bytes, bytearray], items: int) -> None:
-        """Credit + pause discipline shared by every send path.
+        """Credit, detach and drain discipline shared by every send path.
 
         ``frame`` is a complete pre-built frame buffer (header already
         packed in place by ``finish_frame``), written to the transport
         as one gathered buffer — no header+payload concatenation here.
 
-        Waits out a pause *before* taking the gate (so ``pause()`` never
-        deadlocks behind a parked sender), and acquires credit *outside*
-        the gate: ``pause()`` waits on the gate, so a credit-stalled
-        sender holding it would make a migration pause unbounded — the
-        bounded-pause guarantee requires the gate to only ever cover one
-        in-flight frame write.  Under the gate the pause flag is
-        re-checked; if a pause raced in while this sender waited for
-        credit, the credits go back to their grant epoch's pool and the
-        sender re-parks.
+        The send parks while the channel is detached or short of credit
+        (``items`` credits: one per item, so a batched DATA frame
+        carrying n items takes n, and the receiver's in-flight bound of
+        ``window`` items holds however items are framed).  It takes its
+        credits only under ``_send_gate``, in the same step as the
+        write, so no credit is ever held across a wait: credit from a
+        receiver the channel detached from cannot reach the next one.
+        The gate covers one frame's write and drain, which bounds how
+        long :meth:`detach` waits for an in-flight send.
         """
+        if self._writer is None and not self.detached:
+            raise ChannelError(f"channel {self.stream!r} is not connected")
         while True:
-            await self._resume.wait()
-            epoch = 0
-            if items:
-                epoch = await self._acquire_credit(items)
+            if not self._sendable(items):
+                stalled = self._credits < items
+                if stalled:
+                    self.credit_stalls.inc()
+                    stalled_at = self._clock()
+                await self._wait_until(lambda: self._sendable(items))
+                if stalled:
+                    self.credit_wait.inc(max(0.0, self._clock() - stalled_at))
+                if self._broken is not None and not self._sendable(items):
+                    raise ChannelError(f"channel {self.stream!r}: {self._broken}")
             async with self._send_gate:
-                if not self._resume.is_set():
-                    if items:
-                        self._release_credit(items, epoch)
+                if not self._sendable(items):
                     continue
-                if self._writer is None:
-                    if items:
-                        self._release_credit(items, epoch)
-                    raise ChannelError(f"channel {self.stream!r} is not connected")
+                assert self._writer is not None
+                if items:
+                    self._charge(items)
                 self._writer.write(frame)
                 await self._writer.drain()
                 self.frames.inc()
                 self.bytes.inc(len(frame))
-                self.items_sent += items
                 return
 
     async def send(self, payload: Any, size: float) -> None:
-        """Ship one item; blocks while the credit window is exhausted.
-
-        No eager connected-check here: during a migration re-dial the
-        writer is transiently ``None`` while ``_resume`` is cleared, and
-        a send racing that window must park in :meth:`_ship` — which
-        re-checks the writer under the gate — instead of failing.
-        """
+        """Ship one item; blocks while the credit window is exhausted or
+        the channel is detached (the send then goes to the next
+        receiver, after :meth:`dial`)."""
         buf = new_frame_buffer()
         encode_payload_into(buf, payload, size)
         frame = finish_frame(buf, FrameType.DATA)
@@ -684,47 +673,28 @@ class OutChannel:
             await self._ship(frame, 0)
         self.eos_sent = True
 
-    async def pause(self) -> None:
-        """Park the channel at an item boundary (live migration).
+    async def detach(self) -> None:
+        """Leave the receiver mid-stream, at an item boundary (live migration).
 
-        After this returns, no further DATA/EOS leaves the channel until
-        :meth:`resume`, the last in-flight send has fully completed, and
-        :attr:`items_sent` is stable — the receiver can be drained
-        against it.
+        Sends park before their next item and an in-flight send
+        completes; then one credit-free DETACH frame follows everything
+        sent, and the connection closes with the ordinary FIN/drain
+        teardown.  The credit on hand leaves with the connection: after
+        this returns nothing is held, and :meth:`dial` starts from the
+        next receiver's grant.  A channel that has sent its EOS, or is
+        not connected, has nothing to leave.
         """
-        self._resume.clear()
+        if self.eos_sent or self._writer is None:
+            return
+        self.detached = True
         async with self._send_gate:
             pass
-
-    def resume(self) -> None:
-        """Lift a :meth:`pause`; parked senders continue."""
-        self._resume.set()
-
-    async def redial(
-        self,
-        host: str,
-        port: int,
-        timeout: float = 10.0,
-        uds_path: Optional[str] = None,
-    ) -> None:
-        """Re-point the channel at a new receiver and reconnect.
-
-        Used by live migration after the destination stage moved: the
-        old socket is torn down with the ordinary FIN/drain close (the
-        old worker sees EOF, not an error), then the channel dials the
-        stage's new worker — over its UNIX socket when one is advertised
-        for the new location — and awaits its fresh credit grant.  Call
-        while paused; :meth:`resume` afterwards releases the senders.
-        """
+        if self.eos_sent:  # an EOS was in flight: the stream is over
+            self.detached = False
+            return
+        self._writer.write(encode_frame(FrameType.DETACH))
         await self.close()
-        self.host = host
-        self.port = port
-        self.uds_path = uds_path
-        self._broken = None
-        self._window = 0
-        self._credits = 0
-        self._grant_epoch += 1
-        await self.connect(timeout)
+        self._credits = self._window = 0
 
     async def close(self, linger: float = 5.0) -> None:
         """Tear down gracefully: FIN, drain the backchannel, then close.

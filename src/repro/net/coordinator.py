@@ -161,9 +161,10 @@ class NetworkedRuntime:
 
         ``migrations`` schedules planned live moves
         (:class:`~repro.resilience.migration.MigrationPlan`): each
-        stage is drained to an item boundary, its state handed off over
-        MIGRATE/HANDOFF frames, and its channels re-dialed to the new
-        worker mid-run (see docs/migration.md).  Completed moves land
+        stage's senders detach at an item boundary, its state is handed
+        off over MIGRATE/HANDOFF frames, and the senders dial the new
+        worker mid-run (see docs/migration.md).  A plan not yet started
+        when every source feeder has finished is dropped.  Completed moves land
         in :attr:`migrations` as
         :class:`~repro.resilience.migration.MigrationReport` records.
         The verify gate treats every planned stage as migration-enabled,
@@ -224,9 +225,10 @@ class NetworkedRuntime:
         self._migration_plans = sorted(plans, key=lambda p: p.at)
         #: Completed moves, in execution order.
         self.migrations: List[MigrationReport] = []
-        #: Live source-feeder channels by stream name, so a migration
-        #: can pause/redial the coordinator's own data plane.
-        self._feed_channels: Dict[str, OutChannel] = {}
+        #: Each source-feeder channel by stream name, resolved once it is
+        #: connected, so a migration can detach and re-dial the
+        #: coordinator's own data plane.
+        self._feed_channels: Dict[str, "asyncio.Future[OutChannel]"] = {}
 
     def bind_source(
         self,
@@ -414,6 +416,10 @@ class NetworkedRuntime:
         # itself, not the per-process control-plane handshake.
         run_started = time.monotonic()
         feeders: List["asyncio.Future[None]"] = []
+        loop = asyncio.get_running_loop()
+        self._feed_channels = {
+            name: loop.create_future() for name, src, _ in self._edges() if src is None
+        }
         try:
             for handle in handles:
                 await self._hello(handle)
@@ -428,27 +434,29 @@ class NetworkedRuntime:
                 await self._expect_ready(handle, FrameType.START, "started")
             run_started = time.monotonic()
             feeders = [asyncio.ensure_future(self._feed_source(b, by_name)) for b in self._sources]
+            fed = asyncio.gather(*feeders)
             # Control RPCs and RESULT collection share each worker's
             # single control connection, so migrations run to completion
             # before any reader starts waiting on RESULT frames.  Workers
             # hold their results until the "collect" broadcast, sent once
             # the feeders drain: an adopted stage is then included, and a
             # spare worker does not report before it might adopt one.
-            await self._run_migrations(by_name, run_started)
+            await self._run_migrations(by_name, run_started, fed)
             # Alongside the feeders, so a failing source — or a failing
             # stage, whose worker reports ERROR at once — ends the run at
             # once.
             results, _ = await asyncio.gather(
                 asyncio.gather(*(self._collect_result(h) for h in handles)),
-                self._collect_after(asyncio.gather(*feeders), handles),
+                self._collect_after(fed, handles),
             )
         finally:
             for feeder in feeders:
                 feeder.cancel()  # when the run failed, stops the other sources
             for handle in handles:
                 await self._shutdown(handle)
-            for channel in list(self._feed_channels.values()):
-                await channel.close(linger=0.0)  # a no-op once a feeder closed it
+            for connected in self._feed_channels.values():
+                if connected.done():  # a no-op once a feeder closed it
+                    await connected.result().close(linger=0.0)
         elapsed = time.monotonic() - run_started
 
         finals: Dict[str, Any] = {}
@@ -520,60 +528,62 @@ class NetworkedRuntime:
         handles: List[_WorkerHandle],
         by_name: Dict[str, _WorkerHandle],
     ) -> None:
-        """Ship REGISTER and CHANNEL frames reflecting the placement.
-
-        A sending end's CHANNEL frame carries the destination's
-        properties, so a worker sending into a shard-group replica can
-        collapse the per-replica edges into one key-partitioned route.
-        """
+        """Ship REGISTER and CHANNEL frames reflecting the placement."""
         for stage in self.config.stages:
-            handle = by_name[self.placement[stage.name]]
-            assert handle.writer is not None
-            await send_frame(
-                handle.writer,
-                FrameType.REGISTER,
-                encode_json({
-                    "stage": stage.name,
-                    "code": stage.code_url,
-                    "properties": stage.properties,
-                }),
-            )
-        for stream in self.config.streams:
-            src_worker = by_name[self.placement[stream.src]]
-            dst_worker = by_name[self.placement[stream.dst]]
-            if src_worker is dst_worker:
-                await self._declare_channel(src_worker, {
-                    "kind": "local",
-                    "stream": stream.name,
-                    "src": stream.src,
-                    "dst": stream.dst,
-                    "dst_properties": self.config.stage(stream.dst).properties,
-                })
-                continue
-            await self._declare_channel(dst_worker, {
-                "kind": "in",
-                "stream": stream.name,
-                "dst": stream.dst,
-                "window": self.credit_window,
-            })
-            await self._declare_channel(src_worker, {
-                "kind": "out",
-                "stream": stream.name,
-                "src": stream.src,
-                "dst": stream.dst,
-                "peer_host": dst_worker.host,
-                "peer_port": dst_worker.port,
-                "peer_uds": dst_worker.uds,
-                "dst_properties": self.config.stage(stream.dst).properties,
-            })
+            await self._register(by_name[self.placement[stage.name]], stage.name)
+        for edge in self._edges():
+            for worker, body in self._channel_bodies(by_name, *edge):
+                await self._declare_channel(by_name[worker], body)
+
+    async def _register(self, handle: _WorkerHandle, stage_name: str) -> None:
+        """Send ``handle``'s worker the REGISTER frame of one stage."""
+        stage = self.config.stage(stage_name)
+        assert handle.writer is not None
+        await send_frame(handle.writer, FrameType.REGISTER, encode_json({
+            "stage": stage.name, "code": stage.code_url, "properties": stage.properties,
+        }))
+
+    def _edges(self) -> List[Tuple[str, Optional[str], str]]:
+        """Every data edge as ``(stream, src, dst)``: the configuration's
+        streams, then each source binding's channels (``src`` None: the
+        coordinator feeds them)."""
+        edges: List[Tuple[str, Optional[str], str]] = [
+            (s.name, s.src, s.dst) for s in self.config.streams
+        ]
         for binding in self._sources:
-            for stream_name, target in self._source_channels(binding):
-                await self._declare_channel(by_name[self.placement[target]], {
-                    "kind": "in",
-                    "stream": stream_name,
-                    "dst": target,
-                    "window": self.credit_window,
-                })
+            edges += [(name, None, target) for name, target in self._source_channels(binding)]
+        return edges
+
+    def _channel_bodies(
+        self, by_name: Dict[str, _WorkerHandle], stream: str, src: Optional[str], dst: str,
+        wire: bool = False,
+    ) -> List[Tuple[str, Dict[str, Any]]]:
+        """The CHANNEL declarations of one edge under the current
+        placement, as ``(worker, body)`` pairs: ``local`` when both ends
+        share a worker (and ``wire`` is not asked for), else ``in`` on
+        the receiving worker and — unless the coordinator feeds it —
+        ``out`` on the sending one.  A sending end carries the
+        destination's properties, so a worker sending into a shard-group
+        replica can collapse the per-replica edges into one
+        key-partitioned route."""
+        dst_worker = self.placement[dst]
+        properties = self.config.stage(dst).properties
+        if src is not None and self.placement[src] == dst_worker and not wire:
+            return [(dst_worker, {
+                "kind": "local", "stream": stream, "src": src, "dst": dst,
+                "dst_properties": properties,
+            })]
+        bodies = [(dst_worker, {
+            "kind": "in", "stream": stream, "dst": dst, "window": self.credit_window,
+        })]
+        if src is not None:
+            peer = by_name[dst_worker]
+            bodies.append((self.placement[src], {
+                "kind": "out", "stream": stream, "src": src, "dst": dst,
+                "peer_host": peer.host, "peer_port": peer.port, "peer_uds": peer.uds,
+                "dst_properties": properties,
+            }))
+        return bodies
 
     @staticmethod
     async def _declare_channel(handle: _WorkerHandle, body: Dict[str, Any]) -> None:
@@ -658,13 +668,20 @@ class NetworkedRuntime:
     # -- live migration (docs/migration.md) ------------------------------------
 
     async def _run_migrations(
-        self, by_name: Dict[str, _WorkerHandle], run_started: float
+        self, by_name: Dict[str, _WorkerHandle], run_started: float, fed: "asyncio.Future[Any]"
     ) -> None:
-        """Execute the scheduled plans, one at a time, in ``at`` order."""
+        """Execute the scheduled plans, one at a time, in ``at`` order.
+
+        A plan not started by the time ``fed`` (every source feeder)
+        is done is dropped: nothing more enters the run, and waiting for
+        its ``at`` would only hold the run open.
+        """
         for plan in self._migration_plans:
             delay = plan.at * self.time_scale - (time.monotonic() - run_started)
             if delay > 0:
-                await asyncio.sleep(delay)
+                await asyncio.wait([fed], timeout=delay)
+            if fed.done():
+                return
             await self._migrate_stage(plan, by_name, run_started)
 
     async def _migrate_rpc(
@@ -695,48 +712,39 @@ class NetworkedRuntime:
     ) -> None:
         """Move one live stage to another worker with a bounded pause.
 
-        Six phases over the control plane (the worker side is
-        :meth:`~repro.net.worker.Worker._handle_migrate`):
+        Four phases over the control plane (the worker side is
+        :meth:`~repro.net.worker.Worker._handle_migrate`), then the
+        run's usual *collect* (see :meth:`_run_async`):
 
-        1. *pause* — every sender feeding the stage (upstream workers
+        1. *detach* — every sender feeding the stage (upstream workers
            and the coordinator's own source feeders) parks at an item
-           boundary and reports how many items it shipped;
-        2. *expect* — EOF-without-EOS on the re-routed streams is
-           declared legal, on the old worker (inbound) and the
-           downstream workers (outbound);
-        3. *export* — the old worker drains the stage to the reported
-           item counts, fences it, and hands its state off (HANDOFF);
-        4. *adopt* — the target worker rebuilds the stage from the
-           handoff and opens its outbound channels;
-        5. *resume* — every paused sender re-dials the new worker and
-           continues exactly where it stopped (credit windows reset on
-           re-attach, so no item is lost or duplicated);
-        6. *collect* happens once, after all plans and feeders finish
-           (see :meth:`_run_async`).
+           boundary, writes a DETACH marker behind its last item and
+           closes; a sender that already sent EOS has nothing to leave;
+        2. *export* — the old worker fences the stage once every input
+           has shown its marker (DETACH or EOS), the stage detaches its
+           own out-channels, and its state comes back (HANDOFF);
+        3. *adopt* — the target worker gets the stage's REGISTER and
+           CHANNEL frames, as at deployment, then hosts it from the
+           handoff and dials its outbound channels;
+        4. *resume* — every detached sender dials the new worker and
+           continues exactly where it stopped (the new connection's
+           window is fresh, so no item is lost or duplicated).
 
-        If the stage finishes while its inputs are pausing (EOS was
-        already in flight), the export phase reports ``finished`` and
-        the move is abandoned: senders resume in place and the ordinary
-        completion path reports the stage where it ran.
+        If the stage finishes before the fence (every input had already
+        shown EOS), export reports ``finished``: no sender detached, and
+        the ordinary completion path reports the stage where it ran.
         """
         stage_name = plan.stage
         source_name = self.placement[stage_name]
         source = by_name[source_name]
-        in_streams = [s for s in self.config.streams if s.dst == stage_name]
-        out_streams = [s for s in self.config.streams if s.src == stage_name]
-        for stream in in_streams + out_streams:
-            other = stream.src if stream.dst == stage_name else stream.dst
-            if self.placement[other] == source_name:
+        edges = [e for e in self._edges() if stage_name in e[1:]]
+        for stream, src, dst in edges:
+            other = src if dst == stage_name else dst
+            if other is not None and self.placement[other] == source_name:
                 raise NetworkedRuntimeError(
-                    f"cannot migrate {stage_name!r}: stream {stream.name!r} "
+                    f"cannot migrate {stage_name!r}: stream {stream!r} "
                     f"is worker-local (colocated with {other!r})"
                 )
-        feed_streams = [
-            name
-            for binding in self._sources
-            for name, target in self._source_channels(binding)
-            if target == stage_name
-        ]
         target_name = plan.target or self._select_target(stage_name, by_name)
         if target_name not in by_name:
             raise NetworkedRuntimeError(
@@ -749,111 +757,62 @@ class NetworkedRuntime:
         target = by_name[target_name]
         t0 = time.monotonic()
 
-        # Phase 1: pause every sender at an item boundary.
-        sent: Dict[str, int] = {}
-        upstream_by_worker: Dict[str, List[str]] = {}
-        for stream in in_streams:
-            upstream_by_worker.setdefault(
-                self.placement[stream.src], []
-            ).append(stream.name)
-        for worker_name, streams in upstream_by_worker.items():
-            reply = await self._migrate_rpc(
-                by_name[worker_name],
-                {"action": "pause", "streams": streams},
-                "paused",
-            )
-            for name, count in reply["sent"].items():
-                sent[str(name)] = int(count)
-        for name in feed_streams:
-            channel = self._feed_channels.get(name)
-            while channel is None:
-                # The feeder task registers its channels right after
-                # connecting; a plan firing at t≈0 can get here first.
-                await asyncio.sleep(0.01)
-                channel = self._feed_channels.get(name)
-            await channel.pause()
-            sent[name] = channel.items_sent
-
-        # Phase 2: declare the re-routed streams.
-        expect_in = [s.name for s in in_streams] + feed_streams
-        if expect_in:
+        # Phase 1: every sender of the stage's inputs detaches.
+        upstream: Dict[str, List[str]] = {}
+        feeds: List[OutChannel] = []
+        for stream, src, dst in edges:
+            if dst != stage_name:
+                continue
+            if src is None:
+                feeds.append(await self._feed_channels[stream])
+            else:
+                upstream.setdefault(self.placement[src], []).append(stream)
+        for worker_name, streams in upstream.items():
             await self._migrate_rpc(
-                source, {"action": "expect", "streams": expect_in}, "expecting"
+                by_name[worker_name], {"action": "detach", "streams": streams}, "detached"
             )
-        downstream_by_worker: Dict[str, List[str]] = {}
-        for stream in out_streams:
-            downstream_by_worker.setdefault(
-                self.placement[stream.dst], []
-            ).append(stream.name)
-        for worker_name, streams in downstream_by_worker.items():
-            await self._migrate_rpc(
-                by_name[worker_name],
-                {"action": "expect", "streams": streams},
-                "expecting",
-            )
+        await asyncio.gather(*(channel.detach() for channel in feeds))
 
-        # Phase 3: drain, fence, and export the stage's state.
+        # Phase 2: fence the stage and export its state.
         assert source.writer is not None
         await send_frame(
             source.writer, FrameType.MIGRATE,
-            encode_json({
-                "action": "export", "stage": stage_name, "expected": sent,
-            }),
+            encode_json({"action": "export", "stage": stage_name}),
         )
         reply = await self._next_frame(source)
-        if (
-            reply.type is FrameType.MIGRATE
-            and reply.json().get("phase") == "finished"
-        ):
-            # The stage ran to completion before the fence could land:
-            # abandon the move and let everything finish in place.
-            await self._resume_senders(upstream_by_worker, feed_streams, by_name, source)
+        if reply.type is FrameType.MIGRATE and reply.json().get("phase") == "finished":
             return
         if reply.type is not FrameType.HANDOFF:
             raise NetworkedRuntimeError(
                 f"worker {source.name}: expected HANDOFF, "
                 f"got {reply.type.name}"
             )
-        handoff = reply.json()
 
-        # Phase 4: rebuild the stage on the target worker.
-        stage_cfg = self.config.stage(stage_name)
+        # Phase 3: the target worker hosts the stage from the handoff.
+        self.placement[stage_name] = target_name
+        await self._register(target, stage_name)
+        for stream, src, dst in edges:
+            bodies = self._channel_bodies(by_name, stream, src, dst, wire=True)
+            await self._declare_channel(target, bodies[0 if dst == stage_name else 1][1])
         await self._migrate_rpc(
-            target,
-            {
-                "action": "adopt",
-                "register": {
-                    "stage": stage_name,
-                    "code": stage_cfg.code_url,
-                    "properties": stage_cfg.properties,
-                },
-                "checkpoint": handoff,
-                "in": [
-                    {"stream": name, "window": self.credit_window}
-                    for name in expect_in
-                ],
-                "out": [
-                    {
-                        "stream": s.name,
-                        "dst": s.dst,
-                        "peer_host": by_name[self.placement[s.dst]].host,
-                        "peer_port": by_name[self.placement[s.dst]].port,
-                        "peer_uds": by_name[self.placement[s.dst]].uds,
-                        "dst_properties": self.config.stage(s.dst).properties,
-                    }
-                    for s in out_streams
-                ],
-            },
+            target, {"action": "adopt", "stage": stage_name, "checkpoint": reply.json()},
             "adopted",
         )
 
-        # Phase 5: re-dial every paused sender at the new worker.
-        await self._resume_senders(
-            upstream_by_worker, feed_streams, by_name, target, redial=True
-        )
+        # Phase 4: every detached sender dials the new worker.
+        for worker_name, streams in upstream.items():
+            await self._migrate_rpc(
+                by_name[worker_name],
+                {"action": "resume", "streams": streams,
+                 "host": target.host, "port": target.port, "uds": target.uds},
+                "resumed",
+            )
+        await asyncio.gather(*(
+            channel.dial(target.host, target.port, target.uds)
+            for channel in feeds if channel.detached
+        ))
 
         pause_seconds = (time.monotonic() - t0) / self.time_scale
-        self.placement[stage_name] = target_name
         requested_at = (t0 - run_started) / self.time_scale
         book_move(
             MigrationReport(
@@ -868,36 +827,6 @@ class NetworkedRuntime:
             self.metrics,
             self.migrations,
         )
-
-    async def _resume_senders(
-        self,
-        upstream_by_worker: Dict[str, List[str]],
-        feed_streams: List[str],
-        by_name: Dict[str, _WorkerHandle],
-        at: _WorkerHandle,
-        redial: bool = False,
-    ) -> None:
-        """Release every sender paused for a move, pointed at worker
-        ``at``; with ``redial`` the coordinator's own feed channels that
-        still have data to send re-dial it first."""
-        for worker_name, streams in upstream_by_worker.items():
-            await self._migrate_rpc(
-                by_name[worker_name],
-                {
-                    "action": "resume",
-                    "streams": {
-                        name: {"host": at.host, "port": at.port, "uds": at.uds}
-                        for name in streams
-                    },
-                },
-                "resumed",
-            )
-        for name in feed_streams:
-            channel = self._feed_channels.get(name)
-            if channel is not None:
-                if redial and not channel.eos_sent:
-                    await channel.redial(at.host, at.port, uds_path=at.uds)
-                channel.resume()
 
     def _select_target(
         self, stage_name: str, by_name: Dict[str, _WorkerHandle]
@@ -950,9 +879,9 @@ class NetworkedRuntime:
             )
             await channel.connect()
             channels.append(channel)
-            # Visible to _migrate_stage, which pauses/re-dials the
+            # Visible to _migrate_stage, which detaches and re-dials the
             # feeder's channels when their target stage moves.
-            self._feed_channels[stream_name] = channel
+            self._feed_channels[stream_name].set_result(channel)
         batch = None
         if self.batch is not None and self.batch.enabled:
             # The feeder runs on the wall clock, so pre-scale the age
@@ -986,7 +915,7 @@ class NetworkedRuntime:
 
         Counters add, gauges overwrite, histogram samples (packed, see
         :meth:`Histogram.to_wire`) append, series adopt the shipped
-        trajectory.  Whole-run metrics are skipped (the
+        trajectory (merged by time with another worker's of that name).  Whole-run metrics are skipped (the
         coordinator owns ``run.*``), and sender-side-only accounting in
         the workers means ``net.*`` families never double-count.
         """
@@ -1009,13 +938,13 @@ class NetworkedRuntime:
                 incoming = TimeSeries.from_dict(payload["series"])
                 if name in self.metrics:
                     # Two workers exported the same trajectory — a stage
-                    # that migrated mid-run recorded on both.  Append the
-                    # later worker's samples, clamping the occasional
-                    # clock skew (each worker runs its own START clock).
-                    existing = self.metrics.get(name).series
-                    for t, v in incoming:
-                        last = existing.last()[0] if len(existing) else 0.0
-                        existing.record(max(t, last), v)
+                    # that migrated mid-run recorded on both: merge the
+                    # samples by time, whatever order the workers report.
+                    metric = self.metrics.get(name)
+                    samples = sorted([*metric.series, *incoming], key=lambda sample: sample[0])
+                    metric.series = TimeSeries(incoming.name)
+                    for t, v in samples:
+                        metric.series.record(t, v)
                 else:
                     self.metrics.series(name, incoming)
             else:

@@ -138,11 +138,13 @@ class FrameType(enum.IntEnum):
     RESULT = 14     # worker -> coordinator: finals + metrics registry
     SHUTDOWN = 15   # coordinator -> worker: exit cleanly
     ERROR = 16      # fatal error report (either direction)
-    MIGRATE = 17    # live-migration control step (pause/expect/export/
-                    # adopt/resume/collect; JSON body with "action" or,
-                    # in worker replies, "phase") — see docs/migration.md
+    MIGRATE = 17    # live-migration control step (detach/export/adopt/
+                    # resume/collect; JSON body with "action" or, in
+                    # worker replies, "phase") — see docs/migration.md
     HANDOFF = 18    # worker -> coordinator: migrating stage's exported
                     # StageCheckpoint.to_dict() (the adopt body carries it on)
+    DETACH = 19     # sender -> receiver, credit-free, then FIN: the sender
+                    # leaves mid-stream and everything it sent has arrived
 
 
 #: Wire type byte -> member, built once: per frame, a dict lookup is an

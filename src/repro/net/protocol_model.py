@@ -107,23 +107,25 @@ LIFECYCLE: Tuple[Transition, ...] = tuple(
          ("worker", "send", "ERROR"), ("coordinator", "recv", "ERROR"))
 )
 
-#: Six-phase live migration (pause → expect → export → adopt → resume →
-#: collect); every control step rides a MIGRATE frame, the state itself
-#: moves in the HANDOFF, and a stage that finished mid-pause unwinds
-#: with a MIGRATE phase="finished" reply instead of a HANDOFF.
+#: Four-phase live migration (detach → export → adopt → resume, then
+#: the run's collect); every control step rides a MIGRATE frame, the
+#: adopting worker gets the stage's REGISTER and CHANNEL frames as at
+#: deployment, the state itself moves in the HANDOFF, and a stage that
+#: finished before its fence unwinds with a MIGRATE phase="finished"
+#: reply instead of a HANDOFF.  The senders' DETACH markers ride the
+#: data channels (:data:`CREDIT`).
 MIGRATION: Tuple[Transition, ...] = tuple(
-    _t("migration", "running", "paused", "pause",
+    _t("migration", "running", "detached", "detach",
        ("coordinator", "send", "MIGRATE"), ("worker", "recv", "MIGRATE"),
        ("worker", "send", "MIGRATE"), ("coordinator", "recv", "MIGRATE"))
-    + _t("migration", "paused", "expecting", "expect",
-         ("coordinator", "send", "MIGRATE"), ("worker", "recv", "MIGRATE"),
-         ("worker", "send", "MIGRATE"), ("coordinator", "recv", "MIGRATE"))
-    + _t("migration", "expecting", "handed-off", "export",
+    + _t("migration", "detached", "handed-off", "export",
          ("coordinator", "send", "MIGRATE"), ("worker", "recv", "MIGRATE"),
          ("worker", "send", "HANDOFF"), ("coordinator", "recv", "HANDOFF"))
-    + _t("migration", "expecting", "running", "export-finished",
+    + _t("migration", "detached", "running", "export-finished",
          ("worker", "send", "MIGRATE"), ("coordinator", "recv", "MIGRATE"))
     + _t("migration", "handed-off", "adopted", "adopt",
+         ("coordinator", "send", "REGISTER"), ("worker", "recv", "REGISTER"),
+         ("coordinator", "send", "CHANNEL"), ("worker", "recv", "CHANNEL"),
          ("coordinator", "send", "MIGRATE"), ("worker", "recv", "MIGRATE"),
          ("worker", "send", "MIGRATE"), ("coordinator", "recv", "MIGRATE"))
     + _t("migration", "adopted", "running", "resume",
@@ -133,7 +135,8 @@ MIGRATION: Tuple[Transition, ...] = tuple(
 
 #: Credit-based flow control on one data channel: the sender's ATTACH,
 #: the receiver's initial grant and batched replenishment, per-item DATA
-#: accounting, the credit-free EOS sentinel, and the upstream EXCEPTION
+#: accounting, the credit-free EOS sentinel, the credit-free DETACH
+#: marker of a sender leaving mid-stream, and the upstream EXCEPTION
 #: path.  The receiving *worker* reads the data-plane socket on the
 #: receiver's behalf (``_serve_peer`` and its frame callback, run from
 #: the transport's ``data_received``), so ATTACH/DATA/EOS appear in the
@@ -150,6 +153,8 @@ CREDIT: Tuple[Transition, ...] = tuple(
          ("receiver", "send", "EXCEPTION"), ("sender", "recv", "EXCEPTION"))
     + _t("credit", "attached", "closed", "eos",
          ("sender", "send", "EOS"), ("worker", "recv", "EOS"))
+    + _t("credit", "attached", "detached", "detach",
+         ("sender", "send", "DETACH"), ("worker", "recv", "DETACH"))
 )
 
 #: The full legal frame-traffic alphabet: every (role, direction, frame)
@@ -345,8 +350,9 @@ class CreditFlowModel(ProtocolModel):
 @dataclass(frozen=True)
 class _MigState:
     phase: str
-    sender_paused: bool
     in_flight: int
+    marker_sent: bool
+    marker_seen: bool
     old_inbox: int
     old_done: int
     exported: bool
@@ -361,14 +367,15 @@ class _MigState:
 class MigrationModel(ProtocolModel):
     """One stage live-migrating while ``pre`` items are in flight.
 
-    Follows the six coordinator phases (pause, expect, export, adopt,
-    resume, collect): the sender parks at an item boundary, in-flight
-    items drain into the source instance, the export fences and hands
-    the state off, the target adopts, the sender redials and ships
-    ``post`` more items plus EOS.  Fault knobs:
+    Follows the coordinator's phases (detach, export, adopt, resume,
+    then collect): the sender writes a DETACH marker behind its
+    in-flight items, which reach the source instance before it; the
+    export fences once the marker has arrived and the queued items are
+    processed, and hands the state off; the target adopts; the sender
+    dials it and ships ``post`` more items plus EOS.  Fault knobs:
 
-    * ``skip_drain`` — export fences without draining, stranding
-      in-flight/queued items (conservation violation);
+    * ``skip_drain`` — export fences before the marker arrived,
+      stranding the items still in flight (conservation violation);
     * ``no_resume`` — the coordinator never resumes the senders.
     """
 
@@ -392,7 +399,7 @@ class MigrationModel(ProtocolModel):
 
     def initial(self) -> Hashable:
         return _MigState(
-            phase="idle", sender_paused=False, in_flight=self.pre,
+            phase="idle", in_flight=self.pre, marker_sent=False, marker_seen=False,
             old_inbox=0, old_done=0, exported=False, state_moved=False,
             post_remaining=self.post, new_inbox=0, new_done=0,
             eos_delivered=False, lost=0,
@@ -412,24 +419,24 @@ class MigrationModel(ProtocolModel):
                     state, in_flight=state.in_flight - 1,
                     old_inbox=state.old_inbox + 1,
                 )))
+        elif state.marker_sent and not state.marker_seen:
+            # The marker travels behind every item sent before it.
+            out.append(("deliver-detach", replace(state, marker_seen=True)))
         if state.old_inbox > 0 and not state.exported:
             out.append(("process-old", replace(
                 state, old_inbox=state.old_inbox - 1,
                 old_done=state.old_done + 1,
             )))
         if state.phase == "idle":
-            out.append(("migrate-pause", replace(
-                state, phase="pause", sender_paused=True,
+            out.append(("migrate-detach", replace(
+                state, phase="detached", marker_sent=True,
             )))
-        elif state.phase == "pause":
-            out.append(("migrate-expect", replace(state, phase="expect")))
-        elif state.phase == "expect":
-            drained = state.in_flight == 0 and state.old_inbox == 0
-            if drained or self.skip_drain:
+        elif state.phase == "detached":
+            # The fence waits for the marker, then passes once the items
+            # queued ahead of it are processed.
+            if (state.marker_seen or self.skip_drain) and state.old_inbox == 0:
                 out.append(("export-handoff", replace(
                     state, phase="export", exported=True,
-                    old_inbox=0,
-                    lost=state.lost + state.old_inbox,
                 )))
         elif state.phase == "export":
             out.append(("adopt", replace(
@@ -437,16 +444,14 @@ class MigrationModel(ProtocolModel):
             )))
         elif state.phase == "adopt":
             if not self.no_resume:
-                out.append(("resume", replace(
-                    state, phase="resume", sender_paused=False,
-                )))
+                out.append(("resume", replace(state, phase="resume")))
         elif state.phase == "resume":
-            if state.post_remaining > 0 and not state.sender_paused:
+            if state.post_remaining > 0:
                 out.append(("send-post", replace(
                     state, post_remaining=state.post_remaining - 1,
                     new_inbox=state.new_inbox + 1,
                 )))
-            if state.post_remaining == 0 and not state.sender_paused:
+            else:
                 out.append(("send-eos", replace(
                     state, phase="collect", eos_delivered=True,
                 )))

@@ -83,8 +83,9 @@ from repro.net.protocol import (
     read_frame,
     send_frame,
 )
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, Series
 from repro.resilience.checkpoint import StageCheckpoint
+from repro.simnet.trace import TimeSeries
 
 __all__ = ["Worker", "WorkerError", "main"]
 
@@ -121,9 +122,6 @@ class _LocalRoute:
     async def send_eos(self, origin: str) -> None:
         await self.dst.inbox.force_put(EndOfStream(origin=origin))
 
-    async def close(self) -> None:  # symmetry with OutChannel
-        return None
-
 
 class _WireRoute:
     """Outbound edge to a stage on another worker, via an OutChannel."""
@@ -144,9 +142,6 @@ class _WireRoute:
     async def send_eos(self, origin: str) -> None:
         await self.channel.send_eos()
 
-    async def close(self) -> None:
-        await self.channel.close()
-
 
 class _HostedStage(StageCore):
     """The kernel's stage record plus the worker's channels and task flags."""
@@ -163,22 +158,48 @@ class _HostedStage(StageCore):
         self.done = asyncio.Event()
         self.error: Optional[BaseException] = None
         #: True once this stage's live copy moved to another worker: its
-        #: task exited at the migration fence, its final value lives on the
-        #: adopting worker, and EOF on its old channels is expected.
+        #: task exited at the migration fence and its final value lives on
+        #: the adopting worker.
         self.migrated_away = False
         #: Set by the stage task when it exits at a migration fence (the
         #: export handler awaits it before snapshotting).
         self.fence_passed: Optional[asyncio.Event] = None
+
+    def continue_series(self) -> None:
+        """Record into the trajectories the registry holds under this
+        stage's names: the earlier copy's, when the stage is hosted here
+        again (:class:`_HostRegistry`), else its own."""
+        prefix = f"adapt.{self.name}"
+        self.estimator.history = self.registry.get(f"{prefix}.d_tilde").series
+        for pname, param in self.parameters.items():
+            param.history = self.registry.get(f"{prefix}.param.{pname}").series
+
+
+class _HostRegistry(MetricsRegistry):
+    """A worker's registry, where a stage may be hosted twice: moved
+    away and back.  The copy hosted again registers fresh trajectories
+    under names its earlier copy's still hold; each name keeps the
+    earlier series, extended by the fresh samples, and the new copy
+    records into it (:meth:`_HostedStage.continue_series`) — one series
+    per name, in time order."""
+
+    def series(self, name: str, series: Optional[TimeSeries] = None) -> Series:
+        if series is not None and name in self:
+            earlier = self.get(name)
+            if earlier.series is not series:
+                for t, v in series:
+                    earlier.record(t, v)
+                return earlier
+        return super().series(name, series)
 
 
 class _MigrateFence:
     """Inbox sentinel marking a live migration's drain boundary.
 
     Everything before the fence is processed here; nothing follows it
-    (the upstream channels are paused).  The stage task reacts by
-    flushing pending emissions, closing its out-routes with the ordinary
-    FIN/drain teardown (no EOS — the stream continues from the new
-    worker), and exiting.
+    (every upstream sender has detached).  The stage task reacts by
+    flushing pending emissions, detaching its own out-channels (no EOS —
+    the stream continues from the new worker), and exiting.
     """
 
 
@@ -208,7 +229,7 @@ class Worker:
         #: Built at the first REGISTER when not given, so a spawned
         #: worker announces without importing every application first.
         self.repository = repository
-        self.metrics = MetricsRegistry()
+        self.metrics = _HostRegistry()
         self.policy = AdaptationPolicy()
         self.adaptation_enabled = True
         self.time_scale = 1.0
@@ -224,12 +245,6 @@ class Worker:
         self._shutdown: Optional[asyncio.Event] = None
         self._started = False
         self._start_time = time.monotonic()
-        #: Items received per stream (decoded DATA entries) — compared
-        #: against the sender's ``items_sent`` during a migration drain.
-        self._recv_counts: Dict[str, int] = {}
-        #: Streams whose sender may legally EOF without EOS because a
-        #: live migration is re-routing them (coordinator "expect" step).
-        self._migrating_streams: set = set()
         #: Set by the coordinator's "collect": RESULT is held until then,
         #: so a stage adopted mid-run is included and a spare worker does
         #: not report before it might adopt one (an ERROR is never held).
@@ -381,13 +396,13 @@ class Worker:
         else:
             raise WorkerError(f"unexpected control frame {frame.type.name}")
 
-    def _register_stage(
-        self, body: Dict[str, Any], allow_after_start: bool = False
-    ) -> None:
+    def _register_stage(self, body: Dict[str, Any]) -> None:
+        """Instantiate one stage (REGISTER) — before START, or for a live
+        migration adopting it.  A stage this worker handed off earlier is
+        hosted again: the new record replaces the moved-away one."""
         name = body["stage"]
-        if self._started and not allow_after_start:
-            raise WorkerError("cannot register stages after START")
-        if name in self._stages:
+        prior = self._stages.get(name)
+        if prior is not None and not prior.migrated_away:
             raise WorkerError(f"duplicate stage {name!r}")
         if self.repository is None:
             self.repository = builtin_repository()
@@ -478,20 +493,42 @@ class Worker:
         # latency spike on whichever item (or the EOS flush) touches
         # ``ctx.det`` first.
         import repro.ledger.context  # noqa: F401
-        for stage in self._stages.values():
-            self._build_routes(stage)
-            run_setup(stage, WorkerError)
-        # Dial every outbound channel; the receiving workers are already
-        # synced (the coordinator barriers SYNC/READY before any START),
-        # so their InChannels exist and grant credit on ATTACH.
-        await asyncio.gather(*(c.connect() for c in self._out_channels))
-        for stage in self._stages.values():
-            self._tasks.append(asyncio.create_task(self._stage_task(stage)))
-            if self.adaptation_enabled:
-                self._tasks.append(asyncio.create_task(self._monitor_task(stage)))
+        await self._host(list(self._stages.values()))
         self._tasks.append(
             asyncio.create_task(self._completion_task(coordinator_writer))
         )
+
+    async def _host(
+        self, stages: List[_HostedStage], checkpoint: Optional[StageCheckpoint] = None
+    ) -> None:
+        """Start registered ``stages``: at START, or one stage a live
+        migration adopts from ``checkpoint``.
+
+        Each stage gets its routes and ``setup()`` for structure, then
+        the checkpoint (if any) restored on top with the kernel's
+        :func:`restore_checkpoint` — parameters, load estimator,
+        exception counts, processor state and EOS progress, the same
+        restore failover uses.  Their outbound channels are dialed (the
+        receiving workers declared their InChannels first: the
+        coordinator barriers SYNC/READY before any START, and sends a
+        move's CHANNEL frames before it resumes any sender), then their
+        tasks start.
+        """
+        for stage in stages:
+            self._build_routes(stage)
+            run_setup(stage, WorkerError)
+            stage.continue_series()
+            if checkpoint is not None:
+                restore_checkpoint(stage, checkpoint)
+        await asyncio.gather(*(
+            route.channel.connect()
+            for stage in stages for route in stage.out_routes
+            if isinstance(route, _WireRoute)
+        ))
+        for stage in stages:
+            self._tasks.append(asyncio.create_task(self._stage_task(stage)))
+            if self.adaptation_enabled:
+                self._tasks.append(asyncio.create_task(self._monitor_task(stage)))
 
     def _build_routes(self, stage: _HostedStage) -> None:
         """Turn a stage's out-routes into the kernel's route units.
@@ -548,12 +585,13 @@ class Worker:
                     effect = step(reply)
                 except StopIteration:
                     # Past a live-migration fence with everything flushed:
-                    # tear down out-routes with the plain FIN/drain close
-                    # (no EOS — the stream continues on the new worker),
-                    # and exit so the export handler can snapshot.
+                    # detach the out-channels (no EOS — the stream
+                    # continues from the new worker), and exit so the
+                    # export handler can snapshot.
                     await suspending()
-                    for route in stage.out_routes:
-                        await route.close()
+                    channels = [r.channel for r in stage.out_routes if isinstance(r, _WireRoute)]
+                    await asyncio.gather(*(channel.detach() for channel in channels))
+                    self._out_channels = [c for c in self._out_channels if c not in channels]
                     stage.migrated_away = True
                     assert stage.fence_passed is not None
                     stage.fence_passed.set()
@@ -575,7 +613,7 @@ class Worker:
                             reply = ()
                             continue
                     if isinstance(reply[0], _MigrateFence):
-                        # Drain boundary: the upstreams are paused, so
+                        # Drain boundary: the upstreams have detached, so
                         # nothing follows; reply None to flush and stop.
                         reply = None
                         continue
@@ -720,7 +758,8 @@ class Worker:
     # -- live migration (docs/migration.md) ----------------------------------
 
     async def _handle_migrate(self, body: Dict[str, Any], writer) -> None:
-        """One step of the coordinator's six-phase migration protocol.
+        """One step of the coordinator's migration protocol: detach,
+        export, adopt, resume, collect.
 
         Each action except ``collect`` replies with a MIGRATE frame
         carrying the completed ``phase`` (``export`` replies HANDOFF on
@@ -728,84 +767,65 @@ class Worker:
         would interleave with the RESULT frames it unblocks.
         """
         action = body.get("action")
-        if action == "pause":
-            sent: Dict[str, int] = {}
-            closed: Dict[str, bool] = {}
+        if action == "detach":
             wanted = set(body["streams"])
-            for channel in self._out_channels:
-                if channel.stream in wanted:
-                    await channel.pause()
-                    sent[channel.stream] = channel.items_sent
-                    closed[channel.stream] = channel.eos_sent
-            await send_frame(
-                writer, FrameType.MIGRATE,
-                encode_json({"phase": "paused", "sent": sent,
-                             "closed": closed}),
-            )
-        elif action == "expect":
-            self._migrating_streams.update(body["streams"])
-            await send_frame(
-                writer, FrameType.MIGRATE, encode_json({"phase": "expecting"})
-            )
+            await asyncio.gather(*(
+                channel.detach() for channel in self._out_channels if channel.stream in wanted
+            ))
+            phase = "detached"
         elif action == "export":
-            await self._export_stage(body, writer)
+            await self._export_stage(self._stages[body["stage"]], writer)
+            return
         elif action == "adopt":
-            await self._adopt_stage(body, writer)
-        elif action == "resume":
-            for stream, addr in body["streams"].items():
-                for channel in self._out_channels:
-                    if channel.stream != stream:
-                        continue
-                    if addr is not None and not channel.eos_sent:
-                        await channel.redial(
-                            addr["host"], int(addr["port"]),
-                            uds_path=addr.get("uds"),
-                        )
-                    channel.resume()
-            await send_frame(
-                writer, FrameType.MIGRATE, encode_json({"phase": "resumed"})
+            await self._host(
+                [self._stages[body["stage"]]], StageCheckpoint.from_dict(body["checkpoint"])
             )
+            phase = "adopted"
+        elif action == "resume":
+            wanted = set(body["streams"])
+            await asyncio.gather(*(
+                channel.dial(body["host"], int(body["port"]), body.get("uds"))
+                for channel in self._out_channels
+                if channel.stream in wanted and channel.detached
+            ))
+            phase = "resumed"
         elif action == "collect":
             assert self._release is not None
             self._release.set()
+            return
         else:
             raise WorkerError(f"unknown MIGRATE action {action!r}")
+        await send_frame(writer, FrameType.MIGRATE, encode_json({"phase": phase}))
 
-    async def _export_stage(self, body: Dict[str, Any], writer) -> None:
-        """Drain a paused stage to its item boundary and hand its state off.
+    async def _export_stage(self, stage: _HostedStage, writer) -> None:
+        """Fence a stage whose senders were told to detach, and hand its
+        state off.
 
-        The coordinator tells us how many items every inbound stream's
-        sender shipped before pausing; once our receive counters match,
-        everything the stage will ever see here is at least in its inbox.
-        A fence sentinel then marks the drain boundary: when the stage
-        task passes it, the inbox is empty and the processor is between
-        items — the one moment a snapshot is consistent.
+        Once every input has shown its marker — DETACH, or EOS from a
+        sender that had already finished — everything the stage will
+        ever get here is in its inbox.  A fence barrier then marks the
+        boundary: when the stage task passes it, the inbox is empty and
+        the processor is between items — the one moment a snapshot is
+        consistent.
         """
-        stage = self._stages[body["stage"]]
-        expected = {str(k): int(v) for k, v in body["expected"].items()}
-        while not all(
-            self._recv_counts.get(s, 0) >= n for s, n in expected.items()
-        ):
-            if stage.done.is_set():
-                break
-            await asyncio.sleep(0.001)
-        if not stage.done.is_set():
-            stage.fence_passed = asyncio.Event()
+        fence_passed = stage.fence_passed = asyncio.Event()
+
+        async def fence() -> None:
+            for channel in stage.upstream_wire:
+                await channel.marked.wait()
             # A barrier, not an ordinary entry: it never rides inside an
-            # item chunk, so the stage sees it alone, after every item
-            # already queued (the upstreams are paused).
+            # item chunk, so the stage sees it alone, after every item.
             await stage.inbox.put_barrier(_MigrateFence())
-            waits = [
-                asyncio.create_task(stage.done.wait()),
-                asyncio.create_task(stage.fence_passed.wait()),
-            ]
-            await asyncio.wait(waits, return_when=asyncio.FIRST_COMPLETED)
-            for task in waits:
-                task.cancel()
+            await fence_passed.wait()
+
+        waits = [asyncio.ensure_future(fence()), asyncio.ensure_future(stage.done.wait())]
+        await asyncio.wait(waits, return_when=asyncio.FIRST_COMPLETED)
+        for task in waits:
+            task.cancel()
         if not stage.migrated_away:
-            # The stage completed (EOS already queued behind the pause)
-            # or failed before reaching the fence — nothing to move; the
-            # coordinator unwinds the migration and lets the ordinary
+            # The stage completed (every input had shown EOS) or failed
+            # before reaching the fence — nothing to move; the
+            # coordinator drops the move and lets the ordinary
             # RESULT/ERROR path report.
             await send_frame(
                 writer, FrameType.MIGRATE,
@@ -814,52 +834,6 @@ class Worker:
             return
         await send_frame(
             writer, FrameType.HANDOFF, encode_json(stage_checkpoint(stage).to_dict())
-        )
-
-    async def _adopt_stage(self, body: Dict[str, Any], writer) -> None:
-        """Instantiate a migrated stage here and resume it from a HANDOFF.
-
-        Mirrors the REGISTER/CHANNEL/START sequence for one stage:
-        fresh processor, fresh channels, ``setup()`` for structure, then
-        the handed-off :class:`StageCheckpoint` restored on top with the
-        kernel's :func:`restore_checkpoint` — parameters, load estimator,
-        exception counts, processor state and EOS progress, the same
-        restore failover uses.
-        """
-        register = body["register"]
-        self._register_stage(register, allow_after_start=True)
-        stage = self._stages[register["stage"]]
-        out_before = len(self._out_channels)
-        for spec in body.get("in", []):
-            self._register_channel({
-                "kind": "in",
-                "stream": spec["stream"],
-                "dst": stage.name,
-                "window": spec.get("window", self.credit_window),
-            })
-        for spec in body.get("out", []):
-            self._register_channel({
-                "kind": "out",
-                "stream": spec["stream"],
-                "src": stage.name,
-                "dst": spec["dst"],
-                "peer_host": spec["peer_host"],
-                "peer_port": spec["peer_port"],
-                "peer_uds": spec.get("peer_uds"),
-                "dst_properties": spec.get("dst_properties"),
-            })
-        new_channels = self._out_channels[out_before:]
-        self._build_routes(stage)
-        run_setup(stage, WorkerError)
-        restore_checkpoint(stage, StageCheckpoint.from_dict(body["checkpoint"]))
-        await asyncio.gather(*(c.connect() for c in new_channels))
-        self._tasks.append(asyncio.create_task(self._stage_task(stage)))
-        if self.adaptation_enabled:
-            self._tasks.append(
-                asyncio.create_task(self._monitor_task(stage))
-            )
-        await send_frame(
-            writer, FrameType.MIGRATE, encode_json({"phase": "adopted"})
         )
 
     # -- peer (data) connections ---------------------------------------------
@@ -875,6 +849,11 @@ class Worker:
         The switch happens before ``attach`` grants the
         first credit, and a sender ships nothing before that grant.
         This coroutine only waits for the connection to end.
+
+        A sender's last frame is its marker: EOS at the end of the
+        stream, or DETACH when it leaves mid-stream (live migration), at
+        which the channel detaches with its backlog still queued here.
+        An end with neither is a dead peer and fails the stage.
         """
         body = attach.json()
         stream = body["stream"]
@@ -887,23 +866,24 @@ class Worker:
         inbox = stage.inbox
         observe = stage.rate_estimator.observe
         elapsed = self.elapsed
-        recv_counts = self._recv_counts
-        recv_counts.setdefault(stream, 0)
-        saw_eos = False
+        marked = False
         ended = asyncio.get_running_loop().create_future()
 
         def on_frames(frames: List[Any]) -> None:
-            nonlocal saw_eos
+            nonlocal marked
             for frame in frames:
                 if frame.type is FrameType.DATA:
                     values, sizes = decode_payload_columns(frame.payload)
                     now = elapsed()
                     inbox.put_nowait(ItemRun(values, sizes, now, stream))
                     observe(now, float(len(values)))
-                    recv_counts[stream] += len(values)
                 elif frame.type is FrameType.EOS:
-                    saw_eos = True
+                    marked = True
                     inbox.put_nowait(EndOfStream(origin=stream))
+                    channel.marked.set()
+                elif frame.type is FrameType.DETACH:
+                    marked = True
+                    channel.detach(inbox.queued_from(stream))
                 else:
                     raise ProtocolError(
                         f"unexpected {frame.type.name} frame on data channel "
@@ -921,15 +901,7 @@ class Worker:
             # A framing error (bad CRC, a frame cut off by EOF, ...): the
             # stream cannot be resynchronised and its items are lost.
             self._fail_stage(stage, f"data channel {stream!r}: {error}")
-        elif not saw_eos:
-            if stream in self._migrating_streams:
-                # Planned EOF: a live migration is re-routing this stream
-                # (sender redialed to the new worker, or the migrated
-                # stage closed its own outputs).  Detach so a later
-                # re-attach — e.g. migrating back — gets a fresh window.
-                self._migrating_streams.discard(stream)
-                channel.detach(inbox.queued_from(stream))
-                return
+        elif not marked:
             # The sender vanished mid-stream.  Waiting for an EOS that
             # can never arrive would hang the whole run.
             self._fail_stage(stage, f"data channel {stream!r} closed before EOS")

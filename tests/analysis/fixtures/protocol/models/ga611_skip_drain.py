@@ -1,4 +1,4 @@
-"""GA611: exporting before the drain strands in-flight items at the fence."""
+"""GA611: fencing before the DETACH marker arrives strands in-flight items."""
 from repro.net.protocol_model import MigrationModel
 
 MODELS = [MigrationModel(pre=2, post=1, skip_drain=True)]

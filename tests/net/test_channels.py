@@ -8,11 +8,13 @@ buffer.
 """
 
 import asyncio
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.net import channels
 from repro.net.channels import AsyncInbox, ChannelError, InChannel, OutChannel
 from repro.core.api import StreamProcessor
 from repro.core.items import ItemRun
@@ -930,21 +932,25 @@ class TestReceivePath:
         assert "'s0'" in str(stage.error) and reason in str(stage.error)
 
 
-    def test_a_redialed_sender_is_not_granted_the_old_senders_backlog(self):
+    def test_a_sender_after_a_detach_is_not_granted_the_old_senders_backlog(self):
         """A live migration moves the stage feeding ``s0``: its old
-        connection ends (FIN, no EOS) with 8 items still queued here,
-        unconsumed, and the replacement dials in for a fresh window.
-        Those 8 items' credit left with the old connection, so the new
-        sender is granted back exactly the 6 items it shipped, never
-        more than its window (which its grant check would refuse)."""
+        sender writes DETACH behind 8 items still queued here,
+        unconsumed, and closes — a planned end that fails nothing — and
+        the next sender dials in for a fresh window.  Those 8 items'
+        credit left with the old connection, so the new sender is
+        granted back exactly the 6 items it shipped, never more than its
+        window (which its grant check would refuse)."""
         batch = payload_batch
 
         async def scenario():
             worker = self._worker("py://tests.net.test_channels:FreeSink", window=8)
             stage = worker._stages["sink"]
             old, _, old_task, old_writer = await self._attach(worker)
-            old.data_received(encode_frame(FrameType.DATA, batch([(i, 8.0) for i in range(8)])))
-            worker._migrating_streams.add("s0")
+            old.data_received(
+                encode_frame(FrameType.DATA, batch([(i, 8.0) for i in range(8)]))
+                + encode_frame(FrameType.DETACH)
+            )
+            assert worker._in_channels["s0"].marked.is_set()
             old.eof_received()
             await old_task
             old_writer.close()
@@ -962,6 +968,39 @@ class TestReceivePath:
         stage, grants = run(scenario())
         assert stage.error is None and stage.processor.items == 14
         assert grants == [8, 6]
+
+    def test_an_export_fences_only_once_every_input_shows_its_marker(self):
+        """Asked to export ``sink`` while 8 of its items are still on the
+        wire, the worker waits for the DETACH behind them: the fence
+        lands after every item, and the stage hands off having taken all
+        8 — however the export request and the marker are ordered."""
+        batch = payload_batch
+
+        async def scenario():
+            worker = self._worker("py://tests.net.test_channels:FreeSink", window=8)
+            stage = worker._stages["sink"]
+            old, _, old_task, old_writer = await self._attach(worker)
+            stage_task = asyncio.create_task(worker._stage_task(stage))
+            control = _TransportWriter()
+            export = asyncio.create_task(worker._export_stage(stage, control))
+            await asyncio.sleep(0.01)
+            assert not export.done() and stage.processor.items == 0
+            old.data_received(
+                encode_frame(FrameType.DATA, batch([(i, 8.0) for i in range(8)]))
+                + encode_frame(FrameType.DETACH)
+            )
+            await export
+            old.eof_received()
+            await old_task
+            old_writer.close()
+            await stage_task
+            return stage, control.transport.frames()
+
+        stage, frames = run(scenario())
+        assert [f.type for f in frames] == [FrameType.HANDOFF]
+        assert stage.migrated_away and stage.error is None
+        assert stage.processor.items == 8
+
 
 class _TransportWriter:
     """The ``StreamWriter`` surface ``OutChannel`` uses, over a
@@ -991,13 +1030,32 @@ def _grant(channel, n):
     channel._on_frames(FrameDecoder().feed(encode_frame(FrameType.CREDIT, encode_credit(n))))
 
 
-async def _block_paused(channel):
-    await channel.pause()
-    task = asyncio.create_task(channel.send(1, 8.0))
+async def _block_detached(channel):
+    """A send after a detach parks until the channel dials again, then
+    goes out under the new receiver's grant alone: the DETACH follows
+    the last item on the old connection, the credit left on hand there
+    is gone (a grant of the whole window on top would be refused), and
+    in flight stays within the window."""
+    old = channel._writer
+    await channel.send(1, 8.0)  # one of the window's two credits left
+    await channel.detach()
+    task = asyncio.create_task(channel.send(2, 8.0))
     await asyncio.sleep(0.01)
     assert not task.done()
-    channel.resume()
+    assert [f.type for f in old.transport.frames()] == [FrameType.DATA, FrameType.DETACH]
+    new = _TransportWriter()
+
+    async def open_connection(on_frames, on_close, host, port, path):
+        return new, "tcp"
+
+    with mock.patch.object(channels, "open_frame_connection", open_connection):
+        dialing = asyncio.create_task(channel.dial("127.0.0.1", 1))
+        await asyncio.sleep(0)  # ATTACH out, awaiting the grant
+        _grant(channel, 2)
+        await dialing
     await task
+    assert [f.type for f in new.transport.frames()] == [FrameType.ATTACH, FrameType.DATA]
+    assert channel._credits == 1 and channel.peak_in_flight <= channel.window == 2
 
 
 async def _block_short_of_credit(channel):
@@ -1068,7 +1126,6 @@ class TestSendFastPath:
             return {
                 "frames": frames,
                 "error": error,
-                "items_sent": channel.items_sent,
                 "metrics": {
                     name: registry.value(f"net.testchan.{name}")
                     for name in ("frames", "bytes", "credit_stalls", "in_flight_peak")
@@ -1097,13 +1154,13 @@ class TestSendFastPath:
 
         channel = run(scenario())
         assert channel._writer.drains == 0
-        assert channel.items_sent == 3 and channel.peak_in_flight == 3
+        assert channel.peak_in_flight == 3
         assert [f.type for f in channel._writer.transport.frames()] == [
             FrameType.DATA, FrameType.DATA, FrameType.EOS,
         ]
 
     @pytest.mark.parametrize("block, slow_sends", [
-        (_block_paused, [1]),
+        (_block_detached, [1]),
         (_block_short_of_credit, [1]),
         (_block_broken, [1, 1, 1]),
         (_block_buffered, [1, 0]),
@@ -1256,7 +1313,7 @@ class TestHostileGrants:
         assert elapsed < 5.0
         # The in-flight bound held to the end: no send spent credit that
         # was never granted.
-        assert channel.items_sent <= 4
+        assert registry.value("net.testchan.frames") <= 4  # one item each
         assert channel.peak_in_flight <= 4
         assert registry.value("net.testchan.credit_frames") == 1  # the window only
 

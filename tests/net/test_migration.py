@@ -4,11 +4,14 @@ A four-worker count-samps deployment with the ``join`` stage pinned to
 worker-2 so every one of its edges crosses workers; a
 :class:`~repro.resilience.migration.MigrationPlan` then moves it
 mid-stream.  A migrated run must be byte-identical to an unmigrated
-one — the six-phase protocol (pause, expect, export, adopt, resume,
-collect) guarantees zero loss over real sockets.
+one — the four phases (detach, export, adopt, resume; then the run's
+collect) guarantee zero loss over real sockets: each sender writes a
+DETACH marker behind its last item, and the stage is fenced only once
+every input has shown its marker.
 """
 
 import random
+import time
 
 import pytest
 
@@ -28,7 +31,7 @@ def payloads(seed, n):
     return [rng.randrange(0, 30) for _ in range(n)]
 
 
-def build():
+def build(near="worker-2"):
     config = build_distributed_config(
         n_sources=2,
         source_hosts=["worker-0", "worker-1"],
@@ -39,14 +42,14 @@ def build():
     # Pin join on worker-2 so every one of its edges crosses workers
     # (the v1 protocol migrates stages whose routes are all remote).
     config.stage("join").requirement = ResourceRequirement(
-        min_cores=2, placement_hint="near:worker-2"
+        min_cores=2, placement_hint=f"near:{near}"
     )
     return config
 
 
-def run(migrations=None, rate=None):
+def run(migrations=None, rate=None, workers=4, timeout=60.0):
     runtime = NetworkedRuntime(
-        build(), workers=4, adaptation_enabled=False, credit_window=16,
+        build(), workers=workers, adaptation_enabled=False, credit_window=16,
         migrations=migrations,
     )
     for i in range(2):
@@ -54,7 +57,7 @@ def run(migrations=None, rate=None):
             f"src-{i}", f"filter-{i}", payloads(SEED + i, ITEMS),
             rate=rate, item_size=8.0,
         )
-    return runtime, runtime.run(timeout=60.0)
+    return runtime, runtime.run(timeout=timeout)
 
 
 def normalize(topk):
@@ -113,6 +116,95 @@ def test_racing_plan_moves_or_unwinds_cleanly(baseline):
         # no move metrics are recorded.
         assert runtime.placement["join"] == "worker-2"
         assert result.metrics.counter("migration.join.moves").value == 0
+
+
+@pytest.mark.parametrize("workers, hops", [
+    (5, ["worker-3", "worker-4"]),
+    (4, ["worker-3", "worker-2"]),
+])
+def test_a_stage_moved_twice_keeps_the_stream(baseline, workers, hops):
+    """``join`` moves twice: on to a third worker, or back to the worker
+    it started on, which must host it again.  Each move's senders
+    detach from a connection the previous move dialed, so the second
+    move's fence waits on fresh markers, not on counts carried over."""
+    plans = [MigrationPlan(stage="join", at=at, target=hop) for at, hop in zip((0.15, 0.4), hops)]
+    runtime, result = run(migrations=plans, rate=600.0, workers=workers, timeout=30.0)
+    assert normalize(result.final_value("join")) == baseline
+    first, second = runtime.migrations
+    assert (first.from_host, first.to_host) == ("worker-2", hops[0])
+    assert (second.from_host, second.to_host) == (hops[0], hops[1])
+    assert runtime.placement["join"] == hops[1]
+    assert result.stages["join"].host_name == hops[1]
+    assert result.metrics.counter("migration.join.moves").value == 2
+
+
+def test_a_plan_due_after_the_feeders_finish_is_dropped(baseline):
+    """Past its last item the run does not wait for a plan's ``at``."""
+    started = time.monotonic()
+    runtime, result = run(migrations=[MigrationPlan(stage="join", at=8.0, target="worker-3")])
+    assert time.monotonic() - started < 3.0
+    assert normalize(result.final_value("join")) == baseline
+    assert runtime.migrations == []
+    assert result.metrics.counter("migration.join.moves").value == 0
+    assert runtime.placement["join"] == "worker-2"
+
+
+def test_a_moved_stage_series_merges_by_time(monkeypatch):
+    """``join`` starts near worker-3 and moves to worker-2, which reports
+    before worker-3: the merged d̃ trajectory is still in time order,
+    holds every worker's samples, and no two share a time."""
+    from repro.core.adaptation.policy import AdaptationPolicy
+
+    name = "adapt.join.d_tilde"
+    shipped = []
+    merge = NetworkedRuntime._merge_registry
+
+    def spy(self, data):
+        if name in data:
+            shipped.append(len(data[name]["series"]["times"]))
+        merge(self, data)
+
+    monkeypatch.setattr(NetworkedRuntime, "_merge_registry", spy)
+    runtime = NetworkedRuntime(
+        build(near="worker-3"), workers=4, credit_window=16,
+        policy=AdaptationPolicy(sample_interval=0.05),
+        migrations=[MigrationPlan(stage="join", at=0.6, target="worker-2")],
+    )
+    for i in range(2):
+        runtime.bind_source(
+            f"src-{i}", f"filter-{i}", payloads(SEED + i, 720), rate=600.0, item_size=8.0,
+        )
+    result = runtime.run(timeout=30.0)
+    (report,) = runtime.migrations
+    assert (report.from_host, report.to_host) == ("worker-3", "worker-2")
+    times = result.metrics.get(name).series.times
+    assert len(shipped) == 2 and all(shipped)
+    assert len(times) == sum(shipped)
+    assert times == sorted(times)
+    assert len(set(times)) == len(times)
+
+
+def test_a_stage_hosted_again_keeps_one_series_per_name():
+    """A worker the stage left earlier hosts it again: the new record
+    replaces the moved-away one and records on into the trajectory the
+    earlier copy left in the worker's registry."""
+    from repro.net.worker import Worker, WorkerError
+
+    worker = Worker()
+    body = {"stage": "sink", "code": "py://tests.net.test_migration:Relay", "properties": {}}
+    worker._register_stage(body)
+    first = worker._stages["sink"]
+    first.continue_series()
+    first.estimator.history.record(1.0, 0.5)
+    with pytest.raises(WorkerError, match="duplicate stage"):
+        worker._register_stage(body)
+    first.migrated_away = True
+    worker._register_stage(body)
+    second = worker._stages["sink"]
+    assert second is not first
+    second.continue_series()
+    second.estimator.history.record(2.0, 0.25)
+    assert list(worker.metrics.get("adapt.sink.d_tilde").series) == [(1.0, 0.5), (2.0, 0.25)]
 
 
 def test_sharded_stage_is_rejected_up_front():
