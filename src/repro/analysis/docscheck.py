@@ -12,7 +12,7 @@ page                    catalog                                              val
 ``static_analysis.md``  :data:`repro.analysis.codes.CODES`                   kind
 ``static_analysis.md``  :data:`repro.analysis.rules.RULES`                   code
 ``sharding.md``         :data:`repro.core.options.OPTIONS`                   default
-``migration.md``        :class:`repro.resilience.migration.MigrationPolicy`  default
+``migration.md``        ``migration.*`` of :data:`repro.obs.names.METRICS`   kind
 ``architecture.md``     :data:`repro.core.run.ROWS`                          runtimes
 ======================  ===================================================  =======
 
@@ -21,13 +21,11 @@ both directions (:func:`diff_table` does the same for any text and any
 :class:`DocTable`, e.g. a section of EXPERIMENTS.md against the
 experiment rows) — a catalog entry without a row, a row for an entry the
 catalog no longer has, or a value mismatch each produce one problem
-string — plus two page-specific pins:
-
-* ``static_analysis.md`` must embed :func:`render_catalog_table` and
-  :func:`repro.analysis.rules.render_rule_table` **verbatim** (``python
-  -m repro.analysis.docscheck`` prints both for pasting), so any edit to
-  a code's kind, severity or title, or to a rule row, breaks it;
-* ``migration.md`` must mention every ``migration.*`` metric template.
+string — plus one page-specific pin: ``static_analysis.md`` must embed
+:func:`render_catalog_table` and
+:func:`repro.analysis.rules.render_rule_table` **verbatim** (``python -m
+repro.analysis.docscheck`` prints both for pasting), so any edit to a
+code's kind, severity or title, or to a rule row, breaks it.
 
 The tier-1 test ``tests/analysis/test_docscheck.py`` asserts every
 page's problem list is empty, so no reference can drift.
@@ -36,7 +34,7 @@ page's problem list is empty, so no reference can drift.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Pattern
 
@@ -74,10 +72,8 @@ def _sharding_knobs() -> Dict[str, str]:
     return {key: option.default_text for key, option in knobs("sharding").items()}
 
 
-def _migration_knobs() -> Dict[str, str]:
-    from repro.resilience.migration import MigrationPolicy
-
-    return {knob.name: str(knob.default) for knob in fields(MigrationPolicy)}
+def _migration_metric_kinds() -> Dict[str, str]:
+    return {name: kind for name, kind in _metric_kinds().items() if name.startswith("migration.")}
 
 
 def _rule_codes() -> Dict[str, str]:
@@ -120,14 +116,6 @@ def _embeds(render: Callable[[], str], what: str) -> Callable[[str, str], List[s
             "regenerate with 'python -m repro.analysis.docscheck' and paste it in"
         ]
     return check
-
-
-def _mentions_migration_metrics(page: str, text: str) -> List[str]:
-    return [
-        f"{page} does not mention the metric template {template!r}"
-        for template in sorted(_metric_kinds())
-        if template.startswith("migration.") and template not in text
-    ]
 
 
 @dataclass(frozen=True)
@@ -201,13 +189,12 @@ DOC_TABLES: Dict[str, DocTable] = {
     ),
     "migration": DocTable(
         page="migration.md",
-        entry="migration knob",
-        catalog_ref="repro.resilience.migration.MigrationPolicy",
-        # ``| `knob` | default | meaning |``.
-        row=re.compile(r"^\|\s*`(?P<name>[a-z][a-z0-9_]*)`\s*\|\s*(?P<value>[^|]*?)\s*\|"),
-        catalog=_migration_knobs,
-        value_label="default",
-        extra=_mentions_migration_metrics,
+        entry="migration metric",
+        catalog_ref="repro.obs.names.METRICS",
+        # ``| `migration.{stage}.moves` | kind | meaning |``.
+        row=re.compile(r"^\|\s*`(?P<name>migration\.[a-z0-9_.{}]+)`\s*\|\s*(?P<value>\w+)\s*\|"),
+        catalog=_migration_metric_kinds,
+        value_label="kind",
     ),
     "run-options": DocTable(
         page="architecture.md",

@@ -22,12 +22,12 @@ Sign conventions (derived in DESIGN.md from the paper's two applications):
 
 σ₁/σ₂ "factor in the rate of variation" of their arguments: when the
 signal is unsteady the paper wants larger steps.  :class:`SigmaEstimator`
-implements gain · (1 + variability_weight · normalized-std) over a short
-window; setting the policy's ``sigma_variability`` to 0 reduces σ to the
-constant gain (the ablation bench's control arm).
+implements 1 + variability_weight · normalized-std over a short window;
+setting the policy's ``sigma_variability`` to 0 reduces σ to the
+constant 1 (the ablation bench's control arm).
 
 The raw ΔP signal is dimensionless (both inputs live in [−1, 1]); it is
-scaled to parameter units by ``step_fraction · span``, quantized to the
+scaled to parameter units by ``STEP_FRACTION · span``, quantized to the
 declared increment, and clamped to the declared range.
 """
 
@@ -38,31 +38,30 @@ from collections import deque
 from typing import Deque
 
 from repro.core.adaptation.load import phi1
-from repro.core.adaptation.policy import AdaptationPolicy
+from repro.core.adaptation.policy import (
+    EXPLORE_GAIN, RELIEF_GAIN, SIGMA_WINDOW, STEP_FRACTION, AdaptationPolicy,
+)
 from repro.core.api import AdjustmentParameter
 
 __all__ = ["ParameterController", "SigmaEstimator"]
 
 
 class SigmaEstimator:
-    """σ function: base gain boosted by the signal's recent variability.
+    """σ function: 1 boosted by the signal's recent variability.
 
     ``value(x)`` records x and returns
-    ``gain * (1 + weight * std(recent) / scale)`` where ``scale`` is the
+    ``1 + weight * std(recent) / scale`` where ``scale`` is the
     signal's natural half-range (1.0 for the normalized signals used
     here).  With fewer than two observations the variability term is 0.
     """
 
-    def __init__(self, gain: float, weight: float, window: int, scale: float = 1.0) -> None:
-        if gain < 0:
-            raise ValueError(f"gain must be >= 0, got {gain}")
+    def __init__(self, weight: float, window: int, scale: float = 1.0) -> None:
         if weight < 0:
             raise ValueError(f"weight must be >= 0, got {weight}")
         if window < 2:
             raise ValueError(f"window must be >= 2, got {window}")
         if scale <= 0:
             raise ValueError(f"scale must be > 0, got {scale}")
-        self.gain = gain
         self.weight = weight
         self.scale = scale
         self._recent: Deque[float] = deque(maxlen=window)
@@ -79,7 +78,7 @@ class SigmaEstimator:
     def value(self, x: float) -> float:
         """Record ``x`` and return σ(x)."""
         self._recent.append(x)
-        return self.gain * (1.0 + self.weight * self.variability())
+        return 1.0 + self.weight * self.variability()
 
 
 class ParameterController:
@@ -92,16 +91,11 @@ class ParameterController:
                 f"output_direction must be +1 or -1, got {output_direction}"
             )
         self.parameter = parameter
-        self.policy = policy
         #: +1 if increasing the parameter increases bytes sent downstream
         #: (true for both paper applications), −1 otherwise.
         self.output_direction = output_direction
-        self.sigma1 = SigmaEstimator(
-            policy.sigma1_gain, policy.sigma_variability, policy.sigma_window
-        )
-        self.sigma2 = SigmaEstimator(
-            policy.sigma2_gain, policy.sigma_variability, policy.sigma_window
-        )
+        self.sigma1 = SigmaEstimator(policy.sigma_variability, SIGMA_WINDOW)
+        self.sigma2 = SigmaEstimator(policy.sigma_variability, SIGMA_WINDOW)
         #: Raw (unquantized) value tracked between rounds so that signals
         #: smaller than one increment can accumulate instead of being
         #: rounded away every time.
@@ -124,14 +118,14 @@ class ParameterController:
         s1 = self.sigma1.value(local_score)
         s2 = self.sigma2.value(downstream)
         # Overload-relief pressure (signal > 0) outweighs underload
-        # exploitation (signal < 0): see AdaptationPolicy.relief_gain.
-        g1 = self.policy.relief_gain if local_score > 0 else self.policy.explore_gain
-        g2 = self.policy.relief_gain if downstream > 0 else self.policy.explore_gain
+        # exploitation (signal < 0): see policy.RELIEF_GAIN.
+        g1 = RELIEF_GAIN if local_score > 0 else EXPLORE_GAIN
+        g2 = RELIEF_GAIN if downstream > 0 else EXPLORE_GAIN
         signal = (
             self.parameter.direction * local_score * s1 * g1
             - self.output_direction * downstream * s2 * g2
         )
-        return signal * self.policy.step_fraction * self.parameter.span
+        return signal * STEP_FRACTION * self.parameter.span
 
     def adjust(self, local_score: float, t1: int, t2: int, now: float) -> float:
         """One adjustment round; returns the new suggested value."""

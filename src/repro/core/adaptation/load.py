@@ -26,7 +26,7 @@ import math
 from collections import deque
 from typing import Deque, Optional, Protocol
 
-from repro.core.adaptation.policy import AdaptationPolicy
+from repro.core.adaptation.policy import EXPECTED_FILL, LT1, LT2, NEUTRAL_BAND, AdaptationPolicy
 from repro.core.adaptation.protocol import LoadException, LoadExceptionKind
 from repro.simnet.trace import TimeSeries
 
@@ -125,7 +125,7 @@ class LoadEstimator:
         self.queue = queue
         self.policy = policy
         self.capacity = float(queue.capacity)
-        self.expected = policy.expected_fill * self.capacity
+        self.expected = EXPECTED_FILL * self.capacity
         #: Lifetime over/under-load counts (paper: t₁, t₂).
         self.t1 = 0
         self.t2 = 0
@@ -143,10 +143,9 @@ class LoadEstimator:
 
     def classify(self, current_length: int) -> int:
         """+1 over-loaded, −1 under-loaded, 0 neutral at this instant."""
-        band = self.policy.neutral_band
-        if current_length > self.expected * (1.0 + band):
+        if current_length > self.expected * (1.0 + NEUTRAL_BAND):
             return 1
-        if current_length < self.expected * (1.0 - band):
+        if current_length < self.expected * (1.0 - NEUTRAL_BAND):
             return -1
         return 0
 
@@ -169,14 +168,14 @@ class LoadEstimator:
         self.d_tilde = p.alpha * self.d_tilde + (1.0 - p.alpha) * blend * self.capacity
         self.history.record(now, self.d_tilde)
 
-        if self.d_tilde > p.lt2 * self.capacity:
+        if self.d_tilde > LT2 * self.capacity:
             return LoadException(
                 kind=LoadExceptionKind.OVERLOAD,
                 reporter=self.stage_name,
                 time=now,
                 score=self.d_tilde,
             )
-        if self.d_tilde < p.lt1 * self.capacity:
+        if self.d_tilde < LT1 * self.capacity:
             return LoadException(
                 kind=LoadExceptionKind.UNDERLOAD,
                 reporter=self.stage_name,

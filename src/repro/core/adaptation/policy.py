@@ -1,21 +1,26 @@
-"""Constants of the self-adaptation algorithm, validated.
+"""Constants of the self-adaptation algorithm.
 
 The paper's Figure 2 lists the constants: learning rate α, window size W,
 expected queue length D, queue capacity C, weights P₁+P₂+P₃ = 1, and the
-thresholds LT₁ < LT₂ on the long-term load score d̃ ∈ [−C, C].
+thresholds LT₁ < LT₂ on the long-term load score d̃ ∈ [−C, C].  D, LT₁
+and LT₂ are fixed here, like the gains and step of the controller below:
+nothing in the evaluation varies them.  :class:`AdaptationPolicy` keeps
+only what a run or an ablation arm sets, validated.
 
 Additions beyond the paper (documented in DESIGN.md):
 
 * ``phi2_form`` — the printed φ₂ formula is corrupted in the scanned
   text; we provide the two plausible forms satisfying the stated contract
   (range [−1, 1], sign-preserving, saturating at |w| = W).
-* ``neutral_band`` — the paper says a sample is over-/under-loaded when d
-  is "larger or less than some thresholds" without giving them; we use
-  D·(1 ± neutral_band).
-* ``sigma_gain`` / ``sigma_variability`` — the paper describes σ₁/σ₂ only
-  as factoring in "the rate of variation"; we implement
-  gain · (1 + variability · normalized-std), and the ablation bench
+* :data:`NEUTRAL_BAND` — the paper says a sample is over-/under-loaded
+  when d is "larger or less than some thresholds" without giving them;
+  we use D·(1 ± NEUTRAL_BAND).
+* ``sigma_variability`` — the paper describes σ₁/σ₂ only as factoring in
+  "the rate of variation"; we implement 1 + variability · normalized-std
+  over the last :data:`SIGMA_WINDOW` signals, and the ablation bench
   switches variability off to measure its effect.
+* :data:`RELIEF_GAIN` / :data:`EXPLORE_GAIN` and :data:`STEP_FRACTION` —
+  the controller's asymmetric pressure weights and step size.
 * cadence: ``sample_interval`` (load sampling / d̃ update) and
   ``adjust_every`` (parameter adjustments every N samples).
 """
@@ -25,7 +30,40 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
-__all__ = ["AdaptationPolicy", "PolicyError"]
+__all__ = [
+    "EXPECTED_FILL", "EXPLORE_GAIN", "LT1", "LT2", "NEUTRAL_BAND", "RELIEF_GAIN",
+    "SIGMA_WINDOW", "STEP_FRACTION", "AdaptationPolicy", "PolicyError",
+]
+
+#: Expected queue length D as a fraction of capacity C.
+EXPECTED_FILL = 0.3
+#: Long-term-score thresholds as fractions of C: report an under-load
+#: exception when d̃ < LT1·C, an over-load exception when d̃ > LT2·C.
+LT1 = -0.35
+LT2 = 0.35
+#: Neutral band around D when classifying a sample as over/under.
+NEUTRAL_BAND = 0.2
+#: Asymmetric pressure weights.  A term that *relieves* an overload
+#: (shrinks accuracy to protect the real-time constraint) is weighted
+#: by ``RELIEF_GAIN``; a term that *exploits* an underload (grows
+#: accuracy) by ``EXPLORE_GAIN``.  Relief must dominate: both signals
+#: are bounded (a saturated queue reads +1, an idle one −1), so with
+#: symmetric weights an overloaded link upstream and an idle server
+#: downstream would tie and freeze the parameter above the feasible
+#: point instead of converging (this is what makes Figures 8 and 9
+#: converge to the constraint).
+#: relief > explore also damps the sawtooth around the feasible point:
+#: the climb back toward higher accuracy is gentler than the cut that
+#: protects the constraint.
+RELIEF_GAIN = 2.0
+EXPLORE_GAIN = 0.5
+#: Samples retained by the σ variability estimators.
+SIGMA_WINDOW = 8
+#: Fraction of the parameter span moved per unit of raw ΔP signal.
+#: Small steps trade convergence speed (~100 s to cross the span at
+#: the default cadence) for a tight limit cycle around the feasible
+#: point; the paper's 400 s windows leave ample time.
+STEP_FRACTION = 0.015
 
 
 class PolicyError(Exception):
@@ -34,57 +72,20 @@ class PolicyError(Exception):
 
 @dataclass(frozen=True)
 class AdaptationPolicy:
-    """Bundle of self-adaptation constants.
-
-    Thresholds ``lt1``/``lt2`` are expressed as *fractions of C* (so the
-    policy is queue-size independent); the estimator works in absolute
-    units internally.
-    """
+    """The self-adaptation constants a run or an ablation arm sets."""
 
     #: Learning rate α ∈ (0, 1); larger = smoother d̃.
     alpha: float = 0.7
     #: Window size W for the recent over/under-load counter w.
     window: int = 12
-    #: Expected queue length D as a fraction of capacity C.
-    expected_fill: float = 0.3
     #: Weights P₁, P₂, P₃ for φ₁, φ₂, φ₃ (must sum to 1).
     p1: float = 0.2
     p2: float = 0.3
     p3: float = 0.5
-    #: Long-term-score thresholds as fractions of C: report an under-load
-    #: exception when d̃ < lt1·C, an over-load exception when d̃ > lt2·C.
-    lt1: float = -0.35
-    lt2: float = 0.35
-    #: Neutral band around D when classifying a sample as over/under.
-    neutral_band: float = 0.2
     #: φ₂ form: "saturating" (default) or "linear" (see module docstring).
     phi2_form: str = "saturating"
-    #: σ base gains for the local-queue and downstream-exception terms.
-    sigma1_gain: float = 1.0
-    sigma2_gain: float = 1.0
-    #: Asymmetric pressure weights.  A term that *relieves* an overload
-    #: (shrinks accuracy to protect the real-time constraint) is weighted
-    #: by ``relief_gain``; a term that *exploits* an underload (grows
-    #: accuracy) by ``explore_gain``.  Relief must dominate: both signals
-    #: are bounded (a saturated queue reads +1, an idle one −1), so with
-    #: symmetric weights an overloaded link upstream and an idle server
-    #: downstream would tie and freeze the parameter above the feasible
-    #: point instead of converging (this is what makes Figures 8 and 9
-    #: converge to the constraint).
-    #: relief > explore also damps the sawtooth around the feasible point:
-    #: the climb back toward higher accuracy is gentler than the cut that
-    #: protects the constraint.
-    relief_gain: float = 2.0
-    explore_gain: float = 0.5
     #: Weight of the variability boost inside σ (0 disables it).
     sigma_variability: float = 1.0
-    #: Samples retained by the σ variability estimators.
-    sigma_window: int = 8
-    #: Fraction of the parameter span moved per unit of raw ΔP signal.
-    #: Small steps trade convergence speed (~100 s to cross the span at
-    #: the default cadence) for a tight limit cycle around the feasible
-    #: point; the paper's 400 s windows leave ample time.
-    step_fraction: float = 0.015
     #: Whether over-/under-load exceptions are reported upstream at all.
     #: Disabling this (ablation) leaves each stage adapting on its local
     #: queue only — downstream processing constraints become invisible.
@@ -99,38 +100,16 @@ class AdaptationPolicy:
             raise PolicyError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.window < 1:
             raise PolicyError(f"window must be >= 1, got {self.window}")
-        if not 0.0 < self.expected_fill < 1.0:
-            raise PolicyError(
-                f"expected_fill must be in (0, 1), got {self.expected_fill}"
-            )
         weights = self.p1 + self.p2 + self.p3
         if abs(weights - 1.0) > 1e-9:
             raise PolicyError(f"P1+P2+P3 must equal 1, got {weights}")
         if min(self.p1, self.p2, self.p3) < 0:
             raise PolicyError("P1, P2, P3 must be >= 0")
-        if not -1.0 <= self.lt1 < self.lt2 <= 1.0:
-            raise PolicyError(
-                f"need -1 <= lt1 < lt2 <= 1, got lt1={self.lt1}, lt2={self.lt2}"
-            )
-        if not 0.0 <= self.neutral_band < 1.0:
-            raise PolicyError(
-                f"neutral_band must be in [0, 1), got {self.neutral_band}"
-            )
         if self.phi2_form not in ("saturating", "linear"):
             raise PolicyError(f"unknown phi2_form {self.phi2_form!r}")
-        if self.sigma1_gain < 0 or self.sigma2_gain < 0:
-            raise PolicyError("sigma gains must be >= 0")
-        if self.relief_gain < 0 or self.explore_gain < 0:
-            raise PolicyError("relief/explore gains must be >= 0")
         if self.sigma_variability < 0:
             raise PolicyError(
                 f"sigma_variability must be >= 0, got {self.sigma_variability}"
-            )
-        if self.sigma_window < 2:
-            raise PolicyError(f"sigma_window must be >= 2, got {self.sigma_window}")
-        if not 0.0 < self.step_fraction <= 1.0:
-            raise PolicyError(
-                f"step_fraction must be in (0, 1], got {self.step_fraction}"
             )
         if self.sample_interval <= 0:
             raise PolicyError(

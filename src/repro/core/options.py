@@ -153,21 +153,6 @@ class StageOptions:
     scale_max_replicas: Optional[int] = _option(
         None, int, _at_least(1), _INT1, "knob", "sharding",
         "elastic ceiling; also the number of replica slots")
-    scale_up_occupancy: float = _option(
-        0.75, float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]", "knob", "sharding",
-        "mean queue occupancy that counts as a breach")
-    scale_down_occupancy: float = _option(
-        0.10, float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)", "knob", "sharding",
-        "mean queue occupancy that counts as idle")
-    scale_breach_samples: int = _option(
-        3, int, _at_least(1), _INT1, "knob", "sharding",
-        "consecutive breach samples before scale-up")
-    scale_idle_samples: int = _option(
-        5, int, _at_least(1), _INT1, "knob", "sharding",
-        "consecutive idle samples before scale-down")
-    scale_cooldown_samples: int = _option(
-        2, int, _at_least(0), "an integer >= 0", "knob", "sharding",
-        "samples ignored after each transition")
     shard_group: Optional[str] = _option(
         None, str, None, "", "expansion", "sharding",
         "a replica's group: the stage name as declared")

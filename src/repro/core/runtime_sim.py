@@ -88,7 +88,7 @@ from repro.grid.config import StreamConfig
 from repro.grid.deployer import Deployment
 from repro.obs.tracing import TraceCollector
 from repro.resilience.checkpoint import CheckpointStore, StageCheckpoint
-from repro.resilience.policy import DeadLetterQueue, ResilienceConfig
+from repro.resilience.policy import RECOVERY_POLL, DeadLetterQueue, ResilienceConfig, retry_delay
 from repro.resilience.replay import ReplayBuffers
 from repro.simnet.engine import Environment, Event, SimulationError
 from repro.simnet.hosts import HostFailedError
@@ -623,10 +623,8 @@ class SimulatedRuntime:
                         )
                     return
                 self.metrics.counter(f"fault.{stage.name}.retries").inc()
-                delay = self.resilience.retry_delay(attempt, self._retry_rng)
+                yield self.env.timeout(retry_delay(attempt, self._retry_rng))
                 attempt += 1
-                if delay:
-                    yield self.env.timeout(delay)
                 continue
             break
         # Arrival waits out the propagation delay (bottleneck + remaining
@@ -741,9 +739,8 @@ class SimulatedRuntime:
         at the crash.
         """
         assert self.resilience is not None
-        poll = self.resilience.recovery_poll
         while not stage.done:
-            yield self.env.timeout(poll)
+            yield self.env.timeout(RECOVERY_POLL)
             if stage.done:
                 return
             if stage.migrating:

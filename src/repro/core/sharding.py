@@ -40,6 +40,11 @@ from repro.core.options import read_options, stamp
 from repro.grid.config import AppConfig, StageConfig, StreamConfig
 
 __all__ = [
+    "SCALE_BREACH_SAMPLES",
+    "SCALE_COOLDOWN_SAMPLES",
+    "SCALE_DOWN_OCCUPANCY",
+    "SCALE_IDLE_SAMPLES",
+    "SCALE_UP_OCCUPANCY",
     "HashPartitioner",
     "Partitioner",
     "RangePartitioner",
@@ -282,28 +287,34 @@ def logical_stream(name: str) -> str:
 # -- scaling policy and decision procedure ---------------------------------
 
 
+#: Mean queue occupancy that counts as a breach.
+SCALE_UP_OCCUPANCY = 0.75
+#: Mean queue occupancy that counts as idle.
+SCALE_DOWN_OCCUPANCY = 0.10
+#: Consecutive breach samples before scale-up.
+SCALE_BREACH_SAMPLES = 3
+#: Consecutive idle samples before scale-down.
+SCALE_IDLE_SAMPLES = 5
+#: Samples ignored after each transition, so the handoff stall itself is
+#: not misread as load.
+SCALE_COOLDOWN_SAMPLES = 2
+
+
 @dataclass(frozen=True)
 class ScalingPolicy:
-    """Elastic autoscaling knobs for one shard group.
+    """The active-replica bounds of one shard group.
 
-    ``min_replicas``/``max_replicas`` bound the active set;
-    ``up_occupancy``/``down_occupancy`` are the mean queue-occupancy
-    bands (the Section-4 load signal, normalized by queue capacity);
-    breach/idle sample counts demand *sustained* pressure before acting,
-    and ``cooldown_samples`` quiets the scaler after each transition so
-    handoff stalls are not misread as load.
+    The scaler acts between ``min_replicas`` and ``max_replicas`` on the
+    mean queue-occupancy bands above (the Section-4 load signal,
+    normalized by queue capacity), demanding *sustained* pressure before
+    acting and quieting down after each transition.
     """
 
     min_replicas: int = 1
     max_replicas: int = 1
-    up_occupancy: float = 0.75
-    down_occupancy: float = 0.10
-    breach_samples: int = 3
-    idle_samples: int = 5
-    cooldown_samples: int = 2
 
     def __post_init__(self) -> None:
-        """Validate the knob ranges; raise :class:`ShardingError` if broken."""
+        """Validate the bounds; raise :class:`ShardingError` if broken."""
         if self.min_replicas < 1:
             raise ShardingError(
                 f"min_replicas must be >= 1, got {self.min_replicas}"
@@ -313,19 +324,6 @@ class ScalingPolicy:
                 f"max_replicas {self.max_replicas} < min_replicas "
                 f"{self.min_replicas}"
             )
-        if not (0.0 < self.up_occupancy <= 1.0):
-            raise ShardingError(
-                f"up_occupancy must be in (0, 1], got {self.up_occupancy}"
-            )
-        if not (0.0 <= self.down_occupancy < self.up_occupancy):
-            raise ShardingError(
-                f"down_occupancy must be in [0, up_occupancy), got "
-                f"{self.down_occupancy}"
-            )
-        if self.breach_samples < 1 or self.idle_samples < 1:
-            raise ShardingError("breach/idle sample counts must be >= 1")
-        if self.cooldown_samples < 0:
-            raise ShardingError("cooldown_samples must be >= 0")
 
     @classmethod
     def from_options(cls, options: StageOptions, replicas: int) -> "ScalingPolicy":
@@ -345,11 +343,6 @@ class ScalingPolicy:
         return cls(
             min_replicas=low if low is not None else (1 if elastic else replicas),
             max_replicas=high if high is not None else replicas,
-            up_occupancy=options.scale_up_occupancy,
-            down_occupancy=options.scale_down_occupancy,
-            breach_samples=options.scale_breach_samples,
-            idle_samples=options.scale_idle_samples,
-            cooldown_samples=options.scale_cooldown_samples,
         )
 
     @property
@@ -370,7 +363,7 @@ class ShardScaler:
 
     def __init__(self, policy: ScalingPolicy, active: int) -> None:
         """Arguments:
-            policy: The group's scaling knobs.
+            policy: The group's active-replica bounds.
             active: The starting active replica count (clamped into the
                 policy's bounds).
         """
@@ -397,19 +390,19 @@ class ShardScaler:
         if self._cooldown > 0:
             self._cooldown -= 1
             return None
-        if occupancy >= self.policy.up_occupancy:
+        if occupancy >= SCALE_UP_OCCUPANCY:
             self._breaches += 1
             self._idles = 0
             if (
-                self._breaches >= self.policy.breach_samples
+                self._breaches >= SCALE_BREACH_SAMPLES
                 and self.active < self.policy.max_replicas
             ):
                 return self._transition(self.active + 1)
-        elif occupancy <= self.policy.down_occupancy:
+        elif occupancy <= SCALE_DOWN_OCCUPANCY:
             self._idles += 1
             self._breaches = 0
             if (
-                self._idles >= self.policy.idle_samples
+                self._idles >= SCALE_IDLE_SAMPLES
                 and self.active > self.policy.min_replicas
             ):
                 return self._transition(self.active - 1)
@@ -422,7 +415,7 @@ class ShardScaler:
         self.active = target
         self._breaches = 0
         self._idles = 0
-        self._cooldown = self.policy.cooldown_samples
+        self._cooldown = SCALE_COOLDOWN_SAMPLES
         return target
 
 

@@ -20,7 +20,7 @@ start processing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.grid.admission import admit
 from repro.grid.config import AppConfig, StageConfig
@@ -65,10 +65,6 @@ class Deployment:
             return self.placements[stage_name].instance
         except KeyError:
             raise DeploymentError(f"stage {stage_name!r} not placed") from None
-
-    def hosts_used(self) -> List[str]:
-        """Distinct hosts used, sorted."""
-        return sorted({p.host_name for p in self.placements.values()})
 
     def teardown(self) -> None:
         """Destroy every service instance of this deployment."""

@@ -68,12 +68,6 @@ class FabricSnapshot:
             return None
         return min(self.hosts.values(), key=lambda h: (h.utilization, h.host_name)).host_name
 
-    def most_loaded_link(self) -> Optional[str]:
-        """The link with the highest utilization (ties break on name)."""
-        if not self.links:
-            return None
-        return max(self.links.values(), key=lambda l: (l.utilization, l.link_name)).link_name
-
 
 class MonitoringService:
     """Samples hosts and links on a cadence; keeps histories.
@@ -190,16 +184,3 @@ class MonitoringService:
             raise RuntimeError("no samples yet (did you start() and run?)")
         return self._snapshot
 
-    def host_utilization(self, host_name: str) -> TimeSeries:
-        """Utilization history of a host."""
-        try:
-            return self._host_util[host_name]
-        except KeyError:
-            raise KeyError(f"unknown host {host_name!r}") from None
-
-    def link_throughput(self, link_name: str) -> TimeSeries:
-        """Delivered-bytes/second history of a link direction."""
-        try:
-            return self._link_tput[link_name]
-        except KeyError:
-            raise KeyError(f"unknown link {link_name!r}") from None

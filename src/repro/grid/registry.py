@@ -79,12 +79,6 @@ class ServiceRegistry:
         """Offers matching an arbitrary predicate (label queries etc.)."""
         return [o for o in self._offers.values() if predicate(o)]
 
-    def offers_with_label(self, key: str, value: Optional[str] = None) -> List[ResourceOffer]:
-        """Offers carrying label ``key`` (optionally with a specific value)."""
-        return self.query_offers(
-            lambda o: key in o.labels and (value is None or o.labels[key] == value)
-        )
-
     # -- service directory ------------------------------------------------------
 
     def register_service(self, name: str, handle: Any) -> None:
@@ -98,13 +92,6 @@ class ServiceRegistry:
         if name not in self._services:
             raise RegistryError(f"service {name!r} not registered")
         del self._services[name]
-
-    def lookup_service(self, name: str) -> Any:
-        """Resolve a service handle by name."""
-        try:
-            return self._services[name]
-        except KeyError:
-            raise RegistryError(f"service {name!r} not found") from None
 
     def services(self, prefix: str = "") -> Dict[str, Any]:
         """All registered services, optionally filtered by name prefix."""

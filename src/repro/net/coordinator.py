@@ -460,9 +460,9 @@ class NetworkedRuntime:
         elapsed = time.monotonic() - run_started
 
         finals: Dict[str, Any] = {}
-        for body in results:
+        for handle, body in zip(handles, results):
             finals.update(body.get("finals", {}))
-            self._merge_registry(body.get("metrics", {}))
+            self._merge_registry(body.get("metrics", {}), handle.name)
         return run_report(
             RunResult(app_name=self.config.name), self.metrics, elapsed,
             {stage.name: self.placement[stage.name] for stage in self.config.stages},
@@ -910,14 +910,18 @@ class NetworkedRuntime:
 
     # -- metrics merge ---------------------------------------------------------
 
-    def _merge_registry(self, data: Dict[str, Any]) -> None:
-        """Fold one worker's exported registry into the coordinator's.
+    def _merge_registry(self, data: Dict[str, Any], worker: str) -> None:
+        """Fold the registry ``worker`` exported into the coordinator's.
 
         Counters add, gauges overwrite, histogram samples (packed, see
         :meth:`Histogram.to_wire`) append, series adopt the shipped
-        trajectory (merged by time with another worker's of that name).  Whole-run metrics are skipped (the
-        coordinator owns ``run.*``), and sender-side-only accounting in
-        the workers means ``net.*`` families never double-count.
+        trajectory (merged by time with another worker's of that name).
+        A stage's gauge (``<family>.<stage>.<name>``) is taken only from
+        the worker hosting the stage at the end of the run: a worker
+        the stage moved away from still holds its last, stale value.
+        Whole-run metrics are skipped (the coordinator owns ``run.*``),
+        and sender-side-only accounting in the workers means ``net.*``
+        families never double-count.
         """
         for name, payload in data.items():
             if name.startswith("run."):
@@ -926,7 +930,9 @@ class NetworkedRuntime:
             if kind == "counter":
                 self.metrics.counter(name).inc(payload["value"])
             elif kind == "gauge":
-                self.metrics.gauge(name).set(payload["value"])
+                stage = name.partition(".")[2].rpartition(".")[0]
+                if self.placement.get(stage, worker) == worker:
+                    self.metrics.gauge(name).set(payload["value"])
             elif kind == "histogram":
                 try:
                     self.metrics.histogram(name).extend_wire(payload)

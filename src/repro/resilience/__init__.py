@@ -6,8 +6,9 @@ GATES is pitched as middleware that runs "24 hours a day, 7 days a week"
 this package supplies the *data-plane* half of the story:
 
 * :mod:`repro.resilience.policy` — :class:`ResilienceConfig` (checkpoint
-  cadence, replay-buffer bound, ``error_policy``, retry/backoff knobs)
-  and the per-run :class:`DeadLetterQueue` of quarantined poison items;
+  cadence, ``error_policy``, retry count), the retry backoff
+  :func:`~repro.resilience.policy.retry_delay`, and the per-run
+  :class:`DeadLetterQueue` of quarantined poison items;
 * :mod:`repro.resilience.checkpoint` — :class:`StageCheckpoint` capturing
   a stage's processor state, adjustment-parameter values, and adaptation
   state, plus in-memory and JSONL stores;
@@ -36,8 +37,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     ".failover": ("FailoverCoordinator",),
     ".migration": (
-        "MigrationController", "MigrationError", "MigrationPlan", "MigrationPolicy",
-        "MigrationReport", "Migrator",
+        "MigrationController", "MigrationError", "MigrationPlan", "MigrationReport", "Migrator",
     ),
     ".policy": ("DeadLetter", "DeadLetterQueue", "ResilienceConfig"),
     ".replay": ("ReplayBuffers",),

@@ -24,9 +24,9 @@ assumptions drift but nothing has failed:
   as sampled by :class:`~repro.grid.monitor.MonitoringService`, plus
   raw ``simnet`` link capacity drift) against the values captured when
   the controller started, and triggers a re-placement when they diverge
-  past the hysteresis bands of :class:`MigrationPolicy` — sustained
+  past fixed hysteresis bands (the constants below) — sustained
   breaches only, with a per-stage cooldown, exactly the
-  breach/idle/cooldown shape the PR 6 autoscaler uses.
+  breach/idle/cooldown shape the shard autoscaler uses.
 
 Every move is reported as a :class:`MigrationReport`, booked by
 :func:`book_move` on all three runtimes under the ``migration.*`` metric
@@ -41,7 +41,7 @@ PR 2 failover path and is reported with ``planned=False``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.grid.deployer import Deployer, Deployment, DeploymentError
@@ -49,14 +49,34 @@ from repro.grid.monitor import MonitoringService
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
+    "MIGRATION_BANDWIDTH_RATIO",
+    "MIGRATION_BREACH_SAMPLES",
+    "MIGRATION_COOLDOWN",
+    "MIGRATION_HOST_HIGH",
+    "MIGRATION_HOST_LOW",
+    "MIGRATION_INTERVAL",
     "MigrationError",
     "MigrationPlan",
-    "MigrationPolicy",
     "MigrationReport",
     "MigrationController",
     "Migrator",
     "book_move",
 ]
+
+
+#: Seconds between the controller's drift evaluations.
+MIGRATION_INTERVAL = 0.5
+#: Sustained host occupancy that counts as a breach.
+MIGRATION_HOST_HIGH = 0.85
+#: Destination occupancy ceiling an occupancy move requires, so the
+#: loop does not ping-pong a stage between two busy hosts.
+MIGRATION_HOST_LOW = 0.5
+#: Fraction of a link's baseline capacity that counts as drift.
+MIGRATION_BANDWIDTH_RATIO = 0.5
+#: Consecutive breach samples before a trigger.
+MIGRATION_BREACH_SAMPLES = 3
+#: Seconds a stage is immune after each of its moves.
+MIGRATION_COOLDOWN = 5.0
 
 
 class MigrationError(Exception):
@@ -190,58 +210,6 @@ class Migrator:
         return old_host, new_host
 
 
-@dataclass(frozen=True)
-class MigrationPolicy:
-    """Hysteresis bands for the drift-watching control loop.
-
-    A stage is re-placed only after its host's occupancy stays above
-    ``host_high`` — or a link touching its host decays below
-    ``bandwidth_ratio`` of its start-time capacity — for
-    ``breach_samples`` consecutive samples, and never again within
-    ``cooldown`` simulated seconds of its previous move.  ``host_low``
-    keeps the loop from ping-ponging: a host-occupancy move needs a
-    destination below that band to be worth the pause.
-
-    Each field's ``doc`` metadata is its line in ``docs/migration.md``'s
-    knob table, whose names and defaults :mod:`repro.analysis.docscheck`
-    diffs against these fields.
-    """
-
-    interval: float = field(
-        default=0.5, metadata={"doc": "seconds between controller drift evaluations"})
-    host_high: float = field(
-        default=0.85, metadata={"doc": "sustained host occupancy that counts as a breach"})
-    host_low: float = field(
-        default=0.5,
-        metadata={"doc": "destination occupancy ceiling an occupancy move requires"})
-    bandwidth_ratio: float = field(
-        default=0.5,
-        metadata={"doc": "fraction of baseline link capacity that counts as drift"})
-    breach_samples: int = field(
-        default=3, metadata={"doc": "consecutive breach samples before a trigger"})
-    cooldown: float = field(
-        default=5.0, metadata={"doc": "seconds a stage is immune after each of its moves"})
-
-    def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError(f"interval must be > 0, got {self.interval}")
-        if not 0.0 < self.bandwidth_ratio < 1.0:
-            raise ValueError(
-                f"bandwidth_ratio must be in (0, 1), got {self.bandwidth_ratio}"
-            )
-        if not 0.0 < self.host_low <= self.host_high:
-            raise ValueError(
-                f"need 0 < host_low <= host_high, got "
-                f"{self.host_low}/{self.host_high}"
-            )
-        if self.breach_samples < 1:
-            raise ValueError(
-                f"breach_samples must be >= 1, got {self.breach_samples}"
-            )
-        if self.cooldown < 0:
-            raise ValueError(f"cooldown must be >= 0, got {self.cooldown}")
-
-
 @dataclass
 class _Decision:
     """One trigger the controller fired."""
@@ -274,12 +242,10 @@ class MigrationController:
         runtime,
         migrator: Migrator,
         monitor: Optional[MonitoringService] = None,
-        policy: Optional[MigrationPolicy] = None,
     ) -> None:
         self.runtime = runtime
         self.migrator = migrator
         self.monitor = monitor
-        self.policy = policy if policy is not None else MigrationPolicy()
         self.decisions: List[_Decision] = []
         self._baseline: Dict[str, float] = {}
         self._breaches: Dict[Tuple[str, str], int] = {}
@@ -302,7 +268,7 @@ class MigrationController:
     def _watch(self):
         env = self.runtime.env
         while True:
-            yield env.timeout(self.policy.interval)
+            yield env.timeout(MIGRATION_INTERVAL)
             if all(s.done for s in self.runtime._stages.values()):
                 return
             self._evaluate()
@@ -315,7 +281,7 @@ class MigrationController:
             assumed = self._baseline.get(link.name)
             if not assumed:
                 continue
-            if link.bandwidth < self.policy.bandwidth_ratio * assumed:
+            if link.bandwidth < MIGRATION_BANDWIDTH_RATIO * assumed:
                 head, _, tail = link.name.partition("->")
                 drifted_hosts.update((head, tail))
         snapshot = None
@@ -335,12 +301,12 @@ class MigrationController:
                 reason = "link-drift"
             elif snapshot is not None:
                 sample = snapshot.hosts.get(host_name)
-                if sample is not None and sample.utilization > self.policy.host_high:
+                if sample is not None and sample.utilization > MIGRATION_HOST_HIGH:
                     idlest = snapshot.idlest_host()
                     if (
                         idlest is not None
                         and idlest != host_name
-                        and snapshot.hosts[idlest].utilization < self.policy.host_low
+                        and snapshot.hosts[idlest].utilization < MIGRATION_HOST_LOW
                     ):
                         reason = "host-occupancy"
             key = (name, reason or "")
@@ -350,9 +316,9 @@ class MigrationController:
                 continue
             count = self._breaches.get(key, 0) + 1
             self._breaches[key] = count
-            if count < self.policy.breach_samples:
+            if count < MIGRATION_BREACH_SAMPLES:
                 continue
-            if now - self._last_move.get(name, -self.policy.cooldown) < self.policy.cooldown:
+            if now - self._last_move.get(name, -MIGRATION_COOLDOWN) < MIGRATION_COOLDOWN:
                 continue
             self._breaches[key] = 0
             self._last_move[name] = now

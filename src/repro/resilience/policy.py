@@ -3,7 +3,8 @@
 One :class:`ResilienceConfig` object switches a runtime from the seed's
 fail-stop behaviour (any fault aborts the run) into recovery mode; every
 knob has a conservative default so ``ResilienceConfig()`` is a sensible
-starting point.  The :class:`DeadLetterQueue` holds quarantined poison
+starting point.  The retry backoff and the recovery watch's cadence are
+constants.  The :class:`DeadLetterQueue` holds quarantined poison
 items — input that made ``on_item`` raise under the ``dead-letter``
 error policy, or messages that exhausted their transmission retries —
 so operators can inspect *what* was dropped rather than just a count.
@@ -17,7 +18,8 @@ from typing import Any, Deque, List, Optional
 
 __all__ = [
     "DEAD_LETTER_LIMIT", "DeadLetter", "DeadLetterQueue", "ERROR_POLICIES",
-    "ResilienceConfig",
+    "RECOVERY_POLL", "RETRY_BASE_DELAY", "RETRY_JITTER", "RETRY_MULTIPLIER",
+    "ResilienceConfig", "retry_delay",
 ]
 
 #: What the runtime does when ``on_item`` raises:
@@ -27,6 +29,34 @@ ERROR_POLICIES = ("fail", "skip", "dead-letter")
 #: Bound on a run's retained :class:`DeadLetter` records (counters keep
 #: counting past it).
 DEAD_LETTER_LIMIT = 1000
+#: Backoff before the first transmission retry, in seconds.
+RETRY_BASE_DELAY = 0.05
+#: Exponential backoff factor per subsequent retry.
+RETRY_MULTIPLIER = 2.0
+#: Uniform jitter fraction ``j``: each delay is scaled by a factor drawn
+#: from ``[1 - j/2, 1 + j/2]`` (centered on the exponential delay), so
+#: concurrent retriers spread out instead of marching in lockstep.
+RETRY_JITTER = 0.5
+#: How often the simulated runtime re-checks a down host for in-place
+#: recovery (crash + ``recover()`` without redeployment), in seconds.
+RECOVERY_POLL = 0.25
+
+
+def retry_delay(attempt: int, rng: Any) -> float:
+    """Backoff before retry number ``attempt`` (0-based), with jitter.
+
+    The jitter is *centered*: the exponential delay is scaled by a
+    factor drawn uniformly from ``[1 - j/2, 1 + j/2]``.  A one-sided
+    ``[1, 1 + j]`` scale would only ever lengthen delays, leaving
+    simultaneous failures synchronized (every retrier waits at least the
+    same base backoff, so retry storms arrive together); centering
+    desynchronizes them while keeping the mean delay equal to the
+    exponential schedule.  Determinism is preserved: ``rng`` is the
+    caller's seeded generator.
+    """
+    base = RETRY_BASE_DELAY * (RETRY_MULTIPLIER ** attempt)
+    factor = 1.0 + RETRY_JITTER * (rng.random() - 0.5)
+    return base * factor
 
 
 @dataclass(frozen=True)
@@ -45,19 +75,8 @@ class ResilienceConfig:
         One of :data:`ERROR_POLICIES`; governs ``on_item`` exceptions
         (``dead-letter`` retains at most :data:`DEAD_LETTER_LIMIT`).
     max_retries:
-        Transmission retries after the first failed attempt.
-    retry_base_delay:
-        Backoff before the first retry, in seconds.
-    retry_multiplier:
-        Exponential backoff factor per subsequent retry.
-    retry_jitter:
-        Uniform jitter fraction ``j``: each delay is scaled by a factor
-        drawn from ``[1 - j/2, 1 + j/2]`` (centered on the exponential
-        delay, floored at 0), so concurrent retriers spread out instead
-        of marching in lockstep.
-    recovery_poll:
-        How often the simulated runtime re-checks a down host for
-        in-place recovery (crash + ``recover()`` without redeployment).
+        Transmission retries after the first failed attempt, spaced by
+        :func:`retry_delay`.
     seed:
         Seeds the retry-jitter RNG (keeps simulated runs deterministic).
     """
@@ -65,10 +84,6 @@ class ResilienceConfig:
     checkpoint_interval: Optional[float] = 1.0
     error_policy: str = "fail"
     max_retries: int = 3
-    retry_base_delay: float = 0.05
-    retry_multiplier: float = 2.0
-    retry_jitter: float = 0.5
-    recovery_poll: float = 0.25
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -82,34 +97,6 @@ class ResilienceConfig:
             )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_base_delay < 0:
-            raise ValueError(
-                f"retry_base_delay must be >= 0, got {self.retry_base_delay}"
-            )
-        if self.retry_multiplier < 1.0:
-            raise ValueError(
-                f"retry_multiplier must be >= 1, got {self.retry_multiplier}"
-            )
-        if self.retry_jitter < 0:
-            raise ValueError(f"retry_jitter must be >= 0, got {self.retry_jitter}")
-        if self.recovery_poll <= 0:
-            raise ValueError(f"recovery_poll must be > 0, got {self.recovery_poll}")
-
-    def retry_delay(self, attempt: int, rng: Any) -> float:
-        """Backoff before retry number ``attempt`` (0-based), with jitter.
-
-        The jitter is *centered*: the exponential delay is scaled by a
-        factor drawn uniformly from ``[1 - j/2, 1 + j/2]`` and floored
-        at 0.  A one-sided ``[1, 1 + j]`` scale would only ever lengthen
-        delays, leaving simultaneous failures synchronized (every
-        retrier waits at least the same base backoff, so retry storms
-        arrive together); centering desynchronizes them while keeping
-        the mean delay equal to the exponential schedule.  Determinism
-        is preserved: ``rng`` is the caller's seeded generator.
-        """
-        base = self.retry_base_delay * (self.retry_multiplier ** attempt)
-        factor = 1.0 + self.retry_jitter * (rng.random() - 0.5)
-        return max(0.0, base * factor)
 
 
 @dataclass(frozen=True)
@@ -147,9 +134,6 @@ class DeadLetterQueue:
     @property
     def letters(self) -> List[DeadLetter]:
         return list(self._letters)
-
-    def for_stage(self, stage: str) -> List[DeadLetter]:
-        return [l for l in self._letters if l.stage == stage]
 
     def __len__(self) -> int:
         return len(self._letters)

@@ -478,9 +478,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- scheduling / execution -------------------------------------------
 
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = _NORMAL) -> None:

@@ -68,12 +68,7 @@ class LinkStats:
     messages: int = 0
     bytes: float = 0.0
     busy_time: float = 0.0
-    total_latency: float = 0.0
     last_delivery: float = field(default=0.0)
-
-    def mean_latency(self) -> float:
-        """Mean end-to-end delay per delivered message."""
-        return self.total_latency / self.messages if self.messages else 0.0
 
     def throughput(self, elapsed: float) -> float:
         """Delivered bytes per second over ``elapsed`` seconds."""
@@ -222,7 +217,6 @@ class Link:
         message = arrival._value
         self.stats.messages += 1
         self.stats.bytes += message.size
-        self.stats.total_latency += self.env.now - message.sent_at
         self.stats.last_delivery = self.env.now
         if self.collect_inbox:
             self._delivered.try_put(message)

@@ -111,23 +111,6 @@ class TimeSeries:
             raise IndexError(f"series {self.name!r} is empty")
         return self._times[-1], self._values[-1]
 
-    def value_at(self, time: float) -> float:
-        """Value of the step function defined by samples, at ``time``.
-
-        Uses the most recent sample at or before ``time``; asking before
-        the first sample is an error.
-        """
-        if not self._times or time < self._times[0]:
-            raise ValueError(f"no sample at or before t={time} in {self.name!r}")
-        lo, hi = 0, len(self._times) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._times[mid] <= time:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self._values[lo]
-
     def tail(self, fraction: float = 0.25) -> List[float]:
         """The last ``fraction`` of the samples (at least one if non-empty)."""
         if not 0 < fraction <= 1:
@@ -210,10 +193,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def of_kind(self, kind: str) -> List[Tuple[float, Dict[str, Any]]]:
-        """All (time, attributes) entries with the given kind."""
-        return [(t, attrs) for t, k, attrs in self.entries if k == kind]
 
     def count(self, kind: str) -> int:
         return sum(1 for _, k, _ in self.entries if k == kind)

@@ -105,10 +105,6 @@ class CountMin(FrequencySketch):
         """Tracked candidates with their *current* estimates."""
         return [(value, self.estimate(value)) for _, _, value in self._heap]
 
-    def error_bound(self) -> float:
-        """The ``2n/width`` additive overestimate bound."""
-        return 2.0 * self.items_seen / self.width
-
     # -- maintenance ------------------------------------------------------------
 
     def resize(self, capacity: int) -> None:

@@ -64,20 +64,6 @@ class LossyCounting(FrequencySketch):
     def entries(self) -> List[Tuple[Any, float]]:
         return [(v, float(c)) for v, (c, _) in self._entries.items()]
 
-    def frequent_values(self, support: float) -> List[Tuple[Any, float]]:
-        """Values with estimated frequency >= (support - epsilon) * n.
-
-        The classic lossy-counting query: no false negatives for true
-        support ``support``, no false positives below
-        ``support - epsilon``.
-        """
-        if not 0.0 < support <= 1.0:
-            raise SketchError(f"support must be in (0, 1], got {support}")
-        threshold = (support - self.epsilon) * self.items_seen
-        out = [(v, float(c)) for v, (c, _) in self._entries.items() if c >= threshold]
-        out.sort(key=lambda vc: (-vc[1], repr(vc[0])))
-        return out
-
     def resize(self, capacity: int) -> None:
         """Change epsilon going forward; existing entries keep their deltas."""
         if capacity < 1:

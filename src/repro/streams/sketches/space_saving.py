@@ -54,18 +54,6 @@ class SpaceSaving(FrequencySketch):
         """Upper bound on the overestimate of ``value``'s count."""
         return self._errors.get(value, 0)
 
-    def guaranteed_top(self) -> List[Tuple[Any, float]]:
-        """Entries provably among the most frequent (count - error test)."""
-        ordered = self.top_k(self.capacity)
-        guaranteed = []
-        for i, (value, count) in enumerate(ordered):
-            threshold = ordered[i + 1][1] if i + 1 < len(ordered) else 0.0
-            if count - self._errors.get(value, 0) >= threshold:
-                guaranteed.append((value, count))
-            else:
-                break
-        return guaranteed
-
     def entries(self) -> List[Tuple[Any, float]]:
         return [(v, float(c)) for v, c in self._counts.items()]
 

@@ -2,18 +2,16 @@
 
 One parametrized suite over :data:`repro.analysis.docscheck.DOC_TABLES`
 (metrics, ledger record types, diagnostic codes, architecture rules,
-sharding knobs, migration knobs, run options), plus the page-specific
+sharding knobs, migration metrics, run options), plus the page-specific
 pins.
 """
 
-import dataclasses
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.docscheck import DOC_TABLES, check_docs, render_catalog_table
 from repro.analysis.rules import render_rule_table
-from repro.resilience.migration import MigrationPolicy
 
 DOCS = Path(__file__).resolve().parents[2] / "docs"
 
@@ -26,7 +24,7 @@ STALE = {
     "codes": "GA999",
     "rules": "ghost-rule",
     "sharding": "shard-flavor",
-    "migration": "teleport_speed",
+    "migration": "migration.{stage}.teleports",
     "run-options": "warp_factor",
 }
 
@@ -118,25 +116,25 @@ def test_rule_table_must_be_embedded_verbatim(tmp_path):
     assert check_docs("rules", path) == []
 
 
+def test_migration_knobs_are_the_policy_defaults():
+    """migration.md gives each drift-threshold constant with its value."""
+    from repro.resilience import migration
+
+    text = " ".join((DOCS / "migration.md").read_text(encoding="utf-8").split())
+    names = [name for name in migration.__all__ if name.startswith("MIGRATION_")]
+    assert len(names) == 6
+    for name in names:
+        assert f"`{name}` ({getattr(migration, name)})" in text, name
+
+
 def test_every_migration_metric_template_is_mentioned(tmp_path):
+    """migration.md's metric table is the ``migration.*`` slice of the
+    metric catalog: a page without it has one problem per template."""
     templates = sorted(
         key for key, _ in catalog_rows("metrics") if key.startswith("migration.")
     )
-    path = write_page(tmp_path, "migration", catalog_rows("migration"))
-    problems = check_docs("migration", path)
+    assert [key for key, _ in catalog_rows("migration")] == templates
+    problems = check_docs("migration", write_page(tmp_path, "migration", []))
     assert any("migration.{stage}.pause_seconds" in p for p in problems)
     assert len(problems) == len(templates)
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write("\n".join(templates) + "\n")
-    assert check_docs("migration", path) == []
-
-
-def test_migration_knobs_are_the_policy_defaults():
-    """The knob catalog is ``MigrationPolicy`` itself: one row per field,
-    valued by its default, each field documented in its metadata."""
-    policy_fields = dataclasses.fields(MigrationPolicy)
-    assert DOC_TABLES["migration"].catalog() == {
-        f.name: str(f.default) for f in policy_fields
-    }
-    assert all(f.metadata.get("doc") for f in policy_fields)
 

@@ -32,6 +32,7 @@ CASES = [
     ("ga207_duplicate_param", "GA207"),
     ("ga208_property_mirror", "GA208"),
     ("ga209_undeclared_option", "GA209"),
+    ("ga209_removed_scale_knob", "GA209"),
     ("ga210_batch_delay", "GA210"),
     ("ga220_shard_invalid", "GA220"),
     ("ga221_inert_shard_knob", "GA221"),

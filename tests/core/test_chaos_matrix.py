@@ -102,7 +102,6 @@ def run_sim(scenario):
         env, net, deployment, adaptation_enabled=False,
         resilience=ResilienceConfig(
             checkpoint_interval=0.5, error_policy="dead-letter",
-            recovery_poll=0.1,
         ),
     )
     runtime.bind_source(
@@ -152,6 +151,10 @@ class TestChaosMatrixSim:
             assert quarantined == 0
         if scenario.startswith("crash"):
             assert result.metrics.value("fault.work.failovers") == 1
+            # A recovered host restarts the stage in place (the recovery
+            # watch); a dead one moves it to the spare (the Redeployer).
+            expected_host = "edge" if scenario == "crash_recover" else "spare"
+            assert result.stage("work").host_name == expected_host
         else:
             assert result.metrics.value("fault.work.failovers", default=0.0) == 0
 

@@ -24,33 +24,31 @@ def make_param(direction=-1, initial=0.5):
 class TestSigmaEstimator:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SigmaEstimator(-1, 1, 8)
+            SigmaEstimator(-1, 8)
         with pytest.raises(ValueError):
-            SigmaEstimator(1, -1, 8)
+            SigmaEstimator(1, 1)
         with pytest.raises(ValueError):
-            SigmaEstimator(1, 1, 1)
-        with pytest.raises(ValueError):
-            SigmaEstimator(1, 1, 8, scale=0)
+            SigmaEstimator(1, 8, scale=0)
 
     def test_constant_gain_with_single_observation(self):
-        sigma = SigmaEstimator(gain=2.0, weight=1.0, window=8)
-        assert sigma.value(0.5) == 2.0
+        sigma = SigmaEstimator(weight=1.0, window=8)
+        assert sigma.value(0.5) == 1.0
 
     def test_steady_signal_gives_base_gain(self):
-        sigma = SigmaEstimator(gain=1.0, weight=1.0, window=8)
+        sigma = SigmaEstimator(weight=1.0, window=8)
         for _ in range(10):
             last = sigma.value(0.3)
         assert last == pytest.approx(1.0)
 
     def test_unsteady_signal_boosts_gain(self):
-        sigma = SigmaEstimator(gain=1.0, weight=1.0, window=8)
+        sigma = SigmaEstimator(weight=1.0, window=8)
         values = []
         for i in range(10):
             values.append(sigma.value(1.0 if i % 2 else -1.0))
         assert values[-1] > 1.5
 
     def test_weight_zero_disables_boost(self):
-        sigma = SigmaEstimator(gain=1.0, weight=0.0, window=8)
+        sigma = SigmaEstimator(weight=0.0, window=8)
         for i in range(10):
             assert sigma.value(1.0 if i % 2 else -1.0) == 1.0
 
@@ -91,17 +89,17 @@ class TestPolicyValidation:
             {"alpha": 0.0},
             {"alpha": 1.0},
             {"window": 0},
-            {"expected_fill": 0.0},
+            {"alpha": float("nan")},
             {"p1": 0.5, "p2": 0.5, "p3": 0.5},
             {"p1": -0.1, "p2": 0.6, "p3": 0.5},
-            {"lt1": 0.5, "lt2": 0.3},
-            {"lt1": -2.0},
-            {"neutral_band": 1.0},
+            {"p1": 0.2, "p2": 0.3, "p3": 0.49},
+            {"p1": 1.2, "p2": -0.2, "p3": 0.0},
+            {"window": -1},
             {"phi2_form": "quadratic"},
-            {"sigma1_gain": -1},
+            {"phi2_form": "Linear"},
             {"sigma_variability": -1},
-            {"sigma_window": 1},
-            {"step_fraction": 0.0},
+            {"sigma_variability": -1e-9},
+            {"sample_interval": -0.5},
             {"sample_interval": 0.0},
             {"adjust_every": 0},
         ],
@@ -201,7 +199,7 @@ class TestParameterController:
         # A signal too small to move one increment per round must still
         # move the parameter after enough rounds (raw-value accumulation).
         param = AdjustmentParameter("p", 0.5, 0.0, 1.0, increment=0.1, direction=-1)
-        policy = AdaptationPolicy(step_fraction=0.01, sigma_variability=0.0)
+        policy = AdaptationPolicy(sigma_variability=0.0)
         ctl = ParameterController(param, policy)
         for i in range(30):
             ctl.adjust(local_score=-1.0, t1=0, t2=0, now=float(i))

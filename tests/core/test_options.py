@@ -20,7 +20,7 @@ from repro.core.options import (
 def test_one_field_per_row_in_table_order():
     fields = [field.name for field in dataclasses.fields(StageOptions)]
     assert fields == [option.key.replace("-", "_") for option in OPTIONS] + ["given"]
-    assert len({option.key for option in OPTIONS}) == len(OPTIONS) == 25
+    assert len({option.key for option in OPTIONS}) == len(OPTIONS) == 20
 
 
 def test_absent_keys_take_the_row_defaults():
@@ -43,7 +43,7 @@ def test_values_parse_as_the_runtimes_always_read_them():
     assert (options.queue_capacity, options.replicas, options.shard_by) == (40, 2, "field:k")
     assert options.shard_boundaries == (1.0, 2.0, 3.0)
     assert (options.scale_min_replicas, options.scale_max_replicas) == (None, 4)
-    assert options.scale_down_occupancy == 0.0
+    assert "scale-down-occupancy" not in options.given  # a constant, not an option
     assert (options.ledger_mode, options.ledger_dir) == ("record", "/tmp/l")
     assert options.ledger_enabled and not options.migratable and options.fan_in == -1
     assert "sample-size" not in options.given and "replicas" in options.given
@@ -62,9 +62,7 @@ def test_invalid_values_raise_value_error(key, raw):
 
 @pytest.mark.parametrize("key,raw", [
     ("replicas", "three"), ("replicas", "0"), ("shard-by", "nope"),
-    ("shard-partitioner", "mystery"), ("shard-boundaries", "1,b"),
-    ("scale-up-occupancy", "1.5"), ("scale-down-occupancy", "1"),
-    ("scale-cooldown-samples", "-1"), ("shard-index", "x"),
+    ("shard-partitioner", "mystery"), ("shard-boundaries", "1,b"), ("shard-index", "x"),
 ])
 def test_invalid_sharding_values_raise_sharding_error(key, raw):
     with pytest.raises(ShardingError, match=f"{key}="):
@@ -110,7 +108,5 @@ def test_undeclared_keys_in_reserved_namespaces_get_a_suggestion():
 def test_sharding_knobs_are_the_documented_view():
     assert list(knobs("sharding")) == [
         "replicas", "shard-by", "shard-partitioner", "shard-boundaries",
-        "scale-min-replicas", "scale-max-replicas", "scale-up-occupancy",
-        "scale-down-occupancy", "scale-breach-samples", "scale-idle-samples",
-        "scale-cooldown-samples",
+        "scale-min-replicas", "scale-max-replicas",
     ]

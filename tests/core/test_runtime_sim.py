@@ -346,8 +346,8 @@ class TestAdaptationIntegration:
         assert result.stage("fwd").exceptions_received > 0
         kinds = {
             attrs["exception_kind"]
-            for _, attrs in result.events.of_kind("load-exception")
-            if attrs["stage"] == "slow"
+            for _, kind, attrs in result.events.entries
+            if kind == "load-exception" and attrs["stage"] == "slow"
         }
         assert "overload" in kinds
 

@@ -243,11 +243,6 @@ def test_threaded_parity_under_rebalance():
         "replicas": "1",
         "shard-by": "field:k",
         "scale-max-replicas": "3",
-        "scale-up-occupancy": "0.5",
-        "scale-down-occupancy": "0.05",
-        "scale-breach-samples": "2",
-        "scale-idle-samples": "3",
-        "scale-cooldown-samples": "1",
     }, relay="SlowKeyedRelay")
     runtime = ThreadedRuntime.from_config(
         config,

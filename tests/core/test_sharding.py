@@ -122,16 +122,11 @@ def test_scaling_policy_elastic_bounds():
         ScalingPolicy(min_replicas=0)
     with pytest.raises(ShardingError):
         ScalingPolicy(min_replicas=3, max_replicas=2)
-    with pytest.raises(ShardingError):
-        ScalingPolicy(up_occupancy=0.5, down_occupancy=0.6)
 
 
 def test_scaler_scales_up_after_sustained_breach_only():
-    scaler = ShardScaler(
-        ScalingPolicy(min_replicas=1, max_replicas=3, breach_samples=3,
-                      cooldown_samples=2),
-        active=1,
-    )
+    # SCALE_BREACH_SAMPLES = 3, SCALE_COOLDOWN_SAMPLES = 2.
+    scaler = ShardScaler(ScalingPolicy(min_replicas=1, max_replicas=3), active=1)
     assert scaler.observe(0.9) is None
     assert scaler.observe(0.9) is None
     assert scaler.observe(0.9) == 2  # third consecutive breach commits
@@ -150,17 +145,17 @@ def test_scaler_scales_up_after_sustained_breach_only():
 
 
 def test_scaler_scales_down_after_sustained_idle():
-    scaler = ShardScaler(
-        ScalingPolicy(min_replicas=1, max_replicas=3, idle_samples=2,
-                      cooldown_samples=0),
-        active=3,
-    )
-    assert scaler.observe(0.0) is None
-    assert scaler.observe(0.0) == 2
-    assert scaler.observe(0.0) is None
-    assert scaler.observe(0.0) == 1
-    for _ in range(5):
+    # SCALE_IDLE_SAMPLES = 5 idle samples commit a scale-down, then
+    # SCALE_COOLDOWN_SAMPLES = 2 samples are ignored.
+    scaler = ShardScaler(ScalingPolicy(min_replicas=1, max_replicas=3), active=3)
+    assert [scaler.observe(0.0) for _ in range(5)] == [None] * 4 + [2]
+    assert [scaler.observe(0.0) for _ in range(7)] == [None] * 6 + [1]
+    for _ in range(10):
         assert scaler.observe(0.0) is None  # at the floor
+    # A sample above the idle band resets the streak.
+    scaler = ShardScaler(ScalingPolicy(min_replicas=1, max_replicas=3), active=3)
+    assert [scaler.observe(x) for x in (0.0, 0.0, 0.0, 0.0, 0.5)] == [None] * 5
+    assert [scaler.observe(0.0) for _ in range(5)] == [None] * 4 + [2]
 
 
 # -- expansion -------------------------------------------------------------

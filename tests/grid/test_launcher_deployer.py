@@ -68,7 +68,8 @@ class TestDeployer:
         assert deployment.host_of("join") == "hub"
         for stage in ("filter-0", "filter-1", "join"):
             assert deployment.instance_of(stage).state is ServiceState.ACTIVE
-        assert deployment.hosts_used() == ["hub", "src-0", "src-1"]
+        hosts = sorted({p.host_name for p in deployment.placements.values()})
+        assert hosts == ["hub", "src-0", "src-1"]
 
     def test_instances_published_in_registry(self):
         env, net, registry, repo = make_fabric()

@@ -6,6 +6,7 @@ from repro.grid.matchmaker import Matchmaker
 from repro.grid.monitor import MonitoringService
 from repro.grid.registry import ServiceRegistry
 from repro.grid.resources import ResourceRequirement
+from repro.obs.registry import MetricsRegistry
 from repro.simnet.engine import Environment
 from repro.simnet.hosts import CpuCostModel
 from repro.simnet.topology import Network
@@ -85,24 +86,23 @@ class TestMonitoringService:
 
     def test_histories_accumulate(self):
         env, net = make_fabric()
-        mon = MonitoringService(env, net, interval=0.5)
+        registry = MetricsRegistry()
+        mon = MonitoringService(env, net, interval=0.5, registry=registry)
         mon.start()
         env.run(until=5.0)
-        assert len(mon.host_utilization("a")) == 10
-        assert len(mon.link_throughput("a->b")) == 10
-        with pytest.raises(KeyError):
-            mon.host_utilization("ghost")
-        with pytest.raises(KeyError):
-            mon.link_throughput("ghost")
+        assert len(registry.get("host.a.utilization").series) == 10
+        assert len(registry.get("link.a->b.throughput").series) == 10
+        assert "host.ghost.utilization" not in registry
 
     def test_stop_ends_sampling(self):
         env, net = make_fabric()
-        mon = MonitoringService(env, net, interval=1.0)
+        registry = MetricsRegistry()
+        mon = MonitoringService(env, net, interval=1.0, registry=registry)
         mon.start()
         env.run(until=2.0)
         mon.stop()
         env.run(until=10.0)
-        assert len(mon.host_utilization("a")) <= 3
+        assert len(registry.get("host.a.utilization").series) <= 3
 
     def test_snapshot_helpers(self):
         env, net = make_fabric()
@@ -117,7 +117,6 @@ class TestMonitoringService:
         mon.start()
         env.run(until=3.0)
         assert mon.snapshot.idlest_host() == "a"
-        assert mon.snapshot.most_loaded_link() in ("a->b", "b->a")
 
 
 class TestDynamicMatchmaking:

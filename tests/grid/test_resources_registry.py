@@ -81,8 +81,9 @@ class TestServiceRegistry:
             make_network(),
             labels={"src-0": {"site": "cern"}, "src-1": {"site": "osu"}},
         )
-        assert [o.host_name for o in reg.offers_with_label("site", "cern")] == ["src-0"]
-        assert len(reg.offers_with_label("site")) == 2
+        cern = reg.query_offers(lambda o: o.labels.get("site") == "cern")
+        assert [o.host_name for o in cern] == ["src-0"]
+        assert len(reg.query_offers(lambda o: "site" in o.labels)) == 2
 
     def test_reregistration_updates(self):
         reg = ServiceRegistry()
@@ -93,12 +94,11 @@ class TestServiceRegistry:
     def test_service_directory_lifecycle(self):
         reg = ServiceRegistry()
         reg.register_service("gates/h/app-stage", object())
-        assert reg.lookup_service("gates/h/app-stage") is not None
+        assert "gates/h/app-stage" in reg.services()
         with pytest.raises(RegistryError):
             reg.register_service("gates/h/app-stage", object())
         reg.deregister_service("gates/h/app-stage")
-        with pytest.raises(RegistryError):
-            reg.lookup_service("gates/h/app-stage")
+        assert "gates/h/app-stage" not in reg.services()
         with pytest.raises(RegistryError):
             reg.deregister_service("gates/h/app-stage")
 

@@ -86,7 +86,7 @@ class TestServiceLifecycle:
         registry = ServiceRegistry()
         _, container = make_container(registry=registry)
         inst = container.create_instance("app/s1")
-        assert registry.lookup_service("gates/node-1/app/s1") is inst
+        assert registry.services()["gates/node-1/app/s1"] is inst
         inst.destroy()
         assert "gates/node-1/app/s1" not in registry.services()
 

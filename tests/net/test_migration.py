@@ -149,39 +149,62 @@ def test_a_plan_due_after_the_feeders_finish_is_dropped(baseline):
     assert runtime.placement["join"] == "worker-2"
 
 
-def test_a_moved_stage_series_merges_by_time(monkeypatch):
-    """``join`` starts near worker-3 and moves to worker-2, which reports
-    before worker-3: the merged d̃ trajectory is still in time order,
-    holds every worker's samples, and no two share a time."""
+@pytest.fixture(scope="module")
+def moved_back():
+    """``join`` starts near worker-3 and moves to worker-2 at 0.6 s, with
+    adaptation on and 2 x 720 items at 600/s.  Returns the runtime, the
+    result and each worker's RESULT metrics, by worker name."""
     from repro.core.adaptation.policy import AdaptationPolicy
 
-    name = "adapt.join.d_tilde"
-    shipped = []
-    merge = NetworkedRuntime._merge_registry
+    shipped = {}
+    collect = NetworkedRuntime._collect_result
 
-    def spy(self, data):
-        if name in data:
-            shipped.append(len(data[name]["series"]["times"]))
-        merge(self, data)
+    async def spy(self, handle):
+        body = await collect(self, handle)
+        shipped[handle.name] = body.get("metrics", {})
+        return body
 
-    monkeypatch.setattr(NetworkedRuntime, "_merge_registry", spy)
-    runtime = NetworkedRuntime(
-        build(near="worker-3"), workers=4, credit_window=16,
-        policy=AdaptationPolicy(sample_interval=0.05),
-        migrations=[MigrationPlan(stage="join", at=0.6, target="worker-2")],
-    )
-    for i in range(2):
-        runtime.bind_source(
-            f"src-{i}", f"filter-{i}", payloads(SEED + i, 720), rate=600.0, item_size=8.0,
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(NetworkedRuntime, "_collect_result", spy)
+        runtime = NetworkedRuntime(
+            build(near="worker-3"), workers=4, credit_window=16,
+            policy=AdaptationPolicy(sample_interval=0.05),
+            migrations=[MigrationPlan(stage="join", at=0.6, target="worker-2")],
         )
-    result = runtime.run(timeout=30.0)
+        for i in range(2):
+            runtime.bind_source(
+                f"src-{i}", f"filter-{i}", payloads(SEED + i, 720), rate=600.0,
+                item_size=8.0,
+            )
+        result = runtime.run(timeout=30.0)
     (report,) = runtime.migrations
     assert (report.from_host, report.to_host) == ("worker-3", "worker-2")
+    return runtime, result, shipped
+
+
+def test_a_moved_stage_series_merges_by_time(moved_back):
+    """worker-2 reports before worker-3: the merged d̃ trajectory is
+    still in time order, holds every worker's samples, and no two share
+    a time."""
+    _runtime, result, shipped = moved_back
+    name = "adapt.join.d_tilde"
+    counts = [len(m[name]["series"]["times"]) for m in shipped.values() if name in m]
     times = result.metrics.get(name).series.times
-    assert len(shipped) == 2 and all(shipped)
-    assert len(times) == sum(shipped)
+    assert len(counts) == 2 and all(counts)
+    assert len(times) == sum(counts)
     assert times == sorted(times)
     assert len(set(times)) == len(times)
+
+
+def test_a_moved_stage_gauge_comes_from_its_final_host(moved_back):
+    """Both workers ship ``join``'s arrival-rate gauge; the one it moved
+    away from (worker-3, which reports last) holds a stale value."""
+    runtime, result, shipped = moved_back
+    name = "stage.join.arrival_rate"
+    final, stale = (shipped[w][name]["value"] for w in ("worker-2", "worker-3"))
+    assert runtime.placement["join"] == "worker-2"
+    assert final != stale
+    assert result.metrics.value(name) == final
 
 
 def test_a_stage_hosted_again_keeps_one_series_per_name():

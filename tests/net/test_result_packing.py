@@ -50,7 +50,7 @@ def result_body(registry: MetricsRegistry) -> dict:
 def test_merged_registry_equals_what_the_worker_held():
     sent = worker_registry()
     runtime = coordinator()
-    runtime._merge_registry(result_body(sent)["metrics"])
+    runtime._merge_registry(result_body(sent)["metrics"], "worker-0")
     assert runtime.metrics.to_dict() == sent.to_dict()
     assert runtime.metrics.get("stage.b.latency").samples == []
     merged = runtime.metrics.get("stage.a.latency").samples
@@ -66,8 +66,22 @@ def test_two_workers_histograms_append_in_collection_order():
     second.histogram("stage.a.latency").observe(2.0)
     second.histogram("stage.a.latency").observe(3.0)
     for registry in (first, second):
-        runtime._merge_registry(result_body(registry)["metrics"])
+        runtime._merge_registry(result_body(registry)["metrics"], "worker-0")
     assert runtime.metrics.get("stage.a.latency").samples == [1.0, 2.0, 3.0]
+
+
+def test_a_moved_stage_gauge_comes_from_the_worker_hosting_it():
+    """Stage ``a`` moved worker-3 -> worker-2; worker-3, reporting last,
+    still holds ``a``'s gauge from before the move."""
+    runtime = coordinator()
+    runtime.placement = {"a": "worker-2", "b": "worker-3"}
+    for worker, rate in (("worker-2", 3.75), ("worker-3", 0.0)):
+        registry = MetricsRegistry()
+        registry.gauge("stage.a.arrival_rate").set(rate)
+        registry.gauge("stage.b.arrival_rate").set(rate + 1.0)
+        runtime._merge_registry(result_body(registry)["metrics"], worker)
+    assert runtime.metrics.value("stage.a.arrival_rate") == 3.75
+    assert runtime.metrics.value("stage.b.arrival_rate") == 1.0
 
 
 def test_the_packed_form_is_little_endian_float64_on_any_host():
@@ -85,4 +99,4 @@ def test_the_packed_form_is_little_endian_float64_on_any_host():
 ])
 def test_a_malformed_histogram_is_a_typed_error(payload):
     with pytest.raises(NetworkedRuntimeError, match="stage.a.latency"):
-        coordinator()._merge_registry({"stage.a.latency": payload})
+        coordinator()._merge_registry({"stage.a.latency": payload}, "worker-0")

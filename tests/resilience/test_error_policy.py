@@ -107,7 +107,7 @@ class TestSimPoisonPolicies:
         result = runtime.run()
         assert len(result.final_value("sink")) == 197
         assert result.metrics.value("fault.work.quarantined") == 3
-        letters = runtime.dead_letters.for_stage("work")
+        letters = [l for l in runtime.dead_letters.letters if l.stage == "work"]
         assert [l.payload for l in letters] == [50, 100, 150]
         assert all(l.reason == "processing" for l in letters)
         assert all("poison" in l.error for l in letters)
@@ -139,26 +139,24 @@ class TestSimTransientWireFaults:
 
     def test_exhausted_retries_quarantine_data_items(self):
         runtime, net = build_sim(
-            ResilienceConfig(error_policy="dead-letter", max_retries=2,
-                             retry_base_delay=0.005),
+            ResilienceConfig(error_policy="dead-letter", max_retries=2),
             rate=400.0, payloads=_odd(200),
         )
         link = net.link("edge", "central")
-        runtime.env.process(self._loss_window(runtime.env, link, 0.2, 0.35))
+        runtime.env.process(self._loss_window(runtime.env, link, 0.2, 0.6))
         result = runtime.run()
-        dropped = runtime.dead_letters.for_stage("work")
+        dropped = [l for l in runtime.dead_letters.letters if l.stage == "work"]
         assert dropped, "total outage window should exhaust some retries"
         assert all(l.reason == "transmission" for l in dropped)
         assert len(result.final_value("sink")) == 200 - len(dropped)
 
     def test_exhausted_retries_fatal_under_fail_policy(self):
         runtime, net = build_sim(
-            ResilienceConfig(error_policy="fail", max_retries=2,
-                             retry_base_delay=0.005),
+            ResilienceConfig(error_policy="fail", max_retries=2),
             rate=400.0, payloads=_odd(200),
         )
         link = net.link("edge", "central")
-        runtime.env.process(self._loss_window(runtime.env, link, 0.2, 0.35))
+        runtime.env.process(self._loss_window(runtime.env, link, 0.2, 0.6))
         with pytest.raises(TransmissionError):
             runtime.run()
 
@@ -216,7 +214,7 @@ class TestThreadedPoisonPolicies:
         runtime = build_threaded(ResilienceConfig(error_policy="dead-letter"))
         result = runtime.run(timeout=30)
         assert len(result.stages["sink"].final_value) == 197
-        letters = runtime.dead_letters.for_stage("work")
+        letters = [l for l in runtime.dead_letters.letters if l.stage == "work"]
         assert sorted(l.payload for l in letters) == [50, 100, 150]
         assert all(l.reason == "processing" for l in letters)
 

@@ -169,8 +169,7 @@ class TestLiveFailover:
 class TestInPlaceRecovery:
     def test_recovered_host_restarts_stage_without_moving(self):
         runtime, _ = build(
-            resilience=ResilienceConfig(checkpoint_interval=0.5,
-                                        recovery_poll=0.1),
+            resilience=ResilienceConfig(checkpoint_interval=0.5),
             fail_at=1.0, recover_at=1.8,
         )
         result = runtime.run()

@@ -3,8 +3,8 @@
 The seed scaled delays one-sidedly by ``[1, 1 + j]``, which only ever
 lengthens them: simultaneous failures all waited at least the same base
 backoff, so retry storms re-arrived together.  The centered form draws
-the scale from ``[1 - j/2, 1 + j/2]`` (floored at 0), desynchronizing
-retriers while keeping the mean on the exponential schedule.
+the scale from ``[1 - j/2, 1 + j/2]``, desynchronizing retriers while
+keeping the mean on the exponential schedule.
 """
 
 import random
@@ -12,60 +12,50 @@ import statistics
 
 import pytest
 
-from repro.resilience import ResilienceConfig
+from repro.resilience.policy import (
+    RETRY_BASE_DELAY, RETRY_JITTER, RETRY_MULTIPLIER, retry_delay,
+)
+
+
+class _Midpoint:
+    """An rng whose every draw is the middle of [0, 1): no jitter."""
+
+    def random(self):
+        return 0.5
 
 
 class TestRetryDelay:
     def test_no_jitter_is_exact_exponential(self):
-        config = ResilienceConfig(
-            retry_base_delay=0.1, retry_multiplier=2.0, retry_jitter=0.0
-        )
-        rng = random.Random(42)
-        assert config.retry_delay(0, rng) == pytest.approx(0.1)
-        assert config.retry_delay(1, rng) == pytest.approx(0.2)
-        assert config.retry_delay(3, rng) == pytest.approx(0.8)
+        # With the jitter draw at its midpoint the schedule is the bare
+        # exponential: 0.05 s, 0.1 s, ..., doubling per retry.
+        rng = _Midpoint()
+        assert retry_delay(0, rng) == RETRY_BASE_DELAY == 0.05
+        assert retry_delay(1, rng) == pytest.approx(0.1)
+        assert retry_delay(3, rng) == pytest.approx(0.4)
 
     def test_jittered_delay_stays_in_centered_band(self):
-        j = 0.5
-        config = ResilienceConfig(
-            retry_base_delay=0.1, retry_multiplier=2.0, retry_jitter=j
-        )
+        j = RETRY_JITTER
         rng = random.Random(7)
         for attempt in range(4):
-            base = 0.1 * (2.0 ** attempt)
+            base = RETRY_BASE_DELAY * (RETRY_MULTIPLIER ** attempt)
             for _ in range(200):
-                delay = config.retry_delay(attempt, rng)
+                delay = retry_delay(attempt, rng)
                 assert base * (1 - j / 2) <= delay <= base * (1 + j / 2)
 
     def test_jitter_can_shorten_delays(self):
         # The whole point of centering: roughly half the draws land
         # below the un-jittered exponential delay.
-        config = ResilienceConfig(retry_base_delay=1.0, retry_jitter=0.5)
         rng = random.Random(3)
-        draws = [config.retry_delay(0, rng) for _ in range(500)]
-        shorter = sum(1 for d in draws if d < 1.0)
+        draws = [retry_delay(0, rng) for _ in range(500)]
+        shorter = sum(1 for d in draws if d < RETRY_BASE_DELAY)
         assert 150 < shorter < 350
 
     def test_mean_matches_exponential_schedule(self):
-        config = ResilienceConfig(retry_base_delay=1.0, retry_jitter=1.0)
         rng = random.Random(11)
-        draws = [config.retry_delay(0, rng) for _ in range(4000)]
-        assert statistics.fmean(draws) == pytest.approx(1.0, rel=0.05)
-
-    def test_large_jitter_is_floored_at_zero(self):
-        # j > 2 can push the scale factor negative; the delay clamps to 0.
-        config = ResilienceConfig(retry_base_delay=1.0, retry_jitter=4.0)
-        rng = random.Random(13)
-        draws = [config.retry_delay(0, rng) for _ in range(500)]
-        assert all(d >= 0.0 for d in draws)
-        assert any(d == 0.0 for d in draws)
+        draws = [retry_delay(0, rng) for _ in range(4000)]
+        assert statistics.fmean(draws) == pytest.approx(RETRY_BASE_DELAY, rel=0.05)
 
     def test_determinism_under_a_seeded_rng(self):
-        config = ResilienceConfig(retry_jitter=0.5)
-        a = [config.retry_delay(i, random.Random(99)) for i in range(5)]
-        b = [config.retry_delay(i, random.Random(99)) for i in range(5)]
+        a = [retry_delay(i, random.Random(99)) for i in range(5)]
+        b = [retry_delay(i, random.Random(99)) for i in range(5)]
         assert a == b
-
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(ValueError):
-            ResilienceConfig(retry_jitter=-0.1)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.simnet.engine import (
     AllOf,
+    AnyOf,
     Environment,
     Interrupt,
     SimulationError,
@@ -382,7 +383,7 @@ class TestConditions:
         def proc(env):
             t1 = env.timeout(1.0, value="fast")
             t2 = env.timeout(3.0, value="slow")
-            results = yield env.any_of([t1, t2])
+            results = yield AnyOf(env, [t1, t2])
             done.append((env.now, list(results.values())))
 
         env.process(proc(env))

@@ -91,7 +91,6 @@ class TestLink:
         assert link.stats.messages == 2
         assert link.stats.bytes == pytest.approx(400.0)
         assert link.stats.busy_time == pytest.approx(4.0)
-        assert link.stats.mean_latency() == pytest.approx((1.5 + 3.5) / 2)
 
     def test_utilization(self):
         env = Environment()

@@ -49,18 +49,6 @@ class TestTimeSeries:
         ts.record(1.0, 9.0)
         assert ts.last() == (1.0, 9.0)
 
-    def test_value_at_step_function(self):
-        ts = TimeSeries()
-        ts.record(0.0, 10.0)
-        ts.record(5.0, 20.0)
-        ts.record(10.0, 30.0)
-        assert ts.value_at(0.0) == 10.0
-        assert ts.value_at(4.9) == 10.0
-        assert ts.value_at(5.0) == 20.0
-        assert ts.value_at(100.0) == 30.0
-        with pytest.raises(ValueError):
-            ts.value_at(-1.0)
-
     def test_tail_and_tail_mean(self):
         ts = TimeSeries()
         for i in range(8):
@@ -134,7 +122,7 @@ class TestEventLog:
         log.log(3.0, "overload", stage="s1")
         assert len(log) == 3
         assert log.count("overload") == 2
-        assert log.of_kind("underload") == [(2.0, {"stage": "s2"})]
+        assert log.first("underload") == (2.0, {"stage": "s2"})
 
     def test_first(self):
         log = EventLog()
