@@ -521,7 +521,8 @@ def flush_buffers(stage: StageCore, indices: Iterable[int], age: bool = False) -
 
 def stage_loop(
     stage: StageCore, groups: Optional[Mapping[str, Any]], *,
-    price_free_work: bool = False, deadlines: bool = True,
+    price: Optional[Callable[[Any, float, float], Optional[float]]] = None,
+    deadlines: bool = True,
 ) -> _Effects:
     """The one per-item loop, as a generator of blocking effects.
 
@@ -532,16 +533,17 @@ def stage_loop(
       ``EndOfStream`` messages, ``()`` on timeout, or None at a drain
       boundary (every buffer is flushed and the loop ends without
       end-of-stream).
-    - ``(WORK, cost_model, items, nbytes)``: charge one item's CPU work;
-      reply with the seconds charged.
+    - ``(WORK, cost_model, items, nbytes)``: charge one item's CPU work
+      that must wait (see ``price``); reply with the seconds charged.
     - ``(SEND, route, payload, size, stream, trace)``: deliver one
       emission on an unbuffered out-edge (``route`` is its index, or a
       family unit when ``groups`` is None; see :func:`route_indices`).
     - ``(FLUSH, index, entries)``: ship a batch (:func:`flush_buffers`).
     - ``(EOS,)``: send end-of-stream on every out-edge; the loop is done.
 
-    Everything else runs in here: per-chunk counters, EOS counting then
-    ``flush``, latency and busy time, ``on_item`` under
+    Everything else runs in here: the stage's loop-owned counters
+    (:class:`~repro.obs.registry.StageMetrics`, added to without a lock),
+    EOS counting then ``flush``, latency and busy time, ``on_item`` under
     ``stage.state_lock`` where there is one, quarantine under
     ``stage.resilience``, and routing ``ctx.pending``.  Unbuffered or
     traced emissions are routed after their item, the rest once per
@@ -549,13 +551,19 @@ def stage_loop(
     emissions naming no stream from a stage whose out-edges are all
     solo skip the per-emission route generator, and go into a lone
     buffered edge as one list.
-    ``price_free_work`` charges work even under a free cost model (a
-    simulated core is still claimed); ``deadlines`` bounds each wait by
+    ``price(cost_model, items, nbytes)`` charges one item's work where
+    that needs no wait, returning the seconds charged, or returns None
+    and the work is yielded as ``WORK``; it is asked even under a free
+    cost model (the simulator passes :meth:`Host.execute_inline
+    <repro.simnet.hosts.Host.execute_inline>`: a simulated core is still
+    claimed).  Without ``price``, work under a free cost model is
+    skipped and the rest is yielded.  ``deadlines`` bounds each wait by
     the oldest batch's age and flushes due batches after every chunk
     (False when the driver flushes aged batches on a timer of its own).
     """
     ctx = stage.context
     metrics = stage.metrics
+    items_in, bytes_in, busy = metrics.items_in, metrics.bytes_in, metrics.busy_seconds
     clock = stage.clock
     lock = stage.state_lock
     buffers = stage.batch_buffers
@@ -580,8 +588,8 @@ def stage_loop(
                 count += 1
                 nbytes += message.size
         if count:
-            metrics.items_in.inc(count)
-            metrics.bytes_in.inc(nbytes)
+            items_in.value += count
+            bytes_in.value += nbytes
         for message in chunk:
             if type(message) is EndOfStream:
                 if not stage.eos.observe():
@@ -610,16 +618,17 @@ def stage_loop(
             processor = stage.processor
             if processor is not priced:
                 priced = processor
-                free = not price_free_work and getattr(processor.cost_model, "is_free", False)
+                free = price is None and getattr(processor.cost_model, "is_free", False)
             for payload, size in zip(values, sizes):
                 if not free:
                     items, work_bytes = processor.work_amount(payload, size)
                     if items or work_bytes:
-                        duration = yield (WORK, processor.cost_model, items, work_bytes)
-                        # Free work (every item of a free model on the
-                        # simulator) books nothing: skip the locked add.
+                        cost_model = processor.cost_model
+                        duration = None if price is None else price(cost_model, items, work_bytes)
+                        if duration is None:
+                            duration = yield (WORK, cost_model, items, work_bytes)
                         if duration:
-                            metrics.busy_seconds.inc(duration)
+                            busy.value += duration
                             if hop is not None:
                                 hop.process_t += duration
                 mark = len(ctx.pending)
@@ -696,8 +705,9 @@ def _route(
                 yield (SEND, route, payload, size, stream, trace)
             elif buffer.add((payload, size, now, trace, hop), now):
                 yield from flush_buffers(stage, (route,))
-    stage.metrics.items_out.inc(emitted)
-    stage.metrics.bytes_out.inc(nbytes)
+    metrics = stage.metrics
+    metrics.items_out.value += emitted
+    metrics.bytes_out.value += nbytes
     if hop is not None and not buffers:
         hop.tx_t += stage.clock() - now
 

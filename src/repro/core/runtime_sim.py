@@ -197,7 +197,7 @@ class SimulatedRuntime:
         opts = take("sim", RuntimeError_, options)
         self.env = env
         #: ``env.now`` as a callable for the kernel; the C-level partial
-        #: reads the property with no Python frame of its own.
+        #: reads the attribute with no Python frame at all.
         self._clock: Callable[[], float] = partial(getattr, env, "now")
         self.network = network
         self.deployment = deployment
@@ -406,7 +406,8 @@ class SimulatedRuntime:
         stages = [self._stages[name] for name in binding.targets(self._groups)]
         loop = source_loop(binding, self._groups, self._clock, self.metrics, tracer=self.tracer)
         send = loop.send
-        call_later = self.env.call_later
+        env = self.env
+        call_later = env.call_later
         landed: Optional[_StageRuntime] = None
 
         def resume(_event: Any) -> None:
@@ -414,7 +415,7 @@ class SimulatedRuntime:
             reply = None
             while True:
                 if landed is not None:
-                    landed.rate_estimator.observe(self.env.now)
+                    landed.rate_estimator.observe(env.now)
                     landed = None
                 try:
                     effect = send(reply)
@@ -462,7 +463,10 @@ class SimulatedRuntime:
         """
         host = self.network.host(stage.host_name)
         resilient = self.resilience is not None
-        step = stage_loop(stage, self._groups, price_free_work=True, deadlines=False).send
+        queue = stage.queue
+        # Work a free core finishes before anything else happens is booked
+        # inside the loop; only work that must wait comes out as WORK.
+        step = stage_loop(stage, self._groups, price=host.execute_inline, deadlines=False).send
         message: Any = None
         reply: Any = None
         while True:
@@ -470,8 +474,8 @@ class SimulatedRuntime:
             reply = None
             kind = effect[0]
             if kind is TAKE:
-                if message is not None:
-                    if resilient and stage.generation != generation:
+                if resilient and message is not None:
+                    if stage.generation != generation:
                         return
                     self._advance_cursor(stage, message)
                     # Between items: safe to take a deferred checkpoint.
@@ -495,34 +499,30 @@ class SimulatedRuntime:
                     # here and bumps the generation; this worker is then
                     # superseded.
                     yield self.env.timeout(self.MIGRATE_DRAIN_POLL)
-                if stage.queue.is_empty or not self.env.settled():
-                    message = yield stage.queue.get()
-                else:
-                    # Already queued, and the get event would be the next
-                    # one processed: take the item now, with the queue
-                    # mutations get() makes in the same order, for no
-                    # event at all.
-                    message = stage.queue.try_get()
-                if resilient and stage.generation != generation:
-                    if generation in stage.requeue_generations:
-                        # Superseded by a planned switch with this message
-                        # already dequeued: give it back at the head — the
-                        # planned path has no replay to re-deliver it.
-                        stage.requeue_generations.discard(generation)
-                        stage.queue.requeue(message)
-                    return  # superseded by a failover or planned switch
-                if resilient and host.failed:
-                    # Dequeued but unprocessed: the cursor stays put, so the
-                    # replay buffer re-delivers this message after recovery.
-                    self._note_stage_down(stage)
-                    return
-                stage.in_flight = True
+                # An item already queued is taken now, with no event, when
+                # the get's event would be the next one processed.
+                message = queue.take()
+                if message is None:
+                    message = yield queue.get()
+                if resilient:
+                    if stage.generation != generation:
+                        if generation in stage.requeue_generations:
+                            # Superseded by a planned switch with this message
+                            # already dequeued: give it back at the head — the
+                            # planned path has no replay to re-deliver it.
+                            stage.requeue_generations.discard(generation)
+                            queue.requeue(message)
+                        return  # superseded by a failover or planned switch
+                    if host.failed:
+                        # Dequeued but unprocessed: the cursor stays put, so the
+                        # replay buffer re-delivers this message after recovery.
+                        self._note_stage_down(stage)
+                        return
+                    stage.in_flight = True
                 reply = (message,)
             elif kind is WORK:
-                reply = host.execute_inline(effect[1], effect[2], effect[3])
                 try:
-                    if reply is None:
-                        reply = yield host.execute(effect[1], items=effect[2], nbytes=effect[3])
+                    reply = yield host.execute(effect[1], items=effect[2], nbytes=effect[3])
                 except HostFailedError:
                     if not resilient:
                         raise
@@ -540,7 +540,8 @@ class SimulatedRuntime:
             elif kind is FLUSH:
                 yield from self._ship(stage, effect[1], effect[2])
             else:  # EOS: the last input ended and everything is flushed
-                self._advance_cursor(stage, message)
+                if resilient:
+                    self._advance_cursor(stage, message)
                 for edge in stage.out_edges:
                     yield from self._send_one(
                         stage, edge, EndOfStream(origin=edge.stream.name), control=True
@@ -687,9 +688,8 @@ class SimulatedRuntime:
         self.replay.append(stage.name, message.origin, message)
 
     def _advance_cursor(self, stage: _StageRuntime, message: Any) -> None:
-        """Acknowledge one fully processed message (at-least-once)."""
-        if self.resilience is None:
-            return
+        """Acknowledge one fully processed message (at-least-once; only
+        with resilience on)."""
         origin = message.origin
         stage.cursors[origin] = stage.cursors.get(origin, 0) + 1
 

@@ -12,9 +12,10 @@ the whole fabric on a fixed cadence:
   bytes is implicit in utilization;
 
 and serves point-in-time :class:`FabricSnapshot` s plus full
-:class:`~repro.simnet.trace.TimeSeries` histories.  The matchmaker can use
-a snapshot to prefer currently-idle hosts (dynamic ranking), and the
-experiment harness uses the histories for utilization reporting.
+:class:`~repro.simnet.trace.TimeSeries` histories, published in the
+metrics registry it is given.  The matchmaker can use a snapshot to
+prefer currently-idle hosts (dynamic ranking), and the registry's
+readers get the histories for utilization reporting.
 """
 
 from __future__ import annotations
@@ -80,13 +81,14 @@ class MonitoringService:
         self,
         env: Environment,
         network: Network,
+        registry: MetricsRegistry,
         interval: float = 1.0,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        """``registry`` (a :class:`~repro.obs.registry.MetricsRegistry`)
-        is optional; when given, the fabric histories are additionally
-        published as ``host.<host>.utilization``, ``link.<link>.throughput``
-        and ``link.<link>.utilization`` series metrics.
+        """The fabric histories are published in ``registry`` (a
+        :class:`~repro.obs.registry.MetricsRegistry`) as
+        ``host.<host>.utilization``, ``link.<link>.throughput`` and
+        ``link.<link>.utilization`` series metrics: that is where they are
+        read.
         """
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
@@ -112,22 +114,14 @@ class MonitoringService:
         for name in self.network.hosts:
             self._host_util[name] = TimeSeries(f"host:{name}:utilization")
             self._last_busy[name] = self.network.host(name).busy_time
-            if self.registry is not None:
-                self.registry.series(
-                    f"host.{name}.utilization", self._host_util[name]
-                )
+            self.registry.series(f"host.{name}.utilization", self._host_util[name])
         for src, dst, link in self.network.edges():
             self._link_tput[link.name] = TimeSeries(f"link:{link.name}:throughput")
             self._link_util[link.name] = TimeSeries(f"link:{link.name}:utilization")
             self._last_bytes[link.name] = link.stats.bytes
-            if self.registry is not None:
-                self.registry.series(
-                    f"link.{link.name}.throughput", self._link_tput[link.name]
-                )
-                self.registry.series(
-                    f"link.{link.name}.utilization", self._link_util[link.name]
-                )
-                link.bind_metrics(self.registry)
+            self.registry.series(f"link.{link.name}.throughput", self._link_tput[link.name])
+            self.registry.series(f"link.{link.name}.utilization", self._link_util[link.name])
+            link.bind_metrics(self.registry)
         self._process = self.env.process(self._run(), name="monitoring-service")
         return self._process
 

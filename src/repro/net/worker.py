@@ -226,8 +226,9 @@ class Worker:
         #: When set, also listen on this UNIX-domain socket and announce
         #: it, so co-located senders skip the TCP stack entirely.
         self.uds_path = uds_path
-        #: Built at the first REGISTER when not given, so a spawned
-        #: worker announces without importing every application first.
+        #: Built at the first REGISTER when not given; :func:`main` builds
+        #: it once before forking (:func:`_preload`), so no fork imports
+        #: the applications again.
         self.repository = repository
         self.metrics = _HostRegistry()
         self.policy = AdaptationPolicy()
@@ -939,6 +940,16 @@ def _announce_on_stdout(line: str) -> None:
     os.close(devnull)
 
 
+def _preload() -> CodeRepository:
+    """Do once, before :func:`_fork_workers`, what every worker of this
+    process would otherwise do on its own: build the built-in repository
+    (importing every built-in application) for REGISTER, and import the
+    deterministic-context module START warms.  Returns the repository."""
+    import repro.ledger.context  # noqa: F401
+
+    return builtin_repository()
+
+
 def _fork_workers(count: int) -> Tuple[int, List[int]]:
     """Fork ``count - 1`` copies of this process: ``(index, forks)``.
 
@@ -959,11 +970,12 @@ def _fork_workers(count: int) -> Tuple[int, List[int]]:
 def main(argv: Optional[List[str]] = None) -> NoReturn:
     """``python -m repro.net.worker`` / ``repro worker`` entry point.
 
-    One process serves one worker per ``--name``: it imports once, forks
-    a copy for every name after the first, and each process serves its
-    own.  Every process leaves with ``os._exit`` once its standard
-    streams are flushed, the first only after it has reaped every fork,
-    so the forks' CPU time reaches whoever waits for the first.
+    One process serves one worker per ``--name``: it imports once (with
+    :func:`_preload`), forks a copy for every name after the first, and
+    each process serves its own.  Every process leaves with
+    ``os._exit`` once its standard streams are flushed, the first only
+    after it has reaped every fork, so the forks' CPU time reaches
+    whoever waits for the first.
     """
     parser = argparse.ArgumentParser(
         prog="repro worker",
@@ -993,9 +1005,10 @@ def main(argv: Optional[List[str]] = None) -> NoReturn:
         parser.error("several workers cannot share one --port; use --port 0")
     if len(names) > 1 and not hasattr(os, "fork"):
         parser.error("several workers need os.fork; start one process per worker")
+    repository = _preload()
     index, forks = _fork_workers(len(names))
     worker = Worker(
-        host=args.host, port=args.port, name=names[index],
+        host=args.host, port=args.port, name=names[index], repository=repository,
         uds_path=sockets[index] if sockets else None,
     )
     code = 0

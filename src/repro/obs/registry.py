@@ -46,13 +46,22 @@ __all__ = [
 
 
 class Counter:
-    """A monotonically increasing total (thread-safe)."""
+    """A monotonically increasing total.
+
+    :meth:`inc` is thread-safe: it adds under a lock.  A counter with one
+    writer may instead add to :attr:`value` itself, a plain attribute add
+    with no lock and no call: a stage's *loop-owned* totals
+    (:class:`StageMetrics`) are written only by the kernel's stage loop.
+    Counters with several writers always go through :meth:`inc`.
+    """
 
     kind = "counter"
+    __slots__ = ("name", "value", "_lock")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._value = 0.0
+        #: The total so far (a float, whatever was added).
+        self.value = 0.0
         self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0) -> None:
@@ -60,14 +69,10 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter {self.name!r}: negative increment {amount}")
         with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
+            self.value += amount
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "value": self._value}
+        return {"kind": self.kind, "value": self.value}
 
 
 class Gauge:
@@ -302,11 +307,19 @@ class MetricsRegistry:
 class StageMetrics:
     """Pre-resolved metric handles for one stage's hot path.
 
-    Both runtimes construct one per stage at build time, so the per-item
-    code increments bound :class:`Counter` objects instead of re-resolving
+    Every runtime constructs one per stage at build time, so the per-item
+    code adds to bound :class:`Counter` objects instead of re-resolving
     dotted names — and, because the names come from one place, the
-    simulated and threaded runtimes are guaranteed to register identical
-    ``stage.*`` / ``adapt.*`` families (the registry-parity contract).
+    runtimes are guaranteed to register identical ``stage.*`` / ``adapt.*``
+    families (the registry-parity contract).
+
+    ``items_in``, ``bytes_in``, ``items_out``, ``bytes_out`` and
+    ``busy_seconds`` are loop-owned: only the stage's one loop writes
+    them, adding to ``value`` without the lock.  A stage hosted again in
+    the same registry (moved away and back) gets the same counters and
+    goes on adding.  The other counters are written from outside the
+    loop (``exceptions_received`` by other stages' monitors, for one) and
+    keep :meth:`Counter.inc`.
     """
 
     def __init__(self, registry: MetricsRegistry, stage_name: str) -> None:

@@ -34,11 +34,13 @@ An operation whose event would be the very next one processed may run
 inline instead, with no event at all: nothing can happen in between, so
 the run observes exactly what the event would have shown it.
 :meth:`Environment.next_up` is the one predicate that decides it; the
-callers are a worker's dequeue (:meth:`Environment.settled`), a producer
-admitted into a store (:meth:`~repro.simnet.resources.Store.offer`) and
-work on a free core (:meth:`~repro.simnet.hosts.Host.execute_inline`).
-Each caller would wait on the operation at once, so nothing of its own
-comes in between either.
+callers are a consumer's take of a queued item
+(:meth:`~repro.simnet.resources.Store.take`, asking
+:meth:`Environment.settled`), a producer admitted into a store
+(:meth:`~repro.simnet.resources.Store.offer`) and work on a free core
+(:meth:`~repro.simnet.hosts.Host.execute_inline`).  Each caller would
+wait on the operation at once, so nothing of its own comes in between
+either.
 """
 
 from __future__ import annotations
@@ -424,7 +426,10 @@ class Environment:
     _LATE = 2
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: Current simulation time.  A plain attribute, not a property: it
+        #: is read on every item's path (clocks, queue statistics, work), and
+        #: only the environment itself advances it.
+        self.now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = itertools.count()
         self._active_process: Optional[Process] = None
@@ -433,12 +438,7 @@ class Environment:
         #: by :meth:`run` and by a runtime that drives :meth:`step` itself.
         self.horizon = float("inf")
 
-    # -- clock -----------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
+    # -- state -----------------------------------------------------------
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -483,7 +483,7 @@ class Environment:
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = _NORMAL) -> None:
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        heapq.heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
+        heapq.heappush(self._queue, (self.now + delay, priority, next(self._eid), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -516,7 +516,7 @@ class Environment:
         for (an item already in a store) changes nothing by taking it
         without the event.
         """
-        return self.next_up(self._now)
+        return self.next_up(self.now)
 
     def complete_inline(self, delay: float) -> bool:
         """Finish work that starts now and lasts ``delay`` without its event.
@@ -526,10 +526,10 @@ class Environment:
         returned; the caller then books the work itself.  Otherwise nothing
         changes and the caller schedules the completion.
         """
-        when = self._now + delay
+        when = self.now + delay
         if not self.next_up(when, self._LATE):
             return False
-        self._now = when
+        self.now = when
         return True
 
     def step(self) -> None:
@@ -540,7 +540,7 @@ class Environment:
         """
         if not self._queue:
             raise SimulationError("step() on empty schedule")
-        self._now, _, _, event = heapq.heappop(self._queue)
+        self.now, _, _, event = heapq.heappop(self._queue)
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:
             raise SimulationError(f"{event!r} processed twice")
@@ -584,12 +584,12 @@ class Environment:
                 raise until._value
             return until._value
         horizon = float(until)
-        if horizon < self._now:
+        if horizon < self.now:
             raise SimulationError(
-                f"run(until={horizon}) is in the past (now={self._now})"
+                f"run(until={horizon}) is in the past (now={self.now})"
             )
         self.horizon = horizon
         while self._queue and self._queue[0][0] <= horizon:
             self.step()
-        self._now = horizon
+        self.now = horizon
         return None

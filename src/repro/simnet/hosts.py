@@ -145,10 +145,11 @@ class Host:
         nothing happens and the result is None: call :meth:`execute`.
         """
         duration = cost_model.cost(items, nbytes) / self.speed_factor
+        cpu = self.cpu
         if (
             duration < 0  # execute() rejects it
             or self.failed
-            or not self.cpu.available
+            or cpu.in_use >= cpu.capacity  # no core available
             or not self.env.complete_inline(duration)
         ):
             return None

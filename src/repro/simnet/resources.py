@@ -57,18 +57,14 @@ class CapacityResource:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.env = env
         self.capacity = capacity
-        self._in_use = 0
+        #: Units currently held (only :meth:`claim` and :meth:`free` change it).
+        self.in_use = 0
         self._waiters: Deque[Callable[[], None]] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Units currently held."""
-        return self._in_use
 
     @property
     def available(self) -> int:
         """Units currently free."""
-        return self.capacity - self._in_use
+        return self.capacity - self.in_use
 
     @property
     def queue_length(self) -> int:
@@ -78,20 +74,20 @@ class CapacityResource:
     def claim(self, start: Callable[[], None]) -> None:
         """Call ``start()`` holding one unit: now if one is free, else
         when :meth:`free` passes one on (FIFO)."""
-        if self._in_use < self.capacity:
-            self._in_use += 1
+        if self.in_use < self.capacity:
+            self.in_use += 1
             start()
         else:
             self._waiters.append(start)
 
     def free(self) -> None:
         """Give back a claimed unit; the longest waiter starts on it at once."""
-        if self._in_use <= 0:
+        if self.in_use <= 0:
             raise ValueError("free() without matching claim")
         if self._waiters:
             self._waiters.popleft()()
         else:
-            self._in_use -= 1
+            self.in_use -= 1
 
 
 class PutRequest(Event):
@@ -189,13 +185,14 @@ class Store:
         inline when that take is :meth:`try_get`'s and the resumption
         would be the next event.
         """
-        if self.is_full:
-            self._putters.append(_Parked(self.env, item, resume))
+        env, capacity = self.env, self.capacity
+        if capacity is not None and len(self._items) >= capacity:  # is_full
+            self._putters.append(_Parked(env, item, resume))
             return False
         self._insert(item)
-        if self.env.settled():
+        if env.next_up(env.now):  # env.settled()
             return True
-        _Parked(self.env, item, resume).succeed()
+        _Parked(env, item, resume).succeed()
         return False
 
     def get(self) -> GetRequest:
@@ -236,6 +233,21 @@ class Store:
         if self._putters:
             self._admit_putters(inline=True)
         return item
+
+    def take(self) -> Any:
+        """The oldest item for a consumer that would otherwise wait on
+        :meth:`get` at once, or None: then it waits on :meth:`get`.
+
+        The item is taken here (:meth:`try_get`, with the queue mutations
+        ``get()`` makes, in the same order) only when one is queued and
+        the get's event would be the next one processed
+        (:meth:`Environment.settled`), so taking it needs no event at all.
+        A store used this way holds no None.
+        """
+        env = self.env
+        if self._items and env.next_up(env.now):  # env.settled()
+            return self.try_get()
+        return None
 
     # -- failover support -----------------------------------------------------
 
@@ -312,18 +324,20 @@ class Store:
         next events processed run after the loop, in admission order —
         exactly as their events would have, back to back.
         """
+        env, items, putters, capacity = self.env, self._items, self._putters, self.capacity
         ready = []
-        while self._putters and not self.is_full:
-            putter = self._putters.popleft()
-            self._items.append(putter.item)
+        while putters and (capacity is None or len(items) < capacity):  # not is_full
+            putter = putters.popleft()
+            items.append(putter.item)
             self._on_length_change()
             if self.on_insert is not None:
                 self.on_insert(putter.item)
-            if inline and type(putter) is _Parked and self.env.settled():
+            if inline and type(putter) is _Parked and env.next_up(env.now):  # env.settled()
                 ready.append(putter.resume)
             else:
                 putter.succeed()
-            self._drain_getters()
+            if self._getters:
+                self._drain_getters()
         for resume in ready:
             resume(None)
 
@@ -415,11 +429,12 @@ class BoundedQueue(Store):
 
     def _on_length_change(self) -> None:
         now = self.env.now
-        prev = self._recent[-1] if self._recent else 0
+        recent = self._recent
+        prev = recent[-1]  # never empty: it starts with the initial 0
         length = len(self._items)
         self._area += prev * (now - self._last_change)
         self._last_change = now
-        self._recent.append(length)
+        recent.append(length)
         if length > self._peak:
             self._peak = length
         if length > prev:

@@ -19,12 +19,14 @@ from repro.simnet.resources import BoundedQueue
 
 class TestLoadFactorProperties:
     @given(t1=st.integers(0, 10_000), t2=st.integers(0, 10_000))
+    @settings(max_examples=100)
     def test_phi1_range_and_antisymmetry(self, t1, t2):
         value = phi1(t1, t2)
         assert -1.0 <= value <= 1.0
         assert phi1(t2, t1) == -value
 
     @given(w=st.integers(-20, 20))
+    @settings(max_examples=100)
     def test_phi2_forms_agree_on_sign_and_range(self, w):
         for phi2 in (phi2_linear, phi2_saturating):
             value = phi2(w, 20)
@@ -40,6 +42,7 @@ class TestLoadFactorProperties:
         d_bar=st.floats(min_value=0.0, max_value=500.0),
         expected=st.floats(min_value=1.0, max_value=99.0),
     )
+    @settings(max_examples=100)
     def test_phi3_range_and_sign(self, d_bar, expected):
         value = phi3(d_bar, expected, 100.0)
         assert -1.0 <= value <= 1.0
@@ -153,6 +156,7 @@ class TestParameterProperties:
         raw=st.floats(min_value=-100.0, max_value=100.0),
         increment=st.floats(min_value=0.001, max_value=10.0),
     )
+    @settings(max_examples=100)
     def test_quantize_is_nearest_multiple(self, raw, increment):
         param = AdjustmentParameter("p", 0.0, -1000.0, 1000.0, increment, 1)
         quantized = param.quantize(raw)
@@ -161,6 +165,7 @@ class TestParameterProperties:
         assert abs(quantized - raw) <= increment / 2 + 1e-9
 
     @given(value=st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=100)
     def test_set_value_always_clamps(self, value):
         param = AdjustmentParameter("p", 0.5, 0.0, 1.0, 0.01, 1)
         clamped = param.set_value(value, 0.0)

@@ -446,6 +446,11 @@ def _item(payload, hop=None):
     return Item(payload=payload, size=8.0, origin="in", hop=hop)
 
 
+def _must_wait(cost_model, items, nbytes):
+    """A ``price`` that charges nothing inline: all work is a WORK effect."""
+    return None
+
+
 class TestStageLoop:
     def test_multi_input_eos_completes_only_on_the_last_input(self):
         stage = _loop_stage(inputs=2)
@@ -487,38 +492,67 @@ class TestStageLoop:
     def test_work_duration_lands_in_busy_seconds_and_hop(self):
         hop = ItemTrace(1, "src", 0.0).begin_hop("s", 0.0)
         stage = _loop_stage()
-        effects = _drive(stage, [[_item(1, hop=hop)]], work=0.25, price_free_work=True)
+        effects = _drive(stage, [[_item(1, hop=hop)]], work=0.25, price=_must_wait)
         assert effects[0][0] is WORK and effects[0][2:] == (1.0, 8.0)
         assert stage.registry.value("stage.s.busy_seconds") == 0.25
         assert hop.process_t == 0.25
 
+    def test_work_priced_inline_yields_no_work_effect(self):
+        """Work ``price`` charges needs no generator round trip: no WORK
+        effect, and its seconds book as if the driver had answered one."""
+        hop = ItemTrace(1, "src", 0.0).begin_hop("s", 0.0)
+        stage = _loop_stage()
+        asked = []
+
+        def price(cost_model, items, nbytes):
+            asked.append((cost_model, items, nbytes))
+            return 0.25
+
+        effects = _drive(stage, [[_item(1, hop=hop), _item(2)]], price=price)
+        assert [effect[0] for effect in effects] == [SEND, SEND]
+        assert asked == [(_Relay.cost_model, 1.0, 8.0)] * 2  # asked under a free model too
+        assert stage.registry.value("stage.s.busy_seconds") == 0.5
+        assert hop.process_t == 0.25
+
+    def test_free_work_without_price_is_skipped(self):
+        stage = _loop_stage()
+        effects = _drive(stage, [[_item(1)]], work=0.25)
+        assert [effect[0] for effect in effects] == [SEND]
+        assert stage.registry.value("stage.s.busy_seconds") == 0.0
 
     @pytest.mark.parametrize("batch", [None, BatchPolicy(2, 1.0)])
-    @pytest.mark.parametrize("price_free_work", [False, True])
-    def test_a_run_is_taken_exactly_as_its_items(self, batch, price_free_work):
+    @pytest.mark.parametrize("waits", [False, True])
+    def test_a_run_is_taken_exactly_as_its_items(self, batch, waits):
         """An ``ItemRun`` chunk yields the same effects, counters and
         latency samples as the same payloads sent as ``Item`` messages;
-        a poison value in it is quarantined alone."""
+        a poison value in it is quarantined alone.  With ``waits`` every
+        unit of work is a WORK effect answered with 0.5 s, and work that
+        ``price`` charges 0.5 s inline books the same with no WORK."""
         payloads = [1, 2, "poison", 3, 4]
-        outcomes = []
-        for chunk in (
-            [_item(p) for p in payloads],
-            [ItemRun(payloads[:2], [8.0] * 2, 0.0, "in"),
-             ItemRun(payloads[2:], [8.0] * 3, 0.0, "in")],
-        ):
+
+        def outcome(chunk, price):
             stage = _loop_stage(batch, ResilienceConfig(error_policy="dead-letter"))
-            effects = _drive(stage, [chunk, [EndOfStream("in")]], work=0.5,
-                             price_free_work=price_free_work)
-            outcomes.append((
+            effects = _drive(stage, [chunk, [EndOfStream("in")]], work=0.5, price=price)
+            return (
                 effects,
                 {name: stage.registry.value(f"stage.s.{name}")
                  for name in ("items_in", "bytes_in", "items_out", "bytes_out", "busy_seconds")},
                 stage.registry.histogram("stage.s.latency").samples,
                 [letter.payload for letter in stage.dead_letters.letters],
                 stage.consumed,
-            ))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[1][3] == ["poison"] and outcomes[1][4] == 5
+            )
+
+        def run_chunk():
+            return [ItemRun(payloads[:2], [8.0] * 2, 0.0, "in"),
+                    ItemRun(payloads[2:], [8.0] * 3, 0.0, "in")]
+
+        price = _must_wait if waits else None
+        items, runs = outcome([_item(p) for p in payloads], price), outcome(run_chunk(), price)
+        assert items == runs
+        assert runs[3] == ["poison"] and runs[4] == 5
+        if waits:
+            inline = outcome(run_chunk(), lambda *work: 0.5)
+            assert inline == ([e for e in runs[0] if e[0] is not WORK], *runs[1:])
 
 
 # -- the source loop under a fake interpreter ----------------------------------

@@ -413,7 +413,7 @@ def _small_pipelines(draw):
     )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)  # examples: the Hypothesis profile's (tests/conftest.py)
 @given(_small_pipelines())
 def test_inline_operations_change_nothing(shape):
     """Running what would be the next event inline (a worker's take, a

@@ -25,24 +25,24 @@ class TestMonitoringService:
     def test_interval_validation(self):
         env, net = make_fabric()
         with pytest.raises(ValueError):
-            MonitoringService(env, net, interval=0)
+            MonitoringService(env, net, MetricsRegistry(), interval=0)
 
     def test_double_start_rejected(self):
         env, net = make_fabric()
-        mon = MonitoringService(env, net)
+        mon = MonitoringService(env, net, MetricsRegistry())
         mon.start()
         with pytest.raises(RuntimeError):
             mon.start()
 
     def test_snapshot_before_samples_raises(self):
         env, net = make_fabric()
-        mon = MonitoringService(env, net)
+        mon = MonitoringService(env, net, MetricsRegistry())
         with pytest.raises(RuntimeError):
             _ = mon.snapshot
 
     def test_idle_fabric_shows_zero_utilization(self):
         env, net = make_fabric()
-        mon = MonitoringService(env, net, interval=1.0)
+        mon = MonitoringService(env, net, MetricsRegistry(), interval=1.0)
         mon.start()
         env.run(until=5.0)
         mon.stop()
@@ -59,7 +59,7 @@ class TestMonitoringService:
                 yield host.execute(CpuCostModel(), seconds=1.0)
 
         env.process(burner(env))
-        mon = MonitoringService(env, net, interval=1.0)
+        mon = MonitoringService(env, net, MetricsRegistry(), interval=1.0)
         mon.start()
         env.run(until=5.0)
         snap = mon.snapshot
@@ -76,7 +76,7 @@ class TestMonitoringService:
                 yield link.send("x", size=500.0)
 
         env.process(sender(env))
-        mon = MonitoringService(env, net, interval=1.0)
+        mon = MonitoringService(env, net, MetricsRegistry(), interval=1.0)
         mon.start()
         env.run(until=5.0)
         snap = mon.snapshot
@@ -87,7 +87,7 @@ class TestMonitoringService:
     def test_histories_accumulate(self):
         env, net = make_fabric()
         registry = MetricsRegistry()
-        mon = MonitoringService(env, net, interval=0.5, registry=registry)
+        mon = MonitoringService(env, net, registry, interval=0.5)
         mon.start()
         env.run(until=5.0)
         assert len(registry.get("host.a.utilization").series) == 10
@@ -97,7 +97,7 @@ class TestMonitoringService:
     def test_stop_ends_sampling(self):
         env, net = make_fabric()
         registry = MetricsRegistry()
-        mon = MonitoringService(env, net, interval=1.0, registry=registry)
+        mon = MonitoringService(env, net, registry, interval=1.0)
         mon.start()
         env.run(until=2.0)
         mon.stop()
@@ -113,7 +113,7 @@ class TestMonitoringService:
                 yield host.execute(CpuCostModel(), seconds=1.0)
 
         env.process(burner(env))
-        mon = MonitoringService(env, net, interval=1.0)
+        mon = MonitoringService(env, net, MetricsRegistry(), interval=1.0)
         mon.start()
         env.run(until=3.0)
         assert mon.snapshot.idlest_host() == "a"
@@ -132,7 +132,7 @@ class TestDynamicMatchmaking:
 
         env.process(burner(env))
         env.process(burner(env))  # both cores of 'a' busy
-        mon = MonitoringService(env, net, interval=1.0)
+        mon = MonitoringService(env, net, MetricsRegistry(), interval=1.0)
         mon.start()
         env.run(until=3.0)
 
@@ -148,7 +148,7 @@ class TestDynamicMatchmaking:
         env, net = make_fabric()
         registry = ServiceRegistry()
         registry.register_network(net)
-        mon = MonitoringService(env, net)
+        mon = MonitoringService(env, net, MetricsRegistry())
         mm = Matchmaker(registry, monitor=mon)
         assert mm.match_one(ResourceRequirement()) == "a"
 

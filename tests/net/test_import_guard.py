@@ -144,3 +144,49 @@ def test_a_threaded_run_from_a_config_does_not_load_networkx():
     sink = json.loads(run_python(THREADED_RUN))
     assert sink["items"] == 200
     assert [m for m in sink["modules"] if m.split(".")[0] == "networkx"] == []
+
+
+FORKED_REGISTER = """
+import json, os, sys
+from repro.net import worker
+
+repository = worker._preload() if PRELOAD else None
+index, forks = worker._fork_workers(2)
+before = set(sys.modules)
+node = worker.Worker(name=f"worker-{index}", repository=repository)
+node._register_stage({"stage": "filter", "code": "repo://count-samps/filter"})
+node._register_stage({"stage": "relay", "code": "py://tests.net.guard_stages:ModulesRelay"})
+os.write(1, (json.dumps({
+    "index": index,
+    "imported": sorted(set(sys.modules) - before),
+    "ledger_ready": "repro.ledger.context" in before,
+}) + "\\n").encode())
+for pid in forks:
+    os.waitpid(pid, 0)
+os._exit(0)
+"""
+
+
+def registered_in_each_fork(preload: bool) -> list:
+    """Per worker process of a two-worker start, in index order: what its
+    REGISTER of a ``repo://`` and a ``py://`` stage imported, and whether
+    START's ledger module was already loaded."""
+    out = run_python(f"PRELOAD = {preload}\n" + FORKED_REGISTER)
+    reports = sorted((json.loads(line) for line in out.splitlines()), key=lambda r: r["index"])
+    assert [report["index"] for report in reports] == [0, 1]
+    return [
+        ([m for m in report["imported"] if m.startswith(("repro.apps", "repro.ledger"))],
+         report["ledger_ready"])
+        for report in reports
+    ]
+
+
+def test_a_forked_worker_registers_without_importing_an_application():
+    """``main`` builds the built-in repository and imports the ledger
+    context once, before it forks (``worker._preload``): no worker's
+    REGISTER imports a ``repro.apps`` or ``repro.ledger`` module, and
+    START's ledger import finds it loaded.  Without the preload each
+    worker's first REGISTER imports the applications itself."""
+    assert registered_in_each_fork(preload=True) == [([], True), ([], True)]
+    for imported, ledger_ready in registered_in_each_fork(preload=False):
+        assert "repro.apps.count_samps" in imported and not ledger_ready

@@ -207,6 +207,29 @@ def test_a_moved_stage_gauge_comes_from_its_final_host(moved_back):
     assert result.metrics.value(name) == final
 
 
+def test_a_moved_stage_loop_counters_add_up_across_its_two_hosts(moved_back):
+    """The loop-owned stage counters are exact on the wire too: each
+    filter takes its 720 items and sends 15 summaries (one per 50 items,
+    then the flush), and ``join``, moved mid-run, counts on both workers
+    that hosted it.  Their exported floats sum to the merged totals."""
+    _runtime, result, shipped = moved_back
+    metrics = result.metrics
+    for i in range(2):
+        assert metrics.value(f"stage.filter-{i}.items_in") == 720.0
+        assert metrics.value(f"stage.filter-{i}.bytes_in") == 720 * 8.0
+        assert metrics.value(f"stage.filter-{i}.items_out") == 15.0
+    for name in ("items_in", "bytes_in", "items_out", "bytes_out", "busy_seconds"):
+        full = f"stage.join.{name}"
+        parts = [shipped[worker][full]["value"] for worker in ("worker-2", "worker-3")]
+        assert all(type(part) is float for part in parts), (full, parts)
+        assert parts[0] + parts[1] == metrics.value(full), full
+    taken = [shipped[worker]["stage.join.items_in"]["value"] for worker in ("worker-2", "worker-3")]
+    assert all(taken) and sum(taken) == 30.0
+    assert metrics.value("stage.join.bytes_in") == sum(
+        metrics.value(f"stage.filter-{i}.bytes_out") for i in range(2)
+    )
+
+
 def test_a_stage_hosted_again_keeps_one_series_per_name():
     """A worker the stage left earlier hosts it again: the new record
     replaces the moved-away one and records on into the trajectory the

@@ -241,10 +241,14 @@ class TestSummaryBatch:
             for pairs, items_seen in records:
                 decode_summary(encode_summary(pairs, items_seen))
 
-        def best(fn):
-            return min(timeit.repeat(fn, repeat=5, number=100))
-
-        assert best(batched) <= best(single)
+        # The two sides alternate within every round (and which goes first
+        # alternates between rounds), so a change of host speed lands on
+        # both; each side keeps its best of the rounds.
+        times = {batched: [], single: []}
+        for round_ in range(9):
+            for fn in (batched, single) if round_ % 2 == 0 else (single, batched):
+                times[fn].append(timeit.timeit(fn, number=100))
+        assert min(times[batched]) <= min(times[single])
 
     def test_bit_flip_fuzz_never_crashes(self):
         import random
@@ -304,6 +308,7 @@ class TestWireProperties:
         assert seen == items_seen
 
     @given(n=st.integers(min_value=0, max_value=500))
+    @settings(max_examples=100)
     def test_size_formula(self, n):
         pairs = [(i, 1) for i in range(n)]
         assert len(encode_summary(pairs)) == HEADER_BYTES + n * PAIR_BYTES
