@@ -50,10 +50,11 @@ class Item:
 class ItemRun:
     """Untraced items that arrived together: one message for a whole run.
 
-    The networked runtime queues one per DATA frame (and its feeder
-    batches arrivals into one): ``values[i]`` is an item's payload,
-    ``sizes[i]`` its declared size, and all share one ``created_at`` and
-    one ``origin``.  The stage loop takes the payloads straight from it,
+    The networked runtime queues one per DATA frame, and both its
+    feeder and the threaded one put a source's arrivals as runs
+    (:func:`~repro.core.kernel.source_loop`): ``values[i]`` is an
+    item's payload, ``sizes[i]`` its declared size, and all share one
+    ``created_at`` and one ``origin``.  The stage loop takes the payloads straight from it,
     so no :class:`Item` is built per item.
     """
 

@@ -26,6 +26,7 @@ wall clock, no global RNG — time always comes from ``stage.clock``.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -794,16 +795,17 @@ def source_loop(
     tracer: Optional[Any] = None,
     time_scale: float = 1.0,
     lock: Optional[Any] = None,
-    batch: Optional[BatchPolicy] = None,
+    batch: Union[BatchPolicy, int, None] = None,
+    ready: Optional[Callable[[int], bool]] = None,
 ) -> _Effects:
     """The one source loop, as a generator of blocking effects.
 
     It feeds the slots ``binding.targets(groups)``.  A driver answers
     ``(WAIT, seconds)`` by sleeping (the gap before an arrival: ``rate``
     or ``arrivals`` times ``time_scale``; a gap of 0 yields nothing),
-    and ``(PUT, slot, message)`` by delivering the ``Item`` or
-    ``EndOfStream`` into that slot's queue, blocking while it is full,
-    or by replying False to report the item dropped (``drop_when_full``).
+    and ``(PUT, slot, message)`` by delivering the message into that
+    slot's queue, blocking while it is full, or by replying False to
+    report an ``Item`` dropped (``drop_when_full``).
 
     In here: the payload's size, the ``Item`` stamped from ``clock``,
     ``tracer`` sampling (``run.traced_items``; the hop opens before the
@@ -813,11 +815,18 @@ def source_loop(
     held, so a rebalance never splits owner and put.  What ``payloads``
     or ``item_size`` raise propagates.
 
-    Under ``batch`` (a driver that ships batches, never drops, and
-    passes no ``tracer`` or ``lock``) no ``Item`` is built: each slot's
-    arrivals collect in an :class:`~repro.core.items.ItemRun`, put once
-    it holds ``max_items`` or an arrival finds its first one
-    ``max_delay`` old, and before the slot's end-of-stream.
+    Under ``batch`` (for a runtime that never drops and passes no ``lock``)
+    no ``Item`` is built for an untraced arrival: each slot's arrivals
+    collect in an :class:`~repro.core.items.ItemRun` stamped with its
+    first arrival's time.  A run is put once it holds ``batch`` items
+    (a :class:`~repro.core.batching.BatchPolicy`'s ``max_items``, or
+    ``batch`` itself as a plain size), when an arrival finds its first
+    one a policy's ``max_delay`` old (a plain size has no age bound),
+    when ``ready(slot)`` (the runtime's hint that the slot's consumer
+    waits for input) is true after an arrival, before every ``WAIT``,
+    and before the slot's end-of-stream.  So no run waits out a gap.  A
+    sampled arrival puts its slot's run first, then goes alone as an
+    ``Item`` with its trace and open hop.
     """
     name, item_size = binding.name, binding.item_size
     sized = callable(item_size)
@@ -826,32 +835,51 @@ def source_loop(
     counters = [registry.counter(f"shard.{m}.items") for m in members] if group else []
     gaps = binding.arrivals.gaps() if binding.arrivals is not None else None
     fixed_gap = (1.0 / binding.rate) * time_scale if binding.rate else 0.0
+    if isinstance(batch, BatchPolicy):
+        run_items, max_delay = batch.max_items, batch.max_delay
+    else:
+        run_items, max_delay = batch or 0, math.inf
     slot = 0
     # Under ``batch``, each slot's arrivals not yet put: payloads, sizes
     # and the first one's arrival time.
     runs: List[Optional[Tuple[List[Any], List[float], float]]] = [None] * len(members)
+
+    def put_run(slot: int) -> _Effects:
+        values, sizes, first = runs[slot]  # type: ignore[misc]
+        runs[slot] = None
+        yield (PUT, slot, ItemRun(values, sizes, first, name))
+        if counters:
+            counters[slot].inc(len(values))
+
     for payload in binding.payloads:
         gap = next(gaps) * time_scale if gaps is not None else fixed_gap
         if gap:
+            for pending, run in enumerate(runs):
+                if run is not None:
+                    yield from put_run(pending)
             yield (WAIT, gap)
         now = clock()
         size = float(item_size(payload) if sized else item_size)
-        if batch is not None:
+        trace = tracer.maybe_trace(name, now) if tracer is not None else None
+        if run_items:
             if group is not None:
                 slot = group.owner(payload)
             run = runs[slot]
-            if run is None:
-                run = runs[slot] = ([], [], now)
-            run[0].append(payload)
-            run[1].append(size)
-            if len(run[0]) >= batch.max_items or now - run[2] >= batch.max_delay:
-                runs[slot] = None
-                yield (PUT, slot, ItemRun(run[0], run[1], run[2], name))
-                if counters:
-                    counters[slot].inc(len(run[0]))
-            continue
+            if trace is None:
+                if run is None:
+                    run = runs[slot] = ([], [], now)
+                run[0].append(payload)
+                run[1].append(size)
+                if (
+                    len(run[0]) >= run_items
+                    or now - run[2] >= max_delay
+                    or (ready is not None and ready(slot))
+                ):
+                    yield from put_run(slot)
+                continue
+            if run is not None:
+                yield from put_run(slot)
         item = Item(payload, size, name, now)
-        trace = tracer.maybe_trace(name, now) if tracer is not None else None
         if trace is not None:
             registry.counter("run.traced_items").inc()
             item.trace = trace
@@ -873,9 +901,7 @@ def source_loop(
             counters[slot].inc()
     for slot, run in enumerate(runs):
         if run is not None:
-            yield (PUT, slot, ItemRun(run[0], run[1], run[2], name))
-            if counters:
-                counters[slot].inc(len(run[0]))
+            yield from put_run(slot)
         yield (PUT, slot, EndOfStream(origin=name))
 
 

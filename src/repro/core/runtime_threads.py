@@ -32,10 +32,9 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.adaptation.protocol import LoadException
 from repro.core.api import StreamProcessor
-from repro.core.items import EndOfStream, Item
+from repro.core.items import EndOfStream, Item, ItemRun
 from repro.core.kernel import (
     FLUSH,
-    PUT,
     SEND,
     TAKE,
     WAIT,
@@ -89,12 +88,14 @@ class _MonitoredQueue:
     messages that must never deadlock (the error-path end-of-stream),
     and ``close`` releases any blocked producers when the consumer dies.
 
-    Items the consumer takes with :meth:`get_many` are *held*: they stay
-    counted — in :attr:`current_length`, in the d̄ window and against
-    ``capacity`` — until the consumer's next take releases them.  So
-    queued plus in-hand items never exceed ``capacity``, and the length
-    still shows the backlog the stage has not served.  The d̄ window
-    gets one sample per length change: one per item put, one per
+    Lengths count items, as :class:`~repro.net.channels.AsyncInbox`'s
+    do: an :class:`~repro.core.items.ItemRun` its items, any other entry
+    one.  Items the consumer takes with :meth:`get_many` are *held*:
+    they stay counted — in :attr:`current_length`, in the d̄ window and
+    against ``capacity`` — until the consumer's next take releases them.
+    So queued plus in-hand items never exceed ``capacity``, and the
+    length still shows the backlog the stage has not served.  The d̄
+    window gets one sample per length change: one per item put, one per
     release.
     """
 
@@ -103,6 +104,8 @@ class _MonitoredQueue:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._items: deque = deque()
+        #: Items queued or held.
+        self._length = 0
         #: Items the consumer took with ``get_many`` and has not released.
         self._held = 0
         self._lock = threading.Lock()
@@ -111,38 +114,47 @@ class _MonitoredQueue:
         self._closed = False
         self._recent: deque = deque([0], maxlen=window)
 
-    def put(self, item: Any) -> None:
-        """Append one item, blocking while the queue is at capacity."""
-        with self._lock:
-            while len(self._items) + self._held >= self.capacity and not self._closed:
-                self._not_full.wait()
-            if self._closed:
-                return
-            self._items.append(item)
-            self._recent.append(len(self._items) + self._held)
-            self._not_empty.notify()
+    def _grow(self, n: int) -> None:
+        """Count ``n`` items just queued — one d̄ sample each, of those
+        the window keeps — and wake the consumer.  Lock held."""
+        length = self._length = self._length + n
+        recent = self._recent
+        recent.extend(range(max(length - n, length - recent.maxlen) + 1, length + 1))
+        self._not_empty.notify()
 
-    def put_many(self, items: List[Any]) -> None:
-        """Append a batch under one lock acquisition, respecting capacity.
-
-        Blocks whenever the queue is full, appending as many items as fit
-        per wakeup — the capacity bound holds exactly, the per-item lock
-        and notify round-trips are amortized over the batch.  The d̄
-        window gets the same samples as one :meth:`put` per item.
-        """
+    def put(self, entry: Any) -> None:
+        """Append one entry, blocking while the queue is at capacity.  A
+        run that does not fit is split: what fits goes now, the rest
+        waits for room."""
+        n = len(entry.values) if type(entry) is ItemRun else 1
         with self._lock:
-            index = 0
-            while index < len(items):
-                while len(self._items) + self._held >= self.capacity and not self._closed:
+            while n:
+                while self._length >= self.capacity and not self._closed:
                     self._not_full.wait()
                 if self._closed:
                     return
-                length = len(self._items) + self._held
-                fit = items[index:index + self.capacity - length]
+                part = min(n, self.capacity - self._length)
+                self._items.append(entry if part == n else entry.take(part))
+                self._grow(part)
+                n -= part
+
+    def put_many(self, items: List[Any]) -> None:
+        """Append one-item entries under one lock acquisition, respecting
+        capacity: as many as fit per wakeup, so the bound holds exactly
+        and the per-item lock and notify round-trips are amortized over
+        the batch.  The d̄ window gets the same samples as one
+        :meth:`put` per item."""
+        with self._lock:
+            index = 0
+            while index < len(items):
+                while self._length >= self.capacity and not self._closed:
+                    self._not_full.wait()
+                if self._closed:
+                    return
+                fit = items[index:index + self.capacity - self._length]
                 self._items.extend(fit)
-                self._recent.extend(range(length + 1, length + len(fit) + 1))
+                self._grow(len(fit))
                 index += len(fit)
-                self._not_empty.notify()
 
     def force_put(self, item: Any) -> None:
         """Append regardless of capacity; never blocks.
@@ -155,8 +167,7 @@ class _MonitoredQueue:
             if self._closed:
                 return
             self._items.append(item)
-            self._recent.append(len(self._items) + self._held)
-            self._not_empty.notify()
+            self._grow(1)
 
     def close(self) -> None:
         """Mark the consumer gone: wake and release every blocked producer.
@@ -179,13 +190,15 @@ class _MonitoredQueue:
     def get_many(self, max_items: int, timeout: Optional[float] = None) -> List[Any]:
         """Release the held items, block until the queue is non-empty
         (raising ``TimeoutError`` after ``timeout`` seconds), then take
-        up to ``max_items`` without further waiting.  The taken items are
-        held until the next take."""
+        entries holding up to ``max_items`` items without further
+        waiting, splitting a run at the bound.  The taken items are held
+        until the next take."""
         with self._lock:
             if self._held:
                 self._not_full.notify(self._held)
+                self._length -= self._held
                 self._held = 0
-                self._recent.append(len(self._items))
+                self._recent.append(self._length)
             items = self._items
             deadline = None if timeout is None else time.monotonic() + timeout
             while not items:
@@ -193,15 +206,25 @@ class _MonitoredQueue:
                 if remaining is not None and remaining <= 0:
                     raise TimeoutError("queue get timed out")
                 self._not_empty.wait(remaining)
-            taken = [items.popleft() for _ in range(min(max_items, len(items)))]
-            self._held = len(taken)
+            taken = []
+            room = max_items
+            while items and room:
+                head = items[0]
+                n = len(head.values) if type(head) is ItemRun else 1
+                if n > room:
+                    head, n = head.take(room), room
+                else:
+                    items.popleft()
+                taken.append(head)
+                room -= n
+            self._held = max_items - room
             return taken
 
     @property
     def current_length(self) -> int:
         """Queued plus held items."""
         with self._lock:
-            return len(self._items) + self._held
+            return self._length
 
     @property
     def recent_average(self) -> float:
@@ -468,49 +491,36 @@ class ThreadedRuntime:
 
         Gaps are sleeps; a group-bound put happens per item under the
         group's lock (the autoscaler rebalances there).  Into any other
-        stage, back-to-back arrivals are collected and handed over as one
-        chunk (one lock round-trip and one rate observation): at once
-        while the stage's queue is idle, since its worker is or is about
-        to be waiting; when the chunk reaches a quarter of the queue's
-        capacity; and at every gap or end-of-stream.  So paced sources,
-        and iterables that block between pulls while the stage keeps up,
+        stage, arrivals go as runs of up to a quarter of the queue's
+        capacity, each one lock round-trip and one rate observation,
+        and the loop puts a run at once when the queue is idle: its
+        worker is or is about to be waiting.  So paced sources, and
+        iterables that block between pulls while the stage keeps up,
         still deliver each item as it arrives.  A source that raises
         ends its targets' input and fails the run.
         """
         group = self._groups.get(source.target_stage)
         members = [self._stages[name] for name in source.targets(self._groups)]
+        idle = members[0].queue.idle
         loop = source_loop(
             source, self._groups, self.elapsed, self.metrics, tracer=self.tracer,
             time_scale=self.time_scale, lock=self._group_locks.get(source.target_stage),
+            batch=None if group else max(1, members[0].queue.capacity // 4),
+            ready=lambda slot: idle(),
         )
-        stage = members[0]
-        idle = stage.queue.idle
-        limit = 1 if group is not None else max(1, stage.queue.capacity // 4)
-        chunk: List[Item] = []
-
-        def hand_over(member: _ThreadStage) -> None:
-            if len(chunk) == 1:
-                member.queue.put(chunk[0])
-            else:
-                member.queue.put_many(chunk)
-            if group is not None:
-                member.delivered += 1  # one item, under the group lock
-            self._observe_arrival(member, count=len(chunk))
-            chunk.clear()
-
         try:
             for effect in loop:
-                if effect[0] is PUT and type(effect[2]) is Item:
-                    chunk.append(effect[2])
-                    if len(chunk) >= limit or idle():
-                        hand_over(members[effect[1]])
-                    continue
-                if chunk:
-                    hand_over(stage)
                 if effect[0] is WAIT:
                     time.sleep(effect[1])
-                else:  # end-of-stream
-                    members[effect[1]].queue.put(effect[2])
+                    continue
+                _, slot, message = effect
+                member = members[slot]
+                count = len(message.values) if type(message) is ItemRun else 1
+                member.queue.put(message)  # may split a run: counted first
+                if type(message) is not EndOfStream:
+                    if group is not None:
+                        member.delivered += 1  # one item, under the group lock
+                    self._observe_arrival(member, count)
         except Exception as exc:  # surfaced by run()
             loop.close()  # releases the group lock if a put raised
             self._source_errors.append((source.name, exc))
@@ -593,14 +603,12 @@ class ThreadedRuntime:
         self, stage: _ThreadStage, edge: _ThreadEdge, payload: Any, size: float, trace: Any
     ) -> None:
         """Stamp one emission now and put it into the edge's queue."""
-        item = Item(
-            payload=payload, size=size, origin=stage.name,
-            created_at=self.elapsed(), trace=trace,
-        )
+        now = self.elapsed()
+        item = Item(payload, size, stage.name, now, trace)
         if trace is not None:
             # Open the hop before the put: the downstream worker may
             # dequeue immediately.  Emissions share the parent item's trace.
-            item.hop = trace.begin_hop(edge.dst.name, self.elapsed())
+            item.hop = trace.begin_hop(edge.dst.name, now)
         edge.dst.queue.put(item)
 
     def _send_family(
@@ -652,9 +660,7 @@ class ThreadedRuntime:
         now = self.elapsed()
         items: List[Item] = []
         for payload, size, created, trace, _ in entries:
-            item = Item(
-                payload=payload, size=size, origin=stage.name, created_at=created, trace=trace
-            )
+            item = Item(payload, size, stage.name, created, trace)
             if trace is not None:
                 item.hop = trace.begin_hop(edge.dst.name, now)
             items.append(item)
@@ -702,11 +708,7 @@ class ThreadedRuntime:
         )
         interval = self.policy.sample_interval * self.time_scale
         replicas_series.record(self.elapsed(), float(group.active))
-        while not stop.is_set():
-            if stop.wait(interval):
-                return
-            if all(member.done.is_set() for member in members):
-                return
+        while not stop.wait(interval) and not all(m.done.is_set() for m in members):
             active_members = members[: group.active]
             occupancy = sum(
                 min(1.0, m.queue.current_length / m.queue.capacity)
@@ -780,11 +782,7 @@ class ThreadedRuntime:
         assert self.resilience is not None
         assert self.resilience.checkpoint_interval is not None
         interval = self.resilience.checkpoint_interval * self.time_scale
-        while not stop.is_set() and not stage.done.is_set():
-            if stop.wait(interval):
-                return
-            if stage.done.is_set():
-                return
+        while not stop.wait(interval) and not stage.done.is_set():
             self._checkpoint_stage(stage)
 
     def _checkpoint_stage(self, stage: _ThreadStage) -> None:
@@ -852,7 +850,5 @@ class ThreadedRuntime:
                 upstream.receive_exception(exception)
 
         interval = self.policy.sample_interval * self.time_scale
-        while not stop.is_set() and not stage.done.is_set():
-            if stop.wait(interval):
-                return
+        while not stage.done.is_set() and not stop.wait(interval):
             adaptation_tick(stage, report)

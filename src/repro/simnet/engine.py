@@ -35,8 +35,8 @@ inline instead, with no event at all: nothing can happen in between, so
 the run observes exactly what the event would have shown it.
 :meth:`Environment.next_up` is the one predicate that decides it; the
 callers are a consumer's take of a queued item
-(:meth:`~repro.simnet.resources.Store.take`, asking
-:meth:`Environment.settled`), a producer admitted into a store
+(:meth:`~repro.simnet.resources.Store.take`, asking ``next_up(now)``),
+a producer admitted into a store
 (:meth:`~repro.simnet.resources.Store.offer`) and work on a free core
 (:meth:`~repro.simnet.hosts.Host.execute_inline`).  Each caller would
 wait on the operation at once, so nothing of its own comes in between
@@ -507,16 +507,6 @@ class Environment:
             return True
         head = queue[0]
         return head[0] > when or (head[0] == when and head[1] > priority)
-
-    def settled(self) -> bool:
-        """True when only work completions are left for this instant.
-
-        An event triggered now would then be the very next one processed
-        (:meth:`next_up`), so a process that can take what it would wait
-        for (an item already in a store) changes nothing by taking it
-        without the event.
-        """
-        return self.next_up(self.now)
 
     def complete_inline(self, delay: float) -> bool:
         """Finish work that starts now and lasts ``delay`` without its event.

@@ -62,11 +62,6 @@ class CapacityResource:
         self._waiters: Deque[Callable[[], None]] = deque()
 
     @property
-    def available(self) -> int:
-        """Units currently free."""
-        return self.capacity - self.in_use
-
-    @property
     def queue_length(self) -> int:
         """Number of pending claims."""
         return len(self._waiters)
@@ -178,7 +173,7 @@ class Store:
         The callback form of ``yield store.put(item)``, with the same
         order: True means the item is stored and the producer's
         resumption would be the next event processed
-        (:meth:`Environment.settled`), so it just goes on.  Otherwise it
+        (``env.next_up(env.now)``), so it just goes on.  Otherwise it
         returns False and ``resume(event)`` is called later: by an event
         at this instant if the item is stored, or, with the store full,
         once a take admits the item (FIFO with every other blocked put) —
@@ -190,7 +185,7 @@ class Store:
             self._putters.append(_Parked(env, item, resume))
             return False
         self._insert(item)
-        if env.next_up(env.now):  # env.settled()
+        if env.next_up(env.now):  # the put's resumption is next
             return True
         _Parked(env, item, resume).succeed()
         return False
@@ -241,11 +236,11 @@ class Store:
         The item is taken here (:meth:`try_get`, with the queue mutations
         ``get()`` makes, in the same order) only when one is queued and
         the get's event would be the next one processed
-        (:meth:`Environment.settled`), so taking it needs no event at all.
+        (``env.next_up(env.now)``), so taking it needs no event at all.
         A store used this way holds no None.
         """
         env = self.env
-        if self._items and env.next_up(env.now):  # env.settled()
+        if self._items and env.next_up(env.now):  # the get's event is next
             return self.try_get()
         return None
 
@@ -332,7 +327,7 @@ class Store:
             self._on_length_change()
             if self.on_insert is not None:
                 self.on_insert(putter.item)
-            if inline and type(putter) is _Parked and env.next_up(env.now):  # env.settled()
+            if inline and type(putter) is _Parked and env.next_up(env.now):  # resumption next
                 ready.append(putter.resume)
             else:
                 putter.succeed()

@@ -7,6 +7,8 @@ outside ``repro.core.run`` — is the GA520–GA526 rows of
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.adaptation.protocol import LoadException, LoadExceptionKind
@@ -662,8 +664,9 @@ class TestSourceLoop:
 
     def test_under_a_batch_policy_arrivals_are_put_as_runs(self):
         """No ``Item`` per arrival: a slot's arrivals go out as one
-        ``ItemRun`` once it holds ``max_items``, when an arrival finds the
-        first one ``max_delay`` old, and before the slot's end-of-stream."""
+        ``ItemRun`` once it holds ``max_items``, before every gap (so no
+        run waits it out past ``max_delay``), and before the slot's
+        end-of-stream."""
         binding = SourceBinding(
             "s", "a", [1, 2, 3, 4, 5, 6, 7], rate=1.0, arrivals=_Arrivals([0, 0, 0, 0, 1.0, 0, 0]),
         )
@@ -674,10 +677,75 @@ class TestSourceLoop:
             (slot, list(m.values), list(m.sizes), m.created_at, m.origin)
             for slot, m in puts[:-1]
         ] == [
-            (0, [1, 2, 3], [8.0] * 3, 0.0, "s"), (0, [4, 5], [8.0] * 2, 0.0, "s"),
-            (0, [6, 7], [8.0] * 2, 1.0, "s"),
+            (0, [1, 2, 3], [8.0] * 3, 0.0, "s"), (0, [4], [8.0], 0.0, "s"),
+            (0, [5, 6, 7], [8.0] * 3, 1.0, "s"),
         ]
         assert puts[-1] == (0, EndOfStream("s"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        gaps=st.lists(st.sampled_from([0.0, 0.0, 0.01, 0.3, 1.0]), max_size=30),
+        max_items=st.integers(1, 5),
+        max_delay=st.sampled_from([0.0, 0.02, 0.5, 2.0]),
+        slots=st.integers(1, 3),
+    )
+    def test_no_run_is_put_later_than_max_delay_after_its_first_arrival(
+        self, gaps, max_items, max_delay, slots
+    ):
+        """Any gap sequence, one slot or a shard group: every run is put
+        within ``max_delay`` of its first arrival, holds at most
+        ``max_items``, and the runs carry every payload once, in order
+        per slot."""
+        payloads = list(range(len(gaps)))
+        binding = SourceBinding("s", "g", payloads, rate=1.0, arrivals=_Arrivals(gaps))
+        group = _Members(active=slots, slots=slots)
+        clock = _Clock()
+        loop = source_loop(
+            binding, {"g": group}, clock, MetricsRegistry(),
+            batch=BatchPolicy(max_items=max_items, max_delay=max_delay),
+        )
+        per_slot = [[] for _ in range(slots)]
+        for effect in loop:
+            if effect[0] is WAIT:
+                clock.now += effect[1]
+            elif type(effect[2]) is ItemRun:
+                run = effect[2]
+                assert clock.now - run.created_at <= max_delay
+                assert 1 <= len(run.values) <= max_items
+                per_slot[effect[1]].extend(run.values)
+        assert per_slot == [[p for p in payloads if p % slots == s] for s in range(slots)]
+
+    def test_a_plain_run_size_has_no_age_bound_and_ready_puts_at_once(self):
+        """``batch`` as a plain size: runs end at that size, a gap or
+        end-of-stream, or as soon as ``ready(slot)`` says the consumer
+        waits — never by age."""
+        clock = _Clock()
+
+        class Payloads:
+            def __iter__(self):
+                for payload in range(7):
+                    clock.now += 10.0  # a source that blocks between pulls
+                    yield payload
+
+        loop = source_loop(  # the consumer waits when payload 3 arrives
+            SourceBinding("s", "a", Payloads()), {}, clock, MetricsRegistry(),
+            batch=3, ready=lambda slot: clock.now == 40.0,
+        )
+        assert [list(m.values) for _, _, m in loop if type(m) is ItemRun] == [
+            [0, 1, 2], [3], [4, 5, 6],
+        ]
+
+    def test_a_sampled_arrival_puts_its_slots_run_and_goes_alone(self):
+        binding = SourceBinding("s", "a", [1, 2, 3, 4, 5])
+        effects, _, registry = _feed(binding, batch=8, tracer=TraceCollector(3))
+        puts = [message for kind, _, message in effects if kind is PUT]
+        assert [
+            list(m.values) if type(m) is ItemRun else m.payload if type(m) is Item else "EOS"
+            for m in puts
+        ] == [1, [2, 3], 4, [5], "EOS"]
+        traced = [m for m in puts if type(m) is Item]
+        assert [(m.hop.stage, m.trace is not None) for m in traced] == [("a", True)] * 2
+        assert registry.value("run.traced_items") == 2
 
     def test_batched_runs_are_routed_by_key_and_counted_per_slot(self):
         binding = SourceBinding("s", "g", [0, 1, 2, 3, 4, 5])

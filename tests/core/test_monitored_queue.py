@@ -15,11 +15,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.items import ItemRun
 from repro.core.runtime_threads import _MonitoredQueue
 
 
 def make_queue(capacity=2, window=12):
     return _MonitoredQueue(capacity=capacity, window=window)
+
+
+def run_of(values):
+    values = list(values)
+    return ItemRun(values, [8.0] * len(values), 0.0, "s")
+
+
+def flat(entries):
+    """The payloads of taken entries, a run's in its order."""
+    out = []
+    for entry in entries:
+        out.extend(entry.values if type(entry) is ItemRun else [entry])
+    return out
+
+
+def count(entries):
+    return sum(len(e.values) if type(e) is ItemRun else 1 for e in entries)
 
 
 class TestPutBlocksAtCapacity:
@@ -291,3 +309,138 @@ def test_threaded_producers_and_consumer_never_exceed_capacity(
     assert got == sent[: len(got)]
     if close_after is None or close_after >= len(sent):
         assert got == sent
+
+
+class TestRuns:
+    """An ``ItemRun`` counts as its items: against ``capacity``, in
+    ``current_length``, in the d̄ window and while held."""
+
+    def test_a_run_larger_than_the_room_is_split_and_its_rest_blocks(self):
+        queue = make_queue(capacity=4)
+        queue.put("a")
+        done = threading.Event()
+
+        def producer():
+            queue.put(run_of(range(6)))
+            done.set()
+
+        thread = threading.Thread(target=producer, daemon=True)
+        thread.start()
+        assert not done.wait(0.1), "put() of a run ignored the capacity"
+        assert queue.current_length == 4
+        assert flat(queue.get_many(10, timeout=1.0)) == ["a", 0, 1, 2]
+        assert not done.wait(0.1), "the run's rest ignored the held items"
+        assert flat(queue.get_many(10, timeout=2.0)) == [3, 4, 5]
+        assert done.wait(2.0)
+        thread.join(2.0)
+        assert queue.current_length == 3
+
+    def test_get_many_splits_a_run_at_max_items(self):
+        queue = make_queue(capacity=10)
+        queue.put(run_of(range(5)))
+        queue.put("x")
+        first = queue.get_many(3, timeout=1.0)
+        assert len(first) == 1 and type(first[0]) is ItemRun
+        assert list(first[0].values) == [0, 1, 2] and list(first[0].sizes) == [8.0] * 3
+        assert queue.current_length == 6
+        assert flat(queue.get_many(3, timeout=1.0)) == [3, 4, "x"]
+        assert queue.current_length == 3
+
+    def test_held_run_items_count_as_items(self):
+        queue = make_queue(capacity=5, window=64)
+        queue.put(run_of(range(4)))
+        assert queue.current_length == 4
+        assert list(queue._recent) == [0, 1, 2, 3, 4]  # one sample per item
+        queue.get_many(10, timeout=1.0)
+        assert queue.current_length == 4  # held
+        queue.put("y")  # room for exactly one more
+        blocked = threading.Event()
+        thread = threading.Thread(
+            target=lambda: (queue.put("z"), blocked.set()), daemon=True
+        )
+        thread.start()
+        assert not blocked.wait(0.1), "put() ignored the held run's items"
+        assert flat(queue.get_many(10, timeout=1.0)) == ["y"]  # releases the run
+        assert blocked.wait(2.0)
+        thread.join(2.0)
+        assert queue.current_length == 2
+        assert list(queue._recent)[:7] == [0, 1, 2, 3, 4, 5, 1]
+
+    def test_close_releases_a_blocked_run_put(self):
+        queue = make_queue(capacity=2)
+        released = threading.Event()
+
+        def producer():
+            queue.put(run_of(range(5)))  # two fit, the rest blocks
+            released.set()
+
+        thread = threading.Thread(target=producer, daemon=True)
+        thread.start()
+        assert not released.wait(0.1)
+        assert queue.current_length == 2
+        queue.close()
+        assert released.wait(2.0), "close() did not release the blocked run put"
+        thread.join(2.0)
+        assert queue.current_length == 2
+
+
+_PUTS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.integers(0, 99)),
+        st.tuples(st.just("put_many"), st.lists(st.integers(0, 99), max_size=6)),
+        st.tuples(st.just("run"), st.lists(st.integers(0, 99), min_size=1, max_size=9)),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(capacity=st.integers(1, 6), puts=_PUTS, takes=st.lists(st.integers(1, 7), min_size=1))
+def test_any_interleaving_of_runs_keeps_fifo_order_and_the_bound(capacity, puts, takes):
+    """A producer thread mixes ``put``, ``put_many`` and run puts (runs
+    larger than the capacity among them), a consumer takes with
+    ``get_many`` (its sizes cycling through ``takes``), and an observer
+    samples the length throughout: the payloads come out in the order
+    they went in, no take exceeds its ``max_items``, and queued plus
+    held items stay within capacity at every observed instant."""
+    queue = make_queue(capacity=capacity)
+    sent = []
+    for op, arg in puts:
+        sent.extend(arg if isinstance(arg, list) else [arg])
+    stop = threading.Event()
+    peak = [0]
+
+    def producer():
+        for op, arg in puts:
+            if op == "put":
+                queue.put(arg)
+            elif op == "put_many":
+                queue.put_many(arg)
+            else:
+                queue.put(run_of(arg))
+
+    def observer():
+        while not stop.is_set():
+            peak[0] = max(peak[0], queue.current_length)
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (producer, observer)]
+    for thread in threads:
+        thread.start()
+    got = []
+    index = 0
+    try:
+        while len(got) < len(sent):
+            take = takes[index % len(takes)]
+            index += 1
+            taken = queue.get_many(take, timeout=5.0)
+            assert 1 <= count(taken) <= take
+            got.extend(flat(taken))
+            assert queue.current_length <= capacity
+        threads[0].join(5.0)
+    finally:
+        stop.set()
+        queue.close()  # a producer still blocked gives up
+    threads[1].join(5.0)
+    assert not threads[0].is_alive(), "producer stayed blocked"
+    assert peak[0] <= capacity
+    assert got == sent

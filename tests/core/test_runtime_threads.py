@@ -398,3 +398,50 @@ class TestChunkedHandoff:
         arrived = dict(rt.run(timeout=30.0).final_value("sink"))
         delays = [arrived[i] - pulled[i] for i in range(10)]
         assert max(delays) < 0.015, [round(d * 1e3, 2) for d in delays]
+
+
+class TestFeedRuns:
+    """A source bound to one stage feeds ``ItemRun`` entries; a sampled
+    arrival leaves its run behind and goes alone, with its trace and
+    open hop."""
+
+    def test_a_traced_source_delivers_in_order_and_sampled_items_alone(self):
+        from repro.core.items import EndOfStream, Item, ItemRun
+
+        rt = ThreadedRuntime(adaptation_enabled=False, trace_every=7)
+        # Runs of 7 into a queue of 30: a run that does not fit is split.
+        rt.add_stage("fwd", Forward(), properties={"queue-capacity": "30"})
+        rt.add_stage("sink", Collect())
+        rt.connect("fwd", "sink")
+        payloads = list(range(3000))
+        rt.bind_source("s", "fwd", payloads)
+        queue = rt._stages["fwd"].queue
+        put, entries = queue.put, []
+
+        def recording_put(entry):
+            # A run may be split inside put(): note what it held first.
+            entries.append((entry, list(entry.values) if type(entry) is ItemRun else None))
+            put(entry)
+
+        queue.put = recording_put
+        result = rt.run(timeout=60.0)
+        assert result.final_value("sink") == payloads
+        fed = []
+        alone = []
+        for entry, values in entries:
+            if values is not None:
+                fed.extend(values)
+            elif type(entry) is Item:
+                fed.append(entry.payload)
+                alone.append(entry)
+            else:
+                assert type(entry) is EndOfStream
+        assert fed == payloads
+        assert [item.payload for item in alone] == payloads[::7]
+        assert all(
+            item.trace is not None and item.hop.stage == "fwd" and item.hop.completed
+            for item in alone
+        )
+        assert any(values is not None and len(values) > 1 for _, values in entries)
+        assert result.metrics.value("run.traced_items") == len(alone) == len(rt.tracer.traces)
+        assert rt._stages["fwd"].rate_estimator.events == len(payloads)

@@ -495,17 +495,18 @@ class TestInboxBatchSurface:
 @pytest.mark.parametrize("put", ["run", "many"])
 def test_inbox_samples_d_bar_per_item_like_the_threaded_queue(put):
     """A frame of n items, or n entries put together, leaves the n d̄
-    samples n single puts would — as ``_MonitoredQueue.put_many`` on the
-    threaded runtime and the simulator's queue do — not one."""
+    samples n single puts would — as the threaded runtime's queue does
+    for the same run or entries, and the simulator's queue — not one."""
     from repro.core.runtime_threads import _MonitoredQueue
 
     inbox = AsyncInbox(capacity=16, window=16)
+    threaded = _MonitoredQueue(capacity=16, window=16)
     if put == "run":
         inbox.put_nowait(_run_of(range(4)))
+        threaded.put(_run_of(range(4)))
     else:
         inbox.put_many_nowait(list(range(4)))
-    threaded = _MonitoredQueue(capacity=16, window=16)
-    threaded.put_many(list(range(4)))
+        threaded.put_many(list(range(4)))
     assert list(inbox._recent) == list(threaded._recent) == [0, 1, 2, 3, 4]
 
 

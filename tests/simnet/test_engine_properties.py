@@ -236,15 +236,15 @@ class TestCallbackOrderProperties:
 
     def test_settled_is_true_only_when_completions_are_all_that_is_left(self):
         env = Environment()
-        assert env.settled()
+        assert env.next_up(env.now)
         env.timeout(1.0)
-        assert env.settled()  # nothing more at t=0
+        assert env.next_up(env.now)  # nothing more at t=0
         done = env.event().complete()
-        assert env.settled()  # a completion does not count
+        assert env.next_up(env.now)  # a completion does not count
         env.event().succeed()
-        assert not env.settled()
+        assert not env.next_up(env.now)
         env.step()  # the ordinary event
-        assert env.settled() and not done.processed
+        assert env.next_up(env.now) and not done.processed
 
     def test_next_up_orders_by_time_then_priority_within_the_horizon(self):
         env = Environment()

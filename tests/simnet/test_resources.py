@@ -45,7 +45,7 @@ class TestCapacityResource:
         res.claim(lambda: granted.append(env.now))
         assert granted == [0.0]
         assert res.in_use == 1
-        assert res.available == 1
+        assert res.capacity - res.in_use == 1
         assert res.queue_length == 0
 
     def test_contention_serializes(self):
