@@ -231,8 +231,8 @@ _ALL: List[CodeInfo] = [
              "can pin them; a direct time.*/random.* call makes the run "
              "unreplayable"),
     # -- GA52x: architecture rules (repro.analysis.rules) ----------------------
-    CodeInfo("GA520", "lint", Severity.ERROR, "stage-kernel piece defined outside the kernel",
-             "call the definition in repro/core/kernel.py instead of writing a copy"),
+    CodeInfo("GA520", "lint", Severity.ERROR, "stage-kernel piece defined outside its one module",
+             "use the one definition (core/kernel.py; stage queues: core/items.py), not a copy"),
     CodeInfo("GA521", "lint", Severity.ERROR, "processor called outside the kernel's stage loop",
              "only stage_loop calls on_item() and processor.flush(); interpret its effects"),
     CodeInfo("GA522", "lint", Severity.ERROR, "source binding read outside the source loop",

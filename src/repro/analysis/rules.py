@@ -156,6 +156,10 @@ RULES: Tuple[Rule, ...] = (
     Rule("kernel-context", "GA520", "KernelStageContext is the one StageContext.",
          "subclasses", ("*StageContext",), "repro/net/ga520_second_definition.py",
          allowed=_KERNEL + ("repro/core/api.py::RecordingContext",)),
+    Rule("one-stage-queue", "GA520",
+         "A stage queue counts items, samples d̄ and takes chunks only in core/items.py.",
+         "defines", ("*_count_items_added", "*_take_item_chunk"),
+         "repro/net/ga520_second_queue.py", allowed=("repro/core/items.py",)),
     Rule("kernel-calls", "GA521", "Only the kernel's stage loop calls into a processor.",
          "calls", ("*.on_item", "*processor.flush"), "repro/core/ga521_processor_call.py",
          allowed=_KERNEL),

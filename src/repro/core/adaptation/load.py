@@ -35,7 +35,9 @@ class QueueLike(Protocol):
     """What the estimator needs from a stage input queue.
 
     Satisfied by :class:`repro.simnet.resources.BoundedQueue` (simulated
-    runtime) and the thread-safe queue of the threaded runtime.
+    runtime), and by :class:`repro.core.items.ItemQueue` beneath the
+    threaded runtime's queue and the networked worker's
+    :class:`repro.net.channels.AsyncInbox`.
     """
 
     capacity: int

@@ -1,13 +1,14 @@
-"""Data units flowing between stages."""
+"""Data units flowing between stages, and the queue that counts them."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.obs.tracing import Hop, ItemTrace
 
-__all__ = ["EndOfStream", "Item", "ItemRun"]
+__all__ = ["EndOfStream", "Item", "ItemQueue", "ItemRun"]
 
 
 @dataclass(slots=True)
@@ -87,3 +88,116 @@ class EndOfStream:
     #: Size is zero: the sentinel is a control message, effectively free
     #: to transmit (modeled as a minimal 1-byte frame on links).
     size: float = field(default=1.0)
+
+
+def _items_ahead(entries: deque, barrier: Any) -> int:
+    """The items queued in ``entries`` ahead of ``barrier`` itself."""
+    ahead = 0
+    for entry in entries:
+        if entry is barrier:
+            break
+        ahead += len(entry.values) if type(entry) is ItemRun else 1
+    return ahead
+
+
+class ItemQueue:
+    """A stage's queue (the estimator's ``QueueLike``), counted in items:
+    the one definition beneath the threaded queue and the net inbox.
+
+    An :class:`ItemRun` counts as its items and any other entry as one,
+    against ``capacity`` and in d (:attr:`current_length`).  n items
+    added leave the n d̄ samples n single puts would, and a release of
+    taken items one.  A take hands out entries holding up to
+    ``max_items`` items, splitting a run at the bound; a barrier goes
+    alone, after every entry queued before it.  It never blocks and takes
+    no lock: a subclass adds how its callers wait, and says whether a
+    take holds its items until the next.
+    """
+
+    def __init__(self, capacity: int, window: int) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._items: deque = deque()
+        #: Items counted in d: those queued, plus the held ones.
+        self._length = 0
+        #: Items the last take handed out with ``hold``, still counted.
+        self._held = 0
+        self._recent: deque = deque([0], maxlen=window)
+        #: Queued barrier entries, oldest first.
+        self._barriers: deque = deque()
+
+    def _admit(self, entry: Any, room: Optional[int] = None) -> Any:
+        """Queue ``entry``, or just the first ``room`` items of a run
+        holding more: then the rest is returned, else None."""
+        if type(entry) is not ItemRun:  # one item: one d̄ sample
+            self._items.append(entry)
+            self._length += 1
+            self._recent.append(self._length)
+            return None
+        n = len(entry.values)
+        rest = None
+        if room is not None and n > room:
+            rest, entry, n = entry, entry.take(room), room
+        self._items.append(entry)
+        self._count_items_added(n)
+        return rest
+
+    def _admit_all(self, entries: List[Any]) -> None:
+        """Queue one-item entries."""
+        self._items.extend(entries)
+        self._count_items_added(len(entries))
+
+    def _admit_barrier(self, entry: Any) -> None:
+        """Queue ``entry`` to be taken alone, never inside a chunk."""
+        self._barriers.append(entry)
+        self._admit_all([entry])
+
+    def _count_items_added(self, n: int) -> None:
+        """Count ``n`` items just queued: one d̄ sample each (if kept)."""
+        length = self._length = self._length + n
+        recent = self._recent
+        recent.extend(range(max(length - n, length - recent.maxlen) + 1, length + 1))
+
+    def _take_item_chunk(self, max_items: int, hold: bool) -> List[Any]:
+        """Take a chunk, or a barrier, of what is queued (maybe nothing).
+
+        The held items stop counting first.  The items taken now stop
+        counting at once, or with ``hold`` are held until the next take:
+        one d̄ sample, if anything stopped counting."""
+        items, barriers = self._items, self._barriers
+        if barriers and items[0] is barriers[0]:
+            barriers.popleft()
+            taken, bound, room = [items.popleft()], 1, 0
+        else:
+            # Never past the next barrier: the items ahead of it fill the bound.
+            bound = room = min(max_items, _items_ahead(items, barriers[0])) if barriers else max_items
+            taken = []
+            while items and room:
+                head = items[0]
+                n = len(head.values) if type(head) is ItemRun else 1
+                if n > room:
+                    head, n = head.take(room), room
+                else:
+                    items.popleft()
+                taken.append(head)
+                room -= n
+        released = self._held
+        if hold:
+            self._held = bound - room
+        else:
+            released += bound - room
+        if released:
+            self._length -= released
+            self._recent.append(self._length)
+        return taken
+
+    @property
+    def current_length(self) -> int:
+        """d: the items counted now."""
+        return self._length
+
+    @property
+    def recent_average(self) -> float:
+        """d̄: the mean of the window's length samples."""
+        return sum(self._recent) / len(self._recent)

@@ -818,15 +818,18 @@ def source_loop(
     Under ``batch`` (for a runtime that never drops and passes no ``lock``)
     no ``Item`` is built for an untraced arrival: each slot's arrivals
     collect in an :class:`~repro.core.items.ItemRun` stamped with its
-    first arrival's time.  A run is put once it holds ``batch`` items
-    (a :class:`~repro.core.batching.BatchPolicy`'s ``max_items``, or
-    ``batch`` itself as a plain size), when an arrival finds its first
-    one a policy's ``max_delay`` old (a plain size has no age bound),
-    when ``ready(slot)`` (the runtime's hint that the slot's consumer
-    waits for input) is true after an arrival, before every ``WAIT``,
-    and before the slot's end-of-stream.  So no run waits out a gap.  A
-    sampled arrival puts its slot's run first, then goes alone as an
-    ``Item`` with its trace and open hop.
+    first arrival's time.  Every slot's pending run is put, slot by
+    slot, in one hand-over: when an arrival fills its slot's run to
+    ``batch`` items (a :class:`~repro.core.batching.BatchPolicy`'s
+    ``max_items``, or ``batch`` itself as a plain size), finds its first
+    one a policy's ``max_delay`` old (a plain size has no age bound), or
+    finds ``ready(slot)`` (the runtime's hint that the slot's consumer
+    waits for input) true; before every ``WAIT``; before a sampled
+    arrival, which then goes alone as an ``Item`` with its trace and
+    open hop; and before end-of-stream.  So no run waits out a gap, or
+    a put of another slot's run that blocks.  An iterable that blocks
+    between pulls still holds the pending runs until the next arrival:
+    bounding that needs a timer.
     """
     name, item_size = binding.name, binding.item_size
     sized = callable(item_size)
@@ -844,19 +847,20 @@ def source_loop(
     # and the first one's arrival time.
     runs: List[Optional[Tuple[List[Any], List[float], float]]] = [None] * len(members)
 
-    def put_run(slot: int) -> _Effects:
-        values, sizes, first = runs[slot]  # type: ignore[misc]
-        runs[slot] = None
-        yield (PUT, slot, ItemRun(values, sizes, first, name))
-        if counters:
-            counters[slot].inc(len(values))
+    def put_runs() -> _Effects:
+        for pending, run in enumerate(runs):
+            if run is not None:
+                runs[pending] = None
+                values, sizes, first = run
+                yield (PUT, pending, ItemRun(values, sizes, first, name))
+                if counters:
+                    counters[pending].inc(len(values))
 
     for payload in binding.payloads:
         gap = next(gaps) * time_scale if gaps is not None else fixed_gap
         if gap:
-            for pending, run in enumerate(runs):
-                if run is not None:
-                    yield from put_run(pending)
+            if run_items:
+                yield from put_runs()
             yield (WAIT, gap)
         now = clock()
         size = float(item_size(payload) if sized else item_size)
@@ -864,8 +868,8 @@ def source_loop(
         if run_items:
             if group is not None:
                 slot = group.owner(payload)
-            run = runs[slot]
             if trace is None:
+                run = runs[slot]
                 if run is None:
                     run = runs[slot] = ([], [], now)
                 run[0].append(payload)
@@ -875,10 +879,9 @@ def source_loop(
                     or now - run[2] >= max_delay
                     or (ready is not None and ready(slot))
                 ):
-                    yield from put_run(slot)
+                    yield from put_runs()
                 continue
-            if run is not None:
-                yield from put_run(slot)
+            yield from put_runs()
         item = Item(payload, size, name, now)
         if trace is not None:
             registry.counter("run.traced_items").inc()
@@ -899,9 +902,8 @@ def source_loop(
                 trace.hops.remove(item.hop)
         elif counters:
             counters[slot].inc()
-    for slot, run in enumerate(runs):
-        if run is not None:
-            yield from put_run(slot)
+    yield from put_runs()
+    for slot in range(len(members)):
         yield (PUT, slot, EndOfStream(origin=name))
 
 

@@ -162,7 +162,7 @@ class Built(NamedTuple):
 
 
 #: SourceBinding fields a runtime's feeder cannot honour.
-_UNFED = {"threaded": ("drop_when_full",), "net": ("arrivals", "drop_when_full")}
+_UNFED = {"threaded": ("drop_when_full",), "net": ("drop_when_full",)}
 
 
 def build(
@@ -223,9 +223,8 @@ def build(
 
         built = NetworkedRuntime(Launcher.resolve(config), **given)
     for binding in sources:
-        arrivals = (binding.arrivals,) if runtime == "threaded" else ()
         built.bind_source(binding.name, binding.target_stage, binding.payloads,
-                          binding.rate, binding.item_size, *arrivals)
+                          binding.rate, binding.item_size, binding.arrivals)
     return Built(built, lambda: built.run(**run_rows))
 
 

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.adaptation.protocol import LoadException
 from repro.core.api import StreamProcessor
-from repro.core.items import EndOfStream, Item, ItemRun
+from repro.core.items import EndOfStream, Item, ItemQueue, ItemRun
 from repro.core.kernel import (
     FLUSH,
     SEND,
@@ -78,8 +77,8 @@ class ThreadedRuntimeError(Exception):
     """Raised for invalid threaded-runtime configuration or timeouts."""
 
 
-class _MonitoredQueue:
-    """Bounded thread-safe FIFO satisfying the estimator's QueueLike protocol.
+class _MonitoredQueue(ItemQueue):
+    """Bounded thread-safe :class:`~repro.core.items.ItemQueue`.
 
     ``put`` blocks while the queue holds ``capacity`` items, so a slow
     consumer exerts real backpressure on its producers — the Section-4
@@ -88,62 +87,38 @@ class _MonitoredQueue:
     messages that must never deadlock (the error-path end-of-stream),
     and ``close`` releases any blocked producers when the consumer dies.
 
-    Lengths count items, as :class:`~repro.net.channels.AsyncInbox`'s
-    do: an :class:`~repro.core.items.ItemRun` its items, any other entry
-    one.  Items the consumer takes with :meth:`get_many` are *held*:
-    they stay counted — in :attr:`current_length`, in the d̄ window and
+    Items the consumer takes with :meth:`get_many` are *held*: they
+    stay counted — in :attr:`current_length`, in the d̄ window and
     against ``capacity`` — until the consumer's next take releases them.
     So queued plus in-hand items never exceed ``capacity``, and the
-    length still shows the backlog the stage has not served.  The d̄
-    window gets one sample per length change: one per item put, one per
-    release.
+    length still shows the backlog the stage has not served.
     """
 
     def __init__(self, capacity: int, window: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._items: deque = deque()
-        #: Items queued or held.
-        self._length = 0
-        #: Items the consumer took with ``get_many`` and has not released.
-        self._held = 0
+        super().__init__(capacity, window)
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
         self._closed = False
-        self._recent: deque = deque([0], maxlen=window)
-
-    def _grow(self, n: int) -> None:
-        """Count ``n`` items just queued — one d̄ sample each, of those
-        the window keeps — and wake the consumer.  Lock held."""
-        length = self._length = self._length + n
-        recent = self._recent
-        recent.extend(range(max(length - n, length - recent.maxlen) + 1, length + 1))
-        self._not_empty.notify()
 
     def put(self, entry: Any) -> None:
         """Append one entry, blocking while the queue is at capacity.  A
         run that does not fit is split: what fits goes now, the rest
         waits for room."""
-        n = len(entry.values) if type(entry) is ItemRun else 1
         with self._lock:
-            while n:
+            while entry is not None:
                 while self._length >= self.capacity and not self._closed:
                     self._not_full.wait()
                 if self._closed:
                     return
-                part = min(n, self.capacity - self._length)
-                self._items.append(entry if part == n else entry.take(part))
-                self._grow(part)
-                n -= part
+                entry = self._admit(entry, self.capacity - self._length)
+                self._not_empty.notify()
 
     def put_many(self, items: List[Any]) -> None:
         """Append one-item entries under one lock acquisition, respecting
         capacity: as many as fit per wakeup, so the bound holds exactly
         and the per-item lock and notify round-trips are amortized over
-        the batch.  The d̄ window gets the same samples as one
-        :meth:`put` per item."""
+        the batch."""
         with self._lock:
             index = 0
             while index < len(items):
@@ -152,8 +127,8 @@ class _MonitoredQueue:
                 if self._closed:
                     return
                 fit = items[index:index + self.capacity - self._length]
-                self._items.extend(fit)
-                self._grow(len(fit))
+                self._admit_all(fit)
+                self._not_empty.notify()
                 index += len(fit)
 
     def force_put(self, item: Any) -> None:
@@ -166,8 +141,8 @@ class _MonitoredQueue:
         with self._lock:
             if self._closed:
                 return
-            self._items.append(item)
-            self._grow(1)
+            self._admit(item)
+            self._not_empty.notify()
 
     def close(self) -> None:
         """Mark the consumer gone: wake and release every blocked producer.
@@ -189,47 +164,27 @@ class _MonitoredQueue:
 
     def get_many(self, max_items: int, timeout: Optional[float] = None) -> List[Any]:
         """Release the held items, block until the queue is non-empty
-        (raising ``TimeoutError`` after ``timeout`` seconds), then take
-        entries holding up to ``max_items`` items without further
-        waiting, splitting a run at the bound.  The taken items are held
-        until the next take."""
+        (raising ``TimeoutError`` after ``timeout`` seconds), then take a
+        chunk of up to ``max_items`` items without further waiting.  The
+        taken items are held until the next take."""
         with self._lock:
             if self._held:
                 self._not_full.notify(self._held)
-                self._length -= self._held
-                self._held = 0
-                self._recent.append(self._length)
-            items = self._items
+            taken = self._take_item_chunk(max_items, True)
+            if taken:
+                return taken
             deadline = None if timeout is None else time.monotonic() + timeout
-            while not items:
+            while not self._items:
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     raise TimeoutError("queue get timed out")
                 self._not_empty.wait(remaining)
-            taken = []
-            room = max_items
-            while items and room:
-                head = items[0]
-                n = len(head.values) if type(head) is ItemRun else 1
-                if n > room:
-                    head, n = head.take(room), room
-                else:
-                    items.popleft()
-                taken.append(head)
-                room -= n
-            self._held = max_items - room
-            return taken
-
-    @property
-    def current_length(self) -> int:
-        """Queued plus held items."""
-        with self._lock:
-            return self._length
+            return self._take_item_chunk(max_items, True)
 
     @property
     def recent_average(self) -> float:
-        with self._lock:
-            return sum(self._recent) / len(self._recent)
+        with self._lock:  # producers append to the window
+            return super().recent_average
 
 
 @dataclass

@@ -13,7 +13,7 @@ provides the same two directories in-process:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.grid.resources import ResourceOffer
 from repro.simnet.topology import Network
@@ -39,13 +39,9 @@ class ServiceRegistry:
         """Advertise a host; re-registration updates the entry."""
         self._offers[offer.host_name] = offer
 
-    def register_network(self, network: Network, labels: Optional[Dict[str, Dict[str, str]]] = None) -> None:
-        """Advertise every host of ``network`` and retain it for bandwidth queries.
-
-        ``labels`` optionally maps host name -> label dict.
-        """
+    def register_network(self, network: Network) -> None:
+        """Advertise every host of ``network`` and retain it for bandwidth queries."""
         self._network = network
-        labels = labels or {}
         for name, host in network.hosts.items():
             self.register_offer(
                 ResourceOffer(
@@ -53,7 +49,6 @@ class ServiceRegistry:
                     cores=host.cores,
                     speed_factor=host.speed_factor,
                     memory_mb=host.memory_mb,
-                    labels=labels.get(name, {}),
                 )
             )
 
@@ -75,10 +70,6 @@ class ServiceRegistry:
         except KeyError:
             raise RegistryError(f"no offer registered for host {host_name!r}") from None
 
-    def query_offers(self, predicate: Callable[[ResourceOffer], bool]) -> List[ResourceOffer]:
-        """Offers matching an arbitrary predicate (label queries etc.)."""
-        return [o for o in self._offers.values() if predicate(o)]
-
     # -- service directory ------------------------------------------------------
 
     def register_service(self, name: str, handle: Any) -> None:
@@ -96,11 +87,3 @@ class ServiceRegistry:
     def services(self, prefix: str = "") -> Dict[str, Any]:
         """All registered services, optionally filtered by name prefix."""
         return {n: h for n, h in self._services.items() if n.startswith(prefix)}
-
-    def clear_services(self, names: Optional[Iterable[str]] = None) -> None:
-        """Deregister the given services (or all of them)."""
-        if names is None:
-            self._services.clear()
-            return
-        for name in list(names):
-            self._services.pop(name, None)

@@ -64,8 +64,6 @@ class ResourceOffer:
     cores: int
     speed_factor: float
     memory_mb: float
-    #: Free-form labels (site, administrative domain, instrument type ...).
-    labels: Dict[str, str] = field(default_factory=dict)
 
     def satisfies(self, requirement: ResourceRequirement) -> bool:
         """Static (bandwidth-agnostic) feasibility check."""

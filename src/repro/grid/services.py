@@ -170,13 +170,6 @@ class ServiceContainer:
     def instances(self) -> Dict[str, GatesServiceInstance]:
         return dict(self._instances)
 
-    def reap_expired(self) -> int:
-        """Destroy all instances whose lifetime lapsed; returns the count."""
-        expired = [i for i in self._instances.values() if i.expired]
-        for instance in expired:
-            instance.destroy()
-        return len(expired)
-
     def _forget(self, name: str) -> None:
         self._instances.pop(name, None)
         if self.registry is not None:

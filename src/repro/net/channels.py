@@ -42,7 +42,7 @@ import asyncio
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from repro.core.items import ItemRun
+from repro.core.items import ItemQueue, ItemRun
 from repro.net.protocol import (
     FrameType,
     ProtocolError,
@@ -79,15 +79,6 @@ class ChannelError(Exception):
     """Raised when a data channel breaks mid-stream."""
 
 
-class _Barrier:
-    """A :meth:`AsyncInbox.put_barrier` entry, unwrapped on delivery."""
-
-    __slots__ = ("entry",)
-
-    def __init__(self, entry: Any) -> None:
-        self.entry = entry
-
-
 def _wake_one(waiters: deque) -> None:
     """Resolve the first still-pending waiter future in ``waiters``."""
     while waiters:
@@ -120,8 +111,9 @@ async def _park(waiters: deque, passes_on: Callable[[], bool]) -> None:
         raise
 
 
-class AsyncInbox:
-    """A stage's input queue, satisfying the estimator's QueueLike protocol.
+class AsyncInbox(ItemQueue):
+    """A stage's input :class:`~repro.core.items.ItemQueue` on the
+    worker's event loop.
 
     Two producer paths: local routes ``put`` (blocking while full — the
     in-process backpressure), and wire channels ``put_nowait`` (synchronous
@@ -131,30 +123,20 @@ class AsyncInbox:
     worker calls ``put_nowait`` from the transport's ``data_received``,
     one :class:`~repro.core.items.ItemRun` entry per DATA frame, so a
     frame's items are queued before the event loop runs anything else.
-    Lengths (``capacity``, :attr:`current_length`, the queue-length
-    samples) count items: a run its items, any other entry one, and a
-    put leaves one d̄ sample per item it adds.
+    A take stops counting its items at once.  ``put_barrier`` queues
+    the live-migration fence, which a take delivers alone.
 
-    One event-loop thread owns the inbox, so it needs no lock: a deque
-    of entries plus FIFO queues of getter and putter futures, each
-    wakeup resolving exactly one waiter that can make progress.  A
-    woken consumer that leaves entries behind wakes the next one; a
-    woken producer that leaves room wakes the next producer.  No entry
-    is taken before a consumer's last suspension, so cancelling a
-    ``get``/``get_many`` (a ``wait_for`` timeout) never loses one.
-
-    ``put_barrier`` appends a plain FIFO entry that ``get_many`` never
-    mixes into an item chunk: it is delivered alone, after every entry
-    enqueued before it (the live-migration fence).
+    One event-loop thread owns the inbox, so it needs no lock: FIFO
+    queues of getter and putter futures, each wakeup resolving exactly
+    one waiter that can make progress.  A woken consumer that leaves
+    entries behind wakes the next one; a woken producer that leaves room
+    wakes the next producer.  No entry is taken before a consumer's last
+    suspension, so cancelling a ``get``/``get_many`` (a ``wait_for``
+    timeout) never loses one.
     """
 
     def __init__(self, capacity: int, window: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._entries: deque = deque()
-        self._length = 0
-        self._recent: deque = deque([0], maxlen=window)
+        super().__init__(capacity, window)
         self._getters: deque = deque()
         self._putters: deque = deque()
 
@@ -162,37 +144,20 @@ class AsyncInbox:
         return self._length < self.capacity
 
     def _has_entries(self) -> bool:
-        return bool(self._entries)
+        return bool(self._items)
 
     def put_nowait(self, entry: Any) -> None:
         """Append ``entry`` past any capacity and wake one consumer."""
-        self._entries.append(entry)
-        n = len(entry.values) if type(entry) is ItemRun else 1
-        length = self._length = self._length + n
-        if n == 1:
-            self._recent.append(length)
-        else:
-            self._sample(length, n)
+        self._admit(entry)
         if self._getters:
             _wake_one(self._getters)
 
     def put_many_nowait(self, entries: "list") -> None:
-        """Append several one-item entries (one d̄ sample each) and wake
-        one consumer."""
-        if not entries:
-            return
-        self._entries.extend(entries)
-        self._length += len(entries)
-        self._sample(self._length, len(entries))
-        if self._getters:
-            _wake_one(self._getters)
-
-    def _sample(self, length: int, n: int) -> None:
-        """The d̄ samples of the last ``n`` items put, ``length`` now: one
-        per item, as ``n`` single puts (and the other two runtimes'
-        queues) leave — only those the window keeps are appended."""
-        recent = self._recent
-        recent.extend(range(max(length - n, length - recent.maxlen) + 1, length + 1))
+        """Append several one-item entries and wake one consumer."""
+        if entries:
+            self._admit_all(entries)
+            if self._getters:
+                _wake_one(self._getters)
 
     async def put(self, entry: Any) -> None:
         while self._length >= self.capacity:
@@ -209,60 +174,30 @@ class AsyncInbox:
 
     async def put_barrier(self, entry: Any) -> None:
         """Enqueue ``entry`` to be delivered alone, never inside a chunk."""
-        self.put_nowait(_Barrier(entry))
-
-    def _taken(self, n: int) -> None:
-        """Bookkeeping after a consumer took ``n`` items: sample the
-        length, and pass the wakeups on."""
-        self._length -= n
-        self._recent.append(self._length)
-        if self._entries and self._getters:
+        self._admit_barrier(entry)
+        if self._getters:
             _wake_one(self._getters)
-        if self._putters:
-            _wake_one(self._putters)
 
     async def get(self) -> Any:
         return (await self.get_many(1))[0]
 
     async def get_many(self, max_items: int) -> "list":
-        """Await the first entry, then take entries holding up to
+        """Await the first entry, then take a chunk of up to
         ``max_items`` items without further waiting (one suspension per
-        chunk), splitting a run that does not fit.  A barrier is never
-        mixed into an item chunk: it is returned alone, once the entries
-        before it have been taken."""
-        entries = self._entries
-        while not entries:
+        chunk), and pass the wakeups on."""
+        while not self._items:
             await _park(self._getters, self._has_entries)
-        if type(entries[0]) is _Barrier:
-            out = [entries.popleft().entry]
-            self._taken(1)
-            return out
-        out = []
-        room = max_items
-        while entries and room > 0 and type(entries[0]) is not _Barrier:
-            head = entries[0]
-            n = len(head.values) if type(head) is ItemRun else 1
-            if n > room:
-                head, n = head.take(room), room
-            else:
-                entries.popleft()
-            out.append(head)
-            room -= n
-        self._taken(max_items - room)
-        return out
+        taken = self._take_item_chunk(max_items, False)
+        if self._items and self._getters:
+            _wake_one(self._getters)
+        if self._putters:
+            _wake_one(self._putters)
+        return taken
 
     def queued_from(self, origin: str) -> int:
         """Items of ``origin``'s runs still queued (a detached sender's)."""
-        runs = [e for e in self._entries if type(e) is ItemRun and e.origin == origin]
+        runs = [e for e in self._items if type(e) is ItemRun and e.origin == origin]
         return sum(len(run.values) for run in runs)
-
-    @property
-    def current_length(self) -> int:
-        return self._length
-
-    @property
-    def recent_average(self) -> float:
-        return sum(self._recent) / len(self._recent)
 
 
 class InChannel:

@@ -237,6 +237,7 @@ class NetworkedRuntime:
         payloads: Iterable[Any],
         rate: Optional[float] = None,
         item_size: Union[float, Callable[[Any], float]] = 8.0,
+        arrivals: Optional[Any] = None,
     ) -> None:
         """Attach an external stream to a stage or shard group, fed by the
         coordinator process: the fields of
@@ -246,7 +247,7 @@ class NetworkedRuntime:
             raise NetworkedRuntimeError("cannot bind sources after run()")
         if name in {s.name for s in self.config.streams}:
             raise NetworkedRuntimeError(f"source binding {name!r} collides with a stream name")
-        binding = SourceBinding(name, target, payloads, rate, item_size)
+        binding = SourceBinding(name, target, payloads, rate, item_size, arrivals)
         check_binding(binding, self._options, NetworkedRuntimeError)
         self._sources.append(binding)
 

@@ -292,7 +292,6 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
-        self.env._active_process = self
         # Detach from the event we were waiting on (if any): when an
         # interrupt arrives the original target may fire later, and must
         # not resume us a second time.
@@ -310,19 +309,15 @@ class Process(Event):
                 exc = event._value
                 next_event = self._generator.throw(type(exc), exc, None)
         except StopIteration as stop:
-            self.env._active_process = None
             self._terminate_ok(stop.value)
             return
         except StopProcess as stop:
-            self.env._active_process = None
             self._generator.close()
             self._terminate_ok(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - model errors flow via events
-            self.env._active_process = None
             self._terminate_fail(exc)
             return
-        self.env._active_process = None
         if not isinstance(next_event, Event):
             err = SimulationError(
                 f"process {self.name!r} yielded non-event {next_event!r}"
@@ -432,18 +427,10 @@ class Environment:
         self.now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = itertools.count()
-        self._active_process: Optional[Process] = None
         #: The latest time the loop driving this environment will process
         #: an event at; nothing past it runs inline (:meth:`next_up`).  Set
         #: by :meth:`run` and by a runtime that drives :meth:`step` itself.
         self.horizon = float("inf")
-
-    # -- state -----------------------------------------------------------
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- event factories ---------------------------------------------------
 

@@ -151,10 +151,6 @@ class Store:
     def is_full(self) -> bool:
         return self.capacity is not None and len(self._items) >= self.capacity
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._items
-
     # -- blocking interface ------------------------------------------------
 
     def put(self, item: Any) -> PutRequest:
@@ -356,19 +352,9 @@ class BoundedQueue(Store):
     """A stage input buffer instrumented for the adaptation algorithm.
 
     This is the queue in the paper's queuing-network model: the adaptation
-    algorithm samples its current length ``d``, the recent average ``d̄``
-    over a sliding window, and classifies instants as over-/under-loaded.
-
-    Parameters
-    ----------
-    env:
-        Owning environment.
-    capacity:
-        The queue capacity ``C`` from the paper (required — the adaptation
-        formulas normalize by it).
-    window:
-        Number of recent length samples retained for the recent average
-        ``d̄`` (defaults to 64).
+    algorithm samples its current length ``d`` and the recent average
+    ``d̄`` of its last ``window`` lengths, one per change.  ``capacity``
+    is the paper's C (required: the adaptation formulas normalize by it).
     """
 
     def __init__(self, env: Environment, capacity: int, window: int = 64) -> None:
@@ -377,17 +363,7 @@ class BoundedQueue(Store):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         super().__init__(env, capacity=capacity)
-        self._recent: Deque[int] = deque(maxlen=window)
-        self._recent.append(0)
-        # Time-weighted occupancy statistics.
-        self._t0 = env.now
-        self._last_change = env.now
-        self._area = 0.0
-        self._peak = 0
-        self.total_enqueued = 0
-        self.total_dequeued = 0
-
-    # -- adaptation-facing accessors ------------------------------------------
+        self._recent: Deque[int] = deque([0], maxlen=window)
 
     @property
     def current_length(self) -> int:
@@ -399,40 +375,5 @@ class BoundedQueue(Store):
         """``d̄`` — mean of the lengths sampled over the recent window."""
         return sum(self._recent) / len(self._recent)
 
-    @property
-    def peak_length(self) -> int:
-        """Largest length ever observed."""
-        return self._peak
-
-    def time_average(self, now: Optional[float] = None) -> float:
-        """Time-weighted average occupancy since creation."""
-        now = self.env.now if now is None else now
-        elapsed = now - self._start_time()
-        if elapsed <= 0:
-            return float(len(self._items))
-        area = self._area + len(self._items) * (now - self._last_change)
-        return area / elapsed
-
-    def utilization(self) -> float:
-        """Time-averaged occupancy as a fraction of capacity."""
-        return self.time_average() / float(self.capacity)
-
-    def _start_time(self) -> float:
-        return self._t0
-
-    # -- internals -----------------------------------------------------------
-
     def _on_length_change(self) -> None:
-        now = self.env.now
-        recent = self._recent
-        prev = recent[-1]  # never empty: it starts with the initial 0
-        length = len(self._items)
-        self._area += prev * (now - self._last_change)
-        self._last_change = now
-        recent.append(length)
-        if length > self._peak:
-            self._peak = length
-        if length > prev:
-            self.total_enqueued += length - prev
-        elif length < prev:
-            self.total_dequeued += prev - length
+        self._recent.append(len(self._items))

@@ -227,10 +227,6 @@ class Network:
             return math.inf
         return min(link.bandwidth for link in links)
 
-    def path_latency(self, src: str, dst: str) -> float:
-        """Total propagation latency along the routed path."""
-        return sum(link.latency for link in self.route(src, dst))
-
     def neighbors(self, name: str) -> List[str]:
         """Successor host names of ``name``."""
         self._require_host(name)

@@ -56,11 +56,6 @@ class LossyCounting(FrequencySketch):
         entry = self._entries.get(value)
         return float(entry[0]) if entry is not None else 0.0
 
-    def delta_of(self, value: Hashable) -> int:
-        """Maximum undercount recorded for a retained value."""
-        entry = self._entries.get(value)
-        return entry[1] if entry is not None else 0
-
     def entries(self) -> List[Tuple[Any, float]]:
         return [(v, float(c)) for v, (c, _) in self._entries.items()]
 

@@ -46,6 +46,7 @@ CASES = [
     ("repro/net/aliased_sleep.py", {"GA504"}),
     ("repro/ledger/aliased_det.py", {"GA509"}),
     ("repro/core/ga500_late_future.py", {"GA500"}),
+    ("repro/net/ga520_second_queue.py", {"GA520"}),
 ]
 
 #: ``# expect: GAxxx`` marks a line the fixture must be reported on.

@@ -7,7 +7,7 @@ outside ``repro.core.run`` — is the GA520–GA526 rows of
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.adaptation.policy import AdaptationPolicy
@@ -568,6 +568,16 @@ class _Clock:
         return self.now
 
 
+class _ReadClock(_Clock):
+    """A clock that keeps its last reading: the latest arrival's time."""
+
+    read = 0.0
+
+    def __call__(self):
+        self.read = self.now
+        return self.now
+
+
 class _Arrivals:
     def __init__(self, gaps):
         self._gaps = gaps
@@ -688,31 +698,40 @@ class TestSourceLoop:
         max_items=st.integers(1, 5),
         max_delay=st.sampled_from([0.0, 0.02, 0.5, 2.0]),
         slots=st.integers(1, 3),
+        blocks=st.lists(st.sampled_from([0.0, 0.0, 0.01, 0.3, 1.0]), min_size=1, max_size=8),
     )
+    # Slot 1's run waits while slot 0's put blocks.
+    @example(gaps=[0.0] * 4, max_items=2, max_delay=0.02, slots=2, blocks=[1.0])
     def test_no_run_is_put_later_than_max_delay_after_its_first_arrival(
-        self, gaps, max_items, max_delay, slots
+        self, gaps, max_items, max_delay, slots, blocks
     ):
-        """Any gap sequence, one slot or a shard group: every run is put
-        within ``max_delay`` of its first arrival, holds at most
-        ``max_items``, and the runs carry every payload once, in order
-        per slot."""
+        """Any gap sequence, one slot or a shard group, and puts that
+        block (the clock runs on while one is outstanding, for the next
+        of ``blocks`` in turn): every run is put within ``max_delay`` of
+        its first arrival, holds at most ``max_items``, and the runs
+        carry every payload once, in order per slot.  The age is taken
+        when the run's PUT is yielded, less the time the earlier puts of
+        the same hand-over blocked (they go one after another): that is,
+        at the loop's last clock reading."""
         payloads = list(range(len(gaps)))
         binding = SourceBinding("s", "g", payloads, rate=1.0, arrivals=_Arrivals(gaps))
         group = _Members(active=slots, slots=slots)
-        clock = _Clock()
+        clock = _ReadClock()
         loop = source_loop(
             binding, {"g": group}, clock, MetricsRegistry(),
             batch=BatchPolicy(max_items=max_items, max_delay=max_delay),
         )
         per_slot = [[] for _ in range(slots)]
-        for effect in loop:
+        for puts, effect in enumerate(loop):
             if effect[0] is WAIT:
                 clock.now += effect[1]
-            elif type(effect[2]) is ItemRun:
+                continue
+            if type(effect[2]) is ItemRun:
                 run = effect[2]
-                assert clock.now - run.created_at <= max_delay
+                assert clock.read - run.created_at <= max_delay
                 assert 1 <= len(run.values) <= max_items
                 per_slot[effect[1]].extend(run.values)
+            clock.now += blocks[puts % len(blocks)]
         assert per_slot == [[p for p in payloads if p % slots == s] for s in range(slots)]
 
     def test_a_plain_run_size_has_no_age_bound_and_ready_puts_at_once(self):
@@ -748,6 +767,7 @@ class TestSourceLoop:
         assert registry.value("run.traced_items") == 2
 
     def test_batched_runs_are_routed_by_key_and_counted_per_slot(self):
+        """A full run hands over every slot's pending run with it."""
         binding = SourceBinding("s", "g", [0, 1, 2, 3, 4, 5])
         effects, _, registry = _feed(
             binding, _Members(active=2, slots=3), batch=BatchPolicy(max_items=2, max_delay=9.0)
@@ -756,7 +776,7 @@ class TestSourceLoop:
             (slot, list(m.values) if type(m) is ItemRun else "EOS")
             for kind, slot, m in effects
         ] == [
-            (0, [0, 2]), (1, [1, 3]), (0, [4]), (0, "EOS"), (1, [5]), (1, "EOS"), (2, "EOS"),
+            (0, [0, 2]), (1, [1]), (0, [4]), (1, [3, 5]), (0, "EOS"), (1, "EOS"), (2, "EOS"),
         ]
         assert [registry.value(f"shard.g#{slot}.items") for slot in range(3)] == [3, 3, 0]
 

@@ -291,18 +291,20 @@ def test_threaded_producers_and_consumer_never_exceed_capacity(
     for thread in threads:
         thread.start()
     takes = 0
-    while len(got) < len(sent):
-        if close_after is not None and takes == close_after:
-            queue.close()
-            break
-        try:
-            got.extend(queue.get_many(take, timeout=2.0))
-        except TimeoutError:
-            break
-        takes += 1
-        _check_bound(queue)
-    threads[0].join(5.0)
-    stop.set()
+    try:
+        while len(got) < len(sent):
+            if close_after is not None and takes == close_after:
+                queue.close()
+                break
+            try:
+                got.extend(queue.get_many(take, timeout=2.0))
+            except TimeoutError:
+                break
+            takes += 1
+            _check_bound(queue)
+        threads[0].join(5.0)
+    finally:
+        stop.set()
     threads[1].join(5.0)
     assert not threads[0].is_alive(), "producer stayed blocked"
     assert violations == []

@@ -92,12 +92,24 @@ def test_a_constructor_refuses_rows_by_name():
 @pytest.mark.parametrize("runtime, field, value", [
     ("threaded", "drop_when_full", True),
     ("net", "drop_when_full", True),
-    ("net", "arrivals", PoissonArrivals(100.0, seed=1)),
 ])
 def test_a_source_field_the_feeder_cannot_feed_is_refused(runtime, field, value):
     source = SourceBinding("feed", "filter-0", range(10), **{field: value})
     with pytest.raises(ERRORS[runtime], match=f"cannot feed {field}"):
         build_on(runtime, RunOptions(), [source])
+
+
+def test_a_net_source_with_arrivals_delivers_every_item_in_order():
+    """The coordinator's feeder draws the binding's ``arrivals`` gaps:
+    every item arrives, in order."""
+    from repro.grid.config import AppConfig, StageConfig
+
+    config = AppConfig("arrivals", stages=[
+        StageConfig("sink", "py://tests.core.test_runtime_threads:Collect"),
+    ], streams=[])
+    source = SourceBinding("feed", "sink", range(200), arrivals=PoissonArrivals(4000.0, seed=3))
+    options = RunOptions(adaptation_enabled=False, workers=1, timeout=60.0)
+    assert run(config, "net", options, [source]).final_value("sink") == list(range(200))
 
 
 @pytest.mark.parametrize("runtime", RUNTIMES)

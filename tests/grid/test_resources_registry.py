@@ -75,16 +75,6 @@ class TestServiceRegistry:
         with pytest.raises(RegistryError):
             _ = ServiceRegistry().network
 
-    def test_labels_query(self):
-        reg = ServiceRegistry()
-        reg.register_network(
-            make_network(),
-            labels={"src-0": {"site": "cern"}, "src-1": {"site": "osu"}},
-        )
-        cern = reg.query_offers(lambda o: o.labels.get("site") == "cern")
-        assert [o.host_name for o in cern] == ["src-0"]
-        assert len(reg.query_offers(lambda o: "site" in o.labels)) == 2
-
     def test_reregistration_updates(self):
         reg = ServiceRegistry()
         reg.register_offer(ResourceOffer("h", cores=1, speed_factor=1, memory_mb=100))
@@ -107,12 +97,3 @@ class TestServiceRegistry:
         reg.register_service("gates/a/x", 1)
         reg.register_service("gates/b/y", 2)
         assert list(reg.services(prefix="gates/a")) == ["gates/a/x"]
-
-    def test_clear_services(self):
-        reg = ServiceRegistry()
-        reg.register_service("a", 1)
-        reg.register_service("b", 2)
-        reg.clear_services(["a"])
-        assert list(reg.services()) == ["b"]
-        reg.clear_services()
-        assert not reg.services()

@@ -127,14 +127,6 @@ class TestLifetimes:
         with pytest.raises(ServiceError):
             inst.keepalive(0.0)
 
-    def test_reap_expired(self):
-        env, container = make_container()
-        container.create_instance("short", lifetime=5.0)
-        container.create_instance("long", lifetime=50.0)
-        env.run(until=10.0)
-        assert container.reap_expired() == 1
-        assert list(container.instances) == ["long"]
-
 
 class TestCodeRepository:
     def test_publish_and_fetch(self):

@@ -1226,6 +1226,51 @@ class TestInboxRunEntries:
         assert second == ["FENCE"]
         assert [list(r.values) for r in third] == [[3, 4]]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        puts=st.lists(st.one_of(st.just("FENCE"), st.integers(1, 9)), max_size=12),
+        takes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    )
+    def test_takes_keep_fifo_order_and_deliver_each_barrier_alone(self, puts, takes):
+        """Runs (an int: that many items) and barriers in any order, taken
+        with any ``max_items``: the items come out in order, no chunk
+        holds more than its bound or crosses a barrier, each barrier
+        comes alone, and the length counts the items still queued."""
+        async def scenario():
+            inbox = AsyncInbox(capacity=64, window=4)
+            sent, queued, next_value = [], 0, 0
+            for put in puts:
+                if put == "FENCE":
+                    fence = object()
+                    await inbox.put_barrier(fence)
+                    sent.append(fence)
+                    queued += 1
+                else:
+                    values = list(range(next_value, next_value + put))
+                    inbox.put_nowait(_run_of(values))
+                    sent.extend(values)
+                    next_value += put
+                    queued += put
+            got, index = [], 0
+            while inbox.current_length:
+                bound = takes[index % len(takes)]
+                index += 1
+                chunk = await inbox.get_many(bound)
+                if type(chunk[0]) is not ItemRun:
+                    assert len(chunk) == 1  # a barrier, alone
+                    got.append(chunk[0])
+                    queued -= 1
+                else:
+                    items = [v for run in chunk for v in run.values]
+                    assert 1 <= len(items) <= bound
+                    got.extend(items)
+                    queued -= len(items)
+                assert inbox.current_length == queued
+            return sent, got
+
+        sent, got = run(scenario())
+        assert got == sent
+
     def test_a_cancelled_get_many_loses_no_item_of_a_run(self):
         async def scenario():
             inbox = AsyncInbox(capacity=64, window=4)

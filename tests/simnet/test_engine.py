@@ -255,19 +255,6 @@ class TestProcess:
         env.run()
         assert not p.is_alive
 
-    def test_active_process_visible_during_execution(self):
-        env = Environment()
-        observed = []
-
-        def proc(env):
-            observed.append(env.active_process)
-            yield env.timeout(1.0)
-
-        p = env.process(proc(env))
-        env.run()
-        assert observed == [p]
-        assert env.active_process is None
-
 
 class TestInterrupt:
     def test_interrupt_delivers_cause(self):

@@ -183,15 +183,6 @@ class TestNetwork:
         env, net = self._basic()
         assert net.path_bandwidth("a", "c") == 50.0
 
-    def test_path_latency_sums(self):
-        env = Environment()
-        net = Network(env)
-        for n in "abc":
-            net.create_host(n)
-        net.connect("a", "b", 100.0, latency=0.1)
-        net.connect("b", "c", 100.0, latency=0.2)
-        assert net.path_latency("a", "c") == pytest.approx(0.3)
-
     def test_star_factory(self):
         env = Environment()
         net = Network.star(env, "hub", ["s1", "s2", "s3"], bandwidth=100.0)

@@ -198,7 +198,7 @@ class TestStore:
     def test_len_and_flags(self):
         env = Environment()
         store = Store(env, capacity=2)
-        assert store.is_empty and not store.is_full
+        assert len(store) == 0 and not store.is_full
         store.try_put(1)
         store.try_put(2)
         assert store.is_full and len(store) == 2
@@ -304,40 +304,6 @@ class TestBoundedQueue:
             q.try_put("x")
         # window samples: initial 0, then 1, 2, 3 -> but maxlen 4 keeps all
         assert q.recent_average == pytest.approx((0 + 1 + 2 + 3) / 4)
-
-    def test_peak_length(self):
-        env = Environment()
-        q = BoundedQueue(env, capacity=10)
-        for _ in range(5):
-            q.try_put("x")
-        for _ in range(5):
-            q.try_get()
-        assert q.peak_length == 5
-
-    def test_counters(self):
-        env = Environment()
-        q = BoundedQueue(env, capacity=10)
-        for _ in range(4):
-            q.try_put("x")
-        q.try_get()
-        assert q.total_enqueued == 4
-        assert q.total_dequeued == 1
-
-    def test_time_average_weighted_by_duration(self):
-        env = Environment()
-        q = BoundedQueue(env, capacity=10)
-
-        def proc(env):
-            q.try_put("x")  # length 1 from t=0
-            yield env.timeout(10.0)
-            q.try_put("y")  # length 2 from t=10
-            yield env.timeout(10.0)
-
-        env.process(proc(env))
-        env.run()
-        # 10s at length 1 + 10s at length 2 = 30/20 = 1.5
-        assert q.time_average(now=20.0) == pytest.approx(1.5)
-        assert q.utilization() == pytest.approx(0.15)
 
     def test_blocking_put_applies_backpressure(self):
         env = Environment()

@@ -284,14 +284,6 @@ class TestLossyCounting:
         # True support 0.2: retained, with at most epsilon * n undercount.
         assert lc.estimate("hot") >= (0.2 - lc.epsilon) * lc.items_seen
 
-    def test_delta_of(self):
-        lc = LossyCounting(5)
-        lc.extend(range(20))
-        retained = [v for v, _ in lc.entries()]
-        if retained:
-            assert lc.delta_of(retained[-1]) >= 0
-        assert lc.delta_of("missing") == 0
-
     def test_resize_changes_epsilon(self):
         lc = LossyCounting(10)
         lc.resize(100)
